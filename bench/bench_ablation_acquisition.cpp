@@ -10,7 +10,6 @@
 #include "bench_util.hpp"
 #include "common/table.hpp"
 #include "topology/sundog.hpp"
-#include "tuning/objective.hpp"
 
 int main(int argc, char** argv) {
   using namespace stormtune;
@@ -30,9 +29,8 @@ int main(int argc, char** argv) {
     sim::SimParams params = topo::sundog_sim_params();
     params.duration_s = args.duration_s;
     for (const auto acq : acquisitions) {
-      tuning::SimObjective objective(topology, topo::sundog_cluster(),
-                                     params, args.seed + 1);
-      const auto best = tuning::run_campaign(
+      const auto best = bench::run_bench_campaign(
+          args,
           [&](std::size_t pass) {
             tuning::SpaceOptions sopts;
             sopts.tune_hints = false;
@@ -46,7 +44,9 @@ int main(int argc, char** argv) {
             return std::make_unique<tuning::BayesTuner>(
                 std::move(space), bopts, "bo." + bo::to_string(acq));
           },
-          objective, bench::experiment_options(args, "bo"), args.passes);
+          bench::sim_objective_factory(topology, topo::sundog_cluster(),
+                                       params, args.seed + 1),
+          bench::experiment_options(args, "bo"));
       t.add_row({"sundog bs_bp_cc", bo::to_string(acq),
                  bench::format_rate(best.best_rep_stats.mean),
                  std::to_string(best.best_step)});
@@ -65,9 +65,8 @@ int main(int argc, char** argv) {
     sim::SimParams params = topo::synthetic_sim_params();
     params.duration_s = args.duration_s;
     for (const auto acq : acquisitions) {
-      tuning::SimObjective objective(topology, topo::paper_cluster(), params,
-                                     args.seed + 2);
-      const auto best = tuning::run_campaign(
+      const auto best = bench::run_bench_campaign(
+          args,
           [&](std::size_t pass) {
             tuning::SpaceOptions sopts;
             sopts.hint_max = 20;
@@ -79,7 +78,9 @@ int main(int argc, char** argv) {
             return std::make_unique<tuning::BayesTuner>(
                 std::move(space), bopts, "bo." + bo::to_string(acq));
           },
-          objective, bench::experiment_options(args, "bo"), args.passes);
+          bench::sim_objective_factory(topology, topo::paper_cluster(),
+                                       params, args.seed + 2),
+          bench::experiment_options(args, "bo"));
       t.add_row({"medium/TiIm100", bo::to_string(acq),
                  bench::format_rate(best.best_rep_stats.mean),
                  std::to_string(best.best_step)});

@@ -13,7 +13,6 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "tuning/objective.hpp"
 
 namespace {
 
@@ -50,15 +49,15 @@ int main(int argc, char** argv) {
       double means[2] = {0.0, 0.0};
       const char* names[2] = {"pla", "ipla"};
       for (int i = 0; i < 2; ++i) {
-        tuning::SimObjective objective(topology, topo::paper_cluster(),
-                                       params, args.seed + 6);
-        const auto best = tuning::run_campaign(
+        const auto best = bench::run_bench_campaign(
+            args,
             [&](std::size_t) {
               return std::make_unique<tuning::PlaTuner>(
                   topology, bench::synthetic_defaults(), i == 1);
             },
-            objective, bench::experiment_options(args, names[i]),
-            args.passes);
+            bench::sim_objective_factory(topology, topo::paper_cluster(),
+                                         params, args.seed + 6),
+            bench::experiment_options(args, names[i]));
         means[i] = best.best_rep_stats.mean;
       }
       for (int i = 0; i < 2; ++i) {

@@ -8,7 +8,6 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "tuning/objective.hpp"
 
 int main(int argc, char** argv) {
   using namespace stormtune;
@@ -28,9 +27,8 @@ int main(int argc, char** argv) {
 
   for (const auto mode : {bo::HyperMode::kSliceSample, bo::HyperMode::kMle,
                           bo::HyperMode::kFixed}) {
-    tuning::SimObjective objective(topology, topo::paper_cluster(), params,
-                                   args.seed + 4);
-    const auto best = tuning::run_campaign(
+    const auto best = bench::run_bench_campaign(
+        args,
         [&](std::size_t pass) {
           tuning::SpaceOptions sopts;
           sopts.hint_max = 20;
@@ -42,7 +40,9 @@ int main(int argc, char** argv) {
           return std::make_unique<tuning::BayesTuner>(std::move(space),
                                                       bopts, "bo");
         },
-        objective, bench::experiment_options(args, "bo"), args.passes);
+        bench::sim_objective_factory(topology, topo::paper_cluster(), params,
+                                     args.seed + 4),
+        bench::experiment_options(args, "bo"));
     t.add_row({bo::to_string(mode),
                bench::format_rate(best.best_rep_stats.mean),
                std::to_string(best.best_step),

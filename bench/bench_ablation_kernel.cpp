@@ -10,7 +10,6 @@
 
 #include "bench_util.hpp"
 #include "common/table.hpp"
-#include "tuning/objective.hpp"
 
 int main(int argc, char** argv) {
   using namespace stormtune;
@@ -32,9 +31,8 @@ int main(int argc, char** argv) {
                             gp::KernelFamily::kMatern32,
                             gp::KernelFamily::kSquaredExponential}) {
     for (const bool ard : {false, true}) {
-      tuning::SimObjective objective(topology, topo::paper_cluster(), params,
-                                     args.seed + 3);
-      const auto best = tuning::run_campaign(
+      const auto best = bench::run_bench_campaign(
+          args,
           [&](std::size_t pass) {
             tuning::SpaceOptions sopts;
             sopts.hint_max = 20;
@@ -48,7 +46,9 @@ int main(int argc, char** argv) {
             return std::make_unique<tuning::BayesTuner>(std::move(space),
                                                         bopts, "bo");
           },
-          objective, bench::experiment_options(args, "bo"), args.passes);
+          bench::sim_objective_factory(topology, topo::paper_cluster(),
+                                       params, args.seed + 3),
+          bench::experiment_options(args, "bo"));
       t.add_row({gp::to_string(family), ard ? "yes" : "no",
                  bench::format_rate(best.best_rep_stats.mean),
                  std::to_string(best.best_step),

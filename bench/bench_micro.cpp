@@ -286,10 +286,10 @@ BENCHMARK(BM_EngineSundogRun)->Unit(benchmark::kMillisecond);
 
 void BM_Campaign(benchmark::State& state) {
   // A reduced-scale run_campaign (2 passes of random search on the medium
-  // topology plus best-config repetitions) over a pool of range(0) threads
-  // (0 = auto). Random search keeps BO out of the loop, so this measures
-  // the engine + experiment driver + pool, i.e. what the parallel campaign
-  // path actually buys. The result is bit-identical for any thread count.
+  // topology plus best-config repetitions), one strand per pass on a pool
+  // of range(0) workers (0 = auto). Random search keeps BO out of the
+  // loop, so this measures the engine + pass state machine + pool. The
+  // result is bit-identical for any thread count.
   const std::size_t threads = state.range(0) > 0
                                   ? static_cast<std::size_t>(state.range(0))
                                   : ThreadPool::default_thread_count();
@@ -304,18 +304,20 @@ void BM_Campaign(benchmark::State& state) {
   tuning::ExperimentOptions eopts;
   eopts.max_steps = 6;
   eopts.best_config_reps = 8;
+  tuning::CampaignSpec campaign;
+  campaign.make_tuner =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
+    return std::make_unique<tuning::RandomTuner>(
+        tuning::ConfigSpace(topology, sopts, defaults), 101 + pass);
+  };
+  campaign.make_objective =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<tuning::SimObjective>(
+        topology, topo::paper_cluster(), params, 7 + pass * 7919);
+  };
+  campaign.options = eopts;
   for (auto _ : state) {
-    ThreadPool pool(threads);
-    const auto best = tuning::run_campaign(
-        [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
-          return std::make_unique<tuning::RandomTuner>(
-              tuning::ConfigSpace(topology, sopts, defaults), 101 + pass);
-        },
-        [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-          return std::make_unique<tuning::SimObjective>(
-              topology, topo::paper_cluster(), params, 7 + pass * 7919);
-        },
-        eopts, 2, pool);
+    const auto best = tuning::run_campaign(campaign, threads);
     benchmark::DoNotOptimize(best.best_rep_stats.mean);
   }
 }
@@ -341,8 +343,8 @@ BENCHMARK(BM_ObjectiveRepeat)->Unit(benchmark::kMillisecond);
 
 /// The Figure-5-shaped campaign workload shared by BM_CampaignEndToEnd and
 /// the BENCH_campaign.json record: passes x steps x best-config
-/// repetitions of the small paper topology through the pooled campaign
-/// driver, with random search so evaluation (not suggestion) dominates.
+/// repetitions of the small paper topology through run_campaign, with
+/// random search so evaluation (not suggestion) dominates.
 /// Short measurement windows on a small topology put the workload in the
 /// regime campaigns actually live in — many cheap evaluations, where the
 /// per-evaluation fixed cost (deployment build, allocation churn) is the
@@ -362,25 +364,26 @@ double run_campaign_workload(const sim::Topology& topology,
   // best_config_reps stays at the paper's protocol (30 re-runs of the best
   // configuration per pass) — the repetition phase is where campaigns spend
   // most of their evaluations.
-  ThreadPool pool(threads);
-  const auto best = tuning::run_campaign(
+  tuning::CampaignSpec campaign;
+  campaign.make_tuner =
       [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
-        return std::make_unique<tuning::RandomTuner>(
-            tuning::ConfigSpace(topology, sopts, defaults), 101 + pass);
-      },
+    return std::make_unique<tuning::RandomTuner>(
+        tuning::ConfigSpace(topology, sopts, defaults), 101 + pass);
+  };
+  campaign.make_objective =
       [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-        return std::make_unique<tuning::SimObjective>(
-            topology, topo::paper_cluster(), params, 7 + pass * 7919);
-      },
-      eopts, 2, pool);
-  return best.best_rep_stats.mean;
+    return std::make_unique<tuning::SimObjective>(
+        topology, topo::paper_cluster(), params, 7 + pass * 7919);
+  };
+  campaign.options = eopts;
+  return tuning::run_campaign(campaign, threads).best_rep_stats.mean;
 }
 
 void BM_CampaignEndToEnd(benchmark::State& state) {
   // Full campaign evaluation path (2 passes x 10 random steps x 30 reps on
   // the small topology, 2 s windows) over range(0) pool threads (0 =
-  // auto). Workspace reuse — SimObjective's persistent simulator plus the
-  // driver's per-worker-slot clone cache — is what this measures.
+  // auto). Workspace reuse — SimObjective's persistent simulator plus each
+  // pass's rebound repetition clone — is what this measures.
   const std::size_t threads = state.range(0) > 0
                                   ? static_cast<std::size_t>(state.range(0))
                                   : ThreadPool::default_thread_count();

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/isa.hpp"
 #include "common/json.hpp"
+#include "common/thread_pool.hpp"
 #include "topology/sundog.hpp"
 #include "tuning/objective.hpp"
 #include "tuning/report.hpp"
@@ -203,6 +204,30 @@ tuning::ExperimentOptions experiment_options(const Args& args,
   return o;
 }
 
+tuning::ObjectiveFactory sim_objective_factory(const sim::Topology& topology,
+                                              const sim::ClusterSpec& cluster,
+                                              const sim::SimParams& params,
+                                              std::uint64_t seed) {
+  return [topology, cluster, params,
+          seed](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<tuning::SimObjective>(
+        topology, cluster, params, seed + 0x632be59bd9b4e019ULL * pass);
+  };
+}
+
+tuning::ExperimentResult run_bench_campaign(
+    const Args& args, tuning::TunerFactory make_tuner,
+    tuning::ObjectiveFactory make_objective,
+    const tuning::ExperimentOptions& options,
+    std::vector<tuning::ExperimentResult>* passes) {
+  tuning::CampaignSpec spec;
+  spec.make_tuner = std::move(make_tuner);
+  spec.make_objective = std::move(make_objective);
+  spec.options = options;
+  spec.passes = args.passes;
+  return tuning::run_campaign(spec, args.pool_threads(), passes);
+}
+
 CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
                                 const std::string& strategy,
                                 std::size_t step_override) {
@@ -216,28 +241,23 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   params.duration_s = args.duration_s;
 
   // A fixed objective seed per cell keeps strategies comparable; the
-  // optimizer passes get distinct seeds, and each pass owns its objective
-  // (a per-pass derived seed) so passes can run concurrently.
+  // optimizer passes get distinct seeds, and each pass owns its objective.
   const std::uint64_t cell_seed =
       args.seed + static_cast<std::uint64_t>(cell.size) * 101 +
       (cell.time_imbalance ? 13 : 0) + (cell.contention > 0.0 ? 29 : 0);
 
-  ThreadPool pool(args.pool_threads());
   CampaignCell out;
   out.cell = cell;
   out.strategy = strategy;
-  out.best = tuning::run_campaign(
+  out.best = run_bench_campaign(
+      args,
       [&](std::size_t pass) {
         return make_synthetic_tuner(strategy, topology, synthetic_defaults(),
                                     cell_seed * 7919 + pass);
       },
-      [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-        return std::make_unique<tuning::SimObjective>(
-            topology, topo::paper_cluster(), params,
-            cell_seed + 0x632be59bd9b4e019ULL * pass);
-      },
-      experiment_options(args, strategy, step_override), args.passes, pool,
-      &out.passes);
+      sim_objective_factory(topology, topo::paper_cluster(), params,
+                            cell_seed),
+      experiment_options(args, strategy, step_override), &out.passes);
   record_campaign_result(args, cell.label() + "/" + strategy, out.best);
   return out;
 }
@@ -283,23 +303,19 @@ SundogResult run_sundog_campaign(const Args& args,
   sim::SimParams params = topo::sundog_sim_params();
   params.duration_s = args.duration_s;
 
-  ThreadPool pool(args.pool_threads());
   SundogResult out;
   out.strategy = strategy;
   out.param_set = param_set;
-  out.best = tuning::run_campaign(
+  out.best = run_bench_campaign(
+      args,
       [&](std::size_t pass) {
         return make_sundog_tuner(strategy, param_set, topology,
                                  args.seed * 31 + pass * 1009 +
                                      std::hash<std::string>{}(param_set));
       },
-      [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-        return std::make_unique<tuning::SimObjective>(
-            topology, topo::sundog_cluster(), params,
-            args.seed + 4242 + 0x632be59bd9b4e019ULL * pass);
-      },
-      experiment_options(args, strategy, step_override), args.passes, pool,
-      &out.passes);
+      sim_objective_factory(topology, topo::sundog_cluster(), params,
+                            args.seed + 4242),
+      experiment_options(args, strategy, step_override), &out.passes);
   record_campaign_result(args, "sundog/" + strategy + "/" + param_set,
                          out.best);
   return out;

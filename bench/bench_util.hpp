@@ -49,7 +49,7 @@ struct Args {
   /// avx2, avx512, neon, or auto) process-wide via isa::select.
   static Args parse(int argc, char** argv);
 
-  /// The campaign thread pool implied by `threads` (results are
+  /// The campaign pool width implied by `threads` (results are
   /// bit-identical for any value; see run_campaign).
   std::size_t pool_threads() const;
 
@@ -84,6 +84,23 @@ std::unique_ptr<tuning::Tuner> make_synthetic_tuner(
 tuning::ExperimentOptions experiment_options(const Args& args,
                                              const std::string& strategy,
                                              std::size_t step_override = 0);
+
+/// Per-pass SimObjective factory with the harness's seed stride: pass p
+/// measures with seed + 0x632be59bd9b4e019 * p, so pass 0 keeps `seed` and
+/// the passes draw independent noise.
+tuning::ObjectiveFactory sim_objective_factory(const sim::Topology& topology,
+                                              const sim::ClusterSpec& cluster,
+                                              const sim::SimParams& params,
+                                              std::uint64_t seed);
+
+/// Run one campaign of args.passes passes over args.pool_threads() workers
+/// (tuning::run_campaign); all passes are appended to `passes` when
+/// non-null.
+tuning::ExperimentResult run_bench_campaign(
+    const Args& args, tuning::TunerFactory make_tuner,
+    tuning::ObjectiveFactory make_objective,
+    const tuning::ExperimentOptions& options,
+    std::vector<tuning::ExperimentResult>* passes = nullptr);
 
 /// Result of tuning one (cell, strategy) pair with the campaign protocol.
 struct CampaignCell {

@@ -135,7 +135,7 @@ BayesOpt::BayesOpt(ParamSpace space, BayesOptOptions options)
 
 ThreadPool& BayesOpt::pool() {
   if (!pool_) {
-    pool_ = std::make_shared<ThreadPool>(
+    pool_ = std::make_unique<ThreadPool>(
         options_.num_threads > 0 ? options_.num_threads
                                  : ThreadPool::default_thread_count());
   }
@@ -438,8 +438,7 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
       // across calls: an unchanged window is reused outright, a single new
       // observation is an O(n²) Cholesky rank-grow instead of the O(n³)
       // refactorization, and a window slide additionally absorbs each
-      // eviction through the O(n²) row downdate. The constant-liar loop in
-      // suggest_batch hits the incremental path on every iteration.
+      // eviction through the O(n²) row downdate.
       std::vector<std::size_t> removals;
       std::size_t num_appends = 0;
       if (fixed_gp_ && fixed_gp_->fitted() && fixed_rows_ == window_) {
@@ -684,23 +683,6 @@ ParamValues BayesOpt::suggest() {
   Surrogate surrogate = fit_surrogate();
   const std::vector<double> u = maximize_acquisition(surrogate);
   return space_.from_unit(u);
-}
-
-std::vector<ParamValues> BayesOpt::suggest_batch(std::size_t q) {
-  STORMTUNE_REQUIRE(q > 0, "BayesOpt::suggest_batch: q must be > 0");
-  pool();  // materialize before copying so the scratch shares the workers
-  BayesOpt scratch = *this;
-  std::vector<ParamValues> batch;
-  batch.reserve(q);
-  for (std::size_t i = 0; i < q; ++i) {
-    ParamValues x = scratch.suggest();
-    // The "lie": pretend the point returned the incumbent value, so the
-    // next suggestion's expected improvement there collapses.
-    const double lie = scratch.observations_.empty() ? 0.0 : scratch.best().y;
-    scratch.observe(x, lie);
-    batch.push_back(std::move(x));
-  }
-  return batch;
 }
 
 void BayesOpt::observe(ParamValues x, double y) {

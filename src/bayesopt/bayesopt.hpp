@@ -115,13 +115,6 @@ class BayesOpt {
   /// Propose the next configuration to evaluate (does not record it).
   ParamValues suggest();
 
-  /// Propose `q` configurations to evaluate concurrently, using the
-  /// constant-liar heuristic: each proposal is committed to a scratch copy
-  /// of the optimizer with the incumbent value as a pseudo-observation, so
-  /// subsequent proposals explore elsewhere. This is how Spearmint kept a
-  /// cluster busy with parallel evaluation runs.
-  std::vector<ParamValues> suggest_batch(std::size_t q);
-
   /// Record the outcome of evaluating `x` (higher y is better).
   void observe(ParamValues x, double y);
 
@@ -218,19 +211,17 @@ class BayesOpt {
   /// Lazily constructed on the first suggest() that needs it, so that the
   /// multi-campaign scheduler can hold thousands of idle optimizers (each
   /// pinned to num_threads = 1, whose pool owns no threads at all) without
-  /// spawning a worker set per instance. Shared so that the constant-liar
-  /// scratch copies in suggest_batch reuse the same workers instead of
-  /// spawning their own. Instances never share a pool with each other —
+  /// spawning a worker set per instance. Instances never share a pool —
   /// suggest() state is per-instance, so distinct optimizers are safe to
   /// drive concurrently from different scheduler workers.
   ThreadPool& pool();
-  std::shared_ptr<ThreadPool> pool_;
+  std::unique_ptr<ThreadPool> pool_;
   // kFixed-mode surrogate, kept across suggest() calls so a single new
-  // observation is an O(n²) Cholesky rank-grow instead of an O(n³) refit —
-  // this is what makes the constant-liar suggest_batch loop cheap. With a
-  // bounded window the same object also absorbs evictions through the O(n²)
-  // Cholesky row downdate; fixed_rows_ records which observation ids its
-  // rows currently hold so fit_surrogate can diff them against window_.
+  // observation is an O(n²) Cholesky rank-grow instead of an O(n³) refit.
+  // With a bounded window the same object also absorbs evictions through
+  // the O(n²) Cholesky row downdate; fixed_rows_ records which observation
+  // ids its rows currently hold so fit_surrogate can diff them against
+  // window_.
   std::optional<gp::GpRegressor> fixed_gp_;
   std::vector<std::size_t> fixed_rows_;
   /// Warm sliding-window state for slice-sampled surrogates: the per-sample

@@ -13,50 +13,138 @@ namespace stormtune::tuning {
 
 namespace {
 
-struct CampaignState;
+/// Monotonic wall-clock seconds, read only to time tuner proposals.
+double wall_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
-/// One (campaign, pass) pair as a resumable strand. The state machine
-/// mirrors run_tuning_loop() + the repetition phase of run_campaign()
-/// exactly — same calls on its own tuner/objective in the same order — so
-/// the per-pass result is bit-identical to the solo driver by
-/// construction. All mutable state lives in the strand; the StrandPool
-/// guarantees a strand never runs concurrently with itself.
-class PassStrand : public Strand {
+/// One optimization pass of the paper's protocol as a resumable state
+/// machine over a borrowed tuner and objective. Each step() does one unit
+/// of work — one suggest, one evaluation, or one best-config repetition —
+/// so the same machine runs inline (run_experiment) or as a strand.
+///
+/// Repetition r evaluates on a clone bound to stream r (a rebound clone is
+/// bit-identical to a fresh clone_stream(r)), so its value is a pure
+/// function of (pass, rep). Only an objective that cannot clone continues
+/// its own measurement sequence.
+class PassRun {
  public:
-  PassStrand(CampaignState& campaign, std::size_t pass)
-      : campaign_(campaign), pass_(pass) {}
-
-  bool step() override;
-
-  int steal_preference() const override {
-    // Simulation-phase steps (evaluations and repetitions) migrate
-    // cheaply; suggest steps prefer their home worker's warm caches. The
-    // init step builds the tuner/objective — unplaced state, free to move.
-    return phase_ == Phase::kSuggest ? 0 : 1;
+  PassRun(Tuner& tuner, Objective& objective, const ExperimentOptions& options)
+      : tuner_(tuner), objective_(objective), options_(options) {
+    STORMTUNE_REQUIRE(options.max_steps > 0,
+                      "experiment: max_steps must be > 0");
+    result_.strategy = tuner.name();
   }
 
+  /// Advance by one unit of work. Returns false once the pass is complete.
+  bool step();
+
+  /// Whether the next step is a suggest (dense linalg that prefers to stay
+  /// on its home worker's warm caches).
+  bool suggesting() const { return phase_ == Phase::kSuggest; }
+
+  ExperimentResult& result() { return result_; }
+
  private:
-  enum class Phase { kInit, kSuggest, kEvaluate, kReps };
+  enum class Phase { kSuggest, kEvaluate, kReps };
 
-  void finish_tuning_loop();
-  bool finish_pass();  // returns false: the strand is done
+  /// Close the tuning loop; returns whether repetitions remain.
+  bool finish_tuning_loop();
 
-  CampaignState& campaign_;
-  std::size_t pass_;
-  Phase phase_ = Phase::kInit;
-
-  std::unique_ptr<Tuner> tuner_;
-  std::unique_ptr<Objective> objective_;
+  Tuner& tuner_;
+  Objective& objective_;
+  const ExperimentOptions& options_;
+  Phase phase_ = Phase::kSuggest;
   std::unique_ptr<Objective> rep_clone_;
 
   ExperimentResult result_;
   std::optional<sim::TopologyConfig> pending_config_;
   double pending_suggest_seconds_ = 0.0;
-  std::size_t step_index_ = 0;  // 1-based, like run_tuning_loop
+  std::size_t step_index_ = 0;  // 1-based
   std::size_t zero_streak_ = 0;
   double total_suggest_ = 0.0;
   std::size_t rep_ = 0;
 };
+
+bool PassRun::step() {
+  switch (phase_) {
+    case Phase::kSuggest: {
+      const double t0 = wall_seconds();
+      std::optional<sim::TopologyConfig> config = tuner_.next();
+      pending_suggest_seconds_ = wall_seconds() - t0;
+      if (!config) return finish_tuning_loop();
+      pending_config_ = std::move(config);
+      ++step_index_;
+      phase_ = Phase::kEvaluate;
+      return true;
+    }
+    case Phase::kEvaluate: {
+      const double throughput = objective_.evaluate(*pending_config_);
+      tuner_.report(*pending_config_, throughput);
+
+      StepRecord rec;
+      rec.step = step_index_;
+      rec.throughput = throughput;
+      rec.suggest_seconds = pending_suggest_seconds_;
+      total_suggest_ += rec.suggest_seconds;
+      result_.max_suggest_seconds =
+          std::max(result_.max_suggest_seconds, rec.suggest_seconds);
+      result_.trace.push_back(rec);
+
+      if (throughput > result_.best_throughput) {
+        result_.best_throughput = throughput;
+        result_.best_config = *pending_config_;
+        result_.best_step = step_index_;
+      }
+
+      bool stop = step_index_ >= options_.max_steps;
+      if (throughput <= 0.0) {
+        if (++zero_streak_ >= options_.zero_streak_stop &&
+            options_.zero_streak_stop > 0) {
+          stop = true;
+        }
+      } else {
+        zero_streak_ = 0;
+      }
+      if (stop) return finish_tuning_loop();
+      phase_ = Phase::kSuggest;
+      return true;
+    }
+    case Phase::kReps: {
+      if (rep_ == 0) rep_clone_ = objective_.clone_stream(0);
+      double value;
+      if (rep_clone_) {
+        if (rep_ > 0 && !rep_clone_->rebind_stream(rep_)) {
+          rep_clone_ = objective_.clone_stream(rep_);
+          STORMTUNE_REQUIRE(rep_clone_ != nullptr,
+                            "experiment: clone_stream failed mid-phase");
+        }
+        value = rep_clone_->evaluate(result_.best_config);
+      } else {
+        value = objective_.evaluate(result_.best_config);
+      }
+      result_.best_rep_values[rep_] = value;
+      if (++rep_ < options_.best_config_reps) return true;
+      result_.best_rep_stats = summarize(result_.best_rep_values);
+      return false;
+    }
+  }
+  STORMTUNE_REQUIRE(false, "experiment: corrupt pass phase");
+  return false;
+}
+
+bool PassRun::finish_tuning_loop() {
+  STORMTUNE_REQUIRE(!result_.trace.empty(),
+                    "experiment: tuner proposed nothing");
+  result_.mean_suggest_seconds =
+      total_suggest_ / static_cast<double>(result_.trace.size());
+  if (options_.best_config_reps == 0 || result_.best_step == 0) return false;
+  result_.best_rep_values.assign(options_.best_config_reps, 0.0);
+  phase_ = Phase::kReps;
+  return true;
+}
 
 /// Shared per-campaign bookkeeping: pass results land here and the LAST
 /// pass to finish performs the gather (deterministic despite racing
@@ -65,15 +153,14 @@ class PassStrand : public Strand {
 struct CampaignState {
   const CampaignSpec* spec = nullptr;
   std::size_t ticket = 0;  // submission index
-  std::vector<std::unique_ptr<PassStrand>> strands;
   std::vector<ExperimentResult> pass_results;
   std::atomic<std::size_t> passes_remaining{0};
-  ExperimentResult* final_slot = nullptr;  // element ticket of the output
+  ExperimentResult* final_slot = nullptr;  // where the winning pass goes
   ResultSink* sink = nullptr;
 };
 
-/// The gather of run_campaign(): winning pass by repetition mean (or best
-/// single measurement when reps are off), first-pass-wins on ties.
+/// Winning pass by repetition mean (or best single measurement when reps
+/// are off), first-pass-wins on ties.
 void gather_campaign(CampaignState& c) {
   const bool use_reps = c.spec->options.best_config_reps > 0;
   std::size_t win = 0;
@@ -94,164 +181,124 @@ void gather_campaign(CampaignState& c) {
   }
 }
 
-bool PassStrand::step() {
-  const ExperimentOptions& options = campaign_.spec->options;
-  switch (phase_) {
-    case Phase::kInit: {
+/// One (campaign, pass) pair as a strand: the first step builds the pass's
+/// tuner and objective, every later step forwards to its PassRun. The
+/// StrandPool guarantees a strand never runs concurrently with itself.
+class PassStrand : public Strand {
+ public:
+  PassStrand(CampaignState& campaign, std::size_t pass)
+      : campaign_(campaign), pass_(pass) {}
+
+  bool step() override {
+    if (!run_) {
       tuner_ = campaign_.spec->make_tuner(pass_);
       STORMTUNE_REQUIRE(tuner_ != nullptr,
-                        "run_campaigns: tuner factory returned null");
+                        "campaign: tuner factory returned null");
       objective_ = campaign_.spec->make_objective(pass_);
       STORMTUNE_REQUIRE(objective_ != nullptr,
-                        "run_campaigns: objective factory returned null");
-      STORMTUNE_REQUIRE(options.max_steps > 0,
-                        "run_campaigns: max_steps must be > 0");
-      result_.strategy = tuner_->name();
-      phase_ = Phase::kSuggest;
+                        "campaign: objective factory returned null");
+      run_.emplace(*tuner_, *objective_, campaign_.spec->options);
       return true;
     }
-    case Phase::kSuggest: {
-      const auto t0 = std::chrono::steady_clock::now();
-      std::optional<sim::TopologyConfig> config = tuner_->next();
-      const auto t1 = std::chrono::steady_clock::now();
-      if (!config) {
-        finish_tuning_loop();
-        return phase_ == Phase::kReps ? true : finish_pass();
-      }
-      pending_config_ = std::move(config);
-      pending_suggest_seconds_ =
-          std::chrono::duration<double>(t1 - t0).count();
-      ++step_index_;
-      phase_ = Phase::kEvaluate;
-      return true;
-    }
-    case Phase::kEvaluate: {
-      const double throughput = objective_->evaluate(*pending_config_);
-      tuner_->report(*pending_config_, throughput);
+    if (run_->step()) return true;
+    finish_pass();
+    return false;
+  }
 
-      StepRecord rec;
-      rec.step = step_index_;
-      rec.throughput = throughput;
-      rec.suggest_seconds = pending_suggest_seconds_;
-      total_suggest_ += rec.suggest_seconds;
-      result_.max_suggest_seconds =
-          std::max(result_.max_suggest_seconds, rec.suggest_seconds);
-      result_.trace.push_back(rec);
+  int steal_preference() const override {
+    // Simulation-phase steps (evaluations and repetitions) migrate
+    // cheaply; suggest steps prefer their home worker's warm caches. The
+    // init step builds the tuner/objective — unplaced state, free to move.
+    return run_ && run_->suggesting() ? 0 : 1;
+  }
 
-      if (throughput > result_.best_throughput) {
-        result_.best_throughput = throughput;
-        result_.best_config = *pending_config_;
-        result_.best_step = step_index_;
-      }
-
-      bool stop = step_index_ >= options.max_steps;
-      if (throughput <= 0.0) {
-        if (++zero_streak_ >= options.zero_streak_stop &&
-            options.zero_streak_stop > 0) {
-          stop = true;
-        }
-      } else {
-        zero_streak_ = 0;
-      }
-      if (stop) {
-        finish_tuning_loop();
-        return phase_ == Phase::kReps ? true : finish_pass();
-      }
-      phase_ = Phase::kSuggest;
-      return true;
-    }
-    case Phase::kReps: {
-      // One repetition per step — the steal granularity of the rep phase.
-      // With clone_stream support, rep r evaluates on a clone bound to
-      // stream r (a rebound clone is bit-identical to a fresh one), so the
-      // value is a pure function of (pass, rep) exactly as in the parallel
-      // run_campaign(). Without it, reps continue the pass objective's own
-      // sequence — the serial run_experiment() semantics.
-      if (rep_ == 0) rep_clone_ = objective_->clone_stream(0);
-      double value;
-      if (rep_clone_) {
-        if (rep_ > 0 && !rep_clone_->rebind_stream(rep_)) {
-          rep_clone_ = objective_->clone_stream(rep_);
-          STORMTUNE_REQUIRE(rep_clone_ != nullptr,
-                            "run_campaigns: clone_stream failed mid-phase");
-        }
-        value = rep_clone_->evaluate(result_.best_config);
-      } else {
-        value = objective_->evaluate(result_.best_config);
-      }
-      result_.best_rep_values[rep_] = value;
-      if (++rep_ < options.best_config_reps) return true;
-      result_.best_rep_stats = summarize(result_.best_rep_values);
-      return finish_pass();
+ private:
+  void finish_pass() {
+    // Release the heavyweight per-pass state before the (possibly much
+    // later) campaign gather; the results vector is all that must survive.
+    campaign_.pass_results[pass_] = std::move(run_->result());
+    tuner_.reset();
+    objective_.reset();
+    run_.reset();
+    if (campaign_.passes_remaining.fetch_sub(1, std::memory_order_seq_cst) ==
+        1) {
+      gather_campaign(campaign_);
     }
   }
-  STORMTUNE_REQUIRE(false, "run_campaigns: corrupt strand phase");
-  return false;
+
+  CampaignState& campaign_;
+  std::size_t pass_;
+  std::unique_ptr<Tuner> tuner_;
+  std::unique_ptr<Objective> objective_;
+  std::optional<PassRun> run_;
+};
+
+void init_campaign(CampaignState& c, const CampaignSpec& spec,
+                   std::size_t ticket, ExperimentResult* final_slot,
+                   ResultSink* sink) {
+  STORMTUNE_REQUIRE(spec.passes > 0, "campaign: passes must be > 0");
+  STORMTUNE_REQUIRE(spec.make_tuner && spec.make_objective,
+                    "campaign: spec is missing a factory");
+  c.spec = &spec;
+  c.ticket = ticket;
+  c.pass_results.resize(spec.passes);
+  c.passes_remaining.store(spec.passes, std::memory_order_seq_cst);
+  c.final_slot = final_slot;
+  c.sink = sink;
 }
 
-void PassStrand::finish_tuning_loop() {
-  STORMTUNE_REQUIRE(!result_.trace.empty(),
-                    "run_campaigns: tuner proposed nothing");
-  result_.mean_suggest_seconds =
-      total_suggest_ / static_cast<double>(result_.trace.size());
-  const ExperimentOptions& options = campaign_.spec->options;
-  if (options.best_config_reps > 0 && result_.best_step > 0) {
-    result_.best_rep_values.assign(options.best_config_reps, 0.0);
-    phase_ = Phase::kReps;
+/// Run every pass of every campaign to completion as one strand each on a
+/// StrandPool of `threads` workers (0 = auto); returns the steal count.
+std::uint64_t run_passes(std::vector<CampaignState>& campaigns,
+                         std::size_t threads) {
+  std::vector<std::unique_ptr<PassStrand>> owned;
+  std::vector<Strand*> strands;
+  for (CampaignState& c : campaigns) {
+    for (std::size_t pass = 0; pass < c.spec->passes; ++pass) {
+      owned.push_back(std::make_unique<PassStrand>(c, pass));
+      strands.push_back(owned.back().get());
+    }
   }
-}
-
-bool PassStrand::finish_pass() {
-  // Release the heavyweight per-pass state before the (possibly much
-  // later) campaign gather; the results vector is all that must survive.
-  tuner_.reset();
-  objective_.reset();
-  rep_clone_.reset();
-  campaign_.pass_results[pass_] = std::move(result_);
-  if (campaign_.passes_remaining.fetch_sub(1, std::memory_order_seq_cst) ==
-      1) {
-    gather_campaign(campaign_);
-  }
-  return false;
+  StrandPool pool(threads > 0 ? threads : ThreadPool::default_thread_count());
+  pool.run(strands);
+  return pool.steal_count();
 }
 
 }  // namespace
 
+ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
+                                const ExperimentOptions& options) {
+  PassRun run(tuner, objective, options);
+  while (run.step()) {
+  }
+  return std::move(run.result());
+}
+
+ExperimentResult run_campaign(const CampaignSpec& spec, std::size_t threads,
+                              std::vector<ExperimentResult>* all_passes) {
+  ExperimentResult best;
+  std::vector<CampaignState> campaigns(1);
+  init_campaign(campaigns[0], spec, 0, &best, nullptr);
+  run_passes(campaigns, threads);
+  if (all_passes != nullptr) {
+    for (ExperimentResult& r : campaigns[0].pass_results) {
+      all_passes->push_back(std::move(r));
+    }
+  }
+  return best;
+}
+
 MultiCampaignResult run_campaigns(const std::vector<CampaignSpec>& specs,
                                   const CampaignSchedulerOptions& options,
                                   ResultSink* sink) {
-  const std::size_t threads = options.num_threads > 0
-                                  ? options.num_threads
-                                  : ThreadPool::default_thread_count();
   MultiCampaignResult out;
   out.results.resize(specs.size());
   if (specs.empty()) return out;
-
-  std::vector<std::unique_ptr<CampaignState>> campaigns;
-  campaigns.reserve(specs.size());
-  std::vector<Strand*> strands;
+  std::vector<CampaignState> campaigns(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const CampaignSpec& spec = specs[i];
-    STORMTUNE_REQUIRE(spec.passes > 0, "run_campaigns: passes must be > 0");
-    STORMTUNE_REQUIRE(spec.make_tuner && spec.make_objective,
-                      "run_campaigns: campaign is missing a factory");
-    auto c = std::make_unique<CampaignState>();
-    c->spec = &spec;
-    c->ticket = i;
-    c->pass_results.resize(spec.passes);
-    c->passes_remaining.store(spec.passes, std::memory_order_seq_cst);
-    c->final_slot = &out.results[i];
-    c->sink = sink;
-    for (std::size_t pass = 0; pass < spec.passes; ++pass) {
-      c->strands.push_back(std::make_unique<PassStrand>(*c, pass));
-      strands.push_back(c->strands.back().get());
-    }
-    campaigns.push_back(std::move(c));
+    init_campaign(campaigns[i], specs[i], i, &out.results[i], sink);
   }
-
-  StrandPool pool(threads);
-  pool.run(strands);
-  out.steal_count = pool.steal_count();
+  out.steal_count = run_passes(campaigns, options.num_threads);
   return out;
 }
 

@@ -1,11 +1,12 @@
 // Multi-tenant campaign scheduler: N independent tuning campaigns
 // multiplexed over one work-stealing StrandPool.
 //
-// The ROADMAP north-star is a tuning *service* — thousands of concurrent
-// campaigns sharing one box — rather than the paper's one-campaign-at-a-
-// time runs. run_campaigns() decomposes every (campaign, pass) pair into a
-// resumable strand whose steps alternate between the two phase types with
-// opposite hardware appetites:
+// This file also holds the one implementation of the paper's protocol: a
+// pass state machine (propose, evaluate and report; zero-streak stop; one
+// best-config repetition per step; the best-of-passes gather) that
+// run_experiment steps inline and run_campaign / run_campaigns step as
+// one strand per (campaign, pass) pair. Strand steps alternate between two
+// phase types with opposite hardware appetites:
 //
 //   * suggest  — the BO proposal (dense linalg, wide-ISA bound; profits
 //                from staying on one core's warm caches),
@@ -22,39 +23,27 @@
 // Determinism is the headline guarantee, and it comes from ownership, not
 // from the schedule: every strand owns its tuner, its objective (and thus
 // its RNG streams and simulation workspace), and its partial
-// ExperimentResult. Stealing changes only WHERE and WHEN a step runs,
-// never what it computes, so each campaign's results are bit-identical to
-// a solo run_campaign() of the same spec — for any thread count, any
-// submission order of the other campaigns, and any interleaving. The
-// wall-clock suggest_seconds fields are the sole excluded quantity
-// (presentation-only, as in the single-campaign driver). Finished
-// campaigns flow to an optional ResultSink keyed by submission ticket, so
-// output files are byte-identical regardless of completion order.
+// ExperimentResult, and repetition r always evaluates on
+// Objective::clone_stream(r). Stealing changes only WHERE and WHEN a step
+// runs, never what it computes, so each campaign's results are
+// bit-identical to a solo run_campaign() of the same spec — for any thread
+// count, any submission order of the other campaigns, and any
+// interleaving. The wall-clock suggest_seconds fields are the sole
+// excluded quantity (presentation-only). Finished campaigns flow to an
+// optional ResultSink keyed by submission ticket, so output files are
+// byte-identical regardless of completion order.
 //
 // See DESIGN.md §9 "Multi-tenant campaign scheduling".
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "tuning/experiment.hpp"
 #include "tuning/result_sink.hpp"
 
 namespace stormtune::tuning {
-
-/// One campaign: everything run_campaign() takes, in factory form. Both
-/// factories must be pure functions of the pass index and safe to call
-/// concurrently with the factories of other campaigns (each campaign's
-/// factories are only ever invoked by one worker at a time).
-struct CampaignSpec {
-  std::string name;                ///< label carried into sink records
-  TunerFactory make_tuner;         ///< fresh tuner per pass
-  ObjectiveFactory make_objective; ///< fresh objective per pass
-  ExperimentOptions options;
-  std::size_t passes = 2;          ///< paper protocol: best of two passes
-};
 
 struct CampaignSchedulerOptions {
   /// Worker threads, caller included. 0 = ThreadPool::default_thread_count.
@@ -72,10 +61,8 @@ struct MultiCampaignResult {
 /// Run every campaign to completion over a work-stealing pool. When `sink`
 /// is non-null, each campaign's winning pass is also submitted to it with
 /// ticket = submission index (the sink is NOT closed — the caller owns its
-/// lifecycle). Campaigns whose objectives support clone_stream get the
-/// parallel run_campaign() repetition semantics (rep r drawn from stream
-/// r); objectives without it fall back to the serial overload's semantics
-/// (repetitions continue the pass objective's own sequence).
+/// lifecycle). Pass p's tuner and objective are built back to back,
+/// make_tuner first, in the pass's first strand step.
 MultiCampaignResult run_campaigns(const std::vector<CampaignSpec>& specs,
                                   const CampaignSchedulerOptions& options,
                                   ResultSink* sink = nullptr);

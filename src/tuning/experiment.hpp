@@ -6,6 +6,12 @@
 // recorded (Figure 7); afterwards the best configuration is re-run 30
 // times (Figures 4 and 8 report mean/min/max of those repetitions); the
 // whole procedure is run twice and the better pass is reported.
+//
+// One pass state machine implements that protocol (campaign_scheduler.cpp).
+// run_experiment steps it inline; run_campaign and run_campaigns step one
+// instance per pass on a work-stealing StrandPool. Repetition r of a pass
+// always evaluates on Objective::clone_stream(r), so no result depends on
+// the entry point or the thread count.
 #pragma once
 
 #include <functional>
@@ -14,7 +20,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "tuning/objective.hpp"
 #include "tuning/tuner.hpp"
 
@@ -50,44 +55,35 @@ struct ExperimentResult {
 
 /// Run one optimization pass: propose/evaluate/report until the step budget
 /// or the zero-performance stop, then re-evaluate the best configuration.
+/// Repetition r runs on objective.clone_stream(r); an objective that cannot
+/// clone continues its own measurement sequence instead.
 ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
                                 const ExperimentOptions& options);
-
-/// Like the serial overload, but the best-config repetitions are sharded
-/// over `pool`, one Objective::clone_stream(rep) per repetition. Because
-/// each repetition draws from its own stream, the result is bit-identical
-/// for any pool size — but numerically different from the serial overload,
-/// whose repetitions continue the tuning-loop seed sequence. Falls back to
-/// the serial repetition loop when the objective does not support
-/// clone_stream.
-ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
-                                const ExperimentOptions& options,
-                                ThreadPool& pool);
 
 using TunerFactory = std::function<std::unique_ptr<Tuner>(std::size_t pass)>;
 using ObjectiveFactory =
     std::function<std::unique_ptr<Objective>(std::size_t pass)>;
 
-/// The paper's full protocol: run `passes` independent experiment passes
-/// (the factory builds a fresh tuner each time) and return the pass whose
-/// re-evaluated best configuration has the highest mean throughput.
-/// All passes are returned through `all_passes` when non-null.
-ExperimentResult run_campaign(
-    const TunerFactory& make_tuner, Objective& objective,
-    const ExperimentOptions& options, std::size_t passes = 2,
-    std::vector<ExperimentResult>* all_passes = nullptr);
+/// One campaign: the paper's full protocol in factory form. Each pass gets
+/// a fresh tuner and a fresh objective, so no state is shared across
+/// passes. Both factories must be pure functions of the pass index and
+/// safe to call concurrently: different passes start on different workers.
+struct CampaignSpec {
+  std::string name;                ///< label carried into sink records
+  TunerFactory make_tuner;         ///< fresh tuner per pass
+  ObjectiveFactory make_objective; ///< fresh objective per pass
+  ExperimentOptions options;
+  std::size_t passes = 2;          ///< paper protocol: best of two passes
+};
 
-/// Deterministic parallel campaign: passes run concurrently over `pool`
-/// (each pass owns its tuner AND its objective, both built per pass), then
-/// all best-config repetitions of all passes are sharded over the pool via
-/// Objective::clone_stream. Every shard is a pure function of its (pass,
-/// rep) indices, and results are gathered in pass order, so the returned
-/// ExperimentResult (and `all_passes`) is bit-identical for any thread
-/// count. Both factories must be safe to call concurrently, and the
-/// per-pass objectives must support clone_stream when best_config_reps > 0.
-ExperimentResult run_campaign(
-    const TunerFactory& make_tuner, const ObjectiveFactory& make_objective,
-    const ExperimentOptions& options, std::size_t passes, ThreadPool& pool,
-    std::vector<ExperimentResult>* all_passes = nullptr);
+/// Run every pass of `spec` (one run_experiment each, on its own tuner and
+/// objective) over a StrandPool of `threads` workers, the caller included
+/// (0 = ThreadPool::default_thread_count), and return the pass whose
+/// repetition mean is highest (best single measurement when reps are off;
+/// ties keep the earlier pass). All passes are appended to `all_passes`
+/// when non-null. The result is bit-identical for any thread count.
+ExperimentResult run_campaign(const CampaignSpec& spec, std::size_t threads,
+                              std::vector<ExperimentResult>* all_passes =
+                                  nullptr);
 
 }  // namespace stormtune::tuning

@@ -27,10 +27,10 @@
 // Determinism: promotion decisions are a pure function of (candidate set,
 // screen RNG stream); all rung costs are simulated milliseconds, never
 // wall-clock; the promotion comparator is an explicit total order. Ladder
-// campaigns are therefore bit-identical for any thread count under both the
-// pooled drivers and the PR 7 campaign scheduler — screening runs inside
-// the tuner's next(), i.e. inside the existing suggest strand step, so the
-// scheduler needs no new phase for it.
+// campaigns are therefore bit-identical for any thread count under
+// run_campaign and run_campaigns — screening runs inside the tuner's
+// next(), i.e. inside the existing suggest strand step, so the scheduler
+// needs no new phase for it.
 //
 // See DESIGN.md "Multi-fidelity evaluation ladder".
 #pragma once
@@ -206,8 +206,8 @@ struct LadderCampaignConfig {
   std::string tuner_name = "bo+ladder";
 };
 
-/// Per-pass factory pair for the campaign drivers (pooled run_campaign and
-/// the PR 7 scheduler): pass p's tuner and objective share ONE
+/// Per-pass factory pair for the campaign drivers (run_campaign and
+/// run_campaigns): pass p's tuner and objective share ONE
 /// FidelityLadder, created on first request and registered by pass index,
 /// so the tuner's screening, the objective's promotion state and the
 /// observation rung tags stay coherent without any scheduler changes —

@@ -24,12 +24,13 @@ class Objective {
   virtual double evaluate(const sim::TopologyConfig& config) = 0;
 
   /// An independent copy of this objective whose measurement noise comes
-  /// from a seed stream derived from `stream`. The parallel experiment
-  /// driver gives each best-config repetition its own stream so the
-  /// repetitions are independent of each other AND of evaluation order —
-  /// which is what makes the parallel result bit-identical for any thread
-  /// count. Objectives that cannot provide isolated streams return nullptr
-  /// (the default); the driver then falls back to serial evaluation.
+  /// from a seed stream derived from `stream`. The pass state machine
+  /// behind every experiment driver runs best-config repetition r on
+  /// clone_stream(r), so the repetitions are independent of each other AND
+  /// of evaluation order, and no result depends on the entry point or the
+  /// thread count. Objectives that cannot provide isolated streams return
+  /// nullptr (the default); their repetitions then continue this object's
+  /// own measurement sequence.
   virtual std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const {
     (void)stream;
     return nullptr;

@@ -225,43 +225,6 @@ TEST(BayesOpt, ExploresAfterInitialDesign) {
   EXPECT_TRUE(distinct);
 }
 
-TEST(BayesOpt, SuggestBatchReturnsDistinctPoints) {
-  BayesOpt opt(branin_space(), fast_options(30));
-  for (int i = 0; i < 8; ++i) {
-    const ParamValues x = opt.suggest();
-    opt.observe(x, neg_branin(x[0], x[1]));
-  }
-  const auto batch = opt.suggest_batch(4);
-  ASSERT_EQ(batch.size(), 4u);
-  // The constant liar should push proposals apart: at least one pair must
-  // be clearly separated.
-  double max_dist = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_GE(batch[i][0], -5.0);
-    EXPECT_LE(batch[i][0], 10.0);
-    for (std::size_t j = i + 1; j < batch.size(); ++j) {
-      const double dx = batch[i][0] - batch[j][0];
-      const double dy = batch[i][1] - batch[j][1];
-      max_dist = std::max(max_dist, dx * dx + dy * dy);
-    }
-  }
-  EXPECT_GT(max_dist, 1e-6);
-  // The real optimizer's history is untouched.
-  EXPECT_EQ(opt.num_observations(), 8u);
-}
-
-TEST(BayesOpt, SuggestBatchWorksWithEmptyHistory) {
-  BayesOpt opt(branin_space(), fast_options(31));
-  const auto batch = opt.suggest_batch(3);
-  EXPECT_EQ(batch.size(), 3u);
-  EXPECT_EQ(opt.num_observations(), 0u);
-}
-
-TEST(BayesOpt, SuggestBatchRejectsZero) {
-  BayesOpt opt(branin_space(), fast_options(32));
-  EXPECT_THROW(opt.suggest_batch(0), Error);
-}
-
 // Sliding-window sweep: the bounded-window optimizer must agree bit for bit
 // with the unbounded one while the history still fits the window, and keep
 // producing valid suggestions once evictions start, in every hyper mode.

@@ -1,11 +1,12 @@
-// Golden tests for the multi-tenant campaign scheduler.
+// Golden tests for the campaign protocol and the multi-tenant scheduler.
 //
 // The acceptance contract: N campaigns interleaved over a work-stealing
 // pool produce, per campaign, results bit-identical (compared via %a
 // hexfloat fingerprints) to a solo run_campaign() of the same spec — for
-// every thread count, and for a shuffled submission order. Wall-clock
-// suggest timing (trace suggest_seconds, mean/max_suggest_seconds) is the
-// sole excluded quantity.
+// every thread count, and for a shuffled submission order — and every
+// pass equals run_experiment() of that pass. Wall-clock suggest timing
+// (trace suggest_seconds, mean/max_suggest_seconds) is the sole excluded
+// quantity.
 //
 // The thread-count list defaults to {1, 2, 8}; CI's TSan job widens it via
 // STORMTUNE_SCHED_TEST_THREADS (comma-separated, e.g. "1,4,16").
@@ -19,6 +20,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
@@ -121,12 +123,9 @@ CampaignSpec make_random_spec(std::size_t i) {
   return spec;
 }
 
-/// Solo reference: the deterministic parallel run_campaign() on a 1-thread
-/// pool (its results are thread-count-invariant by its own contract).
+/// Solo reference: run_campaign() of the one spec on a 1-thread pool.
 std::string solo_fingerprint(const CampaignSpec& spec) {
-  ThreadPool pool(1);
-  return fingerprint(run_campaign(spec.make_tuner, spec.make_objective,
-                                  spec.options, spec.passes, pool));
+  return fingerprint(run_campaign(spec, 1));
 }
 
 TEST(CampaignScheduler, ThousandInterleavedCampaignsMatchSoloRuns) {
@@ -229,8 +228,8 @@ TEST(CampaignScheduler, BayesOptCampaignsMatchSoloRuns) {
   }
 }
 
-/// Deterministic, stateless, and clone_stream-free: the scheduler must take
-/// the serial-repetition fallback for it.
+/// Deterministic, stateless, and clone_stream-free: repetitions run on the
+/// pass objective itself.
 class HintScoreObjective final : public Objective {
  public:
   double evaluate(const sim::TopologyConfig& c) override {
@@ -240,9 +239,8 @@ class HintScoreObjective final : public Objective {
 };
 
 TEST(CampaignScheduler, ObjectivesWithoutCloneStreamFallBackToSerialReps) {
-  // With a stateless objective the serial run_campaign() overload (one
-  // shared objective across passes) computes the same numbers as the
-  // scheduler's per-pass fallback, so it doubles as the reference.
+  // Being stateless, the objective reproduces the pass's best tuning
+  // measurement on every repetition, at every thread count.
   const sim::Topology t = demo_topology();
   sim::TopologyConfig defaults = sim::uniform_hint_config(t, 2);
   defaults.batch_size = 50;
@@ -263,18 +261,112 @@ TEST(CampaignScheduler, ObjectivesWithoutCloneStreamFallBackToSerialReps) {
   spec.options.best_config_reps = 4;
   spec.passes = 2;
 
-  HintScoreObjective shared;
-  const std::string reference = fingerprint(run_campaign(
-      spec.make_tuner, shared, spec.options, spec.passes));
-
+  const std::string reference = solo_fingerprint(spec);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     const MultiCampaignResult multi =
         run_campaigns({spec}, {.num_threads = threads});
     ASSERT_EQ(multi.results.size(), 1u);
-    EXPECT_EQ(fingerprint(multi.results[0]), reference);
+    const ExperimentResult& r = multi.results[0];
+    ASSERT_EQ(r.best_rep_values.size(), 4u);
+    for (const double v : r.best_rep_values) {
+      EXPECT_EQ(v, r.best_throughput);
+    }
+    EXPECT_EQ(fingerprint(r), reference);
   }
 }
+
+/// Deterministic and clone_stream-free, but stateful: a measurement depends
+/// on how many came before it, so repetitions that continue the objective's
+/// own sequence are told apart from any other repetition rule.
+class ScriptedObjective final : public Objective {
+ public:
+  double evaluate(const sim::TopologyConfig& c) override {
+    const double h = static_cast<double>(c.parallelism_hints.at(0));
+    return 100.0 + 10.0 * h + static_cast<double>(calls_++ % 5);
+  }
+
+ private:
+  std::size_t calls_ = 0;
+};
+
+enum class ObjectiveKind { kCloneable, kScripted };
+
+using ProtocolParam = std::tuple<ObjectiveKind, std::size_t>;
+
+/// One protocol, three entry points: run_experiment stepping each pass
+/// inline, run_campaign, and run_campaigns must produce bit-identical
+/// results (suggest timing masked) at every pool width, whether the
+/// objective clones repetition streams (SimObjective) or not.
+class ProtocolEquivalence : public ::testing::TestWithParam<ProtocolParam> {
+};
+
+TEST_P(ProtocolEquivalence, EntryPointsAgreeBitForBit) {
+  const auto [kind, threads] = GetParam();
+  CampaignSpec spec = make_random_spec(1);
+  spec.options.max_steps = 4;
+  spec.options.best_config_reps = 3;
+  if (kind == ObjectiveKind::kScripted) {
+    spec.make_objective = [](std::size_t) -> std::unique_ptr<Objective> {
+      return std::make_unique<ScriptedObjective>();
+    };
+  }
+
+  // Reference: each pass through run_experiment on its own tuner and
+  // objective, then the best-of-passes rule (ties keep the earlier pass).
+  std::vector<ExperimentResult> inline_passes;
+  std::size_t win = 0;
+  for (std::size_t pass = 0; pass < spec.passes; ++pass) {
+    const std::unique_ptr<Tuner> tuner = spec.make_tuner(pass);
+    const std::unique_ptr<Objective> objective = spec.make_objective(pass);
+    inline_passes.push_back(
+        run_experiment(*tuner, *objective, spec.options));
+    if (inline_passes[pass].best_rep_stats.mean >
+        inline_passes[win].best_rep_stats.mean) {
+      win = pass;
+    }
+  }
+  if (kind == ObjectiveKind::kScripted) {
+    // Without clone_stream, repetition r is the objective's
+    // (steps + r + 1)-th measurement.
+    const ExperimentResult& r = inline_passes[0];
+    const double h =
+        static_cast<double>(r.best_config.parallelism_hints.at(0));
+    for (std::size_t rep = 0; rep < r.best_rep_values.size(); ++rep) {
+      EXPECT_EQ(r.best_rep_values[rep],
+                100.0 + 10.0 * h +
+                    static_cast<double>((r.trace.size() + rep) % 5));
+    }
+  }
+
+  std::vector<ExperimentResult> passes;
+  const std::string best = fingerprint(run_campaign(spec, threads, &passes));
+  EXPECT_EQ(best, fingerprint(inline_passes[win]));
+  ASSERT_EQ(passes.size(), inline_passes.size());
+  for (std::size_t pass = 0; pass < passes.size(); ++pass) {
+    EXPECT_EQ(fingerprint(passes[pass]), fingerprint(inline_passes[pass]))
+        << "pass " << pass;
+  }
+
+  const MultiCampaignResult multi =
+      run_campaigns({spec, spec, spec}, {.num_threads = threads});
+  for (const ExperimentResult& r : multi.results) {
+    EXPECT_EQ(fingerprint(r), best);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ObjectivesAndWidths, ProtocolEquivalence,
+    ::testing::Combine(::testing::Values(ObjectiveKind::kCloneable,
+                                         ObjectiveKind::kScripted),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{4})),
+    [](const ::testing::TestParamInfo<ProtocolParam>& info) {
+      return std::string(std::get<0>(info.param) == ObjectiveKind::kCloneable
+                             ? "cloneable"
+                             : "scripted") +
+             "_" + std::to_string(std::get<1>(info.param)) + "threads";
+    });
 
 TEST(CampaignScheduler, SinkReceivesEveryCampaignInTicketOrder) {
   constexpr std::size_t kCampaigns = 12;

@@ -144,10 +144,9 @@ TEST(Determinism, CampaignReplaysExactly) {
 }
 
 TEST(Determinism, CampaignBitIdenticalAcrossThreadCounts) {
-  // The parallel campaign shards passes and best-config repetitions over
-  // the pool; every shard is a pure function of its (pass, rep) indices, so
-  // the gathered ExperimentResults must be bitwise-identical for any
-  // thread count.
+  // run_campaign runs one strand per pass; every pass owns its tuner and
+  // objective and every repetition its clone stream, so the gathered
+  // ExperimentResults must be bitwise-identical for any thread count.
   topo::SyntheticSpec spec;
   const sim::Topology t = topo::build_synthetic(spec);
   sim::SimParams p = topo::synthetic_sim_params();
@@ -159,19 +158,23 @@ TEST(Determinism, CampaignBitIdenticalAcrossThreadCounts) {
   eopts.max_steps = 5;
   eopts.best_config_reps = 4;
 
+  tuning::CampaignSpec campaign;
+  campaign.make_tuner =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
+    return std::make_unique<tuning::RandomTuner>(
+        tuning::ConfigSpace(t, sopts, defaults), 17 + pass);
+  };
+  campaign.make_objective =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<tuning::SimObjective>(t, topo::paper_cluster(), p,
+                                                  5 + pass * 7919);
+  };
+  campaign.options = eopts;
+  campaign.passes = 3;
   auto run = [&](std::size_t threads) {
-    ThreadPool pool(threads);
     std::vector<tuning::ExperimentResult> passes;
-    tuning::ExperimentResult best = tuning::run_campaign(
-        [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
-          return std::make_unique<tuning::RandomTuner>(
-              tuning::ConfigSpace(t, sopts, defaults), 17 + pass);
-        },
-        [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-          return std::make_unique<tuning::SimObjective>(
-              t, topo::paper_cluster(), p, 5 + pass * 7919);
-        },
-        eopts, 3, pool, &passes);
+    tuning::ExperimentResult best =
+        tuning::run_campaign(campaign, threads, &passes);
     return std::make_pair(std::move(best), std::move(passes));
   };
 
@@ -210,26 +213,44 @@ TEST(Determinism, CampaignBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(Determinism, ParallelRepsBitIdenticalAcrossThreadCounts) {
-  // run_experiment's pool overload gives each best-config repetition its
-  // own clone_stream; the repetition vector must not depend on pool size.
+  // Each best-config repetition runs on its own clone_stream, so the
+  // repetition vector must not depend on pool size, and must match a pass
+  // stepped inline by run_experiment.
   topo::SyntheticSpec spec;
   const sim::Topology t = topo::build_synthetic(spec);
   sim::SimParams p = topo::synthetic_sim_params();
-  p.duration_s = 2.0;
-  auto run = [&](std::size_t threads) {
-    tuning::SimObjective obj(t, topo::paper_cluster(), p, 5);
-    tuning::PlaTuner pla(t, sim::TopologyConfig{}, false);
-    tuning::ExperimentOptions eopts;
-    eopts.max_steps = 4;
-    eopts.best_config_reps = 6;
-    ThreadPool pool(threads);
-    return tuning::run_experiment(pla, obj, eopts, pool);
+  p.duration_s = 20.0;
+  const sim::TopologyConfig defaults = sim::uniform_hint_config(t, 4);
+  tuning::SpaceOptions sopts;
+  sopts.hint_max = 12;
+  tuning::ExperimentOptions eopts;
+  eopts.max_steps = 4;
+  eopts.best_config_reps = 6;
+  tuning::CampaignSpec campaign;
+  campaign.make_tuner = [&](std::size_t) -> std::unique_ptr<tuning::Tuner> {
+    return std::make_unique<tuning::RandomTuner>(
+        tuning::ConfigSpace(t, sopts, defaults), 17);
   };
-  const auto one = run(1);
-  const auto four = run(4);
-  ASSERT_EQ(one.best_rep_values.size(), four.best_rep_values.size());
-  for (std::size_t i = 0; i < one.best_rep_values.size(); ++i) {
-    EXPECT_EQ(one.best_rep_values[i], four.best_rep_values[i]);
+  campaign.make_objective =
+      [&](std::size_t) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<tuning::SimObjective>(t, topo::paper_cluster(), p,
+                                                  5);
+  };
+  campaign.options = eopts;
+  campaign.passes = 1;
+
+  const auto tuner = campaign.make_tuner(0);
+  const auto objective = campaign.make_objective(0);
+  const auto inline_run = tuning::run_experiment(*tuner, *objective, eopts);
+  ASSERT_EQ(inline_run.best_rep_values.size(), 6u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto pooled = tuning::run_campaign(campaign, threads);
+    ASSERT_EQ(pooled.best_rep_values.size(),
+              inline_run.best_rep_values.size());
+    for (std::size_t i = 0; i < pooled.best_rep_values.size(); ++i) {
+      EXPECT_EQ(pooled.best_rep_values[i], inline_run.best_rep_values[i]);
+    }
   }
 }
 

@@ -130,38 +130,147 @@ TEST(RunExperiment, TraceStepsAreSequential) {
   }
 }
 
+/// A campaign of PlaTuner passes over per-pass objectives from `objective`.
+CampaignSpec pla_campaign(const sim::Topology& t, ObjectiveFactory objective,
+                          const ExperimentOptions& options,
+                          std::size_t passes = 2) {
+  CampaignSpec spec;
+  spec.make_tuner = [&t](std::size_t) -> std::unique_ptr<Tuner> {
+    return std::make_unique<PlaTuner>(t, sim::TopologyConfig{}, false);
+  };
+  spec.make_objective = std::move(objective);
+  spec.options = options;
+  spec.passes = passes;
+  return spec;
+}
+
 TEST(RunCampaign, ReturnsBetterOfTwoPasses) {
   const sim::Topology t = demo_topology();
   // Pass 0 sees a poor objective, pass 1 a better one.
-  int pass_counter = 0;
-  ScriptedObjective obj({10.0, 10.0, 10.0, 10.0, 10.0, 10.0,
-                         90.0, 90.0, 90.0, 90.0, 90.0, 90.0});
   ExperimentOptions opts;
   opts.max_steps = 6;
   opts.best_config_reps = 0;
   std::vector<ExperimentResult> passes;
   const ExperimentResult best = run_campaign(
-      [&](std::size_t) {
-        ++pass_counter;
-        return std::make_unique<PlaTuner>(t, sim::TopologyConfig{}, false);
-      },
-      obj, opts, 2, &passes);
-  EXPECT_EQ(pass_counter, 2);
+      pla_campaign(t,
+                   [](std::size_t pass) -> std::unique_ptr<Objective> {
+                     return std::make_unique<ScriptedObjective>(
+                         std::vector<double>{pass == 0 ? 10.0 : 90.0});
+                   },
+                   opts),
+      1, &passes);
   ASSERT_EQ(passes.size(), 2u);
+  EXPECT_DOUBLE_EQ(passes[0].best_throughput, 10.0);
   EXPECT_DOUBLE_EQ(best.best_throughput, 90.0);
 }
 
 TEST(RunCampaign, RejectsZeroPasses) {
   const sim::Topology t = demo_topology();
-  HintPeakObjective obj;
-  EXPECT_THROW(
-      run_campaign(
-          [&](std::size_t) {
-            return std::make_unique<PlaTuner>(t, sim::TopologyConfig{},
-                                              false);
-          },
-          obj, fast_options(), 0),
-      Error);
+  const CampaignSpec spec = pla_campaign(
+      t,
+      [](std::size_t) -> std::unique_ptr<Objective> {
+        return std::make_unique<HintPeakObjective>();
+      },
+      fast_options(), 0);
+  EXPECT_THROW(run_campaign(spec, 1), Error);
+}
+
+TEST(RunExperiment, PoolOverloadFallsBackWithoutCloneStream) {
+  // HintPeakObjective does not implement clone_stream, so on the pooled
+  // entry point (run_campaign over 4 workers) its repetitions continue its
+  // own measurement sequence and still produce full stats.
+  const sim::Topology t = demo_topology();
+  const CampaignSpec spec = pla_campaign(
+      t,
+      [](std::size_t) -> std::unique_ptr<Objective> {
+        return std::make_unique<HintPeakObjective>();
+      },
+      fast_options(), 1);
+  const ExperimentResult r = run_campaign(spec, 4);
+  EXPECT_EQ(r.best_rep_stats.n, 5u);
+  EXPECT_DOUBLE_EQ(r.best_rep_stats.mean, 100.0);
+}
+
+TEST(RunCampaign, ParallelMatchesSerialSelection) {
+  // With per-pass objectives whose noise differs, the campaign on two
+  // workers must pick the same winner as the one-worker pass-order scan.
+  const sim::Topology t = demo_topology();
+  sim::ClusterSpec cluster;
+  cluster.num_machines = 4;
+  sim::SimParams params;
+  params.duration_s = 10.0;
+  ExperimentOptions opts;
+  opts.max_steps = 5;
+  opts.best_config_reps = 3;
+  const CampaignSpec spec = pla_campaign(
+      t,
+      [&](std::size_t pass) -> std::unique_ptr<Objective> {
+        return std::make_unique<SimObjective>(t, cluster, params,
+                                              11 + pass * 101);
+      },
+      opts);
+  std::vector<ExperimentResult> passes;
+  const ExperimentResult best = run_campaign(spec, 2, &passes);
+  ASSERT_EQ(passes.size(), 2u);
+  EXPECT_EQ(passes[0].strategy, "pla");
+  const double s0 = passes[0].best_rep_stats.mean;
+  const double s1 = passes[1].best_rep_stats.mean;
+  EXPECT_DOUBLE_EQ(best.best_rep_stats.mean, std::max(s0, s1));
+  // Strict > means ties keep the earlier pass.
+  if (s0 >= s1) {
+    EXPECT_DOUBLE_EQ(best.best_rep_stats.mean, s0);
+  }
+  EXPECT_EQ(best.best_rep_stats.n, 3u);
+  for (const ExperimentResult& pass : passes) {
+    EXPECT_EQ(pass.best_rep_values.size(), 3u);
+    EXPECT_EQ(pass.trace.size(), 5u);
+  }
+  const ExperimentResult serial = run_campaign(spec, 1);
+  EXPECT_EQ(serial.best_rep_stats.mean, best.best_rep_stats.mean);
+  EXPECT_EQ(serial.best_rep_values, best.best_rep_values);
+}
+
+TEST(RunCampaign, ParallelRequiresCloneStreamForReps) {
+  // On a multi-worker campaign, repetition r of a cloneable objective is a
+  // measurement on clone_stream(r) of that pass's objective; an objective
+  // without clone_stream runs instead of throwing, continuing its own
+  // sequence (see PoolOverloadFallsBackWithoutCloneStream).
+  const sim::Topology t = demo_topology();
+  sim::ClusterSpec cluster;
+  cluster.num_machines = 4;
+  sim::SimParams params;
+  params.duration_s = 10.0;
+  params.throughput_noise_sd = 0.05;
+  ExperimentOptions opts;
+  opts.max_steps = 4;
+  opts.best_config_reps = 3;
+  const ObjectiveFactory make_objective =
+      [&](std::size_t pass) -> std::unique_ptr<Objective> {
+    return std::make_unique<SimObjective>(t, cluster, params, 7 + pass * 13);
+  };
+  std::vector<ExperimentResult> passes;
+  run_campaign(pla_campaign(t, make_objective, opts), 4, &passes);
+  ASSERT_EQ(passes.size(), 2u);
+  for (std::size_t pass = 0; pass < passes.size(); ++pass) {
+    SCOPED_TRACE(pass);
+    const std::unique_ptr<Objective> parent = make_objective(pass);
+    ASSERT_EQ(passes[pass].best_rep_values.size(), 3u);
+    for (std::size_t rep = 0; rep < 3; ++rep) {
+      EXPECT_EQ(passes[pass].best_rep_values[rep],
+                parent->clone_stream(rep)->evaluate(
+                    passes[pass].best_config));
+    }
+  }
+
+  const CampaignSpec uncloneable = pla_campaign(
+      t,
+      [](std::size_t) -> std::unique_ptr<Objective> {
+        return std::make_unique<HintPeakObjective>();
+      },
+      opts);
+  ExperimentResult r;
+  EXPECT_NO_THROW(r = run_campaign(uncloneable, 4));
+  EXPECT_EQ(r.best_rep_stats.n, 3u);
 }
 
 TEST(SimObjective, EvaluatesAndVariesAcrossCalls) {
@@ -215,56 +324,6 @@ TEST(SimObjective, CloneStreamIsReproducibleAndIndependent) {
   EXPECT_DOUBLE_EQ(a0, a0_again);
   EXPECT_NE(a0, a1);
   EXPECT_EQ(obj.num_evaluations(), 0u);
-}
-
-TEST(RunExperiment, PoolOverloadFallsBackWithoutCloneStream) {
-  // HintPeakObjective does not implement clone_stream, so the pool overload
-  // must take the serial repetition path and still produce full stats.
-  const sim::Topology t = demo_topology();
-  PlaTuner pla(t, sim::TopologyConfig{}, false);
-  HintPeakObjective obj;
-  ThreadPool pool(4);
-  const ExperimentResult r = run_experiment(pla, obj, fast_options(), pool);
-  EXPECT_EQ(r.best_rep_stats.n, 5u);
-  EXPECT_DOUBLE_EQ(r.best_rep_stats.mean, 100.0);
-}
-
-TEST(RunCampaign, ParallelMatchesSerialSelection) {
-  // With per-pass objectives whose noise favors pass 1, the parallel
-  // campaign must pick the same winner the serial pass-order scan would.
-  const sim::Topology t = demo_topology();
-  sim::ClusterSpec cluster;
-  cluster.num_machines = 4;
-  sim::SimParams params;
-  params.duration_s = 10.0;
-  ExperimentOptions opts;
-  opts.max_steps = 5;
-  opts.best_config_reps = 3;
-  ThreadPool pool(2);
-  std::vector<ExperimentResult> passes;
-  const ExperimentResult best = run_campaign(
-      [&](std::size_t) -> std::unique_ptr<Tuner> {
-        return std::make_unique<PlaTuner>(t, sim::TopologyConfig{}, false);
-      },
-      [&](std::size_t pass) -> std::unique_ptr<Objective> {
-        return std::make_unique<SimObjective>(t, cluster, params,
-                                              11 + pass * 101);
-      },
-      opts, 2, pool, &passes);
-  ASSERT_EQ(passes.size(), 2u);
-  EXPECT_EQ(passes[0].strategy, "pla");
-  const double s0 = passes[0].best_rep_stats.mean;
-  const double s1 = passes[1].best_rep_stats.mean;
-  EXPECT_DOUBLE_EQ(best.best_rep_stats.mean, std::max(s0, s1));
-  // Strict > means ties keep the earlier pass, like the serial overload.
-  if (s0 >= s1) {
-    EXPECT_DOUBLE_EQ(best.best_rep_stats.mean, s0);
-  }
-  EXPECT_EQ(best.best_rep_stats.n, 3u);
-  for (const ExperimentResult& pass : passes) {
-    EXPECT_EQ(pass.best_rep_values.size(), 3u);
-    EXPECT_EQ(pass.trace.size(), 5u);
-  }
 }
 
 /// Reference objective replicating SimObjective's seed schedule but running
@@ -338,9 +397,9 @@ TEST(SimObjective, LongLivedWorkspaceMatchesFreshPerEvaluation) {
 }
 
 TEST(RunCampaign, PooledWorkspaceReuseMatchesFreshPerEvaluation) {
-  // The pooled campaign driver caches one clone (one workspace) per worker
-  // slot and retargets it per repetition; the result must stay identical to
-  // fresh-per-evaluation objectives, for more than one thread count.
+  // Each pass rebinds one repetition clone (one workspace) to every
+  // repetition; the result must stay identical to fresh-per-evaluation
+  // objectives, for more than one thread count.
   const sim::Topology t = demo_topology();
   sim::ClusterSpec cluster;
   cluster.num_machines = 4;
@@ -351,23 +410,21 @@ TEST(RunCampaign, PooledWorkspaceReuseMatchesFreshPerEvaluation) {
   opts.max_steps = 5;
   opts.best_config_reps = 7;
 
-  auto tuner_factory = [&](std::size_t) -> std::unique_ptr<Tuner> {
-    return std::make_unique<PlaTuner>(t, sim::TopologyConfig{}, false);
-  };
   auto run_with = [&](bool fresh, std::size_t threads) {
-    ThreadPool pool(threads);
     std::vector<ExperimentResult> passes;
     run_campaign(
-        tuner_factory,
-        [&](std::size_t pass) -> std::unique_ptr<Objective> {
-          const std::uint64_t seed = 11 + pass * 101;
-          if (fresh) {
-            return std::make_unique<FreshSimObjective>(t, cluster, params,
-                                                       seed);
-          }
-          return std::make_unique<SimObjective>(t, cluster, params, seed);
-        },
-        opts, 2, pool, &passes);
+        pla_campaign(t,
+                     [&](std::size_t pass) -> std::unique_ptr<Objective> {
+                       const std::uint64_t seed = 11 + pass * 101;
+                       if (fresh) {
+                         return std::make_unique<FreshSimObjective>(
+                             t, cluster, params, seed);
+                       }
+                       return std::make_unique<SimObjective>(t, cluster,
+                                                             params, seed);
+                     },
+                     opts),
+        threads, &passes);
     return passes;
   };
 
@@ -381,27 +438,6 @@ TEST(RunCampaign, PooledWorkspaceReuseMatchesFreshPerEvaluation) {
       expect_same_experiment(reused[p], reference[p]);
     }
   }
-}
-
-TEST(RunCampaign, ParallelRequiresCloneStreamForReps) {
-  // A reps>0 parallel campaign over an objective without clone_stream must
-  // fail loudly instead of silently producing wrong repetition stats.
-  const sim::Topology t = demo_topology();
-  ExperimentOptions opts;
-  opts.max_steps = 4;
-  opts.best_config_reps = 2;
-  ThreadPool pool(1);
-  EXPECT_THROW(
-      run_campaign(
-          [&](std::size_t) -> std::unique_ptr<Tuner> {
-            return std::make_unique<PlaTuner>(t, sim::TopologyConfig{},
-                                              false);
-          },
-          [&](std::size_t) -> std::unique_ptr<Objective> {
-            return std::make_unique<HintPeakObjective>();
-          },
-          opts, 2, pool),
-      Error);
 }
 
 }  // namespace

@@ -320,9 +320,7 @@ TEST(FidelityLadder, CampaignGoldenAndThreadCountInvariance) {
   const CampaignSpec spec = ladder_spec(w, /*seed=*/21, /*steps=*/10,
                                         /*reps=*/2, /*passes=*/2);
 
-  ThreadPool pool(1);
-  const ExperimentResult solo = run_campaign(
-      spec.make_tuner, spec.make_objective, spec.options, spec.passes, pool);
+  const ExperimentResult solo = run_campaign(spec, 1);
   EXPECT_EQ(hexfloat(solo.best_throughput), kLadderGoldenBest);
   EXPECT_EQ(solo.best_step, kLadderGoldenStep);
   const std::string reference = fingerprint(solo);
@@ -360,7 +358,6 @@ TEST(FidelityLadder, TracksFullFidelityCampaignsOnPaperTopologies) {
 
     constexpr std::uint64_t kSeed = 33;
     constexpr std::size_t kSteps = 10;
-    ThreadPool pool(1);
 
     // Full-fidelity reference campaign (plain BayesTuner + SimObjective).
     ExperimentOptions protocol;
@@ -378,9 +375,7 @@ TEST(FidelityLadder, TracksFullFidelityCampaignsOnPaperTopologies) {
 
     const CampaignSpec spec =
         ladder_spec(w, kSeed, kSteps, /*reps=*/2, /*passes=*/1);
-    const ExperimentResult ladder = run_campaign(
-        spec.make_tuner, spec.make_objective, spec.options, spec.passes,
-        pool);
+    const ExperimentResult ladder = run_campaign(spec, 1);
 
     // Re-measure both winners under one fresh full-window objective so the
     // comparison is config quality, not measurement-window luck.

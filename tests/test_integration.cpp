@@ -199,18 +199,25 @@ TEST(Integration, CampaignPicksBestOfTwoBoPasses) {
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kSmall;
   const sim::Topology t = topo::build_synthetic(spec);
-  SimObjective obj(t, topo::paper_cluster(), quick_params(), 11);
   SpaceOptions sopts;
   sopts.hint_max = 8;
   sopts.tune_max_tasks = false;
+  tuning::CampaignSpec campaign;
+  campaign.make_tuner =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
+    ConfigSpace space(t, sopts, synthetic_defaults());
+    return std::make_unique<BayesTuner>(std::move(space),
+                                        quick_bo(100 + pass));
+  };
+  campaign.make_objective =
+      [&](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<SimObjective>(t, topo::paper_cluster(),
+                                          quick_params(),
+                                          11 + 0x632be59bd9b4e019ULL * pass);
+  };
+  campaign.options = quick_options(10);
   std::vector<ExperimentResult> passes;
-  const ExperimentResult best = run_campaign(
-      [&](std::size_t pass) {
-        ConfigSpace space(t, sopts, synthetic_defaults());
-        return std::make_unique<BayesTuner>(std::move(space),
-                                            quick_bo(100 + pass));
-      },
-      obj, quick_options(10), 2, &passes);
+  const ExperimentResult best = tuning::run_campaign(campaign, 1, &passes);
   ASSERT_EQ(passes.size(), 2u);
   EXPECT_GE(best.best_rep_stats.mean,
             std::min(passes[0].best_rep_stats.mean,

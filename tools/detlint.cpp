@@ -1,7 +1,7 @@
 // detlint — the project's determinism and hot-path lint (v2 driver).
 //
 // Every performance PR in this repo rests on one claim: suggest(), the
-// simulation engine, and the pooled campaign driver are bitwise-identical
+// simulation engine, and the campaign drivers are bitwise-identical
 // across thread counts and workspace reuse — and allocation-free in steady
 // state. The golden and malloc-probe tests pin those claims after the
 // fact; detlint enforces their source-level preconditions before a

@@ -15,8 +15,9 @@
 //                   --max-tasks=N --duration=S --seed=N
 // tune options:     --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
 //                   --what=h|h,batch|h,batch,cc|batch,cc --seed=N
-//                   --json=FILE --csv=FILE --threads=N (default: hardware
-//                   concurrency; 1 preserves the serial protocol)
+//                   --json=FILE --csv=FILE --threads=N (BayesOpt suggest
+//                   pool width; 0 = auto, the default; never changes
+//                   results)
 //                   --adaptive-window[=EPS]  end each evaluation once its
 //                   steady-state throughput estimate converges (relative
 //                   95% CI half-width < EPS, default 0.05) instead of
@@ -48,9 +49,9 @@
 //                   --jsonl=FILE streams finished campaigns through the
 //                   async result sink, one JSON line per campaign in
 //                   submission order. Per-campaign results are
-//                   bit-identical to a solo `stormtune tune`-style run
-//                   for any thread count and submission order (the
-//                   wall-clock suggest-seconds fields aside).
+//                   bit-identical to running that campaign alone (a
+//                   one-entry file), for any thread count and submission
+//                   order (the wall-clock suggest-seconds fields aside).
 //                   --adaptive-window composes: each campaign's
 //                   evaluations end early on convergence, and because the
 //                   stop rule is seeded and campaign-local, determinism
@@ -69,6 +70,7 @@
 
 #include "common/error.hpp"
 #include "common/isa.hpp"
+#include "common/thread_pool.hpp"
 #include "stormsim/dot.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
@@ -105,7 +107,8 @@ struct Options {
   std::string what = "h";
   std::string json_path;
   std::string csv_path;
-  std::size_t threads = 0;  // 0 = hardware concurrency; 1 = serial path
+  std::size_t threads = 0;  // tune: BO suggest pool; tune-many: scheduler
+                            // workers (0 = auto for both)
   std::string fidelity = "full";  // full | ladder (bo/ibo only)
   std::size_t gp_window = 0;      // --gp-window: BO observation window
                                   // (0 = unbounded, the default)
@@ -436,11 +439,11 @@ int cmd_tune(const Options& o) {
         w.topology, w.cluster, w.params, o.seed, ladder_options_from(o));
     tuner = std::make_unique<tuning::LadderTuner>(
         tuning::ConfigSpace(w.topology, space_options_from(o), defaults),
-        ladder_bo_options_from(o, o.seed, /*bo_threads=*/0), ladder,
+        ladder_bo_options_from(o, o.seed, o.threads), ladder,
         o.strategy + "+ladder");
     objective = ladder.get();
   } else {
-    tuner = build_tuner(o, w, defaults, o.seed, /*bo_threads=*/0);
+    tuner = build_tuner(o, w, defaults, o.seed, o.threads);
     sim_objective = std::make_unique<tuning::SimObjective>(
         w.topology, w.cluster, w.params, o.seed);
     objective = sim_objective.get();
@@ -455,15 +458,8 @@ int cmd_tune(const Options& o) {
   std::printf("tuning %s with %s over {%s}, %zu steps, %zu thread%s...\n",
               o.topology.c_str(), tuner->name().c_str(), o.what.c_str(),
               o.steps, threads, threads == 1 ? "" : "s");
-  tuning::ExperimentResult r;
-  if (threads <= 1) {
-    // The pre-parallel serial protocol: repetitions continue the tuning
-    // loop's evaluation seed sequence.
-    r = tuning::run_experiment(*tuner, *objective, protocol);
-  } else {
-    ThreadPool pool(threads);
-    r = tuning::run_experiment(*tuner, *objective, protocol, pool);
-  }
+  const tuning::ExperimentResult r =
+      tuning::run_experiment(*tuner, *objective, protocol);
   if (ladder) {
     const tuning::LadderStats& ls = ladder->stats();
     std::printf("ladder:       %zu screened, %zu rung-1 runs, %zu full runs "
