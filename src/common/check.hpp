@@ -1,7 +1,7 @@
 // Checked-build invariant layer (STORMTUNE_CHECKED).
 //
 // The performance PRs made the hot data structures intricate — free-listed
-// slot pools with creation-ticket ordering, an indexed departure heap, a
+// slot pools with creation-ticket ordering, a departure winner tree, a
 // capacity-tracked Cholesky factor with a transposed mirror — and their
 // correctness claim ("bitwise-identical across thread counts and workspace
 // reuse") rests on internal invariants that release builds cannot afford to

@@ -1,15 +1,16 @@
 #include "stormsim/engine.hpp"
 
+#include "stormsim/departure_tree.hpp"
 #include "stormsim/scheduler.hpp"
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/dary_heap.hpp"
 #include "common/error.hpp"
-#include "common/indexed_heap.hpp"
 #include "common/rng.hpp"
 
 namespace stormtune::sim {
@@ -162,8 +163,8 @@ struct BatchState {
 };
 
 /// A tuple transfer landing on a destination node. Departure events do not
-/// live here — each machine owns exactly one in-place entry in an indexed
-/// heap (see SimWorkspace::departures_).
+/// live here — each machine owns exactly one leaf of a winner tree (see
+/// SimWorkspace::departures_).
 struct EdgeEvent {
   double time = 0.0;
   std::uint64_t seq = 0;  // FIFO tie-break for determinism
@@ -173,21 +174,6 @@ struct EdgeEvent {
 
 struct EdgeEventEarlier {
   bool operator()(const EdgeEvent& x, const EdgeEvent& y) const {
-    if (x.time != y.time) return x.time < y.time;
-    return x.seq < y.seq;
-  }
-};
-
-/// Departure priority of one machine: (absolute time, schedule sequence).
-/// The seq is drawn from the same counter as edge events, so the merged
-/// event order reproduces the old single-queue FIFO tie-break exactly.
-struct DepartureKey {
-  double time = 0.0;
-  std::uint64_t seq = 0;
-};
-
-struct DepartureEarlier {
-  bool operator()(const DepartureKey& x, const DepartureKey& y) const {
     if (x.time != y.time) return x.time < y.time;
     return x.seq < y.seq;
   }
@@ -251,18 +237,10 @@ struct SimWorkspace {
   std::size_t jobs_used_ = 0;
   std::uint64_t job_ticket_ = 0;
   DaryHeap<EdgeEvent, 4, EdgeEventEarlier> edge_events_;
-  IndexedHeap<DepartureKey, 4, DepartureEarlier> departures_;  // by machine
-  // Departure updates are buffered and sifted into the heap only when the
-  // event loop next reads it (see flush_departures): processing one event
-  // reschedules the same machine several times, and only the last key is
-  // ever observable. Keys (and their seq draws) are computed eagerly, so
-  // the flushed heap state — hence the pop order, a pure function of the
-  // {machine -> key} map under the total order — is bit-identical to
-  // updating the heap on every call.
-  enum class DepPending : std::uint8_t { kClean, kSet, kErase };
-  std::vector<DepPending> dep_pending_;
-  std::vector<DepartureKey> dep_key_;
-  std::vector<std::size_t> dep_dirty_;
+  // Next departure per machine, keyed (absolute time, schedule seq). The
+  // seq comes from the same counter as edge events, so the merged event
+  // order reproduces the single-queue FIFO tie-break exactly.
+  DepartureTree departures_;
   std::uint64_t seq_ = 0;
   double now_ = 0.0;
   double memory_pressure_ = 1.0;
@@ -305,8 +283,8 @@ struct SimWorkspace {
   std::vector<unsigned char> batch_live_;
 
   /// Reuse-precondition verification, run at every run() entry against the
-  /// state the previous run left behind: the departure heap's index map
-  /// must be a consistent bijection and both free lists must hold unique,
+  /// state the previous run left behind: the departure tree must be
+  /// consistent node by node and both free lists must hold unique,
   /// dead slots below their high-water marks. A corrupted workspace fails
   /// here instead of silently diverging from a fresh simulator.
   void checked_verify_reuse() const {
@@ -351,17 +329,6 @@ struct SimWorkspace {
     edge_events_.push(EdgeEvent{time, seq_++, node, batch});
   }
   void schedule_machine_departure(std::size_t m);
-  void flush_departures() {
-    for (const std::size_t m : dep_dirty_) {
-      if (dep_pending_[m] == DepPending::kSet) {
-        departures_.set(m, dep_key_[m]);
-      } else {
-        departures_.erase(m);
-      }
-      dep_pending_[m] = DepPending::kClean;
-    }
-    dep_dirty_.clear();
-  }
   void update_memory_pressure();
 
   // ---- intrusive job queues ----
@@ -517,11 +484,7 @@ void SimWorkspace::build_deployment() {
   master_machine_ = machines_.size() - 1;
   machines_[master_machine_].base_speed_factor = 1.0;  // dedicated VM
   machines_[master_machine_].speed_factor = 1.0;
-  departures_.clear();
-  departures_.resize(machines_.size());
-  dep_pending_.assign(machines_.size(), DepPending::kClean);
-  dep_key_.resize(machines_.size());
-  dep_dirty_.clear();
+  departures_.reset(machines_.size());
 
   workers_.resize(num_workers + 1);
   master_worker_ = num_workers;
@@ -651,9 +614,8 @@ void SimWorkspace::precompute_batch_profile() {
 
 void SimWorkspace::schedule_machine_departure(std::size_t m) {
   MachineState& mach = machines_[m];
-  if (dep_pending_[m] == DepPending::kClean) dep_dirty_.push_back(m);
   if (mach.active.empty()) {
-    dep_pending_[m] = DepPending::kErase;
+    departures_.erase(m);
     return;
   }
   const double rate = mach.cached_rate;
@@ -663,8 +625,9 @@ void SimWorkspace::schedule_machine_departure(std::size_t m) {
   // x / 1.0 == x exactly, so the full-speed fast path skips the division
   // without changing a single bit.
   const double wait = rate == 1.0 ? remaining : remaining / rate;
-  dep_key_[m] = DepartureKey{now_ + wait, seq_++};
-  dep_pending_[m] = DepPending::kSet;
+  STORMTUNE_REQUIRE(seq_ < departures_.seq_limit(),
+                    "simulate: event sequence overflows the departure key");
+  departures_.set(m, now_ + wait, seq_++);
 }
 
 void SimWorkspace::update_memory_pressure() {
@@ -1031,6 +994,15 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   checked_verify_reuse();
 #endif
 
+  // The departure tree packs (seq, machine) into 64 bits; its machine field
+  // must hold every machine, the master VM included. That leaves seq at
+  // least 48 bits, and schedule_machine_departure refuses to wrap it.
+  STORMTUNE_REQUIRE(
+      cluster.num_machines < DepartureTree::kMaxMachines,
+      "simulate: cluster has " + std::to_string(cluster.num_machines) +
+          " machines; the engine supports at most " +
+          std::to_string(DepartureTree::kMaxMachines - 1));
+
   validate_inputs();
   reset_run_state();
   build_deployment();
@@ -1059,27 +1031,26 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   emit_ready_batches();
 
   // Event loop over two queues: the 4-ary heap of edge arrivals and the
-  // indexed heap of per-machine departures. Both order by (time, seq) with
+  // winner tree of per-machine departures. Both order by (time, seq) with
   // seq drawn from one shared counter, so the merged order is exactly the
   // old single-queue order — minus the stale departure entries, which no
   // longer exist to be popped and discarded.
   while (true) {
-    if (!dep_dirty_.empty()) flush_departures();
     const bool have_edge = !edge_events_.empty();
     const bool have_dep = !departures_.empty();
     if (!have_edge && !have_dep) break;
     bool take_dep = have_dep;
     if (have_edge && have_dep) {
-      const DepartureKey& d = departures_.top_priority();
+      const double d = departures_.top_time();
       const EdgeEvent& e = edge_events_.top();
-      take_dep = d.time != e.time ? d.time < e.time : d.seq < e.seq;
+      take_dep = d != e.time ? d < e.time : departures_.top_seq() < e.seq;
     }
     const double time =
-        take_dep ? departures_.top_priority().time : edge_events_.top().time;
+        take_dep ? departures_.top_time() : edge_events_.top().time;
     if (time > duration_ms_) break;
     now_ = time;
     if (take_dep) {
-      const std::size_t m = departures_.top_key();
+      const std::size_t m = departures_.top_machine();
       MachineState& mach = machines_[m];
       mach.advance(now_);
       STORMTUNE_REQUIRE(!mach.active.empty(),
@@ -1183,7 +1154,7 @@ void corrupt_job_free_list(Simulator& sim) {
 }
 
 void corrupt_departure_index(Simulator& sim) {
-  sim.ws_->departures_.checked_corrupt_index_for_test();
+  sim.ws_->departures_.checked_corrupt_node_for_test(1);  // the root
 }
 
 }  // namespace testing

@@ -8,9 +8,9 @@
 //
 //  2. Checked builds (-DSTORMTUNE_CHECKED=ON) turn internal-state
 //     corruption into an InvariantError at the next verification point:
-//     a broken heap property or index map in IndexedHeap, non-finite
-//     input reaching the Cholesky, and a damaged simulator workspace
-//     between reuse runs. InvariantError deliberately does NOT derive
+//     a DepartureTree node that is not the min of its children or a key
+//     past its machine count, non-finite input reaching the Cholesky, and
+//     a damaged simulator workspace between reuse runs. InvariantError deliberately does NOT derive
 //     from stormtune::Error, so the GP's jitter-escalation retry (which
 //     catches Error) can never swallow an invariant failure.
 //
@@ -20,13 +20,14 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "common/indexed_heap.hpp"
 #include "gp/kernel_batch.hpp"
 #include "linalg/matrix.hpp"
+#include "stormsim/departure_tree.hpp"
 #include "stormsim/engine.hpp"
 
 namespace stormtune {
@@ -67,30 +68,39 @@ TEST(CheckedBuild, InvariantErrorBypassesErrorHandlers) {
 #endif
 }
 
-TEST(CheckedBuild, IndexedHeapDetectsHeapPropertyCorruption) {
+TEST(CheckedBuild, DepartureTreeDetectsInternalNodeCorruption) {
 #ifdef STORMTUNE_CHECKED
-  IndexedHeap<double> h(8);
-  for (std::size_t k = 0; k < 8; ++k) {
-    h.set(k, static_cast<double>(k));
+  sim::DepartureTree tree(8);
+  for (std::size_t m = 0; m < 8; ++m) {
+    tree.set(m, static_cast<double>(m), m);
   }
-  EXPECT_NO_THROW(h.checked_verify());
-  // Overwrite a non-root priority without re-sifting: key 7 now holds the
-  // minimum but sits below the root, violating the heap property.
-  h.checked_corrupt_priority_for_test(7, -1.0);
-  EXPECT_THROW(h.checked_verify(), InvariantError);
+  EXPECT_NO_THROW(tree.checked_verify());
+  // Damage an internal node without replaying its path: it no longer
+  // equals the minimum of its children.
+  tree.checked_corrupt_node_for_test(2);
+  EXPECT_THROW(tree.checked_verify(), InvariantError);
 #else
   GTEST_SKIP() << "requires STORMTUNE_CHECKED=ON";
 #endif
 }
 
-TEST(CheckedBuild, IndexedHeapDetectsIndexMapCorruption) {
+TEST(CheckedBuild, DepartureTreeDetectsKeyPastTheMachineCount) {
 #ifdef STORMTUNE_CHECKED
-  IndexedHeap<double> h(4);
-  h.set(0, 3.0);
-  h.set(1, 1.0);
-  EXPECT_NO_THROW(h.checked_verify());
-  h.checked_corrupt_index_for_test();
-  EXPECT_THROW(h.checked_verify(), InvariantError);
+  sim::DepartureTree tree(5);  // eight leaves, three of them padding
+  tree.set(0, 3.0, 0);
+  tree.set(4, 1.0, 1);
+  EXPECT_NO_THROW(tree.checked_verify());
+  // A key in a padding leaf, with its path replayed so every internal node
+  // is consistent: only the padding check can see it.
+  tree.checked_set_leaf_for_test(6, 2.0, 2);
+  try {
+    tree.checked_verify();
+    FAIL() << "a key past the machine count went unnoticed";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("past the machine count"),
+              std::string::npos)
+        << e.what();
+  }
 #else
   GTEST_SKIP() << "requires STORMTUNE_CHECKED=ON";
 #endif

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -348,6 +349,39 @@ TEST(Engine, RejectsInvalidConfig) {
   TopologyConfig c = base_config(t, 1);
   c.batch_size = 0;
   EXPECT_THROW(simulate(t, c, small_cluster(), fast_params(), 1), Error);
+}
+
+TEST(Engine, ClusterPastTheDepartureKeyLimitIsRefused) {
+  // The departure queue packs the machine index (master VM included) into
+  // a 16-bit field. One machine more must be a clear error before any
+  // event runs, never a wrapped index that misorders departures.
+  const Topology t = pipeline3();
+  const TopologyConfig c = base_config(t, 1);
+  SimParams p = fast_params();
+  p.duration_s = 5.0;
+  ClusterSpec over = small_cluster();
+  over.num_machines = 65536;
+  Simulator sim;
+  try {
+    sim.run(t, c, over, p, 1);
+    FAIL() << "an over-limit cluster was simulated";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("at most 65535"), std::string::npos)
+        << e.what();
+  }
+  // The refused run leaves the workspace as it was.
+  const SimResult after = sim.run(t, c, small_cluster(), p, 1);
+  const SimResult fresh = simulate(t, c, small_cluster(), p, 1);
+  EXPECT_EQ(after.batches_committed, fresh.batches_committed);
+  EXPECT_EQ(after.throughput_tuples_per_s, fresh.throughput_tuples_per_s);
+
+  // At the limit the coordinator's master VM holds the largest index the
+  // field carries; its commit departures must still decode to it.
+  ClusterSpec at_limit = small_cluster();
+  at_limit.num_machines = 65535;
+  const SimResult& r = sim.run(t, c, at_limit, p, 1);
+  EXPECT_FALSE(r.crashed);
+  EXPECT_GT(r.batches_committed, 0u);
 }
 
 TEST(Engine, CpuUtilizationWithinBounds) {

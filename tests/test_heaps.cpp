@@ -1,16 +1,18 @@
-// DaryHeap and IndexedHeap against reference implementations under
-// randomized interleavings — these back the engine's event queues, where a
-// wrong pop order silently changes simulation results.
+// DaryHeap and the engine's DepartureTree against reference implementations
+// under randomized interleavings — these back the engine's event queues,
+// where a wrong pop order silently changes simulation results.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <queue>
 #include <vector>
 
 #include "common/dary_heap.hpp"
-#include "common/indexed_heap.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "stormsim/departure_tree.hpp"
 
 namespace stormtune {
 namespace {
@@ -86,67 +88,127 @@ TEST(DaryHeap, WorksAtOtherArities) {
   }
 }
 
-/// Brute-force mirror of IndexedHeap: a key -> priority map scanned for its
-/// minimum. Priorities are (value, seq) so the minimum is always unique.
-using Priority = std::pair<double, std::uint64_t>;
+/// Brute-force mirror of DepartureTree: a machine -> (time, seq) map scanned
+/// for its minimum. Seqs are unique, so the minimum is always unique.
+using Departure = std::pair<double, std::uint64_t>;
 
-TEST(IndexedHeap, SetEraseTopMatchBruteForce) {
-  constexpr std::size_t kKeys = 37;
+TEST(DepartureTree, SetEraseTopMatchBruteForce) {
+  constexpr std::size_t kMachines = 37;  // not a power of two: 27 pad leaves
   Rng rng(4);
-  IndexedHeap<Priority> heap(kKeys);
-  std::map<std::size_t, Priority> reference;
+  sim::DepartureTree tree(kMachines);
+  std::map<std::size_t, Departure> reference;
   std::uint64_t seq = 0;
   for (int step = 0; step < 20000; ++step) {
-    const auto key = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<int>(kKeys) - 1));
+    const auto m = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(kMachines) - 1));
     const double op = rng.uniform();
     if (op < 0.55) {
-      // Insert-or-update, sometimes to a smaller and sometimes to a larger
-      // priority than before (exercises both sift directions).
-      const Priority p{static_cast<double>(rng.uniform_int(0, 30)), seq++};
-      heap.set(key, p);
-      reference[key] = p;
+      // Insert-or-update, sometimes to an earlier and sometimes to a later
+      // departure than before; few distinct times, so seq breaks most ties.
+      const Departure d{static_cast<double>(rng.uniform_int(0, 30)), seq++};
+      tree.set(m, d.first, d.second);
+      reference[m] = d;
     } else if (op < 0.75) {
-      heap.erase(key);
-      reference.erase(key);
+      tree.erase(m);
+      reference.erase(m);
     } else if (!reference.empty()) {
       const auto best = std::min_element(
           reference.begin(), reference.end(),
           [](const auto& a, const auto& b) { return a.second < b.second; });
-      ASSERT_EQ(heap.top_key(), best->first);
-      ASSERT_EQ(heap.top_priority(), best->second);
+      ASSERT_EQ(tree.top_machine(), best->first);
+      ASSERT_EQ(tree.top_time(), best->second.first);
+      ASSERT_EQ(tree.top_seq(), best->second.second);
       if (op < 0.85) {
-        heap.pop();
+        tree.erase(best->first);
         reference.erase(best);
       }
     }
-    ASSERT_EQ(heap.size(), reference.size());
-    ASSERT_EQ(heap.contains(key), reference.count(key) == 1);
-    if (reference.count(key) == 1) {
-      ASSERT_EQ(heap.priority(key), reference[key]);
-    }
+    ASSERT_EQ(tree.empty(), reference.empty());
+    ASSERT_EQ(tree.contains(m), reference.count(m) == 1);
   }
 }
 
-TEST(IndexedHeap, EraseOnAbsentKeyIsANoOp) {
-  IndexedHeap<double> heap(4);
-  heap.erase(2);
-  EXPECT_TRUE(heap.empty());
-  heap.set(1, 5.0);
-  heap.erase(3);
-  EXPECT_EQ(heap.size(), 1u);
-  EXPECT_EQ(heap.top_key(), 1u);
+TEST(DepartureTree, EqualTimesBreakTiesBySeq) {
+  sim::DepartureTree tree(4);
+  tree.set(3, 2.5, 7);
+  tree.set(0, 2.5, 9);
+  tree.set(2, 2.5, 8);
+  EXPECT_EQ(tree.top_machine(), 3u);
+  EXPECT_EQ(tree.top_seq(), 7u);
+  tree.erase(3);
+  EXPECT_EQ(tree.top_machine(), 2u);
+  tree.erase(2);
+  EXPECT_EQ(tree.top_machine(), 0u);
+  // An earlier time wins whatever its seq.
+  tree.set(1, 2.0, 100);
+  EXPECT_EQ(tree.top_machine(), 1u);
+  EXPECT_EQ(tree.top_time(), 2.0);
 }
 
-TEST(IndexedHeap, ResizeGrowsTheKeyUniverse) {
-  IndexedHeap<double> heap(2);
-  heap.set(0, 3.0);
-  heap.set(1, 1.0);
-  heap.resize(5);
-  heap.set(4, 0.5);
-  EXPECT_EQ(heap.top_key(), 4u);
-  heap.pop();
-  EXPECT_EQ(heap.top_key(), 1u);
+TEST(DepartureTree, SetResetAndEraseOneKey) {
+  sim::DepartureTree tree(2);
+  tree.set(1, 4.0, 0);
+  EXPECT_EQ(tree.top_machine(), 1u);
+  EXPECT_EQ(tree.top_time(), 4.0);
+  // Re-setting replaces the key in place, later and then earlier again.
+  tree.set(1, 9.0, 1);
+  EXPECT_EQ(tree.top_time(), 9.0);
+  EXPECT_EQ(tree.top_seq(), 1u);
+  tree.set(1, 0.0, 2);
+  EXPECT_EQ(tree.top_time(), 0.0);
+  EXPECT_EQ(tree.top_seq(), 2u);
+  tree.erase(1);
+  EXPECT_TRUE(tree.empty());
+  EXPECT_FALSE(tree.contains(1));
+}
+
+TEST(DepartureTree, EraseOnAbsentKeyIsANoOp) {
+  sim::DepartureTree tree(4);
+  tree.erase(2);
+  EXPECT_TRUE(tree.empty());
+  tree.set(1, 5.0, 0);
+  tree.erase(3);
+  EXPECT_TRUE(tree.contains(1));
+  EXPECT_EQ(tree.top_machine(), 1u);
+  EXPECT_EQ(tree.top_time(), 5.0);
+}
+
+TEST(DepartureTree, ResetResizesAndEmptiesTheTree) {
+  sim::DepartureTree tree(2);
+  tree.set(0, 3.0, 0);
+  tree.set(1, 1.0, 1);
+  tree.reset(5);
+  EXPECT_TRUE(tree.empty());
+  tree.set(4, 0.5, 2);
+  tree.set(0, 0.75, 3);
+  EXPECT_EQ(tree.top_machine(), 4u);
+  tree.erase(4);
+  EXPECT_EQ(tree.top_machine(), 0u);
+}
+
+TEST(DepartureTree, KeyPackingHoldsAtTheMachineLimit) {
+  // At the largest machine count the machine field is 16 bits wide and seq
+  // keeps 48; keys at the edges of both fields must decode and order
+  // exactly.
+  sim::DepartureTree tree(sim::DepartureTree::kMaxMachines);
+  const std::size_t last = sim::DepartureTree::kMaxMachines - 1;
+  const std::uint64_t top_seq = tree.seq_limit() - 1;
+  EXPECT_EQ(tree.seq_limit(), std::uint64_t{1} << 48);
+  tree.set(last, 1e300, top_seq);
+  tree.set(0, 1e300, top_seq - 1);
+  EXPECT_EQ(tree.top_machine(), 0u);
+  tree.erase(0);
+  EXPECT_EQ(tree.top_machine(), last);
+  EXPECT_EQ(tree.top_seq(), top_seq);
+  EXPECT_EQ(tree.top_time(), 1e300);
+  // The smallest positive double still precedes every larger time.
+  tree.set(7, std::numeric_limits<double>::denorm_min(), top_seq - 2);
+  EXPECT_EQ(tree.top_machine(), 7u);
+  tree.set(8, 0.0, top_seq - 3);
+  EXPECT_EQ(tree.top_machine(), 8u);
+  EXPECT_THROW(
+      { sim::DepartureTree too_wide(sim::DepartureTree::kMaxMachines + 1); },
+      Error);
 }
 
 }  // namespace
