@@ -2,19 +2,23 @@
 // the discrete-event engine, Cholesky factorization, GP fitting/prediction,
 // acquisition evaluation, and a full optimizer suggestion step. These back
 // Figure 7's scalability claims with component-level numbers.
+//
+// The committed BENCH_micro.json record is this binary's own JSON output
+// under repetitions (median, stddev and cv per row, host and build in the
+// context block):
+//
+//   bench_micro --benchmark_repetitions=5
+//       --benchmark_report_aggregates_only=true
+//       --benchmark_out=BENCH_micro.json --benchmark_out_format=json
+//       --benchmark_context=git_sha=$(git rev-parse --short=12 HEAD)
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 
 #include "bayesopt/bayesopt.hpp"
 #include "common/isa.hpp"
 #include "detlint/analyze.hpp"
-#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gp/gp_regressor.hpp"
@@ -341,9 +345,8 @@ void BM_ObjectiveRepeat(benchmark::State& state) {
 }
 BENCHMARK(BM_ObjectiveRepeat)->Unit(benchmark::kMillisecond);
 
-/// The Figure-5-shaped campaign workload shared by BM_CampaignEndToEnd and
-/// the BENCH_campaign.json record: passes x steps x best-config
-/// repetitions of the small paper topology through run_campaign, with
+/// The Figure-5-shaped campaign workload of BM_CampaignEndToEnd: passes x
+/// steps x best-config repetitions of the small paper topology through run_campaign, with
 /// random search so evaluation (not suggestion) dominates.
 /// Short measurement windows on a small topology put the workload in the
 /// regime campaigns actually live in — many cheap evaluations, where the
@@ -405,7 +408,7 @@ BENCHMARK(BM_CampaignEndToEnd)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 double run_multi_campaign_workload(const sim::Topology& topology,
                                    std::size_t campaigns,
                                    std::size_t threads,
-                                   std::uint64_t* steals = nullptr) {
+                                   std::uint64_t& steals) {
   sim::SimParams params = topo::synthetic_sim_params();
   params.duration_s = 1.0;
   sim::TopologyConfig defaults = sim::uniform_hint_config(topology, 4);
@@ -437,7 +440,7 @@ double run_multi_campaign_workload(const sim::Topology& topology,
   tuning::CampaignSchedulerOptions opts;
   opts.num_threads = threads;
   const auto out = tuning::run_campaigns(specs, opts);
-  if (steals != nullptr) *steals = out.steal_count;
+  steals = out.steal_count;
   double sum = 0.0;
   for (const auto& r : out.results) sum += r.best_rep_stats.mean;
   return sum;
@@ -448,14 +451,24 @@ void BM_MultiCampaign(benchmark::State& state) {
   // serial baseline the >=3x-at-8-threads aggregate-throughput target is
   // measured against (the campaigns are fully independent, so the speedup
   // tracks available cores — a single-core host shows ~1x plus the steal
-  // overhead). Results are bit-identical across the args.
+  // overhead). Results are bit-identical across the args. The steals
+  // counter (mean per workload run; a serial pool has none to report) makes
+  // such a host visible in the record: a zero-steal Arg(8) row means
+  // everything ran on one core.
   const auto threads = static_cast<std::size_t>(state.range(0));
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kSmall;
   const sim::Topology topology = topo::build_synthetic(spec);
+  double steals = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_multi_campaign_workload(topology, 8,
-                                                         threads));
+    std::uint64_t run_steals = 0;
+    benchmark::DoNotOptimize(
+        run_multi_campaign_workload(topology, 8, threads, run_steals));
+    steals += static_cast<double>(run_steals);
+  }
+  if (threads > 1) {
+    state.counters["steals"] =
+        benchmark::Counter(steals, benchmark::Counter::kAvgIterations);
   }
 }
 BENCHMARK(BM_MultiCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
@@ -520,8 +533,7 @@ double run_fidelity_workload(const sim::Topology& topology, bool ladder,
 
 void BM_FidelityLadder(benchmark::State& state) {
   // range(0): 0 = full-fidelity baseline, 1 = multi-fidelity ladder. The
-  // evals/s acceptance target (ladder >= 5x full) compares these two rows;
-  // the BENCH_campaign.json fidelity section records the same pair.
+  // evals/s acceptance target (ladder >= 5x full) compares these two rows.
   const bool ladder = state.range(0) == 1;
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kMedium;
@@ -622,389 +634,20 @@ void BM_DetlintAnalyze(benchmark::State& state) {
 }
 BENCHMARK(BM_DetlintAnalyze)->Unit(benchmark::kMillisecond);
 
-double time_simulate_ms(const sim::Topology& topology,
-                        const sim::TopologyConfig& config,
-                        const sim::ClusterSpec& cluster,
-                        const sim::SimParams& params, std::size_t iters) {
-  std::uint64_t seed = 1;
-  // One warm-up run keeps first-touch page faults out of the record.
-  sim::simulate(topology, config, cluster, params, seed++);
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) {
-    const auto r = sim::simulate(topology, config, cluster, params, seed++);
-    benchmark::DoNotOptimize(r.throughput_tuples_per_s);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count() /
-         static_cast<double>(iters);
-}
-
-/// Timing record of the simulate workloads, written next to the benchmark
-/// output so the perf trajectory is tracked from PR 2 onward (compare the
-/// file across commits).
-void write_simulate_record(const std::string& path) {
-  JsonObject workloads;
-  for (const std::int64_t vertices : {10, 50, 100}) {
-    topo::SyntheticSpec spec;
-    spec.size = size_for_vertices(vertices);
-    const sim::Topology topology = topo::build_synthetic(spec);
-    sim::SimParams params = topo::synthetic_sim_params();
-    params.duration_s = 15.0;
-    const std::size_t iters = vertices <= 10 ? 40 : 8;
-    workloads["simulate/" + std::to_string(vertices)] =
-        time_simulate_ms(topology, sim::uniform_hint_config(topology, 8),
-                         topo::paper_cluster(), params, iters);
-  }
-  {
-    const sim::Topology topology = topo::build_sundog();
-    sim::SimParams params = topo::sundog_sim_params();
-    params.duration_s = 15.0;
-    workloads["simulate/sundog"] =
-        time_simulate_ms(topology, topo::sundog_baseline_config(topology),
-                         topo::sundog_cluster(), params, 4);
-  }
-  JsonObject record;
-  record["benchmark"] = "simulate";
-  record["unit"] = "ms_per_run";
-  record["isa"] = isa::to_string(isa::selected());
-  record["window_s"] = 15.0;
-  record["workloads"] = std::move(workloads);
-  std::ofstream out(path);
-  out << Json(std::move(record)).dump(2) << '\n';
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// Median of three timed repetitions of `body(iters)`, in µs per op.
-template <typename F>
-double median3_us_per_op(std::size_t iters, F&& body) {
-  double reps[3];
-  for (double& r : reps) {
-    const auto t0 = std::chrono::steady_clock::now();
-    body(iters);
-    const auto t1 = std::chrono::steady_clock::now();
-    r = std::chrono::duration<double, std::micro>(t1 - t0).count() /
-        static_cast<double>(iters);
-  }
-  std::sort(reps, reps + 3);
-  return reps[1];
-}
-
-/// Timing record of the GP / linear-algebra workloads (the PR-3 kernel
-/// overhaul), written next to BENCH_simulate.json with the same purpose:
-/// compare the file across commits to track the perf trajectory. All values
-/// are medians of 3 repetitions, in µs per operation.
-void write_gp_record(const std::string& path) {
-  JsonObject workloads;
-  Rng rng(1);
-  for (const std::size_t n : {32ul, 64ul, 128ul}) {
-    const Matrix a = random_spd(n, rng);
-    Cholesky chol(a);
-    workloads["cholesky_refactor/" + std::to_string(n)] =
-        median3_us_per_op(200000 / (n * n / 64), [&](std::size_t iters) {
-          double scale = 1.0;
-          for (std::size_t i = 0; i < iters; ++i) {
-            scale = scale == 1.0 ? 1.5 : 1.0;
-            chol.refactor(a, scale, 0.0);
-          }
-          benchmark::DoNotOptimize(chol.lower_at(n - 1, n - 1));
-        });
-  }
-  for (const std::size_t n : {32ul, 64ul, 128ul}) {
-    // One sliding-window step (Givens downdate + rank-grow append) at
-    // constant n — the BM_CholeskyDowndate workload.
-    const std::size_t m = n + 256;
-    Rng drng(2);
-    const Matrix master = random_spd(m, drng);
-    std::vector<std::size_t> active(n);
-    for (std::size_t i = 0; i < n; ++i) active[i] = i;
-    Matrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) a(i, j) = master(i, j);
-    }
-    Cholesky chol(a);
-    chol.reserve(n + 1);
-    std::vector<double> b(n);
-    workloads["cholesky_downdate/" + std::to_string(n)] =
-        median3_us_per_op(200000 / (n * n / 64), [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            chol.remove_row(0);
-            active.erase(active.begin());
-            const std::size_t next = (active.back() + 1) % m;
-            b.resize(n - 1);
-            for (std::size_t k = 0; k + 1 < n; ++k) {
-              b[k] = master(active[k], next);
-            }
-            chol.append_row(b, master(next, next));
-            active.push_back(next);
-          }
-          benchmark::DoNotOptimize(chol.lower_at(n - 1, n - 1));
-        });
-  }
-  {
-    const std::size_t n = 120, m = 256;
-    const Matrix a = random_spd(n, rng);
-    const Cholesky chol(a);
-    Matrix v(n, m);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t r = 0; r < m; ++r) v(i, r) = rng.normal();
-    }
-    Matrix work(n, m);
-    workloads["tri_solve_multi/120x256"] =
-        median3_us_per_op(300, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            work = v;
-            chol.solve_lower_multi_in_place(work);
-            chol.solve_lower_transpose_multi_in_place(work);
-          }
-          benchmark::DoNotOptimize(work(n - 1, m - 1));
-        });
-  }
-  for (const std::size_t n : {30ul, 60ul, 120ul}) {
-    const std::size_t d = 51;
-    Rng grng(6);
-    Matrix x(n, d);
-    Vector y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < d; ++j) x(i, j) = grng.uniform();
-      y[i] = grng.normal();
-    }
-    gp::Kernel kernel(gp::KernelFamily::kMatern52, d, false);
-    gp::GpRegressor gp(kernel, 1e-3);
-    gp.fit(x, y);
-    std::vector<double> log_params(kernel.num_hyperparams(), 0.0);
-    std::size_t coord = 0;
-    workloads["gp_hyper_refit/" + std::to_string(n)] =
-        median3_us_per_op(48000 / n, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            log_params[coord % log_params.size()] = 0.1 * grng.normal();
-            ++coord;
-            gp.set_kernel_hyperparams(log_params);
-            gp.fit(x, y);
-            benchmark::DoNotOptimize(gp.log_marginal_likelihood());
-          }
-        });
-  }
-  {
-    const std::size_t dims = 51;
-    std::vector<bo::ParamSpec> specs;
-    for (std::size_t i = 0; i < dims; ++i) {
-      specs.push_back(bo::ParamSpec::integer("h" + std::to_string(i), 1, 20));
-    }
-    bo::BayesOptOptions opts;
-    opts.hyper_mode = bo::HyperMode::kSliceSample;
-    opts.hyper_samples = 3;
-    opts.hyper_burn_in = 5;
-    opts.num_candidates = 256;
-    opts.seed = 3;
-    bo::BayesOpt opt(bo::ParamSpace(specs), opts);
-    Rng orng(4);
-    for (std::size_t i = 0; i < 60; ++i) {
-      auto xs = opt.space().sample(orng);
-      opt.observe(std::move(xs), orng.normal());
-    }
-    benchmark::DoNotOptimize(opt.suggest());  // warm-up
-    workloads["bayesopt_suggest/60"] =
-        median3_us_per_op(3, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(opt.suggest());
-          }
-        });
-  }
-  for (const std::size_t history : {150ul, 500ul}) {
-    // Windowed observe+suggest at a fixed 60-point window over a growing
-    // history — the BM_SlidingWindowSuggest workload. The two rows must
-    // stay flat relative to each other (and comparable to the unwindowed
-    // bayesopt_suggest/60 row) regardless of history length.
-    const std::size_t dims = 51;
-    std::vector<bo::ParamSpec> specs;
-    for (std::size_t i = 0; i < dims; ++i) {
-      specs.push_back(bo::ParamSpec::integer("h" + std::to_string(i), 1, 20));
-    }
-    bo::BayesOptOptions opts;
-    opts.hyper_mode = bo::HyperMode::kSliceSample;
-    opts.hyper_samples = 3;
-    opts.hyper_burn_in = 5;
-    opts.num_candidates = 256;
-    opts.seed = 3;
-    opts.max_observations = 60;
-    bo::BayesOpt opt(bo::ParamSpace(specs), opts);
-    Rng orng(4);
-    for (std::size_t i = 0; i < history; ++i) {
-      auto xs = opt.space().sample(orng);
-      opt.observe(std::move(xs), orng.normal());
-    }
-    benchmark::DoNotOptimize(opt.suggest());  // warm-up
-    workloads["windowed_suggest/60@" + std::to_string(history)] =
-        median3_us_per_op(3, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            auto xs = opt.space().sample(orng);
-            opt.observe(std::move(xs), orng.normal());
-            benchmark::DoNotOptimize(opt.suggest());
-          }
-        });
-  }
-  JsonObject record;
-  record["benchmark"] = "gp";
-  record["unit"] = "us_per_op";
-  record["statistic"] = "median_of_3_reps";
-  record["isa"] = isa::to_string(isa::selected());
-  record["workloads"] = std::move(workloads);
-  std::ofstream out(path);
-  out << Json(std::move(record)).dump(2) << '\n';
-  std::printf("wrote %s\n", path.c_str());
-}
-
-/// Timing record of the campaign-scale evaluation path (the PR-4 workspace
-/// overhaul), same contract as the other records: compare the file across
-/// commits. Medians of 3 repetitions, µs per operation (one operation =
-/// one objective evaluation / one full campaign).
-void write_campaign_record(const std::string& path) {
-  JsonObject workloads;
-  // Thread counts and campaign counts per workload: multi-thread rows are
-  // meaningless without them (the same workload at 1 and 8 threads is two
-  // different measurements of the same computation).
-  JsonObject workload_meta;
-  auto meta = [](std::size_t threads, std::size_t campaigns) {
-    JsonObject m;
-    m["threads"] = threads;
-    m["campaigns"] = campaigns;
-    return Json(std::move(m));
-  };
-  {
-    topo::SyntheticSpec spec;
-    spec.size = topo::TopologySize::kMedium;
-    const sim::Topology topology = topo::build_synthetic(spec);
-    sim::SimParams params = topo::synthetic_sim_params();
-    params.duration_s = 5.0;
-    const sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
-    tuning::SimObjective objective(topology, topo::paper_cluster(), params,
-                                   7);
-    benchmark::DoNotOptimize(objective.evaluate(config));  // warm-up
-    workloads["objective_repeat/medium"] =
-        median3_us_per_op(40, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(objective.evaluate(config));
-          }
-        });
-    workload_meta["objective_repeat/medium"] = meta(1, 1);
-  }
-  {
-    topo::SyntheticSpec spec;
-    spec.size = topo::TopologySize::kSmall;
-    const sim::Topology topology = topo::build_synthetic(spec);
-    workloads["campaign_end_to_end/small"] =
-        median3_us_per_op(3, [&](std::size_t iters) {
-          for (std::size_t i = 0; i < iters; ++i) {
-            benchmark::DoNotOptimize(run_campaign_workload(topology, 1));
-          }
-        });
-    workload_meta["campaign_end_to_end/small"] = meta(1, 1);
-    // The multi-campaign scheduler at serial and 8-wide settings. The
-    // aggregate-throughput speedup target (>=3x at 8 threads) compares
-    // these two rows; the steal counter is recorded so a zero-steal run
-    // (e.g. a single-core host pinning everything to worker 0's deque
-    // until it parks) is visible in the record.
-    for (const std::size_t threads : {1ul, 8ul}) {
-      std::uint64_t steals = 0;
-      const std::string key =
-          "multi_campaign/8x" + std::to_string(threads);
-      workloads[key] = median3_us_per_op(1, [&](std::size_t iters) {
-        for (std::size_t i = 0; i < iters; ++i) {
-          benchmark::DoNotOptimize(
-              run_multi_campaign_workload(topology, 8, threads, &steals));
-        }
-      });
-      Json m = meta(threads, 8);
-      m.as_object()["steals"] = steals;
-      workload_meta[key] = std::move(m);
-    }
-    // Multi-fidelity ladder against the full-fidelity baseline: the same
-    // 64-step BO campaign (medium topology, the paper's full 120 s
-    // windows, fixed hyperparameters) evaluated through a plain
-    // SimObjective versus the fluid-screen -> adaptive-rung-1 -> full-DES
-    // ladder. The evals-per-second acceptance target (ladder >= 5x full)
-    // is the ratio of these two rows; the fidelity tag in workload_meta
-    // keeps baseline tooling from comparing them against each other by
-    // accident.
-    topo::SyntheticSpec medium_spec;
-    medium_spec.size = topo::TopologySize::kMedium;
-    const sim::Topology medium = topo::build_synthetic(medium_spec);
-    for (const bool ladder : {false, true}) {
-      const std::string key =
-          ladder ? "bo_campaign/ladder" : "bo_campaign/full";
-      workloads[key] = median3_us_per_op(1, [&](std::size_t iters) {
-        for (std::size_t i = 0; i < iters; ++i) {
-          benchmark::DoNotOptimize(
-              run_fidelity_workload(medium, ladder, 64));
-        }
-      });
-      Json m = meta(1, 1);
-      m.as_object()["fidelity"] = ladder ? "ladder" : "full";
-      m.as_object()["bo_steps"] = 64;
-      workload_meta[key] = std::move(m);
-    }
-  }
-  JsonObject record;
-  record["benchmark"] = "campaign";
-  record["unit"] = "us_per_op";
-  record["statistic"] = "median_of_3_reps";
-  record["isa"] = isa::to_string(isa::selected());
-  record["workloads"] = std::move(workloads);
-  record["workload_meta"] = std::move(workload_meta);
-  std::ofstream out(path);
-  out << Json(std::move(record)).dump(2) << '\n';
-  std::printf("wrote %s\n", path.c_str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip our own flags before google-benchmark sees the command line.
-  std::string simulate_json = "BENCH_simulate.json";
-  std::string gp_json = "BENCH_gp.json";
-  std::string campaign_json = "BENCH_campaign.json";
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    constexpr const char* kSimFlag = "--simulate-json=";
-    constexpr const char* kGpFlag = "--gp-json=";
-    constexpr const char* kCampaignFlag = "--campaign-json=";
-    constexpr const char* kIsaFlag = "--isa=";
-    if (std::strncmp(argv[i], kSimFlag, std::strlen(kSimFlag)) == 0) {
-      simulate_json = argv[i] + std::strlen(kSimFlag);
-    } else if (std::strncmp(argv[i], kGpFlag, std::strlen(kGpFlag)) == 0) {
-      gp_json = argv[i] + std::strlen(kGpFlag);
-    } else if (std::strncmp(argv[i], kCampaignFlag,
-                            std::strlen(kCampaignFlag)) == 0) {
-      campaign_json = argv[i] + std::strlen(kCampaignFlag);
-    } else if (std::strncmp(argv[i], kIsaFlag, std::strlen(kIsaFlag)) == 0) {
-      const char* v = argv[i] + std::strlen(kIsaFlag);
-      stormtune::isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = stormtune::isa::detect_best();
-      } else if (!stormtune::isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        return 2;
-      }
-      stormtune::isa::select(path);
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  // The selected kernel path changes every GP/linalg number below, so it
-  // belongs in the visible provenance of a run (the JSON records carry it
-  // too).
-  std::printf("stormtune isa path: %s\n",
-              stormtune::isa::to_string(stormtune::isa::selected()));
+  // Provenance of the code under measurement, written into the JSON
+  // context block next to google-benchmark's host fields (num_cpus, MHz,
+  // caches, load). gbench's own library_build_type describes the installed
+  // benchmark library, not this build.
+  benchmark::AddCustomContext(
+      "isa", stormtune::isa::to_string(stormtune::isa::selected()));
+  benchmark::AddCustomContext("compiler", __VERSION__);
+  benchmark::AddCustomContext("build_type", STORMTUNE_BUILD_TYPE);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  if (!simulate_json.empty()) write_simulate_record(simulate_json);
-  if (!gp_json.empty()) write_gp_record(gp_json);
-  if (!campaign_json.empty()) write_campaign_record(campaign_json);
   return 0;
 }

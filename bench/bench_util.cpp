@@ -1,9 +1,12 @@
 #include "bench_util.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 #include "common/isa.hpp"
@@ -14,6 +17,25 @@
 #include "tuning/report.hpp"
 
 namespace stormtune::bench {
+
+namespace {
+
+/// The value of a numeric `--flag=value` argument `arg`; a malformed,
+/// partial, negative (for unsigned T) or out-of-range value is a usage
+/// error that names the argument.
+template <typename T>
+T number(const char* arg, const char* v) {
+  T out{};
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: expected a number\n", arg);
+    std::exit(2);
+  }
+  return out;
+}
+
+}  // namespace
 
 Args Args::parse(int argc, char** argv) {
   Args args;
@@ -38,42 +60,30 @@ Args Args::parse(int argc, char** argv) {
     const char* a = argv[i];
     if (std::strcmp(a, "--full") == 0) continue;
     if (const char* v = value_of(a, "--steps")) {
-      args.pla_steps = args.bo_steps = std::stoul(v);
+      args.pla_steps = args.bo_steps = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--bo-steps")) {
-      args.bo_steps = std::stoul(v);
+      args.bo_steps = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--bo180")) {
-      args.bo180_steps = std::stoul(v);
+      args.bo180_steps = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--reps")) {
-      args.reps = std::stoul(v);
+      args.reps = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--passes")) {
-      args.passes = std::stoul(v);
+      args.passes = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--duration")) {
-      args.duration_s = std::stod(v);
+      args.duration_s = number<double>(a, v);
     } else if (const char* v = value_of(a, "--seed")) {
-      args.seed = std::stoull(v);
+      args.seed = number<std::uint64_t>(a, v);
     } else if (const char* v = value_of(a, "--threads")) {
-      args.threads = std::stoul(v);
+      args.threads = number<std::size_t>(a, v);
     } else if (const char* v = value_of(a, "--campaigns-json")) {
       args.campaigns_json = v;
-    } else if (const char* v = value_of(a, "--isa")) {
-      isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = isa::detect_best();
-      } else if (!isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        std::exit(2);
-      }
-      isa::select(path);
     } else {
       std::fprintf(stderr,
                    "unknown argument '%s' (expected --full, --steps=N, "
                    "--bo-steps=N, --bo180=N, --reps=N, --passes=N, "
                    "--duration=S, --seed=N, --threads=N campaign pool "
                    "width incl. the caller, 0 = auto, "
-                   "--campaigns-json=FILE, --isa=PATH)\n",
+                   "--campaigns-json=FILE)\n",
                    a);
       std::exit(2);
     }

@@ -43,10 +43,10 @@ struct Args {
 
   /// Parse --full, --steps=N, --bo-steps=N, --bo180=N, --reps=N,
   /// --passes=N, --duration=S, --seed=N, --threads=N (pool width, caller
-  /// included; 0 = auto), --campaigns-json=FILE, --isa=PATH. --full
-  /// switches every default to the paper-scale protocol first; explicit
-  /// flags then override. --isa pins the runtime kernel dispatch (portable,
-  /// avx2, avx512, neon, or auto) process-wide via isa::select.
+  /// included; 0 = auto), --campaigns-json=FILE. --full switches every
+  /// default to the paper-scale protocol first; explicit flags then
+  /// override. An unknown flag or a malformed number exits 2. The kernel
+  /// dispatch path is the STORMTUNE_ISA environment variable's.
   static Args parse(int argc, char** argv);
 
   /// The campaign pool width implied by `threads` (results are

@@ -56,9 +56,12 @@
 //                   evaluations end early on convergence, and because the
 //                   stop rule is seeded and campaign-local, determinism
 //                   across thread counts still holds.
-// both:             --isa=portable|avx2|avx512|neon|auto  pin the runtime
-//                   kernel dispatch path (default: auto-detect; the
-//                   STORMTUNE_ISA environment variable is the same knob)
+//
+// A malformed numeric value (--steps=abc, --hint=x) is a usage error
+// (exit 2), like an unknown option. The kernel dispatch path comes from
+// the STORMTUNE_ISA environment variable (portable|avx2|avx512|neon|auto;
+// default auto-detect).
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -66,6 +69,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/error.hpp"
@@ -142,7 +146,6 @@ struct Options {
       "      run every campaign in FILE over one work-stealing scheduler;\n"
       "      per-campaign results are bit-identical to solo runs for any\n"
       "      thread count (tune options above supply the defaults)\n"
-      "both: --isa=portable|avx2|avx512|neon|auto  pin the kernel dispatch\n"
       "see the header of tools/stormtune_main.cpp for all options\n");
   std::exit(2);
 }
@@ -153,29 +156,44 @@ const char* value_of(const char* arg, const char* key) {
   return nullptr;
 }
 
+/// The value of a numeric `--flag=value` argument `arg`; a malformed,
+/// partial, negative (for unsigned T) or out-of-range value is a usage
+/// error that names the argument.
+template <typename T>
+T number(const char* arg, const char* v) {
+  T out{};
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc() || ptr != end) {
+    std::fprintf(stderr, "%s: expected a number\n", arg);
+    usage();
+  }
+  return out;
+}
+
 Options parse(int argc, char** argv, int first) {
   Options o;
   if (first < argc && argv[first][0] != '-') o.topology = argv[first++];
   for (int i = first; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--tiim") == 0) o.tiim = true;
-    else if (const char* v = value_of(a, "--contention")) o.contention = std::stod(v);
-    else if (const char* v = value_of(a, "--hint")) o.hint = std::stoi(v);
-    else if (const char* v = value_of(a, "--bs")) o.batch_size = std::stoi(v);
-    else if (const char* v = value_of(a, "--bp")) o.batch_parallelism = std::stoi(v);
-    else if (const char* v = value_of(a, "--wt")) o.worker_threads = std::stoi(v);
-    else if (const char* v = value_of(a, "--rt")) o.receiver_threads = std::stoi(v);
-    else if (const char* v = value_of(a, "--ackers")) o.ackers = std::stoi(v);
-    else if (const char* v = value_of(a, "--max-tasks")) o.max_tasks = std::stoi(v);
-    else if (const char* v = value_of(a, "--duration")) o.duration_s = std::stod(v);
-    else if (const char* v = value_of(a, "--seed")) o.seed = std::stoull(v);
+    else if (const char* v = value_of(a, "--contention")) o.contention = number<double>(a, v);
+    else if (const char* v = value_of(a, "--hint")) o.hint = number<int>(a, v);
+    else if (const char* v = value_of(a, "--bs")) o.batch_size = number<int>(a, v);
+    else if (const char* v = value_of(a, "--bp")) o.batch_parallelism = number<int>(a, v);
+    else if (const char* v = value_of(a, "--wt")) o.worker_threads = number<int>(a, v);
+    else if (const char* v = value_of(a, "--rt")) o.receiver_threads = number<int>(a, v);
+    else if (const char* v = value_of(a, "--ackers")) o.ackers = number<int>(a, v);
+    else if (const char* v = value_of(a, "--max-tasks")) o.max_tasks = number<int>(a, v);
+    else if (const char* v = value_of(a, "--duration")) o.duration_s = number<double>(a, v);
+    else if (const char* v = value_of(a, "--seed")) o.seed = number<std::uint64_t>(a, v);
     else if (const char* v = value_of(a, "--strategy")) o.strategy = v;
-    else if (const char* v = value_of(a, "--steps")) o.steps = std::stoul(v);
-    else if (const char* v = value_of(a, "--reps")) o.reps = std::stoul(v);
+    else if (const char* v = value_of(a, "--steps")) o.steps = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--reps")) o.reps = number<std::size_t>(a, v);
     else if (const char* v = value_of(a, "--what")) o.what = v;
     else if (const char* v = value_of(a, "--json")) o.json_path = v;
     else if (const char* v = value_of(a, "--csv")) o.csv_path = v;
-    else if (const char* v = value_of(a, "--threads")) o.threads = std::stoul(v);
+    else if (const char* v = value_of(a, "--threads")) o.threads = number<std::size_t>(a, v);
     else if (const char* v = value_of(a, "--fidelity")) {
       o.fidelity = v;
       if (o.fidelity != "full" && o.fidelity != "ladder") {
@@ -183,30 +201,17 @@ Options parse(int argc, char** argv, int first) {
         usage();
       }
     }
-    else if (const char* v = value_of(a, "--gp-window")) o.gp_window = std::stoul(v);
-    else if (const char* v = value_of(a, "--ladder-rung1-epsilon")) o.ladder_rung1_epsilon = std::stod(v);
-    else if (const char* v = value_of(a, "--ladder-challenge-fraction")) o.ladder_challenge_fraction = std::stod(v);
-    else if (const char* v = value_of(a, "--ladder-promote-top-k")) o.ladder_promote_top_k = std::stoul(v);
-    else if (const char* v = value_of(a, "--passes")) o.passes = std::stoul(v);
+    else if (const char* v = value_of(a, "--gp-window")) o.gp_window = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--ladder-rung1-epsilon")) o.ladder_rung1_epsilon = number<double>(a, v);
+    else if (const char* v = value_of(a, "--ladder-challenge-fraction")) o.ladder_challenge_fraction = number<double>(a, v);
+    else if (const char* v = value_of(a, "--ladder-promote-top-k")) o.ladder_promote_top_k = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--passes")) o.passes = number<std::size_t>(a, v);
     else if (const char* v = value_of(a, "--campaigns")) o.campaigns_path = v;
     else if (const char* v = value_of(a, "--jsonl")) o.jsonl_path = v;
-    else if (const char* v = value_of(a, "--isa")) {
-      isa::Path path;
-      if (std::strcmp(v, "auto") == 0) {
-        path = isa::detect_best();
-      } else if (!isa::parse(v, path)) {
-        std::fprintf(stderr,
-                     "--isa=%s: expected portable, avx2, avx512, neon, or "
-                     "auto\n",
-                     v);
-        usage();
-      }
-      isa::select(path);
-    }
     else if (std::strcmp(a, "--adaptive-window") == 0) o.adaptive_window = true;
     else if (const char* v = value_of(a, "--adaptive-window")) {
       o.adaptive_window = true;
-      o.adaptive_epsilon = std::stod(v);
+      o.adaptive_epsilon = number<double>(a, v);
     }
     else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) usage();
     else {
