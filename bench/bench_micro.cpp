@@ -118,7 +118,9 @@ void BM_TriSolveMultiRhs(benchmark::State& state) {
     benchmark::DoNotOptimize(work(n - 1, m - 1));
   }
 }
-BENCHMARK(BM_TriSolveMultiRhs)->Arg(1)->Arg(16)->Arg(256);
+// 202 = 2·101, the local-search neighbourhood width on the 100-parameter
+// topologies.
+BENCHMARK(BM_TriSolveMultiRhs)->Arg(1)->Arg(16)->Arg(202)->Arg(256);
 
 void BM_GpFitAndPredict(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -168,6 +170,35 @@ void BM_GpPredictBatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpPredictBatch)->Arg(16)->Arg(256)->Arg(1024);
+
+void BM_SqDistRows(benchmark::State& state) {
+  // Unscaled squared distances from 512 candidates to a 100-point history
+  // in 101 dimensions: the bo100-large candidate-scoring distance block.
+  const std::size_t n = 100;
+  const std::size_t d = 101;
+  const std::size_t m = 512;
+  Rng rng(6);
+  Matrix x(n, d);
+  Vector y(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < d; ++j) x(i, j) = rng.uniform();
+    y[i] = rng.normal();
+  }
+  gp::Kernel kernel(gp::KernelFamily::kMatern52, d, false);
+  gp::GpRegressor gp(kernel, 1e-3);
+  gp.fit(x, y);
+  Matrix q(m, d);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < d; ++j) q(i, j) = rng.uniform();
+  }
+  Matrix d2;
+  for (auto _ : state) {
+    gp.unscaled_sq_dist_rows(q, 0, m, d2);
+    benchmark::DoNotOptimize(d2.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SqDistRows);
 
 void BM_GpHyperRefitLoop(benchmark::State& state) {
   // The slice sampler's inner loop: refit the same X/y under a sweep of

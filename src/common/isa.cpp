@@ -10,7 +10,6 @@ const char* to_string(Path p) {
     case Path::kPortable: return "portable";
     case Path::kAvx2: return "avx2";
     case Path::kAvx512: return "avx512";
-    case Path::kNeon: return "neon";
   }
   return "unknown";
 }
@@ -19,7 +18,6 @@ bool parse(std::string_view name, Path& out) {
   if (name == "portable") { out = Path::kPortable; return true; }
   if (name == "avx2") { out = Path::kAvx2; return true; }
   if (name == "avx512") { out = Path::kAvx512; return true; }
-  if (name == "neon") { out = Path::kNeon; return true; }
   return false;
 }
 
@@ -35,12 +33,6 @@ bool compiled(Path p) {
 #endif
     case Path::kAvx512:
 #ifdef STORMTUNE_HAVE_ISA_AVX512
-      return true;
-#else
-      return false;
-#endif
-    case Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
       return true;
 #else
       return false;
@@ -67,10 +59,6 @@ bool cpu_supports(Path p) {
 #else
       return false;
 #endif
-    case Path::kNeon:
-      // NEON is architecturally guaranteed on AArch64, so compiled-in
-      // implies executable.
-      return true;
   }
   return false;
 }
@@ -80,9 +68,8 @@ bool cpu_supports(Path p) {
 bool supported(Path p) { return compiled(p) && cpu_supports(p); }
 
 Path detect_best() {
-  // Widest first. AVX-512 and AVX2 never coexist with NEON, so the order
-  // within one architecture is the only thing that matters.
-  for (const Path p : {Path::kAvx512, Path::kAvx2, Path::kNeon}) {
+  // Widest first.
+  for (const Path p : {Path::kAvx512, Path::kAvx2}) {
     if (supported(p)) return p;
   }
   return Path::kPortable;
@@ -98,7 +85,7 @@ Path from_environment() {
   if (!parse(env, p)) {
     std::fprintf(stderr,
                  "stormtune: STORMTUNE_ISA='%s' not recognized "
-                 "(portable|avx2|avx512|neon|auto); using portable\n",
+                 "(portable|avx2|avx512|auto); using portable\n",
                  env);
     return Path::kPortable;
   }

@@ -1,18 +1,20 @@
 // Runtime ISA path selection for the SIMD-dispatched kernels.
 //
-// The dense kernels (linalg/kernels.hpp rank-k row updates, gp/kernel_batch
-// correlation transforms) exist in several lane widths. Exactly one path is
-// active per process: resolved lazily on first use from the STORMTUNE_ISA
-// environment variable ("portable", "avx2", "avx512", "neon", or "auto"),
+// The dense kernels (linalg/kernels.hpp factorization, solve and distance
+// kernels, gp/kernel_batch correlation transforms) exist in several lane
+// widths. Exactly one path is active per process: resolved lazily on first
+// use from the STORMTUNE_ISA environment variable ("portable", "avx2",
+// "avx512", or "auto") — the only knob; there is no command-line flag —
 // defaulting to the widest path this binary compiled in AND this CPU
-// supports. `select()` overrides the choice (CLI --isa=, tests).
+// supports. Other architectures (AArch64 included) run the portable path.
+// `select()` overrides the choice for tests.
 //
 // Determinism contract: results are bitwise-reproducible per selected path.
 // The portable path is the pre-dispatch behavior every golden test pins;
-// wide paths are element-wise maps and reduction-order-preserving updates,
-// so they never reorder a summation, but their math-library lanes may round
-// differently — hence goldens force kPortable and the agreement tests bound
-// wide-vs-scalar divergence in ulps.
+// the linalg kernels are element-wise and order-preserving, so they are
+// bit-identical on every path, but the correlation transform's
+// math-library lanes may round differently — hence goldens force kPortable
+// and the agreement tests bound wide-vs-scalar divergence in ulps.
 //
 // Selection is plain (non-atomic) state: it is mutated during startup or in
 // single-threaded test setup, never concurrently with kernel execution.
@@ -27,14 +29,13 @@ enum class Path : unsigned char {
   kPortable = 0,  ///< scalar / baseline-x86-64 code, identical to pre-dispatch
   kAvx2 = 1,      ///< 4-lane double vectors (x86-64 AVX2)
   kAvx512 = 2,    ///< 8-lane double vectors (x86-64 AVX-512F)
-  kNeon = 3,      ///< 2-lane double vectors (AArch64 NEON)
 };
 
-inline constexpr std::size_t kNumPaths = 4;
+inline constexpr std::size_t kNumPaths = 3;
 
 const char* to_string(Path p);
 
-/// Parse a path name ("portable", "avx2", "avx512", "neon"). Returns false
+/// Parse a path name ("portable", "avx2", "avx512"). Returns false
 /// (out untouched) for anything else, including "auto" — callers that accept
 /// "auto" handle it before parsing.
 bool parse(std::string_view name, Path& out);
@@ -58,7 +59,7 @@ Path from_environment();
 /// The active path; resolved via from_environment() on first call.
 Path selected();
 
-/// Override the active path (CLI --isa=, test setup). Unsupported requests
+/// Override the active path (test setup). Unsupported requests
 /// clamp to kPortable with a note on stderr. Returns the path actually
 /// selected.
 Path select(Path p);

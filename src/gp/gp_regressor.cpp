@@ -8,8 +8,37 @@
 #include "common/error.hpp"
 #include "gp/kernel_batch.hpp"
 #include "common/check.hpp"
+#include "linalg/kernels.hpp"
 
 namespace stormtune::gp {
+
+namespace {
+
+/// The transposed copy of the n×d inputs `x` that the distance kernel
+/// reads, its row stride padded (linalg_kernels::padded_ld) so the
+/// kernel's column strips do not alias in L1 at power-of-two n; the
+/// padding columns are zero and never read as points.
+Matrix transposed_inputs(const Matrix& x) {
+  Matrix xt(x.cols(), linalg_kernels::padded_ld(x.rows()));
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto xi = x.row(i);
+    for (std::size_t k = 0; k < xi.size(); ++k) xt(k, i) = xi[k];
+  }
+  return xt;
+}
+
+/// out(r, i) = ‖q_r − x_i‖², i < n, for `rows` contiguous query rows of
+/// xt.rows() coordinates starting at `q`, against the points held
+/// transposed in `xt` (column i = point i). Lanes run across the points;
+/// each entry is the scalar 0 + Σ_k (x_ik − q_rk)², k ascending
+/// (linalg/kernels.hpp).
+void sq_dists(const Matrix& xt, std::size_t n, const double* q,
+              std::size_t rows, double* out, std::size_t ldo) {
+  linalg_kernels::ops().sq_dist_rows(xt.data(), xt.cols(), n, xt.rows(), q,
+                                     xt.rows(), rows, out, ldo);
+}
+
+}  // namespace
 
 GpRegressor::GpRegressor(Kernel kernel, double noise_variance,
                          double mean_value)
@@ -49,21 +78,13 @@ void GpRegressor::rebuild_distance_cache() {
   const std::size_t d = x_.cols();
   auto cache = std::make_shared<DistanceCache>();
   cache->n = n;
+  cache->xt = transposed_inputs(x_);
   if (!kernel_.ard()) {
+    // Full rows through the lane-parallel kernel: (x_j − x_i)² and
+    // (x_i − x_j)² are the same bits, so the matrix is exactly symmetric,
+    // and the diagonal is an exact zero.
     cache->sq = Matrix(n, n);
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto xj = x_.row(j);
-      for (std::size_t i = 0; i < j; ++i) {
-        const auto xi = x_.row(i);
-        double s = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double diff = xi[k] - xj[k];
-          s += diff * diff;
-        }
-        cache->sq(i, j) = s;
-        cache->sq(j, i) = s;
-      }
-    }
+    sq_dists(cache->xt, n, x_.data(), n, cache->sq.data(), n);
   } else {
     cache->sq_dims.resize(n * (n - 1) / 2 * d);
     double* out = cache->sq_dims.data();
@@ -87,6 +108,13 @@ GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
   const std::size_t d = x_.cols();
   auto cache = std::make_shared<DistanceCache>();
   cache->n = n + 1;
+  cache->xt = Matrix(d, linalg_kernels::padded_ld(n + 1));
+  for (std::size_t k = 0; k < d; ++k) {
+    const auto src = dist_->xt.row(k);
+    const auto dst = cache->xt.row(k);
+    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i];
+    dst[n] = x_new[k];
+  }
   if (!kernel_.ard()) {
     cache->sq = Matrix(n + 1, n + 1);
     for (std::size_t i = 0; i < n; ++i) {
@@ -94,16 +122,9 @@ GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
       const auto dst = cache->sq.row(i);
       for (std::size_t j = 0; j < n; ++j) dst[j] = src[j];
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = x_.row(i);
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = xi[k] - x_new[k];
-        s += diff * diff;
-      }
-      cache->sq(i, n) = s;
-      cache->sq(n, i) = s;
-    }
+    const auto new_row = cache->sq.row(n);
+    sq_dists(dist_->xt, n, x_new.data(), 1, new_row.data(), n);
+    for (std::size_t i = 0; i < n; ++i) cache->sq(i, n) = new_row[i];
   } else {
     // The pair order (all (i, j) with i < j, grouped by ascending j) makes
     // appending a point a pure append: existing offsets are untouched.
@@ -380,6 +401,7 @@ STORMTUNE_HOT void GpRegressor::remove_observation(std::size_t idx,
   // distance loop never reruns for a remove.
   auto cache = std::make_shared<DistanceCache>();
   cache->n = m;
+  cache->xt = transposed_inputs(x_);
   if (!kernel_.ard()) {
     cache->sq = Matrix(m, m);
     for (std::size_t i = 0; i < m; ++i) {
@@ -510,26 +532,25 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
   for (std::size_t base = 0; base < total; base += kPredictChunk) {
     const std::size_t m = std::min(kPredictChunk, total - base);
     if (kstar.rows() != m) kstar = Matrix(m, n);
+    if (!ard) {
+      sq_dists(dist_->xt, n, q.row(row_begin + base).data(), m, kstar.data(),
+               n);
+    }
     for (std::size_t r = 0; r < m; ++r) {
       const auto u = q.row(row_begin + base + r);
       const auto krow = kstar.row(r);
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto xi = x_.row(i);
-        double r2 = 0.0;
-        if (ard) {
+      if (ard) {
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto xi = x_.row(i);
+          double r2 = 0.0;
           for (std::size_t k = 0; k < d; ++k) {
             const double diff = xi[k] - u[k];
             r2 += diff * diff * inv[k];
           }
-        } else {
-          double s = 0.0;
-          for (std::size_t k = 0; k < d; ++k) {
-            const double diff = xi[k] - u[k];
-            s += diff * diff;
-          }
-          r2 = s * inv[0];
+          krow[i] = r2;
         }
-        krow[i] = r2;
+      } else {
+        for (std::size_t i = 0; i < n; ++i) krow[i] *= inv[0];
       }
       correlation_from_scaled_sq_batch(kernel_.family(), a2, krow.data(), n);
     }
@@ -546,21 +567,10 @@ void GpRegressor::unscaled_sq_dist_rows(const Matrix& q, std::size_t row_begin,
   STORMTUNE_REQUIRE(row_begin <= row_end && row_end <= q.rows(),
                     "GpRegressor::unscaled_sq_dist_rows: bad row range");
   const std::size_t n = x_.rows();
-  const std::size_t d = q.cols();
   const std::size_t total = row_end - row_begin;
   if (d2.rows() != total || d2.cols() != n) d2 = Matrix(total, n);
-  for (std::size_t r = 0; r < total; ++r) {
-    const auto u = q.row(row_begin + r);
-    const auto drow = d2.row(r);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = x_.row(i);
-      double s = 0.0;
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = xi[k] - u[k];
-        s += diff * diff;
-      }
-      drow[i] = s;
-    }
+  if (total > 0) {
+    sq_dists(dist_->xt, n, q.row(row_begin).data(), total, d2.data(), n);
   }
 }
 
@@ -613,12 +623,15 @@ STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_rows(
   // Build V = K*ᵀ directly (row i = candidate values of training point i):
   // no kstar materialization, no transpose — the transform is an element-wise
   // map, so layout is free to choose, and this is the layout the solve wants.
-  if (vws.rows() != n || vws.cols() != m) vws = Matrix(n, m);
+  // Rows are padded to linalg_kernels::padded_ld(m) so the solve's column
+  // strips never alias in L1 (m = 512 candidates is a 4 KiB stride).
+  const std::size_t ldv = linalg_kernels::padded_ld(m);
+  if (vws.rows() != n || vws.cols() != ldv) vws = Matrix(n, ldv);
   for (std::size_t i = 0; i < n; ++i) {
     const auto vi = vws.row(i);
     for (std::size_t r = 0; r < m; ++r) vi[r] = d2(r, i) * inv0;
+    correlation_from_scaled_sq_batch(kernel_.family(), a2, vi.data(), m);
   }
-  correlation_from_scaled_sq_batch(kernel_.family(), a2, vws.data(), n * m);
   // Means before the solve overwrites V. Per candidate the additions run in
   // ascending training-point order — the chunked path's dot-product order.
   for (std::size_t r = 0; r < m; ++r) means[r] = 0.0;
@@ -632,7 +645,7 @@ STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_rows(
   // independent of which other columns share the block (see
   // solve_lower_multi_in_place), so this matches the chunked solves bit for
   // bit.
-  chol_->solve_lower_multi_in_place(vws);
+  chol_->solve_lower_multi_in_place(vws, m);
   for (std::size_t r = 0; r < m; ++r) vars[r] = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto vi = vws.row(i);

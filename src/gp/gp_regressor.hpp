@@ -114,9 +114,11 @@ class GpRegressor {
   /// Fused batch variant of predict_from_sq_dist_rows writing straight into
   /// contiguous mean/variance arrays (one entry per d2 row): builds the
   /// cross-covariance block transposed in the caller-owned workspace `vws`
-  /// (resized to n×m as needed), runs one batched correlation transform over
-  /// the whole n·m buffer and one multi-RHS forward substitution carrying
-  /// every candidate, instead of kPredictChunk-sized pieces. Per candidate
+  /// (resized as needed to n rows of m candidates, padded to an
+  /// alias-free stride), runs the batched correlation transform one
+  /// training point's row at a time and one multi-RHS forward substitution
+  /// carrying every candidate, instead of kPredictChunk-sized pieces. Per
+  /// candidate
   /// each reduction runs in the same ascending order and each element-wise
   /// transform is the same single-value map as the chunked path, so results
   /// are bitwise identical to predict_from_sq_dist_rows — only the batching
@@ -160,6 +162,8 @@ class GpRegressor {
   struct DistanceCache {
     std::size_t n = 0;
     Matrix sq;                    // non-ARD: n×n unscaled squared distances
+    Matrix xt;                    // X transposed (d rows, stride padded
+                                  // past n): the distance kernel's operand
     std::vector<double> sq_dims;  // ARD: (j·(j−1)/2 + i)·d + k, for i < j
   };
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "common/error.hpp"
 #include "gp/slice_sampler.hpp"
@@ -101,14 +102,17 @@ std::vector<HyperSample> sample_hyperparams(
   };
   SliceOptions slice;
   slice.width = 0.7;
+  // The chain's log posterior carries from sweep to sweep, so only the
+  // very first state is evaluated on its own.
+  std::optional<double> ly;
   for (std::size_t i = 0; i < opts.burn_in; ++i) {
-    slice_sample_sweep(log_post, theta, rng, slice);
+    ly = slice_sample_sweep(log_post, theta, rng, slice, ly);
   }
   std::vector<HyperSample> samples;
   samples.reserve(opts.num_samples);
   for (std::size_t s = 0; s < opts.num_samples; ++s) {
     for (std::size_t t = 0; t < std::max<std::size_t>(opts.thin, 1); ++t) {
-      slice_sample_sweep(log_post, theta, rng, slice);
+      ly = slice_sample_sweep(log_post, theta, rng, slice, ly);
     }
     samples.push_back(HyperSample{theta});
   }

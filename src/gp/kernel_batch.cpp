@@ -180,12 +180,6 @@ TransformFn transform_for(isa::Path path) {
 #else
       return nullptr;
 #endif
-    case isa::Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
-      return transform_neon;
-#else
-      return nullptr;
-#endif
   }
   return nullptr;
 }

@@ -32,10 +32,6 @@ void transform_avx2(KernelFamily family, double scale, double* buf,
 void transform_avx512(KernelFamily family, double scale, double* buf,
                       std::size_t len);
 #endif
-#ifdef STORMTUNE_HAVE_ISA_NEON
-void transform_neon(KernelFamily family, double scale, double* buf,
-                    std::size_t len);
-#endif
 
 /// The transform for a specific compiled-in path, or nullptr when this
 /// binary does not contain it. Test hook for the per-path agreement sweep.

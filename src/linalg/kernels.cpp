@@ -1,7 +1,7 @@
-// Portable micro-kernels and the ISA dispatch table.
+// Portable kernels and the ISA dispatch table.
 //
-// The portable implementations are the pre-dispatch scalar loops (the
-// compiler auto-vectorizes them at the baseline target width); the wide
+// The portable lane type is a two-double GCC/Clang vector: baseline SSE2 on
+// x86-64, Advanced SIMD on AArch64, scalar code elsewhere. The wide
 // implementations live in kernels_<isa>.cpp, each compiled as its own
 // translation unit with the matching -m<isa> flag so the rest of the
 // library never emits instructions the baseline target lacks.
@@ -14,27 +14,46 @@ namespace stormtune::linalg_kernels {
 
 namespace portable {
 
-// Anonymous-namespace lane kernels inline into both the exported row-update
-// symbols (test hooks) and the block loops below; see kernels_avx512.cpp.
+// Anonymous-namespace lane type and helpers inline into the exported
+// kernels; see kernels_avx512.cpp.
 namespace {
 
-inline void rank4_impl(double* __restrict__ c, const double* __restrict__ p0,
-                       const double* __restrict__ p1,
-                       const double* __restrict__ p2,
-                       const double* __restrict__ p3, double a0, double a1,
-                       double a2, double a3, std::size_t len) {
-  for (std::size_t j = 0; j < len; ++j) {
-    c[j] = c[j] - a0 * p0[j] - a1 * p1[j] - a2 * p2[j] - a3 * p3[j];
+struct Lanes {
+  typedef double Reg __attribute__((vector_size(16)));
+  using Mask = std::size_t;  // number of leading lanes
+  static constexpr std::size_t kLanes = 2;
+
+  static Mask tail_mask(std::size_t len) { return len; }
+  static Reg load(const double* p) { return Reg{p[0], p[1]}; }
+  static Reg load(const double* p, Mask len) {
+    Reg x = {0.0, 0.0};
+    for (std::size_t l = 0; l < len; ++l) x[l] = p[l];
+    return x;
   }
+  static void store(double* p, Reg x) {
+    p[0] = x[0];
+    p[1] = x[1];
+  }
+  static void store(double* p, Reg x, Mask len) {
+    for (std::size_t l = 0; l < len; ++l) p[l] = x[l];
+  }
+  static Reg set1(double a) { return Reg{a, a}; }
+  static Reg zero() { return Reg{0.0, 0.0}; }
+  static Reg add(Reg a, Reg b) { return a + b; }
+  static Reg sub(Reg a, Reg b) { return a - b; }
+  static Reg mul(Reg a, Reg b) { return a * b; }
+};
+
+}  // namespace
+
+STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
+                                          std::size_t ld, std::size_t n) {
+  return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
 }
 
-inline void rank1_impl(double* __restrict__ c, const double* __restrict__ p,
-                       double a, std::size_t len) {
-  for (std::size_t j = 0; j < len; ++j) c[j] -= a * p[j];
-}
-
-inline void givens_impl(double* __restrict__ lrow, double* __restrict__ v,
-                        double c, double s, std::size_t len) {
+STORMTUNE_HOT void givens_row_update(double* __restrict__ lrow,
+                                     double* __restrict__ v, double c,
+                                     double s, std::size_t len) {
   for (std::size_t j = 0; j < len; ++j) {
     const double t = c * lrow[j] + s * v[j];
     v[j] = c * v[j] - s * lrow[j];
@@ -42,135 +61,76 @@ inline void givens_impl(double* __restrict__ lrow, double* __restrict__ v,
   }
 }
 
-struct LaneOps {
-  static void rank4(double* c, const double* p0, const double* p1,
-                    const double* p2, const double* p3, double a0, double a1,
-                    double a2, double a3, std::size_t len) {
-    rank4_impl(c, p0, p1, p2, p3, a0, a1, a2, a3, len);
-  }
-  static void rank1(double* c, const double* p, double a, std::size_t len) {
-    rank1_impl(c, p, a, len);
-  }
-};
-
-}  // namespace
-
-STORMTUNE_HOT void rank4_row_update(double* __restrict__ c, const double* __restrict__ p0,
-                      const double* __restrict__ p1,
-                      const double* __restrict__ p2,
-                      const double* __restrict__ p3, double a0, double a1,
-                      double a2, double a3, std::size_t len) {
-  rank4_impl(c, p0, p1, p2, p3, a0, a1, a2, a3, len);
+STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
+                                     double* v, std::size_t ldv,
+                                     std::size_t m, std::size_t n) {
+  detail::solve_lower_multi<Lanes>(lf, ld, v, ldv, m, n);
 }
 
-STORMTUNE_HOT void rank1_row_update(double* __restrict__ c, const double* __restrict__ p,
-                      double a, std::size_t len) {
-  rank1_impl(c, p, a, len);
+STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
+                                               std::size_t ld, double* v,
+                                               std::size_t ldv, std::size_t m,
+                                               std::size_t n) {
+  detail::solve_lower_transpose_multi<Lanes>(ltf, ld, v, ldv, m, n);
 }
 
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n) {
-  detail::cholesky_trailing_update<LaneOps>(lf, ltf, ld, k0, k1, n);
-}
-
-STORMTUNE_HOT void givens_row_update(double* __restrict__ lrow, double* __restrict__ v,
-                       double c, double s, std::size_t len) {
-  givens_impl(lrow, v, c, s, len);
-}
-
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n) {
-  detail::solve_lower_multi<LaneOps>(lf, ld, v, m, n, kPanelWidth);
-}
-
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n) {
-  detail::solve_lower_transpose_multi<LaneOps>(ltf, ld, v, m, n);
+STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
+                                std::size_t n, std::size_t d, const double* q,
+                                std::size_t ldq, std::size_t rows, double* out,
+                                std::size_t ldo) {
+  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
 }
 
 }  // namespace portable
 
+#define STORMTUNE_DECLARE_KERNELS                                            \
+  STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,         \
+                                            std::size_t ld, std::size_t n);  \
+  STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,    \
+                                       double s, std::size_t len);           \
+  STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,     \
+                                       double* v, std::size_t ldv,           \
+                                       std::size_t m, std::size_t n);        \
+  STORMTUNE_HOT void solve_lower_transpose_multi(                            \
+      const double* ltf, std::size_t ld, double* v, std::size_t ldv,         \
+      std::size_t m, std::size_t n);                                         \
+  STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,         \
+                                  std::size_t n, std::size_t d,              \
+                                  const double* q, std::size_t ldq,          \
+                                  std::size_t rows, double* out,             \
+                                  std::size_t ldo);
+
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 namespace avx2 {
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len);
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len);
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n);
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len);
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n);
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n);
+STORMTUNE_DECLARE_KERNELS
 }  // namespace avx2
 #endif
 
 #ifdef STORMTUNE_HAVE_ISA_AVX512
 namespace avx512 {
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len);
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len);
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n);
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len);
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n);
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n);
+STORMTUNE_DECLARE_KERNELS
 }  // namespace avx512
 #endif
 
-#ifdef STORMTUNE_HAVE_ISA_NEON
-namespace neon {
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len);
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len);
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n);
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len);
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n);
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n);
-}  // namespace neon
-#endif
+#undef STORMTUNE_DECLARE_KERNELS
 
 namespace {
 
-constexpr KernelOps kPortableOps{portable::rank4_row_update,
-                                 portable::rank1_row_update,
-                                 portable::cholesky_trailing_update,
-                                 portable::givens_row_update,
-                                 portable::solve_lower_multi,
-                                 portable::solve_lower_transpose_multi};
+#define STORMTUNE_KERNEL_TABLE(ns)                                       \
+  KernelOps {                                                            \
+    ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
+        ns::solve_lower_transpose_multi, ns::sq_dist_rows                \
+  }
+
+constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);
 #ifdef STORMTUNE_HAVE_ISA_AVX2
-constexpr KernelOps kAvx2Ops{avx2::rank4_row_update, avx2::rank1_row_update,
-                             avx2::cholesky_trailing_update,
-                             avx2::givens_row_update,
-                             avx2::solve_lower_multi,
-                             avx2::solve_lower_transpose_multi};
+constexpr KernelOps kAvx2Ops = STORMTUNE_KERNEL_TABLE(avx2);
 #endif
 #ifdef STORMTUNE_HAVE_ISA_AVX512
-constexpr KernelOps kAvx512Ops{avx512::rank4_row_update,
-                               avx512::rank1_row_update,
-                               avx512::cholesky_trailing_update,
-                               avx512::givens_row_update,
-                               avx512::solve_lower_multi,
-                               avx512::solve_lower_transpose_multi};
+constexpr KernelOps kAvx512Ops = STORMTUNE_KERNEL_TABLE(avx512);
 #endif
-#ifdef STORMTUNE_HAVE_ISA_NEON
-constexpr KernelOps kNeonOps{neon::rank4_row_update, neon::rank1_row_update,
-                             neon::cholesky_trailing_update,
-                             neon::givens_row_update,
-                             neon::solve_lower_multi,
-                             neon::solve_lower_transpose_multi};
-#endif
+
+#undef STORMTUNE_KERNEL_TABLE
 
 }  // namespace
 
@@ -187,12 +147,6 @@ STORMTUNE_HOT const KernelOps* ops_for(isa::Path path) {
     case isa::Path::kAvx512:
 #ifdef STORMTUNE_HAVE_ISA_AVX512
       return &kAvx512Ops;
-#else
-      return nullptr;
-#endif
-    case isa::Path::kNeon:
-#ifdef STORMTUNE_HAVE_ISA_NEON
-      return &kNeonOps;
 #else
       return nullptr;
 #endif

@@ -1,17 +1,16 @@
-// Low-level cache-aware building blocks for the dense factorization and
-// triangular-solve kernels in matrix.cpp, behind a runtime ISA dispatch
-// table (common/isa.hpp).
+// The dense kernels under the Cholesky factor and the GP distance caches,
+// behind a runtime ISA dispatch table (common/isa.hpp).
 //
 // Everything here is single-threaded and evaluates every floating-point
-// reduction in one fixed order (k ascending, left-associated), independent
-// of tile boundaries AND of the selected lane width: every implementation —
-// portable scalar, AVX2, AVX-512, NEON — subtracts its four products
-// left-to-right per element with separate multiply and subtract (no FMA
-// contraction), which is the same sequence a scalar k-loop would produce.
-// That is what lets the blocked Cholesky and the multi-RHS solves match the
-// naive reference kernels element-for-element on every path, keeps GP fits
-// reproducible run-to-run, and makes the wide paths bit-identical to the
-// portable one (verified by tests/test_isa_dispatch.cpp).
+// reduction in one fixed order (k ascending, left-associated, separate
+// multiply and subtract/add — no FMA contraction), independent of how the
+// elements are grouped into lanes, strips or tiles. The kernels only choose
+// the memory walk and which elements share a vector register; each element
+// sees the same operands in the same sequence a scalar k-loop would apply.
+// That is what keeps the factor and the solves equal element-for-element to
+// the naive reference kernels (linalg/reference.hpp, reciprocal scaling),
+// keeps GP fits reproducible run-to-run, and makes the portable, AVX2 and
+// AVX-512 paths bit-identical (verified by tests/test_isa_dispatch.cpp).
 #pragma once
 
 #include <cstddef>
@@ -20,65 +19,67 @@
 
 namespace stormtune::linalg_kernels {
 
-/// Columns processed per panel by the blocked right-looking Cholesky, and the
-/// blocking width of the multi-RHS triangular solves. Measured on the target
-/// workload (n ≤ ~200 observations): small panels win because the trailing
-/// rank-k update then touches each destination row while it is still in L1;
-/// 16 was fastest-or-tied against 8/32/48 at n ∈ {60, 120, 180}, and wide
-/// panels (≥32) were consistently ~10–20% slower at n = 120. Override with
-/// -DSTORMTUNE_PANEL_WIDTH=<w> to retune for a different cache hierarchy.
-#ifndef STORMTUNE_PANEL_WIDTH
-#define STORMTUNE_PANEL_WIDTH 16
-#endif
-inline constexpr std::size_t kPanelWidth = STORMTUNE_PANEL_WIDTH;
-
 /// The kernel entry points one ISA path provides. The dispatch unit is a
-/// whole block loop, not a row update: the row kernels run on a few dozen
-/// elements and are called hundreds of times per factorization, so routing
-/// each through a function pointer costs more than the wide lanes save
-/// (measured ~40% of the n=60 refit loop in call dispatch). Call sites
-/// fetch the table once per routine and pay one indirect call per panel or
-/// per solve sweep; inside each ISA's translation unit the lane kernels
-/// inline into the block loops (linalg/kernels_blocks.hpp).
+/// whole routine (a factorization, a solve sweep, a distance block), never
+/// a row update: the rows at this library's sizes are a few dozen elements
+/// long, so routing each through a function pointer would cost more than
+/// the wide lanes save. Call sites fetch the table once per routine; inside
+/// each ISA's translation unit the lane operations inline into the loops
+/// (linalg/kernels_blocks.hpp).
 struct KernelOps {
-  /// c[0..len) -= a0*p0[j] + a1*p1[j] + a2*p2[j] + a3*p3[j], evaluated
-  /// left-associated per element so the subtraction order equals four
-  /// consecutive iterations of the scalar k-loop. This is the
-  /// register-blocked rank-k micro-kernel; the four products per element
-  /// break the single-accumulator dependency chain of the unblocked code.
-  /// Exposed for the cross-path bit-identity sweep (test_isa_dispatch.cpp);
-  /// hot paths go through the block entry points below.
-  void (*rank4_row_update)(double* c, const double* p0, const double* p1,
-                           const double* p2, const double* p3, double a0,
-                           double a1, double a2, double a3, std::size_t len);
-  /// c[0..len) -= a * p[j]; the remainder step of the rank-4 kernel.
-  void (*rank1_row_update)(double* c, const double* p, double a,
-                           std::size_t len);
-  /// Trailing update of one Cholesky panel [k0, k1): rows [k1, n) of `lf`
-  /// (leading dimension ld) lose the panel's contribution over their first
-  /// i-k1+1 columns, panel columns read stride-1 from the mirror `ltf`.
-  void (*cholesky_trailing_update)(double* lf, const double* ltf,
-                                   std::size_t ld, std::size_t k0,
-                                   std::size_t k1, std::size_t n);
+  /// Left-looking Cholesky of the n×n SPD matrix whose lower triangle is
+  /// held transposed in `ltf` on entry (row j, columns [j, n) = column j of
+  /// A). Column j of L accumulates across lanes of rows i ≥ j:
+  /// A(i,j) − L(i,0)·L(j,0) − … − L(i,j−1)·L(j,j−1), k ascending, reading
+  /// the finished columns stride-1 from the mirror rows. The diagonal then
+  /// must be > 0; L(j,j) = sqrt(d) and every L(i,j) below it is the sum
+  /// times 1/L(j,j). L is written to both the row-major factor `lf` and the
+  /// mirror `ltf` (both leading dimension ld). Returns n on success, or the
+  /// first column whose diagonal is not positive (factor then unspecified).
+  std::size_t (*cholesky_factor)(double* lf, double* ltf, std::size_t ld,
+                                 std::size_t n);
   /// One Givens rotation applied across a factor row and the downdate
   /// carry vector: per element, t = c*lrow[j] + s*v[j];
   /// v[j] = c*v[j] - s*lrow[j]; lrow[j] = t — separate multiply/add/sub
-  /// (no FMA) and elementwise-independent lanes, so every path produces
-  /// the scalar sequence bit for bit. This is the inner sweep of
-  /// Cholesky::remove_row: rotating the deleted row's column out of the
-  /// trailing factor, one column (= one stride-1 mirror row) at a time.
+  /// and elementwise-independent lanes, so every path produces the scalar
+  /// sequence bit for bit. This is the inner sweep of Cholesky::remove_row:
+  /// rotating the deleted row's column out of the trailing factor, one
+  /// column (= one stride-1 mirror row) at a time.
   void (*givens_row_update)(double* lrow, double* v, double c, double s,
                             std::size_t len);
-  /// Blocked forward substitution over an n×m row-major RHS block `v`
-  /// (stride m), diagonal blocks of kPanelWidth columns.
+  /// Forward substitution L V = B over the first m columns of an n-row
+  /// row-major block `v` (row stride ldv ≥ m), in column strips: per row
+  /// i, the strip's accumulators take
+  /// v(i,r) − L(i,0)·v(0,r) − … − L(i,i−1)·v(i−1,r) in registers, k
+  /// ascending, then one multiply by 1/L(i,i).
   void (*solve_lower_multi)(const double* lf, std::size_t ld, double* v,
-                            std::size_t m, std::size_t n);
-  /// Bottom-up back substitution over an n×m row-major RHS block `v`,
-  /// multipliers read stride-1 from the mirror `ltf`.
+                            std::size_t ldv, std::size_t m, std::size_t n);
+  /// Back substitution Lᵀ X = V over the same block layout, bottom-up, same
+  /// strips; the multipliers L(k,i) are read stride-1 from mirror row i, k
+  /// ascending from i+1.
   void (*solve_lower_transpose_multi)(const double* ltf, std::size_t ld,
-                                      double* v, std::size_t m,
-                                      std::size_t n);
+                                      double* v, std::size_t ldv,
+                                      std::size_t m, std::size_t n);
+  /// Unscaled squared distances from `rows` query points (row r at
+  /// q + r·ldq, d coordinates) to n points held transposed in `xt` (d rows
+  /// of leading dimension ldx, column i = point i):
+  /// out[r·ldo + i] = 0 + (x_i0 − q_r0)² + … + (x_i,d−1 − q_r,d−1)², k
+  /// ascending, lanes across the points i.
+  void (*sq_dist_rows)(const double* xt, std::size_t ldx, std::size_t n,
+                       std::size_t d, const double* q, std::size_t ldq,
+                       std::size_t rows, double* out, std::size_t ldo);
 };
+
+/// Row stride, in doubles, for a row-major block at least `cols` wide
+/// whose column strips the kernels walk down: whole 64-byte lines, and an
+/// odd number of them, so consecutive rows start in different L1 sets. A
+/// stride that is a multiple of 4 KiB maps every row of a strip to the
+/// same few sets and turns an L1-resident strip into L2 traffic
+/// (measured: n=128 factorization 50 µs at stride 128, 30 µs at 136).
+constexpr std::size_t padded_ld(std::size_t cols) {
+  const std::size_t lines = (cols + 7) / 8;
+  return 8 * (lines % 2 == 0 ? lines + 1 : lines);
+}
 
 /// The table for the currently selected ISA path (isa::selected()).
 const KernelOps& ops();

@@ -1,10 +1,11 @@
-// AVX-512F (8-lane) rank-update micro-kernels. Compiled with -mavx512f as
-// its own translation unit; reached only through the dispatch table in
-// kernels.cpp after a runtime CPU check (common/isa.hpp).
+// AVX-512F (8-lane) kernels. Compiled with -mavx512f as its own translation
+// unit; reached only through the dispatch table in kernels.cpp after a
+// runtime CPU check (common/isa.hpp).
 //
-// Same bit-identity argument as the AVX2 file: separate multiply/subtract
-// (no FMA), left-associated per element, lanes touch disjoint elements.
-// The scalar remainder loop (len mod 8) matches the portable loop exactly.
+// Same bit-identity argument as the AVX2 file: separate multiply and
+// subtract/add (no FMA), lanes touch disjoint elements. Partial vectors use
+// masked loads and stores, so a tail element gets the same vector
+// arithmetic as a full one.
 #ifdef STORMTUNE_HAVE_ISA_AVX512
 
 #include <immintrin.h>
@@ -17,74 +18,48 @@
 
 namespace stormtune::linalg_kernels::avx512 {
 
-// The lane kernels live in the anonymous namespace so they inline into both
-// the exported row-update symbols (the test hooks) and the block loops
-// below — an external symbol in the dispatch table would stay a real call
-// per row, which is exactly the overhead the block entry points remove.
+// The lane type lives in the anonymous namespace so its operations inline
+// into the kernel loops below — an external symbol would stay a real call
+// per vector, which is exactly the overhead the routine-level dispatch
+// removes.
 namespace {
 
-inline void rank4_impl(double* c, const double* p0, const double* p1,
-                       const double* p2, const double* p3, double a0,
-                       double a1, double a2, double a3, std::size_t len) {
-  const __m512d va0 = _mm512_set1_pd(a0);
-  const __m512d va1 = _mm512_set1_pd(a1);
-  const __m512d va2 = _mm512_set1_pd(a2);
-  const __m512d va3 = _mm512_set1_pd(a3);
-  std::size_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    __m512d x = _mm512_loadu_pd(c + j);
-    x = _mm512_sub_pd(x, _mm512_mul_pd(va0, _mm512_loadu_pd(p0 + j)));
-    x = _mm512_sub_pd(x, _mm512_mul_pd(va1, _mm512_loadu_pd(p1 + j)));
-    x = _mm512_sub_pd(x, _mm512_mul_pd(va2, _mm512_loadu_pd(p2 + j)));
-    x = _mm512_sub_pd(x, _mm512_mul_pd(va3, _mm512_loadu_pd(p3 + j)));
-    _mm512_storeu_pd(c + j, x);
-  }
-  for (; j < len; ++j) {
-    c[j] = c[j] - a0 * p0[j] - a1 * p1[j] - a2 * p2[j] - a3 * p3[j];
-  }
-}
+struct Lanes {
+  using Reg = __m512d;
+  using Mask = __mmask8;
+  static constexpr std::size_t kLanes = 8;
 
-inline void rank1_impl(double* c, const double* p, double a,
-                       std::size_t len) {
-  const __m512d va = _mm512_set1_pd(a);
-  std::size_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m512d x = _mm512_sub_pd(
-        _mm512_loadu_pd(c + j), _mm512_mul_pd(va, _mm512_loadu_pd(p + j)));
-    _mm512_storeu_pd(c + j, x);
+  static Mask tail_mask(std::size_t len) {
+    return static_cast<Mask>((1u << len) - 1u);
   }
-  for (; j < len; ++j) c[j] -= a * p[j];
-}
-
-struct LaneOps {
-  static void rank4(double* c, const double* p0, const double* p1,
-                    const double* p2, const double* p3, double a0, double a1,
-                    double a2, double a3, std::size_t len) {
-    rank4_impl(c, p0, p1, p2, p3, a0, a1, a2, a3, len);
+  static Reg load(const double* p) { return _mm512_loadu_pd(p); }
+  static Reg load(const double* p, Mask m) {
+    return _mm512_maskz_loadu_pd(m, p);
   }
-  static void rank1(double* c, const double* p, double a, std::size_t len) {
-    rank1_impl(c, p, a, len);
+  static void store(double* p, Reg x) { _mm512_storeu_pd(p, x); }
+  static void store(double* p, Reg x, Mask m) {
+    _mm512_mask_storeu_pd(p, m, x);
   }
+  static Reg set1(double a) { return _mm512_set1_pd(a); }
+  static Reg zero() { return _mm512_setzero_pd(); }
+  static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
+  static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
+  static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
 };
 
 }  // namespace
 
-STORMTUNE_HOT void rank4_row_update(double* c, const double* p0, const double* p1,
-                      const double* p2, const double* p3, double a0, double a1,
-                      double a2, double a3, std::size_t len) {
-  rank4_impl(c, p0, p1, p2, p3, a0, a1, a2, a3, len);
-}
-
-STORMTUNE_HOT void rank1_row_update(double* c, const double* p, double a, std::size_t len) {
-  rank1_impl(c, p, a, len);
+STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
+                                          std::size_t ld, std::size_t n) {
+  return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
 }
 
 // Givens rotation across a factor row and the downdate carry vector: both
 // products per output evaluated with separate mul/add/sub (no vfmadd),
 // lanes touch disjoint elements, so the sequence per element is exactly
 // the portable loop's.
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s,
-                       std::size_t len) {
+STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
+                                     double s, std::size_t len) {
   const __m512d vc = _mm512_set1_pd(c);
   const __m512d vs = _mm512_set1_pd(s);
   std::size_t j = 0;
@@ -104,21 +79,24 @@ STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c, double s
   }
 }
 
-// Block-level entry points: one indirect call per panel / solve sweep, the
-// lane kernels inlined into the loops (see kernels_blocks.hpp).
-STORMTUNE_HOT void cholesky_trailing_update(double* lf, const double* ltf, std::size_t ld,
-                              std::size_t k0, std::size_t k1, std::size_t n) {
-  detail::cholesky_trailing_update<LaneOps>(lf, ltf, ld, k0, k1, n);
+STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
+                                     double* v, std::size_t ldv,
+                                     std::size_t m, std::size_t n) {
+  detail::solve_lower_multi<Lanes>(lf, ld, v, ldv, m, n);
 }
 
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                       std::size_t m, std::size_t n) {
-  detail::solve_lower_multi<LaneOps>(lf, ld, v, m, n, kPanelWidth);
+STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
+                                               std::size_t ld, double* v,
+                                               std::size_t ldv, std::size_t m,
+                                               std::size_t n) {
+  detail::solve_lower_transpose_multi<Lanes>(ltf, ld, v, ldv, m, n);
 }
 
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf, std::size_t ld, double* v,
-                                 std::size_t m, std::size_t n) {
-  detail::solve_lower_transpose_multi<LaneOps>(ltf, ld, v, m, n);
+STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
+                                std::size_t n, std::size_t d, const double* q,
+                                std::size_t ldq, std::size_t rows, double* out,
+                                std::size_t ldo) {
+  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
 }
 
 }  // namespace stormtune::linalg_kernels::avx512

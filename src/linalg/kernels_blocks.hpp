@@ -1,112 +1,272 @@
-// Internal: block-level loop bodies shared by every ISA translation unit.
+// Internal: the kernel loops shared by every ISA translation unit.
 //
-// The rank-4/rank-1 row updates are too small to sit behind an indirect
-// call: the blocked Cholesky at this library's problem sizes (n ≤ ~200,
-// trailing rows of a few dozen elements) makes hundreds of them per
-// factorization, and the call overhead erases the wide paths' gains — the
-// slice-sampling refit loop spends ~40% of its time in call dispatch when
-// the row kernels are the dispatch unit. So the dispatch unit is the whole
-// block loop instead: each kernels_<isa>.cpp instantiates these templates
-// with its own lane kernels (same TU, so they inline) and exports one
-// function per routine, and matrix.cpp pays one indirect call per panel or
-// per solve sweep.
+// Each kernels_<isa>.cpp instantiates these templates with its own lane
+// type (same TU, so the lane operations inline) and exports one function
+// per KernelOps entry. A lane type `V` provides
 //
-// Bit-identity: these are the exact loop structures matrix.cpp used to run
-// inline — per element every subtraction still happens in ascending-k order,
-// left-associated, and the divide-to-reciprocal trick is unchanged. Moving
-// the loops across the call boundary changes nothing arithmetic. The TUs
-// that include this header are compiled with -ffp-contract=off, so the
-// scalar tails and the scaling loops cannot be contracted either.
+//   Reg, Mask, kLanes               the register, a lane mask, its width
+//   tail_mask(len)                  the first len lanes (0 < len < kLanes)
+//   load(p) / load(p, mask)         full / masked load (masked-off lanes 0)
+//   store(p, x) / store(p, x, mask) full / masked store
+//   set1(a), zero(), add, sub, mul  broadcast and element-wise arithmetic
+//
+// Bit-identity: every loop below gives each element the same operands in
+// the same order as the scalar k-loop it replaces — ascending k, left-
+// associated, a separate multiply and subtract/add per step (the TUs are
+// compiled with -ffp-contract=off, so nothing is contracted to FMA). Lanes
+// never combine with each other, so neither the lane width nor the strip
+// an element lands in can change a bit.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 
 namespace stormtune::linalg_kernels::detail {
 
-/// Trailing update of one factorization panel [k0, k1): every row i in
-/// [k1, n) of the lower factor `lf` (leading dimension `ld`) loses the
-/// panel's rank-(k1-k0) contribution over its first i-k1+1 trailing
-/// columns, reading the panel columns stride-1 from the transposed mirror
-/// `ltf`. Four k's at a time through the rank-4 lane kernel, remainder
-/// through rank-1 — ascending k, identical to the scalar k-loop.
-template <typename LaneOps>
-inline void cholesky_trailing_update(double* lf, const double* ltf,
-                                     std::size_t ld, std::size_t k0,
-                                     std::size_t k1, std::size_t n) {
-  for (std::size_t i = k1; i < n; ++i) {
-    double* ci = lf + i * ld;
-    const std::size_t len = i - k1 + 1;
-    std::size_t k = k0;
-    for (; k + 4 <= k1; k += 4) {
-      LaneOps::rank4(ci + k1, ltf + k * ld + k1, ltf + (k + 1) * ld + k1,
-                     ltf + (k + 2) * ld + k1, ltf + (k + 3) * ld + k1, ci[k],
-                     ci[k + 1], ci[k + 2], ci[k + 3], len);
+/// Vector registers per strip. A strip's accumulators stay in registers
+/// across the whole k loop. The factorization and the forward solve run
+/// two columns or rows per strip, so eight independent subtract chains
+/// (latency ~4 cycles each) keep both vector pipes busy and still fit
+/// AVX2's sixteen registers with the broadcasts and a loaded operand. Four
+/// vectors also bound the strip's footprint: an n = 100 solve strip and a
+/// d = 101 distance strip are 26 KB each on AVX-512, inside L1.
+inline constexpr int kStripVecs = 4;
+
+/// NV vector accumulators over consecutive elements; the last vector is
+/// masked when kTail is set.
+template <class V, int NV, bool kTail>
+struct Strip {
+  using Reg = typename V::Reg;
+  using Mask = typename V::Mask;
+  static constexpr std::size_t L = V::kLanes;
+
+  Reg r[NV];
+  Mask mask;
+
+  static Reg load_vec(const double* p, int v, Mask m) {
+    if constexpr (kTail) {
+      if (v == NV - 1) return V::load(p + v * L, m);
     }
-    for (; k < k1; ++k) {
-      LaneOps::rank1(ci + k1, ltf + k * ld + k1, ci[k], len);
+    return V::load(p + v * L);
+  }
+  void load(const double* p) {
+    for (int v = 0; v < NV; ++v) r[v] = load_vec(p, v, mask);
+  }
+  void store(double* p) const {
+    for (int v = 0; v < NV; ++v) {
+      if constexpr (kTail) {
+        if (v == NV - 1) {
+          V::store(p + v * L, r[v], mask);
+          continue;
+        }
+      }
+      V::store(p + v * L, r[v]);
+    }
+  }
+  void zero() {
+    for (int v = 0; v < NV; ++v) r[v] = V::zero();
+  }
+  /// r -= a * p, per element.
+  void sub_mul(Reg a, const double* p) {
+    for (int v = 0; v < NV; ++v) {
+      r[v] = V::sub(r[v], V::mul(a, load_vec(p, v, mask)));
+    }
+  }
+  /// r -= a * o.r, per element: a term whose operand is still in the
+  /// registers of the strip that just finished it.
+  void sub_mul(Reg a, const Strip& o) {
+    for (int v = 0; v < NV; ++v) r[v] = V::sub(r[v], V::mul(a, o.r[v]));
+  }
+  /// r -= a * p and o.r -= b * p, per element, each p vector loaded once.
+  void sub_mul2(Reg a, Strip& o, Reg b, const double* p) {
+    for (int v = 0; v < NV; ++v) {
+      const Reg x = load_vec(p, v, mask);
+      r[v] = V::sub(r[v], V::mul(a, x));
+      o.r[v] = V::sub(o.r[v], V::mul(b, x));
+    }
+  }
+  /// r *= a, per element.
+  void mul(Reg a) {
+    for (int v = 0; v < NV; ++v) r[v] = V::mul(r[v], a);
+  }
+  /// r += (p - b)², per element.
+  void add_sq_diff(const double* p, Reg b) {
+    for (int v = 0; v < NV; ++v) {
+      const Reg diff = V::sub(load_vec(p, v, mask), b);
+      r[v] = V::add(r[v], V::mul(diff, diff));
+    }
+  }
+};
+
+/// Run `body` on the remainder strip of NV vectors (the last one partial
+/// when `tail`), found by counting NV down from the full strip width.
+template <class V, int NV, class Body>
+inline void remainder_strip(std::size_t c, std::size_t vecs, bool tail,
+                            std::size_t part, Body& body) {
+  if constexpr (NV > 0) {
+    if (vecs != static_cast<std::size_t>(NV)) {
+      remainder_strip<V, NV - 1>(c, vecs, tail, part, body);
+    } else if (tail) {
+      Strip<V, NV, true> s{};
+      s.mask = V::tail_mask(part);
+      body(c, s);
+    } else {
+      body(c, Strip<V, NV, false>{});
     }
   }
 }
 
-/// Blocked forward substitution L y = b for an n×m right-hand-side block
-/// `v` (row-major, stride m): finalize the rows of one diagonal block of
-/// `panel` columns, then push that block's contribution into every row
-/// below while its v rows are hot. Per column of v the subtraction order
-/// is k ascending — identical to the scalar solve.
-template <typename LaneOps>
+/// Cover [0, len) with strips: full kStripVecs-vector strips, then one
+/// strip of the remaining whole vectors plus a masked partial one. Calls
+/// body(offset, strip) with a strip whose mask is set and whose registers
+/// are uninitialized.
+template <class V, class Body>
+inline void for_each_strip(std::size_t len, Body&& body) {
+  constexpr std::size_t L = V::kLanes;
+  constexpr std::size_t kWidth = kStripVecs * L;
+  std::size_t c = 0;
+  for (; c + kWidth <= len; c += kWidth) {
+    body(c, Strip<V, kStripVecs, false>{});
+  }
+  const std::size_t rem = len - c;
+  if (rem == 0) return;
+  const std::size_t part = rem % L;
+  remainder_strip<V, kStripVecs>(c, (rem + L - 1) / L, part != 0, part,
+                                 body);
+}
+
+/// Check, square-root and scale column j of the factor, held unscaled in
+/// mirror row j: L(j,j) = sqrt(d), L(i,j) = sum · (1/L(j,j)) below it,
+/// written to the mirror row and the row-major factor. False when the
+/// diagonal is not positive.
+inline bool finish_column(double* lf, double* ltj, std::size_t ld,
+                          std::size_t j, std::size_t n) {
+  const double d = ltj[j];
+  if (!(d > 0.0)) return false;
+  const double ljj = std::sqrt(d);
+  // One reciprocal per column instead of a divide per row below it.
+  const double inv_ljj = 1.0 / ljj;
+  ltj[j] = ljj;
+  lf[j * ld + j] = ljj;
+  for (std::size_t i = j + 1; i < n; ++i) {
+    const double lij = ltj[i] * inv_ljj;
+    ltj[i] = lij;
+    lf[i * ld + j] = lij;
+  }
+  return true;
+}
+
+/// Left-looking Cholesky; see KernelOps::cholesky_factor. Columns go in
+/// pairs: one sweep over k < j feeds both column j and column j+1 from the
+/// same loaded mirror rows, then column j is finished, column j+1 takes
+/// its last term k = j, and is finished in turn — for every element still
+/// the k-ascending sequence of the one-column loop.
+template <class V>
+inline std::size_t cholesky_factor(double* lf, double* ltf, std::size_t ld,
+                                   std::size_t n) {
+  std::size_t j = 0;
+  for (; j + 2 <= n; j += 2) {
+    double* lta = ltf + j * ld;
+    double* ltb = lta + ld;
+    // The strip starting at row j covers row j of column j+1, which is
+    // above its diagonal: a scratch lane, zeroed so it stays finite.
+    ltb[j] = 0.0;
+    for_each_strip<V>(n - j, [&](std::size_t c, auto sa) {
+      const std::size_t i0 = j + c;
+      auto sb = sa;
+      sa.load(lta + i0);
+      sb.load(ltb + i0);
+      for (std::size_t k = 0; k < j; ++k) {
+        const double* ltk = ltf + k * ld;
+        sa.sub_mul2(V::set1(ltk[j]), sb, V::set1(ltk[j + 1]), ltk + i0);
+      }
+      sa.store(lta + i0);
+      sb.store(ltb + i0);
+    });
+    if (!finish_column(lf, lta, ld, j, n)) return j;
+    const double lbj = lta[j + 1];
+    for (std::size_t i = j + 1; i < n; ++i) ltb[i] = ltb[i] - lbj * lta[i];
+    if (!finish_column(lf, ltb, ld, j + 1, n)) return j + 1;
+  }
+  if (j < n) {  // odd n: the last column is its diagonal alone
+    double* ltj = ltf + j * ld;
+    for (std::size_t k = 0; k < j; ++k) {
+      const double ljk = ltf[k * ld + j];
+      ltj[j] = ltj[j] - ljk * ljk;
+    }
+    if (!finish_column(lf, ltj, ld, j, n)) return j;
+  }
+  return n;
+}
+
+/// Forward substitution; see KernelOps::solve_lower_multi.
+template <class V>
 inline void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                              std::size_t m, std::size_t n,
-                              std::size_t panel) {
-  for (std::size_t k0 = 0; k0 < n; k0 += panel) {
-    const std::size_t k1 = k0 + panel < n ? k0 + panel : n;
-    for (std::size_t i = k0; i < k1; ++i) {
-      double* vi = v + i * m;
-      const double* li = lf + i * ld;
-      std::size_t k = k0;
-      for (; k + 4 <= i; k += 4) {
-        LaneOps::rank4(vi, v + k * m, v + (k + 1) * m, v + (k + 2) * m,
-                       v + (k + 3) * m, li[k], li[k + 1], li[k + 2],
-                       li[k + 3], m);
+                              std::size_t ldv, std::size_t m,
+                              std::size_t n) {
+  for_each_strip<V>(m, [&](std::size_t c, auto sa) {
+    std::size_t i = 0;
+    for (; i + 2 <= n; i += 2) {
+      const double* la = lf + i * ld;
+      const double* lb = la + ld;
+      auto sb = sa;
+      sa.load(v + i * ldv + c);
+      sb.load(v + (i + 1) * ldv + c);
+      for (std::size_t k = 0; k < i; ++k) {
+        sa.sub_mul2(V::set1(la[k]), sb, V::set1(lb[k]), v + k * ldv + c);
       }
-      for (; k < i; ++k) LaneOps::rank1(vi, v + k * m, li[k], m);
-      const double inv_lii = 1.0 / li[i];
-      for (std::size_t r = 0; r < m; ++r) vi[r] *= inv_lii;
+      sa.mul(V::set1(1.0 / la[i]));
+      sa.store(v + i * ldv + c);
+      sb.sub_mul(V::set1(lb[i]), sa);
+      sb.mul(V::set1(1.0 / lb[i + 1]));
+      sb.store(v + (i + 1) * ldv + c);
     }
-    for (std::size_t i = k1; i < n; ++i) {
-      double* vi = v + i * m;
+    if (i < n) {
       const double* li = lf + i * ld;
-      std::size_t k = k0;
-      for (; k + 4 <= k1; k += 4) {
-        LaneOps::rank4(vi, v + k * m, v + (k + 1) * m, v + (k + 2) * m,
-                       v + (k + 3) * m, li[k], li[k + 1], li[k + 2],
-                       li[k + 3], m);
+      sa.load(v + i * ldv + c);
+      for (std::size_t k = 0; k < i; ++k) {
+        sa.sub_mul(V::set1(li[k]), v + k * ldv + c);
       }
-      for (; k < k1; ++k) LaneOps::rank1(vi, v + k * m, li[k], m);
+      sa.mul(V::set1(1.0 / li[i]));
+      sa.store(v + i * ldv + c);
     }
-  }
+  });
 }
 
-/// Bottom-up back substitution Lᵀ x = y for an n×m block `v` (row-major,
-/// stride m). The multipliers Lᵀ(i, k) = L(k, i) come from row i of the
-/// transposed mirror `ltf`, stride-1 in k.
-template <typename LaneOps>
+/// Back substitution; see KernelOps::solve_lower_transpose_multi.
+template <class V>
 inline void solve_lower_transpose_multi(const double* ltf, std::size_t ld,
-                                        double* v, std::size_t m,
-                                        std::size_t n) {
-  for (std::size_t ii = n; ii > 0; --ii) {
-    const std::size_t i = ii - 1;
-    double* vi = v + i * m;
-    const double* lti = ltf + i * ld;
-    std::size_t k = i + 1;
-    for (; k + 4 <= n; k += 4) {
-      LaneOps::rank4(vi, v + k * m, v + (k + 1) * m, v + (k + 2) * m,
-                     v + (k + 3) * m, lti[k], lti[k + 1], lti[k + 2],
-                     lti[k + 3], m);
+                                        double* v, std::size_t ldv,
+                                        std::size_t m, std::size_t n) {
+  for_each_strip<V>(m, [&](std::size_t c, auto s) {
+    for (std::size_t ii = n; ii > 0; --ii) {
+      const std::size_t i = ii - 1;
+      const double* lti = ltf + i * ld;
+      s.load(v + i * ldv + c);
+      for (std::size_t k = i + 1; k < n; ++k) {
+        s.sub_mul(V::set1(lti[k]), v + k * ldv + c);
+      }
+      s.mul(V::set1(1.0 / lti[i]));
+      s.store(v + i * ldv + c);
     }
-    for (; k < n; ++k) LaneOps::rank1(vi, v + k * m, lti[k], m);
-    const double inv_lii = 1.0 / lti[i];
-    for (std::size_t r = 0; r < m; ++r) vi[r] *= inv_lii;
-  }
+  });
+}
+
+/// Squared distances; see KernelOps::sq_dist_rows.
+template <class V>
+inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
+                         std::size_t d, const double* q, std::size_t ldq,
+                         std::size_t rows, double* out, std::size_t ldo) {
+  for_each_strip<V>(n, [&](std::size_t c, auto s) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double* qr = q + r * ldq;
+      s.zero();
+      for (std::size_t k = 0; k < d; ++k) {
+        s.add_sq_diff(xt + k * ldx + c, V::set1(qr[k]));
+      }
+      s.store(out + r * ldo + c);
+    }
+  });
 }
 
 }  // namespace stormtune::linalg_kernels::detail

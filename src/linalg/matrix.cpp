@@ -99,17 +99,7 @@ Cholesky::Cholesky(const Matrix& a, double scale, double diag_add,
 STORMTUNE_HOT void Cholesky::refactor(const Matrix& a, double scale,
                                       double diag_add) {
   STORMTUNE_REQUIRE(a.rows() == a.cols(), "Cholesky::refactor: must be square");
-  if (a.rows() > cap_) {
-    // No factor worth preserving — the old one is being replaced — so grow
-    // by discarding instead of copying. Geometric so a factor that tracks a
-    // growing observation set reallocates O(log n) times.
-    const std::size_t new_cap = std::max(a.rows(), 2 * cap_);
-    lf_.assign(new_cap * new_cap, 0.0);
-    ltf_.assign(new_cap * new_cap, 0.0);
-    work_.assign(new_cap, 0.0);
-    cap_ = new_cap;
-    ++allocs_;
-  }
+  reserve_discarding(a.rows());
   factor_from(a, scale, diag_add);
 }
 
@@ -119,15 +109,22 @@ STORMTUNE_HOT void Cholesky::refactor(const Matrix& a, double scale,
   STORMTUNE_REQUIRE(a.rows() == a.cols(), "Cholesky::refactor: must be square");
   STORMTUNE_REQUIRE(diag_extra.size() == a.rows(),
                     "Cholesky::refactor: diag_extra size mismatch");
-  if (a.rows() > cap_) {
-    const std::size_t new_cap = std::max(a.rows(), 2 * cap_);
-    lf_.assign(new_cap * new_cap, 0.0);
-    ltf_.assign(new_cap * new_cap, 0.0);
-    work_.assign(new_cap, 0.0);
-    cap_ = new_cap;
-    ++allocs_;
-  }
+  reserve_discarding(a.rows());
   factor_from(a, scale, diag_add, diag_extra.data());
+}
+
+void Cholesky::reserve_discarding(std::size_t rows) {
+  if (rows <= cap_) return;
+  // No factor worth preserving — the old one is being replaced — so grow
+  // by discarding instead of copying. Geometric so a factor that tracks a
+  // growing observation set reallocates O(log n) times.
+  const std::size_t new_cap = std::max(rows, 2 * cap_);
+  ld_ = lk::padded_ld(new_cap);
+  lf_.assign(new_cap * ld_, 0.0);
+  ltf_.assign(new_cap * ld_, 0.0);
+  work_.assign(new_cap, 0.0);
+  cap_ = new_cap;
+  ++allocs_;
 }
 
 void Cholesky::factor_from(const Matrix& a, double scale, double diag_add,
@@ -155,77 +152,31 @@ void Cholesky::factor_from(const Matrix& a, double scale, double diag_add,
     }
   }
 #endif
+  // The left-looking kernel reads column j of the input as mirror row j,
+  // so the scaled lower triangle is copied in transposed.
+  double* ltf = ltf_.data();
   for (std::size_t i = 0; i < n_; ++i) {
     const auto src = a.row(i);
-    double* dst = lf_.data() + i * cap_;
-    for (std::size_t j = 0; j < i; ++j) dst[j] = scale * src[j];
+    for (std::size_t j = 0; j < i; ++j) ltf[j * ld_ + i] = scale * src[j];
     // The per-row shift is summed before the diagonal add, so a constant
     // diag_extra is bit-identical to folding it into diag_add.
-    dst[i] = diag_extra ? scale * src[i] + (diag_add + diag_extra[i])
-                        : scale * src[i] + diag_add;
+    ltf[i * ld_ + i] = diag_extra ? scale * src[i] + (diag_add + diag_extra[i])
+                                  : scale * src[i] + diag_add;
   }
-  factor_in_place();
-}
-
-// Blocked right-looking factorization over the lower triangle of lf_.
-//
-// Per panel of kPanelWidth columns: a right-looking column sweep factors the
-// panel (the inner jj-loop is a stride-1 row update), then the trailing
-// submatrix is updated through the rank-4 micro-kernel reading the panel's
-// columns from the transposed mirror — which the column sweep writes as it
-// finalizes each column, so the mirror is maintained for free and the
-// rank-k update is stride-1 on both operands.
-//
-// Every element's subtractions happen in ascending-k order (panels ascending,
-// k within a panel ascending, the rank-4 update left-associated), which is
-// exactly the naive kernel's order: blocking changes the memory walk, not
-// the arithmetic sequence.
-void Cholesky::factor_in_place() {
-  const std::size_t n = n_;
-  const std::size_t ld = cap_;
-  double* lf = lf_.data();
-  double* ltf = ltf_.data();
-  // Resolve the micro-kernel table once per factorization, not per call —
-  // the selected ISA path cannot change mid-routine.
-  const lk::KernelOps& kops = lk::ops();
-  for (std::size_t k0 = 0; k0 < n; k0 += lk::kPanelWidth) {
-    const std::size_t k1 = std::min(n, k0 + lk::kPanelWidth);
-    for (std::size_t j = k0; j < k1; ++j) {
-      const double d = lf[j * ld + j];
-      STORMTUNE_REQUIRE(d > 0.0, "Cholesky: matrix not positive definite");
-      const double ljj = std::sqrt(d);
-      // One reciprocal per column instead of a divide per row below it: the
-      // panel sweep is division-throughput-bound otherwise. Costs ≤1 ulp
-      // versus dividing, well inside the kernels' 1e-9 agreement contract.
-      const double inv_ljj = 1.0 / ljj;
-      lf[j * ld + j] = ljj;
-      double* ltj = ltf + j * ld;
-      ltj[j] = ljj;
-      for (std::size_t i = j + 1; i < n; ++i) {
-        double* li = lf + i * ld;
-        const double lij = li[j] * inv_ljj;
-        li[j] = lij;
-        ltj[i] = lij;
-        // Rank-1 update of this row's remaining panel columns (and, inside
-        // the diagonal block, of its own diagonal entry).
-        const std::size_t jj_end = std::min(i, k1 - 1);
-        for (std::size_t jj = j + 1; jj <= jj_end; ++jj) {
-          li[jj] -= lij * ltj[jj];
-        }
-      }
-    }
-    // Trailing update: each row of the trailing submatrix loses the rank-kb
-    // contribution of the panel, four k's at a time through the micro-kernel.
-    // The whole panel's loop is one dispatched call (kernels_blocks.hpp) —
-    // per-row calls through the table cost more than the wide lanes save.
-    kops.cholesky_trailing_update(lf, ltf, ld, k0, k1, n);
-  }
+  // Left-looking factorization (linalg/kernels.hpp): column j accumulates
+  // its k-ascending subtractions across lanes of rows, reading the finished
+  // columns stride-1 from the mirror, then is checked, square-rooted and
+  // scaled — the naive kernel's arithmetic per element, so the first
+  // column that is not positive definite is the same one it would reject.
+  const std::size_t done =
+      lk::ops().cholesky_factor(lf_.data(), ltf, ld_, n_);
+  STORMTUNE_REQUIRE(done == n_, "Cholesky: matrix not positive definite");
 }
 
 Matrix Cholesky::lower() const {
   Matrix out(n_, n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* src = lf_.data() + i * cap_;
+    const double* src = lf_.data() + i * ld_;
     const auto dst = out.row(i);
     for (std::size_t j = 0; j <= i; ++j) dst[j] = src[j];
   }
@@ -249,7 +200,7 @@ void Cholesky::solve_lower_in_place(std::span<double> bx) const {
   // single-accumulator dependency chain that made the substitution
   // latency-bound.
   for (std::size_t i = 0; i < n_; ++i) {
-    const double* li = lf_.data() + i * cap_;
+    const double* li = lf_.data() + i * ld_;
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
     std::size_t k = 0;
     for (; k + 4 <= i; k += 4) {
@@ -280,7 +231,7 @@ void Cholesky::solve_lower_transpose_in_place(std::span<double> yx) const {
   // four-lane accumulator split as the forward solve.
   for (std::size_t ii = n_; ii > 0; --ii) {
     const std::size_t i = ii - 1;
-    const double* lti = ltf_.data() + i * cap_;
+    const double* lti = ltf_.data() + i * ld_;
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
     std::size_t k = i + 1;
     for (; k + 4 <= n_; k += 4) {
@@ -303,26 +254,25 @@ Vector Cholesky::solve(const Vector& b) const {
 }
 
 void Cholesky::solve_lower_multi_in_place(Matrix& v) const {
-  STORMTUNE_REQUIRE(v.rows() == n_,
+  solve_lower_multi_in_place(v, v.cols());
+}
+
+void Cholesky::solve_lower_multi_in_place(Matrix& v, std::size_t cols) const {
+  STORMTUNE_REQUIRE(v.rows() == n_ && cols <= v.cols(),
                     "Cholesky::solve_lower_multi_in_place: size mismatch");
-  // Blocked forward substitution: finalize the rows of one diagonal block,
-  // then push that block's contribution into every row below while its V
-  // rows are hot. Per column of V the subtraction order is k ascending —
-  // identical to the scalar solve. The whole sweep is one dispatched call
-  // (kernels_blocks.hpp).
-  lk::ops().solve_lower_multi(lf_.data(), cap_, v.data(), v.cols(), n_);
+  // Column strips of V, each row's accumulators held in registers across
+  // the whole k-ascending sweep (kernels_blocks.hpp); one dispatched call.
+  lk::ops().solve_lower_multi(lf_.data(), ld_, v.data(), v.cols(), cols, n_);
 }
 
 void Cholesky::solve_lower_transpose_multi_in_place(Matrix& v) const {
   STORMTUNE_REQUIRE(
       v.rows() == n_,
       "Cholesky::solve_lower_transpose_multi_in_place: size mismatch");
-  // Bottom-up sweep; the multipliers Lᵀ(i, k) = L(k, i) come from row i of
-  // the mirror, stride-1 in k. The whole block fits in L2 for this library's
-  // sizes, so no further tiling is needed. One dispatched call for the
-  // whole sweep (kernels_blocks.hpp).
-  lk::ops().solve_lower_transpose_multi(ltf_.data(), cap_, v.data(), v.cols(),
-                                        n_);
+  // Bottom-up sweep in the same column strips; the multipliers
+  // Lᵀ(i, k) = L(k, i) come from row i of the mirror, stride-1 in k.
+  lk::ops().solve_lower_transpose_multi(ltf_.data(), ld_, v.data(), v.cols(),
+                                        v.cols(), n_);
 }
 
 STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
@@ -358,12 +308,12 @@ STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
     std::copy(staged.begin(), staged.end(), y);
   }
   const double l_new = std::sqrt(diag);
-  double* last = lf_.data() + n_ * cap_;
+  double* last = lf_.data() + n_ * ld_;
   for (std::size_t k = 0; k < n_; ++k) last[k] = y[k];
   last[n_] = l_new;
   // Mirror: the new row of L is a new column of Lᵀ.
-  for (std::size_t k = 0; k < n_; ++k) ltf_[k * cap_ + n_] = y[k];
-  ltf_[n_ * cap_ + n_] = l_new;
+  for (std::size_t k = 0; k < n_; ++k) ltf_[k * ld_ + n_] = y[k];
+  ltf_[n_ * ld_ + n_] = l_new;
   ++n_;
 }
 
@@ -387,7 +337,7 @@ STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
 //
 // Determinism: columns are processed in ascending k, each rotation applied
 // left-associated per element by every ISA path (see kernels.hpp), so the
-// result is bit-identical across portable/AVX2/AVX-512/NEON.
+// result is bit-identical across portable/AVX2/AVX-512.
 STORMTUNE_HOT void Cholesky::remove_row(std::size_t i) {
   STORMTUNE_REQUIRE(i < n_, "Cholesky::remove_row: index out of range");
   if (i == n_ - 1) {
@@ -397,9 +347,9 @@ STORMTUNE_HOT void Cholesky::remove_row(std::size_t i) {
     --n_;
     return;
   }
-  const std::size_t ld = cap_;
+  const std::size_t ld = ld_;
   const std::size_t m = n_ - 1 - i;  // trailing block size after deletion
-  if (work_.size() < ld) work_.assign(ld, 0.0);  // pre-grow() factors only
+  if (work_.size() < cap_) work_.assign(cap_, 0.0);  // pre-grow() factors only
   double* lf = lf_.data();
   double* ltf = ltf_.data();
   double* v = work_.data();
@@ -454,23 +404,25 @@ void Cholesky::reserve(std::size_t cap) {
 }
 
 void Cholesky::grow(std::size_t new_cap) {
-  std::vector<double> lf(new_cap * new_cap, 0.0);
-  std::vector<double> ltf(new_cap * new_cap, 0.0);
+  const std::size_t new_ld = lk::padded_ld(new_cap);
+  std::vector<double> lf(new_cap * new_ld, 0.0);
+  std::vector<double> ltf(new_cap * new_ld, 0.0);
   for (std::size_t i = 0; i < n_; ++i) {
-    std::copy_n(lf_.data() + i * cap_, i + 1, lf.data() + i * new_cap);
-    std::copy_n(ltf_.data() + i * cap_ + i, n_ - i,
-                ltf.data() + i * new_cap + i);
+    std::copy_n(lf_.data() + i * ld_, i + 1, lf.data() + i * new_ld);
+    std::copy_n(ltf_.data() + i * ld_ + i, n_ - i,
+                ltf.data() + i * new_ld + i);
   }
   lf_ = std::move(lf);
   ltf_ = std::move(ltf);
   work_.assign(new_cap, 0.0);
   cap_ = new_cap;
+  ld_ = new_ld;
   ++allocs_;
 }
 
 double Cholesky::log_determinant() const {
   double ld = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) ld += std::log(lf_[i * cap_ + i]);
+  for (std::size_t i = 0; i < n_; ++i) ld += std::log(lf_[i * ld_ + i]);
   return 2.0 * ld;
 }
 

@@ -2,16 +2,16 @@
 //
 // GP training solves systems with the n×n kernel matrix (n = number of
 // optimizer observations, at most a few hundred in this paper's setting).
-// The Cholesky below is a blocked, cache-aware implementation: a
-// right-looking panel factorization whose trailing update runs through a
-// register-blocked rank-k micro-kernel (see linalg/kernels.hpp), a row-major
+// The Cholesky below is a left-looking factorization whose columns
+// accumulate across vector lanes (see linalg/kernels.hpp), a row-major
 // factor with separately tracked capacity so rank-grow updates append in
 // place, a maintained transposed mirror that makes back-substitution
-// stride-1, and multi-RHS triangular solves that sweep a whole block of
-// right-hand sides at once. Every reduction runs in a fixed k-ascending
-// order independent of tile boundaries, so results are deterministic
-// run-to-run and match the naive reference kernels (linalg/reference.hpp)
-// to the last few ulps.
+// stride-1, and multi-RHS triangular solves that sweep register-held column
+// strips of a whole block of right-hand sides. Every reduction runs in a
+// fixed k-ascending order independent of lane width and strip boundaries,
+// so results are deterministic run-to-run, identical on every ISA path,
+// and match the naive reference kernels (linalg/reference.hpp) bit for bit
+// when those scale by the reciprocal diagonal.
 #pragma once
 
 #include <cstddef>
@@ -77,11 +77,12 @@ class Matrix {
 /// Throws stormtune::Error if the matrix is not (numerically) SPD. GP code
 /// relies on that exception to trigger jitter escalation.
 ///
-/// Storage: the factor lives in a row-major buffer with leading dimension
-/// `capacity()` ≥ `size()`, so `append_row` grows the factor geometrically
-/// in place — no allocation while capacity suffices (observable through
-/// `allocation_count()`). A transposed mirror (row-major Lᵀ, same leading
-/// dimension) is kept in lockstep so Lᵀ-solves walk memory stride-1.
+/// Storage: the factor lives in a row-major buffer of `capacity()` ≥
+/// `size()` rows, so `append_row` grows the factor geometrically in place —
+/// no allocation while capacity suffices (observable through
+/// `allocation_count()`). A transposed mirror (row-major Lᵀ, same layout)
+/// is kept in lockstep so Lᵀ-solves walk memory stride-1. Both row strides
+/// are the capacity padded by linalg_kernels::padded_ld.
 class Cholesky {
  public:
   explicit Cholesky(const Matrix& a);
@@ -119,7 +120,7 @@ class Cholesky {
 
   /// Element L(i, j) of the factor; requires j <= i.
   double lower_at(std::size_t i, std::size_t j) const {
-    return lf_[i * cap_ + j];
+    return lf_[i * ld_ + j];
   }
 
   /// Solve A x = b via forward + backward substitution.
@@ -140,13 +141,17 @@ class Cholesky {
 
   /// Multi-RHS forward substitution: solve L V = B for all columns of the
   /// n×m row-major block `v` (row i = value of every right-hand side at
-  /// index i) in place. Blocked over the factor; per column the updates run
-  /// in the same ascending-k order for every m, so a given column's result
-  /// is independent of which other columns share the block. Differs from
-  /// the single-RHS solves only by their accumulator split and its
-  /// reciprocal-multiply division — a few ulps. This is GpRegressor's
-  /// batched-prediction kernel.
+  /// index i) in place. Per column the updates run in the same ascending-k
+  /// order for every m, so a given column's result is independent of which
+  /// other columns share the block. Differs from the single-RHS solves only
+  /// by their accumulator split and its reciprocal-multiply division — a
+  /// few ulps. This is GpRegressor's batched-prediction kernel.
   void solve_lower_multi_in_place(Matrix& v) const;
+
+  /// As above for the leading `cols` columns of `v` only; the rest of each
+  /// row is untouched. Lets a caller pad the row stride of its workspace
+  /// (linalg_kernels::padded_ld) without solving the padding.
+  void solve_lower_multi_in_place(Matrix& v, std::size_t cols) const;
 
   /// Multi-RHS backward substitution: solve Lᵀ X = V in place, same block
   /// layout and the same per-column block-size independence as above.
@@ -188,23 +193,24 @@ class Cholesky {
   std::size_t allocation_count() const { return allocs_; }
 
  private:
-  /// Copy scale·(lower triangle of a) + diag_add·I into lf_ and run the
-  /// blocked factorization + mirror rebuild. Requires cap_ >= a.rows().
-  /// `diag_extra` (optional, one entry per row) adds a per-row shift on top
-  /// of diag_add.
+  /// Copy scale·(lower triangle of a) + diag_add·I into the mirror and run
+  /// the left-looking factorization, which fills both lf_ and ltf_.
+  /// Requires cap_ >= a.rows(). `diag_extra` (optional, one entry per row)
+  /// adds a per-row shift on top of diag_add.
   void factor_from(const Matrix& a, double scale, double diag_add,
                    const double* diag_extra = nullptr);
-  void factor_in_place();
-  void rebuild_mirror();
-  /// Reallocate both buffers with leading dimension `new_cap`, preserving
-  /// the current factor.
+  /// Make room for `rows` rows without keeping the current factor.
+  void reserve_discarding(std::size_t rows);
+  /// Reallocate both buffers for `new_cap` rows, preserving the current
+  /// factor.
   void grow(std::size_t new_cap);
 
   std::size_t n_ = 0;
   std::size_t cap_ = 0;
+  std::size_t ld_ = 0;  // row stride of both buffers: padded_ld(cap_)
   std::size_t allocs_ = 0;
-  std::vector<double> lf_;   // row-major L, leading dimension cap_
-  std::vector<double> ltf_;  // row-major Lᵀ (mirror), leading dimension cap_
+  std::vector<double> lf_;   // row-major L, cap_ rows of ld_
+  std::vector<double> ltf_;  // row-major Lᵀ (mirror), cap_ rows of ld_
   /// Downdate carry vector for remove_row (the deleted column of L, rotated
   /// out of the trailing factor). Sized with the buffers above so remove_row
   /// never allocates while capacity suffices.

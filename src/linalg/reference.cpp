@@ -6,7 +6,15 @@
 
 namespace stormtune::reference {
 
-Matrix cholesky_lower(const Matrix& a) {
+namespace {
+
+double finish(double s, double diag, Scale scale) {
+  return scale == Scale::kDivide ? s / diag : s * (1.0 / diag);
+}
+
+}  // namespace
+
+Matrix cholesky_lower(const Matrix& a, Scale scale) {
   STORMTUNE_REQUIRE(a.rows() == a.cols(),
                     "reference::cholesky_lower: matrix must be square");
   const std::size_t n = a.rows();
@@ -23,13 +31,13 @@ Matrix cholesky_lower(const Matrix& a) {
       const auto li = l.row(i);
       const auto lj = l.row(j);
       for (std::size_t k = 0; k < j; ++k) s -= li[k] * lj[k];
-      l(i, j) = s / ljj;
+      l(i, j) = finish(s, ljj, scale);
     }
   }
   return l;
 }
 
-Vector solve_lower(const Matrix& l, const Vector& b) {
+Vector solve_lower(const Matrix& l, const Vector& b, Scale scale) {
   const std::size_t n = l.rows();
   STORMTUNE_REQUIRE(b.size() == n, "reference::solve_lower: size mismatch");
   Vector y(n);
@@ -37,12 +45,13 @@ Vector solve_lower(const Matrix& l, const Vector& b) {
     double s = b[i];
     const auto li = l.row(i);
     for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
-    y[i] = s / l(i, i);
+    y[i] = finish(s, l(i, i), scale);
   }
   return y;
 }
 
-Vector solve_lower_transpose(const Matrix& l, const Vector& y) {
+Vector solve_lower_transpose(const Matrix& l, const Vector& y,
+                             Scale scale) {
   const std::size_t n = l.rows();
   STORMTUNE_REQUIRE(y.size() == n,
                     "reference::solve_lower_transpose: size mismatch");
@@ -51,7 +60,7 @@ Vector solve_lower_transpose(const Matrix& l, const Vector& y) {
     const std::size_t i = ii - 1;
     double s = y[i];
     for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * x[k];
-    x[i] = s / l(i, i);
+    x[i] = finish(s, l(i, i), scale);
   }
   return x;
 }

@@ -2,10 +2,11 @@
 //
 // Three properties are pinned here:
 //
-//  1. The linalg micro-kernels (rank-4/rank-1 row updates) are BITWISE
-//     identical across every compiled path: each lane evaluates the same
-//     left-associated multiply/subtract sequence, and the TUs are built
-//     with -ffp-contract=off, so lane width cannot change a single bit.
+//  1. The linalg kernels (left-looking Cholesky, multi-RHS solves, Givens
+//     rows, squared distances) are BITWISE identical across every compiled
+//     path and equal to the naive reference loops: each lane evaluates the
+//     same left-associated multiply/subtract sequence, and the TUs are
+//     built with -ffp-contract=off, so lane width cannot change a bit.
 //
 //  2. The batched correlation transforms are element-wise maps whose only
 //     divergence is the math library's vector exp: libmvec documents ≤4 ulp
@@ -35,8 +36,10 @@
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
 #include "gp/kernel_batch_paths.hpp"
+#include "common/error.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/reference.hpp"
 
 namespace stormtune {
 namespace {
@@ -127,6 +130,9 @@ TEST(IsaDispatch, EnvironmentOverrideHonored) {
   // silently substituted wide path.
   ASSERT_EQ(setenv("STORMTUNE_ISA", "no-such-isa", 1), 0);
   EXPECT_EQ(isa::from_environment(), isa::Path::kPortable);
+  // No NEON kernels exist; AArch64 runs the portable path.
+  ASSERT_EQ(setenv("STORMTUNE_ISA", "neon", 1), 0);
+  EXPECT_EQ(isa::from_environment(), isa::Path::kPortable);
   if (old) {
     setenv("STORMTUNE_ISA", saved.c_str(), 1);
   } else {
@@ -171,8 +177,8 @@ TEST(IsaDispatch, TransformAgreesWithScalarReference) {
   }
 }
 
-// The linalg micro-kernels must agree EXACTLY across paths — not within an
-// ulp bound — because the solve/factorization results feed golden tests and
+// The linalg kernels must agree EXACTLY across paths — not within an ulp
+// bound — because the solve/factorization results feed golden tests and
 // run-to-run determinism checks that compare bits.
 TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
 #ifdef STORMTUNE_NATIVE_BUILD
@@ -186,26 +192,12 @@ TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
     ASSERT_NE(wide, nullptr) << isa::to_string(path);
     Rng rng(7);
     for (std::size_t len = 0; len <= 40; ++len) {
-      std::vector<double> c(len), p0(len), p1(len), p2(len), p3(len);
+      std::vector<double> c(len), p0(len);
       for (std::size_t j = 0; j < len; ++j) {
         c[j] = rng.normal();
         p0[j] = rng.normal();
-        p1[j] = rng.normal();
-        p2[j] = rng.normal();
-        p3[j] = rng.normal();
       }
-      const double a0 = rng.normal(), a1 = rng.normal(), a2 = rng.normal(),
-                   a3 = rng.normal();
-      std::vector<double> expect4 = c;
-      portable->rank4_row_update(expect4.data(), p0.data(), p1.data(),
-                                 p2.data(), p3.data(), a0, a1, a2, a3, len);
-      std::vector<double> got4 = c;
-      wide->rank4_row_update(got4.data(), p0.data(), p1.data(), p2.data(),
-                             p3.data(), a0, a1, a2, a3, len);
-      std::vector<double> expect1 = c;
-      portable->rank1_row_update(expect1.data(), p0.data(), a0, len);
-      std::vector<double> got1 = c;
-      wide->rank1_row_update(got1.data(), p0.data(), a0, len);
+      const double a0 = rng.normal(), a1 = rng.normal();
       // Givens rotation (the remove_row downdate sweep): both outputs per
       // element, factor row and carry vector, must match bitwise.
       const double gr = std::sqrt(a0 * a0 + a1 * a1);
@@ -216,16 +208,176 @@ TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
       std::vector<double> got_l = c, got_v = p0;
       wide->givens_row_update(got_l.data(), got_v.data(), gc, gs, len);
       for (std::size_t j = 0; j < len; ++j) {
-        ASSERT_EQ(got4[j], expect4[j])
-            << isa::to_string(path) << " rank4 len " << len << " elem " << j;
-        ASSERT_EQ(got1[j], expect1[j])
-            << isa::to_string(path) << " rank1 len " << len << " elem " << j;
         ASSERT_EQ(got_l[j], expect_l[j])
             << isa::to_string(path) << " givens L len " << len << " elem "
             << j;
         ASSERT_EQ(got_v[j], expect_v[j])
             << isa::to_string(path) << " givens v len " << len << " elem "
             << j;
+      }
+    }
+  }
+}
+
+// Sizes on both sides of every lane width (2, 4, 8) and strip width
+// (8, 16, 32), plus the bo100 history length.
+const std::size_t kKernelSizes[] = {1, 7, 8, 9, 31, 33, 64, 100, 129};
+
+Matrix random_spd(std::size_t n, Rng& rng) {
+  Matrix b(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
+  }
+  Matrix a = b.multiply(b.transposed());
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += static_cast<double>(n);
+  return a;
+}
+
+Matrix leading_block(const Matrix& a, std::size_t k) {
+  Matrix out(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) out(i, j) = a(i, j);
+  }
+  return out;
+}
+
+// The left-looking factorization gives every element the reference's
+// k-ascending subtractions and reciprocal scaling, so on every path it
+// equals the unblocked oracle bit for bit.
+TEST(IsaDispatch, CholeskyMatchesReferenceExactlyOnEveryPath) {
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native may contract the reference TU's callers";
+#endif
+  for (const isa::Path path : runnable_paths()) {
+    const ScopedIsa pin(path);
+    Rng rng(31);
+    for (const std::size_t n : kKernelSizes) {
+      const Matrix a = random_spd(n, rng);
+      const Matrix want =
+          reference::cholesky_lower(a, reference::Scale::kReciprocal);
+      const Cholesky chol(a);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          ASSERT_EQ(chol.lower_at(i, j), want(i, j))
+              << isa::to_string(path) << " n=" << n << " (" << i << ","
+              << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// A matrix that is SPD up to column c and not at c must be rejected at
+// column c on every path, exactly where the oracle rejects it: the kernel
+// reports the column, and the reference factors the leading c×c block but
+// not the leading (c+1)×(c+1) one.
+TEST(IsaDispatch, NonSpdFailsAtReferenceColumnOnEveryPath) {
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    const ScopedIsa pin(path);
+    Rng rng(37);
+    for (const std::size_t n : kKernelSizes) {
+      for (const std::size_t c : {std::size_t{0}, n / 2, n - 1}) {
+        Matrix a = random_spd(n, rng);
+        const Matrix l = reference::cholesky_lower(a);
+        a(c, c) -= 1.5 * l(c, c) * l(c, c);
+        if (c > 0) {
+          EXPECT_NO_THROW(reference::cholesky_lower(leading_block(a, c)));
+        }
+        EXPECT_THROW(reference::cholesky_lower(leading_block(a, c + 1)),
+                     Error);
+        EXPECT_THROW(Cholesky{a}, Error) << isa::to_string(path);
+        std::vector<double> lf(n * n), ltf(n * n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) ltf[j * n + i] = a(i, j);
+        }
+        EXPECT_EQ(ops->cholesky_factor(lf.data(), ltf.data(), n, n), c)
+            << isa::to_string(path) << " n=" << n;
+      }
+    }
+  }
+}
+
+// Forward and backward multi-RHS solves against the single-accumulator
+// oracles with reciprocal scaling, at right-hand-side counts that leave a
+// partial vector and a partial strip on every lane width.
+TEST(IsaDispatch, MultiRhsSolvesMatchReferenceExactlyOnEveryPath) {
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native may contract the reference TU's callers";
+#endif
+  for (const isa::Path path : runnable_paths()) {
+    const ScopedIsa pin(path);
+    Rng rng(41);
+    for (const std::size_t n : kKernelSizes) {
+      const Matrix a = random_spd(n, rng);
+      const Cholesky chol(a);
+      const Matrix l = chol.lower();
+      for (const std::size_t m : {1ul, 3ul, 5ul, 13ul, 37ul, 202ul}) {
+        Matrix v(n, m);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t r = 0; r < m; ++r) v(i, r) = rng.normal();
+        }
+        Matrix fwd = v;
+        chol.solve_lower_multi_in_place(fwd);
+        Matrix bwd = fwd;
+        chol.solve_lower_transpose_multi_in_place(bwd);
+        for (std::size_t r = 0; r < m; ++r) {
+          Vector col(n);
+          for (std::size_t i = 0; i < n; ++i) col[i] = v(i, r);
+          const Vector y =
+              reference::solve_lower(l, col, reference::Scale::kReciprocal);
+          const Vector x = reference::solve_lower_transpose(
+              l, y, reference::Scale::kReciprocal);
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(fwd(i, r), y[i]) << isa::to_string(path) << " n=" << n
+                                       << " m=" << m << " (" << i << "," << r
+                                       << ")";
+            ASSERT_EQ(bwd(i, r), x[i]) << isa::to_string(path) << " n=" << n
+                                       << " m=" << m << " (" << i << "," << r
+                                       << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lane-parallel distance kernel against the scalar loop it replaced.
+TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native may contract the naive loop";
+#endif
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    Rng rng(43);
+    for (const std::size_t n : kKernelSizes) {
+      for (const std::size_t d : {1ul, 3ul, 101ul}) {
+        const std::size_t rows = 5;
+        Matrix x(n, d), q(rows, d);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t k = 0; k < d; ++k) x(i, k) = rng.uniform();
+        }
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t k = 0; k < d; ++k) q(r, k) = rng.uniform(-0.5, 1.5);
+        }
+        const Matrix xt = x.transposed();
+        Matrix got(rows, n);
+        ops->sq_dist_rows(xt.data(), n, n, d, q.data(), d, rows, got.data(),
+                          n);
+        for (std::size_t r = 0; r < rows; ++r) {
+          for (std::size_t i = 0; i < n; ++i) {
+            double s = 0.0;
+            for (std::size_t k = 0; k < d; ++k) {
+              const double diff = x(i, k) - q(r, k);
+              s += diff * diff;
+            }
+            ASSERT_EQ(got(r, i), s) << isa::to_string(path) << " n=" << n
+                                    << " d=" << d << " (" << r << "," << i
+                                    << ")";
+          }
+        }
       }
     }
   }

@@ -1,13 +1,15 @@
-// Property tests for the blocked, cache-aware kernels in linalg/matrix.cpp
-// against the naive reference oracles in linalg/reference.hpp.
+// Property tests for the dense kernels in linalg/matrix.cpp against the
+// naive reference oracles in linalg/reference.hpp.
 //
-// The size sweep deliberately straddles the panel width (kPanelWidth and the
-// fixed tile boundaries 32/48/64/128): one-off sizes on either side of a
-// boundary exercise the remainder loops of the panel sweep, the rank-4
-// micro-kernel, and the multi-RHS blocks. Agreement is required to 1e-9
-// relative — the blocked kernels keep every reduction in ascending-k order,
-// so the only divergence from the oracle is reciprocal-multiply division and
-// accumulator splitting, both a few ulps.
+// The size sweep deliberately straddles the lane widths (2/4/8) and strip
+// widths (16/32/64) of the kernels plus the tile boundaries 32/48/64/128:
+// one-off sizes on either side of a boundary exercise the partial vectors
+// and remainder strips of the factorization and the multi-RHS solves.
+// Agreement with the dividing oracle is required to 1e-9 relative — the
+// kernels keep every reduction in ascending-k order, so the only
+// divergence is reciprocal-multiply division and accumulator splitting,
+// both a few ulps. (The exact, bitwise comparison against the reciprocal
+// oracle on every ISA path lives in test_isa_dispatch.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -52,8 +54,8 @@ double rel_diff(double got, double want) {
   return std::fabs(got - want) / scale;
 }
 
-// Sizes crossing every tile boundary the blocked code knows about, plus the
-// degenerate 1..3 cases where the panel is wider than the matrix.
+// Sizes crossing every lane, strip and tile boundary, plus the degenerate
+// 1..3 cases where one strip is wider than the matrix.
 const std::size_t kSweepSizes[] = {1,  2,  3,  5,  8,   16,  31,  32,  33, 47,
                                    48, 49, 63, 64, 65,  96,  127, 128, 129,
                                    130};

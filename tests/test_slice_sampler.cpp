@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -105,6 +106,57 @@ TEST(SliceSweep, MultivariateGaussianMoments) {
   EXPECT_NEAR(mean(s0), 1.0, 0.15);
   EXPECT_NEAR(mean(s1), -2.0, 0.1);
   EXPECT_NEAR(summarize(s1).stddev, 0.5, 0.1);
+}
+
+// The sweep hands each draw's log density to the next coordinate instead of
+// re-evaluating the unchanged state: the chain must be the one the
+// re-evaluating sweep produces, with exactly one evaluation fewer per
+// coordinate once the log density carries across sweeps.
+TEST(SliceSweep, CarriedLogDensitySavesOneEvaluationPerCoordinate) {
+  std::size_t evals = 0;
+  auto log_density = [&evals](const std::vector<double>& x) {
+    ++evals;
+    const double z0 = x[0] - 1.0;
+    const double z1 = (x[1] + 2.0) / 0.5;
+    const double z2 = x[2] * x[0];
+    return -0.5 * (z0 * z0 + z1 * z1 + z2 * z2);
+  };
+  const std::size_t dims = 3, sweeps = 50;
+  SliceOptions opts;
+  opts.width = 0.7;
+
+  // Re-evaluating reference: every coordinate starts from log_density(x).
+  Rng ref_rng(8);
+  std::vector<double> ref_x(dims, 0.25);
+  std::vector<std::vector<double>> ref_chain;
+  evals = 0;
+  for (std::size_t s = 0; s < sweeps; ++s) {
+    for (std::size_t i = 0; i < dims; ++i) {
+      auto conditional = [&](double xi) {
+        const double saved = ref_x[i];
+        ref_x[i] = xi;
+        const double v = log_density(ref_x);
+        ref_x[i] = saved;
+        return v;
+      };
+      ref_x[i] = slice_sample_1d(conditional, ref_x[i], ref_rng, opts);
+    }
+    ref_chain.push_back(ref_x);
+  }
+  const std::size_t ref_evals = evals;
+
+  Rng rng(8);
+  std::vector<double> x(dims, 0.25);
+  std::optional<double> ly;
+  evals = 0;
+  for (std::size_t s = 0; s < sweeps; ++s) {
+    ly = slice_sample_sweep(log_density, x, rng, opts, ly);
+    ASSERT_EQ(x, ref_chain[s]) << "sweep " << s;
+    ASSERT_EQ(*ly, log_density(x)) << "sweep " << s;
+    --evals;  // the check above is not the sampler's
+  }
+  // One evaluation to start the chain, then none per coordinate start.
+  EXPECT_EQ(evals + dims * sweeps - 1, ref_evals);
 }
 
 TEST(SliceSweep, PreservesVectorSize) {

@@ -17,7 +17,7 @@
 //                   std::memory_order.
 //   CONC003         non-const reference data members in Strand-derived
 //                   classes (mutable shared state captured per pass).
-//   ISA001          a kernels_{avx2,avx512,neon}.cpp TU is missing symbols
+//   ISA001          a kernels_{avx2,avx512}.cpp TU is missing symbols
 //                   from its portable sibling's dispatch-table set.
 //   ISA002          a dispatch-paired kernel TU is compiled without
 //                   -ffp-contract=off (per compile_commands.json).

@@ -1,13 +1,13 @@
 // ISA001/ISA002 — ISA-kernel hygiene.
 //
 // The runtime-dispatch contract pairs every variant TU
-// `<stem>_{avx2,avx512,neon}.cpp` with its portable sibling `<stem>.cpp`
+// `<stem>_{avx2,avx512}.cpp` with its portable sibling `<stem>.cpp`
 // in the same directory. Two things keep the pairs honest:
 //
 //   ISA001  the variant must define the complete dispatch-table symbol
 //           set. Portable exports are the functions in a `portable`
 //           namespace or carrying a `_portable` suffix; variant exports
-//           use the matching `avx2`/`avx512`/`neon` namespace or suffix.
+//           use the matching `avx2`/`avx512` namespace or suffix.
 //           Both are canonicalized (marker removed) and diffed — a
 //           variant missing a symbol means the dispatch table silently
 //           falls back to a mixed portable/wide configuration that no CI
@@ -34,7 +34,7 @@ namespace detlint {
 
 namespace {
 
-const char* const kTags[] = {"avx2", "avx512", "neon"};
+const char* const kTags[] = {"avx2", "avx512"};
 
 std::string first_line_excerpt(const TranslationUnit& tu) {
   return tu.lines.empty() ? std::string() : trim(tu.lines[0]);

@@ -59,7 +59,7 @@
 //
 // A malformed numeric value (--steps=abc, --hint=x) is a usage error
 // (exit 2), like an unknown option. The kernel dispatch path comes from
-// the STORMTUNE_ISA environment variable (portable|avx2|avx512|neon|auto;
+// the STORMTUNE_ISA environment variable (portable|avx2|avx512|auto;
 // default auto-detect).
 #include <charconv>
 #include <cstdio>
