@@ -27,9 +27,10 @@ int main(int argc, char** argv) {
 
   for (const auto mode : {bo::HyperMode::kSliceSample, bo::HyperMode::kMle,
                           bo::HyperMode::kFixed}) {
+    bench::SuggestTimer timer(args.passes);
     const auto best = bench::run_bench_campaign(
         args,
-        [&](std::size_t pass) {
+        timer.wrap([&](std::size_t pass) {
           tuning::SpaceOptions sopts;
           sopts.hint_max = 20;
           tuning::ConfigSpace space(topology, sopts,
@@ -39,14 +40,14 @@ int main(int argc, char** argv) {
           bopts.hyper_mode = mode;
           return std::make_unique<tuning::BayesTuner>(std::move(space),
                                                       bopts, "bo");
-        },
+        }),
         bench::sim_objective_factory(topology, topo::paper_cluster(), params,
                                      args.seed + 4),
         bench::experiment_options(args, "bo"));
     t.add_row({bo::to_string(mode),
                bench::format_rate(best.best_rep_stats.mean),
                std::to_string(best.best_step),
-               TextTable::num(best.mean_suggest_seconds, 4)});
+               TextTable::num(timer.mean_step_seconds(), 4)});
     std::fprintf(stderr, "[ablation-hyper] %s done\n",
                  bo::to_string(mode).c_str());
   }

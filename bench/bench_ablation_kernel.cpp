@@ -31,9 +31,10 @@ int main(int argc, char** argv) {
                             gp::KernelFamily::kMatern32,
                             gp::KernelFamily::kSquaredExponential}) {
     for (const bool ard : {false, true}) {
+      bench::SuggestTimer timer(args.passes);
       const auto best = bench::run_bench_campaign(
           args,
-          [&](std::size_t pass) {
+          timer.wrap([&](std::size_t pass) {
             tuning::SpaceOptions sopts;
             sopts.hint_max = 20;
             tuning::ConfigSpace space(topology, sopts,
@@ -45,14 +46,14 @@ int main(int argc, char** argv) {
             bopts.ard = ard;
             return std::make_unique<tuning::BayesTuner>(std::move(space),
                                                         bopts, "bo");
-          },
+          }),
           bench::sim_objective_factory(topology, topo::paper_cluster(),
                                        params, args.seed + 3),
           bench::experiment_options(args, "bo"));
       t.add_row({gp::to_string(family), ard ? "yes" : "no",
                  bench::format_rate(best.best_rep_stats.mean),
                  std::to_string(best.best_step),
-                 TextTable::num(best.mean_suggest_seconds, 4)});
+                 TextTable::num(timer.mean_step_seconds(), 4)});
       std::fprintf(stderr, "[ablation-kernel] %s ard=%d done\n",
                    gp::to_string(family).c_str(), ard);
     }

@@ -6,6 +6,9 @@
 // (35/90/173 s for bo at 10/50/100 parameters on the authors' machine —
 // absolute numbers depend on hardware and GP settings, the sublinear shape
 // is the claim); ibo is somewhat slower than bo.
+//
+// Results carry no timing: the step times come from bench::SuggestTimer,
+// which wraps each pass's tuner and times its proposals.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -26,21 +29,17 @@ int main(int argc, char** argv) {
     for (const auto& strategy : strategies) {
       const bench::CampaignCell r =
           bench::run_synthetic_cell(args, cell, strategy);
-      double mean_s = 0.0, max_s = 0.0;
-      for (const auto& pass : r.passes) {
-        mean_s += pass.mean_suggest_seconds;
-        max_s = std::max(max_s, pass.max_suggest_seconds);
-      }
-      mean_s /= static_cast<double>(r.passes.size());
       const std::size_t params =
           (strategy == "ibo") ? 2  // multiplier + max-tasks
           : (strategy == "bo" || strategy == "bo180")
               ? r.best.best_config.parallelism_hints.size() + 1
               : 1;
       t.add_row({cell.label(), strategy, std::to_string(params),
-                 TextTable::num(mean_s, 4), TextTable::num(max_s, 4)});
+                 TextTable::num(r.mean_step_seconds, 4),
+                 TextTable::num(r.max_step_seconds, 4)});
       std::fprintf(stderr, "[fig7] %s %s done (avg %.4f s/step)\n",
-                   cell.label().c_str(), strategy.c_str(), mean_s);
+                   cell.label().c_str(), strategy.c_str(),
+                   r.mean_step_seconds);
     }
   }
 

@@ -1,6 +1,8 @@
 #include "bench_util.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -238,6 +240,62 @@ tuning::ExperimentResult run_bench_campaign(
   return tuning::run_campaign(spec, args.pool_threads(), passes);
 }
 
+namespace {
+
+/// Forwards to an inner tuner and times each next() that proposes.
+class TimedTuner final : public tuning::Tuner {
+ public:
+  TimedTuner(std::unique_ptr<tuning::Tuner> inner, SuggestTimer::Slot& slot)
+      : inner_(std::move(inner)), slot_(slot) {}
+
+  std::optional<sim::TopologyConfig> next() override {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::optional<sim::TopologyConfig> config = inner_->next();
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    if (config) {
+      ++slot_.steps;
+      slot_.total_s += s;
+      slot_.max_s = std::max(slot_.max_s, s);
+    }
+    return config;
+  }
+  void report(const sim::TopologyConfig& config, double throughput) override {
+    inner_->report(config, throughput);
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<tuning::Tuner> inner_;
+  SuggestTimer::Slot& slot_;
+};
+
+}  // namespace
+
+tuning::TunerFactory SuggestTimer::wrap(tuning::TunerFactory make_tuner) {
+  return [this, make_tuner = std::move(make_tuner)](
+             std::size_t pass) -> std::unique_ptr<tuning::Tuner> {
+    STORMTUNE_REQUIRE(pass < slots_.size(), "SuggestTimer: pass out of range");
+    return std::make_unique<TimedTuner>(make_tuner(pass), slots_[pass]);
+  };
+}
+
+double SuggestTimer::mean_step_seconds() const {
+  // Every pass proposes at least once, or its campaign throws.
+  double sum = 0.0;
+  for (const Slot& slot : slots_) {
+    sum += slot.total_s / static_cast<double>(slot.steps);
+  }
+  return sum / static_cast<double>(slots_.size());
+}
+
+double SuggestTimer::max_step_seconds() const {
+  double max_s = 0.0;
+  for (const Slot& slot : slots_) max_s = std::max(max_s, slot.max_s);
+  return max_s;
+}
+
 CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
                                 const std::string& strategy,
                                 std::size_t step_override) {
@@ -259,15 +317,18 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   CampaignCell out;
   out.cell = cell;
   out.strategy = strategy;
+  SuggestTimer timer(args.passes);
   out.best = run_bench_campaign(
       args,
-      [&](std::size_t pass) {
+      timer.wrap([&](std::size_t pass) {
         return make_synthetic_tuner(strategy, topology, synthetic_defaults(),
                                     cell_seed * 7919 + pass);
-      },
+      }),
       sim_objective_factory(topology, topo::paper_cluster(), params,
                             cell_seed),
       experiment_options(args, strategy, step_override), &out.passes);
+  out.mean_step_seconds = timer.mean_step_seconds();
+  out.max_step_seconds = timer.max_step_seconds();
   record_campaign_result(args, cell.label() + "/" + strategy, out.best);
   return out;
 }

@@ -102,12 +102,44 @@ tuning::ExperimentResult run_bench_campaign(
     const tuning::ExperimentOptions& options,
     std::vector<tuning::ExperimentResult>* passes = nullptr);
 
+/// Wall-clock time of tuner proposals (Figure 7's optimizer step time).
+/// Results carry no timing, so the harness measures it: wrap() decorates a
+/// TunerFactory so the tuner built for pass p times each next() that
+/// returns a config into slot p. Slots are sized up front and each pass
+/// writes only its own, so no lock is needed. The timer must outlive every
+/// campaign that runs a wrapped factory; read it after the campaign
+/// returns.
+class SuggestTimer {
+ public:
+  explicit SuggestTimer(std::size_t passes) : slots_(passes) {}
+  SuggestTimer(const SuggestTimer&) = delete;
+  SuggestTimer& operator=(const SuggestTimer&) = delete;
+
+  tuning::TunerFactory wrap(tuning::TunerFactory make_tuner);
+
+  /// Mean over passes of each pass's mean step time, in seconds.
+  double mean_step_seconds() const;
+  /// Slowest single step of any pass, in seconds.
+  double max_step_seconds() const;
+
+  struct Slot {
+    std::size_t steps = 0;
+    double total_s = 0.0;
+    double max_s = 0.0;
+  };
+
+ private:
+  std::vector<Slot> slots_;
+};
+
 /// Result of tuning one (cell, strategy) pair with the campaign protocol.
 struct CampaignCell {
   CellSpec cell;
   std::string strategy;
   tuning::ExperimentResult best;             ///< better of the passes
   std::vector<tuning::ExperimentResult> passes;
+  double mean_step_seconds = 0.0;  ///< SuggestTimer over the passes
+  double max_step_seconds = 0.0;
 };
 
 /// Run the full campaign for one cell and strategy.

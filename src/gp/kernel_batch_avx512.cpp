@@ -25,16 +25,21 @@ inline __m512d oct_sqexp(__m512d r2, __m512d scale) {
   return _mm512_mul_pd(scale, e);
 }
 
+// The all-lanes masked sqrt is the same vsqrtpd as _mm512_sqrt_pd, whose
+// gcc 12 expansion reads _mm512_undefined_pd() and trips
+// -Wmaybe-uninitialized under STORMTUNE_WERROR.
+inline __m512d sqrt8(__m512d x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+
 inline __m512d oct_matern32(__m512d r2, __m512d scale) {
   const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d sr = _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(3.0), r2));
+  const __m512d sr = sqrt8(_mm512_mul_pd(_mm512_set1_pd(3.0), r2));
   const __m512d e = _ZGVeN8v_exp(_mm512_sub_pd(_mm512_setzero_pd(), sr));
   return _mm512_mul_pd(scale, _mm512_mul_pd(_mm512_add_pd(one, sr), e));
 }
 
 inline __m512d oct_matern52(__m512d r2, __m512d scale) {
   const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d sr = _mm512_sqrt_pd(_mm512_mul_pd(_mm512_set1_pd(5.0), r2));
+  const __m512d sr = sqrt8(_mm512_mul_pd(_mm512_set1_pd(5.0), r2));
   const __m512d e = _ZGVeN8v_exp(_mm512_sub_pd(_mm512_setzero_pd(), sr));
   const __m512d poly = _mm512_add_pd(
       _mm512_add_pd(one, sr),

@@ -1,7 +1,6 @@
 #include "tuning/campaign_scheduler.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -12,13 +11,6 @@
 namespace stormtune::tuning {
 
 namespace {
-
-/// Monotonic wall-clock seconds, read only to time tuner proposals.
-double wall_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// One optimization pass of the paper's protocol as a resumable state
 /// machine over a borrowed tuner and objective. Each step() does one unit
@@ -61,19 +53,15 @@ class PassRun {
 
   ExperimentResult result_;
   std::optional<sim::TopologyConfig> pending_config_;
-  double pending_suggest_seconds_ = 0.0;
   std::size_t step_index_ = 0;  // 1-based
   std::size_t zero_streak_ = 0;
-  double total_suggest_ = 0.0;
   std::size_t rep_ = 0;
 };
 
 bool PassRun::step() {
   switch (phase_) {
     case Phase::kSuggest: {
-      const double t0 = wall_seconds();
       std::optional<sim::TopologyConfig> config = tuner_.next();
-      pending_suggest_seconds_ = wall_seconds() - t0;
       if (!config) return finish_tuning_loop();
       pending_config_ = std::move(config);
       ++step_index_;
@@ -87,10 +75,6 @@ bool PassRun::step() {
       StepRecord rec;
       rec.step = step_index_;
       rec.throughput = throughput;
-      rec.suggest_seconds = pending_suggest_seconds_;
-      total_suggest_ += rec.suggest_seconds;
-      result_.max_suggest_seconds =
-          std::max(result_.max_suggest_seconds, rec.suggest_seconds);
       result_.trace.push_back(rec);
 
       if (throughput > result_.best_throughput) {
@@ -138,8 +122,6 @@ bool PassRun::step() {
 bool PassRun::finish_tuning_loop() {
   STORMTUNE_REQUIRE(!result_.trace.empty(),
                     "experiment: tuner proposed nothing");
-  result_.mean_suggest_seconds =
-      total_suggest_ / static_cast<double>(result_.trace.size());
   if (options_.best_config_reps == 0 || result_.best_step == 0) return false;
   result_.best_rep_values.assign(options_.best_config_reps, 0.0);
   phase_ = Phase::kReps;

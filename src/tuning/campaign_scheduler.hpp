@@ -28,9 +28,8 @@
 // runs, never what it computes, so each campaign's results are
 // bit-identical to a solo run_campaign() of the same spec — for any thread
 // count, any submission order of the other campaigns, and any
-// interleaving. The wall-clock suggest_seconds fields are the sole
-// excluded quantity (presentation-only). Finished campaigns flow to an
-// optional ResultSink keyed by submission ticket, so output files are
+// interleaving, with no excluded field: the library reads no clock.
+// Finished campaigns flow to an optional ResultSink keyed by submission ticket, so output files are
 // byte-identical regardless of completion order.
 //
 // See DESIGN.md §9 "Multi-tenant campaign scheduling".
@@ -52,7 +51,7 @@ struct CampaignSchedulerOptions {
 
 struct MultiCampaignResult {
   /// Winning pass per campaign, in submission order — element i is
-  /// bit-identical (suggest timing aside) to run_campaign() of specs[i].
+  /// bit-identical to run_campaign() of specs[i].
   std::vector<ExperimentResult> results;
   /// Successful steals during the run (scheduling telemetry only).
   std::uint64_t steal_count = 0;

@@ -2,10 +2,12 @@
 //
 // Section V-A: up to 60 optimization steps (180 for the bo180 runs); the
 // linear-ascent strategies stop early after three consecutive
-// zero-performance measurements; every step's suggestion wall-time is
-// recorded (Figure 7); afterwards the best configuration is re-run 30
-// times (Figures 4 and 8 report mean/min/max of those repetitions); the
-// whole procedure is run twice and the better pass is reported.
+// zero-performance measurements; afterwards the best configuration is
+// re-run 30 times (Figures 4 and 8 report mean/min/max of those
+// repetitions); the whole procedure is run twice and the better pass is
+// reported. Figure 7's per-step suggestion wall-time is not part of a
+// result: the bench harness times tuner proposals itself, so a result is
+// a pure function of its inputs.
 //
 // One pass state machine implements that protocol (campaign_scheduler.cpp).
 // run_experiment steps it inline; run_campaign and run_campaigns step one
@@ -36,7 +38,6 @@ struct ExperimentOptions {
 struct StepRecord {
   std::size_t step = 0;  ///< 1-based
   double throughput = 0.0;
-  double suggest_seconds = 0.0;  ///< wall-time the tuner took to propose
 };
 
 struct ExperimentResult {
@@ -49,8 +50,6 @@ struct ExperimentResult {
   Summary best_rep_stats{};
   /// The raw repetition measurements (for significance tests, Fig. 8a).
   std::vector<double> best_rep_values;
-  double mean_suggest_seconds = 0.0;
-  double max_suggest_seconds = 0.0;
 };
 
 /// Run one optimization pass: propose/evaluate/report until the step budget

@@ -43,7 +43,6 @@ Json experiment_to_json(const ExperimentResult& result) {
     JsonObject e;
     e["step"] = s.step;
     e["throughput"] = s.throughput;
-    e["suggest_seconds"] = s.suggest_seconds;
     trace.emplace_back(std::move(e));
   }
   o["trace"] = Json(std::move(trace));
@@ -53,8 +52,6 @@ Json experiment_to_json(const ExperimentResult& result) {
   JsonArray reps;
   for (double v : result.best_rep_values) reps.emplace_back(v);
   o["best_rep_values"] = Json(std::move(reps));
-  o["mean_suggest_seconds"] = result.mean_suggest_seconds;
-  o["max_suggest_seconds"] = result.max_suggest_seconds;
   return Json(std::move(o));
 }
 
@@ -65,7 +62,6 @@ ExperimentResult experiment_from_json(const Json& j) {
     StepRecord s;
     s.step = static_cast<std::size_t>(e.at("step").as_int());
     s.throughput = e.at("throughput").as_number();
-    s.suggest_seconds = e.at("suggest_seconds").as_number();
     r.trace.push_back(s);
   }
   r.best_config = config_from_json(j.at("best_config"));
@@ -77,21 +73,16 @@ ExperimentResult experiment_from_json(const Json& j) {
   if (!r.best_rep_values.empty()) {
     r.best_rep_stats = summarize(r.best_rep_values);
   }
-  r.mean_suggest_seconds = j.at("mean_suggest_seconds").as_number();
-  r.max_suggest_seconds = j.at("max_suggest_seconds").as_number();
   return r;
 }
 
 std::string trace_to_csv(const ExperimentResult& result) {
-  TextTable t({"strategy", "step", "throughput", "suggest_seconds",
-               "best_so_far"});
+  TextTable t({"strategy", "step", "throughput", "best_so_far"});
   double best = 0.0;
   for (const StepRecord& s : result.trace) {
     best = std::max(best, s.throughput);
     t.add_row({result.strategy, std::to_string(s.step),
-               TextTable::num(s.throughput, 4),
-               TextTable::num(s.suggest_seconds, 6),
-               TextTable::num(best, 4)});
+               TextTable::num(s.throughput, 4), TextTable::num(best, 4)});
   }
   return t.to_csv();
 }

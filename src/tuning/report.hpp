@@ -18,12 +18,14 @@ Json config_to_json(const sim::TopologyConfig& config);
 sim::TopologyConfig config_from_json(const Json& j);
 
 /// Serialize a full experiment result (strategy, trace, best config,
-/// repetition statistics).
+/// repetition statistics). from_json ignores keys it does not read, so it
+/// still loads records written when results carried suggest timings
+/// (`suggest_seconds`, `mean_suggest_seconds`, `max_suggest_seconds`).
 Json experiment_to_json(const ExperimentResult& result);
 ExperimentResult experiment_from_json(const Json& j);
 
 /// CSV with one row per optimization step:
-/// strategy,step,throughput,suggest_seconds,best_so_far
+/// strategy,step,throughput,best_so_far
 std::string trace_to_csv(const ExperimentResult& result);
 
 /// CSV comparing several experiments: strategy,mean,min,max,best_step,steps

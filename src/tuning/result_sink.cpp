@@ -1,6 +1,5 @@
 #include "tuning/result_sink.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,24 +14,9 @@ void JsonlResultBackend::write(const CampaignOutcome& outcome) {
   o["name"] = outcome.name;
   o["result"] = experiment_to_json(outcome.result);
   out_ << Json(std::move(o)).dump() << '\n';
-  wrote_since_flush_ = true;
 }
 
-void JsonlResultBackend::end_batch() {
-  if (stamp_flushes_ && wrote_since_flush_) {
-    // Presentation-only wall-clock read (opt-in; see DET004 allow entry):
-    // the stamp marks when a batch hit the stream and feeds back into
-    // nothing — with stamping on, byte-stable output is explicitly waived.
-    const auto now = std::chrono::system_clock::now().time_since_epoch();
-    const auto ms =
-        std::chrono::duration_cast<std::chrono::milliseconds>(now).count();
-    JsonObject o;
-    o["flushed_unix_ms"] = static_cast<std::int64_t>(ms);
-    out_ << Json(std::move(o)).dump() << '\n';
-    wrote_since_flush_ = false;
-  }
-  out_.flush();
-}
+void JsonlResultBackend::end_batch() { out_.flush(); }
 
 namespace {
 

@@ -12,9 +12,7 @@
 // emits records strictly in ticket order, parking out-of-order arrivals in
 // a reorder buffer. The bytes a backend sees are therefore a pure function
 // of the submitted records — independent of thread count, completion
-// order, and queue timing. Wall-clock flush stamps (the one sanctioned
-// nondeterminism, off by default) exist only inside the JSONL backend,
-// behind a detlint DET004 allow entry.
+// order, and queue timing. No backend reads a clock.
 //
 // Corruption detection (STORMTUNE_CHECKED builds): submit() throws
 // InvariantError on a duplicate ticket or a ticket at/past expected_records
@@ -56,20 +54,14 @@ class ResultSinkBackend {
 };
 
 /// One JSON document per line: {"ticket":N,"name":...,"result":{...}}.
-/// With `stamp_flushes` (default off — it makes output bytes depend on
-/// wall clock) each end_batch() additionally emits a {"flushed_unix_ms":N}
-/// marker line, the sink's only sanctioned wall-clock read.
 class JsonlResultBackend : public ResultSinkBackend {
  public:
-  explicit JsonlResultBackend(std::ostream& out, bool stamp_flushes = false)
-      : out_(out), stamp_flushes_(stamp_flushes) {}
+  explicit JsonlResultBackend(std::ostream& out) : out_(out) {}
   void write(const CampaignOutcome& outcome) override;
   void end_batch() override;
 
  private:
   std::ostream& out_;
-  bool stamp_flushes_;
-  bool wrote_since_flush_ = false;
 };
 
 /// Header + one row per campaign:

@@ -1,19 +1,11 @@
-// ISA fixture (clean pair, portable half): exercises the `_portable`
-// suffix form of the export-set marker (the namespace form is covered by
-// the deficient pair). The variant defines the full symbol set and both
-// TUs carry -ffp-contract=off in the fixture compile_commands.json, so
-// nothing may fire.
+// ISA fixture (clean pair, portable half): both TUs of the pair carry
+// -ffp-contract=off in the fixture compile_commands.json, so nothing may
+// fire.
 namespace fixdotk {
 
 double fxd_dot_portable(const double* a, const double* b, int n) {
   double s = 0.0;
   for (int i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double fxd_norm_portable(const double* a, int n) {
-  double s = 0.0;
-  for (int i = 0; i < n; ++i) s += a[i] * a[i];
   return s;
 }
 

@@ -1,17 +1,10 @@
-// ISA fixture (clean pair, variant half): complete `_avx2`-suffixed symbol
-// set matching the portable sibling, compiled with -ffp-contract=off per
-// the fixture compile_commands.json. Must stay silent.
+// ISA fixture (clean pair, variant half): compiled with -ffp-contract=off
+// per the fixture compile_commands.json. Must stay silent.
 namespace fixdotk {
 
 double fxd_dot_avx2(const double* a, const double* b, int n) {
   double s = 0.0;
   for (int i = 0; i < n; ++i) s += a[i] * b[i];
-  return s;
-}
-
-double fxd_norm_avx2(const double* a, int n) {
-  double s = 0.0;
-  for (int i = 0; i < n; ++i) s += a[i] * a[i];
   return s;
 }
 

@@ -1,9 +1,6 @@
-// expect: ISA001 ISA002 (missing fxk_shift; compiled without -ffp-contract=off)
-// ISA fixture (deficient pair, variant half): defines only one of the two
-// symbols its portable sibling exports — the dispatch table would silently
-// mix portable and wide kernels. ISA001 reports the diff at line 1, and
-// ISA002 fires because the fixture compile_commands.json entry for this TU
-// lacks -ffp-contract=off.
+// expect: ISA002 (compiled without -ffp-contract=off)
+// ISA fixture (deficient pair, variant half): the fixture
+// compile_commands.json entry for this TU lacks -ffp-contract=off.
 namespace fixknl {
 namespace avx2 {
 

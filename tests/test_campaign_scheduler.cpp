@@ -4,9 +4,7 @@
 // pool produce, per campaign, results bit-identical (compared via %a
 // hexfloat fingerprints) to a solo run_campaign() of the same spec — for
 // every thread count, and for a shuffled submission order — and every
-// pass equals run_experiment() of that pass. Wall-clock suggest timing
-// (trace suggest_seconds, mean/max_suggest_seconds) is the sole excluded
-// quantity.
+// pass equals run_experiment() of that pass.
 //
 // The thread-count list defaults to {1, 2, 8}; CI's TSan job widens it via
 // STORMTUNE_SCHED_TEST_THREADS (comma-separated, e.g. "1,4,16").
@@ -50,9 +48,7 @@ std::string hexfloat(double v) {
   return buf;
 }
 
-/// Every result field that participates in the bit-identity guarantee,
-/// doubles rendered as hexfloat. suggest_seconds fields are wall-clock and
-/// deliberately absent.
+/// Every result field, doubles rendered as hexfloat.
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream out;
   out << r.strategy << '\n';
@@ -296,7 +292,7 @@ using ProtocolParam = std::tuple<ObjectiveKind, std::size_t>;
 
 /// One protocol, three entry points: run_experiment stepping each pass
 /// inline, run_campaign, and run_campaigns must produce bit-identical
-/// results (suggest timing masked) at every pool width, whether the
+/// results at every pool width, whether the
 /// objective clones repetition streams (SimObjective) or not.
 class ProtocolEquivalence : public ::testing::TestWithParam<ProtocolParam> {
 };

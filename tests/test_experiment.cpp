@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/error.hpp"
+#include "tuning/report.hpp"
 
 namespace stormtune::tuning {
 namespace {
@@ -108,16 +109,30 @@ TEST(RunExperiment, BestConfigReevaluated) {
   EXPECT_DOUBLE_EQ(r.best_rep_stats.min, r.best_rep_stats.max);
 }
 
-TEST(RunExperiment, RecordsSuggestTimes) {
+TEST(RunExperiment, SameInputsGiveByteIdenticalJson) {
+  // A result is a pure function of its inputs, with no wall-clock field:
+  // two runs of the same BO campaign serialize to the same bytes.
   const sim::Topology t = demo_topology();
-  PlaTuner pla(t, sim::TopologyConfig{}, false);
-  HintPeakObjective obj;
-  const ExperimentResult r = run_experiment(pla, obj, fast_options());
-  EXPECT_GE(r.mean_suggest_seconds, 0.0);
-  EXPECT_GE(r.max_suggest_seconds, r.mean_suggest_seconds);
-  for (const auto& step : r.trace) {
-    EXPECT_GE(step.suggest_seconds, 0.0);
-  }
+  sim::ClusterSpec cluster;
+  cluster.num_machines = 4;
+  sim::SimParams params;
+  params.duration_s = 5.0;
+  sim::TopologyConfig defaults = sim::uniform_hint_config(t, 2);
+  defaults.batch_size = 50;
+  SpaceOptions sopts;
+  sopts.hint_max = 5;
+  ExperimentOptions opts;
+  opts.max_steps = 5;
+  opts.best_config_reps = 2;
+  const auto run = [&] {
+    bo::BayesOptOptions bopts;
+    bopts.seed = 17;
+    bopts.num_threads = 1;
+    BayesTuner tuner(ConfigSpace(t, sopts, defaults), bopts);
+    SimObjective obj(t, cluster, params, 23);
+    return experiment_to_json(run_experiment(tuner, obj, opts)).dump();
+  };
+  EXPECT_EQ(run(), run());
 }
 
 TEST(RunExperiment, TraceStepsAreSequential) {

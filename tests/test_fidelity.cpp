@@ -262,8 +262,7 @@ std::string hexfloat(double v) {
   return buf;
 }
 
-/// Every bit-identity-relevant result field, doubles as hexfloats
-/// (wall-clock suggest timing deliberately absent).
+/// The result's fields, doubles as hexfloats.
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream out;
   out << r.strategy << '\n';

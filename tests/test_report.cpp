@@ -28,7 +28,6 @@ ExperimentResult demo_result() {
     StepRecord s;
     s.step = i;
     s.throughput = 100.0 * static_cast<double>(i);
-    s.suggest_seconds = 0.01 * static_cast<double>(i);
     r.trace.push_back(s);
   }
   r.best_config = demo_config();
@@ -36,8 +35,6 @@ ExperimentResult demo_result() {
   r.best_step = 5;
   r.best_rep_values = {480.0, 510.0, 495.0};
   r.best_rep_stats = summarize(r.best_rep_values);
-  r.mean_suggest_seconds = 0.03;
-  r.max_suggest_seconds = 0.05;
   return r;
 }
 
@@ -73,6 +70,33 @@ TEST(Report, ExperimentJsonRoundTrip) {
   ASSERT_EQ(back.best_rep_values.size(), 3u);
   EXPECT_DOUBLE_EQ(back.best_rep_stats.mean, r.best_rep_stats.mean);
   EXPECT_EQ(back.best_config.batch_size, 4321);
+}
+
+TEST(Report, ExperimentFromJsonIgnoresLegacySuggestTimings) {
+  // A record from when results still carried wall-clock suggest timings:
+  // it loads, and the three timing keys are dropped.
+  const ExperimentResult back = experiment_from_json(Json::parse(R"({
+    "strategy": "bo",
+    "trace": [{"step": 1, "throughput": 100, "suggest_seconds": 0.01},
+              {"step": 2, "throughput": 250, "suggest_seconds": 0.02}],
+    "best_config": {"parallelism_hints": [3, 7, 1], "max_tasks": 120,
+                    "batch_size": 4321, "batch_parallelism": 9,
+                    "worker_threads": 12, "receiver_threads": 2,
+                    "num_ackers": 17},
+    "best_throughput": 250,
+    "best_step": 2,
+    "best_rep_values": [240, 260],
+    "mean_suggest_seconds": 0.015,
+    "max_suggest_seconds": 0.02
+  })"));
+  ASSERT_EQ(back.trace.size(), 2u);
+  EXPECT_EQ(back.trace[1].step, 2u);
+  EXPECT_DOUBLE_EQ(back.trace[1].throughput, 250.0);
+  EXPECT_EQ(back.best_step, 2u);
+  EXPECT_DOUBLE_EQ(back.best_rep_stats.mean, 250.0);
+  EXPECT_EQ(back.best_config.parallelism_hints, demo_config().parallelism_hints);
+  EXPECT_EQ(experiment_to_json(back).dump().find("suggest"),
+            std::string::npos);
 }
 
 TEST(Report, TraceCsvHasOneRowPerStep) {

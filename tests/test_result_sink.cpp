@@ -28,8 +28,8 @@ namespace {
 ExperimentResult make_result(std::size_t i) {
   ExperimentResult r;
   r.strategy = "random";
-  r.trace.push_back({1, 100.0 + static_cast<double>(i), 0.0});
-  r.trace.push_back({2, 150.0 + static_cast<double>(i), 0.0});
+  r.trace.push_back({1, 100.0 + static_cast<double>(i)});
+  r.trace.push_back({2, 150.0 + static_cast<double>(i)});
   r.best_throughput = 150.0 + static_cast<double>(i);
   r.best_step = 2;
   r.best_rep_values = {140.0 + i, 160.0 + i};

@@ -1,7 +1,7 @@
 // detlint v2 — tokenizer.
 //
 // The v1 linter worked on regex-matched lines of comment-stripped text;
-// the call-graph rules (ALLOC001, CONC00x, ISA00x) need real tokens: the
+// the call-graph rules (ALLOC001, CONC00x) need real tokens: the
 // function extractor walks identifier/punctuation sequences, balances
 // brackets, and tracks which tokens sit inside `#ifdef STORMTUNE_CHECKED`
 // regions (checked-only verification code is exempt from the hot-path

@@ -17,8 +17,6 @@
 //                   std::memory_order.
 //   CONC003         non-const reference data members in Strand-derived
 //                   classes (mutable shared state captured per pass).
-//   ISA001          a kernels_{avx2,avx512}.cpp TU is missing symbols
-//                   from its portable sibling's dispatch-table set.
 //   ISA002          a dispatch-paired kernel TU is compiled without
 //                   -ffp-contract=off (per compile_commands.json).
 //
@@ -56,8 +54,8 @@ void run_alloc_rules(const std::vector<TranslationUnit>& tus,
 void run_conc_rules(const std::vector<TranslationUnit>& tus,
                     std::vector<Finding>& out);
 
-/// ISA001/ISA002 over kernel TU pairs. `db` may be nullptr (no
-/// compile_commands.json available — ISA002 is skipped).
+/// ISA002 over kernel TU pairs. `db` may be nullptr (no
+/// compile_commands.json available — the rule is skipped).
 void run_isa_rules(const std::vector<TranslationUnit>& tus,
                    const CompileDb* db, std::vector<Finding>& out);
 

@@ -51,7 +51,7 @@
 //                   submission order. Per-campaign results are
 //                   bit-identical to running that campaign alone (a
 //                   one-entry file), for any thread count and submission
-//                   order (the wall-clock suggest-seconds fields aside).
+//                   order.
 //                   --adaptive-window composes: each campaign's
 //                   evaluations end early on convergence, and because the
 //                   stop rule is seeded and campaign-local, determinism
@@ -480,8 +480,6 @@ int cmd_tune(const Options& o) {
   std::printf("found at:     step %zu of %zu\n", r.best_step,
               r.trace.size());
   std::printf("config:       %s\n", r.best_config.describe().c_str());
-  std::printf("tuner cost:   %.3f s/step mean, %.3f s max\n",
-              r.mean_suggest_seconds, r.max_suggest_seconds);
 
   if (!o.json_path.empty()) {
     std::ofstream out(o.json_path);
