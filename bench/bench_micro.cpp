@@ -14,7 +14,9 @@
 #include <benchmark/benchmark.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "bayesopt/bayesopt.hpp"
 #include "common/isa.hpp"
@@ -503,6 +505,59 @@ void BM_MultiCampaign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MultiCampaign)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// Proposes one fixed configuration, then stops: a pass of one evaluation
+/// followed by its best-config repetitions.
+class FixedConfigTuner final : public tuning::Tuner {
+ public:
+  explicit FixedConfigTuner(sim::TopologyConfig config)
+      : config_(std::move(config)) {}
+
+  std::optional<sim::TopologyConfig> next() override {
+    if (proposed_) return std::nullopt;
+    proposed_ = true;
+    return config_;
+  }
+  void report(const sim::TopologyConfig&, double) override {}
+  std::string name() const override { return "fixed"; }
+
+ private:
+  sim::TopologyConfig config_;
+  bool proposed_ = false;
+};
+
+void BM_BestConfigReps(benchmark::State& state) {
+  // One pass's repetition phase at the paper's protocol: 30 re-runs of the
+  // best configuration, 15 s windows on the medium topology, on a pool of
+  // range(0) workers. The pass evaluates its one configuration first (1 of
+  // 31 simulations); on a pool wider than one worker the repetitions fan
+  // out over helper strands, each on its own clone of the objective.
+  const auto threads = static_cast<std::size_t>(state.range(0));
+  topo::SyntheticSpec spec;
+  spec.size = topo::TopologySize::kMedium;
+  const sim::Topology topology = topo::build_synthetic(spec);
+  sim::SimParams params = topo::synthetic_sim_params();
+  params.duration_s = 15.0;
+  const sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
+  tuning::CampaignSpec campaign;
+  campaign.passes = 1;
+  campaign.options.max_steps = 1;
+  campaign.options.best_config_reps = 30;
+  campaign.make_tuner = [&](std::size_t) -> std::unique_ptr<tuning::Tuner> {
+    return std::make_unique<FixedConfigTuner>(config);
+  };
+  campaign.make_objective =
+      [&](std::size_t) -> std::unique_ptr<tuning::Objective> {
+    return std::make_unique<tuning::SimObjective>(
+        topology, topo::paper_cluster(), params, 7);
+  };
+  for (auto _ : state) {
+    const auto r = tuning::run_campaign(campaign, threads);
+    benchmark::DoNotOptimize(r.best_rep_stats.mean);
+  }
+}
+BENCHMARK(BM_BestConfigReps)->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_FluidEstimate(benchmark::State& state) {
   // The rung-0 screen of the fidelity ladder: one closed-form fluid bound

@@ -241,6 +241,14 @@ struct SimWorkspace {
   // seq comes from the same counter as edge events, so the merged event
   // order reproduces the single-queue FIFO tie-break exactly.
   DepartureTree departures_;
+  // The departure pop's own reschedule of its machine, held out of the
+  // tree while finish_job runs: a job restarting on that machine inside
+  // finish_job reschedules it again, and only the last key reaches the
+  // tree. held_machine_ is kNone whenever the event loop reads the tree.
+  std::size_t held_machine_ = kNone;
+  double held_time_ = 0.0;
+  std::uint64_t held_seq_ = 0;
+  bool held_idle_ = false;  // the held machine has no job left
   std::uint64_t seq_ = 0;
   double now_ = 0.0;
   double memory_pressure_ = 1.0;
@@ -329,6 +337,7 @@ struct SimWorkspace {
     edge_events_.push(EdgeEvent{time, seq_++, node, batch});
   }
   void schedule_machine_departure(std::size_t m);
+  void release_held_departure();
   void update_memory_pressure();
 
   // ---- intrusive job queues ----
@@ -485,6 +494,7 @@ void SimWorkspace::build_deployment() {
   machines_[master_machine_].base_speed_factor = 1.0;  // dedicated VM
   machines_[master_machine_].speed_factor = 1.0;
   departures_.reset(machines_.size());
+  held_machine_ = kNone;
 
   workers_.resize(num_workers + 1);
   master_worker_ = num_workers;
@@ -615,7 +625,11 @@ void SimWorkspace::precompute_batch_profile() {
 void SimWorkspace::schedule_machine_departure(std::size_t m) {
   MachineState& mach = machines_[m];
   if (mach.active.empty()) {
-    departures_.erase(m);
+    if (m == held_machine_) {
+      held_idle_ = true;
+    } else {
+      departures_.erase(m);
+    }
     return;
   }
   const double rate = mach.cached_rate;
@@ -627,7 +641,23 @@ void SimWorkspace::schedule_machine_departure(std::size_t m) {
   const double wait = rate == 1.0 ? remaining : remaining / rate;
   STORMTUNE_REQUIRE(seq_ < departures_.seq_limit(),
                     "simulate: event sequence overflows the departure key");
+  if (m == held_machine_) {
+    held_time_ = now_ + wait;
+    held_seq_ = seq_++;
+    held_idle_ = false;
+    return;
+  }
   departures_.set(m, now_ + wait, seq_++);
+}
+
+void SimWorkspace::release_held_departure() {
+  const std::size_t m = held_machine_;
+  held_machine_ = kNone;
+  if (held_idle_) {
+    departures_.erase(m);
+  } else {
+    departures_.set(m, held_time_, held_seq_);
+  }
 }
 
 void SimWorkspace::update_memory_pressure() {
@@ -1034,8 +1064,14 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   // winner tree of per-machine departures. Both order by (time, seq) with
   // seq drawn from one shared counter, so the merged order is exactly the
   // old single-queue order — minus the stale departure entries, which no
-  // longer exist to be popped and discarded.
+  // longer exist to be popped and discarded. A departure pop holds its
+  // machine's reschedule until finish_job returns (see held_machine_), so
+  // the tree's leaves after each event are exactly those of writing every
+  // reschedule through, at one tree write fewer whenever finish_job starts
+  // the next job on the popped machine.
   while (true) {
+    STORMTUNE_DCHECK(held_machine_ == kNone,
+                     "simulate: departure held across an event");
     const bool have_edge = !edge_events_.empty();
     const bool have_dep = !departures_.empty();
     if (!have_edge && !have_dep) break;
@@ -1061,8 +1097,10 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
           std::max(mach.virtual_service, mach.active.top().v_end);
       mach.active.pop();
       mach.refresh_rate();
+      held_machine_ = m;
       schedule_machine_departure(m);
       finish_job(id);
+      release_held_departure();
     } else {
       const EdgeEvent ev = edge_events_.top();
       edge_events_.pop();

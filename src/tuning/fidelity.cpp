@@ -286,27 +286,14 @@ std::shared_ptr<FidelityLadder> LadderCampaignFactories::ladder(
   return l;
 }
 
-namespace {
+double SharedLadderObjective::evaluate(const sim::TopologyConfig& config) {
+  return ladder_->evaluate(config);
+}
 
-/// Objective adapter delegating to the pass's shared FidelityLadder (the
-/// pass's LadderTuner holds the other reference).
-class SharedLadderObjective final : public Objective {
- public:
-  explicit SharedLadderObjective(std::shared_ptr<FidelityLadder> ladder)
-      : ladder_(std::move(ladder)) {}
-
-  double evaluate(const sim::TopologyConfig& config) override {
-    return ladder_->evaluate(config);
-  }
-  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override {
-    return ladder_->clone_stream(stream);
-  }
-
- private:
-  std::shared_ptr<FidelityLadder> ladder_;
-};
-
-}  // namespace
+std::unique_ptr<Objective> SharedLadderObjective::clone_stream(
+    std::uint64_t stream) const {
+  return ladder_->clone_stream(stream);
+}
 
 TunerFactory LadderCampaignFactories::tuner_factory() {
   auto self = shared_from_this();

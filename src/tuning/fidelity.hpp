@@ -190,6 +190,21 @@ class LadderTuner final : public Tuner {
   std::optional<bo::ParamValues> pending_;
 };
 
+/// Objective adapter delegating to a FidelityLadder that a LadderTuner
+/// shares: the campaign drivers own a pass's objective, so a ladder pass
+/// hands them this adapter while its tuner holds the other reference.
+class SharedLadderObjective final : public Objective {
+ public:
+  explicit SharedLadderObjective(std::shared_ptr<FidelityLadder> ladder)
+      : ladder_(std::move(ladder)) {}
+
+  double evaluate(const sim::TopologyConfig& config) override;
+  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override;
+
+ private:
+  std::shared_ptr<FidelityLadder> ladder_;
+};
+
 /// Everything needed to build one ladder campaign's per-pass tuners and
 /// objectives. Seeds follow the tune-many conventions: pass p's tuner seeds
 /// its optimizer with bo.seed * 7919 + p, and pass p's ladder derives its

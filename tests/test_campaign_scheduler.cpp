@@ -12,16 +12,22 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
+#include "topology/synthetic.hpp"
 #include "tuning/config_space.hpp"
 #include "tuning/report.hpp"
 #include "tuning/tuner.hpp"
@@ -363,6 +369,119 @@ INSTANTIATE_TEST_SUITE_P(
                              : "scripted") +
              "_" + std::to_string(std::get<1>(info.param)) + "threads";
     });
+
+/// The wrapped SimObjective, stream for stream, plus a record of the
+/// threads its repetition clones evaluated on.
+class ThreadRecordingObjective final : public Objective {
+ public:
+  struct Threads {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::set<std::thread::id> ids;
+    /// Hold the first repetition until a second thread has evaluated one,
+    /// so a fan-out shows however the host schedules the workers. Set it
+    /// only on pools wider than one worker: with no helper to wait for,
+    /// the hold lasts its full 30 s cap.
+    bool hold_first = false;
+    bool first_seen = false;
+  };
+
+  ThreadRecordingObjective(std::unique_ptr<Objective> inner,
+                           std::shared_ptr<Threads> threads, bool clone)
+      : inner_(std::move(inner)), threads_(std::move(threads)),
+        clone_(clone) {}
+
+  double evaluate(const sim::TopologyConfig& c) override {
+    if (clone_) {
+      Threads& t = *threads_;
+      std::unique_lock<std::mutex> lock(t.mutex);
+      t.ids.insert(std::this_thread::get_id());
+      t.cv.notify_all();
+      if (t.hold_first && !t.first_seen) {
+        t.first_seen = true;
+        t.cv.wait_for(lock, std::chrono::seconds(30),
+                      [&t] { return t.ids.size() > 1; });
+      }
+    }
+    return inner_->evaluate(c);
+  }
+  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override {
+    std::unique_ptr<Objective> inner = inner_->clone_stream(stream);
+    if (!inner) return nullptr;
+    return std::make_unique<ThreadRecordingObjective>(std::move(inner),
+                                                      threads_, true);
+  }
+  bool rebind_stream(std::uint64_t stream) override {
+    return inner_->rebind_stream(stream);
+  }
+
+ private:
+  std::unique_ptr<Objective> inner_;
+  std::shared_ptr<Threads> threads_;
+  bool clone_;
+};
+
+TEST(CampaignScheduler, RepFanOutMatchesSequentialReps) {
+  // One pass on the Fig. 4 medium graph: at widths above 1 its eight
+  // repetitions fan out over helper strands, and the values and their
+  // summary must still be run_experiment's, bit for bit.
+  topo::SyntheticSpec graph;
+  graph.size = topo::TopologySize::kMedium;
+  const sim::Topology t = topo::build_synthetic(graph);
+  sim::SimParams params = topo::synthetic_sim_params();
+  params.duration_s = 5.0;
+  const sim::TopologyConfig defaults = sim::uniform_hint_config(t, 4);
+  SpaceOptions sopts;
+  sopts.hint_max = 8;
+  auto make_spec = [&](std::shared_ptr<ThreadRecordingObjective::Threads> ids) {
+    CampaignSpec spec;
+    spec.name = "fan-out";
+    spec.make_tuner = [&](std::size_t) -> std::unique_ptr<Tuner> {
+      return std::make_unique<RandomTuner>(ConfigSpace(t, sopts, defaults),
+                                           23);
+    };
+    spec.make_objective = [&, ids](std::size_t) -> std::unique_ptr<Objective> {
+      return std::make_unique<ThreadRecordingObjective>(
+          std::make_unique<SimObjective>(t, topo::paper_cluster(), params, 9),
+          ids, false);
+    };
+    spec.options.max_steps = 3;
+    spec.options.best_config_reps = 8;
+    spec.passes = 1;
+    return spec;
+  };
+
+  const CampaignSpec reference_spec =
+      make_spec(std::make_shared<ThreadRecordingObjective::Threads>());
+  const std::unique_ptr<Tuner> tuner = reference_spec.make_tuner(0);
+  const std::unique_ptr<Objective> objective =
+      reference_spec.make_objective(0);
+  const ExperimentResult reference =
+      run_experiment(*tuner, *objective, reference_spec.options);
+  ASSERT_EQ(reference.best_rep_values.size(), 8u);
+
+  for (const std::size_t width : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    auto ids = std::make_shared<ThreadRecordingObjective::Threads>();
+    ids->hold_first = width == 4;
+    const ExperimentResult r = run_campaign(make_spec(ids), width);
+    EXPECT_EQ(r.best_rep_values, reference.best_rep_values);
+    EXPECT_EQ(r.best_rep_stats.n, reference.best_rep_stats.n);
+    EXPECT_EQ(r.best_rep_stats.mean, reference.best_rep_stats.mean);
+    EXPECT_EQ(r.best_rep_stats.variance, reference.best_rep_stats.variance);
+    EXPECT_EQ(r.best_rep_stats.stddev, reference.best_rep_stats.stddev);
+    EXPECT_EQ(r.best_rep_stats.min, reference.best_rep_stats.min);
+    EXPECT_EQ(r.best_rep_stats.max, reference.best_rep_stats.max);
+    EXPECT_EQ(fingerprint(r), fingerprint(reference));
+    if (width == 1) {
+      EXPECT_EQ(ids->ids.size(), 1u);
+    }
+    if (width == 4) {
+      EXPECT_GT(ids->ids.size(), 1u)
+          << "the repetitions never left the pass strand's thread";
+    }
+  }
+}
 
 TEST(CampaignScheduler, SinkReceivesEveryCampaignInTicketOrder) {
   constexpr std::size_t kCampaigns = 12;

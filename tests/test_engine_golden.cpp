@@ -7,7 +7,9 @@
 // seed, which these cases pin down across the three synthetic topology
 // sizes, a stressed deployment (contention + time imbalance + memory
 // pressure + explicit ackers + max-task normalization), background load,
-// Sundog, and the OOM-crash path.
+// Sundog, and the OOM-crash path. The last case, one executor and one
+// receiver thread per worker, was captured later, from the engine just
+// before the departure pop started deferring its tree write.
 //
 // If an intentional behavior change ever invalidates these numbers,
 // regenerate them with the dump-table loop at the bottom of this file's
@@ -390,6 +392,61 @@ const GoldenCase kGolden[] = {
           {"bolt8", 4u, 0u, 0x0p+0, 0x0p+0, 0x0p+0},
           {"bolt9", 4u, 0u, 0x0p+0, 0x0p+0, 0x0p+0},
       }}},
+    {"medium/wt1rt1/seed5",
+     {0x1.3adf7eb2cfc6ap+7, 0x1.4p+7, 4u, 9u, 0x1.9p+9, 0x1.577160543c3c5p+11,
+      0x1.db64e4e4e4e5p+13, 0x1.da00000000003p-13, 0x1.4a60fcf64cb9ap-3, 300u, false,
+      {
+          {"spout0", 6u, 9u, 0x1.d62f3e6f19c47p+7, 0x1.9bc9c9c9c9c9fp+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout1", 6u, 9u, 0x1.5306323da12efp+8, 0x1.2e276da0e0e04p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout2", 6u, 9u, 0x1.3460ddf6a14bcp+7, 0x1.1282828282828p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout3", 6u, 9u, 0x1.351166bc1165fp+7, 0x1.af65656565658p+8, 0x1.08b4b4b4b4b4ep+11},
+          {"spout4", 6u, 9u, 0x1.05267bd1267bcp+8, 0x1.ea3e3e3e3e3e4p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout5", 6u, 9u, 0x1.1ae9220593cccp+8, 0x1.c2fdfdfdfdfep+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout6", 6u, 9u, 0x1.c9368be1368bcp+7, 0x1.9bc9c9c9c9c9dp+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout7", 6u, 9u, 0x1.210b1ab450c26p+8, 0x1.af62626262627p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout8", 6u, 9u, 0x1.bfca78dcc04e1p+8, 0x1.882b2b2b2b2b3p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout9", 6u, 8u, 0x1.bad223b080804p+8, 0x1.a3c40a3d7d7dp+9, 0x1.fdcdcdcdcdce3p+10},
+          {"spout10", 6u, 9u, 0x1.25c7617ac1dep+8, 0x1.748f8f8f8f8fbp+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout11", 6u, 9u, 0x1.695f987c0a42fp+7, 0x1.fdd3d3d3d3d3ep+8, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt12", 6u, 9u, 0x1.398f23fd6f36ap+7, 0x1.d69d1d1d1d1d7p+8, 0x1.08b4b4b4b4b4ep+11},
+          {"spout13", 6u, 9u, 0x1.6519681ce4007p+8, 0x1.1c53535353536p+10, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt14", 6u, 9u, 0x1.5ad88ef41ec8cp+8, 0x1.2d9a6f8c0c0b8p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt15", 6u, 8u, 0x1.38c3e1b434343p+8, 0x1.d5a6c49717175p+8, 0x1.d69696969696fp+10},
+          {"bolt16", 6u, 9u, 0x1.52f9dd6ba487fp+7, 0x1.884149ffffffep+8, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt17", 6u, 9u, 0x1.13c92775d9674p+8, 0x1.4ce97861a1a1dp+9, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt18", 6u, 9u, 0x1.98d7ef2112d9fp+8, 0x1.9b51e0ca0a0a5p+9, 0x1.08b4b4b4b4b4ep+12},
+          {"spout19", 6u, 9u, 0x1.18e4e4e4e4e4dp+8, 0x1.af65656565657p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"spout20", 6u, 9u, 0x1.80e6bd7381ba7p+8, 0x1.261f9f9f9f9fbp+10, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt21", 6u, 9u, 0x1.515158f1469bfp+8, 0x1.607604ee2e2e2p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt22", 6u, 6u, 0x1.229b14a8933ddp+10, 0x1.0897ff741413fp+11, 0x1.015a5a5a5a5a5p+13},
+          {"spout23", 6u, 9u, 0x1.9d177c6b5d241p+8, 0x1.ea35353535356p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt24", 6u, 9u, 0x1.043ef19d8f566p+8, 0x1.38bd9b6dededbp+9, 0x1.8d0f0f0f0f0f6p+12},
+          {"spout25", 6u, 9u, 0x1.999b627ef0b7ap+7, 0x1.fdd3d3d3d3d4p+8, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt26", 6u, 8u, 0x1.8c75983bcbcbdp+8, 0x1.87a4331c5c5c5p+9, 0x1.261e1e1e1e1e1p+13},
+          {"bolt27", 6u, 9u, 0x1.d135eb7ec5e2bp+8, 0x1.6100d41858584p+9, 0x1.08b4b4b4b4b4ep+13},
+          {"bolt28", 6u, 8u, 0x1.4581fc1444442p+9, 0x1.1247967fbfbf8p+10, 0x1.60f0f0f0f0f12p+13},
+          {"bolt29", 6u, 9u, 0x1.8319a7e0c451cp+7, 0x1.610e34bd3d3d4p+8, 0x1.8d0f0f0f0f0f6p+12},
+          {"bolt30", 6u, 9u, 0x1.49de40d749102p+7, 0x1.39dee79d9d9d8p+8, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt31", 6u, 8u, 0x1.cc1167c5a5a5fp+8, 0x1.aeed7c65a5a5ep+9, 0x1.d69696969696fp+12},
+          {"bolt32", 6u, 9u, 0x1.275d2f7794056p+8, 0x1.871a91dbdbdcp+8, 0x1.4ae1e1e1e1e1dp+13},
+          {"bolt33", 6u, 9u, 0x1.04c3fb6b4edd2p+9, 0x1.fd4cdbc505054p+9, 0x1.8d0f0f0f0f0f6p+12},
+          {"bolt34", 6u, 9u, 0x1.45eb172286144p+8, 0x1.12019079b9b9cp+9, 0x1.08b4b4b4b4b4ep+12},
+          {"bolt35", 6u, 7u, 0x1.4335b88eb7dc7p+10, 0x1.f384914d0d0cep+10, 0x1.8a9b9b9b9b9b2p+13},
+          {"bolt36", 6u, 5u, 0x1.1827c03a8dc0ep+10, 0x1.60b61b6282826p+10, 0x1.23aaaaaaaaaadp+14},
+          {"bolt37", 6u, 8u, 0x1.f30eecbf3f3f2p+8, 0x1.aef07f68a8a89p+9, 0x1.261e1e1e1e1e1p+13},
+          {"bolt38", 6u, 9u, 0x1.7db9b5d6ba48cp+6, 0x1.d49eda7f7f7fap+7, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt39", 6u, 9u, 0x1.00fe015198b54p+8, 0x1.60fd3d3d3d3d6p+9, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt40", 6u, 9u, 0x1.686bea63c755bp+8, 0x1.add4bd1dddddfp+9, 0x1.08b4b4b4b4b4ep+12},
+          {"bolt41", 6u, 7u, 0x1.8cfab4bf5ac82p+9, 0x1.255b63c48484p+10, 0x1.af5f5f5f5f5fbp+13},
+          {"bolt42", 6u, 9u, 0x1.33fefefefeff1p+7, 0x1.37c17d2222222p+8, 0x1.08b4b4b4b4b4ep+11},
+          {"bolt43", 6u, 6u, 0x1.374e8991267bdp+8, 0x1.6110ea61e1e24p+8, 0x1.34d2d2d2d2d28p+13},
+          {"bolt44", 6u, 9u, 0x1.41daa76ca5895p+8, 0x1.120d9c85c5c5ep+9, 0x1.8d0f0f0f0f0f6p+12},
+          {"bolt45", 6u, 8u, 0x1.235091a86868cp+9, 0x1.08743bb050503p+10, 0x1.ea32323232329p+12},
+          {"bolt46", 6u, 8u, 0x1.569240b3e3e42p+8, 0x1.1207967fbfbfcp+9, 0x1.60f0f0f0f0f12p+12},
+          {"bolt47", 6u, 8u, 0x1.39247755ededep+9, 0x1.e9af5c17d7d7ap+9, 0x1.9bc3c3c3c3c34p+13},
+          {"bolt48", 6u, 8u, 0x1.f10f5e4787877p+9, 0x1.9b8ad246e6e6cp+10, 0x1.d69696969696fp+12},
+          {"bolt49", 6u, 8u, 0x1.0194823733332p+10, 0x1.9b8dd549e9e9cp+10, 0x1.fdcdcdcdcdce3p+11},
+      }}},
 };
 
 struct Case {
@@ -480,6 +537,18 @@ std::vector<Case> golden_cases() {
     c.batch_size = 2000000;
     cases.push_back({"small/crashed", t, c, topo::paper_cluster(),
                      synth_params(), 3});
+  }
+  {
+    // One executor and one receiver thread per worker: nearly every
+    // finished job hands its slot to a queued job on the same machine, so
+    // the departure pop's deferred tree write is overwritten inside
+    // finish_job on most events.
+    sim::Topology t = synthetic(topo::TopologySize::kMedium, false, 0.0);
+    sim::TopologyConfig c = synth_config(t, 6);
+    c.worker_threads = 1;
+    c.receiver_threads = 1;
+    cases.push_back({"medium/wt1rt1/seed5", t, c, topo::paper_cluster(),
+                     synth_params(), 5});
   }
   return cases;
 }

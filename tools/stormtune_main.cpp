@@ -16,8 +16,9 @@
 // tune options:     --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
 //                   --what=h|h,batch|h,batch,cc|batch,cc --seed=N
 //                   --json=FILE --csv=FILE --threads=N (BayesOpt suggest
-//                   pool width; 0 = auto, the default; never changes
-//                   results)
+//                   pool width, and the workers the best-config
+//                   repetitions fan out over; 0 = auto, the default; never
+//                   changes results)
 //                   --adaptive-window[=EPS]  end each evaluation once its
 //                   steady-state throughput estimate converges (relative
 //                   95% CI half-width < EPS, default 0.05) instead of
@@ -45,7 +46,8 @@
 //                   ladder_challenge_fraction/ladder_promote_top_k, with
 //                   the command-line flags supplying the defaults.
 //                   --threads=N sizes the work-stealing scheduler (the
-//                   per-campaign optimizers run single-threaded);
+//                   per-campaign optimizers run single-threaded; idle
+//                   workers also take passes' repetitions);
 //                   --jsonl=FILE streams finished campaigns through the
 //                   async result sink, one JSON line per campaign in
 //                   submission order. Per-campaign results are
@@ -111,8 +113,9 @@ struct Options {
   std::string what = "h";
   std::string json_path;
   std::string csv_path;
-  std::size_t threads = 0;  // tune: BO suggest pool; tune-many: scheduler
-                            // workers (0 = auto for both)
+  std::size_t threads = 0;  // tune: BO suggest pool and repetition
+                            // workers; tune-many: scheduler workers
+                            // (0 = auto for both)
   std::string fidelity = "full";  // full | ladder (bo/ibo only)
   std::size_t gp_window = 0;      // --gp-window: BO observation window
                                   // (0 = unbounded, the default)
@@ -436,8 +439,7 @@ int cmd_tune(const Options& o) {
   // The FidelityLadder IS the objective; the tuner shares it.
   std::unique_ptr<tuning::Tuner> tuner;
   std::shared_ptr<tuning::FidelityLadder> ladder;
-  std::unique_ptr<tuning::SimObjective> sim_objective;
-  tuning::Objective* objective = nullptr;
+  std::unique_ptr<tuning::Objective> objective;
   if (o.fidelity == "ladder") {
     require_ladder_strategy(o);
     ladder = std::make_shared<tuning::FidelityLadder>(
@@ -446,12 +448,11 @@ int cmd_tune(const Options& o) {
         tuning::ConfigSpace(w.topology, space_options_from(o), defaults),
         ladder_bo_options_from(o, o.seed, o.threads), ladder,
         o.strategy + "+ladder");
-    objective = ladder.get();
+    objective = std::make_unique<tuning::SharedLadderObjective>(ladder);
   } else {
     tuner = build_tuner(o, w, defaults, o.seed, o.threads);
-    sim_objective = std::make_unique<tuning::SimObjective>(
+    objective = std::make_unique<tuning::SimObjective>(
         w.topology, w.cluster, w.params, o.seed);
-    objective = sim_objective.get();
   }
 
   tuning::ExperimentOptions protocol;
@@ -463,8 +464,17 @@ int cmd_tune(const Options& o) {
   std::printf("tuning %s with %s over {%s}, %zu steps, %zu thread%s...\n",
               o.topology.c_str(), tuner->name().c_str(), o.what.c_str(),
               o.steps, threads, threads == 1 ? "" : "s");
-  const tuning::ExperimentResult r =
-      tuning::run_experiment(*tuner, *objective, protocol);
+  // One pass on a `threads`-wide pool, so its repetitions fan out over
+  // the workers the suggest loop leaves idle.
+  tuning::CampaignSpec spec;
+  spec.name = o.topology;
+  spec.passes = 1;
+  spec.options = protocol;
+  spec.make_tuner = [&tuner](std::size_t) { return std::move(tuner); };
+  spec.make_objective = [&objective](std::size_t) {
+    return std::move(objective);
+  };
+  const tuning::ExperimentResult r = tuning::run_campaign(spec, threads);
   if (ladder) {
     const tuning::LadderStats& ls = ladder->stats();
     std::printf("ladder:       %zu screened, %zu rung-1 runs, %zu full runs "

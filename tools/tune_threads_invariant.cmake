@@ -1,7 +1,8 @@
 # Checks that `stormtune tune` output does not depend on --threads.
 #
 # Runs `stormtune tune small --steps=8 --reps=6 --json=FILE` at
-# --threads=1, 2 and 4 and requires the JSON documents to be byte-identical.
+# --threads=1, 2, 4, 8 (more workers than repetitions) and 0 (the automatic
+# width), and requires the JSON documents to be byte-identical.
 #
 #   cmake -DSTORMTUNE=<path to stormtune> -DWORK_DIR=<scratch dir> \
 #         -P tools/tune_threads_invariant.cmake
@@ -11,7 +12,7 @@ endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(reference "")
-foreach(threads 1 2 4)
+foreach(threads 1 2 4 8 0)
   set(json "${WORK_DIR}/tune_threads_${threads}.json")
   execute_process(
     COMMAND "${STORMTUNE}" tune small --steps=8 --reps=6
@@ -30,4 +31,4 @@ foreach(threads 1 2 4)
             "--threads=1 (compare ${WORK_DIR}/tune_threads_*.json)")
   endif()
 endforeach()
-message(STATUS "tune output identical at --threads=1,2,4")
+message(STATUS "tune output identical at --threads=1,2,4,8,0")
