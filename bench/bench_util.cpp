@@ -12,11 +12,10 @@
 
 #include "common/error.hpp"
 #include "common/isa.hpp"
-#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "topology/sundog.hpp"
 #include "tuning/objective.hpp"
-#include "tuning/report.hpp"
+#include "tuning/result_sink.hpp"
 
 namespace stormtune::bench {
 
@@ -271,6 +270,19 @@ class TimedTuner final : public tuning::Tuner {
   SuggestTimer::Slot& slot_;
 };
 
+/// Append one campaign result to args.campaigns_json (no-op when unset) in
+/// the tune-many sink's record format. Bench binaries run campaigns
+/// serially, so a process-local ticket keeps the file in execution order.
+void record_campaign_result(const Args& args, const std::string& name,
+                            const tuning::ExperimentResult& best) {
+  if (args.campaigns_json.empty()) return;
+  static std::size_t ticket = 0;
+  std::ofstream out(args.campaigns_json, std::ios::app);
+  STORMTUNE_REQUIRE(out.good(), "cannot append to --campaigns-json file '" +
+                                    args.campaigns_json + "'");
+  tuning::JsonlResultBackend(out).write({ticket++, name, best});
+}
+
 }  // namespace
 
 tuning::TunerFactory SuggestTimer::wrap(tuning::TunerFactory make_tuner) {
@@ -390,23 +402,6 @@ SundogResult run_sundog_campaign(const Args& args,
   record_campaign_result(args, "sundog/" + strategy + "/" + param_set,
                          out.best);
   return out;
-}
-
-void record_campaign_result(const Args& args, const std::string& name,
-                            const tuning::ExperimentResult& best) {
-  if (args.campaigns_json.empty()) return;
-  // Bench binaries run campaigns serially, so an append-per-campaign with a
-  // process-local ticket keeps the file in execution order — the same
-  // record shape the tune-many result sink writes.
-  static std::size_t ticket = 0;
-  std::ofstream out(args.campaigns_json, std::ios::app);
-  STORMTUNE_REQUIRE(out.good(), "cannot append to --campaigns-json file '" +
-                                    args.campaigns_json + "'");
-  JsonObject o;
-  o["ticket"] = ticket++;
-  o["name"] = name;
-  o["result"] = tuning::experiment_to_json(best);
-  out << Json(std::move(o)).dump() << '\n';
 }
 
 std::string format_rate(double tuples_per_s) {

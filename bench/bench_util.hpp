@@ -147,13 +147,6 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
                                 const std::string& strategy,
                                 std::size_t step_override = 0);
 
-/// Append one campaign result to args.campaigns_json (no-op when unset):
-/// {"ticket":N,"name":...,"result":{...}}, ticket counting appends within
-/// this process. Called by the campaign runners above; standalone benches
-/// with their own drivers can call it directly.
-void record_campaign_result(const Args& args, const std::string& name,
-                            const tuning::ExperimentResult& best);
-
 /// Format tuples/s compactly (e.g. "611k", "1.68M").
 std::string format_rate(double tuples_per_s);
 

@@ -29,8 +29,9 @@
 // bit-identical to a solo run_campaign() of the same spec — for any thread
 // count, any submission order of the other campaigns, and any
 // interleaving, with no excluded field: the library reads no clock.
-// Finished campaigns flow to an optional ResultSink keyed by submission ticket, so output files are
-// byte-identical regardless of completion order.
+// The worker that finishes a campaign submits it to an optional ResultSink,
+// which writes it on that worker in submission-ticket order, so output
+// files are byte-identical regardless of completion order.
 //
 // See DESIGN.md §9 "Multi-tenant campaign scheduling".
 #pragma once

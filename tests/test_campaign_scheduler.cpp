@@ -491,11 +491,8 @@ TEST(CampaignScheduler, SinkReceivesEveryCampaignInTicketOrder) {
   }
 
   std::ostringstream out;
-  ResultSinkOptions sink_opts;
-  sink_opts.queue_capacity = 4;  // force some backpressure
-  sink_opts.batch_max = 3;
-  sink_opts.expected_records = kCampaigns;
-  ResultSink sink(std::make_unique<JsonlResultBackend>(out), sink_opts);
+  ResultSink sink(std::make_unique<JsonlResultBackend>(out),
+                  {.expected_records = kCampaigns});
   const MultiCampaignResult multi =
       run_campaigns(specs, {.num_threads = 4}, &sink);
   sink.close();

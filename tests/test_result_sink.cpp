@@ -1,15 +1,17 @@
-// Tests for the async buffered result pipeline (tuning/result_sink.hpp).
+// Tests for the ticket-ordered result sink (tuning/result_sink.hpp).
 //
 // The contract under test: output bytes are a pure function of the
-// submitted records — the writer emits strict ticket order no matter the
-// submission order, producer count, queue capacity, or batch size. Plus
-// the corruption-detection side: checked builds reject duplicate and
+// submitted records — the sink emits strict ticket order no matter the
+// submission order or producer count, and a record is in the stream as
+// soon as the ticket prefix before it is complete. Plus the
+// corruption-detection side: checked builds reject duplicate and
 // out-of-range tickets at submit(), and close() turns a ticket gap into a
 // hard error in every build.
 #include "tuning/result_sink.hpp"
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -76,18 +78,27 @@ TEST(ResultSink, ReordersOutOfOrderTicketsIntoSubmissionOrder) {
   EXPECT_EQ(expect, 3u);
 }
 
-TEST(ResultSink, BytesIndependentOfQueueShapeAndProducerCount) {
-  const std::string reference = jsonl_of_serial_submission(32);
-  // Tiny queue + tiny batches + concurrent producers submitting shuffled
-  // disjoint ranges: backpressure and reordering both engage, and the
-  // bytes must not change.
+TEST(ResultSink, WritesEachTicketPrefixBeforeClose) {
   std::ostringstream out;
-  ResultSinkOptions opts;
-  opts.queue_capacity = 1;
-  opts.batch_max = 2;
-  opts.expected_records = 32;
+  ResultSink sink(std::make_unique<JsonlResultBackend>(out),
+                  {.expected_records = 2});
+  sink.submit(make_outcome(1));
+  EXPECT_EQ(out.str(), "");  // ticket 1 waits for ticket 0
+  EXPECT_EQ(sink.written(), 0u);
+  sink.submit(make_outcome(0));
+  EXPECT_EQ(out.str(), jsonl_of_serial_submission(2));
+  EXPECT_EQ(sink.written(), 2u);
+  sink.close();
+}
+
+TEST(ResultSink, BytesIndependentOfProducerCount) {
+  const std::string reference = jsonl_of_serial_submission(32);
+  // Concurrent producers submitting shuffled disjoint ranges: reordering
+  // engages, and the bytes must not change.
+  std::ostringstream out;
   {
-    ResultSink sink(std::make_unique<JsonlResultBackend>(out), opts);
+    ResultSink sink(std::make_unique<JsonlResultBackend>(out),
+                    {.expected_records = 32});
     std::vector<std::thread> producers;
     for (std::size_t p = 0; p < 4; ++p) {
       producers.emplace_back([&sink, p] {
@@ -103,80 +114,20 @@ TEST(ResultSink, BytesIndependentOfQueueShapeAndProducerCount) {
   EXPECT_EQ(out.str(), reference);
 }
 
-TEST(ResultSink, CsvBackendWritesHeaderAndOneRowPerCampaign) {
+TEST(ResultSink, FormattingErrorReachesTheSubmitter) {
+  // A record that cannot be serialized throws on the submitting thread and
+  // stays unwritten, so close() reports the gap it leaves.
   std::ostringstream out;
   {
-    ResultSink sink(std::make_unique<CsvResultBackend>(out));
-    sink.submit(make_outcome(1));
+    ResultSink sink(std::make_unique<JsonlResultBackend>(out));
     sink.submit(make_outcome(0));
-    sink.close();
+    CampaignOutcome bad = make_outcome(1);
+    bad.result.best_throughput = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(sink.submit(std::move(bad)), Error);
+    EXPECT_EQ(sink.written(), 1u);
+    EXPECT_THROW(sink.close(), Error);
   }
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line,
-            "ticket,name,strategy,steps,best_step,best_throughput,"
-            "rep_mean,rep_min,rep_max");
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line.rfind("0,campaign-0,random,2,2,", 0), 0u) << line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line.rfind("1,campaign-1,random,2,2,", 0), 0u) << line;
-  EXPECT_FALSE(std::getline(lines, line));
-}
-
-TEST(ResultSink, CsvBackendEscapesRfc4180SpecialsByteExactly) {
-  // Names and strategy labels are caller-supplied free text; fields
-  // containing a comma, quote, CR, or LF must be quoted with inner quotes
-  // doubled, and everything else must pass through untouched. Golden
-  // byte-identity, not substring checks: quoting is load-bearing for any
-  // downstream CSV reader.
-  std::ostringstream out;
-  {
-    ResultSink sink(std::make_unique<CsvResultBackend>(out));
-    CampaignOutcome comma{0, "shuffle, 8x grouping", make_result(0)};
-    comma.result.strategy = "bo,ei";
-    CampaignOutcome quote{1, "the \"fast\" config", make_result(1)};
-    quote.result.strategy = "a\"b";
-    CampaignOutcome newline{2, "line one\nline two", make_result(2)};
-    newline.result.strategy = "cr\rhere";
-    CampaignOutcome plain{3, "plain-name", make_result(3)};
-    sink.submit(comma);
-    sink.submit(quote);
-    sink.submit(newline);
-    sink.submit(plain);
-    sink.close();
-  }
-  EXPECT_EQ(out.str(),
-            "ticket,name,strategy,steps,best_step,best_throughput,"
-            "rep_mean,rep_min,rep_max\n"
-            "0,\"shuffle, 8x grouping\",\"bo,ei\",2,2,150,150,140,160\n"
-            "1,\"the \"\"fast\"\" config\",\"a\"\"b\",2,2,151,151,141,161\n"
-            "2,\"line one\nline two\",\"cr\rhere\",2,2,152,152,142,162\n"
-            "3,plain-name,random,2,2,153,153,143,163\n");
-}
-
-TEST(ResultSink, CsvEscapingIsByteStableAcrossQueueShapes) {
-  // The escaped bytes must be a pure function of the submitted records —
-  // same golden output whatever the queue capacity and batch size.
-  auto render = [](std::size_t queue_capacity, std::size_t batch_max) {
-    std::ostringstream out;
-    ResultSinkOptions options;
-    options.queue_capacity = queue_capacity;
-    options.batch_max = batch_max;
-    ResultSink sink(std::make_unique<CsvResultBackend>(out), options);
-    for (std::size_t i = 0; i < 6; ++i) {
-      CampaignOutcome o{i, "c-" + std::to_string(i) + ",\"x\"",
-                        make_result(i)};
-      sink.submit(std::move(o));
-    }
-    sink.close();
-    return out.str();
-  };
-  const std::string golden = render(256, 64);
-  EXPECT_NE(golden.find(",\"c-0,\"\"x\"\"\",random,"), std::string::npos)
-      << golden;
-  EXPECT_EQ(render(1, 1), golden);
-  EXPECT_EQ(render(2, 3), golden);
+  EXPECT_EQ(out.str(), jsonl_of_serial_submission(1));
 }
 
 TEST(ResultSink, CloseIsIdempotentAndRejectsLateSubmissions) {
@@ -196,8 +147,7 @@ TEST(ResultSink, CloseWithTicketGapThrowsButDestructsSafely) {
   std::ostringstream out;
   {
     ResultSink sink(std::make_unique<JsonlResultBackend>(out),
-                    {.queue_capacity = 8, .batch_max = 8,
-                     .expected_records = 3});
+                    {.expected_records = 3});
     sink.submit(make_outcome(0));
     sink.submit(make_outcome(2));
     EXPECT_THROW(sink.close(), Error);
@@ -208,8 +158,7 @@ TEST(ResultSink, CheckedBuildRejectsDuplicateTicket) {
 #ifdef STORMTUNE_CHECKED
   std::ostringstream out;
   ResultSink sink(std::make_unique<JsonlResultBackend>(out),
-                  {.queue_capacity = 8, .batch_max = 8,
-                   .expected_records = 4});
+                  {.expected_records = 4});
   sink.submit(make_outcome(1));
   EXPECT_THROW(sink.submit(make_outcome(1)), InvariantError);
 #else
@@ -221,8 +170,7 @@ TEST(ResultSink, CheckedBuildRejectsTicketBeyondDeclaredCount) {
 #ifdef STORMTUNE_CHECKED
   std::ostringstream out;
   ResultSink sink(std::make_unique<JsonlResultBackend>(out),
-                  {.queue_capacity = 8, .batch_max = 8,
-                   .expected_records = 2});
+                  {.expected_records = 2});
   sink.submit(make_outcome(0));
   EXPECT_THROW(sink.submit(make_outcome(2)), InvariantError);
 #else
@@ -237,8 +185,7 @@ TEST(ResultSink, ReleaseAndCheckedAgreeOnHappyPath) {
   std::ostringstream out;
   {
     ResultSink sink(std::make_unique<JsonlResultBackend>(out),
-                    {.queue_capacity = 4, .batch_max = 4,
-                     .expected_records = 5});
+                    {.expected_records = 5});
     for (std::size_t i = 5; i-- > 0;) sink.submit(make_outcome(i));
     sink.close();
     EXPECT_EQ(sink.written(), 5u);

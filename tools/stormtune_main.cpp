@@ -45,12 +45,16 @@
 //                   fidelity/gp_window/ladder_rung1_epsilon/
 //                   ladder_challenge_fraction/ladder_promote_top_k, with
 //                   the command-line flags supplying the defaults.
+//                   steps/reps/passes/seed/gp_window/ladder_promote_top_k
+//                   must be non-negative integers; anything else is an
+//                   error (exit 1) that names the field.
 //                   --threads=N sizes the work-stealing scheduler (the
 //                   per-campaign optimizers run single-threaded; idle
 //                   workers also take passes' repetitions);
-//                   --jsonl=FILE streams finished campaigns through the
-//                   async result sink, one JSON line per campaign in
-//                   submission order. Per-campaign results are
+//                   --jsonl=FILE writes each finished campaign through
+//                   the result sink, one JSON line per campaign in
+//                   submission order, flushed as soon as the campaigns
+//                   before it have finished. Per-campaign results are
 //                   bit-identical to running that campaign alone (a
 //                   one-entry file), for any thread count and submission
 //                   order.
@@ -64,6 +68,8 @@
 // the STORMTUNE_ISA environment variable (portable|avx2|avx512|auto;
 // default auto-detect).
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -504,6 +510,17 @@ int cmd_tune(const Options& o) {
   return 0;
 }
 
+/// A campaign-file count or seed: a non-negative integer below 2^64, or an
+/// Error that names the field.
+std::uint64_t campaign_count(const Json& entry, const char* field) {
+  const Json& v = entry.at(field);
+  const double d = v.is_number() ? v.as_number() : -1.0;
+  STORMTUNE_REQUIRE(d >= 0.0 && d < 0x1p64 && d == std::floor(d),
+                    std::string("campaign field '") + field +
+                        "' must be a non-negative integer");
+  return static_cast<std::uint64_t>(d);
+}
+
 /// One campaign's resolved options: the command-line Options as defaults,
 /// overridden by the entry's JSON fields.
 Options campaign_options(const Options& base, const Json& entry) {
@@ -511,18 +528,10 @@ Options campaign_options(const Options& base, const Json& entry) {
   o.topology = entry.at("topology").as_string();
   if (entry.contains("strategy")) o.strategy = entry.at("strategy").as_string();
   if (entry.contains("what")) o.what = entry.at("what").as_string();
-  if (entry.contains("steps")) {
-    o.steps = static_cast<std::size_t>(entry.at("steps").as_int());
-  }
-  if (entry.contains("reps")) {
-    o.reps = static_cast<std::size_t>(entry.at("reps").as_int());
-  }
-  if (entry.contains("passes")) {
-    o.passes = static_cast<std::size_t>(entry.at("passes").as_int());
-  }
-  if (entry.contains("seed")) {
-    o.seed = static_cast<std::uint64_t>(entry.at("seed").as_number());
-  }
+  if (entry.contains("steps")) o.steps = campaign_count(entry, "steps");
+  if (entry.contains("reps")) o.reps = campaign_count(entry, "reps");
+  if (entry.contains("passes")) o.passes = campaign_count(entry, "passes");
+  if (entry.contains("seed")) o.seed = campaign_count(entry, "seed");
   if (entry.contains("duration")) o.duration_s = entry.at("duration").as_number();
   if (entry.contains("tiim")) o.tiim = entry.at("tiim").as_bool();
   if (entry.contains("contention")) {
@@ -541,7 +550,7 @@ Options campaign_options(const Options& base, const Json& entry) {
                       "campaign fidelity must be 'full' or 'ladder'");
   }
   if (entry.contains("gp_window")) {
-    o.gp_window = static_cast<std::size_t>(entry.at("gp_window").as_int());
+    o.gp_window = campaign_count(entry, "gp_window");
   }
   if (entry.contains("ladder_rung1_epsilon")) {
     o.ladder_rung1_epsilon = entry.at("ladder_rung1_epsilon").as_number();
@@ -551,8 +560,7 @@ Options campaign_options(const Options& base, const Json& entry) {
         entry.at("ladder_challenge_fraction").as_number();
   }
   if (entry.contains("ladder_promote_top_k")) {
-    o.ladder_promote_top_k =
-        static_cast<std::size_t>(entry.at("ladder_promote_top_k").as_int());
+    o.ladder_promote_top_k = campaign_count(entry, "ladder_promote_top_k");
   }
   return o;
 }
