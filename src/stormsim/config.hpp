@@ -50,6 +50,8 @@ struct TopologyConfig {
   void validate(const Topology& topology) const;
 
   std::string describe() const;
+
+  bool operator==(const TopologyConfig&) const = default;
 };
 
 /// A configuration where every node has the same parallelism hint — the

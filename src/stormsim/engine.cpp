@@ -179,6 +179,16 @@ struct EdgeEventEarlier {
   }
 };
 
+/// A run's last RNG draw: the multiplicative measurement noise on the
+/// committed-tuple throughput. run() and redraw_noise() both draw it here.
+void apply_measurement_noise(SimResult& r, const SimParams& params, Rng& rng) {
+  const double noise =
+      params.throughput_noise_sd > 0.0
+          ? std::max(0.0, 1.0 + rng.normal(0.0, params.throughput_noise_sd))
+          : 1.0;
+  r.throughput_tuples_per_s = r.noiseless_throughput * noise;
+}
+
 }  // namespace engine_detail
 
 using namespace engine_detail;
@@ -508,7 +518,8 @@ void SimWorkspace::build_deployment() {
   }
 
   // Plan the task placement with the configured scheduler policy (Storm's
-  // even scheduler by default).
+  // even scheduler by default). The seed is drawn for every policy:
+  // redraw_noise() replays this draw order, so keep the two in step.
   assign_tasks_into(*topo_, hints_, config_->effective_ackers(num_workers),
                     num_workers, params_->scheduler, /*seed=*/rng_(),
                     assignment_, assign_scratch_);
@@ -1131,12 +1142,7 @@ STORMTUNE_HOT const SimResult& SimWorkspace::run(const Topology& topology,
   }
   r.tuples_committed = committed * static_cast<double>(config_->batch_size);
   r.noiseless_throughput = r.tuples_committed / params_->duration_s;
-  const double noise =
-      params_->throughput_noise_sd > 0.0
-          ? std::max(0.0,
-                     1.0 + rng_.normal(0.0, params_->throughput_noise_sd))
-          : 1.0;
-  r.throughput_tuples_per_s = r.noiseless_throughput * noise;
+  apply_measurement_noise(r, *params_, rng_);
   r.mean_batch_latency_ms =
       batches_committed_ > 0
           ? total_latency_ms_ / static_cast<double>(batches_committed_)
@@ -1215,6 +1221,26 @@ SimResult simulate(const Topology& topology, const TopologyConfig& config,
                    std::uint64_t seed) {
   Simulator sim;
   return sim.run(topology, config, cluster, params, seed);
+}
+
+bool seed_only_draws_noise(const SimParams& params) {
+  return params.background_load_prob == 0.0 &&
+         params.scheduler != SchedulerPolicy::kRandom;
+}
+
+void redraw_noise(SimResult& result, const SimParams& params,
+                  std::uint64_t seed) {
+  STORMTUNE_REQUIRE(seed_only_draws_noise(params),
+                    "redraw_noise: the seed also draws background load or "
+                    "task placement, so the run itself depends on it");
+  // run()'s draws, in order: one Bernoulli per machine when background
+  // load is on (ruled out above); the placement seed, which every policy
+  // but kRandom ignores; and, unless the deployment crashed before its
+  // event loop, the measurement noise.
+  Rng rng(seed);
+  rng();
+  if (result.crashed) return;
+  apply_measurement_noise(result, params, rng);
 }
 
 }  // namespace stormtune::sim

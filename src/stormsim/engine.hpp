@@ -95,10 +95,24 @@ class Simulator {
 /// over a scratch Simulator workspace — prefer a long-lived Simulator when
 /// evaluating repeatedly.
 ///
-/// `seed` drives all stochastic elements (noise, background load); the same
-/// seed yields a bit-identical result.
+/// `seed` drives all stochastic elements (noise, background load, random
+/// placement); the same seed yields a bit-identical result.
 SimResult simulate(const Topology& topology, const TopologyConfig& config,
                    const ClusterSpec& cluster, const SimParams& params,
                    std::uint64_t seed);
+
+/// True when a run's seed reaches nothing but its measurement noise: no
+/// background-load draws (`background_load_prob == 0`) and a placement
+/// policy that ignores its seed (not kRandom). The event trajectory, and
+/// every SimResult field except throughput_tuples_per_s, is then a pure
+/// function of (topology, config, cluster, params).
+bool seed_only_draws_noise(const SimParams& params);
+
+/// Turn `result`, a run of some seed under `params`, into the run of `seed`
+/// by redrawing its measurement noise: the same RNG draws, in the same
+/// order, that run() makes. Requires seed_only_draws_noise(params); the
+/// result is then bit-identical to a fresh run at `seed`.
+void redraw_noise(SimResult& result, const SimParams& params,
+                  std::uint64_t seed);
 
 }  // namespace stormtune::sim

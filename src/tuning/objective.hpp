@@ -54,6 +54,11 @@ class SimObjective final : public Objective {
   SimObjective(sim::Topology topology, sim::ClusterSpec cluster,
                sim::SimParams params, std::uint64_t seed);
 
+  /// One run at this evaluation's seed. When the seed draws only the noise
+  /// and `config` is the recorded best run's, the run would retrace that
+  /// run's events exactly, so evaluate() copies its result and redraws the
+  /// noise (sim::redraw_noise): bit-identical, without the simulation.
+  /// Checked builds simulate anyway and require every field to match.
   double evaluate(const sim::TopologyConfig& config) override;
   std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override;
   bool rebind_stream(std::uint64_t stream) override;
@@ -62,8 +67,19 @@ class SimObjective final : public Objective {
   const sim::SimResult& last_result() const { return last_; }
   const sim::Topology& topology() const { return topology_; }
   std::size_t num_evaluations() const { return evaluations_; }
+  /// Evaluations since construction that replayed the best run instead of
+  /// simulating (see evaluate()).
+  std::size_t num_replays() const { return replays_; }
 
  private:
+  /// The configuration with the highest value this objective has returned
+  /// (strict >, so the first of equal values stays) and that run's full
+  /// result. Immutable, so clones share it across threads.
+  struct BestRun {
+    sim::TopologyConfig config;
+    sim::SimResult result;
+  };
+
   sim::Topology topology_;
   sim::ClusterSpec cluster_;
   sim::SimParams params_;
@@ -73,10 +89,14 @@ class SimObjective final : public Objective {
   std::uint64_t stream_base_ = 0;
   bool cloned_ = false;
   std::size_t evaluations_ = 0;
+  std::size_t replays_ = 0;
   /// Persistent simulation workspace: repeated evaluations reuse all engine
   /// buffers (see sim::Simulator) instead of reconstructing them per run.
   sim::Simulator simulator_;
   sim::SimResult last_;
+  /// Shared with clone_stream() copies, kept across rebind_stream(). Stays
+  /// empty unless sim::seed_only_draws_noise(params_).
+  std::shared_ptr<const BestRun> best_;
 };
 
 }  // namespace stormtune::tuning

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -29,6 +30,7 @@
 #include "common/error.hpp"
 #include "topology/synthetic.hpp"
 #include "tuning/config_space.hpp"
+#include "tuning/fidelity.hpp"
 #include "tuning/report.hpp"
 #include "tuning/tuner.hpp"
 
@@ -479,6 +481,156 @@ TEST(CampaignScheduler, RepFanOutMatchesSequentialReps) {
     if (width == 4) {
       EXPECT_GT(ids->ids.size(), 1u)
           << "the repetitions never left the pass strand's thread";
+    }
+  }
+}
+
+/// Reference repetitions for the replay path: evaluations go to the pass
+/// objective, but repetition r runs on clone_stream(r) of `twin`, a
+/// never-evaluated SimObjective built like the pass's full-fidelity one. Its
+/// clones hold no best run to replay, so every repetition simulates, on the
+/// seeds of the pass objective's clones (a stream seed derives from the
+/// construction seed alone). rebind_stream stays unsupported, so each
+/// repetition gets a fresh clone.
+class SimulatedRepsObjective final : public Objective {
+ public:
+  SimulatedRepsObjective(std::unique_ptr<Objective> pass,
+                         std::unique_ptr<SimObjective> twin)
+      : pass_(std::move(pass)), twin_(std::move(twin)) {}
+
+  double evaluate(const sim::TopologyConfig& c) override {
+    return pass_->evaluate(c);
+  }
+  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override {
+    return twin_->clone_stream(stream);
+  }
+
+ private:
+  std::unique_ptr<Objective> pass_;
+  std::unique_ptr<SimObjective> twin_;
+};
+
+/// The wrapped objective, stream for stream, counting the evaluations it
+/// and its clones answered by replaying a recorded run.
+class ReplayCountingObjective final : public Objective {
+ public:
+  using Counter = std::shared_ptr<std::atomic<std::size_t>>;
+
+  ReplayCountingObjective(std::unique_ptr<Objective> inner, Counter replays)
+      : inner_(std::move(inner)), replays_(std::move(replays)) {}
+
+  double evaluate(const sim::TopologyConfig& c) override {
+    const double v = inner_->evaluate(c);
+    if (const auto* sim = dynamic_cast<const SimObjective*>(inner_.get())) {
+      replays_->fetch_add(sim->num_replays() - seen_);
+      seen_ = sim->num_replays();
+    }
+    return v;
+  }
+  std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override {
+    std::unique_ptr<Objective> inner = inner_->clone_stream(stream);
+    if (!inner) return nullptr;
+    return std::make_unique<ReplayCountingObjective>(std::move(inner),
+                                                     replays_);
+  }
+  bool rebind_stream(std::uint64_t stream) override {
+    return inner_->rebind_stream(stream);
+  }
+
+ private:
+  std::unique_ptr<Objective> inner_;
+  Counter replays_;
+  std::size_t seen_ = 0;
+};
+
+TEST(CampaignScheduler, ReplayedRepetitionsMatchSimulatedOnes) {
+  // Under default SimParams a run's seed reaches only its measurement
+  // noise, so a repetition of the recorded best run replays it instead of
+  // simulating. A 30-rep full-fidelity pass and a 30-rep ladder pass must
+  // match, bit for bit at widths 1, 2 and 4, a reference whose repetitions
+  // all simulate.
+  const sim::Topology t = topo::build_synthetic(topo::SyntheticSpec{});
+  const sim::ClusterSpec cluster = topo::paper_cluster();
+  sim::SimParams params = topo::synthetic_sim_params();
+  params.duration_s = 20.0;
+  const sim::TopologyConfig defaults = sim::uniform_hint_config(t, 4);
+  SpaceOptions sopts;
+  sopts.hint_max = 8;
+  constexpr std::size_t kReps = 30;
+  constexpr std::uint64_t kSeed = 41;
+
+  // Fresh factories per run: a ladder pass's tuner and objective share one
+  // stateful ladder.
+  auto make_spec = [&](bool ladder, bool reference,
+                       ReplayCountingObjective::Counter replays) {
+    CampaignSpec spec;
+    ObjectiveFactory pass_objective;
+    if (ladder) {
+      LadderCampaignConfig lc;
+      lc.topology = t;
+      lc.cluster = cluster;
+      lc.params = params;
+      lc.space = sopts;
+      lc.defaults = defaults;
+      lc.bo.seed = kSeed;
+      lc.bo.num_threads = 1;
+      lc.bo.hyper_mode = bo::HyperMode::kFixed;
+      lc.objective_seed = kSeed;  // pass 0's rung-2 seed
+      auto factories = LadderCampaignFactories::create(std::move(lc));
+      spec.make_tuner = factories->tuner_factory();
+      pass_objective = factories->objective_factory();
+    } else {
+      spec.make_tuner = [&](std::size_t) -> std::unique_ptr<Tuner> {
+        return std::make_unique<RandomTuner>(ConfigSpace(t, sopts, defaults),
+                                             23);
+      };
+      pass_objective = [&](std::size_t) -> std::unique_ptr<Objective> {
+        return std::make_unique<SimObjective>(t, cluster, params, kSeed);
+      };
+    }
+    spec.make_objective = [&, pass_objective, reference,
+                           replays](std::size_t pass)
+        -> std::unique_ptr<Objective> {
+      if (reference) {
+        return std::make_unique<SimulatedRepsObjective>(
+            pass_objective(pass),
+            std::make_unique<SimObjective>(t, cluster, params, kSeed));
+      }
+      return std::make_unique<ReplayCountingObjective>(pass_objective(pass),
+                                                       replays);
+    };
+    spec.options.max_steps = 6;
+    spec.options.best_config_reps = kReps;
+    spec.passes = 1;
+    return spec;
+  };
+
+  for (const bool ladder : {false, true}) {
+    SCOPED_TRACE(ladder ? "ladder" : "full fidelity");
+    const CampaignSpec reference_spec = make_spec(ladder, true, nullptr);
+    const std::unique_ptr<Tuner> tuner = reference_spec.make_tuner(0);
+    const std::unique_ptr<Objective> objective =
+        reference_spec.make_objective(0);
+    const ExperimentResult reference =
+        run_experiment(*tuner, *objective, reference_spec.options);
+    ASSERT_EQ(reference.best_rep_values.size(), kReps);
+
+    for (const std::size_t width : {1u, 2u, 4u}) {
+      SCOPED_TRACE("width=" + std::to_string(width));
+      auto replays = std::make_shared<std::atomic<std::size_t>>(0);
+      const ExperimentResult r =
+          run_campaign(make_spec(ladder, false, replays), width);
+      EXPECT_EQ(fingerprint(r), fingerprint(reference));
+      // The tuning loop never repeats a configuration here, and every
+      // repetition worker inherits the pass's best run through
+      // clone_stream. A ladder's best value may come from a rung-1 run
+      // that was never simulated at full fidelity; then each worker's
+      // first repetition simulates and records it.
+      if (ladder) {
+        EXPECT_GE(replays->load(), kReps - width);
+      } else {
+        EXPECT_EQ(replays->load(), kReps);
+      }
     }
   }
 }

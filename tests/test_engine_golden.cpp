@@ -17,15 +17,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/error.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
 #include "topology/sundog.hpp"
 #include "topology/synthetic.hpp"
+#include "tuning/objective.hpp"
 
 // Binary-wide allocation counter (in the style of the CholeskyWorkspace
 // allocation_count() tests): every operator new bumps it, so a test can
@@ -695,6 +700,148 @@ TEST(EngineGolden, FluidWorkspaceReachesZeroSteadyStateAllocations) {
       << "steady-state fluid estimates allocated " << (after - before)
       << " times";
   EXPECT_GT(sink, 0.0);
+}
+
+/// Every SimResult field on one line, doubles as hexfloat, so an EXPECT_EQ
+/// on two of these is a bitwise comparison that prints both sides.
+std::string hex_fields(const sim::SimResult& r) {
+  std::string out;
+  char buf[64];
+  auto num = [&](double v) {
+    std::snprintf(buf, sizeof buf, "%a ", v);
+    out += buf;
+  };
+  auto count = [&](std::size_t v) { out += std::to_string(v) + ' '; };
+  num(r.throughput_tuples_per_s);
+  num(r.noiseless_throughput);
+  count(r.batches_committed);
+  count(r.batches_emitted);
+  num(r.tuples_committed);
+  num(r.mean_batch_latency_ms);
+  num(r.network_bytes_per_s_per_worker);
+  num(r.peak_nic_utilization);
+  num(r.cpu_utilization);
+  count(r.total_tasks);
+  count(r.crashed ? 1 : 0);
+  num(r.simulated_ms);
+  count(r.early_stopped ? 1 : 0);
+  for (const sim::NodeStats& n : r.node_stats) {
+    out += "| " + n.name + ' ';
+    count(n.tasks);
+    count(n.batches_processed);
+    num(n.mean_stage_ms);
+    num(n.max_stage_ms);
+    num(n.busy_core_ms);
+  }
+  return out;
+}
+
+TEST(EngineGolden, RedrawnNoiseMatchesAFreshRunAtTheNewSeed) {
+  // With no background load and a seed-blind placement policy, a run's seed
+  // reaches only its measurement noise, so redrawing the noise of a seed-s1
+  // run must give the seed-s2 run bit for bit. Every golden deployment
+  // (background load switched off where a case has it), plus an
+  // adaptive-window run that stops early and a deployment that OOM-crashes
+  // before its event loop, so it never draws its noise.
+  std::vector<Case> cases = golden_cases();
+  topo::SyntheticSpec spec;
+  spec.size = topo::TopologySize::kMedium;
+  const sim::Topology medium = topo::build_synthetic(spec);
+  {
+    sim::SimParams p = topo::synthetic_sim_params();
+    p.adaptive_window = true;
+    cases.push_back({"medium/adaptive/seed17", medium,
+                     sim::uniform_hint_config(medium, 6),
+                     topo::paper_cluster(), p, 17});
+  }
+  {
+    sim::SimParams p = topo::synthetic_sim_params();
+    p.task_memory_bytes = 1e12;
+    cases.push_back({"medium/oom/seed3", medium,
+                     sim::uniform_hint_config(medium, 4),
+                     topo::paper_cluster(), p, 3});
+  }
+  bool saw_crash = false;
+  bool saw_early_stop = false;
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.params.background_load_prob = 0.0;
+    ASSERT_TRUE(sim::seed_only_draws_noise(c.params));
+    const sim::SimResult base =
+        sim::simulate(c.topology, c.config, c.cluster, c.params, c.seed);
+    saw_crash = saw_crash || base.crashed;
+    saw_early_stop = saw_early_stop || base.early_stopped;
+    for (const std::uint64_t s2 :
+         {c.seed, c.seed + 1, std::uint64_t{2015},
+          std::uint64_t{0xdeadbeefcafef00d}}) {
+      SCOPED_TRACE("s2=" + std::to_string(s2));
+      sim::SimResult redrawn = base;
+      sim::redraw_noise(redrawn, c.params, s2);
+      EXPECT_EQ(hex_fields(redrawn),
+                hex_fields(sim::simulate(c.topology, c.config, c.cluster,
+                                         c.params, s2)));
+    }
+  }
+  EXPECT_TRUE(saw_crash);
+  EXPECT_TRUE(saw_early_stop);
+}
+
+TEST(EngineGolden, BackgroundLoadAndRandomPlacementRuleOutRedraws) {
+  const sim::SimParams plain = topo::synthetic_sim_params();
+  EXPECT_TRUE(sim::seed_only_draws_noise(plain));
+  sim::SimParams load_aware = plain;
+  load_aware.scheduler = sim::SchedulerPolicy::kLoadAware;
+  EXPECT_TRUE(sim::seed_only_draws_noise(load_aware));
+
+  sim::SimParams background = plain;
+  background.background_load_prob = 0.3;
+  sim::SimParams random = plain;
+  random.scheduler = sim::SchedulerPolicy::kRandom;
+  for (const sim::SimParams& p : {background, random}) {
+    EXPECT_FALSE(sim::seed_only_draws_noise(p));
+    sim::SimResult r;
+    EXPECT_THROW(sim::redraw_noise(r, p, 1), Error);
+  }
+}
+
+TEST(EngineGolden, SimObjectiveReplaysOnlyWhenTheSeedDrawsOnlyNoise) {
+  // `a` evaluates c twice, so its second run is its recorded best run's
+  // configuration; `b` evaluates d first, so its run of c simulates. Both
+  // second values are c at evaluation 2 of the same seed and must agree bit
+  // for bit, but only `a` under plain params may have replayed.
+  topo::SyntheticSpec spec;
+  spec.size = topo::TopologySize::kMedium;
+  const sim::Topology t = topo::build_synthetic(spec);
+  const sim::TopologyConfig c = sim::uniform_hint_config(t, 6);
+  const sim::TopologyConfig d = sim::uniform_hint_config(t, 4);
+  sim::SimParams plain = topo::synthetic_sim_params();
+  plain.duration_s = 5.0;
+  sim::SimParams background = plain;
+  background.background_load_prob = 0.3;
+  sim::SimParams random = plain;
+  random.scheduler = sim::SchedulerPolicy::kRandom;
+  for (const sim::SimParams& p : {plain, background, random}) {
+    const bool replayable = sim::seed_only_draws_noise(p);
+    SCOPED_TRACE(replayable ? "replayable" : "not replayable");
+    tuning::SimObjective a(t, topo::paper_cluster(), p, 31);
+    tuning::SimObjective b(t, topo::paper_cluster(), p, 31);
+    a.evaluate(c);
+    const double a2 = a.evaluate(c);
+    b.evaluate(d);
+    const double b2 = b.evaluate(c);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a2),
+              std::bit_cast<std::uint64_t>(b2));
+    EXPECT_EQ(hex_fields(a.last_result()), hex_fields(b.last_result()));
+    EXPECT_EQ(a.num_evaluations(), 2u);
+    EXPECT_EQ(a.num_replays(), replayable ? 1u : 0u);
+    EXPECT_EQ(b.num_replays(), 0u);
+
+    // A clone starts from its source's record.
+    const std::unique_ptr<tuning::Objective> clone = a.clone_stream(3);
+    clone->evaluate(c);
+    const auto& sim_clone = dynamic_cast<const tuning::SimObjective&>(*clone);
+    EXPECT_EQ(sim_clone.num_replays(), replayable ? 1u : 0u);
+  }
 }
 
 TEST(EngineGolden, RepeatedRunsAreIdentical) {
