@@ -17,6 +17,7 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bayesopt/bayesopt.hpp"
 #include "common/isa.hpp"
@@ -24,6 +25,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "gp/gp_regressor.hpp"
+#include "linalg/kernels.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
 #include "topology/sundog.hpp"
@@ -175,7 +177,9 @@ BENCHMARK(BM_GpPredictBatch)->Arg(16)->Arg(256)->Arg(1024);
 
 void BM_SqDistRows(benchmark::State& state) {
   // Unscaled squared distances from 512 candidates to a 100-point history
-  // in 101 dimensions: the bo100-large candidate-scoring distance block.
+  // in 101 dimensions: the bo100-large candidates, scored as the
+  // acquisition search does, one 64-candidate training-point-major block
+  // at a time.
   const std::size_t n = 100;
   const std::size_t d = 101;
   const std::size_t m = 512;
@@ -189,15 +193,22 @@ void BM_SqDistRows(benchmark::State& state) {
   gp::Kernel kernel(gp::KernelFamily::kMatern52, d, false);
   gp::GpRegressor gp(kernel, 1e-3);
   gp.fit(x, y);
-  Matrix q(m, d);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < d; ++j) q(i, j) = rng.uniform();
+  constexpr std::size_t kBlock = 64;
+  const std::size_t ld = linalg_kernels::padded_ld(kBlock);
+  std::vector<Matrix> blocks;  // candidates transposed, one per block
+  for (std::size_t b = 0; b < m; b += kBlock) {
+    Matrix& qt = blocks.emplace_back(d, ld);
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t c = 0; c < kBlock; ++c) qt(k, c) = rng.uniform();
+    }
   }
-  Matrix d2;
+  std::vector<double> d2t(n * ld);
   for (auto _ : state) {
-    gp.unscaled_sq_dist_rows(q, 0, m, d2);
-    benchmark::DoNotOptimize(d2.data());
-    benchmark::ClobberMemory();
+    for (const Matrix& qt : blocks) {
+      gp.unscaled_sq_dist_block(qt.data(), ld, kBlock, d2t.data(), ld);
+      benchmark::DoNotOptimize(d2t.data());
+      benchmark::ClobberMemory();
+    }
   }
 }
 BENCHMARK(BM_SqDistRows);
@@ -635,17 +646,18 @@ void BM_FidelityLadder(benchmark::State& state) {
 }
 BENCHMARK(BM_FidelityLadder)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_BayesOptSuggest(benchmark::State& state) {
+void BM_BayesOptSuggest(benchmark::State& state, std::size_t dims,
+                        std::size_t samples) {
   // Figure 7's unit of work: one suggestion given `range(0)`-many
-  // observations in a 51-dimensional space (the medium topology).
-  const std::size_t dims = 51;
+  // observations in a `dims`-dimensional space with `samples` slice-sampled
+  // GPs.
   std::vector<bo::ParamSpec> specs;
   for (std::size_t i = 0; i < dims; ++i) {
     specs.push_back(bo::ParamSpec::integer("h" + std::to_string(i), 1, 20));
   }
   bo::BayesOptOptions opts;
   opts.hyper_mode = bo::HyperMode::kSliceSample;
-  opts.hyper_samples = 3;
+  opts.hyper_samples = samples;
   opts.hyper_burn_in = 5;
   opts.num_candidates = 256;
   opts.seed = 3;
@@ -659,7 +671,15 @@ void BM_BayesOptSuggest(benchmark::State& state) {
     benchmark::DoNotOptimize(opt.suggest());
   }
 }
+
+// The medium topology's 51 hints with three samples.
+void BM_BayesOptSuggest(benchmark::State& state) {
+  BM_BayesOptSuggest(state, 51, 3);
+}
 BENCHMARK(BM_BayesOptSuggest)->Arg(10)->Arg(30)->Arg(60)
+    ->Unit(benchmark::kMillisecond);
+// bo100-large's shape: the large topology's 101 hints, five samples.
+BENCHMARK_CAPTURE(BM_BayesOptSuggest, d101_s5, 101, 5)->Arg(60)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SlidingWindowSuggest(benchmark::State& state) {

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/check.hpp"
+#include "linalg/kernels.hpp"
 
 namespace stormtune::bo {
 
@@ -142,6 +144,25 @@ ThreadPool& BayesOpt::pool() {
   return *pool_;
 }
 
+namespace {
+
+/// Candidates per scoring block: a multiple of every path's solve strip
+/// width (linalg/kernels_blocks.hpp), and small enough that each of a
+/// worker's blocks stays under 64 KiB at bo100-large's d = 101, n = 100.
+constexpr std::size_t kBlockRows = 64;
+/// Row stride of every block buffer, padded so the distance, solve and
+/// moment kernels' column strips do not alias in L1.
+constexpr std::size_t kBlockLd = linalg_kernels::padded_ld(kBlockRows);
+
+/// Local-search neighbour r of `cur`: coordinate r/2 moved by +step (r
+/// even) or −step (r odd), clamped to the unit interval.
+double neighbor_value(std::span<const double> cur, double step,
+                      std::size_t r) {
+  return std::clamp(cur[r / 2] + (r % 2 == 0 ? step : -step), 0.0, 1.0);
+}
+
+}  // namespace
+
 /// GP surrogate over standardized targets with a set of hyperparameter
 /// samples to marginalize over.
 struct BayesOpt::Surrogate {
@@ -158,32 +179,51 @@ struct BayesOpt::Surrogate {
 
   /// All GPs are refits of one regressor on the same X, differing only in
   /// hyperparameters, so for non-ARD kernels a candidate's unscaled squared
-  /// distances to the training inputs are identical across GPs: the scoring
-  /// paths below compute that block once and let each GP finish it with its
-  /// own lengthscale/amplitude instead of redoing the O(n·d) diff loop
-  /// per GP.
+  /// distances to the training inputs are identical across GPs: a block's
+  /// distances are computed once and each GP finishes them with its own
+  /// lengthscale/amplitude instead of redoing the O(n·d) diff loop per GP.
   bool shares_distances() const {
     return !gps.empty() && !gps.front().kernel().ard();
   }
 
-  /// Reusable scoring workspace. Each scoring shard owns one and carries it
-  /// across calls (in particular across local-search iterations), so the
-  /// distance block, the solve workspace and the mean/variance arrays are
-  /// allocated once per shard per suggest() instead of once per batch.
-  struct ScoreScratch {
-    Matrix d2;                        // candidates × n squared distances
-    Matrix v;                         // n × candidates fused-solve workspace
-    std::vector<double> means, vars;  // contiguous per-candidate moments
-    std::vector<gp::Prediction> preds;  // ARD fallback path only
-    // Across-GP moment sums for the cost divisor (cost-aware scoring only).
-    std::vector<double> mean_acc, var_acc;
-  };
+  /// Size a worker's block buffers for this surrogate (grow-only, so a
+  /// steady history reuses them as they are).
+  void size_block(ScoreBlock& ws, std::size_t d) const {
+    const std::size_t n = gps.front().num_observations();
+    if (ws.qt.rows() != d) ws.qt = Matrix(d, kBlockLd);
+    if (shares_distances()) {
+      ws.d2t.resize(n * kBlockLd);
+      ws.v.resize(n * kBlockLd);
+    } else if (ws.q.cols() != d) {
+      ws.q = Matrix(kBlockRows, d);
+    }
+    for (auto* b : {&ws.means, &ws.vars, &ws.scores, &ws.mean_acc,
+                    &ws.var_acc}) {
+      b->resize(kBlockRows);
+    }
+    ws.best_u.resize(d);
+  }
+
+  /// Checked builds fill a block's buffers with quiet NaN before each use,
+  /// so an element read before this block wrote it fails a golden instead
+  /// of passing silently with a previous block's value.
+  static void poison(ScoreBlock& ws) {
+    if constexpr (kCheckedBuild) {
+      constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+      std::fill_n(ws.qt.data(), ws.qt.rows() * ws.qt.cols(), kNaN);
+      std::fill_n(ws.q.data(), ws.q.rows() * ws.q.cols(), kNaN);
+      for (auto* b : {&ws.d2t, &ws.v, &ws.means, &ws.vars, &ws.scores,
+                      &ws.mean_acc, &ws.var_acc}) {
+        std::fill(b->begin(), b->end(), kNaN);
+      }
+    }
+  }
 
   /// Divide the averaged acquisition values by each candidate's expected
   /// evaluation cost c1 + Φ((μ−t)/σ)·c2 (expected improvement per simulated
   /// second). ws.mean_acc / ws.var_acc hold across-GP sums on entry. Pure
   /// per-candidate arithmetic — no shared state, no RNG.
-  void apply_cost_divisor(ScoreScratch& ws, std::span<double> out) const {
+  void apply_cost_divisor(const ScoreBlock& ws, std::span<double> out) const {
     const double inv = 1.0 / static_cast<double>(gps.size());
     for (std::size_t r = 0; r < out.size(); ++r) {
       const double mu = ws.mean_acc[r] * inv;
@@ -196,130 +236,117 @@ struct BayesOpt::Surrogate {
     }
   }
 
-  /// Average the acquisition over the GPs given the candidates' shared
-  /// unscaled squared-distance block (one row per candidate). Each GP scores
-  /// the whole batch fused: one batched correlation transform and one
-  /// multi-RHS solve over all candidates (predict_mv_from_sq_dist_rows),
-  /// then one batch acquisition accumulation — the per-candidate kind
-  /// dispatch and the per-chunk solve staging are gone, the arithmetic (and
-  /// therefore the scores) are unchanged bit for bit.
-  void score_from_sq_dists(const BayesOptOptions& opts, const Matrix& d2,
-                           ScoreScratch& ws, std::span<double> out) const {
+  /// The acquisition averaged over the GPs for the block's first m
+  /// candidates, into ws.scores[0, m). Non-ARD GPs score from the shared
+  /// distance block ws.d2t: one correlation transform, one multi-RHS solve
+  /// and the two moment kernels per GP (predict_mv_from_sq_dist_block).
+  /// ARD GPs predict the row-major candidates ws.q. A candidate's score
+  /// does not depend on the block it lands in — the transform is
+  /// element-wise and a solve column is independent of the others — so
+  /// the blocking changes memory traffic only. Read-only on the GPs:
+  /// workers score concurrently, each in its own block.
+  void score_block(const BayesOptOptions& opts, ScoreBlock& ws,
+                   std::size_t m) const {
+    const std::span<double> out(ws.scores.data(), m);
+    const std::span<double> means(ws.means.data(), m);
+    const std::span<double> vars(ws.vars.data(), m);
     std::fill(out.begin(), out.end(), 0.0);
-    const std::size_t m = d2.rows();
-    ws.means.resize(m);
-    ws.vars.resize(m);
     const bool costed = cost1_ms > 0.0;
     if (costed) {
-      ws.mean_acc.assign(m, 0.0);
-      ws.var_acc.assign(m, 0.0);
+      std::fill_n(ws.mean_acc.begin(), m, 0.0);
+      std::fill_n(ws.var_acc.begin(), m, 0.0);
     }
+    const bool share = shares_distances();
     for (const auto& g : gps) {
-      g.predict_mv_from_sq_dist_rows(d2, ws.v, ws.means, ws.vars);
-      acquisition_accumulate(opts.acquisition, ws.means, ws.vars,
-                             best_standardized, opts.xi, opts.ucb_beta, out);
+      if (share) {
+        g.predict_mv_from_sq_dist_block(ws.d2t.data(), kBlockLd, m,
+                                        ws.v.data(), kBlockLd, means, vars);
+      } else {
+        g.predict_rows(ws.q, 0, m, ws.preds);
+        for (std::size_t r = 0; r < m; ++r) {
+          means[r] = ws.preds[r].mean;
+          vars[r] = ws.preds[r].variance;
+        }
+      }
+      acquisition_accumulate(opts.acquisition, means, vars, best_standardized,
+                             opts.xi, opts.ucb_beta, out);
       if (costed) {
         for (std::size_t r = 0; r < m; ++r) {
-          ws.mean_acc[r] += ws.means[r];
-          ws.var_acc[r] += ws.vars[r];
+          ws.mean_acc[r] += means[r];
+          ws.var_acc[r] += vars[r];
         }
       }
     }
     const double inv = 1.0 / static_cast<double>(gps.size());
     for (auto& v : out) v *= inv;
     if (costed) apply_cost_divisor(ws, out);
+#ifdef STORMTUNE_CHECKED
+    // A NaN score would simply never win the argmax; with the blocks
+    // poisoned, this turns a read of a stale element into a failure.
+    for (const double v : out) {
+      STORMTUNE_DCHECK(!std::isnan(v),
+                       "BayesOpt: NaN acquisition score (a scoring block "
+                       "element was read before it was written)");
+    }
+#endif
   }
 
-  /// Acquisition averaged over the hyperparameter samples for rows
-  /// [lo, hi) of `cands`, written to out[0..hi-lo). Scores each GP against
-  /// the whole row range in one pass, so the Cholesky factor and training
-  /// inputs of one GP stay hot instead of being evicted candidate-by-
-  /// candidate. Read-only on the GPs: shards may run this concurrently on
-  /// disjoint row ranges with their own scratch.
-  void acquisition_rows(const BayesOptOptions& opts, const Matrix& cands,
-                        std::size_t lo, std::size_t hi, ScoreScratch& ws,
-                        std::span<double> out) const {
+  /// Score the block's first m multistart candidates (columns of ws.qt) and
+  /// fold them into the worker's running argmax: strict >, so the lowest
+  /// index wins a tie. `fresh` restarts the argmax at the first of them.
+  void score_candidates(const BayesOptOptions& opts, ScoreBlock& ws,
+                        std::size_t m, bool fresh) const {
+    const std::size_t d = ws.qt.rows();
     if (shares_distances()) {
-      gps.front().unscaled_sq_dist_rows(cands, lo, hi, ws.d2);
-      score_from_sq_dists(opts, ws.d2, ws, out);
-      return;
-    }
-    // ARD: no shared distance block exists, so keep the per-GP chunked
-    // prediction; the batch acquisition accumulation still hoists the kind
-    // dispatch out of the candidate loop.
-    std::fill(out.begin(), out.end(), 0.0);
-    const bool costed = cost1_ms > 0.0;
-    if (costed) {
-      ws.mean_acc.assign(hi - lo, 0.0);
-      ws.var_acc.assign(hi - lo, 0.0);
-    }
-    for (const auto& g : gps) {
-      g.predict_rows(cands, lo, hi, ws.preds);
-      const std::size_t m = ws.preds.size();
-      ws.means.resize(m);
-      ws.vars.resize(m);
-      for (std::size_t i = 0; i < m; ++i) {
-        ws.means[i] = ws.preds[i].mean;
-        ws.vars[i] = ws.preds[i].variance;
+      // Training-point-major, so each GP reads its distance rows stride-1.
+      gps.front().unscaled_sq_dist_block(ws.qt.data(), kBlockLd, m,
+                                         ws.d2t.data(), kBlockLd);
+    } else {
+      for (std::size_t c = 0; c < m; ++c) {
+        for (std::size_t k = 0; k < d; ++k) ws.q(c, k) = ws.qt(k, c);
       }
-      acquisition_accumulate(opts.acquisition, ws.means, ws.vars,
-                             best_standardized, opts.xi, opts.ucb_beta, out);
-      if (costed) {
-        for (std::size_t i = 0; i < m; ++i) {
-          ws.mean_acc[i] += ws.means[i];
-          ws.var_acc[i] += ws.vars[i];
+    }
+    score_block(opts, ws, m);
+    for (std::size_t c = 0; c < m; ++c) {
+      if ((fresh && c == 0) || ws.scores[c] > ws.best_score) {
+        ws.best_score = ws.scores[c];
+        for (std::size_t k = 0; k < d; ++k) ws.best_u[k] = ws.qt(k, c);
+      }
+    }
+  }
+
+  /// Score neighbours [lo, lo + m) of `cur` (neighbor_value) into
+  /// ws.scores[0, m). No neighbour row is ever built for non-ARD kernels:
+  /// each one's distances are an O(n) single-coordinate update of the
+  /// centre's (`base`, from unscaled_sq_dists) instead of an O(n·d)
+  /// recomputation.
+  void score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
+                       std::span<const double> cur, double step,
+                       std::span<const double> base, std::size_t lo,
+                       std::size_t m) const {
+    if (shares_distances()) {
+      const Matrix& x = gps.front().inputs();
+      const std::size_t n = x.rows();
+      for (std::size_t c = 0; c < m; ++c) {
+        const std::size_t j = (lo + c) / 2;
+        const double cj = cur[j];
+        const double vj = neighbor_value(cur, step, lo + c);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double old_diff = cj - x(i, j);
+          const double new_diff = vj - x(i, j);
+          const double s = base[i] - old_diff * old_diff + new_diff * new_diff;
+          // Guard rounding from the subtraction.
+          ws.d2t[i * kBlockLd + c] = s < 0.0 ? 0.0 : s;
         }
       }
-    }
-    const double inv = 1.0 / static_cast<double>(gps.size());
-    for (auto& v : out) v *= inv;
-    if (costed) apply_cost_divisor(ws, out);
-  }
-
-  /// Variant for the local-search neighborhood, where row r of `nb` equals
-  /// `cur` except in coordinate r/2: each row's squared distances are an
-  /// O(n) update of the center's (precomputed in `base_d2`, 1×n) instead of
-  /// an O(n·d) recomputation. ARD kernels take the generic path.
-  void acquisition_neighbor_rows(const BayesOptOptions& opts,
-                                 std::span<const double> cur,
-                                 const Matrix& base_d2, const Matrix& nb,
-                                 std::size_t lo, std::size_t hi,
-                                 ScoreScratch& ws, std::span<double> out) const {
-    if (!shares_distances()) {
-      acquisition_rows(opts, nb, lo, hi, ws, out);
-      return;
-    }
-    const Matrix& x = gps.front().inputs();
-    const std::size_t n = x.rows();
-    const auto base = base_d2.row(0);
-    if (ws.d2.rows() != hi - lo || ws.d2.cols() != n) {
-      ws.d2 = Matrix(hi - lo, n);
-    }
-    for (std::size_t r = lo; r < hi; ++r) {
-      const std::size_t j = r / 2;
-      const double cj = cur[j];
-      const double vj = nb(r, j);
-      const auto drow = ws.d2.row(r - lo);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double old_diff = cj - x(i, j);
-        const double new_diff = vj - x(i, j);
-        const double s = base[i] - old_diff * old_diff + new_diff * new_diff;
-        drow[i] = s < 0.0 ? 0.0 : s;  // guard rounding from the subtraction
+    } else {
+      for (std::size_t c = 0; c < m; ++c) {
+        const auto row = ws.q.row(c);
+        std::copy(cur.begin(), cur.end(), row.begin());
+        row[(lo + c) / 2] = neighbor_value(cur, step, lo + c);
       }
     }
-    score_from_sq_dists(opts, ws.d2, ws, out);
-  }
-
-  /// Single-point convenience used by tests; identical math to the batch.
-  double acquisition(const BayesOptOptions& opts,
-                     std::span<const double> u) const {
-    Matrix q(1, u.size());
-    const auto row = q.row(0);
-    for (std::size_t j = 0; j < u.size(); ++j) row[j] = u[j];
-    double out = 0.0;
-    ScoreScratch ws;
-    acquisition_rows(opts, q, 0, 1, ws, std::span<double>(&out, 1));
-    return out;
+    score_block(opts, ws, m);
   }
 };
 
@@ -545,87 +572,103 @@ std::size_t argmax_index(const std::vector<double>& v) {
   return best;
 }
 
+/// Multistart candidate c, drawn from its generation shard's stream into
+/// column `col` of `qt` (row k = coordinate k). Three families:
+///  * global uniform draws (exploration);
+///  * dense Gaussian perturbations of the incumbent (exploitation);
+///  * sparse mutations of the incumbent — resample a few coordinates and
+///    keep the rest. In the 50-100-dimensional hint spaces dense
+///    perturbations barely move and uniform draws never land near the
+///    incumbent, so sparse moves are what make local progress possible.
+void generate_candidate(std::size_t c, std::span<const double> inc_u,
+                        Rng& rng, Matrix& qt, std::size_t col) {
+  const std::size_t d = inc_u.size();
+  switch (c % 4) {
+    case 0:
+    case 1:
+      for (std::size_t j = 0; j < d; ++j) qt(j, col) = rng.uniform();
+      break;
+    case 2:
+      for (std::size_t j = 0; j < d; ++j) {
+        qt(j, col) = std::clamp(inc_u[j] + rng.normal(0.0, 0.1), 0.0, 1.0);
+      }
+      break;
+    case 3: {
+      for (std::size_t j = 0; j < d; ++j) qt(j, col) = inc_u[j];
+      const std::size_t mutations = 1 + static_cast<std::size_t>(
+          rng.uniform_int(0, std::max<std::int64_t>(
+                                 1, static_cast<std::int64_t>(d) / 8)));
+      for (std::size_t m = 0; m < mutations; ++m) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(d) - 1));
+        qt(j, col) = rng.uniform();
+      }
+      break;
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   const std::size_t d = space_.dim();
   const std::size_t num_cands = options_.num_candidates;
 
-  // Random multistart with three candidate families:
-  //  * global uniform draws (exploration);
-  //  * dense Gaussian perturbations of the incumbent (exploitation);
-  //  * sparse mutations of the incumbent — resample a few coordinates and
-  //    keep the rest. In the 50-100-dimensional hint spaces dense
-  //    perturbations barely move and uniform draws never land near the
-  //    incumbent, so sparse moves are what make local progress possible.
+  // Random multistart (generate_candidate), streamed through each worker's
+  // ScoreBlock kBlockRows candidates at a time: nothing here scales with
+  // num_candidates, and the blocks persist across suggest() calls.
   //
   // Generation is sharded a FIXED number of ways: everything a generation
-  // shard does is a pure function of (base_seed, shard index), each shard
-  // draws from its own Rng stream and writes disjoint rows of `cands` — so
-  // the candidate set is bitwise-identical for any thread count.
-  //
-  // Scoring is sharded by pool width instead. A candidate's score does not
-  // depend on which batch scored it — the correlation transform is
-  // element-wise and a multi-RHS solve column is independent of the other
-  // columns in its block (see solve_lower_multi_in_place) — so the batch
-  // split is free to track the thread count while the candidate set stays
-  // pinned to the fixed generation streams. Fewer, wider batches matter:
-  // the multi-RHS solve's row length IS the batch size, and 16-way sharding
-  // fed the rank-update kernels rows too short to vectorize.
+  // shard does is a pure function of (base_seed, shard index) and each
+  // shard draws from its own Rng stream, so the candidate set is
+  // bitwise-identical for any thread count. Each worker takes a contiguous
+  // run of whole generation shards and keeps a running argmax; the serial
+  // merge below visits workers in candidate order with strict >, so the
+  // result is the lowest-index maximum over all candidates — the same
+  // winner for any thread count. A candidate's score does not depend on
+  // which block scored it (Surrogate::score_block).
   const BestResult incumbent = best();
   const std::vector<double> inc_u = space_.to_unit(incumbent.x);
   const std::uint64_t base_seed = rng_();
   constexpr std::size_t kGenShards = 16;
   const std::size_t gen_shards = std::min(kGenShards, num_cands);
-  Matrix cands(num_cands, d);
-  std::vector<double> scores(num_cands);
-  pool().parallel_for(gen_shards, [&](std::size_t s) {
-    const std::size_t lo = s * num_cands / gen_shards;
-    const std::size_t hi = (s + 1) * num_cands / gen_shards;
-    Rng rng = Rng::stream(base_seed, s);
-    for (std::size_t c = lo; c < hi; ++c) {
-      const auto u = cands.row(c);
-      switch (c % 4) {
-        case 0:
-        case 1:
-          for (std::size_t j = 0; j < d; ++j) u[j] = rng.uniform();
-          break;
-        case 2:
-          for (std::size_t j = 0; j < d; ++j) {
-            u[j] = std::clamp(inc_u[j] + rng.normal(0.0, 0.1), 0.0, 1.0);
-          }
-          break;
-        case 3: {
-          for (std::size_t j = 0; j < d; ++j) u[j] = inc_u[j];
-          const std::size_t mutations = 1 + static_cast<std::size_t>(
-              rng.uniform_int(0, std::max<std::int64_t>(
-                                     1, static_cast<std::int64_t>(d) / 8)));
-          for (std::size_t m = 0; m < mutations; ++m) {
-            const auto j = static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(d) - 1));
-            u[j] = rng.uniform();
-          }
-          break;
+  const std::size_t threads = pool().num_threads();
+  const std::size_t workers = std::min(threads, gen_shards);
+  if (score_blocks_.size() < threads) score_blocks_.resize(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    surrogate.size_block(score_blocks_[w], d);
+  }
+  const auto shard_begin = [&](std::size_t g) {
+    return g * num_cands / gen_shards;
+  };
+  pool().parallel_for(workers, [&](std::size_t w) {
+    ScoreBlock& ws = score_blocks_[w];
+    const std::size_t g_begin = w * gen_shards / workers;
+    const std::size_t g_end = (w + 1) * gen_shards / workers;
+    const std::size_t lo = shard_begin(g_begin);
+    const std::size_t hi = shard_begin(g_end);
+    std::size_t filled = 0;
+    for (std::size_t g = g_begin; g < g_end; ++g) {
+      Rng rng = Rng::stream(base_seed, g);
+      for (std::size_t c = shard_begin(g); c < shard_begin(g + 1); ++c) {
+        if (filled == 0) Surrogate::poison(ws);
+        generate_candidate(c, inc_u, rng, ws.qt, filled);
+        if (++filled == kBlockRows || c + 1 == hi) {
+          surrogate.score_candidates(options_, ws, filled,
+                                     /*fresh=*/c + 1 - filled == lo);
+          filled = 0;
         }
       }
     }
   });
-  // One scoring workspace per scoring shard, shared by the multistart pass
-  // and every local-search iteration below — scratch buffers warm up once
-  // per suggest() and stay warm.
-  const std::size_t score_shards =
-      std::min(pool().num_threads(), num_cands);
-  std::vector<Surrogate::ScoreScratch> scratch(pool().num_threads());
-  pool().parallel_for(score_shards, [&](std::size_t s) {
-    const std::size_t lo = s * num_cands / score_shards;
-    const std::size_t hi = (s + 1) * num_cands / score_shards;
-    surrogate.acquisition_rows(options_, cands, lo, hi, scratch[s],
-                               std::span<double>(scores).subspan(lo, hi - lo));
-  });
-  std::size_t best_idx = argmax_index(scores);
-  double best_val = scores[best_idx];
-  std::vector<double> best_u(cands.row(best_idx).begin(),
-                             cands.row(best_idx).end());
+  std::size_t best_w = 0;
+  for (std::size_t w = 1; w < workers; ++w) {
+    if (score_blocks_[w].best_score > score_blocks_[best_w].best_score) {
+      best_w = w;
+    }
+  }
+  double best_val = score_blocks_[best_w].best_score;
+  std::vector<double> best_u = score_blocks_[best_w].best_u;
 
   // Local coordinate refinement around the best candidate: batch-score the
   // 2d-point coordinate neighborhood of the current point each iteration
@@ -633,39 +676,30 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   // its best strict improvement.
   double step = 0.1;
   std::vector<double> cur = best_u;
-  Matrix nb(2 * d, d);
-  std::vector<double> nb_scores(2 * d);
+  const std::size_t num_nb = 2 * d;
+  std::vector<double> nb_scores(num_nb);
   const bool share = surrogate.shares_distances();
-  Matrix cur_q(1, d);
-  Matrix base_d2;
+  std::vector<double> base(share ? surrogate.gps.front().num_observations()
+                                 : 0);
+  const std::size_t nb_workers = std::min(threads, num_nb);
   for (std::size_t it = 0; it < options_.local_search_iters; ++it) {
-    for (std::size_t j = 0; j < d; ++j) {
-      for (std::size_t sgn = 0; sgn < 2; ++sgn) {
-        const auto row = nb.row(2 * j + sgn);
-        for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
-        const double delta = sgn == 0 ? step : -step;
-        row[j] = std::clamp(row[j] + delta, 0.0, 1.0);
+    // One O(n·d) distance pass for the center; every neighbor's distances
+    // are then an O(n) single-coordinate update (score_neighbors).
+    if (share) surrogate.gps.front().unscaled_sq_dists(cur, base);
+    pool().parallel_for(nb_workers, [&](std::size_t w) {
+      ScoreBlock& ws = score_blocks_[w];
+      const std::size_t hi = (w + 1) * num_nb / nb_workers;
+      for (std::size_t b = w * num_nb / nb_workers; b < hi; b += kBlockRows) {
+        const std::size_t m = std::min(kBlockRows, hi - b);
+        Surrogate::poison(ws);
+        surrogate.score_neighbors(options_, ws, cur, step, base, b, m);
+        std::copy_n(ws.scores.begin(), m, nb_scores.begin() + b);
       }
-    }
-    if (share) {
-      // One O(n·d) distance pass for the center; every neighbor row is then
-      // an O(n) single-coordinate update inside acquisition_neighbor_rows.
-      const auto row = cur_q.row(0);
-      for (std::size_t k = 0; k < d; ++k) row[k] = cur[k];
-      surrogate.gps.front().unscaled_sq_dist_rows(cur_q, 0, 1, base_d2);
-    }
-    const std::size_t nb_shards = std::min(pool().num_threads(), nb.rows());
-    pool().parallel_for(nb_shards, [&](std::size_t s) {
-      const std::size_t lo = s * nb.rows() / nb_shards;
-      const std::size_t hi = (s + 1) * nb.rows() / nb_shards;
-      surrogate.acquisition_neighbor_rows(
-          options_, cur, base_d2, nb, lo, hi, scratch[s],
-          std::span<double>(nb_scores).subspan(lo, hi - lo));
     });
     const std::size_t idx = argmax_index(nb_scores);
     if (nb_scores[idx] > best_val) {
       best_val = nb_scores[idx];
-      cur.assign(nb.row(idx).begin(), nb.row(idx).end());
+      cur[idx / 2] = neighbor_value(cur, step, idx);
       best_u = cur;
     } else {
       step *= 0.5;

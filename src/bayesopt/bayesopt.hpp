@@ -240,6 +240,25 @@ class BayesOpt {
     std::size_t slides_since_refresh = 0;
   };
   WarmSlice warm_;
+  /// One scoring worker's candidate block and the buffers that score it,
+  /// kept across suggest() calls (one per pool worker). The acquisition
+  /// search streams candidates through them a fixed block of rows at a
+  /// time, so their size never scales with num_candidates, and scoring
+  /// allocates only when the history outgrows the n-row blocks (DESIGN.md
+  /// §8, "Batched prediction").
+  struct ScoreBlock {
+    Matrix qt;                // block candidates transposed: dim rows
+    Matrix q;                 // ARD only: the same candidates row-major
+    std::vector<double> d2t;  // n × ld training-point-major distances
+    std::vector<double> v;    // n × ld solve workspace, one GP at a time
+    std::vector<double> means, vars, scores;  // one entry per block row
+    std::vector<double> mean_acc, var_acc;    // cost-aware scoring only
+    std::vector<gp::Prediction> preds;        // ARD only
+    // This worker's best multistart candidate so far.
+    double best_score = 0.0;
+    std::vector<double> best_u;
+  };
+  std::vector<ScoreBlock> score_blocks_;
 };
 
 }  // namespace stormtune::bo

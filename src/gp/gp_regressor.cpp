@@ -47,13 +47,16 @@ GpRegressor::GpRegressor(Kernel kernel, double noise_variance,
       mean_value_(mean_value) {
   STORMTUNE_REQUIRE(noise_variance >= 0.0,
                     "GpRegressor: noise variance must be >= 0");
+  update_inverse_lengthscales();
 }
 
-std::vector<double> GpRegressor::inverse_squared_lengthscales() const {
+void GpRegressor::update_inverse_lengthscales() {
   const auto ls = kernel_.lengthscales();
-  std::vector<double> inv(ls.size());
-  for (std::size_t i = 0; i < ls.size(); ++i) inv[i] = 1.0 / (ls[i] * ls[i]);
-  return inv;
+  // The count is fixed by the kernel, so only construction grows this.
+  inv_sq_ls_.resize(ls.size());
+  for (std::size_t i = 0; i < ls.size(); ++i) {
+    inv_sq_ls_[i] = 1.0 / (ls[i] * ls[i]);
+  }
 }
 
 bool GpRegressor::x_matches(const Matrix& x) const {
@@ -149,7 +152,7 @@ void GpRegressor::ensure_correlation() {
   }
   corr_valid_ = false;
   const std::size_t n = x_.rows();
-  const std::vector<double> inv = inverse_squared_lengthscales();
+  const std::vector<double>& inv = inv_sq_ls_;
   if (corr_.rows() != n || corr_.cols() != n) corr_ = Matrix(n, n);
   // Pack the strict upper triangle's scaled squared distances (pairs grouped
   // by ascending j, matching the ARD cache layout), push the whole thing
@@ -246,11 +249,16 @@ void GpRegressor::ensure_cholesky() {
 
 void GpRegressor::fit(const Matrix& x, const Vector& y) {
   STORMTUNE_REQUIRE(x.rows() == y.size(), "GpRegressor::fit: X/y mismatch");
-  STORMTUNE_REQUIRE(x.rows() > 0, "GpRegressor::fit: no observations");
-  STORMTUNE_REQUIRE(x.cols() == kernel_.input_dim(),
-                    "GpRegressor::fit: dimension mismatch with kernel");
   STORMTUNE_REQUIRE(noise_diag_.empty() || noise_diag_.size() == x.rows(),
                     "GpRegressor::fit: noise diagonal size mismatch");
+  set_inputs(x);
+  refit(y);
+}
+
+void GpRegressor::set_inputs(const Matrix& x) {
+  STORMTUNE_REQUIRE(x.rows() > 0, "GpRegressor::set_inputs: no observations");
+  STORMTUNE_REQUIRE(x.cols() == kernel_.input_dim(),
+                    "GpRegressor::set_inputs: dimension mismatch with kernel");
   fit_current_ = false;
   if (!x_matches(x)) {
     x_ = x;
@@ -258,6 +266,15 @@ void GpRegressor::fit(const Matrix& x, const Vector& y) {
     corr_valid_ = false;
     chol_valid_ = false;
   }
+}
+
+void GpRegressor::refit(const Vector& y) {
+  STORMTUNE_REQUIRE(dist_ != nullptr,
+                    "GpRegressor::refit: no inputs; call fit() first");
+  STORMTUNE_REQUIRE(x_.rows() == y.size(), "GpRegressor::refit: X/y mismatch");
+  STORMTUNE_REQUIRE(noise_diag_.empty() || noise_diag_.size() == x_.rows(),
+                    "GpRegressor::refit: noise diagonal size mismatch");
+  fit_current_ = false;
   y_centered_.resize(y.size());
   for (std::size_t i = 0; i < y.size(); ++i) y_centered_[i] = y[i] - mean_value_;
 
@@ -319,7 +336,7 @@ void GpRegressor::append_impl(std::span<const double> x_new,
   dist_ = new_dist;
 
   // Extend the correlation matrix (valid because fitted() held on entry).
-  const std::vector<double> inv = inverse_squared_lengthscales();
+  const std::vector<double>& inv = inv_sq_ls_;
   Matrix grown_corr(n + 1, n + 1);
   for (std::size_t i = 0; i < n; ++i) {
     const auto src = corr_.row(i);
@@ -527,7 +544,7 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
   out.resize(total);
   const double a2 = kernel_.variance();
   const bool ard = kernel_.ard();
-  const std::vector<double> inv = inverse_squared_lengthscales();
+  const std::vector<double>& inv = inv_sq_ls_;
   Matrix kstar;
   for (std::size_t base = 0; base < total; base += kPredictChunk) {
     const std::size_t m = std::min(kPredictChunk, total - base);
@@ -558,102 +575,62 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
   }
 }
 
-void GpRegressor::unscaled_sq_dist_rows(const Matrix& q, std::size_t row_begin,
-                                        std::size_t row_end, Matrix& d2) const {
+void GpRegressor::unscaled_sq_dists(std::span<const double> u,
+                                    std::span<double> out) const {
   STORMTUNE_REQUIRE(fitted(),
-                    "GpRegressor::unscaled_sq_dist_rows: call fit() first");
-  STORMTUNE_REQUIRE(q.cols() == x_.cols(),
-                    "GpRegressor::unscaled_sq_dist_rows: dimension mismatch");
-  STORMTUNE_REQUIRE(row_begin <= row_end && row_end <= q.rows(),
-                    "GpRegressor::unscaled_sq_dist_rows: bad row range");
-  const std::size_t n = x_.rows();
-  const std::size_t total = row_end - row_begin;
-  if (d2.rows() != total || d2.cols() != n) d2 = Matrix(total, n);
-  if (total > 0) {
-    sq_dists(dist_->xt, n, q.row(row_begin).data(), total, d2.data(), n);
-  }
+                    "GpRegressor::unscaled_sq_dists: call fit() first");
+  STORMTUNE_REQUIRE(u.size() == x_.cols() && out.size() == x_.rows(),
+                    "GpRegressor::unscaled_sq_dists: size mismatch");
+  sq_dists(dist_->xt, x_.rows(), u.data(), 1, out.data(), x_.rows());
 }
 
-STORMTUNE_HOT void GpRegressor::predict_from_sq_dist_rows(
-    const Matrix& d2,
-                                            std::vector<Prediction>& out) const {
+STORMTUNE_HOT void GpRegressor::unscaled_sq_dist_block(
+    const double* qt, std::size_t ldq, std::size_t m, double* d2t,
+    std::size_t ldd) const {
   STORMTUNE_REQUIRE(fitted(),
-                    "GpRegressor::predict_from_sq_dist_rows: call fit() first");
-  STORMTUNE_REQUIRE(!kernel_.ard(),
-                    "GpRegressor::predict_from_sq_dist_rows: non-ARD only");
-  STORMTUNE_REQUIRE(d2.cols() == x_.rows(),
-                    "GpRegressor::predict_from_sq_dist_rows: block/X mismatch");
-  const std::size_t n = x_.rows();
-  const std::size_t total = d2.rows();
-  out.resize(total);
-  const double a2 = kernel_.variance();
-  const double inv0 = inverse_squared_lengthscales()[0];
-  Matrix kstar;
-  for (std::size_t base = 0; base < total; base += kPredictChunk) {
-    const std::size_t m = std::min(kPredictChunk, total - base);
-    if (kstar.rows() != m) kstar = Matrix(m, n);
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto drow = d2.row(base + r);
-      const auto krow = kstar.row(r);
-      for (std::size_t i = 0; i < n; ++i) krow[i] = drow[i] * inv0;
-      correlation_from_scaled_sq_batch(kernel_.family(), a2, krow.data(), n);
-    }
-    predict_chunk(kstar, std::span(out).subspan(base, m));
-  }
+                    "GpRegressor::unscaled_sq_dist_block: call fit() first");
+  STORMTUNE_REQUIRE(m <= ldq && m <= ldd,
+                    "GpRegressor::unscaled_sq_dist_block: stride below m");
+  // The distance kernel with the roles swapped: lanes across the m query
+  // points (the transposed block), one output row per training point.
+  linalg_kernels::ops().sq_dist_rows(qt, ldq, m, x_.cols(), x_.data(),
+                                     x_.cols(), x_.rows(), d2t, ldd);
 }
 
-STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_rows(
-    const Matrix& d2, Matrix& vws,
-                                               std::span<double> means,
-                                               std::span<double> vars) const {
+STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_block(
+    const double* d2t, std::size_t ldd, std::size_t m, double* v,
+    std::size_t ldv, std::span<double> means, std::span<double> vars) const {
   STORMTUNE_REQUIRE(
-      fitted(), "GpRegressor::predict_mv_from_sq_dist_rows: call fit() first");
+      fitted(), "GpRegressor::predict_mv_from_sq_dist_block: call fit() first");
   STORMTUNE_REQUIRE(!kernel_.ard(),
-                    "GpRegressor::predict_mv_from_sq_dist_rows: non-ARD only");
+                    "GpRegressor::predict_mv_from_sq_dist_block: non-ARD only");
   STORMTUNE_REQUIRE(
-      d2.cols() == x_.rows(),
-      "GpRegressor::predict_mv_from_sq_dist_rows: block/X mismatch");
+      m <= ldd && m <= ldv && means.size() == m && vars.size() == m,
+      "GpRegressor::predict_mv_from_sq_dist_block: size mismatch");
   const std::size_t n = x_.rows();
-  const std::size_t m = d2.rows();
-  STORMTUNE_REQUIRE(
-      means.size() == m && vars.size() == m,
-      "GpRegressor::predict_mv_from_sq_dist_rows: output size mismatch");
   const double a2 = kernel_.variance();
-  const double inv0 = inverse_squared_lengthscales()[0];
-  // Build V = K*ᵀ directly (row i = candidate values of training point i):
-  // no kstar materialization, no transpose — the transform is an element-wise
-  // map, so layout is free to choose, and this is the layout the solve wants.
-  // Rows are padded to linalg_kernels::padded_ld(m) so the solve's column
-  // strips never alias in L1 (m = 512 candidates is a 4 KiB stride).
-  const std::size_t ldv = linalg_kernels::padded_ld(m);
-  if (vws.rows() != n || vws.cols() != ldv) vws = Matrix(n, ldv);
+  const double inv0 = inv_sq_ls_[0];
+  // V = K*ᵀ (row i = candidate values of training point i), built from the
+  // distance block's row i: both stride-1, and this is the layout the
+  // solve wants.
   for (std::size_t i = 0; i < n; ++i) {
-    const auto vi = vws.row(i);
-    for (std::size_t r = 0; r < m; ++r) vi[r] = d2(r, i) * inv0;
-    correlation_from_scaled_sq_batch(kernel_.family(), a2, vi.data(), m);
+    double* vi = v + i * ldv;
+    const double* di = d2t + i * ldd;
+    for (std::size_t c = 0; c < m; ++c) vi[c] = di[c] * inv0;
+    correlation_from_scaled_sq_batch(kernel_.family(), a2, vi, m);
   }
-  // Means before the solve overwrites V. Per candidate the additions run in
-  // ascending training-point order — the chunked path's dot-product order.
-  for (std::size_t r = 0; r < m; ++r) means[r] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto vi = vws.row(i);
-    const double ai = alpha_[i];
-    for (std::size_t r = 0; r < m; ++r) means[r] += vi[r] * ai;
-  }
-  for (std::size_t r = 0; r < m; ++r) means[r] = mean_value_ + means[r];
-  // One forward substitution over all m candidates; a column's result is
-  // independent of which other columns share the block (see
-  // solve_lower_multi_in_place), so this matches the chunked solves bit for
-  // bit.
-  chol_->solve_lower_multi_in_place(vws, m);
-  for (std::size_t r = 0; r < m; ++r) vars[r] = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto vi = vws.row(i);
-    for (std::size_t r = 0; r < m; ++r) vars[r] += vi[r] * vi[r];
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    const double var = a2 - vars[r];
-    vars[r] = var < 0.0 ? 0.0 : var;  // numerical floor
+  // Means before the solve overwrites V: per candidate 0 + Σ_i v_i·α_i,
+  // i ascending — the chunked path's dot-product order.
+  const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
+  ops.column_dots(v, ldv, n, m, alpha_.data(), means.data());
+  for (std::size_t c = 0; c < m; ++c) means[c] = mean_value_ + means[c];
+  // One forward substitution over the block; a column's result does not
+  // depend on which other columns share it (solve_lower_multi_in_place).
+  chol_->solve_lower_multi_in_place(v, ldv, m);
+  ops.column_sq_sums(v, ldv, n, m, vars.data());
+  for (std::size_t c = 0; c < m; ++c) {
+    const double var = a2 - vars[c];
+    vars[c] = var < 0.0 ? 0.0 : var;  // numerical floor
   }
 }
 
@@ -666,6 +643,7 @@ double GpRegressor::log_marginal_likelihood() const {
 
 void GpRegressor::set_kernel_hyperparams(std::span<const double> log_params) {
   kernel_.set_hyperparams(log_params);
+  update_inverse_lengthscales();
   fit_current_ = false;
 }
 

@@ -47,6 +47,18 @@ class GpRegressor {
   /// where the hyperparameters allow, the correlation matrix and factor).
   void fit(const Matrix& x, const Vector& y);
 
+  /// The first half of fit(): adopt inputs X, rebuilding the distance cache
+  /// unless X is bitwise the one already held. Leaves the regressor
+  /// unfitted; refit() completes it.
+  void set_inputs(const Matrix& x);
+
+  /// The second half of fit(): fit targets `y` on the inputs already held
+  /// (set_inputs, fit, or the incremental updates) with the current
+  /// hyperparameters. fit(inputs(), y) without its O(n·d) input comparison
+  /// — the hyperparameter sampler refits one X some hundreds of times per
+  /// suggestion. Same bits as fit().
+  void refit(const Vector& y);
+
   /// Incremental refit: add one observation `x_new` together with the full
   /// (possibly re-standardized) target vector `y_all` of length n+1. Grows
   /// the Cholesky factor by one row — O(n²) instead of the O(n³) full
@@ -97,36 +109,41 @@ class GpRegressor {
   void predict_rows(const Matrix& q, std::size_t row_begin,
                     std::size_t row_end, std::vector<Prediction>& out) const;
 
-  /// Unscaled squared distances between rows [row_begin, row_end) of `q` and
-  /// the training inputs: d2(r − row_begin, i) = ‖q_r − x_i‖². The block is
-  /// kernel-independent, so a surrogate marginalizing over several
-  /// hyper-sample GPs (which share X) computes it once and scores every GP
-  /// from it via predict_from_sq_dist_rows.
-  void unscaled_sq_dist_rows(const Matrix& q, std::size_t row_begin,
-                             std::size_t row_end, Matrix& d2) const;
+  /// Unscaled squared distances from one query point to the training
+  /// inputs: out[i] = ‖u − x_i‖² = 0 + Σ_k (x_ik − u_k)², k ascending, for
+  /// i < n. Kernel-independent, like the block below.
+  void unscaled_sq_dists(std::span<const double> u,
+                         std::span<double> out) const;
 
-  /// Predict from a precomputed unscaled squared-distance block (non-ARD
-  /// kernels only — ARD scales per dimension before summing, so the shared
-  /// block does not exist for it). Bitwise-identical to predict_rows.
-  void predict_from_sq_dist_rows(const Matrix& d2,
-                                 std::vector<Prediction>& out) const;
+  /// Training-point-major distance block for m query points held
+  /// transposed — qt[k·ldq + c] is coordinate k of point c (ldq ≥ m):
+  /// d2t[i·ldd + c] = ‖q_c − x_i‖² = 0 + Σ_k (q_ck − x_ik)², k ascending,
+  /// for i < n and c < m (ldd ≥ m). (a − b)² and (b − a)² are the same
+  /// bits, so every entry equals what unscaled_sq_dists gives for q_c.
+  /// The block is kernel-independent: a surrogate marginalizing over
+  /// several hyper-sample GPs (which share X) computes it once and scores
+  /// every GP from it via predict_mv_from_sq_dist_block.
+  void unscaled_sq_dist_block(const double* qt, std::size_t ldq,
+                              std::size_t m, double* d2t,
+                              std::size_t ldd) const;
 
-  /// Fused batch variant of predict_from_sq_dist_rows writing straight into
-  /// contiguous mean/variance arrays (one entry per d2 row): builds the
-  /// cross-covariance block transposed in the caller-owned workspace `vws`
-  /// (resized as needed to n rows of m candidates, padded to an
-  /// alias-free stride), runs the batched correlation transform one
-  /// training point's row at a time and one multi-RHS forward substitution
-  /// carrying every candidate, instead of kPredictChunk-sized pieces. Per
-  /// candidate
-  /// each reduction runs in the same ascending order and each element-wise
-  /// transform is the same single-value map as the chunked path, so results
-  /// are bitwise identical to predict_from_sq_dist_rows — only the batching
-  /// (and therefore the memory traffic) changes. Non-ARD kernels only.
-  /// `means`/`vars` must have d2.rows() entries.
-  void predict_mv_from_sq_dist_rows(const Matrix& d2, Matrix& vws,
-                                    std::span<double> means,
-                                    std::span<double> vars) const;
+  /// Predictive means and variances of the block's m candidates from a
+  /// training-point-major distance block (non-ARD kernels only — ARD
+  /// scales per dimension before summing, so no shared block exists for
+  /// it). Builds V = K*ᵀ in the caller-owned n-row workspace `v` (row
+  /// stride ldv ≥ m; linalg_kernels::padded_ld(m) keeps the solve's strips
+  /// alias-free), reading each distance row stride-1, then: means through
+  /// the column-dot kernel against α, one multi-RHS forward substitution,
+  /// variances through the column sum-of-squares kernel. Per candidate
+  /// every reduction runs in ascending training-point order and every
+  /// element-wise map is the same single-value transform, so the results
+  /// are bitwise identical to predict_rows — only the batching and the
+  /// memory walk differ. `means`/`vars` must have m entries. Thread-safe
+  /// for concurrent calls with distinct workspaces.
+  void predict_mv_from_sq_dist_block(const double* d2t, std::size_t ldd,
+                                     std::size_t m, double* v,
+                                     std::size_t ldv, std::span<double> means,
+                                     std::span<double> vars) const;
 
   /// log p(y | X, theta); requires fit() to have been called.
   double log_marginal_likelihood() const;
@@ -175,13 +192,18 @@ class GpRegressor {
   void ensure_cholesky();
   void append_impl(std::span<const double> x_new, const Vector& y_all,
                    double noise_new);
-  std::vector<double> inverse_squared_lengthscales() const;
+  /// Recompute inv_sq_ls_ from the kernel's lengthscales.
+  void update_inverse_lengthscales();
   void predict_chunk(const Matrix& kstar, std::span<Prediction> out) const;
 
   Kernel kernel_;
   double noise_variance_;
   double mean_value_;
   std::vector<double> noise_diag_;  // empty = homoscedastic scalar path
+  /// 1/l_k² per lengthscale, kept in step with kernel_ by
+  /// set_kernel_hyperparams: the fit and scoring paths read it without
+  /// building a vector per call.
+  std::vector<double> inv_sq_ls_;
 
   Matrix x_;
   Vector y_centered_;

@@ -40,15 +40,17 @@ double HyperPrior::log_density(std::span<const double> theta,
   return ld;
 }
 
-void apply_hyperparams(GpRegressor& gp, std::span<const double> theta,
-                       const Matrix& x, const Vector& y,
-                       std::span<const double> noise_ratio_diag) {
+namespace {
+
+/// Set theta's kernel hyperparameters, noise and mean on `gp`, which is
+/// about to be fit to n observations (see apply_hyperparams).
+void set_hyperparams(GpRegressor& gp, std::span<const double> theta,
+                     std::size_t n, std::span<const double> noise_ratio_diag) {
   const std::size_t nk = gp.kernel().num_hyperparams();
   STORMTUNE_REQUIRE(theta.size() == nk + 2,
                     "apply_hyperparams: theta layout mismatch");
-  STORMTUNE_REQUIRE(
-      noise_ratio_diag.empty() || noise_ratio_diag.size() == x.rows(),
-      "apply_hyperparams: noise_ratio_diag size mismatch");
+  STORMTUNE_REQUIRE(noise_ratio_diag.empty() || noise_ratio_diag.size() == n,
+                    "apply_hyperparams: noise_ratio_diag size mismatch");
   gp.set_kernel_hyperparams(theta.subspan(0, nk));
   const double log_noise_std = theta[nk];
   const double nv = std::exp(2.0 * log_noise_std);
@@ -62,13 +64,13 @@ void apply_hyperparams(GpRegressor& gp, std::span<const double> theta,
     gp.set_noise_diag(diag);
   }
   gp.set_mean_value(theta[nk + 1]);
-  gp.fit(x, y);
 }
 
-double hyper_log_posterior(GpRegressor& gp, std::span<const double> theta,
-                           const Matrix& x, const Vector& y,
-                           const HyperPrior& prior,
-                           std::span<const double> noise_ratio_diag) {
+/// Unnormalized log posterior of `theta` with `fit` applying it to `gp`;
+/// -inf when theta is absurd or the fit fails.
+template <class Fit>
+double log_posterior(GpRegressor& gp, std::span<const double> theta,
+                     const HyperPrior& prior, Fit&& fit) {
   // Reject numerically absurd settings outright; they would only waste a
   // Cholesky attempt and distort the stepping-out brackets.
   for (double t : theta) {
@@ -77,12 +79,43 @@ double hyper_log_posterior(GpRegressor& gp, std::span<const double> theta,
     }
   }
   try {
-    apply_hyperparams(gp, theta, x, y, noise_ratio_diag);
+    fit();
   } catch (const Error&) {
     return -std::numeric_limits<double>::infinity();
   }
   const std::size_t num_ls = gp.kernel().num_hyperparams() - 1;
   return gp.log_marginal_likelihood() + prior.log_density(theta, num_ls);
+}
+
+/// The sampler's and the coordinate search's objective. They refit one X
+/// hundreds of times per suggestion, so they load it once
+/// (GpRegressor::set_inputs) and each evaluation refits the stored copy:
+/// fit()'s bits without its O(n·d) input comparison.
+double log_posterior_on_inputs(GpRegressor& gp, std::span<const double> theta,
+                               const Vector& y, const HyperPrior& prior,
+                               std::span<const double> noise_ratio_diag) {
+  return log_posterior(gp, theta, prior, [&] {
+    set_hyperparams(gp, theta, y.size(), noise_ratio_diag);
+    gp.refit(y);
+  });
+}
+
+}  // namespace
+
+void apply_hyperparams(GpRegressor& gp, std::span<const double> theta,
+                       const Matrix& x, const Vector& y,
+                       std::span<const double> noise_ratio_diag) {
+  set_hyperparams(gp, theta, x.rows(), noise_ratio_diag);
+  gp.fit(x, y);
+}
+
+double hyper_log_posterior(GpRegressor& gp, std::span<const double> theta,
+                           const Matrix& x, const Vector& y,
+                           const HyperPrior& prior,
+                           std::span<const double> noise_ratio_diag) {
+  return log_posterior(gp, theta, prior, [&] {
+    apply_hyperparams(gp, theta, x, y, noise_ratio_diag);
+  });
 }
 
 std::vector<HyperSample> sample_hyperparams(
@@ -97,8 +130,9 @@ std::vector<HyperSample> sample_hyperparams(
       "sample_hyperparams: initial_theta layout mismatch");
   std::vector<double> theta =
       opts.initial_theta.empty() ? initial_theta(gp) : opts.initial_theta;
+  gp.set_inputs(x);
   auto log_post = [&](const std::vector<double>& t) {
-    return hyper_log_posterior(gp, t, x, y, opts.prior, noise_ratio_diag);
+    return log_posterior_on_inputs(gp, t, y, opts.prior, noise_ratio_diag);
   };
   SliceOptions slice;
   slice.width = 0.7;
@@ -125,8 +159,9 @@ HyperSample fit_hyperparams_mle(GpRegressor& gp, const Matrix& x,
                                 const Vector& y, const MleOptions& opts,
                                 Rng& rng,
                                 std::span<const double> noise_ratio_diag) {
+  gp.set_inputs(x);
   auto objective = [&](const std::vector<double>& t) {
-    return hyper_log_posterior(gp, t, x, y, opts.prior, noise_ratio_diag);
+    return log_posterior_on_inputs(gp, t, y, opts.prior, noise_ratio_diag);
   };
 
   std::vector<double> best = initial_theta(gp);

@@ -81,6 +81,16 @@ STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
   detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
 }
 
+STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
+                               std::size_t m, const double* w, double* out) {
+  detail::column_sums<Lanes, false>(v, ldv, n, m, w, out);
+}
+
+STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
+                                  std::size_t n, std::size_t m, double* out) {
+  detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
+}
+
 }  // namespace portable
 
 #define STORMTUNE_DECLARE_KERNELS                                            \
@@ -98,7 +108,13 @@ STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
                                   std::size_t n, std::size_t d,              \
                                   const double* q, std::size_t ldq,          \
                                   std::size_t rows, double* out,             \
-                                  std::size_t ldo);
+                                  std::size_t ldo);                          \
+  STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv,           \
+                                 std::size_t n, std::size_t m,               \
+                                 const double* w, double* out);              \
+  STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,        \
+                                    std::size_t n, std::size_t m,            \
+                                    double* out);
 
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 namespace avx2 {
@@ -119,7 +135,8 @@ namespace {
 #define STORMTUNE_KERNEL_TABLE(ns)                                       \
   KernelOps {                                                            \
     ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
-        ns::solve_lower_transpose_multi, ns::sq_dist_rows                \
+        ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
+        ns::column_dots, ns::column_sq_sums                              \
   }
 
 constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);

@@ -68,6 +68,17 @@ struct KernelOps {
   void (*sq_dist_rows)(const double* xt, std::size_t ldx, std::size_t n,
                        std::size_t d, const double* q, std::size_t ldq,
                        std::size_t rows, double* out, std::size_t ldo);
+  /// Weighted column sums over the first m columns of an n-row block `v`
+  /// (row stride ldv ≥ m): out[c] = 0 + v(0,c)·w[0] + … + v(n−1,c)·w[n−1],
+  /// i ascending, lanes across the columns c. The GP's predictive means
+  /// (w = α, one column per candidate).
+  void (*column_dots)(const double* v, std::size_t ldv, std::size_t n,
+                      std::size_t m, const double* w, double* out);
+  /// Column sums of squares over the same layout:
+  /// out[c] = 0 + v(0,c)² + … + v(n−1,c)², i ascending. The GP's predictive
+  /// variances subtract this from a² after the forward solve.
+  void (*column_sq_sums)(const double* v, std::size_t ldv, std::size_t n,
+                         std::size_t m, double* out);
 };
 
 /// Row stride, in doubles, for a row-major block at least `cols` wide

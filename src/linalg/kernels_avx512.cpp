@@ -99,6 +99,16 @@ STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
   detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
 }
 
+STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
+                               std::size_t m, const double* w, double* out) {
+  detail::column_sums<Lanes, false>(v, ldv, n, m, w, out);
+}
+
+STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
+                                  std::size_t n, std::size_t m, double* out) {
+  detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
+}
+
 }  // namespace stormtune::linalg_kernels::avx512
 
 #endif  // STORMTUNE_HAVE_ISA_AVX512

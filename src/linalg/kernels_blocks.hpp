@@ -89,6 +89,19 @@ struct Strip {
   void mul(Reg a) {
     for (int v = 0; v < NV; ++v) r[v] = V::mul(r[v], a);
   }
+  /// r += p * a, per element.
+  void add_mul(Reg a, const double* p) {
+    for (int v = 0; v < NV; ++v) {
+      r[v] = V::add(r[v], V::mul(load_vec(p, v, mask), a));
+    }
+  }
+  /// r += p², per element.
+  void add_sq(const double* p) {
+    for (int v = 0; v < NV; ++v) {
+      const Reg x = load_vec(p, v, mask);
+      r[v] = V::add(r[v], V::mul(x, x));
+    }
+  }
   /// r += (p - b)², per element.
   void add_sq_diff(const double* p, Reg b) {
     for (int v = 0; v < NV; ++v) {
@@ -266,6 +279,24 @@ inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
       }
       s.store(out + r * ldo + c);
     }
+  });
+}
+
+/// Column sums; see KernelOps::column_dots (kSquare = false, weights w)
+/// and KernelOps::column_sq_sums (kSquare = true, w unused).
+template <class V, bool kSquare>
+inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
+                        std::size_t m, const double* w, double* out) {
+  for_each_strip<V>(m, [&](std::size_t c, auto s) {
+    s.zero();
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (kSquare) {
+        s.add_sq(v + i * ldv + c);
+      } else {
+        s.add_mul(V::set1(w[i]), v + i * ldv + c);
+      }
+    }
+    s.store(out + c);
   });
 }
 

@@ -254,15 +254,18 @@ Vector Cholesky::solve(const Vector& b) const {
 }
 
 void Cholesky::solve_lower_multi_in_place(Matrix& v) const {
-  solve_lower_multi_in_place(v, v.cols());
+  STORMTUNE_REQUIRE(v.rows() == n_,
+                    "Cholesky::solve_lower_multi_in_place: size mismatch");
+  solve_lower_multi_in_place(v.data(), v.cols(), v.cols());
 }
 
-void Cholesky::solve_lower_multi_in_place(Matrix& v, std::size_t cols) const {
-  STORMTUNE_REQUIRE(v.rows() == n_ && cols <= v.cols(),
+void Cholesky::solve_lower_multi_in_place(double* v, std::size_t ldv,
+                                          std::size_t cols) const {
+  STORMTUNE_REQUIRE(cols <= ldv,
                     "Cholesky::solve_lower_multi_in_place: size mismatch");
   // Column strips of V, each row's accumulators held in registers across
   // the whole k-ascending sweep (kernels_blocks.hpp); one dispatched call.
-  lk::ops().solve_lower_multi(lf_.data(), ld_, v.data(), v.cols(), cols, n_);
+  lk::ops().solve_lower_multi(lf_.data(), ld_, v, ldv, cols, n_);
 }
 
 void Cholesky::solve_lower_transpose_multi_in_place(Matrix& v) const {

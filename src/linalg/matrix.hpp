@@ -148,10 +148,12 @@ class Cholesky {
   /// few ulps. This is GpRegressor's batched-prediction kernel.
   void solve_lower_multi_in_place(Matrix& v) const;
 
-  /// As above for the leading `cols` columns of `v` only; the rest of each
-  /// row is untouched. Lets a caller pad the row stride of its workspace
-  /// (linalg_kernels::padded_ld) without solving the padding.
-  void solve_lower_multi_in_place(Matrix& v, std::size_t cols) const;
+  /// As above for the leading `cols` columns of the size()-row block at
+  /// `v` with row stride `ldv` ≥ cols; the rest of each row is untouched.
+  /// Lets a caller keep its workspace in its own buffer and pad the row
+  /// stride (linalg_kernels::padded_ld) without solving the padding.
+  void solve_lower_multi_in_place(double* v, std::size_t ldv,
+                                  std::size_t cols) const;
 
   /// Multi-RHS backward substitution: solve Lᵀ X = V in place, same block
   /// layout and the same per-column block-size independence as above.

@@ -4,9 +4,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+
+namespace stormtune::testprobe {
+// Allocations of at least 64 KiB, counted by the replacement operator new
+// in test_engine_golden.cpp.
+std::size_t large_new_call_count();
+}  // namespace stormtune::testprobe
 
 namespace stormtune::bo {
 namespace {
@@ -47,6 +55,35 @@ TEST(BayesOpt, SuggestsWithinBounds) {
     opt.observe(x, neg_branin(x[0], x[1]));
   }
   EXPECT_EQ(opt.num_observations(), 8u);
+}
+
+TEST(BayesOpt, RepeatedSuggestMakesNoLargeAllocations) {
+  // bo100-large's shape: 101 hints, five slice-sampled GPs, 512 candidates.
+  // The acquisition search streams candidates through per-worker blocks
+  // that live across suggest() calls, so once they are sized a suggest at
+  // the same history length allocates nothing of 64 KiB or more — no
+  // candidate matrix, distance, solve or neighbour block.
+  std::vector<ParamSpec> specs;
+  for (int i = 0; i < 101; ++i) {
+    specs.push_back(ParamSpec::integer("h" + std::to_string(i), 1, 20));
+  }
+  BayesOptOptions o;
+  o.hyper_mode = HyperMode::kSliceSample;
+  o.hyper_samples = 5;
+  o.num_candidates = 512;
+  o.num_threads = 1;
+  o.seed = 11;
+  BayesOpt opt(ParamSpace(specs), o);
+  Rng rng(12);
+  for (int i = 0; i < 40; ++i) {
+    auto x = opt.space().sample(rng);
+    opt.observe(std::move(x), rng.normal());
+  }
+  const ParamValues first = opt.suggest();
+  const std::size_t before = testprobe::large_new_call_count();
+  const ParamValues again = opt.suggest();
+  EXPECT_EQ(testprobe::large_new_call_count() - before, 0u);
+  EXPECT_EQ(again.size(), first.size());
 }
 
 TEST(BayesOpt, BestTracksMaximum) {

@@ -75,36 +75,41 @@ TEST(Determinism, BayesOptIdenticalTrajectories) {
 TEST(Determinism, BayesOptIdenticalAcrossThreadCounts) {
   // The acquisition search shards its work statically with one Rng stream
   // per shard, so the proposals must be bitwise-identical no matter how many
-  // threads execute the shards.
+  // threads execute the shards. 200 candidates leave each worker several
+  // scoring blocks, the last one partial.
   bo::ParamSpace space({bo::ParamSpec::real("a", 0.0, 1.0),
                         bo::ParamSpec::real("b", -2.0, 2.0),
                         bo::ParamSpec::integer("k", 1, 16)});
-  auto run = [&](std::size_t threads) {
-    bo::BayesOptOptions opts;
-    opts.hyper_mode = bo::HyperMode::kSliceSample;
-    opts.hyper_samples = 2;
-    opts.hyper_burn_in = 3;
-    opts.num_candidates = 64;
-    opts.seed = 13;
-    opts.num_threads = threads;
-    bo::BayesOpt opt(space, opts);
-    std::vector<bo::ParamValues> trajectory;
-    for (int i = 0; i < 8; ++i) {
-      auto x = opt.suggest();
-      trajectory.push_back(x);
-      const double y = -x[0] * x[0] + 0.5 * x[1] - 0.01 * x[2];
-      opt.observe(std::move(x), y);
+  for (const std::size_t candidates : {64ul, 200ul}) {
+    auto run = [&](std::size_t threads) {
+      bo::BayesOptOptions opts;
+      opts.hyper_mode = bo::HyperMode::kSliceSample;
+      opts.hyper_samples = 2;
+      opts.hyper_burn_in = 3;
+      opts.num_candidates = candidates;
+      opts.seed = 13;
+      opts.num_threads = threads;
+      bo::BayesOpt opt(space, opts);
+      std::vector<bo::ParamValues> trajectory;
+      for (int i = 0; i < 8; ++i) {
+        auto x = opt.suggest();
+        trajectory.push_back(x);
+        const double y = -x[0] * x[0] + 0.5 * x[1] - 0.01 * x[2];
+        opt.observe(std::move(x), y);
+      }
+      return trajectory;
+    };
+    const auto one = run(1);
+    const auto two = run(2);
+    const auto eight = run(8);
+    ASSERT_EQ(one.size(), two.size());
+    ASSERT_EQ(one.size(), eight.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i], two[i]) << "1 vs 2 threads diverged at step " << i
+                                << ", " << candidates << " candidates";
+      EXPECT_EQ(one[i], eight[i]) << "1 vs 8 threads diverged at step " << i
+                                  << ", " << candidates << " candidates";
     }
-    return trajectory;
-  };
-  const auto one = run(1);
-  const auto two = run(2);
-  const auto eight = run(8);
-  ASSERT_EQ(one.size(), two.size());
-  ASSERT_EQ(one.size(), eight.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i], two[i]) << "1 vs 2 threads diverged at step " << i;
-    EXPECT_EQ(one[i], eight[i]) << "1 vs 8 threads diverged at step " << i;
   }
 }
 

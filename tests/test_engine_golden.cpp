@@ -32,15 +32,22 @@
 #include "topology/synthetic.hpp"
 #include "tuning/objective.hpp"
 
-// Binary-wide allocation counter (in the style of the CholeskyWorkspace
-// allocation_count() tests): every operator new bumps it, so a test can
-// assert that a code region performed zero heap allocations. Deletes are
-// left to the default implementation (our new uses malloc, default delete
-// uses free — a matching pair).
+// Binary-wide allocation counters (in the style of the CholeskyWorkspace
+// allocation_count() tests): every operator new bumps the first, so a test
+// can assert that a code region performed zero heap allocations; the second
+// counts only allocations of at least kLargeNewBytes, the blocks whose churn
+// turns into page faults when glibc maps them fresh or trims them back to
+// the kernel. Deletes are left to the default implementation (our new uses
+// malloc, default delete uses free — a matching pair).
 static std::atomic<std::size_t> g_new_calls{0};
+static std::atomic<std::size_t> g_large_new_calls{0};
+constexpr std::size_t kLargeNewBytes = 64 * 1024;
 
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  if (size >= kLargeNewBytes) {
+    g_large_new_calls.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -55,6 +62,12 @@ namespace stormtune::testprobe {
 // allocation-free test in test_linalg.cpp.
 std::size_t new_call_count() {
   return g_new_calls.load(std::memory_order_relaxed);
+}
+
+// Allocations of at least 64 KiB only; used by the acquisition-search
+// workspace test in test_bayesopt.cpp.
+std::size_t large_new_call_count() {
+  return g_large_new_calls.load(std::memory_order_relaxed);
 }
 
 }  // namespace stormtune::testprobe

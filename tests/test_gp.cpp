@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gp/kernel.hpp"
+#include "linalg/kernels.hpp"
 
 namespace stormtune::gp {
 namespace {
@@ -518,16 +520,27 @@ TEST_F(GpFit, SharedDistanceBlockMatchesDirectPrediction) {
   for (std::size_t i = 0; i < q.rows(); ++i) {
     for (std::size_t j = 0; j < 3; ++j) q(i, j) = rng.uniform(-0.5, 1.5);
   }
-  Matrix d2;
-  g1.unscaled_sq_dist_rows(q, 0, q.rows(), d2);
+  // The block API's layout: candidates transposed in, distances and the
+  // solve workspace training-point-major.
+  const std::size_t m = q.rows(), n = x.rows();
+  const std::size_t ld = linalg_kernels::padded_ld(m);
+  const Matrix qt = q.transposed();
+  std::vector<double> d2t(n * ld), v(n * ld);
+  g1.unscaled_sq_dist_block(qt.data(), qt.cols(), m, d2t.data(), ld);
+  std::vector<double> point(n);
+  for (std::size_t c = 0; c < m; ++c) {
+    g2.unscaled_sq_dists(q.row(c), point);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(d2t[i * ld + c], point[i]);
+  }
   for (const GpRegressor* g : {&g1, &g2}) {
-    std::vector<Prediction> from_block;
-    g->predict_from_sq_dist_rows(d2, from_block);
+    std::vector<double> means(m), vars(m);
+    g->predict_mv_from_sq_dist_block(d2t.data(), ld, m, v.data(), ld, means,
+                                     vars);
     const auto direct = g->predict_batch(q);
-    ASSERT_EQ(from_block.size(), direct.size());
-    for (std::size_t i = 0; i < direct.size(); ++i) {
-      EXPECT_DOUBLE_EQ(from_block[i].mean, direct[i].mean);
-      EXPECT_DOUBLE_EQ(from_block[i].variance, direct[i].variance);
+    ASSERT_EQ(direct.size(), m);
+    for (std::size_t c = 0; c < m; ++c) {
+      EXPECT_EQ(means[c], direct[c].mean);
+      EXPECT_EQ(vars[c], direct[c].variance);
     }
   }
 }
@@ -650,10 +663,12 @@ TEST_F(GpFit, SharedDistanceBlockRejectsArd) {
   x(1, 0) = 1.0;
   x(2, 1) = 1.0;
   gp.fit(x, Vector{0.0, 1.0, 2.0});
-  Matrix d2;
-  gp.unscaled_sq_dist_rows(x, 0, 3, d2);
-  std::vector<Prediction> out;
-  EXPECT_THROW(gp.predict_from_sq_dist_rows(d2, out), Error);
+  const Matrix xt = x.transposed();
+  std::vector<double> d2t(3 * 3), v(3 * 3), means(3), vars(3);
+  gp.unscaled_sq_dist_block(xt.data(), 3, 3, d2t.data(), 3);
+  EXPECT_THROW(gp.predict_mv_from_sq_dist_block(d2t.data(), 3, 3, v.data(), 3,
+                                                means, vars),
+               Error);
 }
 
 }  // namespace

@@ -383,10 +383,47 @@ TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
   }
 }
 
-// The fused batch prediction (one whole-buffer transform + one multi-RHS
-// solve across all candidates) must be bitwise identical to the chunked
-// reference path — on every runnable ISA path, since both go through the
-// same dispatch.
+// The moment kernels (the predictive means' Σ v·α and the variances'
+// Σ v²) against the scalar column loops they replaced, on every path and
+// across lane, strip and tail widths — so the paths agree with each other
+// bit for bit too.
+TEST(IsaDispatch, ColumnMomentsMatchNaiveLoopOnEveryPath) {
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native may contract the naive loop";
+#endif
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    Rng rng(47);
+    for (const std::size_t n : {1ul, 7ul, 40ul, 101ul}) {
+      for (const std::size_t m : kKernelSizes) {
+        const std::size_t ldv = lk::padded_ld(m);
+        std::vector<double> v(n * ldv), w(n);
+        for (auto& e : v) e = rng.normal();
+        for (auto& e : w) e = rng.normal();
+        std::vector<double> dots(m), squares(m);
+        ops->column_dots(v.data(), ldv, n, m, w.data(), dots.data());
+        ops->column_sq_sums(v.data(), ldv, n, m, squares.data());
+        for (std::size_t c = 0; c < m; ++c) {
+          double dot = 0.0, sq = 0.0;
+          for (std::size_t i = 0; i < n; ++i) {
+            dot += v[i * ldv + c] * w[i];
+            sq += v[i * ldv + c] * v[i * ldv + c];
+          }
+          ASSERT_EQ(dots[c], dot) << isa::to_string(path) << " n=" << n
+                                  << " m=" << m << " col " << c;
+          ASSERT_EQ(squares[c], sq) << isa::to_string(path) << " n=" << n
+                                    << " m=" << m << " col " << c;
+        }
+      }
+    }
+  }
+}
+
+// The block prediction (training-point-major distances, one transform per
+// training point, one multi-RHS solve and the moment kernels across the
+// block) must be bitwise identical to the chunked path — on every runnable
+// ISA path, since both go through the same dispatch.
 TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
   const std::size_t n = 24, d = 3, m = 70;  // m > kPredictChunk = 64
   Rng rng(99);
@@ -400,6 +437,8 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
   for (std::size_t r = 0; r < m; ++r) {
     for (std::size_t k = 0; k < d; ++k) q(r, k) = rng.normal();
   }
+  const Matrix qt = q.transposed();
+  const std::size_t ld = lk::padded_ld(m);
   for (const isa::Path path : runnable_paths()) {
     const ScopedIsa pin(path);
     for (const gp::KernelFamily family :
@@ -411,14 +450,13 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
       gp::GpRegressor gp(kern, 1e-2, 0.2);
       gp.fit(x, y);
 
-      Matrix d2;
-      gp.unscaled_sq_dist_rows(q, 0, m, d2);
       std::vector<gp::Prediction> chunked;
-      gp.predict_from_sq_dist_rows(d2, chunked);
+      gp.predict_rows(q, 0, m, chunked);
 
-      Matrix vws;
-      std::vector<double> means(m), vars(m);
-      gp.predict_mv_from_sq_dist_rows(d2, vws, means, vars);
+      std::vector<double> d2t(n * ld), v(n * ld), means(m), vars(m);
+      gp.unscaled_sq_dist_block(qt.data(), qt.cols(), m, d2t.data(), ld);
+      gp.predict_mv_from_sq_dist_block(d2t.data(), ld, m, v.data(), ld, means,
+                                       vars);
 
       ASSERT_EQ(chunked.size(), m);
       for (std::size_t r = 0; r < m; ++r) {
