@@ -678,8 +678,9 @@ void BM_BayesOptSuggest(benchmark::State& state) {
 }
 BENCHMARK(BM_BayesOptSuggest)->Arg(10)->Arg(30)->Arg(60)
     ->Unit(benchmark::kMillisecond);
-// bo100-large's shape: the large topology's 101 hints, five samples.
-BENCHMARK_CAPTURE(BM_BayesOptSuggest, d101_s5, 101, 5)->Arg(60)
+// bo100-large's shape: the large topology's 101 hints, five samples; 100
+// observations is the history at which that workload's surrogate peaks.
+BENCHMARK_CAPTURE(BM_BayesOptSuggest, d101_s5, 101, 5)->Arg(60)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SlidingWindowSuggest(benchmark::State& state) {

@@ -164,9 +164,19 @@ double neighbor_value(std::span<const double> cur, double step,
 }  // namespace
 
 /// GP surrogate over standardized targets with a set of hyperparameter
-/// samples to marginalize over.
+/// samples to marginalize over: one posterior per sample, all fitted on the
+/// inputs of one regressor.
 struct BayesOpt::Surrogate {
-  std::vector<gp::GpRegressor> gps;  // one per hyperparameter sample
+  /// The regressor holding the training inputs and their distance cache
+  /// that every posterior below was fitted on: fixed_gp_, a warm window
+  /// GP, or own_gp.
+  const gp::GpRegressor* inputs_gp = nullptr;
+  /// One posterior per hyperparameter sample; what scoring reads.
+  std::vector<gp::PosteriorView> posts;
+  /// Storage for a fit made for this suggest only: the slice sampler's or
+  /// the MLE search's regressor, and the slice samples' posteriors.
+  std::optional<gp::GpRegressor> own_gp;
+  std::vector<gp::Posterior> own_posts;
   double y_mean = 0.0;
   double y_scale = 1.0;
   double best_standardized = 0.0;
@@ -177,19 +187,31 @@ struct BayesOpt::Surrogate {
   double cost2_ms = 0.0;
   double threshold_standardized = 0.0;
 
-  /// All GPs are refits of one regressor on the same X, differing only in
+  Surrogate() = default;
+  Surrogate(const Surrogate&) = delete;
+  Surrogate& operator=(const Surrogate&) = delete;
+
+  /// Score every regressor in `gps` (all fitted on one X) through its own
+  /// posterior.
+  void borrow(const std::vector<gp::GpRegressor>& gps) {
+    inputs_gp = &gps.front();
+    for (const auto& g : gps) posts.push_back(g.posterior());
+  }
+
+  /// All posteriors are fits on the same X, differing only in
   /// hyperparameters, so for non-ARD kernels a candidate's unscaled squared
-  /// distances to the training inputs are identical across GPs: a block's
-  /// distances are computed once and each GP finishes them with its own
-  /// lengthscale/amplitude instead of redoing the O(n·d) diff loop per GP.
+  /// distances to the training inputs are identical across them: a
+  /// block's distances are computed once and each posterior finishes them
+  /// with its own lengthscale/amplitude instead of redoing the O(n·d) diff
+  /// loop per sample.
   bool shares_distances() const {
-    return !gps.empty() && !gps.front().kernel().ard();
+    return !posts.empty() && !posts.front().ard;
   }
 
   /// Size a worker's block buffers for this surrogate (grow-only, so a
   /// steady history reuses them as they are).
   void size_block(ScoreBlock& ws, std::size_t d) const {
-    const std::size_t n = gps.front().num_observations();
+    const std::size_t n = inputs_gp->num_observations();
     if (ws.qt.rows() != d) ws.qt = Matrix(d, kBlockLd);
     if (shares_distances()) {
       ws.d2t.resize(n * kBlockLd);
@@ -224,7 +246,7 @@ struct BayesOpt::Surrogate {
   /// second). ws.mean_acc / ws.var_acc hold across-GP sums on entry. Pure
   /// per-candidate arithmetic — no shared state, no RNG.
   void apply_cost_divisor(const ScoreBlock& ws, std::span<double> out) const {
-    const double inv = 1.0 / static_cast<double>(gps.size());
+    const double inv = 1.0 / static_cast<double>(posts.size());
     for (std::size_t r = 0; r < out.size(); ++r) {
       const double mu = ws.mean_acc[r] * inv;
       const double sd = std::sqrt(ws.var_acc[r] * inv);
@@ -236,15 +258,16 @@ struct BayesOpt::Surrogate {
     }
   }
 
-  /// The acquisition averaged over the GPs for the block's first m
-  /// candidates, into ws.scores[0, m). Non-ARD GPs score from the shared
-  /// distance block ws.d2t: one correlation transform, one multi-RHS solve
-  /// and the two moment kernels per GP (predict_mv_from_sq_dist_block).
-  /// ARD GPs predict the row-major candidates ws.q. A candidate's score
-  /// does not depend on the block it lands in — the transform is
-  /// element-wise and a solve column is independent of the others — so
-  /// the blocking changes memory traffic only. Read-only on the GPs:
-  /// workers score concurrently, each in its own block.
+  /// The acquisition averaged over the posteriors for the block's first m
+  /// candidates, into ws.scores[0, m). Non-ARD posteriors score from the
+  /// shared distance block ws.d2t: one correlation transform, one
+  /// multi-RHS solve and the two moment kernels per posterior
+  /// (predict_mv_from_sq_dist_block). ARD posteriors predict the row-major
+  /// candidates ws.q. A candidate's score does not depend on the block it
+  /// lands in — the transform is element-wise and a solve column is
+  /// independent of the others — so the blocking changes memory traffic
+  /// only. Read-only on the posteriors: workers score concurrently, each
+  /// in its own block.
   void score_block(const BayesOptOptions& opts, ScoreBlock& ws,
                    std::size_t m) const {
     const std::span<double> out(ws.scores.data(), m);
@@ -257,12 +280,12 @@ struct BayesOpt::Surrogate {
       std::fill_n(ws.var_acc.begin(), m, 0.0);
     }
     const bool share = shares_distances();
-    for (const auto& g : gps) {
+    for (const auto& post : posts) {
       if (share) {
-        g.predict_mv_from_sq_dist_block(ws.d2t.data(), kBlockLd, m,
-                                        ws.v.data(), kBlockLd, means, vars);
+        gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
+                                          ws.v.data(), kBlockLd, means, vars);
       } else {
-        g.predict_rows(ws.q, 0, m, ws.preds);
+        inputs_gp->predict_rows(post, ws.q, 0, m, ws.preds);
         for (std::size_t r = 0; r < m; ++r) {
           means[r] = ws.preds[r].mean;
           vars[r] = ws.preds[r].variance;
@@ -277,7 +300,7 @@ struct BayesOpt::Surrogate {
         }
       }
     }
-    const double inv = 1.0 / static_cast<double>(gps.size());
+    const double inv = 1.0 / static_cast<double>(posts.size());
     for (auto& v : out) v *= inv;
     if (costed) apply_cost_divisor(ws, out);
 #ifdef STORMTUNE_CHECKED
@@ -298,9 +321,10 @@ struct BayesOpt::Surrogate {
                         std::size_t m, bool fresh) const {
     const std::size_t d = ws.qt.rows();
     if (shares_distances()) {
-      // Training-point-major, so each GP reads its distance rows stride-1.
-      gps.front().unscaled_sq_dist_block(ws.qt.data(), kBlockLd, m,
-                                         ws.d2t.data(), kBlockLd);
+      // Training-point-major, so each posterior reads its distance rows
+      // stride-1.
+      inputs_gp->unscaled_sq_dist_block(ws.qt.data(), kBlockLd, m,
+                                        ws.d2t.data(), kBlockLd);
     } else {
       for (std::size_t c = 0; c < m; ++c) {
         for (std::size_t k = 0; k < d; ++k) ws.q(c, k) = ws.qt(k, c);
@@ -325,7 +349,7 @@ struct BayesOpt::Surrogate {
                        std::span<const double> base, std::size_t lo,
                        std::size_t m) const {
     if (shares_distances()) {
-      const Matrix& x = gps.front().inputs();
+      const Matrix& x = inputs_gp->inputs();
       const std::size_t n = x.rows();
       for (std::size_t c = 0; c < m; ++c) {
         const std::size_t j = (lo + c) / 2;
@@ -409,26 +433,67 @@ void BayesOpt::slide_gp(gp::GpRegressor& g,
   }
 }
 
-BayesOpt::Surrogate BayesOpt::fit_surrogate() {
+namespace {
+
+/// The posteriors of `samples` on `gp`'s inputs, with `gp` as the fit
+/// scratch: sample_hyperparams left it fitted with the chain's final
+/// sample, so that posterior is taken first, while its factor is still in
+/// place, and the others are refits of `gp` itself. A refit's factor and α
+/// are a pure function of the distance cache and theta — the correlation
+/// and factor caches only skip recomputing the same bits — so these are the
+/// posteriors a fresh fit per sample would give. With more than one pool
+/// thread each extra worker refits a copy of `gp` (which shares its inputs
+/// and distance cache) over a contiguous run of samples; no RNG is
+/// involved, so the result does not depend on the thread count.
+std::vector<gp::Posterior> sample_posteriors(
+    gp::GpRegressor& gp, const std::vector<gp::HyperSample>& samples,
+    const Vector& y, std::span<const double> noise_ratios, ThreadPool& pool) {
+  std::vector<gp::Posterior> posts(samples.size());
+  posts.back() = gp::Posterior(gp.posterior());
+  const std::size_t rest = samples.size() - 1;
+  const std::size_t workers = std::min(pool.num_threads(), rest);
+  if (workers == 0) return posts;
+  std::vector<gp::GpRegressor> scratch(workers - 1, gp);
+  const Matrix& x = gp.inputs();
+  pool.parallel_for(workers, [&](std::size_t w) {
+    gp::GpRegressor& g = w == 0 ? gp : scratch[w - 1];
+    for (std::size_t i = w * rest / workers; i < (w + 1) * rest / workers;
+         ++i) {
+      gp::apply_hyperparams(g, samples[i].theta, x, y, noise_ratios);
+      posts[i] = gp::Posterior(g.posterior());
+    }
+  });
+  return posts;
+}
+
+}  // namespace
+
+void BayesOpt::fit_surrogate(Surrogate& s) {
   // The surrogate conditions on the windowed observations only. With an
   // unbounded window window_ is exactly [0, n), so every loop below walks
   // the same rows in the same order as the pre-window code — bit-identical.
   const std::size_t n = window_.size();
   const std::size_t d = space_.dim();
 
-  Surrogate s;
   std::vector<double> ys(n);
   for (std::size_t i = 0; i < n; ++i) ys[i] = observations_[window_[i]].y;
   const Summary sum = summarize(ys);
   s.y_mean = sum.mean;
   s.y_scale = sum.stddev > 1e-12 ? sum.stddev : 1.0;
 
-  Matrix x(n, d);
   Vector y(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < d; ++j) x(i, j) = unit_x_[window_[i]][j];
     y[i] = (observations_[window_[i]].y - s.y_mean) / s.y_scale;
   }
+  // The unit-space inputs, built only for a fit that needs them; they move
+  // into the regressor's distance cache, so X exists once.
+  const auto unit_inputs = [&] {
+    Matrix x(n, d);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < d; ++j) x(i, j) = unit_x_[window_[i]][j];
+    }
+    return x;
+  };
   s.best_standardized = *std::max_element(y.begin(), y.end());
   s.cost1_ms = acq_cost1_ms_;
   s.cost2_ms = acq_cost2_ms_;
@@ -482,17 +547,21 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
         fixed_rows_ = window_;
       } else {
         if (het) gp.set_noise_diag(noises);
-        gp.fit(x, y);
+        gp.set_inputs(unit_inputs());
+        gp.refit(y);
         fixed_gp_ = std::move(gp);
         fixed_rows_ = window_;
       }
-      s.gps.push_back(*fixed_gp_);
+      s.inputs_gp = &*fixed_gp_;
+      s.posts.push_back(fixed_gp_->posterior());
       break;
     }
     case HyperMode::kMle: {
+      gp.set_inputs(unit_inputs());
       gp::MleOptions mle;
-      gp::fit_hyperparams_mle(gp, x, y, mle, rng_, noise_ratios);
-      s.gps.push_back(std::move(gp));
+      gp::fit_hyperparams_mle(gp, gp.inputs(), y, mle, rng_, noise_ratios);
+      s.inputs_gp = &s.own_gp.emplace(std::move(gp));
+      s.posts.push_back(s.own_gp->posterior());
       break;
     }
     case HyperMode::kSliceSample: {
@@ -507,8 +576,8 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
                              window_step(warm_.rows, removals, num_appends);
       if (can_slide && removals.empty() && num_appends == 0) {
         // Unchanged window (repeated suggest() without observe()): the
-        // standardized targets are identical, reuse the warm GPs as-is.
-        s.gps = warm_.gps;
+        // standardized targets are identical, score the warm GPs as-is.
+        s.borrow(warm_.gps);
         break;
       }
       if (can_slide && !removals.empty() &&
@@ -522,7 +591,7 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
         }
         warm_.rows = window_;
         ++warm_.slides_since_refresh;
-        s.gps = warm_.gps;
+        s.borrow(warm_.gps);
         break;
       }
       gp::HyperSamplerOptions hs;
@@ -537,27 +606,34 @@ BayesOpt::Surrogate BayesOpt::fit_surrogate() {
         hs.initial_theta = warm_.chain_theta;
         hs.burn_in = options_.hyper_burn_in_warm;
       }
+      gp.set_inputs(unit_inputs());
+      const Matrix& x = gp.inputs();
       const auto samples =
           gp::sample_hyperparams(gp, x, y, hs, rng_, noise_ratios);
-      // One refit per retained sample, each an independent O(n³) Cholesky.
-      // The copies share the sampler GP's distance cache, so the refits skip
-      // the O(n²·d) pairwise loop; the pool runs one shard per sample (no
-      // RNG involved, hence deterministic for any thread count).
-      s.gps.assign(samples.size(), gp);
-      pool().parallel_for(samples.size(), [&](std::size_t i) {
-        gp::apply_hyperparams(s.gps[i], samples[i].theta, x, y, noise_ratios);
-      });
-      if (windowed) {
-        warm_.valid = true;
-        warm_.rows = window_;
-        warm_.gps = s.gps;
-        warm_.chain_theta = samples.back().theta;
-        warm_.slides_since_refresh = 0;
+      if (!windowed) {
+        s.own_posts = sample_posteriors(gp, samples, y, noise_ratios, pool());
+        s.inputs_gp = &s.own_gp.emplace(std::move(gp));
+        for (const auto& post : s.own_posts) s.posts.push_back(post.view());
+        break;
       }
+      // The window keeps one whole regressor per sample for its slides:
+      // one refit per copy, each an independent O(n³) Cholesky. The copies
+      // share the sampler GP's inputs and distance cache, so the refits
+      // skip the O(n²·d) pairwise loop; the pool runs one shard per sample
+      // (no RNG involved, hence deterministic for any thread count).
+      warm_.gps.assign(samples.size(), gp);
+      pool().parallel_for(samples.size(), [&](std::size_t i) {
+        gp::apply_hyperparams(warm_.gps[i], samples[i].theta, x, y,
+                              noise_ratios);
+      });
+      warm_.valid = true;
+      warm_.rows = window_;
+      warm_.chain_theta = samples.back().theta;
+      warm_.slides_since_refresh = 0;
+      s.borrow(warm_.gps);
       break;
     }
   }
-  return s;
 }
 
 namespace {
@@ -679,13 +755,13 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   const std::size_t num_nb = 2 * d;
   std::vector<double> nb_scores(num_nb);
   const bool share = surrogate.shares_distances();
-  std::vector<double> base(share ? surrogate.gps.front().num_observations()
-                                 : 0);
+  std::vector<double> base(
+      share ? surrogate.inputs_gp->num_observations() : 0);
   const std::size_t nb_workers = std::min(threads, num_nb);
   for (std::size_t it = 0; it < options_.local_search_iters; ++it) {
     // One O(n·d) distance pass for the center; every neighbor's distances
     // are then an O(n) single-coordinate update (score_neighbors).
-    if (share) surrogate.gps.front().unscaled_sq_dists(cur, base);
+    if (share) surrogate.inputs_gp->unscaled_sq_dists(cur, base);
     pool().parallel_for(nb_workers, [&](std::size_t w) {
       ScoreBlock& ws = score_blocks_[w];
       const std::size_t hi = (w + 1) * num_nb / nb_workers;
@@ -714,7 +790,8 @@ ParamValues BayesOpt::suggest() {
       observations_.size() < options_.initial_design) {
     return space_.sample(rng_);
   }
-  Surrogate surrogate = fit_surrogate();
+  Surrogate surrogate;
+  fit_surrogate(surrogate);
   const std::vector<double> u = maximize_acquisition(surrogate);
   return space_.from_unit(u);
 }

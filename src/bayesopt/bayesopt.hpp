@@ -167,7 +167,10 @@ class BayesOpt {
 
  private:
   struct Surrogate;
-  Surrogate fit_surrogate();
+  /// Fit the surrogate for the current window into `s` (default-built):
+  /// its posterior views may borrow from s itself, so it is filled in
+  /// place and never moved.
+  void fit_surrogate(Surrogate& s);
   std::vector<double> maximize_acquisition(Surrogate& surrogate);
   /// Diff a previous fit's window `from` against the current window_: true
   /// when the step is incremental (current window = kept prefix of `from`
@@ -226,10 +229,12 @@ class BayesOpt {
   std::vector<std::size_t> fixed_rows_;
   /// Warm sliding-window state for slice-sampled surrogates: the per-sample
   /// GPs of the last full/warm hyperparameter refresh plus the chain's final
-  /// theta. Between refreshes, suggest() slides these GPs incrementally
-  /// instead of re-running MCMC; every hyper_refit_interval-th slide (and
-  /// whenever the window diverges) the sampler re-equilibrates from
-  /// chain_theta with hyper_burn_in_warm sweeps. Engaged only after the
+  /// theta. These stay whole regressors, not posteriors: each one's O(n²)
+  /// slides need its correlation and factor caches. Between refreshes,
+  /// suggest() slides these GPs incrementally instead of re-running MCMC;
+  /// every hyper_refit_interval-th slide (and whenever the window
+  /// diverges) the sampler re-equilibrates from chain_theta with
+  /// hyper_burn_in_warm sweeps. Engaged only after the
   /// first eviction, so windowed-but-not-yet-full histories stay
   /// bit-identical to the unwindowed optimizer.
   struct WarmSlice {
@@ -250,7 +255,7 @@ class BayesOpt {
     Matrix qt;                // block candidates transposed: dim rows
     Matrix q;                 // ARD only: the same candidates row-major
     std::vector<double> d2t;  // n × ld training-point-major distances
-    std::vector<double> v;    // n × ld solve workspace, one GP at a time
+    std::vector<double> v;    // n × ld solve workspace, one posterior at a time
     std::vector<double> means, vars, scores;  // one entry per block row
     std::vector<double> mean_acc, var_acc;    // cost-aware scoring only
     std::vector<gp::Prediction> preds;        // ARD only

@@ -59,15 +59,22 @@ void GpRegressor::update_inverse_lengthscales() {
   }
 }
 
+const Matrix& GpRegressor::inputs() const {
+  static const Matrix kNoInputs;
+  return dist_ ? dist_->x : kNoInputs;
+}
+
 bool GpRegressor::x_matches(const Matrix& x) const {
-  if (!dist_ || x_.rows() != x.rows() || x_.cols() != x.cols()) return false;
+  if (!dist_) return false;
+  const Matrix& held = dist_->x;
+  if (held.rows() != x.rows() || held.cols() != x.cols()) return false;
   // Bitwise comparison: hyperparameter search refits with the same X
   // hundreds of times per suggestion, so this runs hot. Representation
   // equality is stricter than value equality for every distance-relevant
   // case (-0.0 vs 0.0 merely rebuilds the cache needlessly), so a mismatch
   // only ever costs a redundant rebuild, never a stale cache.
   for (std::size_t i = 0; i < x.rows(); ++i) {
-    const auto a = x_.row(i);
+    const auto a = held.row(i);
     const auto b = x.row(i);
     if (std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) != 0) {
       return false;
@@ -76,25 +83,26 @@ bool GpRegressor::x_matches(const Matrix& x) const {
   return true;
 }
 
-void GpRegressor::rebuild_distance_cache() {
-  const std::size_t n = x_.rows();
-  const std::size_t d = x_.cols();
+void GpRegressor::rebuild_distance_cache(Matrix x) {
+  const std::size_t n = x.rows();
+  const std::size_t d = x.cols();
   auto cache = std::make_shared<DistanceCache>();
-  cache->n = n;
-  cache->xt = transposed_inputs(x_);
+  cache->x = std::move(x);
+  const Matrix& xs = cache->x;
+  cache->xt = transposed_inputs(xs);
   if (!kernel_.ard()) {
     // Full rows through the lane-parallel kernel: (x_j − x_i)² and
     // (x_i − x_j)² are the same bits, so the matrix is exactly symmetric,
     // and the diagonal is an exact zero.
     cache->sq = Matrix(n, n);
-    sq_dists(cache->xt, n, x_.data(), n, cache->sq.data(), n);
+    sq_dists(cache->xt, n, xs.data(), n, cache->sq.data(), n);
   } else {
     cache->sq_dims.resize(n * (n - 1) / 2 * d);
     double* out = cache->sq_dims.data();
     for (std::size_t j = 0; j < n; ++j) {
-      const auto xj = x_.row(j);
+      const auto xj = xs.row(j);
       for (std::size_t i = 0; i < j; ++i) {
-        const auto xi = x_.row(i);
+        const auto xi = xs.row(i);
         for (std::size_t k = 0; k < d; ++k) {
           const double diff = xi[k] - xj[k];
           *out++ = diff * diff;
@@ -107,10 +115,16 @@ void GpRegressor::rebuild_distance_cache() {
 
 std::shared_ptr<GpRegressor::DistanceCache>
 GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
-  const std::size_t n = x_.rows();
-  const std::size_t d = x_.cols();
+  const Matrix& xs = dist_->x;
+  const std::size_t n = xs.rows();
+  const std::size_t d = xs.cols();
   auto cache = std::make_shared<DistanceCache>();
-  cache->n = n + 1;
+  cache->x = Matrix(n + 1, d);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto src = xs.row(i);
+    std::copy(src.begin(), src.end(), cache->x.row(i).begin());
+  }
+  std::copy(x_new.begin(), x_new.end(), cache->x.row(n).begin());
   cache->xt = Matrix(d, linalg_kernels::padded_ld(n + 1));
   for (std::size_t k = 0; k < d; ++k) {
     const auto src = dist_->xt.row(k);
@@ -134,7 +148,7 @@ GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
     cache->sq_dims = dist_->sq_dims;
     cache->sq_dims.reserve(cache->sq_dims.size() + n * d);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = x_.row(i);
+      const auto xi = xs.row(i);
       for (std::size_t k = 0; k < d; ++k) {
         const double diff = xi[k] - x_new[k];
         cache->sq_dims.push_back(diff * diff);
@@ -151,7 +165,7 @@ void GpRegressor::ensure_correlation() {
     return;
   }
   corr_valid_ = false;
-  const std::size_t n = x_.rows();
+  const std::size_t n = num_observations();
   const std::vector<double>& inv = inv_sq_ls_;
   if (corr_.rows() != n || corr_.cols() != n) corr_ = Matrix(n, n);
   // Pack the strict upper triangle's scaled squared distances (pairs grouped
@@ -168,7 +182,7 @@ void GpRegressor::ensure_correlation() {
       off += j;
     }
   } else {
-    const std::size_t d = x_.cols();
+    const std::size_t d = dist_->x.cols();
     const double* p = dist_->sq_dims.data();
     for (std::size_t pair = 0; pair < num_pairs; ++pair, p += d) {
       double r2 = 0.0;
@@ -256,13 +270,20 @@ void GpRegressor::fit(const Matrix& x, const Vector& y) {
 }
 
 void GpRegressor::set_inputs(const Matrix& x) {
+  if (x_matches(x)) {
+    fit_current_ = false;
+    return;
+  }
+  set_inputs(Matrix(x));
+}
+
+void GpRegressor::set_inputs(Matrix&& x) {
   STORMTUNE_REQUIRE(x.rows() > 0, "GpRegressor::set_inputs: no observations");
   STORMTUNE_REQUIRE(x.cols() == kernel_.input_dim(),
                     "GpRegressor::set_inputs: dimension mismatch with kernel");
   fit_current_ = false;
   if (!x_matches(x)) {
-    x_ = x;
-    rebuild_distance_cache();
+    rebuild_distance_cache(std::move(x));
     corr_valid_ = false;
     chol_valid_ = false;
   }
@@ -271,8 +292,9 @@ void GpRegressor::set_inputs(const Matrix& x) {
 void GpRegressor::refit(const Vector& y) {
   STORMTUNE_REQUIRE(dist_ != nullptr,
                     "GpRegressor::refit: no inputs; call fit() first");
-  STORMTUNE_REQUIRE(x_.rows() == y.size(), "GpRegressor::refit: X/y mismatch");
-  STORMTUNE_REQUIRE(noise_diag_.empty() || noise_diag_.size() == x_.rows(),
+  STORMTUNE_REQUIRE(num_observations() == y.size(),
+                    "GpRegressor::refit: X/y mismatch");
+  STORMTUNE_REQUIRE(noise_diag_.empty() || noise_diag_.size() == y.size(),
                     "GpRegressor::refit: noise diagonal size mismatch");
   fit_current_ = false;
   y_centered_.resize(y.size());
@@ -280,8 +302,16 @@ void GpRegressor::refit(const Vector& y) {
 
   ensure_correlation();
   ensure_cholesky();
-  alpha_ = chol_->solve(y_centered_);
+  solve_alpha();
   fit_current_ = true;
+}
+
+void GpRegressor::solve_alpha() {
+  // Cholesky::solve's two substitutions, run in alpha_'s own buffer: the
+  // sampler refits hundreds of times per suggestion at one n.
+  alpha_ = y_centered_;
+  chol_->solve_lower_in_place(alpha_);
+  chol_->solve_lower_transpose_in_place(alpha_);
 }
 
 STORMTUNE_HOT void GpRegressor::append_observation(
@@ -301,8 +331,10 @@ STORMTUNE_HOT void GpRegressor::append_observation(
   // existing rows keep the scalar variance, the new row carries its own.
   // The existing factor stays valid — its rows depend only on the old
   // diagonal entries, which are unchanged.
-  if (noise_diag_.empty()) noise_diag_.assign(x_.rows(), noise_variance_);
-  STORMTUNE_REQUIRE(noise_diag_.size() == x_.rows(),
+  if (noise_diag_.empty()) {
+    noise_diag_.assign(num_observations(), noise_variance_);
+  }
+  STORMTUNE_REQUIRE(noise_diag_.size() == num_observations(),
                     "GpRegressor::append_observation: noise diagonal out of "
                     "sync with observations");
   noise_diag_.push_back(noise_new);
@@ -313,27 +345,15 @@ void GpRegressor::append_impl(std::span<const double> x_new,
                               const Vector& y_all, double noise_new) {
   STORMTUNE_REQUIRE(fitted(),
                     "GpRegressor::append_observation: call fit() first");
-  const std::size_t n = x_.rows();
-  const std::size_t d = x_.cols();
+  const std::size_t n = num_observations();
+  const std::size_t d = dist_->x.cols();
   STORMTUNE_REQUIRE(x_new.size() == d,
                     "GpRegressor::append_observation: dimension mismatch");
   STORMTUNE_REQUIRE(y_all.size() == n + 1,
                     "GpRegressor::append_observation: y must have n+1 entries");
   fit_current_ = false;
 
-  auto new_dist = extended_distance_cache(x_new);
-  Matrix grown_x(n + 1, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = x_.row(i);
-    const auto dst = grown_x.row(i);
-    for (std::size_t k = 0; k < d; ++k) dst[k] = src[k];
-  }
-  {
-    const auto dst = grown_x.row(n);
-    for (std::size_t k = 0; k < d; ++k) dst[k] = x_new[k];
-  }
-  x_ = std::move(grown_x);
-  dist_ = new_dist;
+  dist_ = extended_distance_cache(x_new);
 
   // Extend the correlation matrix (valid because fitted() held on entry).
   const std::vector<double>& inv = inv_sq_ls_;
@@ -384,7 +404,7 @@ void GpRegressor::append_impl(std::span<const double> x_new,
   for (std::size_t i = 0; i <= n; ++i) {
     y_centered_[i] = y_all[i] - mean_value_;
   }
-  alpha_ = chol_->solve(y_centered_);
+  solve_alpha();
   fit_current_ = true;
 }
 
@@ -392,8 +412,8 @@ STORMTUNE_HOT void GpRegressor::remove_observation(std::size_t idx,
                                                    const Vector& y_all) {
   STORMTUNE_REQUIRE(fitted(),
                     "GpRegressor::remove_observation: call fit() first");
-  const std::size_t n = x_.rows();
-  const std::size_t d = x_.cols();
+  const std::size_t n = num_observations();
+  const std::size_t d = dist_->x.cols();
   STORMTUNE_REQUIRE(idx < n,
                     "GpRegressor::remove_observation: index out of range");
   STORMTUNE_REQUIRE(n >= 2,
@@ -406,19 +426,15 @@ STORMTUNE_HOT void GpRegressor::remove_observation(std::size_t idx,
   // Skip-copy helper: source row r of an n-sized structure for reduced row i.
   const auto src_of = [idx](std::size_t i) { return i < idx ? i : i + 1; };
 
-  Matrix reduced_x(m, d);
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto src = x_.row(src_of(i));
-    const auto dst = reduced_x.row(i);
-    for (std::size_t k = 0; k < d; ++k) dst[k] = src[k];
-  }
-  x_ = std::move(reduced_x);
-
-  // Evict the row from the distance cache in O(n²) copies — the O(n²·d)
-  // distance loop never reruns for a remove.
+  // Evict the row from the inputs and the distance cache in O(n²) copies —
+  // the O(n²·d) distance loop never reruns for a remove.
   auto cache = std::make_shared<DistanceCache>();
-  cache->n = m;
-  cache->xt = transposed_inputs(x_);
+  cache->x = Matrix(m, d);
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto src = dist_->x.row(src_of(i));
+    std::copy(src.begin(), src.end(), cache->x.row(i).begin());
+  }
+  cache->xt = transposed_inputs(cache->x);
   if (!kernel_.ard()) {
     cache->sq = Matrix(m, m);
     for (std::size_t i = 0; i < m; ++i) {
@@ -467,7 +483,7 @@ STORMTUNE_HOT void GpRegressor::remove_observation(std::size_t idx,
 
   y_centered_.resize(m);
   for (std::size_t i = 0; i < m; ++i) y_centered_[i] = y_all[i] - mean_value_;
-  alpha_ = chol_->solve(y_centered_);
+  solve_alpha();
   fit_current_ = true;
 }
 
@@ -492,73 +508,97 @@ STORMTUNE_HOT void GpRegressor::predict_batch(
 }
 
 namespace {
+
 // Rows of K* processed per multi-RHS forward substitution; bounds the V
 // workspace at kPredictChunk * n doubles.
 constexpr std::size_t kPredictChunk = 64;
-}  // namespace
 
 // Finish a chunk given its cross-covariance block K* (one row per query):
 // means against alpha, then one blocked multi-RHS forward substitution
 // L V = K*ᵀ carrying all rows of the chunk at once
-// (Cholesky::solve_lower_multi_in_place). The single-RHS solve has a
-// loop-carried dependency; the multi-RHS sweep's inner updates run across
-// queries, so they vectorize. Per query the operations and their order
-// match the scalar solve_lower_in_place/dot path exactly, so results are
-// bitwise identical to per-candidate solves.
-void GpRegressor::predict_chunk(const Matrix& kstar,
-                                std::span<Prediction> out) const {
+// (KernelOps::solve_lower_multi). The single-RHS solve has a loop-carried
+// dependency; the multi-RHS sweep's inner updates run across queries, so
+// they vectorize. Per query the operations and their order match the
+// scalar solve_lower_in_place/dot path exactly, so results are bitwise
+// identical to per-candidate solves.
+void predict_chunk(const PosteriorView& post, const Matrix& kstar,
+                   std::span<Prediction> out) {
   const std::size_t m = kstar.rows();
-  const std::size_t n = x_.rows();
-  const double a2 = kernel_.variance();
+  const std::size_t n = post.num_observations();
   for (std::size_t r = 0; r < m; ++r) {
     const auto b = kstar.row(r);
     double mean = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mean += b[i] * alpha_[i];
-    out[r].mean = mean_value_ + mean;
+    for (std::size_t i = 0; i < n; ++i) mean += b[i] * post.alpha[i];
+    out[r].mean = post.mean_value + mean;
   }
   Matrix v = kstar.transposed();
-  chol_->solve_lower_multi_in_place(v);
+  linalg_kernels::ops().solve_lower_multi(post.lower, post.ld, v.data(),
+                                          v.cols(), v.cols(), n);
   std::vector<double> ss(m, 0.0);  // Σ v_i² per query, i ascending
   for (std::size_t i = 0; i < n; ++i) {
     const auto vi = v.row(i);
     for (std::size_t r = 0; r < m; ++r) ss[r] += vi[r] * vi[r];
   }
   for (std::size_t r = 0; r < m; ++r) {
-    const double var = a2 - ss[r];
+    const double var = post.variance - ss[r];
     out[r].variance = var < 0.0 ? 0.0 : var;  // numerical floor
   }
 }
 
-STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
-                                             std::size_t row_begin,
-                               std::size_t row_end,
-                               std::vector<Prediction>& out) const {
+}  // namespace
+
+PosteriorView GpRegressor::posterior() const {
+  STORMTUNE_REQUIRE(fitted(), "GpRegressor::posterior: call fit() first");
+  PosteriorView post;
+  post.family = kernel_.family();
+  post.ard = kernel_.ard();
+  post.variance = kernel_.variance();
+  post.mean_value = mean_value_;
+  post.inv_sq_ls = inv_sq_ls_;
+  post.lower = chol_->lower_rows();
+  post.ld = chol_->stride();
+  post.alpha = alpha_;
+  return post;
+}
+
+STORMTUNE_HOT void GpRegressor::predict_rows(
+    const Matrix& q, std::size_t row_begin, std::size_t row_end,
+    std::vector<Prediction>& out) const {
+  predict_rows(posterior(), q, row_begin, row_end, out);
+}
+
+STORMTUNE_HOT void GpRegressor::predict_rows(
+    const PosteriorView& post, const Matrix& q, std::size_t row_begin,
+    std::size_t row_end, std::vector<Prediction>& out) const {
   STORMTUNE_REQUIRE(fitted(), "GpRegressor::predict: call fit() first");
   STORMTUNE_REQUIRE(q.cols() == kernel_.input_dim(),
                     "GpRegressor::predict: dimension mismatch with kernel");
   STORMTUNE_REQUIRE(row_begin <= row_end && row_end <= q.rows(),
                     "GpRegressor::predict_rows: bad row range");
-  const std::size_t n = x_.rows();
+  STORMTUNE_REQUIRE(post.num_observations() == num_observations() &&
+                        post.ard == kernel_.ard() &&
+                        post.inv_sq_ls.size() == inv_sq_ls_.size(),
+                    "GpRegressor::predict_rows: posterior of other inputs");
+  const Matrix& x = dist_->x;
+  const std::size_t n = x.rows();
   const std::size_t d = q.cols();
   const std::size_t total = row_end - row_begin;
   out.resize(total);
-  const double a2 = kernel_.variance();
-  const bool ard = kernel_.ard();
-  const std::vector<double>& inv = inv_sq_ls_;
+  const std::span<const double> inv = post.inv_sq_ls;
   Matrix kstar;
   for (std::size_t base = 0; base < total; base += kPredictChunk) {
     const std::size_t m = std::min(kPredictChunk, total - base);
     if (kstar.rows() != m) kstar = Matrix(m, n);
-    if (!ard) {
+    if (!post.ard) {
       sq_dists(dist_->xt, n, q.row(row_begin + base).data(), m, kstar.data(),
                n);
     }
     for (std::size_t r = 0; r < m; ++r) {
       const auto u = q.row(row_begin + base + r);
       const auto krow = kstar.row(r);
-      if (ard) {
+      if (post.ard) {
         for (std::size_t i = 0; i < n; ++i) {
-          const auto xi = x_.row(i);
+          const auto xi = x.row(i);
           double r2 = 0.0;
           for (std::size_t k = 0; k < d; ++k) {
             const double diff = xi[k] - u[k];
@@ -569,9 +609,10 @@ STORMTUNE_HOT void GpRegressor::predict_rows(const Matrix& q,
       } else {
         for (std::size_t i = 0; i < n; ++i) krow[i] *= inv[0];
       }
-      correlation_from_scaled_sq_batch(kernel_.family(), a2, krow.data(), n);
+      correlation_from_scaled_sq_batch(post.family, post.variance, krow.data(),
+                                       n);
     }
-    predict_chunk(kstar, std::span(out).subspan(base, m));
+    predict_chunk(post, kstar, std::span(out).subspan(base, m));
   }
 }
 
@@ -579,9 +620,10 @@ void GpRegressor::unscaled_sq_dists(std::span<const double> u,
                                     std::span<double> out) const {
   STORMTUNE_REQUIRE(fitted(),
                     "GpRegressor::unscaled_sq_dists: call fit() first");
-  STORMTUNE_REQUIRE(u.size() == x_.cols() && out.size() == x_.rows(),
+  const std::size_t n = num_observations();
+  STORMTUNE_REQUIRE(u.size() == dist_->x.cols() && out.size() == n,
                     "GpRegressor::unscaled_sq_dists: size mismatch");
-  sq_dists(dist_->xt, x_.rows(), u.data(), 1, out.data(), x_.rows());
+  sq_dists(dist_->xt, n, u.data(), 1, out.data(), n);
 }
 
 STORMTUNE_HOT void GpRegressor::unscaled_sq_dist_block(
@@ -593,23 +635,23 @@ STORMTUNE_HOT void GpRegressor::unscaled_sq_dist_block(
                     "GpRegressor::unscaled_sq_dist_block: stride below m");
   // The distance kernel with the roles swapped: lanes across the m query
   // points (the transposed block), one output row per training point.
-  linalg_kernels::ops().sq_dist_rows(qt, ldq, m, x_.cols(), x_.data(),
-                                     x_.cols(), x_.rows(), d2t, ldd);
+  const Matrix& x = dist_->x;
+  linalg_kernels::ops().sq_dist_rows(qt, ldq, m, x.cols(), x.data(), x.cols(),
+                                     x.rows(), d2t, ldd);
 }
 
-STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_block(
-    const double* d2t, std::size_t ldd, std::size_t m, double* v,
-    std::size_t ldv, std::span<double> means, std::span<double> vars) const {
-  STORMTUNE_REQUIRE(
-      fitted(), "GpRegressor::predict_mv_from_sq_dist_block: call fit() first");
-  STORMTUNE_REQUIRE(!kernel_.ard(),
-                    "GpRegressor::predict_mv_from_sq_dist_block: non-ARD only");
+STORMTUNE_HOT void predict_mv_from_sq_dist_block(
+    const PosteriorView& post, const double* d2t, std::size_t ldd,
+    std::size_t m, double* v, std::size_t ldv, std::span<double> means,
+    std::span<double> vars) {
+  STORMTUNE_REQUIRE(!post.ard,
+                    "predict_mv_from_sq_dist_block: non-ARD only");
   STORMTUNE_REQUIRE(
       m <= ldd && m <= ldv && means.size() == m && vars.size() == m,
-      "GpRegressor::predict_mv_from_sq_dist_block: size mismatch");
-  const std::size_t n = x_.rows();
-  const double a2 = kernel_.variance();
-  const double inv0 = inv_sq_ls_[0];
+      "predict_mv_from_sq_dist_block: size mismatch");
+  const std::size_t n = post.num_observations();
+  const double a2 = post.variance;
+  const double inv0 = post.inv_sq_ls[0];
   // V = K*ᵀ (row i = candidate values of training point i), built from the
   // distance block's row i: both stride-1, and this is the layout the
   // solve wants.
@@ -617,16 +659,16 @@ STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_block(
     double* vi = v + i * ldv;
     const double* di = d2t + i * ldd;
     for (std::size_t c = 0; c < m; ++c) vi[c] = di[c] * inv0;
-    correlation_from_scaled_sq_batch(kernel_.family(), a2, vi, m);
+    correlation_from_scaled_sq_batch(post.family, a2, vi, m);
   }
   // Means before the solve overwrites V: per candidate 0 + Σ_i v_i·α_i,
   // i ascending — the chunked path's dot-product order.
   const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
-  ops.column_dots(v, ldv, n, m, alpha_.data(), means.data());
-  for (std::size_t c = 0; c < m; ++c) means[c] = mean_value_ + means[c];
+  ops.column_dots(v, ldv, n, m, post.alpha.data(), means.data());
+  for (std::size_t c = 0; c < m; ++c) means[c] = post.mean_value + means[c];
   // One forward substitution over the block; a column's result does not
-  // depend on which other columns share it (solve_lower_multi_in_place).
-  chol_->solve_lower_multi_in_place(v, ldv, m);
+  // depend on which other columns share it (KernelOps::solve_lower_multi).
+  ops.solve_lower_multi(post.lower, post.ld, v, ldv, m, n);
   ops.column_sq_sums(v, ldv, n, m, vars.data());
   for (std::size_t c = 0; c < m; ++c) {
     const double var = a2 - vars[c];
@@ -634,9 +676,38 @@ STORMTUNE_HOT void GpRegressor::predict_mv_from_sq_dist_block(
   }
 }
 
+Posterior::Posterior(const PosteriorView& post)
+    : family_(post.family),
+      ard_(post.ard),
+      variance_(post.variance),
+      mean_value_(post.mean_value),
+      inv_sq_ls_(post.inv_sq_ls.begin(), post.inv_sq_ls.end()),
+      ld_(linalg_kernels::padded_ld(post.num_observations())),
+      lower_(post.num_observations() * ld_),
+      alpha_(post.alpha.begin(), post.alpha.end()) {
+  // Only each row's lower triangle is copied: the solve kernels read row i
+  // up to its diagonal and nothing past it.
+  for (std::size_t i = 0; i < alpha_.size(); ++i) {
+    std::copy_n(post.lower + i * post.ld, i + 1, lower_.data() + i * ld_);
+  }
+}
+
+PosteriorView Posterior::view() const {
+  PosteriorView post;
+  post.family = family_;
+  post.ard = ard_;
+  post.variance = variance_;
+  post.mean_value = mean_value_;
+  post.inv_sq_ls = inv_sq_ls_;
+  post.lower = lower_.data();
+  post.ld = ld_;
+  post.alpha = alpha_;
+  return post;
+}
+
 double GpRegressor::log_marginal_likelihood() const {
   STORMTUNE_REQUIRE(fitted(), "GpRegressor: call fit() first");
-  const double n = static_cast<double>(x_.rows());
+  const double n = static_cast<double>(num_observations());
   return -0.5 * dot(y_centered_, alpha_) - 0.5 * chol_->log_determinant() -
          0.5 * n * std::log(2.0 * std::numbers::pi);
 }

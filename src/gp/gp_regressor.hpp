@@ -35,6 +35,46 @@ struct Prediction {
   double variance = 0.0;  ///< includes neither observation noise nor jitter
 };
 
+/// What predicting from a fitted regressor reads, and nothing else: the
+/// kernel's family and hyperparameters, the constant mean, the n lower
+/// rows of the Cholesky factor L and α = K⁻¹(y − m). A view borrows them
+/// from a GpRegressor (GpRegressor::posterior) or a Posterior. It holds no
+/// training inputs: the distances it is scored on come from the regressor
+/// that holds X (GpRegressor::predict_rows) or from a precomputed block
+/// (predict_mv_from_sq_dist_block).
+struct PosteriorView {
+  KernelFamily family = KernelFamily::kMatern52;
+  bool ard = false;
+  double variance = 0.0;              ///< a² = k(x, x)
+  double mean_value = 0.0;
+  std::span<const double> inv_sq_ls;  ///< 1/l_k² per lengthscale
+  const double* lower = nullptr;      ///< row i of L at lower + i·ld
+  std::size_t ld = 0;
+  std::span<const double> alpha;      ///< one entry per observation
+
+  std::size_t num_observations() const { return alpha.size(); }
+};
+
+/// Predictive means and variances of m candidates from a training-point-
+/// major distance block (non-ARD posteriors only — ARD scales per
+/// dimension before summing, so no shared block exists for it):
+/// d2t[i·ldd + c] = ‖q_c − x_i‖² (GpRegressor::unscaled_sq_dist_block).
+/// Builds V = K*ᵀ in the caller-owned n-row workspace `v` (row stride
+/// ldv ≥ m; linalg_kernels::padded_ld(m) keeps the solve's strips
+/// alias-free), reading each distance row stride-1, then: means through
+/// the column-dot kernel against α, one multi-RHS forward substitution,
+/// variances through the column sum-of-squares kernel. Per candidate every
+/// reduction runs in ascending training-point order and every element-wise
+/// map is the same single-value transform, so the results are bitwise
+/// identical to GpRegressor::predict_rows — only the batching and the
+/// memory walk differ. `means`/`vars` must have m entries. Thread-safe for
+/// concurrent calls with distinct workspaces.
+void predict_mv_from_sq_dist_block(const PosteriorView& post,
+                                   const double* d2t, std::size_t ldd,
+                                   std::size_t m, double* v, std::size_t ldv,
+                                   std::span<double> means,
+                                   std::span<double> vars);
+
 class GpRegressor {
  public:
   /// `noise_variance` is the Gaussian observation-noise variance sigma_n^2;
@@ -51,6 +91,8 @@ class GpRegressor {
   /// unless X is bitwise the one already held. Leaves the regressor
   /// unfitted; refit() completes it.
   void set_inputs(const Matrix& x);
+  /// As above, moving a new X into the distance cache instead of copying.
+  void set_inputs(Matrix&& x);
 
   /// The second half of fit(): fit targets `y` on the inputs already held
   /// (set_inputs, fit, or the incremental updates) with the current
@@ -92,9 +134,14 @@ class GpRegressor {
   void remove_observation(std::size_t idx, const Vector& y_all);
 
   bool fitted() const { return chol_.has_value() && fit_current_; }
-  std::size_t num_observations() const { return x_.rows(); }
-  /// Training inputs of the current fit, one row per observation.
-  const Matrix& inputs() const { return x_; }
+  std::size_t num_observations() const { return dist_ ? dist_->x.rows() : 0; }
+  /// Training inputs of the current fit, one row per observation. Held in
+  /// the distance cache, so copies of the regressor share one X.
+  const Matrix& inputs() const;
+
+  /// The current fit's posterior, borrowed: valid until the next mutation
+  /// of this regressor. Requires fitted().
+  PosteriorView posterior() const;
 
   Prediction predict(std::span<const double> x) const;
 
@@ -108,6 +155,13 @@ class GpRegressor {
   /// concurrent callers pass disjoint row ranges of a shared matrix.
   void predict_rows(const Matrix& q, std::size_t row_begin,
                     std::size_t row_end, std::vector<Prediction>& out) const;
+  /// As above with `post` in place of this regressor's own posterior: a
+  /// posterior fitted on these inputs under other hyperparameters (one
+  /// hyper sample's, see Posterior). This is the one prediction path; the
+  /// overload above runs it on posterior().
+  void predict_rows(const PosteriorView& post, const Matrix& q,
+                    std::size_t row_begin, std::size_t row_end,
+                    std::vector<Prediction>& out) const;
 
   /// Unscaled squared distances from one query point to the training
   /// inputs: out[i] = ‖u − x_i‖² = 0 + Σ_k (x_ik − u_k)², k ascending, for
@@ -121,29 +175,12 @@ class GpRegressor {
   /// for i < n and c < m (ldd ≥ m). (a − b)² and (b − a)² are the same
   /// bits, so every entry equals what unscaled_sq_dists gives for q_c.
   /// The block is kernel-independent: a surrogate marginalizing over
-  /// several hyper-sample GPs (which share X) computes it once and scores
-  /// every GP from it via predict_mv_from_sq_dist_block.
+  /// several hyper-sample posteriors (which share X) computes it once and
+  /// scores every posterior from it via predict_mv_from_sq_dist_block.
   void unscaled_sq_dist_block(const double* qt, std::size_t ldq,
                               std::size_t m, double* d2t,
                               std::size_t ldd) const;
 
-  /// Predictive means and variances of the block's m candidates from a
-  /// training-point-major distance block (non-ARD kernels only — ARD
-  /// scales per dimension before summing, so no shared block exists for
-  /// it). Builds V = K*ᵀ in the caller-owned n-row workspace `v` (row
-  /// stride ldv ≥ m; linalg_kernels::padded_ld(m) keeps the solve's strips
-  /// alias-free), reading each distance row stride-1, then: means through
-  /// the column-dot kernel against α, one multi-RHS forward substitution,
-  /// variances through the column sum-of-squares kernel. Per candidate
-  /// every reduction runs in ascending training-point order and every
-  /// element-wise map is the same single-value transform, so the results
-  /// are bitwise identical to predict_rows — only the batching and the
-  /// memory walk differ. `means`/`vars` must have m entries. Thread-safe
-  /// for concurrent calls with distinct workspaces.
-  void predict_mv_from_sq_dist_block(const double* d2t, std::size_t ldd,
-                                     std::size_t m, double* v,
-                                     std::size_t ldv, std::span<double> means,
-                                     std::span<double> vars) const;
 
   /// log p(y | X, theta); requires fit() to have been called.
   double log_marginal_likelihood() const;
@@ -170,14 +207,14 @@ class GpRegressor {
   void set_noise_diag(std::span<const double> nv);
 
  private:
-  /// Pairwise distance structure over X: for non-ARD kernels the unscaled
-  /// squared distances ‖x_i − x_j‖², for ARD the per-dimension squared
-  /// differences (packed pair-major, pairs ordered so that appending an
-  /// observation appends entries without disturbing existing offsets).
-  /// Immutable once built and shared across copies of the regressor, so the
-  /// per-hyper-sample refit fan-out pays for it exactly once.
+  /// The inputs X and their pairwise distance structure: for non-ARD
+  /// kernels the unscaled squared distances ‖x_i − x_j‖², for ARD the
+  /// per-dimension squared differences (packed pair-major, pairs ordered so
+  /// that appending an observation appends entries without disturbing
+  /// existing offsets). Immutable once built and shared across copies of
+  /// the regressor, so a copy carries only its hyperparameters' fit.
   struct DistanceCache {
-    std::size_t n = 0;
+    Matrix x;                     // the inputs, one row per observation
     Matrix sq;                    // non-ARD: n×n unscaled squared distances
     Matrix xt;                    // X transposed (d rows, stride padded
                                   // past n): the distance kernel's operand
@@ -185,16 +222,19 @@ class GpRegressor {
   };
 
   bool x_matches(const Matrix& x) const;
-  void rebuild_distance_cache();
+  /// Adopt `x` as the inputs and build the distance structure over it.
+  void rebuild_distance_cache(Matrix x);
+  /// The inputs grown by `x_new` and their extended distance structure.
   std::shared_ptr<DistanceCache> extended_distance_cache(
       std::span<const double> x_new) const;
   void ensure_correlation();
   void ensure_cholesky();
+  /// alpha_ = K⁻¹ y_centered_ through the current factor.
+  void solve_alpha();
   void append_impl(std::span<const double> x_new, const Vector& y_all,
                    double noise_new);
   /// Recompute inv_sq_ls_ from the kernel's lengthscales.
   void update_inverse_lengthscales();
-  void predict_chunk(const Matrix& kstar, std::span<Prediction> out) const;
 
   Kernel kernel_;
   double noise_variance_;
@@ -205,7 +245,6 @@ class GpRegressor {
   /// building a vector per call.
   std::vector<double> inv_sq_ls_;
 
-  Matrix x_;
   Vector y_centered_;
   std::optional<Cholesky> chol_;
   Vector alpha_;  // K^{-1} (y - m)
@@ -223,6 +262,31 @@ class GpRegressor {
   std::vector<double> chol_ls_;
   bool chol_valid_ = false;
   bool fit_current_ = false;     // alpha_ matches the current parameters
+};
+
+/// An owned copy of a fitted regressor's posterior (PosteriorView): the
+/// factor's n lower rows at stride linalg_kernels::padded_ld(n), α and the
+/// hyperparameters — about 8·n² bytes, where a GpRegressor copy also
+/// carries the correlation matrix, its packed-r² scratch and the factor's
+/// transposed mirror. A surrogate marginalizing over hyper samples refits
+/// one regressor per sample and keeps only this; the regressor's inputs
+/// score it (GpRegressor::predict_rows, unscaled_sq_dist_block).
+class Posterior {
+ public:
+  Posterior() = default;
+  explicit Posterior(const PosteriorView& post);
+
+  PosteriorView view() const;
+
+ private:
+  KernelFamily family_ = KernelFamily::kMatern52;
+  bool ard_ = false;
+  double variance_ = 0.0;
+  double mean_value_ = 0.0;
+  std::vector<double> inv_sq_ls_;
+  std::size_t ld_ = 0;
+  std::vector<double> lower_;
+  Vector alpha_;
 };
 
 }  // namespace stormtune::gp

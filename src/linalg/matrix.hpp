@@ -123,6 +123,11 @@ class Cholesky {
     return lf_[i * ld_ + j];
   }
 
+  /// Row i of L starts at lower_rows() + i·stride(); its first i + 1
+  /// entries are L(i, 0..i). This is what the multi-RHS solve kernels read.
+  const double* lower_rows() const { return lf_.data(); }
+  std::size_t stride() const { return ld_; }
+
   /// Solve A x = b via forward + backward substitution.
   Vector solve(const Vector& b) const;
 

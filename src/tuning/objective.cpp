@@ -68,8 +68,14 @@ double SimObjective::evaluate(const sim::TopologyConfig& config) {
   // while the whole campaign stays reproducible from `seed_`.
   const std::uint64_t run_seed =
       seed_ + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(++evaluations_);
-  if (best_ && best_->config == config) {
-    last_ = best_->result;
+  const auto recorded = [&](const std::shared_ptr<const RunRecord>& r) {
+    return r && r->config == config;
+  };
+  const RunRecord* replay = recorded(best_)     ? best_.get()
+                            : recorded(recent_) ? recent_.get()
+                                                : nullptr;
+  if (replay != nullptr) {
+    last_ = replay->result;
     sim::redraw_noise(last_, params_, run_seed);
     ++replays_;
     STORMTUNE_INVARIANT(
@@ -78,11 +84,18 @@ double SimObjective::evaluate(const sim::TopologyConfig& config) {
         "SimObjective: a replayed run differs from the simulation");
   } else {
     last_ = simulator_.run(topology_, config, cluster_, params_, run_seed);
+    if (cloned_ && sim::seed_only_draws_noise(params_)) {
+      recent_ = std::make_shared<const RunRecord>(RunRecord{config, last_});
+    }
   }
   if (sim::seed_only_draws_noise(params_) &&
       (!best_ || last_.throughput_tuples_per_s >
                      best_->result.throughput_tuples_per_s)) {
-    best_ = std::make_shared<const BestRun>(BestRun{config, last_});
+    // A clone's simulated run is the record just made; a replay differs
+    // from its record by the redrawn noise.
+    best_ = replay == nullptr && cloned_
+                ? recent_
+                : std::make_shared<const RunRecord>(RunRecord{config, last_});
   }
   return last_.throughput_tuples_per_s;
 }

@@ -55,10 +55,11 @@ class SimObjective final : public Objective {
                sim::SimParams params, std::uint64_t seed);
 
   /// One run at this evaluation's seed. When the seed draws only the noise
-  /// and `config` is the recorded best run's, the run would retrace that
-  /// run's events exactly, so evaluate() copies its result and redraws the
-  /// noise (sim::redraw_noise): bit-identical, without the simulation.
-  /// Checked builds simulate anyway and require every field to match.
+  /// and `config` is a recorded run's — the best run's, or the run this
+  /// clone simulated last — the run would retrace that run's events
+  /// exactly, so evaluate() copies its result and redraws the noise
+  /// (sim::redraw_noise): bit-identical, without the simulation. Checked
+  /// builds simulate anyway and require every field to match.
   double evaluate(const sim::TopologyConfig& config) override;
   std::unique_ptr<Objective> clone_stream(std::uint64_t stream) const override;
   bool rebind_stream(std::uint64_t stream) override;
@@ -67,15 +68,14 @@ class SimObjective final : public Objective {
   const sim::SimResult& last_result() const { return last_; }
   const sim::Topology& topology() const { return topology_; }
   std::size_t num_evaluations() const { return evaluations_; }
-  /// Evaluations since construction that replayed the best run instead of
-  /// simulating (see evaluate()).
+  /// Evaluations since construction that replayed a recorded run instead
+  /// of simulating (see evaluate()).
   std::size_t num_replays() const { return replays_; }
 
  private:
-  /// The configuration with the highest value this objective has returned
-  /// (strict >, so the first of equal values stays) and that run's full
-  /// result. Immutable, so clones share it across threads.
-  struct BestRun {
+  /// A configuration and the full result of one run of it. Immutable, so
+  /// clones share records across threads.
+  struct RunRecord {
     sim::TopologyConfig config;
     sim::SimResult result;
   };
@@ -94,9 +94,17 @@ class SimObjective final : public Objective {
   /// buffers (see sim::Simulator) instead of reconstructing them per run.
   sim::Simulator simulator_;
   sim::SimResult last_;
-  /// Shared with clone_stream() copies, kept across rebind_stream(). Stays
-  /// empty unless sim::seed_only_draws_noise(params_).
-  std::shared_ptr<const BestRun> best_;
+  /// The configuration with the highest value this objective has returned
+  /// (strict >, so the first of equal values stays) and that run. Shared
+  /// with clone_stream() copies, kept across rebind_stream(). Stays empty
+  /// unless sim::seed_only_draws_noise(params_).
+  std::shared_ptr<const RunRecord> best_;
+  /// The run this clone simulated last. A repetition whose run falls short
+  /// of best_ is repeated on the same clone's next stream, so it is kept
+  /// across rebind_stream() but not handed to clones. Stays empty in a
+  /// source objective, whose evaluations rarely repeat a configuration,
+  /// and under the same condition as best_.
+  std::shared_ptr<const RunRecord> recent_;
 };
 
 }  // namespace stormtune::tuning

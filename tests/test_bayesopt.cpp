@@ -11,9 +11,10 @@
 #include "common/rng.hpp"
 
 namespace stormtune::testprobe {
-// Allocations of at least 64 KiB, counted by the replacement operator new
-// in test_engine_golden.cpp.
+// Allocations of at least 64 KiB, and bytes requested, counted by the
+// replacement operator new in test_engine_golden.cpp.
 std::size_t large_new_call_count();
+std::size_t new_byte_count();
 }  // namespace stormtune::testprobe
 
 namespace stormtune::bo {
@@ -57,12 +58,9 @@ TEST(BayesOpt, SuggestsWithinBounds) {
   EXPECT_EQ(opt.num_observations(), 8u);
 }
 
-TEST(BayesOpt, RepeatedSuggestMakesNoLargeAllocations) {
-  // bo100-large's shape: 101 hints, five slice-sampled GPs, 512 candidates.
-  // The acquisition search streams candidates through per-worker blocks
-  // that live across suggest() calls, so once they are sized a suggest at
-  // the same history length allocates nothing of 64 KiB or more — no
-  // candidate matrix, distance, solve or neighbour block.
+/// bo100-large's optimizer: 101 hints, five slice-sampled GPs, 512
+/// candidates, holding `n` random observations.
+BayesOpt bo100_shaped(std::size_t n, std::size_t threads) {
   std::vector<ParamSpec> specs;
   for (int i = 0; i < 101; ++i) {
     specs.push_back(ParamSpec::integer("h" + std::to_string(i), 1, 20));
@@ -71,19 +69,61 @@ TEST(BayesOpt, RepeatedSuggestMakesNoLargeAllocations) {
   o.hyper_mode = HyperMode::kSliceSample;
   o.hyper_samples = 5;
   o.num_candidates = 512;
-  o.num_threads = 1;
+  o.num_threads = threads;
   o.seed = 11;
   BayesOpt opt(ParamSpace(specs), o);
   Rng rng(12);
-  for (int i = 0; i < 40; ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     auto x = opt.space().sample(rng);
     opt.observe(std::move(x), rng.normal());
   }
+  return opt;
+}
+
+TEST(BayesOpt, RepeatedSuggestMakesNoLargeAllocations) {
+  // The acquisition search streams candidates through per-worker blocks
+  // that live across suggest() calls, so once they are sized a suggest at
+  // the same history length allocates nothing of 64 KiB or more — no
+  // candidate matrix, distance, solve or neighbour block. This pins those
+  // blocks at n = 40, where every fit buffer (the inputs, distance cache,
+  // correlation matrix, factor and each sample's posterior) is still under
+  // 64 KiB; at bo100-large's n = 100 the fit buffers are that large, and
+  // RepeatedSuggestFootprintAtBo100Shape bounds their sum instead.
+  BayesOpt opt = bo100_shaped(40, 1);
   const ParamValues first = opt.suggest();
   const std::size_t before = testprobe::large_new_call_count();
   const ParamValues again = opt.suggest();
   EXPECT_EQ(testprobe::large_new_call_count() - before, 0u);
   EXPECT_EQ(again.size(), first.size());
+}
+
+TEST(BayesOpt, RepeatedSuggestFootprintAtBo100Shape) {
+  // At n = 100 one suggest's surrogate is the sampler GP (its inputs,
+  // distance cache, correlation matrix and factor) plus one posterior —
+  // the factor's lower rows and α — per hyper sample, about 1 MB. Five
+  // whole GP copies, one per sample, took it to 2.7 MB.
+  BayesOpt opt = bo100_shaped(100, 1);
+  const ParamValues first = opt.suggest();
+  const std::size_t before = testprobe::new_byte_count();
+  const ParamValues again = opt.suggest();
+  const std::size_t bytes = testprobe::new_byte_count() - before;
+  EXPECT_LE(bytes, 1200u * 1000u) << bytes << " bytes allocated";
+  EXPECT_EQ(again.size(), first.size());
+}
+
+TEST(BayesOpt, FiveSampleSuggestIdenticalAtOneAndFourThreads) {
+  // With four pool threads the four refits after the chain's final sample
+  // run on the sampler GP and three copies of it; the posteriors, and so
+  // the proposal, must be the bits of the single-threaded in-place refits.
+  BayesOpt one = bo100_shaped(30, 1);
+  BayesOpt four = bo100_shaped(30, 4);
+  for (int step = 0; step < 2; ++step) {
+    const ParamValues a = one.suggest();
+    const ParamValues b = four.suggest();
+    ASSERT_EQ(a, b) << "diverged at step " << step;
+    one.observe(a, 0.5 * step);
+    four.observe(b, 0.5 * step);
+  }
 }
 
 TEST(BayesOpt, BestTracksMaximum) {

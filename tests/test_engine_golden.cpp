@@ -37,14 +37,17 @@
 // can assert that a code region performed zero heap allocations; the second
 // counts only allocations of at least kLargeNewBytes, the blocks whose churn
 // turns into page faults when glibc maps them fresh or trims them back to
-// the kernel. Deletes are left to the default implementation (our new uses
-// malloc, default delete uses free — a matching pair).
+// the kernel; the third sums the bytes requested, a region's footprint.
+// Deletes are left to the default implementation (our new uses malloc,
+// default delete uses free — a matching pair).
 static std::atomic<std::size_t> g_new_calls{0};
 static std::atomic<std::size_t> g_large_new_calls{0};
+static std::atomic<std::size_t> g_new_bytes{0};
 constexpr std::size_t kLargeNewBytes = 64 * 1024;
 
 void* operator new(std::size_t size) {
   g_new_calls.fetch_add(1, std::memory_order_relaxed);
+  g_new_bytes.fetch_add(size, std::memory_order_relaxed);
   if (size >= kLargeNewBytes) {
     g_large_new_calls.fetch_add(1, std::memory_order_relaxed);
   }
@@ -68,6 +71,12 @@ std::size_t new_call_count() {
 // workspace test in test_bayesopt.cpp.
 std::size_t large_new_call_count() {
   return g_large_new_calls.load(std::memory_order_relaxed);
+}
+
+// Bytes requested through operator new; used by the surrogate footprint
+// test in test_bayesopt.cpp.
+std::size_t new_byte_count() {
+  return g_new_bytes.load(std::memory_order_relaxed);
 }
 
 }  // namespace stormtune::testprobe
@@ -855,6 +864,39 @@ TEST(EngineGolden, SimObjectiveReplaysOnlyWhenTheSeedDrawsOnlyNoise) {
     const auto& sim_clone = dynamic_cast<const tuning::SimObjective&>(*clone);
     EXPECT_EQ(sim_clone.num_replays(), replayable ? 1u : 0u);
   }
+}
+
+TEST(EngineGolden, SimObjectiveReplaysTheRunItSimulatedLast) {
+  // A repetition whose run falls short of the best record is repeated on
+  // the same clone's next stream; that run replays the clone's own last
+  // simulation and must equal a fresh clone's simulation bit for bit.
+  topo::SyntheticSpec spec;
+  spec.size = topo::TopologySize::kMedium;
+  const sim::Topology t = topo::build_synthetic(spec);
+  const sim::TopologyConfig c = sim::uniform_hint_config(t, 6);
+  const sim::TopologyConfig d = sim::uniform_hint_config(t, 4);
+  sim::SimParams p = topo::synthetic_sim_params();
+  p.duration_s = 5.0;
+  tuning::SimObjective source(t, topo::paper_cluster(), p, 31);
+  const bool c_wins = source.evaluate(c) > source.evaluate(d);
+  const sim::TopologyConfig& below = c_wins ? d : c;
+
+  const std::unique_ptr<tuning::Objective> clone = source.clone_stream(0);
+  const auto& sim_clone = dynamic_cast<const tuning::SimObjective&>(*clone);
+  clone->evaluate(below);
+  EXPECT_EQ(sim_clone.num_replays(), 0u);
+  ASSERT_TRUE(clone->rebind_stream(1));
+  const double replayed = clone->evaluate(below);
+  EXPECT_EQ(sim_clone.num_replays(), 1u);
+
+  const std::unique_ptr<tuning::Objective> fresh = source.clone_stream(1);
+  const double simulated = fresh->evaluate(below);
+  const auto& sim_fresh = dynamic_cast<const tuning::SimObjective&>(*fresh);
+  EXPECT_EQ(sim_fresh.num_replays(), 0u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(replayed),
+            std::bit_cast<std::uint64_t>(simulated));
+  EXPECT_EQ(hex_fields(sim_clone.last_result()),
+            hex_fields(sim_fresh.last_result()));
 }
 
 TEST(EngineGolden, RepeatedRunsAreIdentical) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "gp/hyper.hpp"
 #include "gp/kernel.hpp"
 #include "linalg/kernels.hpp"
 
@@ -534,13 +537,81 @@ TEST_F(GpFit, SharedDistanceBlockMatchesDirectPrediction) {
   }
   for (const GpRegressor* g : {&g1, &g2}) {
     std::vector<double> means(m), vars(m);
-    g->predict_mv_from_sq_dist_block(d2t.data(), ld, m, v.data(), ld, means,
-                                     vars);
+    predict_mv_from_sq_dist_block(g->posterior(), d2t.data(), ld, m, v.data(),
+                                  ld, means, vars);
     const auto direct = g->predict_batch(q);
     ASSERT_EQ(direct.size(), m);
     for (std::size_t c = 0; c < m; ++c) {
       EXPECT_EQ(means[c], direct[c].mean);
       EXPECT_EQ(vars[c], direct[c].variance);
+    }
+  }
+}
+
+TEST_F(GpFit, InPlaceRefitPosteriorPredictsLikeAFreshFit) {
+  // The surrogate refits one regressor per hyper sample and keeps only
+  // each refit's Posterior. A posterior taken between refits must predict
+  // exactly the bits of a regressor fitted from scratch with its theta,
+  // through both prediction paths it is scored on, with and without a
+  // noise diagonal — and later refits of the source must not touch it.
+  Rng rng(41);
+  constexpr std::size_t kN = 24, kD = 3, kQ = 37;
+  Matrix x(kN, kD), q(kQ, kD);
+  Vector y(kN);
+  for (std::size_t i = 0; i < kN; ++i) {
+    for (std::size_t k = 0; k < kD; ++k) x(i, k) = rng.uniform();
+    y[i] = rng.normal();
+  }
+  for (std::size_t i = 0; i < kQ; ++i) {
+    for (std::size_t k = 0; k < kD; ++k) q(i, k) = rng.uniform(-0.2, 1.2);
+  }
+  std::vector<double> ratios(kN);
+  for (std::size_t i = 0; i < kN; ++i) ratios[i] = i % 3 == 0 ? 4.0 : 1.0;
+  for (const bool ard : {false, true}) {
+    for (const bool het : {false, true}) {
+      SCOPED_TRACE(std::string(ard ? "ARD" : "isotropic") +
+                   (het ? ", noise diagonal" : ", homoscedastic"));
+      const std::size_t num_ls = ard ? kD : 1;
+      // [log amplitude, log lengthscales, log noise std, mean]
+      const auto theta = [&](double amp, double ls, double noise) {
+        std::vector<double> t{amp};
+        for (std::size_t k = 0; k < num_ls; ++k) t.push_back(ls + 0.1 * k);
+        t.push_back(noise);
+        t.push_back(0.2);
+        return t;
+      };
+      const std::span<const double> diag =
+          het ? std::span<const double>(ratios) : std::span<const double>();
+      const Kernel kernel(KernelFamily::kMatern52, kD, ard);
+      GpRegressor source(kernel, 1e-3);
+      apply_hyperparams(source, theta(0.3, -0.9, -2.0), x, y, diag);
+      apply_hyperparams(source, theta(-0.2, -1.4, -1.5), x, y, diag);
+      const Posterior post(source.posterior());
+      apply_hyperparams(source, theta(0.5, -0.5, -3.0), x, y, diag);
+
+      GpRegressor fresh(kernel, 1e-3);
+      apply_hyperparams(fresh, theta(-0.2, -1.4, -1.5), x, y, diag);
+      const std::vector<Prediction> want = fresh.predict_batch(q);
+      if (!ard) {
+        const std::size_t ld = linalg_kernels::padded_ld(kQ);
+        const Matrix qt = q.transposed();
+        std::vector<double> d2t(kN * ld), v(kN * ld), means(kQ), vars(kQ);
+        source.unscaled_sq_dist_block(qt.data(), qt.cols(), kQ, d2t.data(),
+                                      ld);
+        predict_mv_from_sq_dist_block(post.view(), d2t.data(), ld, kQ,
+                                      v.data(), ld, means, vars);
+        for (std::size_t c = 0; c < kQ; ++c) {
+          EXPECT_EQ(means[c], want[c].mean);
+          EXPECT_EQ(vars[c], want[c].variance);
+        }
+      }
+      std::vector<Prediction> got;
+      source.predict_rows(post.view(), q, 0, kQ, got);
+      ASSERT_EQ(got.size(), kQ);
+      for (std::size_t c = 0; c < kQ; ++c) {
+        EXPECT_EQ(got[c].mean, want[c].mean);
+        EXPECT_EQ(got[c].variance, want[c].variance);
+      }
     }
   }
 }
@@ -666,8 +737,8 @@ TEST_F(GpFit, SharedDistanceBlockRejectsArd) {
   const Matrix xt = x.transposed();
   std::vector<double> d2t(3 * 3), v(3 * 3), means(3), vars(3);
   gp.unscaled_sq_dist_block(xt.data(), 3, 3, d2t.data(), 3);
-  EXPECT_THROW(gp.predict_mv_from_sq_dist_block(d2t.data(), 3, 3, v.data(), 3,
-                                                means, vars),
+  EXPECT_THROW(predict_mv_from_sq_dist_block(gp.posterior(), d2t.data(), 3, 3,
+                                             v.data(), 3, means, vars),
                Error);
 }
 

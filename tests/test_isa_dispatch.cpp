@@ -455,8 +455,8 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
 
       std::vector<double> d2t(n * ld), v(n * ld), means(m), vars(m);
       gp.unscaled_sq_dist_block(qt.data(), qt.cols(), m, d2t.data(), ld);
-      gp.predict_mv_from_sq_dist_block(d2t.data(), ld, m, v.data(), ld, means,
-                                       vars);
+      gp::predict_mv_from_sq_dist_block(gp.posterior(), d2t.data(), ld, m,
+                                        v.data(), ld, means, vars);
 
       ASSERT_EQ(chunked.size(), m);
       for (std::size_t r = 0; r < m; ++r) {
