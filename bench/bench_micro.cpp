@@ -539,40 +539,31 @@ class FixedConfigTuner final : public tuning::Tuner {
 
 void BM_BestConfigReps(benchmark::State& state) {
   // One pass's repetition phase at the paper's protocol: 30 re-runs of the
-  // best configuration, 15 s windows on the medium topology, on a pool of
-  // range(0) workers. The pass evaluates its one configuration first; on a
-  // pool wider than one worker the repetitions fan out over helper strands,
-  // each on its own clone of the objective. With range(1) == 0 (default
-  // SimParams) a run's seed draws only its noise, so every repetition
-  // replays that first run; range(1) == 1 turns on background load, whose
-  // per-machine draws make each run depend on its seed, and all 31 runs
-  // simulate.
-  const auto threads = static_cast<std::size_t>(state.range(0));
+  // best configuration, 15 s windows on the medium topology. The pass
+  // evaluates its one configuration first, then repeats it on one clone of
+  // the objective, rebound to each repetition's stream. With range(0) == 0
+  // (default SimParams) a run's seed draws only its noise, so every
+  // repetition replays that first run; range(0) == 1 turns on background
+  // load, whose per-machine draws make each run depend on its seed, and all
+  // 31 runs simulate.
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kMedium;
   const sim::Topology topology = topo::build_synthetic(spec);
   sim::SimParams params = topo::synthetic_sim_params();
   params.duration_s = 15.0;
-  if (state.range(1) != 0) params.background_load_prob = 0.3;
+  if (state.range(0) != 0) params.background_load_prob = 0.3;
   const sim::TopologyConfig config = sim::uniform_hint_config(topology, 8);
-  tuning::CampaignSpec campaign;
-  campaign.passes = 1;
-  campaign.options.max_steps = 1;
-  campaign.options.best_config_reps = 30;
-  campaign.make_tuner = [&](std::size_t) -> std::unique_ptr<tuning::Tuner> {
-    return std::make_unique<FixedConfigTuner>(config);
-  };
-  campaign.make_objective =
-      [&](std::size_t) -> std::unique_ptr<tuning::Objective> {
-    return std::make_unique<tuning::SimObjective>(
-        topology, topo::paper_cluster(), params, 7);
-  };
+  tuning::ExperimentOptions options;
+  options.max_steps = 1;
+  options.best_config_reps = 30;
   for (auto _ : state) {
-    const auto r = tuning::run_campaign(campaign, threads);
+    FixedConfigTuner tuner(config);
+    tuning::SimObjective objective(topology, topo::paper_cluster(), params, 7);
+    const auto r = tuning::run_experiment(tuner, objective, options);
     benchmark::DoNotOptimize(r.best_rep_stats.mean);
   }
 }
-BENCHMARK(BM_BestConfigReps)->ArgsProduct({{1, 4}, {0, 1}})->UseRealTime()
+BENCHMARK(BM_BestConfigReps)->Arg(0)->Arg(1)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_FluidEstimate(benchmark::State& state) {

@@ -7,15 +7,6 @@
 
 namespace stormtune {
 
-namespace {
-
-/// The StrandPool whose worker loop runs on this thread, and that worker's
-/// index: spawn() queues onto the calling worker's own deque.
-thread_local StrandPool* current_pool = nullptr;
-thread_local std::size_t current_worker = 0;
-
-}  // namespace
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   STORMTUNE_REQUIRE(num_threads >= 1, "ThreadPool: need at least one thread");
   workers_.reserve(num_threads - 1);
@@ -131,19 +122,7 @@ STORMTUNE_HOT void StrandPool::retire_one() {
   }
 }
 
-void StrandPool::spawn(Strand* strand) {
-  STORMTUNE_REQUIRE(current_pool == this,
-                    "StrandPool::spawn outside a step of this pool");
-  STORMTUNE_REQUIRE(strand != nullptr, "StrandPool: null strand");
-  // The spawning strand is still active, so active_ cannot reach zero
-  // (and release the workers) before the new strand is queued.
-  active_.fetch_add(1, std::memory_order_seq_cst);
-  push(current_worker, strand);
-}
-
 void StrandPool::worker_loop(std::size_t worker_id) {
-  current_pool = this;
-  current_worker = worker_id;
   while (true) {
     std::uint64_t seen;
     {
@@ -153,10 +132,7 @@ void StrandPool::worker_loop(std::size_t worker_id) {
     Strand* s = pop_own(worker_id);
     if (s == nullptr) s = steal(worker_id);
     if (s == nullptr) {
-      if (active_.load(std::memory_order_seq_cst) == 0) {
-        current_pool = nullptr;
-        return;
-      }
+      if (active_.load(std::memory_order_seq_cst) == 0) return;
       std::unique_lock<std::mutex> lk(park_mutex_);
       park_cv_.wait(lk, [&] {
         return park_epoch_ != seen ||

@@ -116,8 +116,6 @@ class Strand {
 ///    positive steal_preference() entries near the head.
 ///  * A worker that finds no work parks on a condition variable and is
 ///    woken when any strand is re-queued or when all strands finish.
-///  * A running step may spawn() more strands into the same run(); they
-///    land on the spawning worker's deque, where idle workers steal them.
 ///  * run() blocks until every strand has completed. The first exception
 ///    thrown by a step is captured, remaining work is abandoned (strands
 ///    are retired without further steps), and the exception is rethrown
@@ -143,12 +141,6 @@ class StrandPool {
 
   /// Run all strands to completion (see class comment). Not reentrant.
   void run(const std::vector<Strand*>& strands);
-
-  /// Add `strand` to the run() in progress. Callable only from inside a
-  /// step of this pool's run(). The strand is stepped to completion (or
-  /// retired unstepped once a step has thrown) before run() returns, and
-  /// the caller keeps ownership of it.
-  void spawn(Strand* strand);
 
   /// Number of successful steals during the last run() — scheduling
   /// telemetry only (tests assert the steal path is exercised; benches

@@ -1,8 +1,6 @@
 #include "tuning/campaign_scheduler.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -14,15 +12,6 @@ namespace stormtune::tuning {
 
 namespace {
 
-/// Where a pass's repetitions may spread: over at most `width` strands, the
-/// pass strand included, with `spawn_helper` starting each of the others
-/// (they call PassRun::run_rep and leave_reps). The default keeps every
-/// repetition on the strand that steps the pass.
-struct RepFanOut {
-  std::size_t width = 1;
-  std::function<void()> spawn_helper;
-};
-
 /// One optimization pass of the paper's protocol as a resumable state
 /// machine over a borrowed tuner and objective. Each step() does one unit
 /// of work — one suggest, one evaluation, or one best-config repetition —
@@ -30,31 +19,19 @@ struct RepFanOut {
 ///
 /// Repetition r evaluates on a clone bound to stream r (a rebound clone is
 /// bit-identical to a fresh clone_stream(r)), so its value is a pure
-/// function of (pass, rep). That is what lets a pass on a wider pool hand
-/// repetitions to helper strands: every repetition worker, the pass strand
-/// included, owns one clone and claims indices from a shared counter. Only
-/// an objective that cannot clone continues its own measurement sequence,
-/// on the pass strand alone.
+/// function of (pass, rep). Only an objective that cannot clone continues
+/// its own measurement sequence.
 class PassRun {
  public:
-  /// What a step() left to do.
-  enum class Progress {
-    kMore,       ///< this strand has more work in the pass
-    kDone,       ///< the pass is complete
-    kHandedOff,  ///< this strand is done; a repetition helper completes it
-  };
-
-  PassRun(Tuner& tuner, Objective& objective, const ExperimentOptions& options,
-          RepFanOut fan_out = {})
-      : tuner_(tuner), objective_(objective), options_(options),
-        fan_out_(std::move(fan_out)) {
+  PassRun(Tuner& tuner, Objective& objective, const ExperimentOptions& options)
+      : tuner_(tuner), objective_(objective), options_(options) {
     STORMTUNE_REQUIRE(options.max_steps > 0,
                       "experiment: max_steps must be > 0");
     result_.strategy = tuner.name();
   }
 
-  /// Advance by one unit of work.
-  Progress step();
+  /// Advance by one unit of work. Returns false once the pass is complete.
+  bool step();
 
   /// Whether the next step is a suggest (dense linalg that prefers to stay
   /// on its home worker's warm caches).
@@ -62,27 +39,17 @@ class PassRun {
 
   ExperimentResult& result() { return result_; }
 
-  /// Claim the next repetition and evaluate it on `clone`, cloning or
-  /// rebinding it to the repetition's stream. Returns whether repetitions
-  /// may remain. Safe to call from several repetition workers at once.
-  bool run_rep(std::unique_ptr<Objective>& clone);
-
-  /// Called once by each repetition worker when run_rep returns false.
-  /// Returns true for the last one, which has summarized the repetitions:
-  /// the pass is complete.
-  bool leave_reps();
-
  private:
   enum class Phase { kSuggest, kEvaluate, kReps };
 
   /// Close the tuning loop; returns whether repetitions remain.
   bool finish_tuning_loop();
-  Progress rep_step();
+  /// Evaluate the next repetition; returns whether more remain.
+  bool rep_step();
 
   Tuner& tuner_;
   Objective& objective_;
   const ExperimentOptions& options_;
-  RepFanOut fan_out_;
   Phase phase_ = Phase::kSuggest;
 
   ExperimentResult result_;
@@ -90,23 +57,19 @@ class PassRun {
   std::size_t step_index_ = 0;  // 1-based
   std::size_t zero_streak_ = 0;
 
-  bool reps_started_ = false;
   std::unique_ptr<Objective> rep_clone_;  // null: the objective cannot clone
-  std::atomic<std::size_t> next_rep_{0};  // next unclaimed repetition
-  std::atomic<std::size_t> rep_workers_{1};  // workers still in the phase
+  std::size_t rep_ = 0;                   // next repetition
 };
 
-PassRun::Progress PassRun::step() {
+bool PassRun::step() {
   switch (phase_) {
     case Phase::kSuggest: {
       std::optional<sim::TopologyConfig> config = tuner_.next();
-      if (!config) {
-        return finish_tuning_loop() ? Progress::kMore : Progress::kDone;
-      }
+      if (!config) return finish_tuning_loop();
       pending_config_ = std::move(config);
       ++step_index_;
       phase_ = Phase::kEvaluate;
-      return Progress::kMore;
+      return true;
     }
     case Phase::kEvaluate: {
       const double throughput = objective_.evaluate(*pending_config_);
@@ -132,69 +95,30 @@ PassRun::Progress PassRun::step() {
       } else {
         zero_streak_ = 0;
       }
-      if (stop) {
-        return finish_tuning_loop() ? Progress::kMore : Progress::kDone;
-      }
+      if (stop) return finish_tuning_loop();
       phase_ = Phase::kSuggest;
-      return Progress::kMore;
+      return true;
     }
     case Phase::kReps:
       return rep_step();
   }
   STORMTUNE_REQUIRE(false, "experiment: corrupt pass phase");
-  return Progress::kDone;
+  return false;
 }
 
-PassRun::Progress PassRun::rep_step() {
-  const std::size_t reps = options_.best_config_reps;
-  if (!reps_started_) {
-    reps_started_ = true;
+bool PassRun::rep_step() {
+  if (rep_ == 0) {
     rep_clone_ = objective_.clone_stream(0);
-    const std::size_t helpers =
-        rep_clone_ && fan_out_.spawn_helper
-            ? std::min(reps, fan_out_.width) - 1
-            : 0;
-    // Counted before any helper starts, so none can see the phase empty.
-    rep_workers_.store(1 + helpers, std::memory_order_seq_cst);
-    for (std::size_t h = 0; h < helpers; ++h) fan_out_.spawn_helper();
+  } else if (rep_clone_ && !rep_clone_->rebind_stream(rep_)) {
+    rep_clone_ = objective_.clone_stream(rep_);
+    STORMTUNE_REQUIRE(rep_clone_ != nullptr,
+                      "experiment: clone_stream failed mid-phase");
   }
-  bool more = false;
-  if (rep_clone_) {
-    more = run_rep(rep_clone_);
-  } else {
-    // No clone, no helpers: the objective continues its own sequence.
-    const std::size_t r = next_rep_.fetch_add(1, std::memory_order_seq_cst);
-    result_.best_rep_values[r] = objective_.evaluate(result_.best_config);
-    more = r + 1 < reps;
-  }
-  if (more) return Progress::kMore;
-  rep_clone_.reset();
-  return leave_reps() ? Progress::kDone : Progress::kHandedOff;
-}
-
-bool PassRun::run_rep(std::unique_ptr<Objective>& clone) {
-  const std::size_t reps = options_.best_config_reps;
-  // Each index goes to exactly one worker, and each worker writes only the
-  // slots it claimed; leave_reps publishes them to the last worker.
-  const std::size_t r = next_rep_.fetch_add(1, std::memory_order_seq_cst);
-  if (r >= reps) return false;
-  if (!clone) {
-    clone = objective_.clone_stream(r);
-  } else if (r > 0 && !clone->rebind_stream(r)) {
-    // Index 0 is the first claimed, so only the pass strand's fresh
-    // clone_stream(0) copy can claim it with a clone in hand.
-    clone = objective_.clone_stream(r);
-  }
-  STORMTUNE_REQUIRE(clone != nullptr,
-                    "experiment: clone_stream failed mid-phase");
-  result_.best_rep_values[r] = clone->evaluate(result_.best_config);
-  return r + 1 < reps;
-}
-
-bool PassRun::leave_reps() {
-  if (rep_workers_.fetch_sub(1, std::memory_order_seq_cst) != 1) return false;
+  Objective& target = rep_clone_ ? *rep_clone_ : objective_;
+  result_.best_rep_values[rep_] = target.evaluate(result_.best_config);
+  if (++rep_ < options_.best_config_reps) return true;
   result_.best_rep_stats = summarize(result_.best_rep_values);
-  return true;
+  return false;
 }
 
 bool PassRun::finish_tuning_loop() {
@@ -241,34 +165,13 @@ void gather_campaign(CampaignState& c) {
   }
 }
 
-class PassStrand;
-
-/// One extra repetition worker of a pass: it owns one clone of the pass
-/// objective and claims repetitions from the pass's counter until none is
-/// left. If it is the last worker to leave, it completes the pass.
-class RepStrand final : public Strand {
- public:
-  explicit RepStrand(PassStrand& pass) : pass_(pass) {}
-
-  bool step() override;
-
-  int steal_preference() const override { return 1; }  // simulation work
-
- private:
-  PassStrand& pass_;
-  std::unique_ptr<Objective> clone_;
-};
-
 /// One (campaign, pass) pair as a strand: the first step builds the pass's
 /// tuner and objective, every later step forwards to its PassRun. The
-/// StrandPool guarantees a strand never runs concurrently with itself. On
-/// a pool wider than one worker, the repetition phase also spawns up to
-/// width − 1 RepStrand helpers, and whichever repetition worker leaves last
-/// completes the pass.
+/// StrandPool guarantees a strand never runs concurrently with itself.
 class PassStrand : public Strand {
  public:
-  PassStrand(CampaignState& campaign, std::size_t pass, StrandPool& pool)
-      : campaign_(campaign), pass_(pass), pool_(pool) {}
+  PassStrand(CampaignState& campaign, std::size_t pass)
+      : campaign_(campaign), pass_(pass) {}
 
   bool step() override {
     if (!run_) {
@@ -278,27 +181,11 @@ class PassStrand : public Strand {
       objective_ = campaign_.spec->make_objective(pass_);
       STORMTUNE_REQUIRE(objective_ != nullptr,
                         "campaign: objective factory returned null");
-      RepFanOut fan_out;
-      if (pool_.num_threads() > 1) {
-        fan_out.width = pool_.num_threads();
-        fan_out.spawn_helper = [this] {
-          helpers_.push_back(std::make_unique<RepStrand>(*this));
-          pool_.spawn(helpers_.back().get());
-        };
-      }
-      run_.emplace(*tuner_, *objective_, campaign_.spec->options,
-                   std::move(fan_out));
+      run_.emplace(*tuner_, *objective_, campaign_.spec->options);
       return true;
     }
-    switch (run_->step()) {
-      case PassRun::Progress::kMore:
-        return true;
-      case PassRun::Progress::kDone:
-        finish_pass();
-        return false;
-      case PassRun::Progress::kHandedOff:
-        return false;  // run_ may already be gone: a helper completed it
-    }
+    if (run_->step()) return true;
+    finish_pass();
     return false;
   }
 
@@ -309,8 +196,7 @@ class PassStrand : public Strand {
     return run_ && run_->suggesting() ? 0 : 1;
   }
 
-  PassRun& run() { return *run_; }
-
+ private:
   void finish_pass() {
     // Release the heavyweight per-pass state before the (possibly much
     // later) campaign gather; the results vector is all that must survive.
@@ -324,23 +210,12 @@ class PassStrand : public Strand {
     }
   }
 
- private:
   CampaignState& campaign_;
   std::size_t pass_;
-  StrandPool& pool_;
   std::unique_ptr<Tuner> tuner_;
   std::unique_ptr<Objective> objective_;
   std::optional<PassRun> run_;
-  std::vector<std::unique_ptr<RepStrand>> helpers_;  // outlive pool.run()
 };
-
-bool RepStrand::step() {
-  PassRun& run = pass_.run();
-  if (run.run_rep(clone_)) return true;
-  clone_.reset();
-  if (run.leave_reps()) pass_.finish_pass();
-  return false;
-}
 
 void init_campaign(CampaignState& c, const CampaignSpec& spec,
                    std::size_t ticket, ExperimentResult* final_slot,
@@ -360,15 +235,15 @@ void init_campaign(CampaignState& c, const CampaignSpec& spec,
 /// StrandPool of `threads` workers (0 = auto); returns the steal count.
 std::uint64_t run_passes(std::vector<CampaignState>& campaigns,
                          std::size_t threads) {
-  StrandPool pool(threads > 0 ? threads : ThreadPool::default_thread_count());
   std::vector<std::unique_ptr<PassStrand>> owned;
   std::vector<Strand*> strands;
   for (CampaignState& c : campaigns) {
     for (std::size_t pass = 0; pass < c.spec->passes; ++pass) {
-      owned.push_back(std::make_unique<PassStrand>(c, pass, pool));
+      owned.push_back(std::make_unique<PassStrand>(c, pass));
       strands.push_back(owned.back().get());
     }
   }
+  StrandPool pool(threads > 0 ? threads : ThreadPool::default_thread_count());
   pool.run(strands);
   return pool.steal_count();
 }
@@ -378,7 +253,7 @@ std::uint64_t run_passes(std::vector<CampaignState>& campaigns,
 ExperimentResult run_experiment(Tuner& tuner, Objective& objective,
                                 const ExperimentOptions& options) {
   PassRun run(tuner, objective, options);
-  while (run.step() == PassRun::Progress::kMore) {
+  while (run.step()) {
   }
   return std::move(run.result());
 }

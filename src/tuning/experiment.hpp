@@ -11,8 +11,7 @@
 //
 // One pass state machine implements that protocol (campaign_scheduler.cpp).
 // run_experiment steps it inline; run_campaign and run_campaigns step one
-// instance per pass on a work-stealing StrandPool, where a pass's
-// repetitions may also run on helper strands. Repetition r of a pass
+// instance per pass on a work-stealing StrandPool. Repetition r of a pass
 // always evaluates on Objective::clone_stream(r), so no result depends on
 // the entry point or the thread count.
 #pragma once
@@ -81,8 +80,7 @@ struct CampaignSpec {
 /// (0 = ThreadPool::default_thread_count), and return the pass whose
 /// repetition mean is highest (best single measurement when reps are off;
 /// ties keep the earlier pass). All passes are appended to `all_passes`
-/// when non-null. A pass's best-config repetitions also spread over the
-/// pool's workers. The result is bit-identical for any thread count.
+/// when non-null. The result is bit-identical for any thread count.
 ExperimentResult run_campaign(const CampaignSpec& spec, std::size_t threads,
                               std::vector<ExperimentResult>* all_passes =
                                   nullptr);

@@ -10,11 +10,9 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
-#include <utility>
 #include <stdexcept>
 #include <vector>
 
-#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace stormtune {
@@ -266,157 +264,6 @@ TEST(StrandPool, StepExceptionPropagatesAndAbandonsRemainingWork) {
     }
     pool.run(again_ptrs);
     for (const auto& s : again) EXPECT_EQ(s->values().size(), 3u);
-  }
-}
-
-/// Spawns `fanout` CountingStrand children from its first step, then
-/// runs `own_steps` steps in all. Children spawn grandchildren the same way
-/// while `depth` > 0, so spawns also come from spawned strands.
-class SpawningStrand : public Strand {
- public:
-  SpawningStrand(StrandPool& pool, std::size_t id, std::size_t fanout,
-                 std::size_t depth, std::size_t own_steps)
-      : pool_(pool), id_(id), fanout_(fanout), depth_(depth),
-        own_steps_(own_steps) {}
-
-  bool step() override {
-    if (steps_++ == 0) {
-      for (std::size_t i = 0; i < fanout_; ++i) {
-        const std::size_t child = id_ * 10 + i;
-        Strand* strand = nullptr;
-        if (depth_ > 0) {
-          spawned_.push_back(std::make_unique<SpawningStrand>(
-              pool_, child, fanout_, depth_ - 1, own_steps_));
-          strand = spawned_.back().get();
-        } else {
-          leaves_.push_back(
-              std::make_unique<CountingStrand>(child, 5, i % 2 ? 1 : 0));
-          strand = leaves_.back().get();
-        }
-        pool_.spawn(strand);
-      }
-    }
-    return steps_ < own_steps_;
-  }
-
-  /// Leaf strands under this one that ran all five of their steps, and
-  /// the number of leaves spawned.
-  std::pair<std::size_t, std::size_t> finished_leaves() const {
-    std::size_t done = 0;
-    std::size_t total = leaves_.size();
-    for (const auto& l : leaves_) done += l->values().size() == 5u ? 1 : 0;
-    for (const auto& s : spawned_) {
-      const auto [d, t] = s->finished_leaves();
-      done += d;
-      total += t;
-    }
-    return {done, total};
-  }
-  std::size_t steps() const { return steps_; }
-
- private:
-  StrandPool& pool_;
-  std::size_t id_;
-  std::size_t fanout_;
-  std::size_t depth_;
-  std::size_t own_steps_;
-  std::size_t steps_ = 0;
-  std::vector<std::unique_ptr<SpawningStrand>> spawned_;
-  std::vector<std::unique_ptr<CountingStrand>> leaves_;
-};
-
-TEST(StrandPool, SpawnedStrandsFinishBeforeRunReturns) {
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    StrandPool pool(threads);
-    std::vector<std::unique_ptr<SpawningStrand>> roots;
-    std::vector<Strand*> ptrs;
-    for (std::size_t i = 0; i < 3; ++i) {
-      // Three levels: 3 roots, 9 spawned strands, 27 spawned leaves.
-      roots.push_back(std::make_unique<SpawningStrand>(pool, i + 1, 3, 1, 4));
-      ptrs.push_back(roots.back().get());
-    }
-    pool.run(ptrs);
-    std::size_t done = 0;
-    std::size_t total = 0;
-    for (const auto& r : roots) {
-      EXPECT_EQ(r->steps(), 4u);
-      const auto [d, t] = r->finished_leaves();
-      done += d;
-      total += t;
-    }
-    EXPECT_EQ(total, 27u);
-    EXPECT_EQ(done, total);
-  }
-}
-
-TEST(StrandPool, SpawnOutsideAStepThrows) {
-  StrandPool pool(2);
-  CountingStrand s(0, 1);
-  EXPECT_THROW(pool.spawn(&s), Error);
-}
-
-TEST(StrandPool, SpawnedStrandExceptionPropagatesAndAbandonsRemainingWork) {
-  class ThrowingStrand : public Strand {
-   public:
-    bool step() override { throw std::runtime_error("spawned failure"); }
-  };
-  /// A strand that would run for a very long time if nothing stopped it.
-  static constexpr std::size_t kLong = 50'000'000;
-  class LongStrand : public Strand {
-   public:
-    bool step() override { return ++steps_ < kLong; }
-    std::size_t steps() const { return steps_; }
-
-   private:
-    std::size_t steps_ = 0;
-  };
-  /// Spawns one throwing strand from its only step.
-  class Spawner : public Strand {
-   public:
-    explicit Spawner(StrandPool& pool) : pool_(pool) {}
-    bool step() override {
-      pool_.spawn(&thrower_);
-      return false;
-    }
-
-   private:
-    StrandPool& pool_;
-    ThrowingStrand thrower_;
-  };
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    StrandPool pool(threads);
-    std::vector<std::unique_ptr<LongStrand>> longs;
-    std::vector<Strand*> ptrs;
-    for (std::size_t i = 0; i < 4; ++i) {
-      longs.push_back(std::make_unique<LongStrand>());
-      ptrs.push_back(longs.back().get());
-    }
-    Spawner spawner(pool);
-    // Seeded last, so worker 0 pops it first (LIFO) and the spawned
-    // thrower runs next on a one-thread pool, before any long strand.
-    ptrs.push_back(&spawner);
-    EXPECT_THROW(pool.run(ptrs), std::runtime_error);
-    for (const auto& l : longs) {
-      EXPECT_LT(l->steps(), kLong);
-      if (threads == 1) {
-        EXPECT_EQ(l->steps(), 0u);
-      }
-    }
-    // The pool stays usable, spawns included.
-    std::vector<std::unique_ptr<SpawningStrand>> again;
-    std::vector<Strand*> again_ptrs;
-    for (std::size_t i = 0; i < 2; ++i) {
-      again.push_back(std::make_unique<SpawningStrand>(pool, i + 1, 2, 0, 2));
-      again_ptrs.push_back(again.back().get());
-    }
-    pool.run(again_ptrs);
-    for (const auto& s : again) {
-      const auto [d, t] = s->finished_leaves();
-      EXPECT_EQ(t, 2u);
-      EXPECT_EQ(d, t);
-    }
   }
 }
 

@@ -16,9 +16,8 @@
 // tune options:     --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
 //                   --what=h|h,batch|h,batch,cc|batch,cc --seed=N
 //                   --json=FILE --csv=FILE --threads=N (BayesOpt suggest
-//                   pool width, and the workers the best-config
-//                   repetitions fan out over; 0 = auto, the default; never
-//                   changes results)
+//                   pool width; 0 = auto, the default; never changes
+//                   results)
 //                   --adaptive-window[=EPS]  end each evaluation once its
 //                   steady-state throughput estimate converges (relative
 //                   95% CI half-width < EPS, default 0.05) instead of
@@ -49,8 +48,7 @@
 //                   must be non-negative integers; anything else is an
 //                   error (exit 1) that names the field.
 //                   --threads=N sizes the work-stealing scheduler (the
-//                   per-campaign optimizers run single-threaded; idle
-//                   workers also take passes' repetitions);
+//                   per-campaign optimizers run single-threaded);
 //                   --jsonl=FILE writes each finished campaign through
 //                   the result sink, one JSON line per campaign in
 //                   submission order, flushed as soon as the campaigns
@@ -119,9 +117,8 @@ struct Options {
   std::string what = "h";
   std::string json_path;
   std::string csv_path;
-  std::size_t threads = 0;  // tune: BO suggest pool and repetition
-                            // workers; tune-many: scheduler workers
-                            // (0 = auto for both)
+  std::size_t threads = 0;  // tune: BO suggest pool; tune-many:
+                            // scheduler workers (0 = auto for both)
   std::string fidelity = "full";  // full | ladder (bo/ibo only)
   std::size_t gp_window = 0;      // --gp-window: BO observation window
                                   // (0 = unbounded, the default)
@@ -470,17 +467,8 @@ int cmd_tune(const Options& o) {
   std::printf("tuning %s with %s over {%s}, %zu steps, %zu thread%s...\n",
               o.topology.c_str(), tuner->name().c_str(), o.what.c_str(),
               o.steps, threads, threads == 1 ? "" : "s");
-  // One pass on a `threads`-wide pool, so its repetitions fan out over
-  // the workers the suggest loop leaves idle.
-  tuning::CampaignSpec spec;
-  spec.name = o.topology;
-  spec.passes = 1;
-  spec.options = protocol;
-  spec.make_tuner = [&tuner](std::size_t) { return std::move(tuner); };
-  spec.make_objective = [&objective](std::size_t) {
-    return std::move(objective);
-  };
-  const tuning::ExperimentResult r = tuning::run_campaign(spec, threads);
+  const tuning::ExperimentResult r =
+      tuning::run_experiment(*tuner, *objective, protocol);
   if (ladder) {
     const tuning::LadderStats& ls = ladder->stats();
     std::printf("ladder:       %zu screened, %zu rung-1 runs, %zu full runs "

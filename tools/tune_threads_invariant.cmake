@@ -2,11 +2,10 @@
 # depend on --threads.
 #
 # Runs `stormtune tune small --steps=8 --reps=6 --json=FILE` at
-# --threads=1, 2, 4, 8 (more workers than repetitions) and 0 (the automatic
-# width), and requires the JSON documents to be byte-identical. Then runs
-# `stormtune tune-many` on a three-campaign file (one of them on the
-# fidelity ladder) at --threads=1, 2, 4 and 0, and requires the --jsonl
-# files to be byte-identical.
+# --threads=1, 2, 4, 8 and 0 (the automatic width), and requires the JSON
+# documents to be byte-identical. Then runs `stormtune tune-many` on a
+# three-campaign file (one of them on the fidelity ladder) at --threads=1,
+# 2, 4 and 0, and requires the --jsonl files to be byte-identical.
 #
 #   cmake -DSTORMTUNE=<path to stormtune> -DWORK_DIR=<scratch dir> \
 #         -P tools/tune_threads_invariant.cmake
