@@ -242,13 +242,13 @@ void BM_GpHyperRefitLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_GpHyperRefitLoop)->Arg(30)->Arg(60)->Arg(120);
 
-void BM_AcquisitionSearch(benchmark::State& state) {
+void BM_AcquisitionSearch(benchmark::State& state, std::size_t dims) {
   // maximize_acquisition in isolation: candidate generation, batched
   // per-GP scoring, and local refinement, with the surrogate held fixed.
   // Measured through suggest() on a kFixed surrogate so no MCMC time is
   // included; the kept-surrogate reuse path makes every iteration after the
-  // first skip the fit entirely.
-  const std::size_t dims = 51;
+  // first skip the fit entirely. range(0) observations in `dims`
+  // dimensions.
   std::vector<bo::ParamSpec> specs;
   for (std::size_t i = 0; i < dims; ++i) {
     specs.push_back(bo::ParamSpec::integer("h" + std::to_string(i), 1, 20));
@@ -267,7 +267,15 @@ void BM_AcquisitionSearch(benchmark::State& state) {
     benchmark::DoNotOptimize(opt.suggest());
   }
 }
+// The medium topology's 51 hints.
+void BM_AcquisitionSearch(benchmark::State& state) {
+  BM_AcquisitionSearch(state, 51);
+}
 BENCHMARK(BM_AcquisitionSearch)->Arg(60)->Unit(benchmark::kMillisecond);
+// bo100-large's shape: 101 hints, where the local search's 202 neighbours
+// are bounded before scoring (DESIGN.md §8, "Bounded local search").
+BENCHMARK_CAPTURE(BM_AcquisitionSearch, d101, 101)->Arg(100)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AcquisitionBatch(benchmark::State& state) {
   // The per-batch acquisition accumulation in isolation: one

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <limits>
+#include <numeric>
 
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/check.hpp"
+#include "gp/kernel_batch.hpp"
 #include "linalg/kernels.hpp"
 
 namespace stormtune::bo {
@@ -159,6 +162,80 @@ constexpr std::size_t kBlockLd = linalg_kernels::padded_ld(kBlockRows);
 double neighbor_value(std::span<const double> cur, double step,
                       std::size_t r) {
   return std::clamp(cur[r / 2] + (r % 2 == 0 ? step : -step), 0.0, 1.0);
+}
+
+/// Neighbours scored before the first threshold update: the best of the
+/// highest bounds usually lifts T above most of the rest.
+constexpr std::size_t kFirstNeighbors = 8;
+/// Fewest observations at which the local search bounds its neighbours
+/// (DESIGN.md §8, "Bounded local search"; a pool of more than one thread
+/// never does). An exact score costs O(n²) and a bound O(n) plus an
+/// acquisition evaluation, so small histories do not repay the bound:
+/// with n < 12, bounding made the search's iterations 1.0–1.5× slower at
+/// d = 51 and d = 101, and from n = 12 to 15 it made them 0.82× at
+/// d = 101 (one thread, seed 2015, fig4-medium and bo100-large). No
+/// d = 51 history was measured past n = 12, hence the margin.
+constexpr std::size_t kMinBoundedObservations = 16;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
+
+/// sup over s ≥ 0 of |g'(s)|, the unit correlation's slope (at s = 0).
+double max_slope(gp::KernelFamily family) {
+  switch (family) {
+    case gp::KernelFamily::kSquaredExponential: return 0.5;
+    case gp::KernelFamily::kMatern32: return 1.5;
+    case gp::KernelFamily::kMatern52: return 5.0 / 6.0;
+  }
+  return kInf;
+}
+
+/// g'(s) of the unit correlation g at scaled squared distance s.
+double corr_slope(gp::KernelFamily family, double s) {
+  switch (family) {
+    case gp::KernelFamily::kSquaredExponential:
+      return -0.5 * std::exp(-0.5 * s);
+    case gp::KernelFamily::kMatern32:
+      return -1.5 * std::exp(-std::sqrt(3.0 * s));
+    case gp::KernelFamily::kMatern52: {
+      const double r = std::sqrt(5.0 * s);
+      return -(5.0 / 6.0) * (1.0 + r) * std::exp(-r);
+    }
+  }
+  return -kInf;
+}
+
+/// g''(s): positive and decreasing for all three families, so g is convex
+/// and g'' at the low end of an interval bounds it on the interval.
+/// Matérn-3/2's is +∞ at s = 0.
+double corr_curvature(gp::KernelFamily family, double s) {
+  switch (family) {
+    case gp::KernelFamily::kSquaredExponential:
+      return 0.25 * std::exp(-0.5 * s);
+    case gp::KernelFamily::kMatern32: {
+      const double r = std::sqrt(3.0 * s);
+      return 2.25 * std::exp(-r) / r;
+    }
+    case gp::KernelFamily::kMatern52:
+      return (25.0 / 12.0) * std::exp(-std::sqrt(5.0 * s));
+  }
+  return kInf;
+}
+
+/// An upper bound on the acquisition value the exact path computes from
+/// any mean ≤ mu and variance ≤ var: EI and UCB (β ≥ 0) are nondecreasing
+/// in both, and the allowance covers their own rounding.
+double acquisition_bound(const BayesOptOptions& opts, double mu, double var,
+                         double best, double eps) {
+  const double sd = std::sqrt(var);
+  if (opts.acquisition == AcquisitionKind::kUpperConfidenceBound) {
+    const double u = upper_confidence_bound(mu, var, opts.ucb_beta);
+    return u + eps * (std::fabs(u) + opts.ucb_beta * sd);
+  }
+  const double imp = mu - best - opts.xi;
+  return expected_improvement(mu, var, best, opts.xi) +
+         eps * ((imp > 0.0 ? imp : 0.0) + sd + std::fabs(best) +
+                std::fabs(opts.xi));
 }
 
 }  // namespace
@@ -339,22 +416,23 @@ struct BayesOpt::Surrogate {
     }
   }
 
-  /// Score neighbours [lo, lo + m) of `cur` (neighbor_value) into
-  /// ws.scores[0, m). No neighbour row is ever built for non-ARD kernels:
-  /// each one's distances are an O(n) single-coordinate update of the
-  /// centre's (`base`, from unscaled_sq_dists) instead of an O(n·d)
+  /// Score the neighbours `nbs` of `cur` (neighbor_value) into
+  /// ws.scores[0, nbs.size()). No neighbour row is ever built for non-ARD
+  /// kernels: each one's distances are an O(n) single-coordinate update of
+  /// the centre's (`base`, from unscaled_sq_dists) instead of an O(n·d)
   /// recomputation.
   void score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
                        std::span<const double> cur, double step,
-                       std::span<const double> base, std::size_t lo,
-                       std::size_t m) const {
+                       std::span<const double> base,
+                       std::span<const std::size_t> nbs) const {
+    const std::size_t m = nbs.size();
     if (shares_distances()) {
       const Matrix& x = inputs_gp->inputs();
       const std::size_t n = x.rows();
       for (std::size_t c = 0; c < m; ++c) {
-        const std::size_t j = (lo + c) / 2;
+        const std::size_t j = nbs[c] / 2;
         const double cj = cur[j];
-        const double vj = neighbor_value(cur, step, lo + c);
+        const double vj = neighbor_value(cur, step, nbs[c]);
         for (std::size_t i = 0; i < n; ++i) {
           const double old_diff = cj - x(i, j);
           const double new_diff = vj - x(i, j);
@@ -367,10 +445,187 @@ struct BayesOpt::Surrogate {
       for (std::size_t c = 0; c < m; ++c) {
         const auto row = ws.q.row(c);
         std::copy(cur.begin(), cur.end(), row.begin());
-        row[(lo + c) / 2] = neighbor_value(cur, step, lo + c);
+        row[nbs[c] / 2] = neighbor_value(cur, step, nbs[c]);
       }
     }
     score_block(opts, ws, m);
+  }
+
+  /// Whether neighbor_bounds bounds a neighbour's score on a pool of
+  /// `threads`: one thread, at least kMinBoundedObservations observations,
+  /// non-ARD posteriors (which share the centre's distances), no cost
+  /// divisor, and EI or UCB with β ≥ 0, the acquisitions nondecreasing in μ
+  /// and σ². Every other neighbour's bound is +∞.
+  bool bounds_neighbors(const BayesOptOptions& opts,
+                        std::size_t threads) const {
+    if (threads != 1 || !shares_distances() || cost1_ms > 0.0 ||
+        inputs_gp->num_observations() < kMinBoundedObservations) {
+      return false;
+    }
+    return opts.acquisition == AcquisitionKind::kExpectedImprovement ||
+           (opts.acquisition == AcquisitionKind::kUpperConfidenceBound &&
+            opts.ucb_beta >= 0.0);
+  }
+
+  /// Posterior `post`'s CentreTerms at the centre whose squared distances
+  /// are ls.base, with `frob` ≥ ‖L‖_F and `scratch` seven n-entry vectors.
+  /// Writing Δ_i for neighbour (j, h)'s change of b_i = ‖c − x_i‖²,
+  /// Δ_i = h² + 2h·c_j − 2h·x_ij, and k(b) = a²g(b/ℓ²) convex in b:
+  ///   k_i + k'_i Δ_i ≤ k_nb,i ≤ k_i + k'_i Δ_i + ½κ_i Δ_i²,
+  /// κ_i = a²g''(max(0, b_i − D)/ℓ²)/ℓ⁴. Hence μ_nb ≤ μ_c + Σα_i k'_i Δ_i
+  /// + ½Σα_i⁺κ_i Δ_i², and for any w, ‖L⁻¹k‖² ≥ 2kᵀw − ‖Lᵀw‖² gives
+  /// σ²_nb ≤ a² − (2k_cᵀw − ‖Lᵀw‖²) − 2Σw_i k'_i Δ_i + Σw_i⁻κ_i Δ_i².
+  /// Each sum expands in h, c_j and coordinate j of the six column sums.
+  /// The slacks cover the rounding of this and of the exact path (DESIGN.md
+  /// §8, "Bounded local search").
+  void centre_terms(const gp::PosteriorView& post, const LocalSearch& ls,
+                    double frob, double* scratch, CentreTerms& ct) const {
+    const std::span<const double> base = ls.base;
+    const double* xsq = ls.xsq.data();
+    const Matrix& x = inputs_gp->inputs();
+    const std::size_t n = x.rows();
+    const std::size_t d = x.cols();
+    double* k = scratch;   // k(b_i), the centre's covariances
+    double* dk = k + n;    // k'(b_i)
+    double* kap = dk + n;  // κ_i
+    double* err = kap + n; // δk_i, the rounding of one covariance
+    double* w = err + n;   // w ≈ K⁻¹k
+    double* wa = w + n;    // weights of the linear sums
+    double* wb = wa + n;   // weights of the quadratic sums
+    const double a2 = post.variance;
+    const double t = post.inv_sq_ls[0];
+    const double eps = ls.eps;
+    for (std::size_t i = 0; i < n; ++i) k[i] = base[i] * t;
+    gp::correlation_from_scaled_sq_batch(post.family, a2, k, n);
+    const double slope_max = max_slope(post.family) * a2 * t;
+    for (std::size_t i = 0; i < n; ++i) {
+      dk[i] = a2 * t * corr_slope(post.family, base[i] * t);
+      const double lo = (base[i] - ls.disp) * t * (1.0 - eps);
+      kap[i] = (1.0 + eps) * a2 * t * t *
+               corr_curvature(post.family, lo > 0.0 ? lo : 0.0);
+      err[i] = 4.0 * eps * a2 +
+               2.0 * slope_max * eps *
+                   (base[i] + 2.0 * ls.range * ls.range + 2.0 * ls.disp);
+    }
+    const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
+    double* sums = ct.sums.data();
+
+    // The mean.
+    const double* alpha = post.alpha.data();
+    double dot = 0.0, abs_alpha = 0.0, abs_alpha_err = 0.0, abs_lin = 0.0;
+    ct.mean_b0 = 0.0;
+    ct.mean_g0 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      dot += alpha[i] * k[i];
+      wa[i] = alpha[i] * dk[i];
+      wb[i] = alpha[i] > 0.0 ? 0.5 * alpha[i] * kap[i] : 0.0;
+      abs_alpha += std::fabs(alpha[i]);
+      abs_alpha_err += std::fabs(alpha[i]) * err[i];
+      abs_lin += std::fabs(wa[i]);
+      ct.mean_b0 += wa[i];
+      ct.mean_g0 += wb[i];
+    }
+    ct.mean = post.mean_value + dot;
+    ops.column_dots(x.data(), d, n, d, wa, sums);
+    ops.column_dots(x.data(), d, n, d, wb, sums + d);
+    ops.column_dots(xsq, d, n, d, wb, sums + 2 * d);
+
+    // The variance. w by forward and back substitution; any w gives a
+    // valid bound, its accuracy only sets how tight the bound is.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* li = post.lower + i * post.ld;
+      double acc = k[i];
+      for (std::size_t j = 0; j < i; ++j) acc -= li[j] * w[j];
+      w[i] = acc / li[i];
+    }
+    for (std::size_t i = n; i-- > 0;) {
+      const double* li = post.lower + i * post.ld;
+      w[i] /= li[i];
+      for (std::size_t j = 0; j < i; ++j) w[j] -= li[j] * w[i];
+    }
+    std::fill_n(wa, n, 0.0);  // Lᵀw
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* li = post.lower + i * post.ld;
+      for (std::size_t j = 0; j <= i; ++j) wa[j] += li[j] * w[i];
+    }
+    double kw = 0.0, ltw2 = 0.0, w2 = 0.0, abs_w = 0.0, abs_w_err = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      kw += k[i] * w[i];
+      ltw2 += wa[i] * wa[i];
+      w2 += w[i] * w[i];
+      abs_w += std::fabs(w[i]);
+      abs_w_err += std::fabs(w[i]) * err[i];
+    }
+    // ‖L'ᵀw‖ for the factor L' = L + ΔL the exact path's solve is exact
+    // for: the computed ‖Lᵀw‖ plus both products' rounding, each at most
+    // eps·‖L‖_F·‖w‖.
+    const double ltw =
+        (std::sqrt(ltw2) + 2.0 * eps * frob * std::sqrt(w2)) * (1.0 + eps);
+    ct.var_a = 2.0 * kw - ltw * ltw;
+    double abs_wlin = 0.0;
+    ct.var_b0 = 0.0;
+    ct.var_g0 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      wa[i] = w[i] * dk[i];
+      wb[i] = w[i] < 0.0 ? -w[i] * kap[i] : 0.0;
+      abs_wlin += std::fabs(wa[i]);
+      ct.var_b0 += wa[i];
+      ct.var_g0 += wb[i];
+    }
+    ops.column_dots(x.data(), d, n, d, wa, sums + 3 * d);
+    ops.column_dots(x.data(), d, n, d, wb, sums + 4 * d);
+    ops.column_dots(xsq, d, n, d, wb, sums + 5 * d);
+
+    // Rounding allowances: the expansions' error is at most eps times
+    // their magnitude, |h|(|h| + 4H) per linear weight and its square per
+    // quadratic one.
+    const double lin = ls.hs * (ls.hs + 4.0 * ls.coord);
+    const double quad = lin * lin;
+    const double dd = ls.disp;
+    ct.mean_slack = 2.0 * eps * (std::fabs(post.mean_value) + a2 * abs_alpha) +
+                    2.0 * abs_alpha_err + eps * lin * abs_lin +
+                    eps * quad * ct.mean_g0 +
+                    eps * (std::fabs(ct.mean) + dd * abs_lin +
+                           dd * dd * ct.mean_g0);
+    ct.var_slack = 2.0 * eps * a2 * abs_w + 4.0 * abs_w_err +
+                   2.0 * eps * lin * abs_wlin + eps * quad * ct.var_g0 +
+                   2.0 * eps *
+                       (a2 + std::fabs(ct.var_a) + 2.0 * dd * abs_wlin +
+                        dd * dd * ct.var_g0);
+  }
+
+  /// Into ct.acq[r], for neighbours r in [lo, hi) of `cur`: an upper bound
+  /// on posterior `post`'s acquisition term of r's score_neighbors value,
+  /// from its CentreTerms `ct`; +∞ where the arithmetic gives none (an
+  /// infinite κ, a NaN).
+  void neighbor_bounds(const BayesOptOptions& opts,
+                       const gp::PosteriorView& post, CentreTerms& ct,
+                       double eps, std::span<const double> cur, double step,
+                       std::size_t lo, std::size_t hi) const {
+    const std::size_t d = cur.size();
+    const double* sums = ct.sums.data();
+    const double a2 = post.variance;
+    for (std::size_t r = lo; r < hi; ++r) {
+      const std::size_t j = r / 2;
+      const double cj = cur[j];
+      const double h = neighbor_value(cur, step, r) - cj;
+      const double p = h * (h + 2.0 * cj);  // Δ_i = p − 2h·x_ij
+      const double mean =
+          ct.mean + (p * ct.mean_b0 - 2.0 * h * sums[j]) +
+          (p * (p * ct.mean_g0 - 4.0 * h * sums[d + j]) +
+           4.0 * h * h * sums[2 * d + j]) +
+          ct.mean_slack;
+      const double v = a2 - ct.var_a -
+                       2.0 * (p * ct.var_b0 - 2.0 * h * sums[3 * d + j]) +
+                       (p * (p * ct.var_g0 - 4.0 * h * sums[4 * d + j]) +
+                        4.0 * h * h * sums[5 * d + j]) +
+                       ct.var_slack;
+      // The exact variance is never above a², and never below 0.
+      const double var = v < a2 ? (v > 0.0 ? v : 0.0) : a2;
+      ct.acq[r] = mean < kInf ? acquisition_bound(opts, mean, var,
+                                                  best_standardized, eps)
+                              : kInf;
+    }
   }
 };
 
@@ -687,7 +942,6 @@ void generate_candidate(std::size_t c, std::span<const double> inc_u,
 }  // namespace
 
 std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
-  const std::size_t d = space_.dim();
   const std::size_t num_cands = options_.num_candidates;
 
   // Random multistart (generate_candidate), streamed through each worker's
@@ -710,10 +964,7 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   const std::size_t gen_shards = std::min(kGenShards, num_cands);
   const std::size_t threads = pool().num_threads();
   const std::size_t workers = std::min(threads, gen_shards);
-  if (score_blocks_.size() < threads) score_blocks_.resize(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    surrogate.size_block(score_blocks_[w], d);
-  }
+  size_blocks(surrogate);
   const auto shard_begin = [&](std::size_t g) {
     return g * num_cands / gen_shards;
   };
@@ -743,38 +994,211 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
       best_w = w;
     }
   }
-  double best_val = score_blocks_[best_w].best_score;
-  std::vector<double> best_u = score_blocks_[best_w].best_u;
+  return local_search(surrogate, score_blocks_[best_w].best_u,
+                      score_blocks_[best_w].best_score);
+}
 
-  // Local coordinate refinement around the best candidate: batch-score the
-  // 2d-point coordinate neighborhood of the current point each iteration
-  // (one parallel pass instead of 2d serial surrogate calls) and move to
-  // its best strict improvement.
+void BayesOpt::size_blocks(const Surrogate& surrogate) {
+  const std::size_t threads = pool().num_threads();
+  if (score_blocks_.size() < threads) score_blocks_.resize(threads);
+  for (std::size_t w = 0; w < threads; ++w) {
+    surrogate.size_block(score_blocks_[w], space_.dim());
+  }
+}
+
+void BayesOpt::start_local_search(const Surrogate& surrogate,
+                                  std::span<const double> cur) {
+  const std::size_t d = space_.dim();
+  const std::size_t n = surrogate.inputs_gp->num_observations();
+  const std::size_t num_nb = 2 * d;
+  LocalSearch& ls = local_;
+  ls.bounded = surrogate.bounds_neighbors(options_, pool().num_threads());
+  ls.base.resize(surrogate.shares_distances() ? n : 0);
+  ls.bound.assign(num_nb, kInf);
+  ls.score.resize(num_nb);
+  ls.order.resize(num_nb);
+  if (!ls.bounded) return;
+  // X∘X, the box holding X, the centre and the unit cube (every later
+  // centre stays in the cube), and each factor's Frobenius norm.
+  const Matrix& x = surrogate.inputs_gp->inputs();
+  ls.xsq.resize(n * d);
+  double lo = 0.0, hi = 1.0;
+  for (std::size_t e = 0; e < n * d; ++e) {
+    const double v = x.data()[e];
+    ls.xsq[e] = v * v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  for (const double v : cur) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  ls.eps = 2.0 * static_cast<double>(n + d + 64) * kUnitRoundoff;
+  ls.range = hi - lo;
+  ls.coord = std::max(-lo, hi);
+  const std::size_t num_posts = surrogate.posts.size();
+  ls.frob.resize(num_posts);
+  for (std::size_t s = 0; s < num_posts; ++s) {
+    const gp::PosteriorView& post = surrogate.posts[s];
+    double f2 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* li = post.lower + i * post.ld;
+      for (std::size_t j = 0; j <= i; ++j) f2 += li[j] * li[j];
+    }
+    ls.frob[s] = std::sqrt(f2) * (1.0 + ls.eps);
+  }
+  ls.terms.resize(num_posts);
+  for (CentreTerms& ct : ls.terms) {
+    ct.sums.resize(6 * d);
+    ct.acq.resize(num_nb);
+  }
+  ls.scratch.resize(7 * n);
+}
+
+void BayesOpt::bound_slice(const Surrogate& surrogate,
+                           std::span<const double> cur, double step,
+                           std::size_t lo, std::size_t hi) {
+  LocalSearch& ls = local_;
+  if (!ls.bounded) return;
+  const std::size_t num_posts = surrogate.posts.size();
+  for (std::size_t s = 0; s < num_posts; ++s) {
+    surrogate.centre_terms(surrogate.posts[s], ls, ls.frob[s],
+                           ls.scratch.data(), ls.terms[s]);
+    surrogate.neighbor_bounds(options_, surrogate.posts[s], ls.terms[s],
+                              ls.eps, cur, step, lo, hi);
+  }
+  // score_block's average, in its order: rounding is monotone, so the
+  // average of the bounds bounds the exact average.
+  const double inv = 1.0 / static_cast<double>(num_posts);
+  for (std::size_t r = lo; r < hi; ++r) {
+    double acc = 0.0;
+    for (const CentreTerms& ct : ls.terms) acc += ct.acq[r];
+    acc *= inv;
+    ls.bound[r] = std::isnan(acc) ? kInf : acc;
+  }
+  std::sort(ls.order.begin() + static_cast<std::ptrdiff_t>(lo),
+            ls.order.begin() + static_cast<std::ptrdiff_t>(hi),
+            [&](std::size_t a, std::size_t b) {
+              return ls.bound[a] > ls.bound[b] ||
+                     (ls.bound[a] == ls.bound[b] && a < b);
+            });
+}
+
+void BayesOpt::score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+                              std::span<const double> cur, double step,
+                              std::size_t lo, std::size_t hi) {
+  LocalSearch& ls = local_;
+  Surrogate::poison(ws);
+  surrogate.score_neighbors(options_, ws, cur, step, ls.base,
+                            std::span(ls.order).subspan(lo, hi - lo));
+  for (std::size_t c = 0; c < hi - lo; ++c) {
+    ls.score[ls.order[lo + c]] = ws.scores[c];
+  }
+}
+
+void BayesOpt::search_slice(const Surrogate& surrogate, ScoreBlock& ws,
+                            std::span<const double> cur, double step,
+                            std::size_t lo, std::size_t hi, double best_val) {
+  LocalSearch& ls = local_;
+  bound_slice(surrogate, cur, step, lo, hi);
+  // A first small round lifts T before the rest; +∞ bounds (all of them
+  // scored anyway) go a whole block at a time.
+  double threshold = best_val;
+  std::size_t next = lo;
+  std::size_t batch =
+      ls.bound[ls.order[lo]] < kInf ? kFirstNeighbors : kBlockRows;
+  while (next < hi && ls.bound[ls.order[next]] >= threshold) {
+    std::size_t end = next;
+    const std::size_t cap = std::min(hi, next + batch);
+    while (end < cap && ls.bound[ls.order[end]] >= threshold) ++end;
+    score_in_order(surrogate, ws, cur, step, next, end);
+    for (; next < end; ++next) {
+      threshold = std::max(threshold, ls.score[ls.order[next]]);
+    }
+    batch = kBlockRows;
+  }
+}
+
+void BayesOpt::for_each_slice(
+    const std::function<void(ScoreBlock&, std::size_t, std::size_t)>& body) {
+  // Contiguous slices of at least kFirstNeighbors neighbours, one per
+  // worker.
+  const std::size_t num_nb = local_.order.size();
+  const std::size_t slices = std::min(
+      pool().num_threads(), (num_nb + kFirstNeighbors - 1) / kFirstNeighbors);
+  pool().parallel_for(slices, [&](std::size_t w) {
+    body(score_blocks_[w], w * num_nb / slices, (w + 1) * num_nb / slices);
+  });
+}
+
+void BayesOpt::start_iteration(const Surrogate& surrogate,
+                               std::span<const double> cur, double step) {
+  // One O(n·d) distance pass for the centre; every neighbour's distances
+  // are then an O(n) single-coordinate update (score_neighbors).
+  LocalSearch& ls = local_;
+  if (!ls.base.empty()) surrogate.inputs_gp->unscaled_sq_dists(cur, ls.base);
+  std::iota(ls.order.begin(), ls.order.end(), std::size_t{0});
+  std::fill(ls.score.begin(), ls.score.end(), -kInf);
+  ls.hs = step + ls.eps;
+  ls.disp = 2.0 * ls.range * ls.hs;
+}
+
+void BayesOpt::score_all_neighbors(const Surrogate& surrogate,
+                                   std::span<const double> cur, double step) {
+  std::iota(local_.order.begin(), local_.order.end(), std::size_t{0});
+  for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
+    for (std::size_t b = lo; b < hi; b += kBlockRows) {
+      score_in_order(surrogate, ws, cur, step, b, std::min(hi, b + kBlockRows));
+    }
+  });
+}
+
+std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
+                                           std::vector<double> best_u,
+                                           double best_val) {
+  // Each iteration moves to the best strict improvement among the 2d
+  // coordinate neighbours of the current point, or halves the step. Each
+  // worker takes a contiguous slice of the neighbours (one slice at one
+  // thread) and gives each an upper bound on its score (bound_slice, +∞
+  // where none exists). It then scores its slice exactly in
+  // descending-bound order until the next bound falls below T =
+  // max(best_val, best exact score of the slice so far). An unscored
+  // neighbour's score is then below a scored one's or below best_val, so
+  // it could neither win the argmax, tie with its winner nor be accepted:
+  // the move, the halving and every output bit are the unpruned search's.
+  LocalSearch& ls = local_;
   double step = 0.1;
   std::vector<double> cur = best_u;
-  const std::size_t num_nb = 2 * d;
-  std::vector<double> nb_scores(num_nb);
-  const bool share = surrogate.shares_distances();
-  std::vector<double> base(
-      share ? surrogate.inputs_gp->num_observations() : 0);
-  const std::size_t nb_workers = std::min(threads, num_nb);
+  start_local_search(surrogate, cur);
   for (std::size_t it = 0; it < options_.local_search_iters; ++it) {
-    // One O(n·d) distance pass for the center; every neighbor's distances
-    // are then an O(n) single-coordinate update (score_neighbors).
-    if (share) surrogate.inputs_gp->unscaled_sq_dists(cur, base);
-    pool().parallel_for(nb_workers, [&](std::size_t w) {
-      ScoreBlock& ws = score_blocks_[w];
-      const std::size_t hi = (w + 1) * num_nb / nb_workers;
-      for (std::size_t b = w * num_nb / nb_workers; b < hi; b += kBlockRows) {
-        const std::size_t m = std::min(kBlockRows, hi - b);
-        Surrogate::poison(ws);
-        surrogate.score_neighbors(options_, ws, cur, step, base, b, m);
-        std::copy_n(ws.scores.begin(), m, nb_scores.begin() + b);
-      }
+    start_iteration(surrogate, cur, step);
+    for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
+      search_slice(surrogate, ws, cur, step, lo, hi, best_val);
     });
-    const std::size_t idx = argmax_index(nb_scores);
-    if (nb_scores[idx] > best_val) {
-      best_val = nb_scores[idx];
+    const std::size_t idx = argmax_index(ls.score);
+#ifdef STORMTUNE_CHECKED
+    // Score every neighbour as the unpruned search did: each exact score
+    // must be within its bound, and the move or halving must be the same.
+    {
+      const std::vector<double> pruned = ls.score;
+      score_all_neighbors(surrogate, cur, step);
+      const std::size_t full_idx = argmax_index(ls.score);
+      for (std::size_t r = 0; r < ls.score.size(); ++r) {
+        STORMTUNE_INVARIANT(ls.score[r] <= ls.bound[r],
+                            "BayesOpt: a local-search neighbour's exact "
+                            "score exceeds its bound");
+      }
+      const bool moves = pruned[idx] > best_val;
+      STORMTUNE_INVARIANT(
+          moves == (ls.score[full_idx] > best_val) &&
+              (!moves || (idx == full_idx && pruned[idx] == ls.score[idx])),
+          "BayesOpt: the pruned local search decided otherwise than the "
+          "unpruned one");
+      ls.score = pruned;
+    }
+#endif
+    if (ls.score[idx] > best_val) {
+      best_val = ls.score[idx];
       cur[idx / 2] = neighbor_value(cur, step, idx);
       best_u = cur;
     } else {
@@ -783,6 +1207,23 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
     }
   }
   return best_u;
+}
+
+BayesOpt::NeighborScores BayesOpt::neighbor_scores(
+    std::span<const double> centre, double step) {
+  STORMTUNE_REQUIRE(!observations_.empty() &&
+                        observations_.size() >= options_.initial_design,
+                    "BayesOpt::neighbor_scores: the surrogate is not engaged");
+  STORMTUNE_REQUIRE(centre.size() == space_.dim(),
+                    "BayesOpt::neighbor_scores: size mismatch");
+  Surrogate surrogate;
+  fit_surrogate(surrogate);
+  size_blocks(surrogate);
+  start_local_search(surrogate, centre);
+  start_iteration(surrogate, centre, step);
+  bound_slice(surrogate, centre, step, 0, local_.order.size());
+  score_all_neighbors(surrogate, centre, step);
+  return NeighborScores{local_.bound, local_.score};
 }
 
 ParamValues BayesOpt::suggest() {

@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bayesopt/acquisition.hpp"
@@ -160,6 +162,17 @@ class BayesOpt {
   /// Best observation so far; throws if none.
   BestResult best() const;
 
+  /// What the local search knows of the coordinate neighbours of the
+  /// unit-space point `centre` at `step` (DESIGN.md §8, "Bounded local
+  /// search"): each one's bound (+∞ where none exists, as with more than
+  /// one thread) and its exact score, neighbour r moving coordinate r/2 up
+  /// (r even) or down. Fits the surrogate as suggest() does; for tests of
+  /// the bound.
+  struct NeighborScores {
+    std::vector<double> bound, exact;
+  };
+  NeighborScores neighbor_scores(std::span<const double> centre, double step);
+
   /// Serialize the full optimizer state (space, options, RNG-independent
   /// history). Resuming replays the history into a fresh optimizer.
   Json save_state() const;
@@ -167,11 +180,49 @@ class BayesOpt {
 
  private:
   struct Surrogate;
+  struct ScoreBlock;
   /// Fit the surrogate for the current window into `s` (default-built):
   /// its posterior views may borrow from s itself, so it is filled in
   /// place and never moved.
   void fit_surrogate(Surrogate& s);
   std::vector<double> maximize_acquisition(Surrogate& surrogate);
+  /// Coordinate refinement of the multistart winner `best_u` (score
+  /// `best_val`): maximize_acquisition's second phase.
+  std::vector<double> local_search(const Surrogate& surrogate,
+                                   std::vector<double> best_u,
+                                   double best_val);
+  /// Size one ScoreBlock per pool worker for `surrogate`.
+  void size_blocks(const Surrogate& surrogate);
+  /// The local search's per-suggest set-up, `cur` its first centre.
+  void start_local_search(const Surrogate& surrogate,
+                          std::span<const double> cur);
+  /// An iteration's set-up at centre `cur` and `step`: its squared
+  /// distances into local_.base, local_.order the identity, local_.score
+  /// −∞, and the step's geometry.
+  void start_iteration(const Surrogate& surrogate,
+                       std::span<const double> cur, double step);
+  /// body(block, lo, hi) for each worker's contiguous slice [lo, hi) of the
+  /// neighbours, in parallel.
+  void for_each_slice(
+      const std::function<void(ScoreBlock&, std::size_t, std::size_t)>& body);
+  /// Bounds of neighbours [lo, hi) at centre `cur` and `step` into
+  /// local_.bound (+∞ throughout where none exists), and local_.order[lo,
+  /// hi) by descending bound, ties by index.
+  void bound_slice(const Surrogate& surrogate, std::span<const double> cur,
+                   double step, std::size_t lo, std::size_t hi);
+  /// One iteration's work on slice [lo, hi): bound it, then score in
+  /// descending-bound order while a bound reaches max(best_val, best score).
+  void search_slice(const Surrogate& surrogate, ScoreBlock& ws,
+                    std::span<const double> cur, double step, std::size_t lo,
+                    std::size_t hi, double best_val);
+  /// Exact scores of neighbours local_.order[lo, hi) into local_.score;
+  /// hi − lo ≤ kBlockRows.
+  void score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+                      std::span<const double> cur, double step,
+                      std::size_t lo, std::size_t hi);
+  /// Exact scores of every neighbour (local_.order becomes the identity).
+  void score_all_neighbors(const Surrogate& surrogate,
+                           std::span<const double> cur, double step);
   /// Diff a previous fit's window `from` against the current window_: true
   /// when the step is incremental (current window = kept prefix of `from`
   /// plus newer appended ids), filling `removals` with the positions of
@@ -245,6 +296,25 @@ class BayesOpt {
     std::size_t slides_since_refresh = 0;
   };
   WarmSlice warm_;
+  /// One posterior's terms for bounding every local-search neighbour of the
+  /// current centre (DESIGN.md §8, "Bounded local search"): the centre's
+  /// mean, the variance expansion's constant, the scalar and per-coordinate
+  /// weighted sums the bound expands into, and its rounding allowances.
+  struct CentreTerms {
+    double mean = 0.0;        // μ at the centre
+    double mean_b0 = 0.0;     // Σ α_i k'_i
+    double mean_g0 = 0.0;     // Σ ½ α_i⁺ κ_i
+    double var_a = 0.0;       // 2 k_cᵀw − (upper bound on ‖Lᵀw‖)²
+    double var_b0 = 0.0;      // Σ w_i k'_i
+    double var_g0 = 0.0;      // Σ w_i⁻ κ_i
+    double mean_slack = 0.0;  // rounding allowances
+    double var_slack = 0.0;
+    /// 6·d: Xᵀ(α∘k'), Xᵀ(½α⁺∘κ), (X∘X)ᵀ(½α⁺∘κ), Xᵀ(w∘k'), Xᵀ(w⁻∘κ),
+    /// (X∘X)ᵀ(w⁻∘κ).
+    std::vector<double> sums;
+    /// One per neighbour: a bound on this posterior's acquisition term.
+    std::vector<double> acq;
+  };
   /// One scoring worker's candidate block and the buffers that score it,
   /// kept across suggest() calls (one per pool worker). The acquisition
   /// search streams candidates through them a fixed block of rows at a
@@ -264,6 +334,24 @@ class BayesOpt {
     std::vector<double> best_u;
   };
   std::vector<ScoreBlock> score_blocks_;
+  /// The local search's buffers, kept across suggest() calls.
+  struct LocalSearch {
+    bool bounded = false;  // Surrogate::bounds_neighbors
+    double eps = 0.0;      // relative rounding allowance, 2(n + d + 64)·u
+    double range = 0.0;    // ρ ≥ |c_j − x_ij|, |v_j − x_ij|
+    double coord = 0.0;    // H ≥ |c_j|, |x_ij|
+    double hs = 0.0;       // ≥ |h|, this step's coordinate move
+    double disp = 0.0;     // D = 2ρ·hs ≥ |Δ_i|, its squared-distance change
+    std::vector<double> xsq;    // X∘X, n × d
+    std::vector<double> frob;   // per posterior, ≥ ‖L‖_F
+    std::vector<CentreTerms> terms;  // per posterior, at the current centre
+    std::vector<double> scratch;     // 7 × n, to compute one of them
+    std::vector<double> base;   // the centre's squared distances
+    std::vector<double> bound;  // one per neighbour
+    std::vector<double> score;  // exact score, −∞ where not scored
+    std::vector<std::size_t> order;  // neighbours by descending bound
+  };
+  LocalSearch local_;
 };
 
 }  // namespace stormtune::bo

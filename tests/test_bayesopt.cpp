@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -438,6 +439,117 @@ TEST(BayesOpt, MixedRungNoiseComposesWithSampledHyperModes) {
     const ParamValues x = opt.suggest();
     ASSERT_EQ(x.size(), 2u);
     EXPECT_TRUE(std::isfinite(x[0]) && std::isfinite(x[1]));
+  }
+}
+
+// The local search's neighbour bound (DESIGN.md §8, "Bounded local search")
+// must hold for every neighbour, or a prune could drop the argmax. Random
+// posteriors of each kernel family, single and marginalized, with and
+// without a noise diagonal, around centres on a training point (distance
+// 0), at the unit cube's corner (clamped neighbours, h = 0) and inside it.
+TEST(BayesOpt, NeighborBoundsCoverExactScores) {
+  const ParamSpace space({ParamSpec::real("a", 0.0, 1.0),
+                          ParamSpec::real("b", -2.0, 2.0),
+                          ParamSpec::integer("k", 1, 12),
+                          ParamSpec::real("r", 1.0, 100.0, /*log_scale=*/true),
+                          ParamSpec::real("c", 0.0, 5.0)});
+  const auto objective = [](const ParamValues& x) {
+    return -(x[0] - 0.3) * (x[0] - 0.3) + 0.2 * x[1] - 0.02 * x[2] +
+           0.1 * std::log(x[3]) - 0.05 * (x[4] - 2.0) * (x[4] - 2.0);
+  };
+  struct Setup {
+    HyperMode mode;
+    bool noise_diag;
+  };
+  const Setup setups[] = {{HyperMode::kSliceSample, false},
+                          {HyperMode::kMle, false},
+                          {HyperMode::kFixed, true},
+                          {HyperMode::kSliceSample, true}};
+  for (const gp::KernelFamily family :
+       {gp::KernelFamily::kSquaredExponential, gp::KernelFamily::kMatern32,
+        gp::KernelFamily::kMatern52}) {
+    for (const AcquisitionKind acq : {AcquisitionKind::kExpectedImprovement,
+                                      AcquisitionKind::kUpperConfidenceBound}) {
+      for (const Setup& setup : setups) {
+        BayesOptOptions o;
+        o.kernel = family;
+        o.acquisition = acq;
+        o.hyper_mode = setup.mode;
+        o.hyper_samples = 5;
+        o.hyper_burn_in = 4;
+        o.num_threads = 1;
+        o.seed = 97;
+        if (setup.noise_diag) o.rung_noise_variance = {0.0, 4e-3, 1e-3};
+        BayesOpt opt(space, o);
+        Rng rng(5 + static_cast<std::uint64_t>(family));
+        for (int i = 0; i < 24; ++i) {
+          auto x = space.sample(rng);
+          const double y = objective(x) + 0.05 * rng.normal();
+          opt.observe(std::move(x), y, i % 3 == 0 ? 1 : 2);
+        }
+        std::vector<std::vector<double>> centres = {
+            space.to_unit(opt.observations()[3].x),
+            space.to_unit(opt.best().x),
+            {0.0, 1.0, 1.0, 0.0, 0.5},
+        };
+        std::vector<double> inner(space.dim());
+        for (double& v : inner) v = rng.uniform();
+        centres.push_back(inner);
+        std::size_t finite = 0, total = 0;
+        for (const auto& centre : centres) {
+          for (const double step : {0.1, 0.03, 1e-2, 1e-3}) {
+            const auto nb = opt.neighbor_scores(centre, step);
+            ASSERT_EQ(nb.bound.size(), 2 * space.dim());
+            for (std::size_t r = 0; r < nb.bound.size(); ++r) {
+              ASSERT_TRUE(std::isfinite(nb.exact[r]));
+              EXPECT_LE(nb.exact[r], nb.bound[r])
+                  << "family " << static_cast<int>(family) << " acq "
+                  << to_string(acq) << " mode " << to_string(setup.mode)
+                  << " step " << step << " neighbour " << r;
+              finite += std::isfinite(nb.bound[r]) ? 1 : 0;
+              ++total;
+            }
+          }
+        }
+        // Not vacuous. Matérn-3/2's curvature is infinite at a training
+        // point, so both centres on one get +∞ bounds for that family.
+        EXPECT_GE(finite, family == gp::KernelFamily::kMatern32 ? total / 2
+                                                                  : total)
+            << "family " << static_cast<int>(family) << " acq "
+            << to_string(acq) << " mode " << to_string(setup.mode);
+      }
+    }
+  }
+}
+
+// Where no bound exists, every neighbour's is +∞ and the search scores all
+// of them: probability of improvement (which falls as σ² grows below the
+// incumbent, so a σ² bound does not bound it), the cost-aware divisor, ARD
+// posteriors, a history too short to repay the bound and a pool of more
+// than one thread.
+TEST(BayesOpt, NeighborBoundsInfiniteWhereUnsupported) {
+  // Variant 4 is the control: the same history with nothing unsupported
+  // gets finite bounds.
+  for (int variant = 0; variant < 6; ++variant) {
+    BayesOptOptions o = fast_options(23);
+    o.num_threads = variant == 5 ? 2 : 1;
+    if (variant == 0) o.acquisition = AcquisitionKind::kProbabilityOfImprovement;
+    if (variant == 2) o.ard = true;
+    BayesOpt opt(branin_space(), o);
+    Rng rng(3);
+    for (int i = 0; i < (variant == 3 ? 15 : 20); ++i) {
+      auto x = opt.space().sample(rng);
+      const double y = neg_branin(x[0], x[1]);
+      opt.observe(std::move(x), y);
+    }
+    if (variant == 1) opt.set_acquisition_costs(5.0, 50.0, -20.0);
+    const auto nb = opt.neighbor_scores(std::vector<double>{0.4, 0.6}, 0.05);
+    ASSERT_EQ(nb.bound.size(), 4u);
+    for (std::size_t r = 0; r < 4; ++r) {
+      EXPECT_EQ(std::isfinite(nb.bound[r]), variant == 4)
+          << "variant " << variant << " neighbour " << r;
+      EXPECT_TRUE(std::isfinite(nb.exact[r]));
+    }
   }
 }
 

@@ -518,5 +518,81 @@ TEST(IsaDispatch, SuggestGoldenPortablePath) {
   }
 }
 
+// bo100-large's shape: 101 integer hints, five slice-sampled posteriors and
+// a 60-observation history, where the local search's 202 neighbours are
+// bounded before any is scored (DESIGN.md §8, "Bounded local search"). The
+// golden was captured before the bound existed, so a prune that changed a
+// move, a halving or the argmax among tied neighbours fails it.
+TEST(IsaDispatch, SuggestGoldenD101PortablePath) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
+#endif
+  const ScopedIsa pin(isa::Path::kPortable);
+  constexpr std::size_t kDims = 101;
+  std::vector<bo::ParamSpec> specs;
+  for (std::size_t i = 0; i < kDims; ++i) {
+    specs.push_back(bo::ParamSpec::integer("h" + std::to_string(i), 1, 20));
+  }
+  const bo::ParamSpace space(specs);
+  bo::BayesOptOptions opts;
+  opts.hyper_samples = 5;
+  opts.seed = 2015;
+  opts.num_threads = 1;  // only a one-thread pool bounds
+  bo::BayesOpt opt(space, opts);
+  // A smooth objective with an interior optimum, so the local search moves
+  // as well as halves.
+  const auto objective = [](const bo::ParamValues& x) {
+    double y = 0.0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      const double c = 4.0 + static_cast<double>(i % 13);
+      y -= (x[i] - c) * (x[i] - c) / (1.0 + static_cast<double>(i % 5));
+    }
+    return y;
+  };
+  Rng rng(101);
+  for (int i = 0; i < 60; ++i) {
+    auto x = space.sample(rng);
+    const double y = objective(x) + rng.normal();
+    opt.observe(std::move(x), y);
+  }
+  const int golden[3][kDims] = {
+      {
+        12,  5,  1, 11, 10,  2,  4,  7,  3, 13, 20, 20, 14,  4,  4, 10,  3,
+         7,  6, 12, 12, 17, 11,  7, 20, 15,  8, 10,  8,  6, 10, 16,  9, 16,
+        14, 19, 15,  3, 11,  9,  1,  8,  8,  4, 12,  1, 12, 13, 12, 15, 15,
+        12,  9,  5, 11,  6, 15, 14,  3, 12, 17, 17, 18, 14, 10,  3,  4,  4,
+         7, 13,  1, 15, 15,  9, 20,  9,  3,  3, 19, 11,  8,  4, 10, 16, 17,
+        20, 19,  7,  2, 10, 11,  2,  1, 14,  5, 14,  6, 10,  3,  6,  3,
+      },
+      {
+        12,  1,  1,  2,  4,  2,  4,  7, 11, 13, 20, 20, 14,  4,  4,  6,  1,
+         7,  6, 12, 12, 17, 11, 15, 20, 19,  8, 10,  7,  6, 10, 16,  3, 16,
+        14, 19, 15, 10, 11,  9,  1,  8, 12,  4, 12,  1, 12, 13, 12, 15, 19,
+        16, 18,  5, 11,  6, 15, 14,  3, 12,  7, 17, 18, 14, 10,  3,  4, 12,
+        16, 13,  1, 15, 15,  9, 20,  9,  7,  3, 19, 11,  8,  4, 10, 16, 17,
+        20, 19,  7,  2, 10, 11,  2,  1, 14,  5, 14,  6, 10,  3,  6, 11,
+      },
+      {
+         8,  1,  1,  4,  4,  2,  4,  4, 11, 13, 20, 20, 14,  4,  4,  6,  1,
+         7,  6, 12, 12, 17, 11, 15, 20, 19,  8, 10,  7,  6, 10, 16,  3, 16,
+        14, 19, 15, 10, 11,  9,  1,  8, 12,  4, 12,  1, 12, 13, 12, 15, 19,
+        16, 10,  5, 11,  6, 13, 10,  3, 10,  7, 17, 18, 14, 10,  3,  4, 12,
+        14, 13,  1, 15, 15,  7,  6, 11,  7,  9, 19, 11,  6,  4, 10, 16, 17,
+        20, 19, 17,  6, 10, 15,  2,  1, 20,  5, 14,  6, 10,  3,  6, 11,
+      },
+  };
+  for (int s = 0; s < 3; ++s) {
+    const auto x = opt.suggest();
+    ASSERT_EQ(x.size(), kDims);
+    for (std::size_t k = 0; k < kDims; ++k) {
+      EXPECT_EQ(x[k], golden[s][k]) << "suggest " << s << " hint " << k;
+    }
+    opt.observe(x, objective(x));
+  }
+}
+
 }  // namespace
 }  // namespace stormtune
