@@ -242,6 +242,13 @@ void BM_GpHyperRefitLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_GpHyperRefitLoop)->Arg(30)->Arg(60)->Arg(120);
 
+/// The optimizer pool of the suggest benches: one thread, as bench_e2e's
+/// campaigns and tune-many's optimizers run, and the only pool on which the
+/// local search bounds its neighbours (DESIGN.md §8, "Bounded local
+/// search"). At the default (all cores) these rows would time the
+/// unbounded search and move with the host's load.
+constexpr std::size_t kSuggestThreads = 1;
+
 void BM_AcquisitionSearch(benchmark::State& state, std::size_t dims) {
   // maximize_acquisition in isolation: candidate generation, batched
   // per-GP scoring, and local refinement, with the surrogate held fixed.
@@ -257,6 +264,7 @@ void BM_AcquisitionSearch(benchmark::State& state, std::size_t dims) {
   opts.hyper_mode = bo::HyperMode::kFixed;
   opts.num_candidates = 256;
   opts.seed = 7;
+  opts.num_threads = kSuggestThreads;
   bo::BayesOpt opt(bo::ParamSpace(specs), opts);
   Rng rng(8);
   for (std::int64_t i = 0; i < state.range(0); ++i) {
@@ -660,6 +668,7 @@ void BM_BayesOptSuggest(benchmark::State& state, std::size_t dims,
   opts.hyper_burn_in = 5;
   opts.num_candidates = 256;
   opts.seed = 3;
+  opts.num_threads = kSuggestThreads;
   bo::BayesOpt opt(bo::ParamSpace(specs), opts);
   Rng rng(4);
   for (std::int64_t i = 0; i < state.range(0); ++i) {

@@ -165,16 +165,17 @@ double neighbor_value(std::span<const double> cur, double step,
 }
 
 /// Neighbours scored before the first threshold update: the best of the
-/// highest bounds usually lifts T above most of the rest.
+/// highest bounds usually lifts T above most of the rest. In a 25 s
+/// bo100-large run, 4 and 16 cost 2 % and 6 % more posterior evaluations.
 constexpr std::size_t kFirstNeighbors = 8;
 /// Fewest observations at which the local search bounds its neighbours
 /// (DESIGN.md §8, "Bounded local search"; a pool of more than one thread
-/// never does). An exact score costs O(n²) and a bound O(n) plus an
-/// acquisition evaluation, so small histories do not repay the bound:
-/// with n < 12, bounding made the search's iterations 1.0–1.5× slower at
-/// d = 51 and d = 101, and from n = 12 to 15 it made them 0.82× at
-/// d = 101 (one thread, seed 2015, fig4-medium and bo100-large). No
-/// d = 51 history was measured past n = 12, hence the margin.
+/// never does). The bound now repays itself at any n: bounded search
+/// iterations took 0.56–0.89× the unbounded ones' time from n = 5 to 10
+/// at d = 51 and d = 101 (one thread). Bounding from n = 5 made
+/// fig4-medium, whose histories end at n = 11, 5 % faster, but its first
+/// batched EI maps libmvec's erfc tables and raised its peak RSS by
+/// 0.2 MB in every run, so short histories stay unbounded.
 constexpr std::size_t kMinBoundedObservations = 16;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -190,52 +191,77 @@ double max_slope(gp::KernelFamily family) {
   return kInf;
 }
 
-/// g'(s) of the unit correlation g at scaled squared distance s.
-double corr_slope(gp::KernelFamily family, double s) {
+/// k'_i = dk/db at the centre's scaled squared distances s_i = b_i·t from
+/// the transform's own output k_i = a²g(s_i), with no exp: SE's
+/// g' = −g/2; Matérn-5/2's g' = −(5/6)(1 + r)e^{−r} with
+/// e^{−r} = g/(1 + r + r²/3), r = √(5s); Matérn-3/2's g' = −(3/2)e^{−r}
+/// with e^{−r} = g/(1 + r), r = √(3s).
+void corr_slopes(gp::KernelFamily family, double t, const double* b,
+                 const double* k, double* dk, std::size_t n) {
   switch (family) {
     case gp::KernelFamily::kSquaredExponential:
-      return -0.5 * std::exp(-0.5 * s);
+      for (std::size_t i = 0; i < n; ++i) dk[i] = -0.5 * t * k[i];
+      return;
     case gp::KernelFamily::kMatern32:
-      return -1.5 * std::exp(-std::sqrt(3.0 * s));
-    case gp::KernelFamily::kMatern52: {
-      const double r = std::sqrt(5.0 * s);
-      return -(5.0 / 6.0) * (1.0 + r) * std::exp(-r);
-    }
+      for (std::size_t i = 0; i < n; ++i) {
+        const double r = std::sqrt(3.0 * (b[i] * t));
+        dk[i] = -1.5 * t * k[i] / (1.0 + r);
+      }
+      return;
+    case gp::KernelFamily::kMatern52:
+      for (std::size_t i = 0; i < n; ++i) {
+        const double r = std::sqrt(5.0 * (b[i] * t));
+        dk[i] = -(5.0 / 6.0) * t * (1.0 + r) * k[i] / (1.0 + r + r * r / 3.0);
+      }
+      return;
   }
-  return -kInf;
 }
 
-/// g''(s): positive and decreasing for all three families, so g is convex
-/// and g'' at the low end of an interval bounds it on the interval.
-/// Matérn-3/2's is +∞ at s = 0.
-double corr_curvature(gp::KernelFamily family, double s) {
+/// κ_i = (1 + ε)·a²g''(s_i)·t², in place over the s_i ≥ 0 in `kap`, from
+/// one batched SE transform (scale·e^{−x/2}) and no scalar exp; `r` is n
+/// entries of scratch. g'' is positive and decreasing for all three
+/// families, so g'' at the low end of an interval bounds it there:
+///  * SE: g'' = e^{−s/2}/4, so x = s.
+///  * Matérn-5/2: g'' = (25/12)e^{−√(5s)}, so x = 2√(5s)(1 − ε).
+///  * Matérn-3/2: g'' = (9/4)e^{−r}/r, r = √(3s), so x = 2r(1 − ε), then
+///    ÷ r: +∞ at s = 0.
+/// The 1 − ε shrinks the exponent by more than its rounding, which only
+/// raises g''; the 1 + ε covers the exp lane's few ulps and the products'.
+void curvatures(gp::KernelFamily family, double a2, double t, double eps,
+                double* kap, double* r, std::size_t n) {
+  const double scale = (1.0 + eps) * a2 * t * t;
   switch (family) {
     case gp::KernelFamily::kSquaredExponential:
-      return 0.25 * std::exp(-0.5 * s);
-    case gp::KernelFamily::kMatern32: {
-      const double r = std::sqrt(3.0 * s);
-      return 2.25 * std::exp(-r) / r;
-    }
+      gp::correlation_from_scaled_sq_batch(family, 0.25 * scale, kap, n);
+      return;
+    case gp::KernelFamily::kMatern32:
+      for (std::size_t i = 0; i < n; ++i) {
+        r[i] = std::sqrt(3.0 * kap[i]);
+        kap[i] = 2.0 * r[i] * (1.0 - eps);
+      }
+      gp::correlation_from_scaled_sq_batch(
+          gp::KernelFamily::kSquaredExponential, 2.25 * scale, kap, n);
+      for (std::size_t i = 0; i < n; ++i) kap[i] /= r[i];
+      return;
     case gp::KernelFamily::kMatern52:
-      return (25.0 / 12.0) * std::exp(-std::sqrt(5.0 * s));
+      for (std::size_t i = 0; i < n; ++i) {
+        kap[i] = 2.0 * std::sqrt(5.0 * kap[i]) * (1.0 - eps);
+      }
+      gp::correlation_from_scaled_sq_batch(
+          gp::KernelFamily::kSquaredExponential, (25.0 / 12.0) * scale, kap,
+          n);
+      return;
   }
-  return kInf;
 }
 
-/// An upper bound on the acquisition value the exact path computes from
-/// any mean ≤ mu and variance ≤ var: EI and UCB (β ≥ 0) are nondecreasing
-/// in both, and the allowance covers their own rounding.
-double acquisition_bound(const BayesOptOptions& opts, double mu, double var,
-                         double best, double eps) {
-  const double sd = std::sqrt(var);
-  if (opts.acquisition == AcquisitionKind::kUpperConfidenceBound) {
-    const double u = upper_confidence_bound(mu, var, opts.ucb_beta);
-    return u + eps * (std::fabs(u) + opts.ucb_beta * sd);
-  }
-  const double imp = mu - best - opts.xi;
-  return expected_improvement(mu, var, best, opts.xi) +
-         eps * ((imp > 0.0 ? imp : 0.0) + sd + std::fabs(best) +
-                std::fabs(opts.xi));
+/// An upper bound on the UCB value the exact path computes from any mean
+/// ≤ mu and variance ≤ var (β ≥ 0, so UCB is nondecreasing in both); the
+/// allowance covers its own rounding. EI's bound is the batched
+/// linalg_kernels ei_bounds.
+double ucb_bound(double beta, double mu, double var, double eps) {
+  if (!(std::fabs(mu) < kInf)) return kInf;
+  const double u = upper_confidence_bound(mu, var, beta);
+  return u + eps * (std::fabs(u) + beta * std::sqrt(var));
 }
 
 }  // namespace
@@ -300,6 +326,8 @@ struct BayesOpt::Surrogate {
                     &ws.var_acc}) {
       b->resize(kBlockRows);
     }
+    ws.bounds.resize(posts.size() * kBlockRows);
+    ws.ids.resize(kBlockRows);
     ws.best_u.resize(d);
   }
 
@@ -312,7 +340,7 @@ struct BayesOpt::Surrogate {
       std::fill_n(ws.qt.data(), ws.qt.rows() * ws.qt.cols(), kNaN);
       std::fill_n(ws.q.data(), ws.q.rows() * ws.q.cols(), kNaN);
       for (auto* b : {&ws.d2t, &ws.v, &ws.means, &ws.vars, &ws.scores,
-                      &ws.mean_acc, &ws.var_acc}) {
+                      &ws.mean_acc, &ws.var_acc, &ws.bounds}) {
         std::fill(b->begin(), b->end(), kNaN);
       }
     }
@@ -335,29 +363,80 @@ struct BayesOpt::Surrogate {
     }
   }
 
+  /// After posterior s of the block's first m columns: drop each column
+  /// whose exact partial sum ws.scores[c] plus its remaining posteriors'
+  /// bounds, summed and averaged in score_block's order, is below
+  /// `threshold`. Rounding is monotone, so that bounds the column's final
+  /// score. The last live column (its distances or query row, partial
+  /// sums, bounds and id) takes a dropped column's place; returns how many
+  /// stay.
+  std::size_t drop_below(ScoreBlock& ws, std::size_t m, std::size_t s,
+                         double threshold) const {
+    const std::size_t num_posts = posts.size();
+    const double inv = 1.0 / static_cast<double>(num_posts);
+    const bool share = shares_distances();
+    const std::size_t n = inputs_gp->num_observations();
+    const std::size_t d = ws.qt.rows();
+    for (std::size_t c = 0; c < m;) {
+      double reach = ws.scores[c];
+      for (std::size_t k = s + 1; k < num_posts; ++k) {
+        reach += ws.bounds[k * kBlockRows + c];
+      }
+      if (!(reach * inv < threshold)) {
+        ++c;
+        continue;
+      }
+      const std::size_t last = --m;
+      if (c == last) break;
+      if (share) {
+        for (std::size_t i = 0; i < n; ++i) {
+          ws.d2t[i * kBlockLd + c] = ws.d2t[i * kBlockLd + last];
+        }
+      } else {
+        for (std::size_t k = 0; k < d; ++k) ws.q(c, k) = ws.q(last, k);
+      }
+      for (auto* b : {&ws.scores, &ws.mean_acc, &ws.var_acc}) {
+        (*b)[c] = (*b)[last];
+      }
+      for (std::size_t k = s + 1; k < num_posts; ++k) {
+        ws.bounds[k * kBlockRows + c] = ws.bounds[k * kBlockRows + last];
+      }
+      ws.ids[c] = ws.ids[last];
+    }
+    return m;
+  }
+
   /// The acquisition averaged over the posteriors for the block's first m
-  /// candidates, into ws.scores[0, m). Non-ARD posteriors score from the
-  /// shared distance block ws.d2t: one correlation transform, one
-  /// multi-RHS solve and the two moment kernels per posterior
+  /// candidates, into ws.scores. Non-ARD posteriors score from the shared
+  /// distance block ws.d2t: one correlation transform, one multi-RHS
+  /// solve and the two moment kernels per posterior
   /// (predict_mv_from_sq_dist_block). ARD posteriors predict the row-major
   /// candidates ws.q. A candidate's score does not depend on the block it
-  /// lands in — the transform is element-wise and a solve column is
-  /// independent of the others — so the blocking changes memory traffic
-  /// only. Read-only on the posteriors: workers score concurrently, each
+  /// lands in, nor on its column — the transform is element-wise and a
+  /// solve column is independent of the others — so the blocking changes
+  /// memory traffic only.
+  ///
+  /// Progressive scoring: with a `threshold` above −∞, ws.bounds holds
+  /// each column's per-posterior bounds, and after every posterior but the
+  /// last, drop_below removes the columns that cannot reach it; the rest
+  /// go on with fewer columns and get the bits they would have got alone.
+  /// Returns how many columns finished: ws.scores[0, live) and ws.ids say
+  /// which candidate each holds (columns stay in place when nothing
+  /// drops). Read-only on the posteriors: workers score concurrently, each
   /// in its own block.
-  void score_block(const BayesOptOptions& opts, ScoreBlock& ws,
-                   std::size_t m) const {
-    const std::span<double> out(ws.scores.data(), m);
-    const std::span<double> means(ws.means.data(), m);
-    const std::span<double> vars(ws.vars.data(), m);
-    std::fill(out.begin(), out.end(), 0.0);
+  std::size_t score_block(const BayesOptOptions& opts, ScoreBlock& ws,
+                          std::size_t m, double threshold = -kInf) const {
+    std::fill_n(ws.scores.begin(), m, 0.0);
     const bool costed = cost1_ms > 0.0;
     if (costed) {
       std::fill_n(ws.mean_acc.begin(), m, 0.0);
       std::fill_n(ws.var_acc.begin(), m, 0.0);
     }
     const bool share = shares_distances();
-    for (const auto& post : posts) {
+    for (std::size_t s = 0; s < posts.size(); ++s) {
+      const gp::PosteriorView& post = posts[s];
+      const std::span<double> means(ws.means.data(), m);
+      const std::span<double> vars(ws.vars.data(), m);
       if (share) {
         gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
                                           ws.v.data(), kBlockLd, means, vars);
@@ -369,14 +448,19 @@ struct BayesOpt::Surrogate {
         }
       }
       acquisition_accumulate(opts.acquisition, means, vars, best_standardized,
-                             opts.xi, opts.ucb_beta, out);
+                             opts.xi, opts.ucb_beta,
+                             std::span(ws.scores.data(), m));
       if (costed) {
         for (std::size_t r = 0; r < m; ++r) {
           ws.mean_acc[r] += means[r];
           ws.var_acc[r] += vars[r];
         }
       }
+      if (threshold > -kInf && s + 1 < posts.size()) {
+        m = drop_below(ws, m, s, threshold);
+      }
     }
+    const std::span<double> out(ws.scores.data(), m);
     const double inv = 1.0 / static_cast<double>(posts.size());
     for (auto& v : out) v *= inv;
     if (costed) apply_cost_divisor(ws, out);
@@ -389,6 +473,7 @@ struct BayesOpt::Surrogate {
                        "element was read before it was written)");
     }
 #endif
+    return m;
   }
 
   /// Score the block's first m multistart candidates (columns of ws.qt) and
@@ -416,23 +501,23 @@ struct BayesOpt::Surrogate {
     }
   }
 
-  /// Score the neighbours `nbs` of `cur` (neighbor_value) into
-  /// ws.scores[0, nbs.size()). No neighbour row is ever built for non-ARD
-  /// kernels: each one's distances are an O(n) single-coordinate update of
-  /// the centre's (`base`, from unscaled_sq_dists) instead of an O(n·d)
-  /// recomputation.
-  void score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
-                       std::span<const double> cur, double step,
-                       std::span<const double> base,
-                       std::span<const std::size_t> nbs) const {
-    const std::size_t m = nbs.size();
+  /// Score the block's first m columns as neighbours ws.ids[0, m) of
+  /// `cur` (neighbor_value) through score_block, dropping those that
+  /// cannot reach `threshold`; returns how many finished. No neighbour row
+  /// is ever built for non-ARD kernels: each one's distances are an O(n)
+  /// single-coordinate update of the centre's (`base`, from
+  /// unscaled_sq_dists) instead of an O(n·d) recomputation.
+  std::size_t score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
+                              std::span<const double> cur, double step,
+                              std::span<const double> base, std::size_t m,
+                              double threshold) const {
     if (shares_distances()) {
       const Matrix& x = inputs_gp->inputs();
       const std::size_t n = x.rows();
       for (std::size_t c = 0; c < m; ++c) {
-        const std::size_t j = nbs[c] / 2;
+        const std::size_t j = ws.ids[c] / 2;
         const double cj = cur[j];
-        const double vj = neighbor_value(cur, step, nbs[c]);
+        const double vj = neighbor_value(cur, step, ws.ids[c]);
         for (std::size_t i = 0; i < n; ++i) {
           const double old_diff = cj - x(i, j);
           const double new_diff = vj - x(i, j);
@@ -445,10 +530,10 @@ struct BayesOpt::Surrogate {
       for (std::size_t c = 0; c < m; ++c) {
         const auto row = ws.q.row(c);
         std::copy(cur.begin(), cur.end(), row.begin());
-        row[nbs[c] / 2] = neighbor_value(cur, step, nbs[c]);
+        row[ws.ids[c] / 2] = neighbor_value(cur, step, ws.ids[c]);
       }
     }
-    score_block(opts, ws, m);
+    return score_block(opts, ws, m, threshold);
   }
 
   /// Whether neighbor_bounds bounds a neighbour's score on a pool of
@@ -468,47 +553,51 @@ struct BayesOpt::Surrogate {
   }
 
   /// Posterior `post`'s CentreTerms at the centre whose squared distances
-  /// are ls.base, with `frob` ≥ ‖L‖_F and `scratch` seven n-entry vectors.
-  /// Writing Δ_i for neighbour (j, h)'s change of b_i = ‖c − x_i‖²,
-  /// Δ_i = h² + 2h·c_j − 2h·x_ij, and k(b) = a²g(b/ℓ²) convex in b:
+  /// are ls.base, and its four weight vectors α∘k', ½α⁺∘κ, w∘k' and w⁻∘κ
+  /// into `weights` (4 × n), with `frob` ≥ ‖L‖_F and `scratch` six
+  /// n-entry vectors. Writing Δ_i for neighbour (j, h)'s change of
+  /// b_i = ‖c − x_i‖², Δ_i = h² + 2h·c_j − 2h·x_ij, and k(b) = a²g(b/ℓ²)
+  /// convex in b:
   ///   k_i + k'_i Δ_i ≤ k_nb,i ≤ k_i + k'_i Δ_i + ½κ_i Δ_i²,
   /// κ_i = a²g''(max(0, b_i − D)/ℓ²)/ℓ⁴. Hence μ_nb ≤ μ_c + Σα_i k'_i Δ_i
   /// + ½Σα_i⁺κ_i Δ_i², and for any w, ‖L⁻¹k‖² ≥ 2kᵀw − ‖Lᵀw‖² gives
   /// σ²_nb ≤ a² − (2k_cᵀw − ‖Lᵀw‖²) − 2Σw_i k'_i Δ_i + Σw_i⁻κ_i Δ_i².
-  /// Each sum expands in h, c_j and coordinate j of the six column sums.
-  /// The slacks cover the rounding of this and of the exact path (DESIGN.md
+  /// Each sum expands in h, c_j and coordinate j of the weights' six
+  /// column sums (LocalSearch::sums, one sweep for all posteriors). The
+  /// slacks cover the rounding of this and of the exact path (DESIGN.md
   /// §8, "Bounded local search").
   void centre_terms(const gp::PosteriorView& post, const LocalSearch& ls,
-                    double frob, double* scratch, CentreTerms& ct) const {
+                    double frob, double* scratch, double* weights,
+                    CentreTerms& ct) const {
     const std::span<const double> base = ls.base;
-    const double* xsq = ls.xsq.data();
-    const Matrix& x = inputs_gp->inputs();
-    const std::size_t n = x.rows();
-    const std::size_t d = x.cols();
-    double* k = scratch;   // k(b_i), the centre's covariances
-    double* dk = k + n;    // k'(b_i)
-    double* kap = dk + n;  // κ_i
-    double* err = kap + n; // δk_i, the rounding of one covariance
-    double* w = err + n;   // w ≈ K⁻¹k
-    double* wa = w + n;    // weights of the linear sums
-    double* wb = wa + n;   // weights of the quadratic sums
+    const std::size_t n = base.size();
+    double* k = scratch;    // k(b_i), the centre's covariances
+    double* dk = k + n;     // k'(b_i)
+    double* kap = dk + n;   // κ_i
+    double* err = kap + n;  // δk_i, the rounding of one covariance
+    double* w = err + n;    // w ≈ K⁻¹k
+    double* lt = w + n;     // Lᵀw
+    double* wa = weights;   // α∘k'
+    double* wb = wa + n;    // ½α⁺∘κ
+    double* wc = wb + n;    // w∘k'
+    double* we = wc + n;    // w⁻∘κ
     const double a2 = post.variance;
     const double t = post.inv_sq_ls[0];
     const double eps = ls.eps;
     for (std::size_t i = 0; i < n; ++i) k[i] = base[i] * t;
     gp::correlation_from_scaled_sq_batch(post.family, a2, k, n);
+    corr_slopes(post.family, t, base.data(), k, dk, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double lo = (base[i] - ls.disp) * t * (1.0 - eps);
+      kap[i] = lo > 0.0 ? lo : 0.0;
+    }
+    curvatures(post.family, a2, t, eps, kap, err, n);
     const double slope_max = max_slope(post.family) * a2 * t;
     for (std::size_t i = 0; i < n; ++i) {
-      dk[i] = a2 * t * corr_slope(post.family, base[i] * t);
-      const double lo = (base[i] - ls.disp) * t * (1.0 - eps);
-      kap[i] = (1.0 + eps) * a2 * t * t *
-               corr_curvature(post.family, lo > 0.0 ? lo : 0.0);
       err[i] = 4.0 * eps * a2 +
                2.0 * slope_max * eps *
                    (base[i] + 2.0 * ls.range * ls.range + 2.0 * ls.disp);
     }
-    const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
-    double* sums = ct.sums.data();
 
     // The mean.
     const double* alpha = post.alpha.data();
@@ -526,39 +615,21 @@ struct BayesOpt::Surrogate {
       ct.mean_g0 += wb[i];
     }
     ct.mean = post.mean_value + dot;
-    ops.column_dots(x.data(), d, n, d, wa, sums);
-    ops.column_dots(x.data(), d, n, d, wb, sums + d);
-    ops.column_dots(xsq, d, n, d, wb, sums + 2 * d);
 
-    // The variance. w by forward and back substitution; any w gives a
-    // valid bound, its accuracy only sets how tight the bound is.
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* li = post.lower + i * post.ld;
-      double acc = k[i];
-      for (std::size_t j = 0; j < i; ++j) acc -= li[j] * w[j];
-      w[i] = acc / li[i];
-    }
-    for (std::size_t i = n; i-- > 0;) {
-      const double* li = post.lower + i * post.ld;
-      w[i] /= li[i];
-      for (std::size_t j = 0; j < i; ++j) w[j] -= li[j] * w[i];
-    }
-    std::fill_n(wa, n, 0.0);  // Lᵀw
-    for (std::size_t i = 0; i < n; ++i) {
-      const double* li = post.lower + i * post.ld;
-      for (std::size_t j = 0; j <= i; ++j) wa[j] += li[j] * w[i];
-    }
+    // The variance. Any w gives a valid bound; its accuracy only sets how
+    // tight the bound is.
+    linalg_kernels::ops().bound_solve(post.lower, post.ld, n, k, w, lt);
     double kw = 0.0, ltw2 = 0.0, w2 = 0.0, abs_w = 0.0, abs_w_err = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       kw += k[i] * w[i];
-      ltw2 += wa[i] * wa[i];
+      ltw2 += lt[i] * lt[i];
       w2 += w[i] * w[i];
       abs_w += std::fabs(w[i]);
       abs_w_err += std::fabs(w[i]) * err[i];
     }
     // ‖L'ᵀw‖ for the factor L' = L + ΔL the exact path's solve is exact
     // for: the computed ‖Lᵀw‖ plus both products' rounding, each at most
-    // eps·‖L‖_F·‖w‖.
+    // eps·‖L‖_F·‖w‖ in any summation order.
     const double ltw =
         (std::sqrt(ltw2) + 2.0 * eps * frob * std::sqrt(w2)) * (1.0 + eps);
     ct.var_a = 2.0 * kw - ltw * ltw;
@@ -566,65 +637,72 @@ struct BayesOpt::Surrogate {
     ct.var_b0 = 0.0;
     ct.var_g0 = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      wa[i] = w[i] * dk[i];
-      wb[i] = w[i] < 0.0 ? -w[i] * kap[i] : 0.0;
-      abs_wlin += std::fabs(wa[i]);
-      ct.var_b0 += wa[i];
-      ct.var_g0 += wb[i];
+      wc[i] = w[i] * dk[i];
+      we[i] = w[i] < 0.0 ? -w[i] * kap[i] : 0.0;
+      abs_wlin += std::fabs(wc[i]);
+      ct.var_b0 += wc[i];
+      ct.var_g0 += we[i];
     }
-    ops.column_dots(x.data(), d, n, d, wa, sums + 3 * d);
-    ops.column_dots(x.data(), d, n, d, wb, sums + 4 * d);
-    ops.column_dots(xsq, d, n, d, wb, sums + 5 * d);
 
     // Rounding allowances: the expansions' error is at most eps times
     // their magnitude, |h|(|h| + 4H) per linear weight and its square per
-    // quadratic one.
+    // quadratic one. k' derives from the computed k, so it is off by
+    // sup|g'|·t·δk_i plus eps|k'_i|, each times |Δ_i| ≤ D.
     const double lin = ls.hs * (ls.hs + 4.0 * ls.coord);
     const double quad = lin * lin;
     const double dd = ls.disp;
+    const double slope_err = max_slope(post.family) * t * dd;
     ct.mean_slack = 2.0 * eps * (std::fabs(post.mean_value) + a2 * abs_alpha) +
-                    2.0 * abs_alpha_err + eps * lin * abs_lin +
+                    (2.0 + slope_err) * abs_alpha_err + eps * lin * abs_lin +
                     eps * quad * ct.mean_g0 +
-                    eps * (std::fabs(ct.mean) + dd * abs_lin +
+                    eps * (std::fabs(ct.mean) + 2.0 * dd * abs_lin +
                            dd * dd * ct.mean_g0);
-    ct.var_slack = 2.0 * eps * a2 * abs_w + 4.0 * abs_w_err +
+    ct.var_slack = 2.0 * eps * a2 * abs_w +
+                   (4.0 + 2.0 * slope_err) * abs_w_err +
                    2.0 * eps * lin * abs_wlin + eps * quad * ct.var_g0 +
                    2.0 * eps *
-                       (a2 + std::fabs(ct.var_a) + 2.0 * dd * abs_wlin +
+                       (a2 + std::fabs(ct.var_a) + 3.0 * dd * abs_wlin +
                         dd * dd * ct.var_g0);
   }
 
-  /// Into ct.acq[r], for neighbours r in [lo, hi) of `cur`: an upper bound
-  /// on posterior `post`'s acquisition term of r's score_neighbors value,
-  /// from its CentreTerms `ct`; +∞ where the arithmetic gives none (an
-  /// infinite κ, a NaN).
+  /// Posterior `post`'s bounds on the mean and variance of neighbours r in
+  /// [lo, hi) of `cur`, from its CentreTerms `ct` and column sums `sums`
+  /// (6 × d), into mu[r] and var[r]; then mu[r] becomes the bound on the
+  /// posterior's acquisition term of r's score, +∞ where the arithmetic
+  /// gives none (an infinite κ, a NaN).
   void neighbor_bounds(const BayesOptOptions& opts,
-                       const gp::PosteriorView& post, CentreTerms& ct,
-                       double eps, std::span<const double> cur, double step,
-                       std::size_t lo, std::size_t hi) const {
+                       const gp::PosteriorView& post, const CentreTerms& ct,
+                       const double* sums, double eps,
+                       std::span<const double> cur, double step,
+                       std::size_t lo, std::size_t hi, double* mu,
+                       double* var) const {
     const std::size_t d = cur.size();
-    const double* sums = ct.sums.data();
     const double a2 = post.variance;
     for (std::size_t r = lo; r < hi; ++r) {
       const std::size_t j = r / 2;
       const double cj = cur[j];
       const double h = neighbor_value(cur, step, r) - cj;
       const double p = h * (h + 2.0 * cj);  // Δ_i = p − 2h·x_ij
-      const double mean =
-          ct.mean + (p * ct.mean_b0 - 2.0 * h * sums[j]) +
-          (p * (p * ct.mean_g0 - 4.0 * h * sums[d + j]) +
-           4.0 * h * h * sums[2 * d + j]) +
-          ct.mean_slack;
+      mu[r] = ct.mean + (p * ct.mean_b0 - 2.0 * h * sums[j]) +
+              (p * (p * ct.mean_g0 - 4.0 * h * sums[d + j]) +
+               4.0 * h * h * sums[2 * d + j]) +
+              ct.mean_slack;
       const double v = a2 - ct.var_a -
                        2.0 * (p * ct.var_b0 - 2.0 * h * sums[3 * d + j]) +
                        (p * (p * ct.var_g0 - 4.0 * h * sums[4 * d + j]) +
                         4.0 * h * h * sums[5 * d + j]) +
                        ct.var_slack;
       // The exact variance is never above a², and never below 0.
-      const double var = v < a2 ? (v > 0.0 ? v : 0.0) : a2;
-      ct.acq[r] = mean < kInf ? acquisition_bound(opts, mean, var,
-                                                  best_standardized, eps)
-                              : kInf;
+      var[r] = v < a2 ? (v > 0.0 ? v : 0.0) : a2;
+    }
+    if (opts.acquisition == AcquisitionKind::kExpectedImprovement) {
+      linalg_kernels::ops().ei_bounds(mu + lo, var + lo, hi - lo,
+                                      best_standardized, opts.xi, eps,
+                                      mu + lo);
+    } else {
+      for (std::size_t r = lo; r < hi; ++r) {
+        mu[r] = ucb_bound(opts.ucb_beta, mu[r], var[r], eps);
+      }
     }
   }
 };
@@ -1011,6 +1089,7 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   const std::size_t d = space_.dim();
   const std::size_t n = surrogate.inputs_gp->num_observations();
   const std::size_t num_nb = 2 * d;
+  const std::size_t num_posts = surrogate.posts.size();
   LocalSearch& ls = local_;
   ls.bounded = surrogate.bounds_neighbors(options_, pool().num_threads());
   ls.base.resize(surrogate.shares_distances() ? n : 0);
@@ -1018,16 +1097,13 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   ls.score.resize(num_nb);
   ls.order.resize(num_nb);
   if (!ls.bounded) return;
-  // X∘X, the box holding X, the centre and the unit cube (every later
-  // centre stays in the cube), and each factor's Frobenius norm.
+  // The box holding X, the centre and the unit cube (every later centre
+  // stays in the cube), and each factor's Frobenius norm.
   const Matrix& x = surrogate.inputs_gp->inputs();
-  ls.xsq.resize(n * d);
   double lo = 0.0, hi = 1.0;
   for (std::size_t e = 0; e < n * d; ++e) {
-    const double v = x.data()[e];
-    ls.xsq[e] = v * v;
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    lo = std::min(lo, x.data()[e]);
+    hi = std::max(hi, x.data()[e]);
   }
   for (const double v : cur) {
     lo = std::min(lo, v);
@@ -1036,7 +1112,6 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   ls.eps = 2.0 * static_cast<double>(n + d + 64) * kUnitRoundoff;
   ls.range = hi - lo;
   ls.coord = std::max(-lo, hi);
-  const std::size_t num_posts = surrogate.posts.size();
   ls.frob.resize(num_posts);
   for (std::size_t s = 0; s < num_posts; ++s) {
     const gp::PosteriorView& post = surrogate.posts[s];
@@ -1048,73 +1123,109 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
     ls.frob[s] = std::sqrt(f2) * (1.0 + ls.eps);
   }
   ls.terms.resize(num_posts);
-  for (CentreTerms& ct : ls.terms) {
-    ct.sums.resize(6 * d);
-    ct.acq.resize(num_nb);
-  }
-  ls.scratch.resize(7 * n);
+  ls.acq.resize(num_posts * num_nb);
+  ls.weights.resize(num_posts * 4 * n);
+  ls.sums.resize(num_posts * 6 * d);
+  ls.var.resize(num_nb);
+  ls.scratch.resize(6 * n);
 }
 
-void BayesOpt::bound_slice(const Surrogate& surrogate,
-                           std::span<const double> cur, double step,
-                           std::size_t lo, std::size_t hi) {
+std::size_t BayesOpt::bound_slice(const Surrogate& surrogate,
+                                  std::span<const double> cur, double step,
+                                  std::size_t lo, std::size_t hi,
+                                  double best_val) {
   LocalSearch& ls = local_;
-  if (!ls.bounded) return;
-  const std::size_t num_posts = surrogate.posts.size();
-  for (std::size_t s = 0; s < num_posts; ++s) {
-    surrogate.centre_terms(surrogate.posts[s], ls, ls.frob[s],
-                           ls.scratch.data(), ls.terms[s]);
-    surrogate.neighbor_bounds(options_, surrogate.posts[s], ls.terms[s],
-                              ls.eps, cur, step, lo, hi);
+  const std::size_t num_nb = ls.bound.size();
+  if (ls.bounded) {
+    const std::size_t num_posts = surrogate.posts.size();
+    const std::size_t n = ls.base.size();
+    const std::size_t d = cur.size();
+    for (std::size_t s = 0; s < num_posts; ++s) {
+      surrogate.centre_terms(surrogate.posts[s], ls, ls.frob[s],
+                             ls.scratch.data(), ls.weights.data() + 4 * n * s,
+                             ls.terms[s]);
+    }
+    // Every posterior's six column sums in one pass over X.
+    linalg_kernels::ops().bound_sums(surrogate.inputs_gp->inputs().data(), d,
+                                     n, d, ls.weights.data(), num_posts,
+                                     ls.sums.data());
+    for (std::size_t s = 0; s < num_posts; ++s) {
+      surrogate.neighbor_bounds(options_, surrogate.posts[s], ls.terms[s],
+                                ls.sums.data() + 6 * d * s, ls.eps, cur, step,
+                                lo, hi, ls.acq.data() + num_nb * s,
+                                ls.var.data());
+    }
+    // score_block's average, in its order: rounding is monotone, so the
+    // average of the bounds bounds the exact average.
+    const double inv = 1.0 / static_cast<double>(num_posts);
+    for (std::size_t r = lo; r < hi; ++r) {
+      double acc = 0.0;
+      for (std::size_t s = 0; s < num_posts; ++s) {
+        acc += ls.acq[num_nb * s + r];
+      }
+      acc *= inv;
+      ls.bound[r] = std::isnan(acc) ? kInf : acc;
+    }
   }
-  // score_block's average, in its order: rounding is monotone, so the
-  // average of the bounds bounds the exact average.
-  const double inv = 1.0 / static_cast<double>(num_posts);
-  for (std::size_t r = lo; r < hi; ++r) {
-    double acc = 0.0;
-    for (const CentreTerms& ct : ls.terms) acc += ct.acq[r];
-    acc *= inv;
-    ls.bound[r] = std::isnan(acc) ? kInf : acc;
-  }
-  std::sort(ls.order.begin() + static_cast<std::ptrdiff_t>(lo),
-            ls.order.begin() + static_cast<std::ptrdiff_t>(hi),
-            [&](std::size_t a, std::size_t b) {
-              return ls.bound[a] > ls.bound[b] ||
-                     (ls.bound[a] == ls.bound[b] && a < b);
-            });
+  // No T is below best_val, so a neighbour whose bound is below it is never
+  // scored: only the rest are sorted.
+  const auto first = ls.order.begin() + static_cast<std::ptrdiff_t>(lo);
+  const auto cut =
+      std::partition(first, ls.order.begin() + static_cast<std::ptrdiff_t>(hi),
+                     [&](std::size_t r) { return ls.bound[r] >= best_val; });
+  std::sort(first, cut, [&](std::size_t a, std::size_t b) {
+    return ls.bound[a] > ls.bound[b] || (ls.bound[a] == ls.bound[b] && a < b);
+  });
+  return static_cast<std::size_t>(cut - ls.order.begin());
 }
 
-void BayesOpt::score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
-                              std::span<const double> cur, double step,
-                              std::size_t lo, std::size_t hi) {
+double BayesOpt::score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+                                std::span<const double> cur, double step,
+                                std::size_t lo, std::size_t hi,
+                                double threshold) {
   LocalSearch& ls = local_;
+  const std::size_t m = hi - lo;
+  const std::size_t num_nb = ls.bound.size();
   Surrogate::poison(ws);
-  surrogate.score_neighbors(options_, ws, cur, step, ls.base,
-                            std::span(ls.order).subspan(lo, hi - lo));
-  for (std::size_t c = 0; c < hi - lo; ++c) {
-    ls.score[ls.order[lo + c]] = ws.scores[c];
+  for (std::size_t c = 0; c < m; ++c) ws.ids[c] = ls.order[lo + c];
+  if (ls.bounded) {
+    for (std::size_t s = 0; s < surrogate.posts.size(); ++s) {
+      for (std::size_t c = 0; c < m; ++c) {
+        ws.bounds[s * kBlockRows + c] = ls.acq[num_nb * s + ws.ids[c]];
+      }
+    }
   }
+  // Without bounds (all +∞) nothing could drop: score at T = −∞.
+  const std::size_t live =
+      surrogate.score_neighbors(options_, ws, cur, step, ls.base, m,
+                                ls.bounded ? threshold : -kInf);
+  double best = -kInf;
+  for (std::size_t c = 0; c < live; ++c) {
+    ls.score[ws.ids[c]] = ws.scores[c];
+    best = std::max(best, ws.scores[c]);
+  }
+  return best;
 }
 
 void BayesOpt::search_slice(const Surrogate& surrogate, ScoreBlock& ws,
                             std::span<const double> cur, double step,
                             std::size_t lo, std::size_t hi, double best_val) {
   LocalSearch& ls = local_;
-  bound_slice(surrogate, cur, step, lo, hi);
+  const std::size_t cut = bound_slice(surrogate, cur, step, lo, hi, best_val);
   // A first small round lifts T before the rest; +∞ bounds (all of them
-  // scored anyway) go a whole block at a time.
+  // scored anyway) go a whole block at a time. Each round's survivors are
+  // scored progressively against the T it started with.
   double threshold = best_val;
   std::size_t next = lo;
   std::size_t batch =
       ls.bound[ls.order[lo]] < kInf ? kFirstNeighbors : kBlockRows;
-  while (next < hi && ls.bound[ls.order[next]] >= threshold) {
+  while (next < cut && ls.bound[ls.order[next]] >= threshold) {
     std::size_t end = next;
-    const std::size_t cap = std::min(hi, next + batch);
+    const std::size_t cap = std::min(cut, next + batch);
     while (end < cap && ls.bound[ls.order[end]] >= threshold) ++end;
-    score_in_order(surrogate, ws, cur, step, next, end);
-    for (; next < end; ++next) {
-      threshold = std::max(threshold, ls.score[ls.order[next]]);
-    }
+    threshold = std::max(threshold, score_in_order(surrogate, ws, cur, step,
+                                                   next, end, threshold));
+    next = end;
     batch = kBlockRows;
   }
 }
@@ -1148,7 +1259,8 @@ void BayesOpt::score_all_neighbors(const Surrogate& surrogate,
   std::iota(local_.order.begin(), local_.order.end(), std::size_t{0});
   for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
     for (std::size_t b = lo; b < hi; b += kBlockRows) {
-      score_in_order(surrogate, ws, cur, step, b, std::min(hi, b + kBlockRows));
+      score_in_order(surrogate, ws, cur, step, b, std::min(hi, b + kBlockRows),
+                     -kInf);
     }
   });
 }
@@ -1162,10 +1274,13 @@ std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
   // thread) and gives each an upper bound on its score (bound_slice, +∞
   // where none exists). It then scores its slice exactly in
   // descending-bound order until the next bound falls below T =
-  // max(best_val, best exact score of the slice so far). An unscored
-  // neighbour's score is then below a scored one's or below best_val, so
-  // it could neither win the argmax, tie with its winner nor be accepted:
-  // the move, the halving and every output bit are the unpruned search's.
+  // max(best_val, best exact score of the slice so far), one posterior at
+  // a time, dropping a neighbour once its partial score plus its
+  // remaining bounds falls below T (Surrogate::score_block). An unscored
+  // or dropped neighbour's score is then below a scored one's or below
+  // best_val, so it could neither win the argmax, tie with its winner nor
+  // be accepted: the move, the halving and every output bit are the
+  // unpruned search's.
   LocalSearch& ls = local_;
   double step = 0.1;
   std::vector<double> cur = best_u;
@@ -1210,7 +1325,7 @@ std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
 }
 
 BayesOpt::NeighborScores BayesOpt::neighbor_scores(
-    std::span<const double> centre, double step) {
+    std::span<const double> centre, double step, double best_val) {
   STORMTUNE_REQUIRE(!observations_.empty() &&
                         observations_.size() >= options_.initial_design,
                     "BayesOpt::neighbor_scores: the surrogate is not engaged");
@@ -1221,9 +1336,13 @@ BayesOpt::NeighborScores BayesOpt::neighbor_scores(
   size_blocks(surrogate);
   start_local_search(surrogate, centre);
   start_iteration(surrogate, centre, step);
-  bound_slice(surrogate, centre, step, 0, local_.order.size());
+  for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
+    search_slice(surrogate, ws, centre, step, lo, hi, best_val);
+  });
+  NeighborScores out{local_.bound, {}, local_.score};
   score_all_neighbors(surrogate, centre, step);
-  return NeighborScores{local_.bound, local_.score};
+  out.exact = local_.score;
+  return out;
 }
 
 ParamValues BayesOpt::suggest() {

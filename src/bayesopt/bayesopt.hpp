@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -165,13 +166,17 @@ class BayesOpt {
   /// What the local search knows of the coordinate neighbours of the
   /// unit-space point `centre` at `step` (DESIGN.md §8, "Bounded local
   /// search"): each one's bound (+∞ where none exists, as with more than
-  /// one thread) and its exact score, neighbour r moving coordinate r/2 up
-  /// (r even) or down. Fits the surrogate as suggest() does; for tests of
-  /// the bound.
+  /// one thread), its exact score, and what one search iteration that
+  /// must beat `best_val` scored (−∞ where it scored nothing: pruned by
+  /// its bound or dropped by progressive scoring), neighbour r moving
+  /// coordinate r/2 up (r even) or down. Fits the surrogate as suggest()
+  /// does; for tests of the bound.
   struct NeighborScores {
-    std::vector<double> bound, exact;
+    std::vector<double> bound, exact, searched;
   };
-  NeighborScores neighbor_scores(std::span<const double> centre, double step);
+  NeighborScores neighbor_scores(
+      std::span<const double> centre, double step,
+      double best_val = -std::numeric_limits<double>::infinity());
 
   /// Serialize the full optimizer state (space, options, RNG-independent
   /// history). Resuming replays the history into a fresh optimizer.
@@ -206,20 +211,25 @@ class BayesOpt {
   void for_each_slice(
       const std::function<void(ScoreBlock&, std::size_t, std::size_t)>& body);
   /// Bounds of neighbours [lo, hi) at centre `cur` and `step` into
-  /// local_.bound (+∞ throughout where none exists), and local_.order[lo,
-  /// hi) by descending bound, ties by index.
-  void bound_slice(const Surrogate& surrogate, std::span<const double> cur,
-                   double step, std::size_t lo, std::size_t hi);
+  /// local_.bound (+∞ throughout where none exists) and, where they
+  /// exist, each posterior's term of them into local_.acq. Reorders
+  /// local_.order[lo, hi) so that the neighbours whose bound reaches
+  /// `best_val` come first, by descending bound, ties by index, and
+  /// returns where they end.
+  std::size_t bound_slice(const Surrogate& surrogate,
+                          std::span<const double> cur, double step,
+                          std::size_t lo, std::size_t hi, double best_val);
   /// One iteration's work on slice [lo, hi): bound it, then score in
   /// descending-bound order while a bound reaches max(best_val, best score).
   void search_slice(const Surrogate& surrogate, ScoreBlock& ws,
                     std::span<const double> cur, double step, std::size_t lo,
                     std::size_t hi, double best_val);
-  /// Exact scores of neighbours local_.order[lo, hi) into local_.score;
-  /// hi − lo ≤ kBlockRows.
-  void score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
-                      std::span<const double> cur, double step,
-                      std::size_t lo, std::size_t hi);
+  /// Exact scores of neighbours local_.order[lo, hi) into local_.score,
+  /// each dropped (left −∞) once its score cannot reach `threshold`;
+  /// hi − lo ≤ kBlockRows. Returns the best score, −∞ if all dropped.
+  double score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+                        std::span<const double> cur, double step,
+                        std::size_t lo, std::size_t hi, double threshold);
   /// Exact scores of every neighbour (local_.order becomes the identity).
   void score_all_neighbors(const Surrogate& surrogate,
                            std::span<const double> cur, double step);
@@ -298,8 +308,8 @@ class BayesOpt {
   WarmSlice warm_;
   /// One posterior's terms for bounding every local-search neighbour of the
   /// current centre (DESIGN.md §8, "Bounded local search"): the centre's
-  /// mean, the variance expansion's constant, the scalar and per-coordinate
-  /// weighted sums the bound expands into, and its rounding allowances.
+  /// mean, the variance expansion's constant, the scalar sums the bound
+  /// expands into beside LocalSearch::sums, and its rounding allowances.
   struct CentreTerms {
     double mean = 0.0;        // μ at the centre
     double mean_b0 = 0.0;     // Σ α_i k'_i
@@ -309,11 +319,6 @@ class BayesOpt {
     double var_g0 = 0.0;      // Σ w_i⁻ κ_i
     double mean_slack = 0.0;  // rounding allowances
     double var_slack = 0.0;
-    /// 6·d: Xᵀ(α∘k'), Xᵀ(½α⁺∘κ), (X∘X)ᵀ(½α⁺∘κ), Xᵀ(w∘k'), Xᵀ(w⁻∘κ),
-    /// (X∘X)ᵀ(w⁻∘κ).
-    std::vector<double> sums;
-    /// One per neighbour: a bound on this posterior's acquisition term.
-    std::vector<double> acq;
   };
   /// One scoring worker's candidate block and the buffers that score it,
   /// kept across suggest() calls (one per pool worker). The acquisition
@@ -329,6 +334,11 @@ class BayesOpt {
     std::vector<double> means, vars, scores;  // one entry per block row
     std::vector<double> mean_acc, var_acc;    // cost-aware scoring only
     std::vector<gp::Prediction> preds;        // ARD only
+    /// Progressive scoring: per posterior, each column's bound on its
+    /// term (posterior-major, kBlockRows apart), and which candidate each
+    /// column holds once dropped columns have been compacted out.
+    std::vector<double> bounds;
+    std::vector<std::size_t> ids;
     // This worker's best multistart candidate so far.
     double best_score = 0.0;
     std::vector<double> best_u;
@@ -342,10 +352,17 @@ class BayesOpt {
     double coord = 0.0;    // H ≥ |c_j|, |x_ij|
     double hs = 0.0;       // ≥ |h|, this step's coordinate move
     double disp = 0.0;     // D = 2ρ·hs ≥ |Δ_i|, its squared-distance change
-    std::vector<double> xsq;    // X∘X, n × d
     std::vector<double> frob;   // per posterior, ≥ ‖L‖_F
     std::vector<CentreTerms> terms;  // per posterior, at the current centre
-    std::vector<double> scratch;     // 7 × n, to compute one of them
+    std::vector<double> scratch;     // 6 × n, to compute one of them
+    /// Per posterior, at the current centre: the four weight vectors
+    /// α∘k', ½α⁺∘κ, w∘k', w⁻∘κ (4 × n) and their six column sums over X
+    /// (6 × d: Xᵀ(α∘k'), Xᵀ(½α⁺∘κ), (X∘X)ᵀ(½α⁺∘κ), Xᵀ(w∘k'), Xᵀ(w⁻∘κ),
+    /// (X∘X)ᵀ(w⁻∘κ)), all from one sweep over X.
+    std::vector<double> weights, sums;
+    std::vector<double> acq;    // bounded only: per posterior, per neighbour,
+                                // its term's bound
+    std::vector<double> var;    // per neighbour: one posterior's σ² bound
     std::vector<double> base;   // the centre's squared distances
     std::vector<double> bound;  // one per neighbour
     std::vector<double> score;  // exact score, −∞ where not scored

@@ -42,6 +42,7 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return a + b; }
   static Reg sub(Reg a, Reg b) { return a - b; }
   static Reg mul(Reg a, Reg b) { return a * b; }
+  static Reg fma(Reg a, Reg b, Reg c) { return a * b + c; }
 };
 
 }  // namespace
@@ -91,6 +92,26 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
 
+STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
+                              std::size_t d, const double* w, std::size_t sets,
+                              double* out) {
+  detail::bound_sums<Lanes, 1>(x, ldx, n, d, w, sets, out);
+}
+
+STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
+                               std::size_t n, const double* k, double* w,
+                               double* lt) {
+  detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
+}
+
+STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
+                             std::size_t m, double best, double xi, double eps,
+                             double* out) {
+  for (std::size_t r = 0; r < m; ++r) {
+    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
+  }
+}
+
 }  // namespace portable
 
 #define STORMTUNE_DECLARE_KERNELS                                            \
@@ -114,7 +135,17 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
                                  const double* w, double* out);              \
   STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,        \
                                     std::size_t n, std::size_t m,            \
-                                    double* out);
+                                    double* out);                            \
+  STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx,            \
+                                std::size_t n, std::size_t d,                \
+                                const double* w, std::size_t sets,           \
+                                double* out);                                \
+  STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,        \
+                                 std::size_t n, const double* k, double* w,  \
+                                 double* lt);                                \
+  STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,        \
+                               std::size_t m, double best, double xi,        \
+                               double eps, double* out);
 
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 namespace avx2 {
@@ -136,7 +167,8 @@ namespace {
   KernelOps {                                                            \
     ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
         ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
-        ns::column_dots, ns::column_sq_sums                              \
+        ns::column_dots, ns::column_sq_sums, ns::bound_sums,             \
+        ns::bound_solve, ns::ei_bounds                                   \
   }
 
 constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);

@@ -11,6 +11,9 @@
 // the naive reference kernels (linalg/reference.hpp, reciprocal scaling),
 // keeps GP fits reproducible run-to-run, and makes the portable, AVX2 and
 // AVX-512 paths bit-identical (verified by tests/test_isa_dispatch.cpp).
+// The exception is the three bound kernels at the end of the table, which
+// only ever feed rigorous bounds and are valid, not bit-identical, on
+// every path.
 #pragma once
 
 #include <cstddef>
@@ -79,7 +82,46 @@ struct KernelOps {
   /// variances subtract this from a² after the forward solve.
   void (*column_sq_sums)(const double* v, std::size_t ldv, std::size_t n,
                          std::size_t m, double* out);
+
+  // The bound kernels. Unlike every entry above they are NOT bit-identical
+  // across paths: they may contract to FMA, sum in any order and call
+  // libmvec's vector erfc and exp. They feed only the local search's
+  // rigorous upper bounds (DESIGN.md §8, "Bounded local search"), whose
+  // rounding allowances cover any summation order and the ulps stated
+  // here, so each path's bound is valid though its bits differ.
+
+  /// For each of `sets` weight sets s, four n-vectors a, b, c, e at
+  /// w + 4·n·s, the six column sums over the n × d row-major block `x`
+  /// (row stride ldx) into out + 6·d·s, d entries each: Xᵀa, Xᵀb,
+  /// (X∘X)ᵀb, Xᵀc, Xᵀe and (X∘X)ᵀe. One pass over X; the squares are
+  /// formed on the fly.
+  void (*bound_sums)(const double* x, std::size_t ldx, std::size_t n,
+                     std::size_t d, const double* w, std::size_t sets,
+                     double* out);
+  /// An approximation w of (L·Lᵀ)⁻¹k by forward and back substitution
+  /// through the n lower rows of L (row i at lower + i·ld, a positive
+  /// diagonal), and lt = Lᵀw computed from that w. Any w serves the
+  /// caller; only lt must be Lᵀw up to the rounding of its own products.
+  void (*bound_solve)(const double* lower, std::size_t ld, std::size_t n,
+                      const double* k, double* w, double* lt);
+  /// Upper bounds on the expected improvement of m Gaussians:
+  /// out[r] = EI(mean[r], var[r]; best, xi)
+  ///          + (eps + kEiBoundUlps)·(max(0, mean[r] − best − xi) + σ_r)
+  ///          + eps·(|best| + |xi|),
+  /// σ_r = √var[r], var[r] ≥ 0, and +∞ where mean[r] is NaN or ±∞. The
+  /// portable path evaluates EI with bo::expected_improvement's scalar
+  /// expression; the wide paths with libmvec's erfc and exp lanes, within
+  /// 4 ulp each, which kEiBoundUlps covers. `out` may alias `mean`.
+  void (*ei_bounds)(const double* mean, const double* var, std::size_t m,
+                    double best, double xi, double eps, double* out);
 };
+
+/// ei_bounds' allowance for its erfc and exp lanes: each within 4 ulp of
+/// the scalar functions, so the EI moves by at most
+/// 8u·(max(0, imp)·Φ + σ·φ) ≤ 8u·(max(0, imp) + σ) (u = 2⁻⁵³; for
+/// imp < 0, |imp|·Φ(z) ≤ σ·φ(z)). Four times that leaves headroom for
+/// libm builds that round a little worse.
+inline constexpr double kEiBoundUlps = 32.0 * 0x1p-53;
 
 /// Row stride, in doubles, for a row-major block at least `cols` wide
 /// whose column strips the kernels walk down: whole 64-byte lines, and an

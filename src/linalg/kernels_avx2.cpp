@@ -11,12 +11,23 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_blocks.hpp"
 #include "common/check.hpp"
+
+#if defined(__x86_64__) && defined(__GLIBC__) && __GLIBC_PREREQ(2, 35)
+#define STORMTUNE_HAVE_VECTOR_ERFC 1
+// libmvec's 4-lane AVX2 erfc (glibc ≥ 2.35) and exp ('d' ABI mangling).
+extern "C" __m256d _ZGVdN4v_erfc(__m256d);
+extern "C" __m256d _ZGVdN4v_exp(__m256d);
+#else
+#define STORMTUNE_HAVE_VECTOR_ERFC 0
+#endif
 
 namespace stormtune::linalg_kernels::avx2 {
 
@@ -44,6 +55,8 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
   static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  // Multiply then add: this TU is built without -mfma.
+  static Reg fma(Reg a, Reg b, Reg c) { return add(mul(a, b), c); }
 };
 
 }  // namespace
@@ -107,6 +120,72 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
                                   std::size_t n, std::size_t m, double* out) {
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
+
+STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
+                              std::size_t d, const double* w, std::size_t sets,
+                              double* out) {
+  detail::bound_sums<Lanes, 1>(x, ldx, n, d, w, sets, out);
+}
+
+STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
+                               std::size_t n, const double* k, double* w,
+                               double* lt) {
+  detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
+}
+
+#if STORMTUNE_HAVE_VECTOR_ERFC
+
+// EI as bo::expected_improvement writes it, four lanes at a time, with
+// libmvec's erfc and exp; masked-off tail lanes read 0 and are not stored.
+STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
+                             std::size_t m, double best, double xi, double eps,
+                             double* out) {
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d vbest = _mm256_set1_pd(best);
+  const __m256d vxi = _mm256_set1_pd(xi);
+  const __m256d slack = _mm256_set1_pd(eps + kEiBoundUlps);
+  const __m256d fixed =
+      _mm256_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
+  const __m256d inf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  for (std::size_t r = 0; r < m; r += 4) {
+    const __m256i mask = Lanes::tail_mask(m - r < 4 ? m - r : 4);
+    const __m256d mu = _mm256_maskload_pd(mean + r, mask);
+    const __m256d v = _mm256_maskload_pd(var + r, mask);
+    const __m256d imp = _mm256_sub_pd(_mm256_sub_pd(mu, vbest), vxi);
+    const __m256d pos = _mm256_max_pd(imp, zero);
+    const __m256d sd = _mm256_sqrt_pd(v);
+    const __m256d z = _mm256_div_pd(imp, sd);
+    const __m256d cdf = _mm256_mul_pd(
+        _mm256_set1_pd(0.5),
+        _ZGVdN4v_erfc(_mm256_mul_pd(_mm256_xor_pd(z, sign),
+                                    _mm256_set1_pd(0.70710678118654752440))));
+    const __m256d pdf = _mm256_mul_pd(
+        _ZGVdN4v_exp(_mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(-0.5), z), z)),
+        _mm256_set1_pd(0.39894228040143267794));
+    __m256d ei = _mm256_add_pd(_mm256_mul_pd(imp, cdf), _mm256_mul_pd(sd, pdf));
+    ei = _mm256_blendv_pd(ei, pos, _mm256_cmp_pd(v, zero, _CMP_EQ_OQ));
+    __m256d res = _mm256_add_pd(
+        ei, _mm256_add_pd(_mm256_mul_pd(slack, _mm256_add_pd(pos, sd)), fixed));
+    const __m256d finite =
+        _mm256_cmp_pd(_mm256_andnot_pd(sign, mu), inf, _CMP_LT_OQ);
+    res = _mm256_blendv_pd(inf, res, finite);
+    _mm256_maskstore_pd(out + r, mask, res);
+  }
+}
+
+#else
+
+STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
+                             std::size_t m, double best, double xi, double eps,
+                             double* out) {
+  for (std::size_t r = 0; r < m; ++r) {
+    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
+  }
+}
+
+#endif
 
 }  // namespace stormtune::linalg_kernels::avx2
 

@@ -10,11 +10,22 @@
 
 #include <immintrin.h>
 
+#include <cmath>
 #include <cstddef>
+#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_blocks.hpp"
 #include "common/check.hpp"
+
+#if defined(__x86_64__) && defined(__GLIBC__) && __GLIBC_PREREQ(2, 35)
+#define STORMTUNE_HAVE_VECTOR_ERFC 1
+// libmvec's 8-lane AVX-512 erfc (glibc ≥ 2.35) and exp ('e' ABI mangling).
+extern "C" __m512d _ZGVeN8v_erfc(__m512d);
+extern "C" __m512d _ZGVeN8v_exp(__m512d);
+#else
+#define STORMTUNE_HAVE_VECTOR_ERFC 0
+#endif
 
 namespace stormtune::linalg_kernels::avx512 {
 
@@ -45,6 +56,7 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
   static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
+  static Reg fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
 };
 
 }  // namespace
@@ -108,6 +120,87 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
                                   std::size_t n, std::size_t m, double* out) {
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
+
+// Two column vectors at a time: twelve accumulators, inside AVX-512's 32
+// registers.
+STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
+                              std::size_t d, const double* w, std::size_t sets,
+                              double* out) {
+  detail::bound_sums<Lanes, 2>(x, ldx, n, d, w, sets, out);
+}
+
+STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
+                               std::size_t n, const double* k, double* w,
+                               double* lt) {
+  detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
+}
+
+#if STORMTUNE_HAVE_VECTOR_ERFC
+
+namespace {
+
+// All-lanes masked sqrt and max: the same instructions as _mm512_sqrt_pd
+// and _mm512_max_pd, whose gcc 12 expansions read _mm512_undefined_pd()
+// and trip -Wmaybe-uninitialized (see gp/kernel_batch_avx512.cpp).
+inline __m512d sqrt8(__m512d x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+inline __m512d max8(__m512d a, __m512d b) {
+  return _mm512_maskz_max_pd(0xFF, a, b);
+}
+
+}  // namespace
+
+// EI as bo::expected_improvement writes it, eight lanes at a time, with
+// libmvec's erfc and exp; masked-off tail lanes read 0 and are not stored.
+STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
+                             std::size_t m, double best, double xi, double eps,
+                             double* out) {
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d vbest = _mm512_set1_pd(best);
+  const __m512d vxi = _mm512_set1_pd(xi);
+  const __m512d slack = _mm512_set1_pd(eps + kEiBoundUlps);
+  const __m512d fixed =
+      _mm512_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
+  const __m512d inf =
+      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  for (std::size_t r = 0; r < m; r += 8) {
+    const __mmask8 mask =
+        m - r < 8 ? Lanes::tail_mask(m - r) : static_cast<__mmask8>(0xFF);
+    const __m512d mu = _mm512_maskz_loadu_pd(mask, mean + r);
+    const __m512d v = _mm512_maskz_loadu_pd(mask, var + r);
+    const __m512d imp = _mm512_sub_pd(_mm512_sub_pd(mu, vbest), vxi);
+    const __m512d pos = max8(imp, zero);
+    const __m512d sd = sqrt8(v);
+    const __m512d z = _mm512_div_pd(imp, sd);
+    const __m512d cdf = _mm512_mul_pd(
+        _mm512_set1_pd(0.5),
+        _ZGVeN8v_erfc(_mm512_mul_pd(_mm512_sub_pd(zero, z),
+                                    _mm512_set1_pd(0.70710678118654752440))));
+    const __m512d pdf = _mm512_mul_pd(
+        _ZGVeN8v_exp(_mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(-0.5), z), z)),
+        _mm512_set1_pd(0.39894228040143267794));
+    __m512d ei = _mm512_add_pd(_mm512_mul_pd(imp, cdf), _mm512_mul_pd(sd, pdf));
+    ei = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(v, zero, _CMP_EQ_OQ), ei,
+                              pos);
+    __m512d res = _mm512_add_pd(
+        ei, _mm512_add_pd(_mm512_mul_pd(slack, _mm512_add_pd(pos, sd)), fixed));
+    const __mmask8 finite =
+        _mm512_cmp_pd_mask(_mm512_abs_pd(mu), inf, _CMP_LT_OQ);
+    res = _mm512_mask_blend_pd(finite, inf, res);
+    _mm512_mask_storeu_pd(out + r, mask, res);
+  }
+}
+
+#else
+
+STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
+                             std::size_t m, double best, double xi, double eps,
+                             double* out) {
+  for (std::size_t r = 0; r < m; ++r) {
+    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
+  }
+}
+
+#endif
 
 }  // namespace stormtune::linalg_kernels::avx512
 

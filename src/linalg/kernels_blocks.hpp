@@ -9,17 +9,23 @@
 //   load(p) / load(p, mask)         full / masked load (masked-off lanes 0)
 //   store(p, x) / store(p, x, mask) full / masked store
 //   set1(a), zero(), add, sub, mul  broadcast and element-wise arithmetic
+//   fma(a, b, c)                    a·b + c, fused or not (bound kernels only)
 //
 // Bit-identity: every loop below gives each element the same operands in
 // the same order as the scalar k-loop it replaces — ascending k, left-
 // associated, a separate multiply and subtract/add per step (the TUs are
 // compiled with -ffp-contract=off, so nothing is contracted to FMA). Lanes
 // never combine with each other, so neither the lane width nor the strip
-// an element lands in can change a bit.
+// an element lands in can change a bit. The bound kernels at the end are
+// the exception (KernelOps, "The bound kernels"): they use fma and sum in
+// lanes.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
+
+#include "linalg/kernels.hpp"
 
 namespace stormtune::linalg_kernels::detail {
 
@@ -298,6 +304,157 @@ inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
     }
     s.store(out + c);
   });
+}
+
+/// bound_sums over the NV column vectors from column j, the last one
+/// holding only d − j − (NV − 1)·L columns when kTail is set: per weight
+/// set, six accumulators per vector, each X row loaded once.
+template <class V, int NV, bool kTail>
+inline void bound_sums_block(const double* x, std::size_t ldx, std::size_t n,
+                             std::size_t d, const double* w, std::size_t sets,
+                             double* out, std::size_t j) {
+  using Reg = typename V::Reg;
+  constexpr std::size_t L = V::kLanes;
+  const typename V::Mask mask =
+      V::tail_mask(kTail ? d - j - (NV - 1) * L : 1);
+  const auto load = [&](const double* p, int v) {
+    if constexpr (kTail) {
+      if (v == NV - 1) return V::load(p + v * L, mask);
+    }
+    return V::load(p + v * L);
+  };
+  for (std::size_t s = 0; s < sets; ++s) {
+    const double* a = w + 4 * n * s;
+    const double* b = a + n;
+    const double* c = b + n;
+    const double* e = c + n;
+    Reg acc[6][NV];
+    for (auto& q : acc) {
+      for (Reg& r : q) r = V::zero();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* xi = x + i * ldx + j;
+      const Reg wa = V::set1(a[i]), wb = V::set1(b[i]);
+      const Reg wc = V::set1(c[i]), we = V::set1(e[i]);
+      for (int v = 0; v < NV; ++v) {
+        const Reg xv = load(xi, v);
+        const Reg x2 = V::mul(xv, xv);
+        acc[0][v] = V::fma(xv, wa, acc[0][v]);
+        acc[1][v] = V::fma(xv, wb, acc[1][v]);
+        acc[2][v] = V::fma(x2, wb, acc[2][v]);
+        acc[3][v] = V::fma(xv, wc, acc[3][v]);
+        acc[4][v] = V::fma(xv, we, acc[4][v]);
+        acc[5][v] = V::fma(x2, we, acc[5][v]);
+      }
+    }
+    double* o = out + 6 * d * s + j;
+    for (int q = 0; q < 6; ++q) {
+      for (int v = 0; v < NV; ++v) {
+        if constexpr (kTail) {
+          if (v == NV - 1) {
+            V::store(o + q * d + v * L, acc[q][v], mask);
+            continue;
+          }
+        }
+        V::store(o + q * d + v * L, acc[q][v]);
+      }
+    }
+  }
+}
+
+/// KernelOps::bound_sums, NV column vectors at a time (as many
+/// accumulators as the path's registers hold), then single vectors and a
+/// masked tail.
+template <class V, int NV>
+inline void bound_sums(const double* x, std::size_t ldx, std::size_t n,
+                       std::size_t d, const double* w, std::size_t sets,
+                       double* out) {
+  constexpr std::size_t L = V::kLanes;
+  std::size_t j = 0;
+  for (; j + NV * L <= d; j += NV * L) {
+    bound_sums_block<V, NV, false>(x, ldx, n, d, w, sets, out, j);
+  }
+  for (; j + L <= d; j += L) {
+    bound_sums_block<V, 1, false>(x, ldx, n, d, w, sets, out, j);
+  }
+  if (j < d) bound_sums_block<V, 1, true>(x, ldx, n, d, w, sets, out, j);
+}
+
+/// Σ_{j<len} a[j]·b[j] in two lane accumulators, then the lanes and the
+/// scalar tail.
+template <class V>
+inline double bound_dot(const double* a, const double* b, std::size_t len) {
+  constexpr std::size_t L = V::kLanes;
+  typename V::Reg s0 = V::zero(), s1 = V::zero();
+  std::size_t j = 0;
+  for (; j + 2 * L <= len; j += 2 * L) {
+    s0 = V::fma(V::load(a + j), V::load(b + j), s0);
+    s1 = V::fma(V::load(a + j + L), V::load(b + j + L), s1);
+  }
+  if (j + L <= len) {
+    s0 = V::fma(V::load(a + j), V::load(b + j), s0);
+    j += L;
+  }
+  double lanes[L];
+  V::store(lanes, V::add(s0, s1));
+  double sum = 0.0;
+  for (const double v : lanes) sum += v;
+  for (; j < len; ++j) sum += a[j] * b[j];
+  return sum;
+}
+
+/// KernelOps::bound_solve: the forward substitution row by row as lane
+/// dot products, then the back substitution column by column, each row of
+/// L loaded once to update both w and Lᵀw.
+template <class V>
+inline void bound_solve(const double* lower, std::size_t ld, std::size_t n,
+                        const double* k, double* w, double* lt) {
+  constexpr std::size_t L = V::kLanes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* li = lower + i * ld;
+    w[i] = (k[i] - bound_dot<V>(li, w, i)) / li[i];
+  }
+  for (std::size_t i = 0; i < n; ++i) lt[i] = 0.0;
+  for (std::size_t ii = n; ii > 0; --ii) {
+    // Row i's w is final once divided: only rows above it change later.
+    const std::size_t i = ii - 1;
+    const double* li = lower + i * ld;
+    const double wi = w[i] / li[i];
+    w[i] = wi;
+    const typename V::Reg up = V::set1(wi), down = V::set1(-wi);
+    std::size_t j = 0;
+    for (; j + L <= i; j += L) {
+      const typename V::Reg l = V::load(li + j);
+      V::store(w + j, V::fma(down, l, V::load(w + j)));
+      V::store(lt + j, V::fma(up, l, V::load(lt + j)));
+    }
+    for (; j < i; ++j) {
+      w[j] -= li[j] * wi;
+      lt[j] += li[j] * wi;
+    }
+    lt[i] += li[i] * wi;
+  }
+}
+
+/// One KernelOps::ei_bounds entry through bo::expected_improvement's
+/// scalar expression: the portable path, and the wide paths' fallback
+/// where libmvec has no vector erfc.
+inline double ei_bound_scalar(double mean, double var, double best,
+                              double xi, double eps) {
+  if (!(std::fabs(mean) < std::numeric_limits<double>::infinity())) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const double imp = mean - best - xi;
+  const double pos = imp > 0.0 ? imp : 0.0;
+  const double sd = std::sqrt(var);
+  double ei = pos;
+  if (var != 0.0) {
+    const double z = imp / sd;
+    ei = imp * (0.5 * std::erfc(-z * 0.70710678118654752440)) +
+         sd * (std::exp(-0.5 * z * z) * 0.39894228040143267794);
+  }
+  return ei + ((eps + kEiBoundUlps) * (pos + sd) +
+               eps * (std::fabs(best) + std::fabs(xi)));
 }
 
 }  // namespace stormtune::linalg_kernels::detail

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
@@ -520,6 +522,72 @@ TEST(BayesOpt, NeighborBoundsCoverExactScores) {
       }
     }
   }
+  // bo100-large's shape: Matérn-5/2 at d = 101 and n = 40, where k' comes
+  // from the transform's output and κ from one batched exp, over 5
+  // slice-sampled posteriors and with the fused sweep's strips and tail.
+  BayesOpt opt = bo100_shaped(40, 1);
+  Rng rng(41);
+  std::vector<std::vector<double>> centres = {
+      opt.space().to_unit(opt.observations()[7].x),
+      opt.space().to_unit(opt.best().x),
+      std::vector<double>(opt.space().dim(), 0.0),
+  };
+  std::vector<double> inner(opt.space().dim());
+  for (double& v : inner) v = rng.uniform();
+  centres.push_back(inner);
+  for (const auto& centre : centres) {
+    for (const double step : {0.1, 1e-2, 1e-3}) {
+      const auto nb = opt.neighbor_scores(centre, step);
+      ASSERT_EQ(nb.bound.size(), 2 * opt.space().dim());
+      for (std::size_t r = 0; r < nb.bound.size(); ++r) {
+        ASSERT_TRUE(std::isfinite(nb.exact[r]));
+        ASSERT_TRUE(std::isfinite(nb.bound[r])) << "d101 neighbour " << r;
+        EXPECT_LE(nb.exact[r], nb.bound[r])
+            << "d101 step " << step << " neighbour " << r;
+      }
+    }
+  }
+}
+
+// Progressive scoring: a survivor of the bound (bound ≥ the final T) is
+// scored one posterior at a time and dropped once its exact partial sum
+// plus its remaining posteriors' bounds falls below T. Two optimizers fed
+// the same history draw the same hyper samples, so one finds the best
+// neighbour's exact score and bound and the other searches with best_val
+// between them: that neighbour is a survivor no exact score reaches, so
+// it must be dropped partway, and the search must still halve as the
+// unpruned one does.
+TEST(BayesOpt, ProgressiveScoringDropsSurvivorsMidPosterior) {
+  BayesOpt probe = bo100_shaped(40, 1);
+  BayesOpt search = bo100_shaped(40, 1);
+  Rng rng(43);
+  std::size_t dropped = 0;
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<double> centre = probe.space().to_unit(probe.best().x);
+    for (std::size_t j = 0; j < centre.size(); j += 2 + trial) {
+      centre[j] = rng.uniform();
+    }
+    const auto full = probe.neighbor_scores(centre, 0.1);
+    const std::size_t top = static_cast<std::size_t>(
+        std::max_element(full.exact.begin(), full.exact.end()) -
+        full.exact.begin());
+    ASSERT_LT(full.exact[top], full.bound[top]);
+    // Near the bound, so the drop can come as late as the last posterior.
+    const double best_val =
+        full.exact[top] + 0.9 * (full.bound[top] - full.exact[top]);
+    const auto nb = search.neighbor_scores(centre, 0.1, best_val);
+    for (std::size_t r = 0; r < nb.bound.size(); ++r) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(nb.exact[r]),
+                std::bit_cast<std::uint64_t>(full.exact[r]))
+          << "trial " << trial << " neighbour " << r;
+      // Nothing beats best_val, so nothing finishes: the search halves.
+      EXPECT_EQ(nb.searched[r], -std::numeric_limits<double>::infinity())
+          << "trial " << trial << " neighbour " << r;
+      dropped += nb.bound[r] >= best_val ? 1 : 0;
+    }
+    EXPECT_GE(nb.bound[top], best_val) << "trial " << trial;
+  }
+  EXPECT_GE(dropped, 4u);
 }
 
 // Where no bound exists, every neighbour's is +∞ and the search scores all

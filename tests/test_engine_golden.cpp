@@ -38,8 +38,9 @@
 // counts only allocations of at least kLargeNewBytes, the blocks whose churn
 // turns into page faults when glibc maps them fresh or trims them back to
 // the kernel; the third sums the bytes requested, a region's footprint.
-// Deletes are left to the default implementation (our new uses malloc,
-// default delete uses free — a matching pair).
+// The matching deletes below free with std::free: left to the default, they
+// would pair this malloc with the runtime's own operator delete, which
+// AddressSanitizer reports as an alloc-dealloc mismatch.
 static std::atomic<std::size_t> g_new_calls{0};
 static std::atomic<std::size_t> g_large_new_calls{0};
 static std::atomic<std::size_t> g_new_bytes{0};
@@ -56,6 +57,38 @@ void* operator new(std::size_t size) {
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
+
+// The nothrow forms too (std::stable_sort's temporary buffer takes one), so
+// that every delete below frees a block this file's malloc returned.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+
+// Not inlined: gcc's -Wmismatched-new-delete would see std::free meet a
+// pointer from operator new at the call site, not knowing the new above.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace stormtune::testprobe {
 

@@ -16,7 +16,12 @@
 //     polynomial factor); the sweep asserts ≤ 8 ulp to leave headroom for
 //     other libm builds while still catching any real algorithmic drift.
 //
-//  3. The portable path is exactly the pre-dispatch behavior, so the
+//  3. The bound kernels (KernelOps::bound_sums, bound_solve, ei_bounds)
+//     feed only rigorous bounds and are not bit-identical across paths:
+//     each path must agree with the scalar loops within its stated
+//     allowance, and ei_bounds must lie above the scalar EI.
+//
+//  4. The portable path is exactly the pre-dispatch behavior, so the
 //     end-to-end suggest() golden below — captured BEFORE the fused batched
 //     scoring rework — must still match bit-for-bit with the portable path
 //     pinned. This is the proof that neither the dispatch layer nor the
@@ -27,9 +32,12 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "bayesopt/acquisition.hpp"
 #include "bayesopt/bayesopt.hpp"
 #include "common/isa.hpp"
 #include "common/rng.hpp"
@@ -466,6 +474,140 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
         ASSERT_EQ(vars[r], chunked[r].variance)
             << isa::to_string(path) << " family "
             << static_cast<int>(family) << " row " << r;
+      }
+    }
+  }
+}
+
+// The fused bound sweep against six naive column loops, and the bound
+// solve against the definition of its outputs, on every path: FMA and
+// lane sums move only the last bits, well inside the eps·Σ|term| the
+// local search allows per sum (DESIGN.md §8, "Bounded local search").
+TEST(IsaDispatch, BoundSumsAndSolveAgreeWithNaiveLoopsOnEveryPath) {
+  constexpr double kTol = 64.0 * 0x1p-53;
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    Rng rng(61);
+    for (const std::size_t n : {1ul, 16ul, 40ul, 100ul}) {
+      for (const std::size_t d : {1ul, 3ul, 8ul, 17ul, 51ul, 101ul}) {
+        const std::size_t sets = 3;
+        std::vector<double> x(n * d), w(4 * n * sets), out(6 * d * sets);
+        for (auto& e : x) e = rng.uniform();
+        for (auto& e : w) e = rng.normal();
+        ops->bound_sums(x.data(), d, n, d, w.data(), sets, out.data());
+        for (std::size_t s = 0; s < sets; ++s) {
+          const double* wt = w.data() + 4 * n * s;
+          for (std::size_t j = 0; j < d; ++j) {
+            // (weight vector, power of x) per output row.
+            const std::pair<int, int> rows[6] = {{0, 1}, {1, 1}, {1, 2},
+                                                 {2, 1}, {3, 1}, {3, 2}};
+            for (int q = 0; q < 6; ++q) {
+              double sum = 0.0, mag = 0.0;
+              for (std::size_t i = 0; i < n; ++i) {
+                const double xv = x[i * d + j];
+                const double term = wt[rows[q].first * n + i] *
+                                    (rows[q].second == 2 ? xv * xv : xv);
+                sum += term;
+                mag += std::fabs(term);
+              }
+              ASSERT_NEAR(out[6 * d * s + q * d + j], sum, kTol * mag)
+                  << isa::to_string(path) << " n=" << n << " d=" << d
+                  << " set " << s << " row " << q << " col " << j;
+            }
+          }
+        }
+      }
+      // A well-conditioned factor: w must solve L·Lᵀw = k closely, and lt
+      // must be Lᵀw for that w.
+      const std::size_t ld = lk::padded_ld(n);
+      std::vector<double> lower(n * ld, 0.0), k(n), w(n), lt(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < i; ++j) lower[i * ld + j] = 0.1 * rng.normal();
+        lower[i * ld + i] = 1.0 + rng.uniform();
+        k[i] = rng.normal();
+      }
+      ops->bound_solve(lower.data(), ld, n, k.data(), w.data(), lt.data());
+      for (std::size_t j = 0; j < n; ++j) {
+        double ltw = 0.0, mag = 0.0;
+        for (std::size_t i = j; i < n; ++i) {
+          ltw += lower[i * ld + j] * w[i];
+          mag += std::fabs(lower[i * ld + j] * w[i]);
+        }
+        ASSERT_NEAR(lt[j], ltw, kTol * mag)
+            << isa::to_string(path) << " n=" << n << " entry " << j;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        double llw = 0.0;
+        for (std::size_t j = 0; j <= i; ++j) llw += lower[i * ld + j] * lt[j];
+        ASSERT_NEAR(llw, k[i], 1e-9 * (1.0 + std::fabs(k[i])))
+            << isa::to_string(path) << " n=" << n << " row " << i;
+      }
+    }
+  }
+}
+
+// ei_bounds on every path against bo::expected_improvement, the exact
+// path's scalar EI: never below it, and above it by no more than the
+// stated allowance plus 1e-12 relative (the survivor count is that
+// sensitive to a loose bound), over z in [−40, 40], σ² = 0, subnormal σ²
+// and a non-finite mean, which must give +∞.
+TEST(IsaDispatch, EiBoundsCoverExpectedImprovementOnEveryPath) {
+  const double eps = 2.0 * (100 + 101 + 64) * 0x1p-53;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double best : {0.0, 1.7, -2.3}) {
+    for (const double xi : {0.0, 0.01}) {
+      std::vector<double> mean, var;
+      for (const double sd : {1e-3, 0.3, 1.0, 7.0}) {
+        for (int k = -400; k <= 400; ++k) {
+          mean.push_back(best + xi + 0.1 * k * sd);
+          var.push_back(sd * sd);
+        }
+      }
+      for (const double imp : {-1.0, -1e-300, 0.0, 1e-300, 2.5}) {
+        for (const double v : {0.0, 4.9e-324, 1e-310, 2.2e-308}) {
+          mean.push_back(best + xi + imp);
+          var.push_back(v);
+        }
+      }
+      const std::size_t finite = mean.size();
+      for (const double mu : {std::nan(""), inf, -inf}) {
+        mean.push_back(mu);
+        var.push_back(0.5);
+      }
+      const std::size_t m = mean.size();
+      for (const isa::Path path : runnable_paths()) {
+        const lk::KernelOps* ops = lk::ops_for(path);
+        ASSERT_NE(ops, nullptr) << isa::to_string(path);
+        std::vector<double> out(m);
+        ops->ei_bounds(mean.data(), var.data(), m, best, xi, eps, out.data());
+        // In place, as the local search calls it.
+        std::vector<double> aliased = mean;
+        ops->ei_bounds(aliased.data(), var.data(), m, best, xi, eps,
+                       aliased.data());
+        for (std::size_t r = 0; r < m; ++r) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(aliased[r]),
+                    std::bit_cast<std::uint64_t>(out[r]))
+              << isa::to_string(path) << " entry " << r;
+          if (r >= finite) {
+            EXPECT_EQ(out[r], inf) << isa::to_string(path) << " mean "
+                                   << mean[r];
+            continue;
+          }
+          const double exact =
+              bo::expected_improvement(mean[r], var[r], best, xi);
+          const double imp = mean[r] - best - xi;
+          const double allowance =
+              (eps + lk::kEiBoundUlps) *
+                  ((imp > 0.0 ? imp : 0.0) + std::sqrt(var[r])) +
+              eps * (std::fabs(best) + std::fabs(xi));
+          EXPECT_GE(out[r], exact)
+              << isa::to_string(path) << " mean " << mean[r] << " var "
+              << var[r] << " best " << best << " xi " << xi;
+          EXPECT_LE(out[r], exact * (1.0 + 1e-12) + allowance)
+              << isa::to_string(path) << " mean " << mean[r] << " var "
+              << var[r] << " best " << best << " xi " << xi;
+        }
       }
     }
   }
