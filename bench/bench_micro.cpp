@@ -242,13 +242,6 @@ void BM_GpHyperRefitLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_GpHyperRefitLoop)->Arg(30)->Arg(60)->Arg(120);
 
-/// The optimizer pool of the suggest benches: one thread, as bench_e2e's
-/// campaigns and tune-many's optimizers run, and the only pool on which the
-/// local search bounds its neighbours (DESIGN.md §8, "Bounded local
-/// search"). At the default (all cores) these rows would time the
-/// unbounded search and move with the host's load.
-constexpr std::size_t kSuggestThreads = 1;
-
 void BM_AcquisitionSearch(benchmark::State& state, std::size_t dims) {
   // maximize_acquisition in isolation: candidate generation, batched
   // per-GP scoring, and local refinement, with the surrogate held fixed.
@@ -264,7 +257,6 @@ void BM_AcquisitionSearch(benchmark::State& state, std::size_t dims) {
   opts.hyper_mode = bo::HyperMode::kFixed;
   opts.num_candidates = 256;
   opts.seed = 7;
-  opts.num_threads = kSuggestThreads;
   bo::BayesOpt opt(bo::ParamSpace(specs), opts);
   Rng rng(8);
   for (std::int64_t i = 0; i < state.range(0); ++i) {
@@ -356,7 +348,7 @@ void BM_Campaign(benchmark::State& state) {
   // result is bit-identical for any thread count.
   const std::size_t threads = state.range(0) > 0
                                   ? static_cast<std::size_t>(state.range(0))
-                                  : ThreadPool::default_thread_count();
+                                  : default_thread_count();
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kMedium;
   const sim::Topology topology = topo::build_synthetic(spec);
@@ -449,7 +441,7 @@ void BM_CampaignEndToEnd(benchmark::State& state) {
   // pass's rebound repetition clone — is what this measures.
   const std::size_t threads = state.range(0) > 0
                                   ? static_cast<std::size_t>(state.range(0))
-                                  : ThreadPool::default_thread_count();
+                                  : default_thread_count();
   topo::SyntheticSpec spec;
   spec.size = topo::TopologySize::kSmall;
   const sim::Topology topology = topo::build_synthetic(spec);
@@ -622,7 +614,6 @@ double run_fidelity_workload(const sim::Topology& topology, bool ladder,
   sopts.hint_max = 8;
   bo::BayesOptOptions bopts;
   bopts.seed = 5;
-  bopts.num_threads = 1;
   bopts.hyper_mode = bo::HyperMode::kFixed;
   tuning::ExperimentOptions eopts;
   eopts.max_steps = steps;
@@ -668,7 +659,6 @@ void BM_BayesOptSuggest(benchmark::State& state, std::size_t dims,
   opts.hyper_burn_in = 5;
   opts.num_candidates = 256;
   opts.seed = 3;
-  opts.num_threads = kSuggestThreads;
   bo::BayesOpt opt(bo::ParamSpace(specs), opts);
   Rng rng(4);
   for (std::int64_t i = 0; i < state.range(0); ++i) {

@@ -93,7 +93,7 @@ Args Args::parse(int argc, char** argv) {
 }
 
 std::size_t Args::pool_threads() const {
-  return threads > 0 ? threads : ThreadPool::default_thread_count();
+  return threads > 0 ? threads : default_thread_count();
 }
 
 std::string Args::describe() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <numeric>
 
@@ -79,7 +78,6 @@ Json BayesOptOptions::to_json() const {
     o["hyper_burn_in_warm"] = hyper_burn_in_warm;
   }
   o["seed"] = static_cast<double>(seed);
-  o["num_threads"] = num_threads;
   return Json(std::move(o));
 }
 
@@ -99,10 +97,8 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   o.ucb_beta = j.at("ucb_beta").as_number();
   o.fixed_noise_variance = j.at("fixed_noise_variance").as_number();
   o.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
-  // Absent in states saved before the threading option existed.
-  o.num_threads = j.contains("num_threads")
-                      ? static_cast<std::size_t>(j.at("num_threads").as_int())
-                      : 0;
+  // States saved while suggest had a thread pool carry "num_threads"; it
+  // never changed a result, so it is ignored.
   // Absent in states saved before the multi-fidelity ladder existed.
   if (j.contains("rung_noise_variance")) {
     for (const auto& v : j.at("rung_noise_variance").as_array()) {
@@ -138,20 +134,11 @@ BayesOpt::BayesOpt(ParamSpace space, BayesOptOptions options)
                     "BayesOpt: hyper_refit_interval must be > 0");
 }
 
-ThreadPool& BayesOpt::pool() {
-  if (!pool_) {
-    pool_ = std::make_unique<ThreadPool>(
-        options_.num_threads > 0 ? options_.num_threads
-                                 : ThreadPool::default_thread_count());
-  }
-  return *pool_;
-}
-
 namespace {
 
 /// Candidates per scoring block: a multiple of every path's solve strip
-/// width (linalg/kernels_blocks.hpp), and small enough that each of a
-/// worker's blocks stays under 64 KiB at bo100-large's d = 101, n = 100.
+/// width (linalg/kernels_blocks.hpp), and small enough that each block
+/// buffer stays under 64 KiB at bo100-large's d = 101, n = 100.
 constexpr std::size_t kBlockRows = 64;
 /// Row stride of every block buffer, padded so the distance, solve and
 /// moment kernels' column strips do not alias in L1.
@@ -169,10 +156,9 @@ double neighbor_value(std::span<const double> cur, double step,
 /// bo100-large run, 4 and 16 cost 2 % and 6 % more posterior evaluations.
 constexpr std::size_t kFirstNeighbors = 8;
 /// Fewest observations at which the local search bounds its neighbours
-/// (DESIGN.md §8, "Bounded local search"; a pool of more than one thread
-/// never does). The bound now repays itself at any n: bounded search
-/// iterations took 0.56–0.89× the unbounded ones' time from n = 5 to 10
-/// at d = 51 and d = 101 (one thread). Bounding from n = 5 made
+/// (DESIGN.md §8, "Bounded local search"). The bound now repays itself at
+/// any n: bounded search iterations took 0.56–0.89× the unbounded ones'
+/// time from n = 5 to 10 at d = 51 and d = 101. Bounding from n = 5 made
 /// fig4-medium, whose histories end at n = 11, 5 % faster, but its first
 /// batched EI maps libmvec's erfc tables and raised its peak RSS by
 /// 0.2 MB in every run, so short histories stay unbounded.
@@ -311,8 +297,8 @@ struct BayesOpt::Surrogate {
     return !posts.empty() && !posts.front().ard;
   }
 
-  /// Size a worker's block buffers for this surrogate (grow-only, so a
-  /// steady history reuses them as they are).
+  /// Size the block buffers for this surrogate (grow-only, so a steady
+  /// history reuses them as they are).
   void size_block(ScoreBlock& ws, std::size_t d) const {
     const std::size_t n = inputs_gp->num_observations();
     if (ws.qt.rows() != d) ws.qt = Matrix(d, kBlockLd);
@@ -422,8 +408,7 @@ struct BayesOpt::Surrogate {
   /// go on with fewer columns and get the bits they would have got alone.
   /// Returns how many columns finished: ws.scores[0, live) and ws.ids say
   /// which candidate each holds (columns stay in place when nothing
-  /// drops). Read-only on the posteriors: workers score concurrently, each
-  /// in its own block.
+  /// drops). Read-only on the posteriors.
   std::size_t score_block(const BayesOptOptions& opts, ScoreBlock& ws,
                           std::size_t m, double threshold = -kInf) const {
     std::fill_n(ws.scores.begin(), m, 0.0);
@@ -477,7 +462,7 @@ struct BayesOpt::Surrogate {
   }
 
   /// Score the block's first m multistart candidates (columns of ws.qt) and
-  /// fold them into the worker's running argmax: strict >, so the lowest
+  /// fold them into the block's running argmax: strict >, so the lowest
   /// index wins a tie. `fresh` restarts the argmax at the first of them.
   void score_candidates(const BayesOptOptions& opts, ScoreBlock& ws,
                         std::size_t m, bool fresh) const {
@@ -536,14 +521,13 @@ struct BayesOpt::Surrogate {
     return score_block(opts, ws, m, threshold);
   }
 
-  /// Whether neighbor_bounds bounds a neighbour's score on a pool of
-  /// `threads`: one thread, at least kMinBoundedObservations observations,
-  /// non-ARD posteriors (which share the centre's distances), no cost
-  /// divisor, and EI or UCB with β ≥ 0, the acquisitions nondecreasing in μ
-  /// and σ². Every other neighbour's bound is +∞.
-  bool bounds_neighbors(const BayesOptOptions& opts,
-                        std::size_t threads) const {
-    if (threads != 1 || !shares_distances() || cost1_ms > 0.0 ||
+  /// Whether neighbor_bounds bounds a neighbour's score: at least
+  /// kMinBoundedObservations observations, non-ARD posteriors (which share
+  /// the centre's distances), no cost divisor, and EI or UCB with β ≥ 0,
+  /// the acquisitions nondecreasing in μ and σ². Every other neighbour's
+  /// bound is +∞.
+  bool bounds_neighbors(const BayesOptOptions& opts) const {
+    if (!shares_distances() || cost1_ms > 0.0 ||
         inputs_gp->num_observations() < kMinBoundedObservations) {
       return false;
     }
@@ -665,20 +649,20 @@ struct BayesOpt::Surrogate {
                         dd * dd * ct.var_g0);
   }
 
-  /// Posterior `post`'s bounds on the mean and variance of neighbours r in
-  /// [lo, hi) of `cur`, from its CentreTerms `ct` and column sums `sums`
+  /// Posterior `post`'s bounds on the mean and variance of every neighbour
+  /// r of `cur`, from its CentreTerms `ct` and column sums `sums`
   /// (6 × d), into mu[r] and var[r]; then mu[r] becomes the bound on the
   /// posterior's acquisition term of r's score, +∞ where the arithmetic
   /// gives none (an infinite κ, a NaN).
   void neighbor_bounds(const BayesOptOptions& opts,
                        const gp::PosteriorView& post, const CentreTerms& ct,
                        const double* sums, double eps,
-                       std::span<const double> cur, double step,
-                       std::size_t lo, std::size_t hi, double* mu,
+                       std::span<const double> cur, double step, double* mu,
                        double* var) const {
     const std::size_t d = cur.size();
+    const std::size_t num_nb = 2 * d;
     const double a2 = post.variance;
-    for (std::size_t r = lo; r < hi; ++r) {
+    for (std::size_t r = 0; r < num_nb; ++r) {
       const std::size_t j = r / 2;
       const double cj = cur[j];
       const double h = neighbor_value(cur, step, r) - cj;
@@ -696,11 +680,10 @@ struct BayesOpt::Surrogate {
       var[r] = v < a2 ? (v > 0.0 ? v : 0.0) : a2;
     }
     if (opts.acquisition == AcquisitionKind::kExpectedImprovement) {
-      linalg_kernels::ops().ei_bounds(mu + lo, var + lo, hi - lo,
-                                      best_standardized, opts.xi, eps,
-                                      mu + lo);
+      linalg_kernels::ops().ei_bounds(mu, var, num_nb, best_standardized,
+                                      opts.xi, eps, mu);
     } else {
-      for (std::size_t r = lo; r < hi; ++r) {
+      for (std::size_t r = 0; r < num_nb; ++r) {
         mu[r] = ucb_bound(opts.ucb_beta, mu[r], var[r], eps);
       }
     }
@@ -774,28 +757,17 @@ namespace {
 /// place, and the others are refits of `gp` itself. A refit's factor and α
 /// are a pure function of the distance cache and theta — the correlation
 /// and factor caches only skip recomputing the same bits — so these are the
-/// posteriors a fresh fit per sample would give. With more than one pool
-/// thread each extra worker refits a copy of `gp` (which shares its inputs
-/// and distance cache) over a contiguous run of samples; no RNG is
-/// involved, so the result does not depend on the thread count.
+/// posteriors a fresh fit per sample would give.
 std::vector<gp::Posterior> sample_posteriors(
     gp::GpRegressor& gp, const std::vector<gp::HyperSample>& samples,
-    const Vector& y, std::span<const double> noise_ratios, ThreadPool& pool) {
+    const Vector& y, std::span<const double> noise_ratios) {
   std::vector<gp::Posterior> posts(samples.size());
   posts.back() = gp::Posterior(gp.posterior());
-  const std::size_t rest = samples.size() - 1;
-  const std::size_t workers = std::min(pool.num_threads(), rest);
-  if (workers == 0) return posts;
-  std::vector<gp::GpRegressor> scratch(workers - 1, gp);
   const Matrix& x = gp.inputs();
-  pool.parallel_for(workers, [&](std::size_t w) {
-    gp::GpRegressor& g = w == 0 ? gp : scratch[w - 1];
-    for (std::size_t i = w * rest / workers; i < (w + 1) * rest / workers;
-         ++i) {
-      gp::apply_hyperparams(g, samples[i].theta, x, y, noise_ratios);
-      posts[i] = gp::Posterior(g.posterior());
-    }
-  });
+  for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
+    gp::apply_hyperparams(gp, samples[i].theta, x, y, noise_ratios);
+    posts[i] = gp::Posterior(gp.posterior());
+  }
   return posts;
 }
 
@@ -944,7 +916,7 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
       const auto samples =
           gp::sample_hyperparams(gp, x, y, hs, rng_, noise_ratios);
       if (!windowed) {
-        s.own_posts = sample_posteriors(gp, samples, y, noise_ratios, pool());
+        s.own_posts = sample_posteriors(gp, samples, y, noise_ratios);
         s.inputs_gp = &s.own_gp.emplace(std::move(gp));
         for (const auto& post : s.own_posts) s.posts.push_back(post.view());
         break;
@@ -952,13 +924,12 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
       // The window keeps one whole regressor per sample for its slides:
       // one refit per copy, each an independent O(n³) Cholesky. The copies
       // share the sampler GP's inputs and distance cache, so the refits
-      // skip the O(n²·d) pairwise loop; the pool runs one shard per sample
-      // (no RNG involved, hence deterministic for any thread count).
+      // skip the O(n²·d) pairwise loop.
       warm_.gps.assign(samples.size(), gp);
-      pool().parallel_for(samples.size(), [&](std::size_t i) {
+      for (std::size_t i = 0; i < samples.size(); ++i) {
         gp::apply_hyperparams(warm_.gps[i], samples[i].theta, x, y,
                               noise_ratios);
-      });
+      }
       warm_.valid = true;
       warm_.rows = window_;
       warm_.chain_theta = samples.back().theta;
@@ -1022,66 +993,37 @@ void generate_candidate(std::size_t c, std::span<const double> inc_u,
 std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
   const std::size_t num_cands = options_.num_candidates;
 
-  // Random multistart (generate_candidate), streamed through each worker's
-  // ScoreBlock kBlockRows candidates at a time: nothing here scales with
-  // num_candidates, and the blocks persist across suggest() calls.
+  // Random multistart (generate_candidate), streamed through block_
+  // kBlockRows candidates at a time: nothing here scales with
+  // num_candidates, and the block persists across suggest() calls.
   //
   // Generation is sharded a FIXED number of ways: everything a generation
-  // shard does is a pure function of (base_seed, shard index) and each
-  // shard draws from its own Rng stream, so the candidate set is
-  // bitwise-identical for any thread count. Each worker takes a contiguous
-  // run of whole generation shards and keeps a running argmax; the serial
-  // merge below visits workers in candidate order with strict >, so the
-  // result is the lowest-index maximum over all candidates — the same
-  // winner for any thread count. A candidate's score does not depend on
-  // which block scored it (Surrogate::score_block).
+  // shard does is a pure function of (base_seed, shard index), and each
+  // shard draws from its own Rng stream. The running argmax is strict >,
+  // so the result is the lowest-index maximum over all candidates. A
+  // candidate's score does not depend on which block scored it
+  // (Surrogate::score_block).
   const BestResult incumbent = best();
   const std::vector<double> inc_u = space_.to_unit(incumbent.x);
   const std::uint64_t base_seed = rng_();
   constexpr std::size_t kGenShards = 16;
   const std::size_t gen_shards = std::min(kGenShards, num_cands);
-  const std::size_t threads = pool().num_threads();
-  const std::size_t workers = std::min(threads, gen_shards);
-  size_blocks(surrogate);
-  const auto shard_begin = [&](std::size_t g) {
-    return g * num_cands / gen_shards;
-  };
-  pool().parallel_for(workers, [&](std::size_t w) {
-    ScoreBlock& ws = score_blocks_[w];
-    const std::size_t g_begin = w * gen_shards / workers;
-    const std::size_t g_end = (w + 1) * gen_shards / workers;
-    const std::size_t lo = shard_begin(g_begin);
-    const std::size_t hi = shard_begin(g_end);
-    std::size_t filled = 0;
-    for (std::size_t g = g_begin; g < g_end; ++g) {
-      Rng rng = Rng::stream(base_seed, g);
-      for (std::size_t c = shard_begin(g); c < shard_begin(g + 1); ++c) {
-        if (filled == 0) Surrogate::poison(ws);
-        generate_candidate(c, inc_u, rng, ws.qt, filled);
-        if (++filled == kBlockRows || c + 1 == hi) {
-          surrogate.score_candidates(options_, ws, filled,
-                                     /*fresh=*/c + 1 - filled == lo);
-          filled = 0;
-        }
+  surrogate.size_block(block_, space_.dim());
+  std::size_t filled = 0;
+  for (std::size_t g = 0; g < gen_shards; ++g) {
+    Rng rng = Rng::stream(base_seed, g);
+    for (std::size_t c = g * num_cands / gen_shards;
+         c < (g + 1) * num_cands / gen_shards; ++c) {
+      if (filled == 0) Surrogate::poison(block_);
+      generate_candidate(c, inc_u, rng, block_.qt, filled);
+      if (++filled == kBlockRows || c + 1 == num_cands) {
+        surrogate.score_candidates(options_, block_, filled,
+                                   /*fresh=*/c + 1 == filled);
+        filled = 0;
       }
     }
-  });
-  std::size_t best_w = 0;
-  for (std::size_t w = 1; w < workers; ++w) {
-    if (score_blocks_[w].best_score > score_blocks_[best_w].best_score) {
-      best_w = w;
-    }
   }
-  return local_search(surrogate, score_blocks_[best_w].best_u,
-                      score_blocks_[best_w].best_score);
-}
-
-void BayesOpt::size_blocks(const Surrogate& surrogate) {
-  const std::size_t threads = pool().num_threads();
-  if (score_blocks_.size() < threads) score_blocks_.resize(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    surrogate.size_block(score_blocks_[w], space_.dim());
-  }
+  return local_search(surrogate, block_.best_u, block_.best_score);
 }
 
 void BayesOpt::start_local_search(const Surrogate& surrogate,
@@ -1091,7 +1033,7 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   const std::size_t num_nb = 2 * d;
   const std::size_t num_posts = surrogate.posts.size();
   LocalSearch& ls = local_;
-  ls.bounded = surrogate.bounds_neighbors(options_, pool().num_threads());
+  ls.bounded = surrogate.bounds_neighbors(options_);
   ls.base.resize(surrogate.shares_distances() ? n : 0);
   ls.bound.assign(num_nb, kInf);
   ls.score.resize(num_nb);
@@ -1130,10 +1072,9 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   ls.scratch.resize(6 * n);
 }
 
-std::size_t BayesOpt::bound_slice(const Surrogate& surrogate,
-                                  std::span<const double> cur, double step,
-                                  std::size_t lo, std::size_t hi,
-                                  double best_val) {
+std::size_t BayesOpt::order_by_bound(const Surrogate& surrogate,
+                                     std::span<const double> cur, double step,
+                                     double best_val) {
   LocalSearch& ls = local_;
   const std::size_t num_nb = ls.bound.size();
   if (ls.bounded) {
@@ -1152,13 +1093,12 @@ std::size_t BayesOpt::bound_slice(const Surrogate& surrogate,
     for (std::size_t s = 0; s < num_posts; ++s) {
       surrogate.neighbor_bounds(options_, surrogate.posts[s], ls.terms[s],
                                 ls.sums.data() + 6 * d * s, ls.eps, cur, step,
-                                lo, hi, ls.acq.data() + num_nb * s,
-                                ls.var.data());
+                                ls.acq.data() + num_nb * s, ls.var.data());
     }
     // score_block's average, in its order: rounding is monotone, so the
     // average of the bounds bounds the exact average.
     const double inv = 1.0 / static_cast<double>(num_posts);
-    for (std::size_t r = lo; r < hi; ++r) {
+    for (std::size_t r = 0; r < num_nb; ++r) {
       double acc = 0.0;
       for (std::size_t s = 0; s < num_posts; ++s) {
         acc += ls.acq[num_nb * s + r];
@@ -1169,21 +1109,21 @@ std::size_t BayesOpt::bound_slice(const Surrogate& surrogate,
   }
   // No T is below best_val, so a neighbour whose bound is below it is never
   // scored: only the rest are sorted.
-  const auto first = ls.order.begin() + static_cast<std::ptrdiff_t>(lo);
   const auto cut =
-      std::partition(first, ls.order.begin() + static_cast<std::ptrdiff_t>(hi),
+      std::partition(ls.order.begin(), ls.order.end(),
                      [&](std::size_t r) { return ls.bound[r] >= best_val; });
-  std::sort(first, cut, [&](std::size_t a, std::size_t b) {
+  std::sort(ls.order.begin(), cut, [&](std::size_t a, std::size_t b) {
     return ls.bound[a] > ls.bound[b] || (ls.bound[a] == ls.bound[b] && a < b);
   });
   return static_cast<std::size_t>(cut - ls.order.begin());
 }
 
-double BayesOpt::score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+double BayesOpt::score_in_order(const Surrogate& surrogate,
                                 std::span<const double> cur, double step,
                                 std::size_t lo, std::size_t hi,
                                 double threshold) {
   LocalSearch& ls = local_;
+  ScoreBlock& ws = block_;
   const std::size_t m = hi - lo;
   const std::size_t num_nb = ls.bound.size();
   Surrogate::poison(ws);
@@ -1207,39 +1147,27 @@ double BayesOpt::score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
   return best;
 }
 
-void BayesOpt::search_slice(const Surrogate& surrogate, ScoreBlock& ws,
-                            std::span<const double> cur, double step,
-                            std::size_t lo, std::size_t hi, double best_val) {
+void BayesOpt::search_neighbors(const Surrogate& surrogate,
+                                std::span<const double> cur, double step,
+                                double best_val) {
   LocalSearch& ls = local_;
-  const std::size_t cut = bound_slice(surrogate, cur, step, lo, hi, best_val);
+  const std::size_t cut = order_by_bound(surrogate, cur, step, best_val);
   // A first small round lifts T before the rest; +∞ bounds (all of them
   // scored anyway) go a whole block at a time. Each round's survivors are
   // scored progressively against the T it started with.
   double threshold = best_val;
-  std::size_t next = lo;
+  std::size_t next = 0;
   std::size_t batch =
-      ls.bound[ls.order[lo]] < kInf ? kFirstNeighbors : kBlockRows;
+      ls.bound[ls.order[0]] < kInf ? kFirstNeighbors : kBlockRows;
   while (next < cut && ls.bound[ls.order[next]] >= threshold) {
     std::size_t end = next;
     const std::size_t cap = std::min(cut, next + batch);
     while (end < cap && ls.bound[ls.order[end]] >= threshold) ++end;
-    threshold = std::max(threshold, score_in_order(surrogate, ws, cur, step,
-                                                   next, end, threshold));
+    threshold = std::max(
+        threshold, score_in_order(surrogate, cur, step, next, end, threshold));
     next = end;
     batch = kBlockRows;
   }
-}
-
-void BayesOpt::for_each_slice(
-    const std::function<void(ScoreBlock&, std::size_t, std::size_t)>& body) {
-  // Contiguous slices of at least kFirstNeighbors neighbours, one per
-  // worker.
-  const std::size_t num_nb = local_.order.size();
-  const std::size_t slices = std::min(
-      pool().num_threads(), (num_nb + kFirstNeighbors - 1) / kFirstNeighbors);
-  pool().parallel_for(slices, [&](std::size_t w) {
-    body(score_blocks_[w], w * num_nb / slices, (w + 1) * num_nb / slices);
-  });
 }
 
 void BayesOpt::start_iteration(const Surrogate& surrogate,
@@ -1256,13 +1184,12 @@ void BayesOpt::start_iteration(const Surrogate& surrogate,
 
 void BayesOpt::score_all_neighbors(const Surrogate& surrogate,
                                    std::span<const double> cur, double step) {
+  const std::size_t num_nb = local_.order.size();
   std::iota(local_.order.begin(), local_.order.end(), std::size_t{0});
-  for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
-    for (std::size_t b = lo; b < hi; b += kBlockRows) {
-      score_in_order(surrogate, ws, cur, step, b, std::min(hi, b + kBlockRows),
-                     -kInf);
-    }
-  });
+  for (std::size_t b = 0; b < num_nb; b += kBlockRows) {
+    score_in_order(surrogate, cur, step, b, std::min(num_nb, b + kBlockRows),
+                   -kInf);
+  }
 }
 
 std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
@@ -1270,13 +1197,12 @@ std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
                                            double best_val) {
   // Each iteration moves to the best strict improvement among the 2d
   // coordinate neighbours of the current point, or halves the step. Each
-  // worker takes a contiguous slice of the neighbours (one slice at one
-  // thread) and gives each an upper bound on its score (bound_slice, +∞
-  // where none exists). It then scores its slice exactly in
-  // descending-bound order until the next bound falls below T =
-  // max(best_val, best exact score of the slice so far), one posterior at
-  // a time, dropping a neighbour once its partial score plus its
-  // remaining bounds falls below T (Surrogate::score_block). An unscored
+  // neighbour gets an upper bound on its score (order_by_bound, +∞ where
+  // none exists); they are then scored exactly in descending-bound order
+  // until the next bound falls below T = max(best_val, best exact score
+  // so far), one posterior at a time, dropping a neighbour once its
+  // partial score plus its remaining bounds falls below T
+  // (Surrogate::score_block). An unscored
   // or dropped neighbour's score is then below a scored one's or below
   // best_val, so it could neither win the argmax, tie with its winner nor
   // be accepted: the move, the halving and every output bit are the
@@ -1287,9 +1213,7 @@ std::vector<double> BayesOpt::local_search(const Surrogate& surrogate,
   start_local_search(surrogate, cur);
   for (std::size_t it = 0; it < options_.local_search_iters; ++it) {
     start_iteration(surrogate, cur, step);
-    for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
-      search_slice(surrogate, ws, cur, step, lo, hi, best_val);
-    });
+    search_neighbors(surrogate, cur, step, best_val);
     const std::size_t idx = argmax_index(ls.score);
 #ifdef STORMTUNE_CHECKED
     // Score every neighbour as the unpruned search did: each exact score
@@ -1333,12 +1257,10 @@ BayesOpt::NeighborScores BayesOpt::neighbor_scores(
                     "BayesOpt::neighbor_scores: size mismatch");
   Surrogate surrogate;
   fit_surrogate(surrogate);
-  size_blocks(surrogate);
+  surrogate.size_block(block_, space_.dim());
   start_local_search(surrogate, centre);
   start_iteration(surrogate, centre, step);
-  for_each_slice([&](ScoreBlock& ws, std::size_t lo, std::size_t hi) {
-    search_slice(surrogate, ws, centre, step, lo, hi, best_val);
-  });
+  search_neighbors(surrogate, centre, step, best_val);
   NeighborScores out{local_.bound, {}, local_.score};
   score_all_neighbors(surrogate, centre, step);
   out.exact = local_.score;

@@ -10,9 +10,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -21,7 +19,6 @@
 #include "bayesopt/param_space.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/hyper.hpp"
 
@@ -86,10 +83,11 @@ struct BayesOptOptions {
   /// the window slid, so this can be much smaller than hyper_burn_in.
   std::size_t hyper_burn_in_warm = 5;
   std::uint64_t seed = 42;
-  /// Threads for candidate scoring and per-sample GP refits; 0 = auto
-  /// (ThreadPool::default_thread_count()). suggest() output is
-  /// bitwise-identical for any value: work is sharded statically and every
-  /// shard draws from its own Rng stream (see thread_pool.hpp).
+  /// Ignored: suggest() runs on the calling thread, and campaigns run in
+  /// parallel on a StrandPool instead. The field stays only because the
+  /// end-to-end benchmark's campaign set-up still assigns it; it goes once
+  /// that code stops. Nothing reads it, to_json() does not write it, and
+  /// from_json() skips it in old state files.
   std::size_t num_threads = 0;
 
   Json to_json() const;
@@ -133,7 +131,7 @@ class BayesOpt {
   /// is the rung-2 promotion threshold in raw target units (the ladder's
   /// challenge_fraction × incumbent) and Φ((μ−t)/σ) is the GP's probability
   /// that the candidate is promoted to a full run. Pure per-candidate
-  /// arithmetic — determinism and thread-count invariance are unaffected.
+  /// arithmetic — determinism is unaffected.
   /// `cost_rung1_ms <= 0` disables the division (the default). Runtime
   /// state: not serialized by save_state (costs are re-measured on resume).
   void set_acquisition_costs(double cost_rung1_ms, double cost_rung2_ms,
@@ -165,12 +163,11 @@ class BayesOpt {
 
   /// What the local search knows of the coordinate neighbours of the
   /// unit-space point `centre` at `step` (DESIGN.md §8, "Bounded local
-  /// search"): each one's bound (+∞ where none exists, as with more than
-  /// one thread), its exact score, and what one search iteration that
-  /// must beat `best_val` scored (−∞ where it scored nothing: pruned by
-  /// its bound or dropped by progressive scoring), neighbour r moving
-  /// coordinate r/2 up (r even) or down. Fits the surrogate as suggest()
-  /// does; for tests of the bound.
+  /// search"): each one's bound (+∞ where none exists), its exact score,
+  /// and what one search iteration that must beat `best_val` scored (−∞
+  /// where it scored nothing: pruned by its bound or dropped by progressive
+  /// scoring), neighbour r moving coordinate r/2 up (r even) or down. Fits
+  /// the surrogate as suggest() does; for tests of the bound.
   struct NeighborScores {
     std::vector<double> bound, exact, searched;
   };
@@ -196,8 +193,6 @@ class BayesOpt {
   std::vector<double> local_search(const Surrogate& surrogate,
                                    std::vector<double> best_u,
                                    double best_val);
-  /// Size one ScoreBlock per pool worker for `surrogate`.
-  void size_blocks(const Surrogate& surrogate);
   /// The local search's per-suggest set-up, `cur` its first centre.
   void start_local_search(const Surrogate& surrogate,
                           std::span<const double> cur);
@@ -206,28 +201,24 @@ class BayesOpt {
   /// −∞, and the step's geometry.
   void start_iteration(const Surrogate& surrogate,
                        std::span<const double> cur, double step);
-  /// body(block, lo, hi) for each worker's contiguous slice [lo, hi) of the
-  /// neighbours, in parallel.
-  void for_each_slice(
-      const std::function<void(ScoreBlock&, std::size_t, std::size_t)>& body);
-  /// Bounds of neighbours [lo, hi) at centre `cur` and `step` into
+  /// Bounds of every neighbour of centre `cur` at `step` into
   /// local_.bound (+∞ throughout where none exists) and, where they
   /// exist, each posterior's term of them into local_.acq. Reorders
-  /// local_.order[lo, hi) so that the neighbours whose bound reaches
-  /// `best_val` come first, by descending bound, ties by index, and
-  /// returns where they end.
-  std::size_t bound_slice(const Surrogate& surrogate,
-                          std::span<const double> cur, double step,
-                          std::size_t lo, std::size_t hi, double best_val);
-  /// One iteration's work on slice [lo, hi): bound it, then score in
+  /// local_.order so that the neighbours whose bound reaches `best_val`
+  /// come first, by descending bound, ties by index, and returns where
+  /// they end.
+  std::size_t order_by_bound(const Surrogate& surrogate,
+                             std::span<const double> cur, double step,
+                             double best_val);
+  /// One iteration's work: bound the neighbours, then score them in
   /// descending-bound order while a bound reaches max(best_val, best score).
-  void search_slice(const Surrogate& surrogate, ScoreBlock& ws,
-                    std::span<const double> cur, double step, std::size_t lo,
-                    std::size_t hi, double best_val);
+  void search_neighbors(const Surrogate& surrogate,
+                        std::span<const double> cur, double step,
+                        double best_val);
   /// Exact scores of neighbours local_.order[lo, hi) into local_.score,
   /// each dropped (left −∞) once its score cannot reach `threshold`;
   /// hi − lo ≤ kBlockRows. Returns the best score, −∞ if all dropped.
-  double score_in_order(const Surrogate& surrogate, ScoreBlock& ws,
+  double score_in_order(const Surrogate& surrogate,
                         std::span<const double> cur, double step,
                         std::size_t lo, std::size_t hi, double threshold);
   /// Exact scores of every neighbour (local_.order becomes the identity).
@@ -272,14 +263,6 @@ class BayesOpt {
   /// observe() replay rebuilds the identical window.
   std::vector<std::size_t> window_;
   std::size_t evictions_ = 0;
-  /// Lazily constructed on the first suggest() that needs it, so that the
-  /// multi-campaign scheduler can hold thousands of idle optimizers (each
-  /// pinned to num_threads = 1, whose pool owns no threads at all) without
-  /// spawning a worker set per instance. Instances never share a pool —
-  /// suggest() state is per-instance, so distinct optimizers are safe to
-  /// drive concurrently from different scheduler workers.
-  ThreadPool& pool();
-  std::unique_ptr<ThreadPool> pool_;
   // kFixed-mode surrogate, kept across suggest() calls so a single new
   // observation is an O(n²) Cholesky rank-grow instead of an O(n³) refit.
   // With a bounded window the same object also absorbs evictions through
@@ -320,12 +303,13 @@ class BayesOpt {
     double mean_slack = 0.0;  // rounding allowances
     double var_slack = 0.0;
   };
-  /// One scoring worker's candidate block and the buffers that score it,
-  /// kept across suggest() calls (one per pool worker). The acquisition
-  /// search streams candidates through them a fixed block of rows at a
-  /// time, so their size never scales with num_candidates, and scoring
-  /// allocates only when the history outgrows the n-row blocks (DESIGN.md
-  /// §8, "Batched prediction").
+  /// The candidate block and the buffers that score it, kept across
+  /// suggest() calls. The acquisition search streams candidates through
+  /// them a fixed block of rows at a time, so their size never scales with
+  /// num_candidates, and scoring allocates only when the history outgrows
+  /// the n-row blocks (DESIGN.md §8, "Batched prediction"). suggest() state
+  /// is per-instance, so distinct optimizers are safe to drive
+  /// concurrently from different scheduler workers.
   struct ScoreBlock {
     Matrix qt;                // block candidates transposed: dim rows
     Matrix q;                 // ARD only: the same candidates row-major
@@ -339,11 +323,11 @@ class BayesOpt {
     /// column holds once dropped columns have been compacted out.
     std::vector<double> bounds;
     std::vector<std::size_t> ids;
-    // This worker's best multistart candidate so far.
+    // The best multistart candidate so far.
     double best_score = 0.0;
     std::vector<double> best_u;
   };
-  std::vector<ScoreBlock> score_blocks_;
+  ScoreBlock block_;
   /// The local search's buffers, kept across suggest() calls.
   struct LocalSearch {
     bool bounded = false;  // Surrogate::bounds_neighbors

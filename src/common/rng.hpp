@@ -23,10 +23,10 @@ namespace stormtune {
 /// sharing an Rng would interleave cached and fresh draws in a
 /// timing-dependent order, making results *silently* nondeterministic even
 /// if the state words were atomic. Never share an Rng across threads.
-/// Thread-pool shards must each take their own stream via Rng::stream(seed,
-/// shard_index), which derives independent, reproducible generators from the
-/// same master seed (this is the contract ThreadPool's determinism rests
-/// on — see thread_pool.hpp).
+/// Independent work takes its own stream via Rng::stream(seed, index),
+/// which derives independent, reproducible generators from the same master
+/// seed: the acquisition search's fixed candidate-generation shards each
+/// draw from one, so a shard's draws depend only on its index.
 class Rng {
  public:
   using result_type = std::uint64_t;

@@ -1,62 +1,16 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
+#include <thread>
 
 #include "common/error.hpp"
 #include "common/check.hpp"
 
 namespace stormtune {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  STORMTUNE_REQUIRE(num_threads >= 1, "ThreadPool: need at least one thread");
-  workers_.reserve(num_threads - 1);
-  for (std::size_t w = 1; w < num_threads; ++w) {
-    workers_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (auto& t : workers_) t.join();
-}
-
-std::size_t ThreadPool::default_thread_count() {
+std::size_t default_thread_count() {
   const std::size_t hw = std::thread::hardware_concurrency();
   return std::max<std::size_t>(1, std::min<std::size_t>(8, hw));
-}
-
-void ThreadPool::run_partition(std::size_t worker_id) {
-  const std::size_t stride = num_threads();
-  for (std::size_t s = worker_id; s < num_shards_; s += stride) {
-    try {
-      (*body_)(s);
-    } catch (...) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-  }
-}
-
-void ThreadPool::worker_loop(std::size_t worker_id) {
-  std::uint64_t seen = 0;
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lk(mutex_);
-      work_cv_.wait(lk, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-    }
-    run_partition(worker_id);
-    {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++workers_done_;
-    }
-    done_cv_.notify_one();
-  }
 }
 
 StrandPool::StrandPool(std::size_t num_threads)
@@ -176,43 +130,6 @@ void StrandPool::run(const std::vector<Strand*>& strands) {
   }
   worker_loop(0);  // the caller participates as worker 0
   for (auto& t : workers) t.join();
-  if (first_error_) {
-    std::exception_ptr err = first_error_;
-    first_error_ = nullptr;
-    std::rethrow_exception(err);
-  }
-}
-
-void ThreadPool::parallel_for(std::size_t num_shards,
-                              const std::function<void(std::size_t)>& body) {
-  if (num_shards == 0) return;
-  if (workers_.empty()) {
-    // Single-thread pool: run inline with the same run-everything-then-throw
-    // semantics as the threaded path.
-    std::exception_ptr err;
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      try {
-        body(s);
-      } catch (...) {
-        if (!err) err = std::current_exception();
-      }
-    }
-    if (err) std::rethrow_exception(err);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    body_ = &body;
-    num_shards_ = num_shards;
-    workers_done_ = 0;
-    first_error_ = nullptr;
-    ++generation_;
-  }
-  work_cv_.notify_all();
-  run_partition(0);  // the caller participates as worker 0
-  std::unique_lock<std::mutex> lk(mutex_);
-  done_cv_.wait(lk, [&] { return workers_done_ == workers_.size(); });
-  body_ = nullptr;
   if (first_error_) {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;

@@ -1,32 +1,11 @@
-// Thread pools for deterministic parallel work.
-//
-// Two execution models live here:
-//
-//  * ThreadPool — static partitioning for data-parallel numerics (the BO
-//    suggest loop). Work is `num_shards` independent shards; shard s runs
-//    on worker s % workers, so there is no scheduling nondeterminism.
-//  * StrandPool — dynamic scheduling for many independent *sequential*
-//    jobs (the multi-campaign scheduler). Work is a set of resumable
-//    strands multiplexed over per-worker steal deques; scheduling IS
-//    nondeterministic, and determinism of results comes from a stronger
-//    property of the work itself: each strand owns all the state it
-//    touches, so WHAT a step computes never depends on which worker runs
-//    it or when.
-//
-// ThreadPool design contract (see DESIGN.md "Performance architecture"):
-//  * The shard count is chosen by the CALLER and must not depend on the
-//    thread count; each shard writes only to its own output slot (and
-//    draws only from its own Rng stream, via Rng::stream).
-//  * Shards are partitioned statically across workers (shard % workers), so
-//    there is no work-stealing and no scheduling nondeterminism to reason
-//    about. Because every shard's computation is a pure function of the
-//    shard index, results are bitwise-identical for 1, 2, or N threads.
-//  * parallel_for blocks until every shard has run. The first exception
-//    thrown by a shard is captured and rethrown on the calling thread after
-//    all workers have quiesced.
-//
-// A pool of size 1 owns no threads at all and runs shards inline on the
-// caller — the zero-overhead configuration for single-core hosts.
+// StrandPool: dynamic scheduling for many independent *sequential* jobs
+// (the multi-campaign scheduler, and a campaign's passes). Work is a set
+// of resumable strands multiplexed over per-worker steal deques;
+// scheduling IS nondeterministic, and determinism of results comes from a
+// stronger property of the work itself: each strand owns all the state it
+// touches, so WHAT a step computes never depends on which worker runs it
+// or when. Parallelism lives at this level only: a strand's optimizer
+// suggests on the worker thread that steps it.
 #pragma once
 
 #include <atomic>
@@ -35,49 +14,14 @@
 #include <cstdint>
 #include <deque>
 #include <exception>
-#include <functional>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace stormtune {
 
-class ThreadPool {
- public:
-  /// `num_threads` counts the calling thread: a pool of size T spawns T-1
-  /// workers and the caller executes its own share of shards.
-  explicit ThreadPool(std::size_t num_threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  std::size_t num_threads() const { return workers_.size() + 1; }
-
-  /// Run body(shard) for every shard in [0, num_shards), blocking until all
-  /// complete. Not reentrant: body must not call parallel_for on this pool.
-  void parallel_for(std::size_t num_shards,
-                    const std::function<void(std::size_t)>& body);
-
-  /// min(hardware_concurrency, 8), at least 1 — the default sizing used when
-  /// callers pass "auto" (0) for a thread-count option.
-  static std::size_t default_thread_count();
-
- private:
-  void worker_loop(std::size_t worker_id);
-  void run_partition(std::size_t worker_id);
-
-  std::vector<std::thread> workers_;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;   // workers wait here for a new job
-  std::condition_variable done_cv_;   // caller waits here for completion
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t num_shards_ = 0;
-  std::uint64_t generation_ = 0;      // bumped per job, workers sync on it
-  std::size_t workers_done_ = 0;
-  std::exception_ptr first_error_;
-  bool shutdown_ = false;
-};
+/// min(hardware_concurrency, 8), at least 1 — the default sizing used when
+/// callers pass "auto" (0) for a StrandPool width.
+std::size_t default_thread_count();
 
 /// A resumable unit of sequential work, scheduled by StrandPool.
 ///
@@ -105,8 +49,8 @@ class Strand {
   virtual int steal_preference() const { return 0; }
 };
 
-/// Dynamic work-stealing companion to ThreadPool for many independent
-/// sequential jobs of uneven, unpredictable length.
+/// Dynamic work-stealing pool for many independent sequential jobs of
+/// uneven, unpredictable length.
 ///
 ///  * Each worker owns a deque. run() seeds strand i into deque i % T in
 ///    submission order, then every worker loops: pop the NEWEST entry of
@@ -127,9 +71,9 @@ class Strand {
 /// of its own state — the contract the campaign scheduler's strands
 /// satisfy by owning their tuner, objective, and RNG streams outright.
 ///
-/// Like ThreadPool, `num_threads` counts the caller: a pool of size T
-/// spawns T-1 workers during run() and the caller participates as worker
-/// 0. A pool of size 1 runs every strand inline.
+/// `num_threads` counts the caller: a pool of size T spawns T-1 workers
+/// during run() and the caller participates as worker 0. A pool of size 1
+/// runs every strand inline.
 class StrandPool {
  public:
   explicit StrandPool(std::size_t num_threads);

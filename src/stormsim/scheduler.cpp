@@ -103,10 +103,12 @@ void assign_tasks_into(const Topology& topology, const std::vector<int>& hints,
       std::vector<std::size_t>& order = scratch.order;
       order.resize(num_topology_tasks);
       std::iota(order.begin(), order.end(), 0);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) {
-                         return task_load[x] > task_load[y];
-                       });
+      // In place, heaviest first and equal loads by task index: the order a
+      // stable sort of the identity gives, without its temporary buffer.
+      std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+        return task_load[x] > task_load[y] ||
+               (task_load[x] == task_load[y] && x < y);
+      });
       std::vector<double>& worker_load = scratch.worker_load;
       std::vector<std::size_t>& worker_tasks = scratch.worker_tasks;
       worker_load.assign(num_workers, 0.0);

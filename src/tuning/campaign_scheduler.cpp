@@ -243,7 +243,7 @@ std::uint64_t run_passes(std::vector<CampaignState>& campaigns,
       strands.push_back(owned.back().get());
     }
   }
-  StrandPool pool(threads > 0 ? threads : ThreadPool::default_thread_count());
+  StrandPool pool(threads > 0 ? threads : default_thread_count());
   pool.run(strands);
   return pool.steal_count();
 }

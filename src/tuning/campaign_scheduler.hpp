@@ -46,7 +46,7 @@
 namespace stormtune::tuning {
 
 struct CampaignSchedulerOptions {
-  /// Worker threads, caller included. 0 = ThreadPool::default_thread_count.
+  /// Worker threads, caller included. 0 = default_thread_count.
   std::size_t num_threads = 1;
 };
 

@@ -77,7 +77,7 @@ struct CampaignSpec {
 
 /// Run every pass of `spec` (one run_experiment each, on its own tuner and
 /// objective) over a StrandPool of `threads` workers, the caller included
-/// (0 = ThreadPool::default_thread_count), and return the pass whose
+/// (0 = default_thread_count), and return the pass whose
 /// repetition mean is highest (best single measurement when reps are off;
 /// ties keep the earlier pass). All passes are appended to `all_passes`
 /// when non-null. The result is bit-identical for any thread count.

@@ -63,7 +63,7 @@ TEST(BayesOpt, SuggestsWithinBounds) {
 
 /// bo100-large's optimizer: 101 hints, five slice-sampled GPs, 512
 /// candidates, holding `n` random observations.
-BayesOpt bo100_shaped(std::size_t n, std::size_t threads) {
+BayesOpt bo100_shaped(std::size_t n) {
   std::vector<ParamSpec> specs;
   for (int i = 0; i < 101; ++i) {
     specs.push_back(ParamSpec::integer("h" + std::to_string(i), 1, 20));
@@ -72,7 +72,6 @@ BayesOpt bo100_shaped(std::size_t n, std::size_t threads) {
   o.hyper_mode = HyperMode::kSliceSample;
   o.hyper_samples = 5;
   o.num_candidates = 512;
-  o.num_threads = threads;
   o.seed = 11;
   BayesOpt opt(ParamSpace(specs), o);
   Rng rng(12);
@@ -84,15 +83,15 @@ BayesOpt bo100_shaped(std::size_t n, std::size_t threads) {
 }
 
 TEST(BayesOpt, RepeatedSuggestMakesNoLargeAllocations) {
-  // The acquisition search streams candidates through per-worker blocks
-  // that live across suggest() calls, so once they are sized a suggest at
+  // The acquisition search streams candidates through a block that lives
+  // across suggest() calls, so once they are sized a suggest at
   // the same history length allocates nothing of 64 KiB or more — no
   // candidate matrix, distance, solve or neighbour block. This pins those
   // blocks at n = 40, where every fit buffer (the inputs, distance cache,
   // correlation matrix, factor and each sample's posterior) is still under
   // 64 KiB; at bo100-large's n = 100 the fit buffers are that large, and
   // RepeatedSuggestFootprintAtBo100Shape bounds their sum instead.
-  BayesOpt opt = bo100_shaped(40, 1);
+  BayesOpt opt = bo100_shaped(40);
   const ParamValues first = opt.suggest();
   const std::size_t before = testprobe::large_new_call_count();
   const ParamValues again = opt.suggest();
@@ -105,28 +104,13 @@ TEST(BayesOpt, RepeatedSuggestFootprintAtBo100Shape) {
   // distance cache, correlation matrix and factor) plus one posterior —
   // the factor's lower rows and α — per hyper sample, about 1 MB. Five
   // whole GP copies, one per sample, took it to 2.7 MB.
-  BayesOpt opt = bo100_shaped(100, 1);
+  BayesOpt opt = bo100_shaped(100);
   const ParamValues first = opt.suggest();
   const std::size_t before = testprobe::new_byte_count();
   const ParamValues again = opt.suggest();
   const std::size_t bytes = testprobe::new_byte_count() - before;
   EXPECT_LE(bytes, 1200u * 1000u) << bytes << " bytes allocated";
   EXPECT_EQ(again.size(), first.size());
-}
-
-TEST(BayesOpt, FiveSampleSuggestIdenticalAtOneAndFourThreads) {
-  // With four pool threads the four refits after the chain's final sample
-  // run on the sampler GP and three copies of it; the posteriors, and so
-  // the proposal, must be the bits of the single-threaded in-place refits.
-  BayesOpt one = bo100_shaped(30, 1);
-  BayesOpt four = bo100_shaped(30, 4);
-  for (int step = 0; step < 2; ++step) {
-    const ParamValues a = one.suggest();
-    const ParamValues b = four.suggest();
-    ASSERT_EQ(a, b) << "diverged at step " << step;
-    one.observe(a, 0.5 * step);
-    four.observe(b, 0.5 * step);
-  }
 }
 
 TEST(BayesOpt, BestTracksMaximum) {
@@ -253,8 +237,15 @@ TEST(BayesOpt, StateRoundTripPreservesHistory) {
   EXPECT_EQ(resumed.num_observations(), opt.num_observations());
   EXPECT_DOUBLE_EQ(resumed.best().y, opt.best().y);
   EXPECT_EQ(resumed.best().step, opt.best().step);
+  // States saved while suggest had a thread pool carry its width; the key
+  // is ignored, so such a state resumes to the same suggestion.
+  EXPECT_FALSE(state.at("options").contains("num_threads"));
+  Json pooled = state;
+  pooled["options"]["num_threads"] = 4;
+  BayesOpt resumed_pooled = BayesOpt::load_state(pooled);
   // Resumed optimizer keeps working.
   const ParamValues x = resumed.suggest();
+  EXPECT_EQ(resumed_pooled.suggest(), x);
   resumed.observe(x, neg_branin(x[0], x[1]));
   EXPECT_EQ(resumed.num_observations(), opt.num_observations() + 1);
 }
@@ -479,7 +470,6 @@ TEST(BayesOpt, NeighborBoundsCoverExactScores) {
         o.hyper_mode = setup.mode;
         o.hyper_samples = 5;
         o.hyper_burn_in = 4;
-        o.num_threads = 1;
         o.seed = 97;
         if (setup.noise_diag) o.rung_noise_variance = {0.0, 4e-3, 1e-3};
         BayesOpt opt(space, o);
@@ -525,7 +515,7 @@ TEST(BayesOpt, NeighborBoundsCoverExactScores) {
   // bo100-large's shape: Matérn-5/2 at d = 101 and n = 40, where k' comes
   // from the transform's output and κ from one batched exp, over 5
   // slice-sampled posteriors and with the fused sweep's strips and tail.
-  BayesOpt opt = bo100_shaped(40, 1);
+  BayesOpt opt = bo100_shaped(40);
   Rng rng(41);
   std::vector<std::vector<double>> centres = {
       opt.space().to_unit(opt.observations()[7].x),
@@ -558,8 +548,8 @@ TEST(BayesOpt, NeighborBoundsCoverExactScores) {
 // it must be dropped partway, and the search must still halve as the
 // unpruned one does.
 TEST(BayesOpt, ProgressiveScoringDropsSurvivorsMidPosterior) {
-  BayesOpt probe = bo100_shaped(40, 1);
-  BayesOpt search = bo100_shaped(40, 1);
+  BayesOpt probe = bo100_shaped(40);
+  BayesOpt search = bo100_shaped(40);
   Rng rng(43);
   std::size_t dropped = 0;
   for (int trial = 0; trial < 4; ++trial) {
@@ -593,14 +583,12 @@ TEST(BayesOpt, ProgressiveScoringDropsSurvivorsMidPosterior) {
 // Where no bound exists, every neighbour's is +∞ and the search scores all
 // of them: probability of improvement (which falls as σ² grows below the
 // incumbent, so a σ² bound does not bound it), the cost-aware divisor, ARD
-// posteriors, a history too short to repay the bound and a pool of more
-// than one thread.
+// posteriors and a history too short to repay the bound.
 TEST(BayesOpt, NeighborBoundsInfiniteWhereUnsupported) {
   // Variant 4 is the control: the same history with nothing unsupported
   // gets finite bounds.
-  for (int variant = 0; variant < 6; ++variant) {
+  for (int variant = 0; variant < 5; ++variant) {
     BayesOptOptions o = fast_options(23);
-    o.num_threads = variant == 5 ? 2 : 1;
     if (variant == 0) o.acquisition = AcquisitionKind::kProbabilityOfImprovement;
     if (variant == 2) o.ard = true;
     BayesOpt opt(branin_space(), o);

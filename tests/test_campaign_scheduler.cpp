@@ -196,7 +196,6 @@ TEST(CampaignScheduler, BayesOptCampaignsMatchSoloRuns) {
                        base](std::size_t pass) -> std::unique_ptr<Tuner> {
       bo::BayesOptOptions bopts;
       bopts.seed = base * 7919 + pass;
-      bopts.num_threads = 1;  // campaigns are the parallelism here
       return std::make_unique<BayesTuner>(ConfigSpace(t, sopts, defaults),
                                           bopts);
     };
@@ -479,7 +478,6 @@ TEST(CampaignScheduler, ReplayedRepetitionsMatchSimulatedOnes) {
         lc.space = sopts;
         lc.defaults = defaults;
         lc.bo.seed = c.seed;
-        lc.bo.num_threads = 1;
         lc.bo.hyper_mode = bo::HyperMode::kFixed;
         lc.objective_seed = c.seed;  // pass 0's rung-2 seed
         auto factories = LadderCampaignFactories::create(std::move(lc));

@@ -713,18 +713,24 @@ TEST(EngineGolden, ReusedWorkspaceReachesZeroSteadyStateAllocations) {
   }
   const auto cases = golden_cases();
   const Case& c = cases[2];  // medium/h6: the mid-sized workload
-  sim::Simulator simulator;
-  for (int warm = 0; warm < 2; ++warm) {
-    simulator.run(c.topology, c.config, c.cluster, c.params, c.seed);
+  // The default round-robin placement, then load-aware placement, whose
+  // task ordering must sort in place too.
+  sim::SimParams load_aware = c.params;
+  load_aware.scheduler = sim::SchedulerPolicy::kLoadAware;
+  for (const sim::SimParams& params : {c.params, load_aware}) {
+    sim::Simulator simulator;
+    for (int warm = 0; warm < 2; ++warm) {
+      simulator.run(c.topology, c.config, c.cluster, params, c.seed);
+    }
+    const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
+    for (int rep = 0; rep < 3; ++rep) {
+      simulator.run(c.topology, c.config, c.cluster, params, c.seed);
+    }
+    const std::size_t after = g_new_calls.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state simulator runs allocated " << (after - before)
+        << " times (scheduler " << static_cast<int>(params.scheduler) << ")";
   }
-  const std::size_t before = g_new_calls.load(std::memory_order_relaxed);
-  for (int rep = 0; rep < 3; ++rep) {
-    simulator.run(c.topology, c.config, c.cluster, c.params, c.seed);
-  }
-  const std::size_t after = g_new_calls.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "steady-state simulator runs allocated " << (after - before)
-      << " times";
 }
 
 TEST(EngineGolden, FluidWorkspaceReachesZeroSteadyStateAllocations) {

@@ -127,7 +127,6 @@ TEST(RunExperiment, SameInputsGiveByteIdenticalJson) {
   const auto run = [&] {
     bo::BayesOptOptions bopts;
     bopts.seed = 17;
-    bopts.num_threads = 1;
     BayesTuner tuner(ConfigSpace(t, sopts, defaults), bopts);
     SimObjective obj(t, cluster, params, 23);
     return experiment_to_json(run_experiment(tuner, obj, opts)).dump();

@@ -364,7 +364,6 @@ TEST(FidelityLadder, TracksFullFidelityCampaignsOnPaperTopologies) {
     protocol.best_config_reps = 2;
     bo::BayesOptOptions bopts;
     bopts.seed = kSeed;
-    bopts.num_threads = 1;
     bopts.hyper_mode = bo::HyperMode::kFixed;
     BayesTuner full_tuner(ConfigSpace(w.topology, w.space, w.defaults),
                           bopts, "bo");

@@ -736,5 +736,121 @@ TEST(IsaDispatch, SuggestGoldenD101PortablePath) {
   }
 }
 
+// 60 real parameters, three slice-sampled posteriors and 20 observations:
+// the local search bounds its 120 neighbours and scores only those whose
+// bound can win. The golden is the unpruned search's trajectory (it was
+// captured while a four-thread suggest scored every neighbour), so a prune
+// that changed a move, a halving or an argmax tie fails it.
+TEST(IsaDispatch, SuggestGoldenD60MatchesUnprunedSearch) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
+#endif
+  const ScopedIsa pin(isa::Path::kPortable);
+  constexpr std::size_t kDims = 60;
+  std::vector<bo::ParamSpec> specs;
+  for (std::size_t i = 0; i < kDims; ++i) {
+    specs.push_back(bo::ParamSpec::real("x" + std::to_string(i), 0.0, 1.0));
+  }
+  const bo::ParamSpace space(specs);
+  bo::BayesOptOptions opts;
+  opts.hyper_samples = 3;
+  opts.hyper_burn_in = 3;
+  opts.num_candidates = 128;
+  opts.seed = 29;
+  bo::BayesOpt opt(space, opts);
+  const auto objective = [](const bo::ParamValues& x) {
+    double y = 0.0;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      y -= (x[k] - 0.5) * (x[k] - 0.5) * static_cast<double>(1 + k % 3);
+    }
+    return y;
+  };
+  Rng rng(31);
+  for (int i = 0; i < 20; ++i) {
+    auto x = space.sample(rng);
+    const double y = objective(x);
+    opt.observe(std::move(x), y);
+  }
+  const double golden[3][kDims] = {
+      {
+      0x1.65f9d3c6078fep-2, 0x1.9d5c3ed8cd0bcp-2, 0x1.2a01ec00a1866p-1,
+      0x1.2df5f93e7b3ecp-1, 0x1.7923f48ee2385p-1, 0x1.0c5b7a72ccf44p-1,
+      0x1.5a3dec7ed4e61p-1, 0x1.69c3aa6404a83p-1, 0x1.4df5323ceec26p-2,
+      0x1.4e87fcecd611cp-1, 0x1.8e7afb608f91cp-3, 0x1.0696b6f2a309cp-3,
+      0x1.ecbda42689aep-3, 0x1.38912eb8d60fdp-1, 0x1.5210f80f80b98p-2,
+      0x1.1c8d6ec8e624ep-1, 0x1.bdcff8f108a46p-2, 0x1.45467b9586884p-2,
+      0x1.3a7a14e9f28bcp-1, 0x1.c00051e9e9e7dp-2, 0x1.5f332856d00dbp-1,
+      0x1.ce41a37ca7097p-1, 0x1.3583011ccad41p-1, 0x1.716f686ff4808p-4,
+      0x1.700892a20c712p-1, 0x1.52ddc2e7adec8p-2, 0x1.16219157258c1p-1,
+      0x1.996f75f9a200ep-1, 0x1.c643b8bcfc81p-4, 0x1.dab8186b9c698p-2,
+      0x1.8cf67bdac6a1ep-1, 0x1.a7193870da6f7p-1, 0x1.6dbe4dad82bd8p-1,
+      0x1.dc010acc508abp-1, 0x1.afbb05092ac28p-1, 0x1.519ee24b8a122p-2,
+      0x1.2572a08e982aep-2, 0x1.a8f011322db1p-2, 0x1.8bf01a2202e17p-1,
+      0x1.ad0928569a59cp-2, 0x1.6417bb981a712p-1, 0x1.4d1836ff90e6p-4,
+      0x1.e4002dc810f15p-2, 0x1.60483a42e0f5dp-1, 0x1.11ef5a25fc74fp-1,
+      0x1.8f96bb8fbb822p-2, 0x1.836f90d0f8abp-3, 0x1.0245129f5e782p-1,
+      0x1.42fc3d9cd9e6ap-2, 0x1.b94bca623d2ecp-2, 0x1.04dee3296c9f8p-1,
+      0x1.2326e5363263ap-1, 0x1.2ace5037cf914p-2, 0x1.7bbaca44673cp-6,
+      0x1.34f2535e2adc2p-1, 0x1.0366fec9931bap-2, 0x1.027bbbb7a11eep-2,
+      0x1.bb95c7a752397p-1, 0x1.30feca61f25aep-1, 0x1.6b6812f551966p-2,
+      },
+      {
+      0x1.61820b04ecdf5p-2, 0x1.8a12f9425ea78p-2, 0x1.2a01ec00a1866p-1,
+      0x1.2df5f93e7b3ecp-1, 0x1.7923f48ee2385p-1, 0x1.0c5b7a72ccf44p-1,
+      0x1.73d786186e7fap-1, 0x1.835d43fd9e41dp-1, 0x1.1ac1ff09bb8f3p-2,
+      0x1.4e87fcecd611cp-1, 0x1.835c5d278589ep-4, 0x1.ce4f512eb1e78p-6,
+      0x1.ecbda42689aep-3, 0x1.38912eb8d60fdp-1, 0x1.5210f80f80b98p-2,
+      0x1.20c8ef4e3987ap-1, 0x1.bdcff8f108a46p-2, 0x1.1213486253551p-2,
+      0x1.3a7a14e9f28bcp-1, 0x1.c00051e9e9e7dp-2, 0x1.92665b8a0340ep-1,
+      0x1.ce41a37ca7097p-1, 0x1.3583011ccad41p-1, 0x1.716f686ff4808p-4,
+      0x1.700892a20c712p-1, 0x1.d8eeb9028f0c3p-3, 0x1.16219157258c1p-1,
+      0x1.996f75f9a200ep-1, 0x1.c643b8bcfc81p-4, 0x1.dab8186b9c698p-2,
+      0x1.8cf67bdac6a1ep-1, 0x1.a7193870da6f7p-1, 0x1.6dbe4dad82bd8p-1,
+      0x1p+0, 0x1.afbb05092ac28p-1, 0x1.519ee24b8a122p-2,
+      0x1.2572a08e982aep-2, 0x1.a8f011322db1p-2, 0x1.8bf01a2202e17p-1,
+      0x1.ad0928569a59cp-2, 0x1.6417bb981a712p-1, 0x0p+0,
+      0x1.e4002dc810f15p-2, 0x1.60483a42e0f5dp-1, 0x1.11ef5a25fc74fp-1,
+      0x1.8f96bb8fbb822p-2, 0x1.836f90d0f8abp-3, 0x1.0245129f5e782p-1,
+      0x1.42fc3d9cd9e6ap-2, 0x1.b94bca623d2ecp-2, 0x1.04dee3296c9f8p-1,
+      0x1.378ee358a12ccp-1, 0x1.2ace5037cf914p-2, 0x0p+0,
+      0x1.34f2535e2adc2p-1, 0x1.0366fec9931bap-2, 0x1.027bbbb7a11eep-2,
+      0x1.eec8fada856cap-1, 0x1.30feca61f25aep-1, 0x1.6b6812f551966p-2,
+      },
+      {
+      0x1.65f9d3c6078fep-2, 0x1.9d5c3ed8cd0bcp-2, 0x1.2a01ec00a1866p-1,
+      0x1.2df5f93e7b3ecp-1, 0x1.7923f48ee2385p-1, 0x1.0c5b7a72ccf44p-1,
+      0x1.5a3dec7ed4e61p-1, 0x1.69c3aa6404a83p-1, 0x1.b45b98a35528cp-2,
+      0x1.4e87fcecd611cp-1, 0x1.940a4a7d1495ap-2, 0x1.8881c81d69496p-2,
+      0x1.ecbda42689aep-3, 0x1.38912eb8d60fdp-1, 0x1.5210f80f80b98p-2,
+      0x1.1c8d6ec8e624ep-1, 0x1.bdcff8f108a46p-2, 0x1.45467b9586884p-2,
+      0x1.3a7a14e9f28bcp-1, 0x1.c00051e9e9e7dp-2, 0x1.f19983e0d34eap-2,
+      0x1p+0, 0x1.3583011ccad41p-1, 0x1.716f686ff4808p-4,
+      0x1.a33bc5d53fa45p-1, 0x1.b944294e1452ep-2, 0x1.16219157258c1p-1,
+      0x1.cca2a92cd5341p-1, 0x1.c643b8bcfc81p-4, 0x1.7451b20536032p-2,
+      0x1.c029af0df9d51p-1, 0x1.a7193870da6f7p-1, 0x1.6dbe4dad82bd8p-1,
+      0x1.dc010acc508abp-1, 0x1.d4a2ee1f4ed27p-1, 0x1.519ee24b8a122p-2,
+      0x1.2572a08e982aep-2, 0x1.a8f011322db1p-2, 0x1.8bf01a2202e17p-1,
+      0x1.ad0928569a59cp-2, 0x1.6417bb981a712p-1, 0x1.7358e84c953fdp-3,
+      0x1.e4002dc810f15p-2, 0x1.60483a42e0f5dp-1, 0x1.11ef5a25fc74fp-1,
+      0x1.29305529551bcp-2, 0x1.836f90d0f8abp-3, 0x1.0245129f5e782p-1,
+      0x1.42fc3d9cd9e6ap-2, 0x1.b94bca623d2ecp-2, 0x1.04dee3296c9f8p-1,
+      0x1.dfe76405fe60ep-2, 0x1.2ace5037cf914p-2, 0x1.7bbaca44673cp-6,
+      0x1.34f2535e2adc2p-1, 0x1.0366fec9931bap-2, 0x1.027bbbb7a11eep-2,
+      0x1.886294741f064p-1, 0x1.30feca61f25aep-1, 0x1.6b6812f551966p-2,
+      },
+  };
+  for (int s = 0; s < 3; ++s) {
+    const auto x = opt.suggest();
+    ASSERT_EQ(x.size(), kDims);
+    for (std::size_t k = 0; k < kDims; ++k) {
+      EXPECT_EQ(x[k], golden[s][k]) << "suggest " << s << " param " << k;
+    }
+    opt.observe(x, objective(x));
+  }
+}
+
 }  // namespace
 }  // namespace stormtune

@@ -1,15 +1,12 @@
-// The deterministic thread pool underneath the BO suggest loop. The key
-// contract under test: for a fixed shard count, results are identical no
-// matter how many threads execute the shards (including the inline size-1
-// pool), and exceptions from shards surface on the caller.
+// The work-stealing strand pool underneath the campaign scheduler. The key
+// contract under test: every strand runs to completion, a strand that owns
+// its state computes the same values for any pool width and schedule, and
+// the first exception from a step surfaces on the caller.
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cmath>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -18,85 +15,8 @@
 namespace stormtune {
 namespace {
 
-TEST(ThreadPool, RunsEveryShardExactlyOnce) {
-  for (std::size_t threads : {1u, 2u, 3u, 8u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(pool.num_threads(), threads);
-    std::vector<int> counts(37, 0);
-    pool.parallel_for(counts.size(), [&](std::size_t s) { counts[s]++; });
-    for (std::size_t s = 0; s < counts.size(); ++s) {
-      EXPECT_EQ(counts[s], 1) << "shard " << s;
-    }
-  }
-}
-
-TEST(ThreadPool, HandlesZeroAndFewerShardsThanThreads) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  pool.parallel_for(0, [&](std::size_t) { ran++; });
-  EXPECT_EQ(ran.load(), 0);
-  pool.parallel_for(2, [&](std::size_t) { ran++; });
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPool, ResultsIndependentOfThreadCount) {
-  // Each shard derives its own Rng stream and writes only its own slot, the
-  // pattern the suggest loop uses. The merged result must be bitwise equal
-  // for every pool size.
-  constexpr std::size_t kShards = 16;
-  auto run = [](std::size_t threads) {
-    ThreadPool pool(threads);
-    std::vector<double> out(kShards, 0.0);
-    pool.parallel_for(kShards, [&](std::size_t s) {
-      Rng rng = Rng::stream(123, s);
-      double acc = 0.0;
-      for (int i = 0; i < 100; ++i) acc += rng.normal();
-      out[s] = acc;
-    });
-    return out;
-  };
-  const auto ref = run(1);
-  for (std::size_t threads : {2u, 3u, 8u}) {
-    const auto got = run(threads);
-    for (std::size_t s = 0; s < kShards; ++s) {
-      EXPECT_EQ(ref[s], got[s]) << "threads=" << threads << " shard=" << s;
-    }
-  }
-}
-
-TEST(ThreadPool, ReusableAcrossManyJobs) {
-  ThreadPool pool(3);
-  long total = 0;
-  for (int job = 0; job < 50; ++job) {
-    std::vector<long> partial(8, 0);
-    pool.parallel_for(partial.size(), [&](std::size_t s) {
-      partial[s] = static_cast<long>(s) + job;
-    });
-    total += std::accumulate(partial.begin(), partial.end(), 0L);
-  }
-  // Σ_job Σ_s (s + job) = 50*28 + 8*Σ_{0..49} job.
-  EXPECT_EQ(total, 50L * 28 + 8L * 1225);
-}
-
-TEST(ThreadPool, ShardExceptionPropagatesToCaller) {
-  for (std::size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    std::atomic<int> ran{0};
-    EXPECT_THROW(
-        pool.parallel_for(16,
-                          [&](std::size_t s) {
-                            ran++;
-                            if (s == 5) throw std::runtime_error("shard 5");
-                          }),
-        std::runtime_error);
-    // The pool must stay usable after a failed job.
-    pool.parallel_for(4, [&](std::size_t) { ran++; });
-    EXPECT_GE(ran.load(), 4);
-  }
-}
-
-TEST(ThreadPool, DefaultThreadCountIsBoundedAndPositive) {
-  const std::size_t n = ThreadPool::default_thread_count();
+TEST(StrandPool, DefaultThreadCountIsBoundedAndPositive) {
+  const std::size_t n = default_thread_count();
   EXPECT_GE(n, 1u);
   EXPECT_LE(n, 8u);
 }

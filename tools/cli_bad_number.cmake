@@ -1,8 +1,10 @@
 # Checks that a malformed number is an error, not a crash.
 #
-# Runs `stormtune` with non-numeric values for numeric flags and requires
-# each run to exit 2 and name the offending flag on stderr (an uncaught
-# conversion exception would abort the process instead). Then runs
+# Runs `stormtune` with non-numeric values for numeric flags, and `tune`
+# with --threads (one campaign runs on one thread; only tune-many takes a
+# width), and requires each run to exit 2 and name the offending flag on
+# stderr (an uncaught conversion exception would abort the process
+# instead). Then runs
 # `stormtune tune-many` on campaign files whose counts or seed are negative
 # or fractional and requires each run to exit 1 and name the field.
 #
@@ -14,7 +16,8 @@ endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 foreach(case "tune;medium;--steps=abc" "simulate;small;--hint=x"
-             "tune;small;--duration=15s" "tune;small;--reps=-1")
+             "tune;small;--duration=15s" "tune;small;--reps=-1"
+             "tune;small;--threads=2")
   list(GET case 2 arg)
   string(REGEX REPLACE "=.*" "" flag "${arg}")
   execute_process(
@@ -54,5 +57,5 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
             "tune-many \"${field}\": ${value}: stderr does not name ${field}:\n${err}")
   endif()
 endforeach()
-message(STATUS "malformed numeric flags exit 2 and name the flag; "
-               "malformed campaign counts exit 1 and name the field")
+message(STATUS "malformed numeric flags and tune --threads exit 2 and name "
+               "the flag; malformed campaign counts exit 1 and name the field")

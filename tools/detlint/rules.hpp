@@ -10,9 +10,6 @@
 //                   through the project call graph (fresh allocations only;
 //                   high-water growth into persistent receivers stays the
 //                   malloc-probe tests' job).
-//   CONC001         non-additive writes to captured identifiers inside
-//                   by-reference parallel_for lambdas (+= / -= stay
-//                   DET005's).
 //   CONC002         atomic operations that do not name an explicit
 //                   std::memory_order.
 //   CONC003         non-const reference data members in Strand-derived
@@ -50,7 +47,7 @@ void run_det_rules(const TranslationUnit& tu, std::vector<Finding>& out);
 void run_alloc_rules(const std::vector<TranslationUnit>& tus,
                      std::vector<Finding>& out);
 
-/// CONC001..CONC003 (atomic names and Strand bases are cross-TU).
+/// CONC002..CONC003 (atomic names and Strand bases are cross-TU).
 void run_conc_rules(const std::vector<TranslationUnit>& tus,
                     std::vector<Finding>& out);
 

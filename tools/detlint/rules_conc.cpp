@@ -1,14 +1,7 @@
-// CONC001..CONC003 — strand capture-safety rules.
+// CONC002..CONC003 — strand capture-safety rules.
 //
-// The scheduler's bit-identity argument has three source-level legs:
+// The scheduler's bit-identity argument has two source-level legs:
 //
-//   CONC001  a by-reference parallel_for lambda may write shared state only
-//            through sanctioned channels: element-indexed stores into
-//            pre-sized outputs, shard-local declarations, and lambda
-//            parameters. A non-additive write to a bare captured identifier
-//            (plain =, ++/--, bitwise/shift compound assignment) races
-//            across shards; the additive forms += / -= stay DET005's so no
-//            site is double-reported.
 //   CONC002  every atomic operation names its memory order. The scheduler's
 //            correctness proof (DESIGN.md) argues per-site orderings;
 //            an implicit seq_cst default means the next reader cannot tell
@@ -23,7 +16,6 @@
 // Strand subclasses may derive through intermediate bases in another TU, so
 // both CONC002 and CONC003 collect evidence project-wide before flagging.
 #include <map>
-#include <regex>
 #include <set>
 #include <string>
 
@@ -56,106 +48,6 @@ std::size_t skip_balanced(const std::vector<Token>& t, std::size_t i) {
 }
 
 bool in_src(const std::string& path) { return starts_with(path, "src/"); }
-
-std::size_t line_of_offset(const std::string& text, std::size_t offset) {
-  std::size_t line = 1;
-  for (std::size_t i = 0; i < offset && i < text.size(); ++i) {
-    if (text[i] == '\n') ++line;
-  }
-  return line;
-}
-
-// ---------------------------------------------------------------------------
-// CONC001 — non-additive writes to captured identifiers in pool lambdas.
-// Same span extraction as DET005's pool check; different operator set.
-// ---------------------------------------------------------------------------
-void check_conc001(const TranslationUnit& tu, std::vector<Finding>& out) {
-  static const std::regex call_re("\\bparallel_for\\s*\\(");
-  static const std::regex lambda_re("\\[[^\\]]*&[^\\]]*\\]");
-  // A shard-local declaration is "type-ish chain, then declarator": the
-  // type may be qualified (std::unique_ptr), templated, and followed by
-  // ref/pointer markers. Writes to (or through) a name declared inside the
-  // lambda are per-shard by construction — including references bound to
-  // element-indexed slots, the sanctioned output channel.
-  static const std::regex decl_re(
-      "\\b(?!return\\b|else\\b|case\\b|goto\\b|delete\\b|throw\\b|"
-      "co_return\\b|new\\b)"
-      "[A-Za-z_][\\w:]*(?:<[^;{}<>]*(?:<[^;{}<>]*>)?[^;{}<>]*>)?"
-      "(?:\\s*[&*]|\\s)\\s*[&*]*\\s*(\\w+)\\s*(?:[=;({\\[]|:(?!:))");
-  // Plain = (not ==, and not <= >= != preceding), bitwise/shift compound
-  // assignment, and increment/decrement. += / -= are DET005's.
-  static const std::regex write_re(
-      "(?:^|[^\\w\\]\\)\\.>])(\\w+)\\s*(?:<<=|>>=|[*/%&|^]=|=(?!=))|"
-      "(?:\\+\\+|--)\\s*(\\w+)|(\\w+)\\s*(?:\\+\\+|--)");
-  const std::string& stripped = tu.stripped;
-  auto begin = std::sregex_iterator(stripped.begin(), stripped.end(), call_re);
-  for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    const std::size_t open = static_cast<std::size_t>(it->position()) +
-                             static_cast<std::size_t>(it->length()) - 1;
-    int depth = 1;
-    std::size_t close = open + 1;
-    for (; close < stripped.size() && depth > 0; ++close) {
-      if (stripped[close] == '(') ++depth;
-      else if (stripped[close] == ')') --depth;
-    }
-    const std::string argtext = stripped.substr(open + 1, close - open - 2);
-    std::smatch lm;
-    if (!std::regex_search(argtext, lm, lambda_re)) continue;
-    const std::size_t capture_end =
-        static_cast<std::size_t>(lm.position()) +
-        static_cast<std::size_t>(lm.length());
-    // Lambda parameters are shard-local.
-    std::set<std::string> local;
-    const std::size_t params_open = argtext.find('(', capture_end);
-    const std::size_t body_open = argtext.find('{', capture_end);
-    if (body_open == std::string::npos) continue;
-    if (params_open != std::string::npos && params_open < body_open) {
-      const std::size_t params_close = argtext.find(')', params_open);
-      if (params_close != std::string::npos) {
-        const std::string params =
-            argtext.substr(params_open, params_close - params_open);
-        for (auto d =
-                 std::sregex_iterator(params.begin(), params.end(), decl_re);
-             d != std::sregex_iterator(); ++d) {
-          local.insert((*d)[1].str());
-        }
-      }
-    }
-    int bdepth = 1;
-    std::size_t body_close = body_open + 1;
-    for (; body_close < argtext.size() && bdepth > 0; ++body_close) {
-      if (argtext[body_close] == '{') ++bdepth;
-      else if (argtext[body_close] == '}') --bdepth;
-    }
-    const std::string body =
-        argtext.substr(body_open + 1, body_close - body_open - 2);
-    for (auto d = std::sregex_iterator(body.begin(), body.end(), decl_re);
-         d != std::sregex_iterator(); ++d) {
-      local.insert((*d)[1].str());
-    }
-    for (auto w = std::sregex_iterator(body.begin(), body.end(), write_re);
-         w != std::sregex_iterator(); ++w) {
-      int group = 0;
-      for (int g = 1; g <= 3; ++g) {
-        if ((*w)[g].matched) {
-          group = g;
-          break;
-        }
-      }
-      const std::string ident = (*w)[group].str();
-      if (local.count(ident)) continue;
-      const std::size_t body_offset =
-          open + 1 + body_open + 1 +
-          static_cast<std::size_t>(w->position(group));
-      const std::size_t line = line_of_offset(stripped, body_offset);
-      out.push_back(Finding{
-          "CONC001", tu.path, line, trim(tu.lines[line - 1]),
-          "non-additive write to captured '" + ident +
-              "' inside a pool-sharded lambda (cross-shard race; write "
-              "through an element-indexed output or a shard-local instead)"});
-    }
-  }
-}
 
 // ---------------------------------------------------------------------------
 // CONC002 — atomic operations must name an explicit std::memory_order.
@@ -365,7 +257,6 @@ void run_conc_rules(const std::vector<TranslationUnit>& tus,
   for (const TranslationUnit& tu : tus) collect_atomic_names(tu, atomics);
   for (const TranslationUnit& tu : tus) {
     if (!in_src(tu.path)) continue;
-    check_conc001(tu, out);
     check_conc002(tu, atomics, out);
   }
   check_conc003(tus, out);

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <map>
 #include <regex>
-#include <set>
 #include <string>
 
 #include "detlint/lexer.hpp"
@@ -96,68 +95,6 @@ void check_det003(const TranslationUnit& tu, std::vector<Finding>& findings) {
   }
 }
 
-// DET005 (pool-sharded part): inside a by-reference lambda that appears in
-// a parallel_for(...) argument list, += / -= on a plain identifier that the
-// lambda body does not itself declare accumulates into captured state —
-// and cross-shard accumulation order depends on the thread count.
-void check_det005_pool(const TranslationUnit& tu,
-                       std::vector<Finding>& findings) {
-  static const std::regex call_re("\\bparallel_for\\s*\\(");
-  static const std::regex lambda_re("\\[[^\\]]*&[^\\]]*\\]");
-  static const std::regex decl_re(
-      "\\b(?:double|float|auto|int|long|unsigned|std::size_t|size_t|"
-      "std::uint64_t|uint64_t|std::int64_t|int64_t)\\s+(\\w+)");
-  static const std::regex accum_re(
-      "(?:^|[^\\w\\]\\)\\.>])(\\w+)\\s*[+\\-]=");
-  const std::string& stripped = tu.stripped;
-  auto begin = std::sregex_iterator(stripped.begin(), stripped.end(), call_re);
-  for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    // Span of the parallel_for(...) argument list.
-    const std::size_t open = static_cast<std::size_t>(it->position()) +
-                             static_cast<std::size_t>(it->length()) - 1;
-    int depth = 1;
-    std::size_t close = open + 1;
-    for (; close < stripped.size() && depth > 0; ++close) {
-      if (stripped[close] == '(') ++depth;
-      else if (stripped[close] == ')') --depth;
-    }
-    const std::string argtext = stripped.substr(open + 1, close - open - 2);
-    // Find a by-reference lambda inside the argument list.
-    std::smatch lm;
-    if (!std::regex_search(argtext, lm, lambda_re)) continue;
-    const std::size_t body_open =
-        argtext.find('{', static_cast<std::size_t>(lm.position()));
-    if (body_open == std::string::npos) continue;
-    int bdepth = 1;
-    std::size_t body_close = body_open + 1;
-    for (; body_close < argtext.size() && bdepth > 0; ++body_close) {
-      if (argtext[body_close] == '{') ++bdepth;
-      else if (argtext[body_close] == '}') --bdepth;
-    }
-    const std::string body =
-        argtext.substr(body_open + 1, body_close - body_open - 2);
-    // Identifiers declared inside the body are shard-local and safe.
-    std::set<std::string> local;
-    for (auto d = std::sregex_iterator(body.begin(), body.end(), decl_re);
-         d != std::sregex_iterator(); ++d) {
-      local.insert((*d)[1].str());
-    }
-    for (auto a = std::sregex_iterator(body.begin(), body.end(), accum_re);
-         a != std::sregex_iterator(); ++a) {
-      const std::string ident = (*a)[1].str();
-      if (local.count(ident)) continue;
-      const std::size_t body_offset = open + 1 + body_open + 1 +
-                                      static_cast<std::size_t>(a->position(1));
-      const std::size_t line = line_of_offset(stripped, body_offset);
-      findings.push_back(
-          Finding{"DET005", tu.path, line, trim(tu.lines[line - 1]),
-                  "compound assignment to captured '" + ident +
-                      "' inside a pool-sharded lambda (accumulation order "
-                      "depends on thread count)"});
-    }
-  }
-}
-
 }  // namespace
 
 void run_det_rules(const TranslationUnit& tu, std::vector<Finding>& out) {
@@ -205,9 +142,8 @@ void run_det_rules(const TranslationUnit& tu, std::vector<Finding>& out) {
     add_line_regex_findings(
         "DET005", det005a,
         "OpenMP pragma (reduction and scheduling order are runtime-"
-        "dependent); use common/thread_pool's deterministic sharding",
+        "dependent); run independent work as StrandPool strands instead",
         tu, out);
-    check_det005_pool(tu, out);
   }
 }
 

@@ -15,9 +15,9 @@
 //                   --max-tasks=N --duration=S --seed=N
 // tune options:     --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
 //                   --what=h|h,batch|h,batch,cc|batch,cc --seed=N
-//                   --json=FILE --csv=FILE --threads=N (BayesOpt suggest
-//                   pool width; 0 = auto, the default; never changes
-//                   results)
+//                   --json=FILE --csv=FILE (one campaign runs on one
+//                   thread; --threads is a usage error here, it sizes
+//                   only tune-many's scheduler)
 //                   --adaptive-window[=EPS]  end each evaluation once its
 //                   steady-state throughput estimate converges (relative
 //                   95% CI half-width < EPS, default 0.05) instead of
@@ -47,8 +47,9 @@
 //                   steps/reps/passes/seed/gp_window/ladder_promote_top_k
 //                   must be non-negative integers; anything else is an
 //                   error (exit 1) that names the field.
-//                   --threads=N sizes the work-stealing scheduler (the
-//                   per-campaign optimizers run single-threaded);
+//                   --threads=N sizes the work-stealing scheduler (0 =
+//                   auto, the default; each optimizer suggests on the
+//                   worker that steps its pass);
 //                   --jsonl=FILE writes each finished campaign through
 //                   the result sink, one JSON line per campaign in
 //                   submission order, flushed as soon as the campaigns
@@ -117,8 +118,8 @@ struct Options {
   std::string what = "h";
   std::string json_path;
   std::string csv_path;
-  std::size_t threads = 0;  // tune: BO suggest pool; tune-many:
-                            // scheduler workers (0 = auto for both)
+  std::optional<std::size_t> threads;  // tune-many: scheduler workers
+                                       // (0 or unset = auto)
   std::string fidelity = "full";  // full | ladder (bo/ibo only)
   std::size_t gp_window = 0;      // --gp-window: BO observation window
                                   // (0 = unbounded, the default)
@@ -140,7 +141,7 @@ struct Options {
       "topologies: small medium large sundog linear_road dissemination\n"
       "            linear_road_compact debs13\n"
       "tune: --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N --what=...\n"
-      "      --seed=N --json=FILE --csv=FILE --threads=N\n"
+      "      --seed=N --json=FILE --csv=FILE\n"
       "      --adaptive-window[=EPS]  stop each simulation once throughput\n"
       "      converges (relative CI half-width < EPS, default 0.05)\n"
       "      --fidelity=full|ladder  ladder = fluid screening, adaptive\n"
@@ -357,9 +358,7 @@ int cmd_simulate(const Options& o) {
   return 0;
 }
 
-/// Tuner construction shared by `tune` and `tune-many`. `bo_threads` sizes
-/// the optimizer's internal pool (tune-many pins it to 1 — campaigns are
-/// the parallelism there, and a 1-thread pool owns no threads at all).
+/// Search-space options shared by `tune` and `tune-many`.
 tuning::SpaceOptions space_options_from(const Options& o) {
   tuning::SpaceOptions sopts;
   sopts.tune_hints = o.what.find('h') != std::string::npos;
@@ -374,11 +373,9 @@ tuning::SpaceOptions space_options_from(const Options& o) {
 /// modes compose with per-rung noise too (apply_hyperparams'
 /// noise_ratio_diag); the CLI sticks with kFixed as the cheap default.
 bo::BayesOptOptions ladder_bo_options_from(const Options& o,
-                                           std::uint64_t seed,
-                                           std::size_t bo_threads) {
+                                           std::uint64_t seed) {
   bo::BayesOptOptions bopts;
   bopts.seed = seed;
-  bopts.num_threads = bo_threads;
   bopts.hyper_mode = bo::HyperMode::kFixed;
   bopts.max_observations = o.gp_window;
   return bopts;
@@ -407,8 +404,7 @@ void require_ladder_strategy(const Options& o) {
 
 std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
                                            const sim::TopologyConfig& defaults,
-                                           std::uint64_t seed,
-                                           std::size_t bo_threads) {
+                                           std::uint64_t seed) {
   tuning::SpaceOptions sopts = space_options_from(o);
 
   if (o.strategy == "pla" || o.strategy == "ipla") {
@@ -422,7 +418,6 @@ std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
   if (o.strategy == "bo" || o.strategy == "ibo") {
     bo::BayesOptOptions bopts;
     bopts.seed = seed;
-    bopts.num_threads = bo_threads;
     bopts.max_observations = o.gp_window;
     return std::make_unique<tuning::BayesTuner>(
         tuning::ConfigSpace(w.topology, sopts, defaults), bopts, o.strategy);
@@ -432,6 +427,12 @@ std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
 }
 
 int cmd_tune(const Options& o) {
+  if (o.threads) {
+    std::fprintf(stderr,
+                 "--threads: tune runs one campaign on one thread; "
+                 "--threads sizes tune-many's scheduler\n");
+    usage();
+  }
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
   const Workload w = load_workload(o);
   sim::TopologyConfig defaults = config_from_options(o, w);
@@ -449,11 +450,11 @@ int cmd_tune(const Options& o) {
         w.topology, w.cluster, w.params, o.seed, ladder_options_from(o));
     tuner = std::make_unique<tuning::LadderTuner>(
         tuning::ConfigSpace(w.topology, space_options_from(o), defaults),
-        ladder_bo_options_from(o, o.seed, o.threads), ladder,
+        ladder_bo_options_from(o, o.seed), ladder,
         o.strategy + "+ladder");
     objective = std::make_unique<tuning::SharedLadderObjective>(ladder);
   } else {
-    tuner = build_tuner(o, w, defaults, o.seed, o.threads);
+    tuner = build_tuner(o, w, defaults, o.seed);
     objective = std::make_unique<tuning::SimObjective>(
         w.topology, w.cluster, w.params, o.seed);
   }
@@ -462,11 +463,9 @@ int cmd_tune(const Options& o) {
   protocol.max_steps = o.steps;
   protocol.best_config_reps = o.reps;
 
-  const std::size_t threads =
-      o.threads > 0 ? o.threads : ThreadPool::default_thread_count();
-  std::printf("tuning %s with %s over {%s}, %zu steps, %zu thread%s...\n",
+  std::printf("tuning %s with %s over {%s}, %zu steps...\n",
               o.topology.c_str(), tuner->name().c_str(), o.what.c_str(),
-              o.steps, threads, threads == 1 ? "" : "s");
+              o.steps);
   const tuning::ExperimentResult r =
       tuning::run_experiment(*tuner, *objective, protocol);
   if (ladder) {
@@ -607,8 +606,7 @@ int cmd_tune_many(const Options& cli) {
       lc.params = ctx->workload.params;
       lc.space = space_options_from(ctx->opts);
       lc.defaults = ctx->defaults;
-      lc.bo = ladder_bo_options_from(ctx->opts, ctx->opts.seed,
-                                     /*bo_threads=*/1);
+      lc.bo = ladder_bo_options_from(ctx->opts, ctx->opts.seed);
       lc.ladder = ladder_options_from(ctx->opts);
       lc.objective_seed = ctx->opts.seed;
       lc.tuner_name = ctx->opts.strategy + "+ladder";
@@ -619,7 +617,7 @@ int cmd_tune_many(const Options& cli) {
     } else {
       spec.make_tuner = [ctx](std::size_t pass) {
         return build_tuner(ctx->opts, ctx->workload, ctx->defaults,
-                           ctx->opts.seed * 7919 + pass, /*bo_threads=*/1);
+                           ctx->opts.seed * 7919 + pass);
       };
       spec.make_objective =
           [ctx](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
@@ -633,10 +631,10 @@ int cmd_tune_many(const Options& cli) {
   }
 
   tuning::CampaignSchedulerOptions sched;
-  sched.num_threads = cli.threads;
+  sched.num_threads = cli.threads.value_or(0);
   const std::size_t threads = sched.num_threads > 0
                                   ? sched.num_threads
-                                  : ThreadPool::default_thread_count();
+                                  : default_thread_count();
   std::printf("scheduling %zu campaigns over %zu thread%s...\n", specs.size(),
               threads, threads == 1 ? "" : "s");
 
