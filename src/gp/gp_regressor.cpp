@@ -206,15 +206,26 @@ void GpRegressor::ensure_correlation() {
   corr_valid_ = true;
 }
 
-void GpRegressor::ensure_cholesky() {
+bool GpRegressor::factor_key_matches() const {
   const auto ls = kernel_.lengthscales();
-  if (chol_valid_ && chol_.has_value() &&
-      chol_amp_ == kernel_.amplitude() && chol_noise_ == noise_variance_ &&
-      chol_noise_diag_ == noise_diag_ && chol_ls_.size() == ls.size() &&
-      std::equal(chol_ls_.begin(), chol_ls_.end(), ls.begin())) {
-    return;
-  }
+  return chol_.has_value() && chol_amp_ == kernel_.amplitude() &&
+         chol_noise_ == noise_variance_ && chol_noise_diag_ == noise_diag_ &&
+         chol_ls_.size() == ls.size() &&
+         std::equal(chol_ls_.begin(), chol_ls_.end(), ls.begin());
+}
+
+void GpRegressor::store_factor_key() {
+  const auto ls = kernel_.lengthscales();
+  chol_amp_ = kernel_.amplitude();
+  chol_noise_ = noise_variance_;
+  chol_noise_diag_ = noise_diag_;
+  chol_ls_.assign(ls.begin(), ls.end());
+}
+
+void GpRegressor::ensure_cholesky() {
+  if (chol_valid_ && factor_key_matches()) return;
   chol_valid_ = false;
+  est_valid_ = false;
   const double a2 = kernel_.variance();
   // The factor is built straight from the cached correlation matrix:
   // Cholesky scales and shifts the diagonal during its own copy, so the
@@ -254,11 +265,121 @@ void GpRegressor::ensure_cholesky() {
       jitter *= 100.0;
     }
   }
-  chol_amp_ = kernel_.amplitude();
-  chol_noise_ = noise_variance_;
-  chol_noise_diag_ = noise_diag_;
-  chol_ls_.assign(ls.begin(), ls.end());
+  store_factor_key();
   chol_valid_ = true;
+}
+
+namespace {
+
+constexpr double kUnitRoundoff = 0x1p-53;
+
+/// Higham's γ_k = k·u / (1 − k·u).
+double gamma_k(double k) {
+  return k * kUnitRoundoff / (1.0 - k * kUnitRoundoff);
+}
+
+}  // namespace
+
+bool GpRegressor::ensure_estimate_factor() {
+  if (est_valid_ && factor_key_matches()) return true;
+  // The guards read only K's shape and diagonal shift, so they run before
+  // the factor: a refused estimate leaves the exact factor cache alone.
+  // DESIGN.md §8, "Certified slice comparisons", derives each bound.
+  const std::size_t rows = num_observations();
+  const double n = static_cast<double>(rows);
+  const double d = static_cast<double>(dist_->x.cols());
+  const double a2 = kernel_.variance();
+  const bool het = !noise_diag_.empty();
+  double s_min = het ? noise_diag_[0] : noise_variance_;
+  double s_max = s_min;
+  double s_sum = 0.0;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const double s = het ? noise_diag_[i] : noise_variance_;
+    s_min = std::min(s_min, s);
+    s_max = std::max(s_max, s);
+    s_sum += s;
+  }
+  // K = a²·C* + diag(K_ii − a²) + F with C* a PSD correlation matrix at the
+  // exact inputs. Each off-diagonal |F_ij| ≤ a²·e: the distances' γ_{d+4}
+  // relative rounding moves g by at most ½·γ_{d+4} (s·|g′(s)| ≤ ½ for all
+  // three families), the transform adds its few ulps, the a² product one.
+  const double e = (0.51 * (d + 8.0) + 33.0) * kUnitRoundoff;
+  const double lambda_lb =
+      s_min - 2.0 * kUnitRoundoff * (a2 + s_max) - n * a2 * e;
+  if (!(lambda_lb > 0.0)) return false;
+  const double trace_ub = (n * a2 + s_sum) * (1.0 + (n + 4.0) * kUnitRoundoff);
+  const double g = gamma_k(n + 2.0);
+  const double ratio = trace_ub / lambda_lb;
+  // Demmel: refit's first attempt completes without jitter when
+  // λ_min(D⁻¹KD⁻¹) ≥ λ_lb / tr K exceeds n·γ_{n+2}/(1 − γ_{n+2}); ask for
+  // four times that.
+  if (!(4.0 * n * g * ratio <= 1.0 - g)) return false;
+  const double eta = 4.0 * g * ratio / (1.0 - g);
+  if (!(eta <= 0.25)) return false;
+
+  chol_valid_ = false;
+  est_valid_ = false;
+  if (!chol_.has_value()) chol_.emplace();
+  const bool ok = het ? chol_->refactor_mirror(corr_, a2, 0.0, noise_diag_)
+                      : chol_->refactor_mirror(corr_, a2, noise_variance_);
+  if (!ok) return false;
+  est_.lambda_lb = lambda_lb;
+  est_.eta = eta;
+  est_.log_det = chol_->log_determinant();
+  // Each pivot L_ii² of L·Lᵀ = K + ΔK lies in [λ_lb(1 − η), K_max/(1 − g)].
+  const double k_max = (a2 + s_max) * (1.0 + 4.0 * kUnitRoundoff) / (1.0 - g);
+  const double log_span = std::max(std::fabs(std::log(lambda_lb * (1.0 - eta))),
+                                   std::fabs(std::log(k_max)));
+  est_.log_det_err = n * eta / (1.0 - eta) +
+                     1.01 * (gamma_k(n) + 2.0 * kUnitRoundoff) * n * log_span;
+  store_factor_key();
+  est_valid_ = true;
+  return true;
+}
+
+STORMTUNE_HOT std::optional<GpRegressor::LmlEstimate>
+GpRegressor::estimate_log_marginal_likelihood(const Vector& y) {
+  STORMTUNE_REQUIRE(dist_ != nullptr,
+                    "GpRegressor::estimate_log_marginal_likelihood: no "
+                    "inputs; call set_inputs() first");
+  STORMTUNE_REQUIRE(num_observations() == y.size(),
+                    "GpRegressor::estimate_log_marginal_likelihood: X/y "
+                    "mismatch");
+  STORMTUNE_REQUIRE(noise_diag_.empty() || noise_diag_.size() == y.size(),
+                    "GpRegressor::estimate_log_marginal_likelihood: noise "
+                    "diagonal size mismatch");
+  fit_current_ = false;
+  y_centered_.resize(y.size());
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    y_centered_[i] = y[i] - mean_value_;
+  }
+  ensure_correlation();
+  if (!ensure_estimate_factor()) return std::nullopt;
+  est_z_.assign(y_centered_.begin(), y_centered_.end());
+  const double q = chol_->mirror_forward_sq_norm(est_z_);
+  double yy = 0.0;
+  for (const double v : y_centered_) yy += v * v;
+  const double n = static_cast<double>(y.size());
+  const double eta = est_.eta;
+  const double gn = gamma_k(n);
+  // yᵀK⁻¹y ≤ q_ub; both paths' quadratic forms are within η/(1 − η) of it,
+  // plus each path's own summation: ‖ẑ‖²'s here, dot(y, α̂)'s on refit's,
+  // with ‖α̂‖ ≤ √(q_ub/λ_lb)/(1 − η).
+  const double q_ub = (1.0 + eta) * q / (1.0 - gn);
+  const double q_err =
+      2.0 * eta / (1.0 - eta) * q_ub + gn * q / (1.0 - gn) +
+      gn * std::sqrt(yy * (1.0 + gn)) * std::sqrt(q_ub / est_.lambda_lb) /
+          (1.0 - eta);
+  const double c = 0.5 * n * std::log(2.0 * std::numbers::pi);
+  const double value = -0.5 * q - 0.5 * est_.log_det - c;
+  // The log determinants differ by at most 2·log_det_err; both paths'
+  // final sums round a few times more.
+  const double sums = 8.0 * kUnitRoundoff *
+                      (q_ub + std::fabs(est_.log_det) + est_.log_det_err + c);
+  const double allowance = (0.5 * q_err + est_.log_det_err + sums) *
+                           (1.0 + 16.0 * kUnitRoundoff);
+  if (!std::isfinite(value) || !std::isfinite(allowance)) return std::nullopt;
+  return LmlEstimate{value, allowance};
 }
 
 void GpRegressor::fit(const Matrix& x, const Vector& y) {
@@ -286,6 +407,7 @@ void GpRegressor::set_inputs(Matrix&& x) {
     rebuild_distance_cache(std::move(x));
     corr_valid_ = false;
     chol_valid_ = false;
+    est_valid_ = false;
   }
 }
 

@@ -185,6 +185,26 @@ class GpRegressor {
   /// log p(y | X, theta); requires fit() to have been called.
   double log_marginal_likelihood() const;
 
+  /// An estimate of log_marginal_likelihood() and a bound on how far the
+  /// exact value can be from it: |exact − value| ≤ allowance.
+  struct LmlEstimate {
+    double value = 0.0;
+    double allowance = 0.0;
+  };
+
+  /// Estimate what refit(y) followed by log_marginal_likelihood() would
+  /// return under the current hyperparameters, from the same K bits but
+  /// one fused mirror-only factor (Cholesky::refactor_mirror) and one
+  /// forward solve, with a derived rounding allowance (DESIGN.md §8,
+  /// "Certified slice comparisons"). The factor and its log determinant
+  /// are kept while only the mean changes. Returns nullopt where only the
+  /// exact path can answer: the fused factor fails, the allowance's η
+  /// exceeds 1/4, or refit's first factor attempt is not provably free of
+  /// jitter escalation. Requires inputs (set_inputs or fit); leaves the
+  /// regressor unfitted and its exact factor cache invalidated.
+  std::optional<LmlEstimate> estimate_log_marginal_likelihood(
+      const Vector& y);
+
   const Kernel& kernel() const { return kernel_; }
   double noise_variance() const { return noise_variance_; }
   double mean_value() const { return mean_value_; }
@@ -228,7 +248,15 @@ class GpRegressor {
   std::shared_ptr<DistanceCache> extended_distance_cache(
       std::span<const double> x_new) const;
   void ensure_correlation();
+  /// True when chol_ was built for the current amplitude, noise, noise
+  /// diagonal and lengthscales (by either ensure_* below).
+  bool factor_key_matches() const;
+  void store_factor_key();
   void ensure_cholesky();
+  /// Make chol_'s mirror the estimate factor of the current
+  /// hyperparameters and est_ its terms; false when the estimate cannot
+  /// be certified (see estimate_log_marginal_likelihood).
+  bool ensure_estimate_factor();
   /// alpha_ = K⁻¹ y_centered_ through the current factor.
   void solve_alpha();
   void append_impl(std::span<const double> x_new, const Vector& y_all,
@@ -260,8 +288,21 @@ class GpRegressor {
   double chol_noise_ = -1.0;
   std::vector<double> chol_noise_diag_;
   std::vector<double> chol_ls_;
-  bool chol_valid_ = false;
+  bool chol_valid_ = false;      // chol_ holds refit's exact factor
   bool fit_current_ = false;     // alpha_ matches the current parameters
+
+  /// What an estimate factor's allowance needs besides y: the smallest
+  /// eigenvalue's lower bound, the relative backward error η and the log
+  /// determinant with its error bound on either path.
+  struct EstimateTerms {
+    double lambda_lb = 0.0;
+    double eta = 0.0;
+    double log_det = 0.0;
+    double log_det_err = 0.0;
+  };
+  EstimateTerms est_;
+  bool est_valid_ = false;       // chol_'s mirror holds the estimate factor
+  Vector est_z_;                 // forward-solve scratch
 };
 
 /// An owned copy of a fitted regressor's posterior (PosteriorView): the

@@ -92,6 +92,11 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
 
+STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
+                                                 std::size_t n) {
+  return detail::cholesky_factor_mirror<Lanes, 2>(ltf, ld, n);
+}
+
 STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
                               std::size_t d, const double* w, std::size_t sets,
                               double* out) {
@@ -136,6 +141,8 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
   STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,        \
                                     std::size_t n, std::size_t m,            \
                                     double* out);                            \
+  STORMTUNE_HOT std::size_t cholesky_factor_mirror(                         \
+      double* ltf, std::size_t ld, std::size_t n);                           \
   STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx,            \
                                 std::size_t n, std::size_t d,                \
                                 const double* w, std::size_t sets,           \
@@ -167,8 +174,8 @@ namespace {
   KernelOps {                                                            \
     ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
         ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
-        ns::column_dots, ns::column_sq_sums, ns::bound_sums,             \
-        ns::bound_solve, ns::ei_bounds                                   \
+        ns::column_dots, ns::column_sq_sums, ns::cholesky_factor_mirror, \
+        ns::bound_sums, ns::bound_solve, ns::ei_bounds                   \
   }
 
 constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);

@@ -11,9 +11,9 @@
 // the naive reference kernels (linalg/reference.hpp, reciprocal scaling),
 // keeps GP fits reproducible run-to-run, and makes the portable, AVX2 and
 // AVX-512 paths bit-identical (verified by tests/test_isa_dispatch.cpp).
-// The exception is the three bound kernels at the end of the table, which
-// only ever feed rigorous bounds and are valid, not bit-identical, on
-// every path.
+// The exception is the four bound-class kernels at the end of the table,
+// which only ever feed rigorous bounds and are valid, not bit-identical,
+// on every path.
 #pragma once
 
 #include <cstddef>
@@ -85,10 +85,26 @@ struct KernelOps {
 
   // The bound kernels. Unlike every entry above they are NOT bit-identical
   // across paths: they may contract to FMA, sum in any order and call
-  // libmvec's vector erfc and exp. They feed only the local search's
-  // rigorous upper bounds (DESIGN.md §8, "Bounded local search"), whose
-  // rounding allowances cover any summation order and the ulps stated
-  // here, so each path's bound is valid though its bits differ.
+  // libmvec's vector erfc and exp. They feed only rigorous bounds — the
+  // local search's upper bounds and the hyper sampler's log-posterior
+  // allowances (DESIGN.md §8, "Bounded local search" and "Certified slice
+  // comparisons") — whose rounding allowances cover any summation order
+  // and the ulps stated here, so each path's result is valid though its
+  // bits differ.
+
+  /// Left-looking Cholesky held in the mirror alone: on entry row j,
+  /// columns [j, n), of `ltf` is column j of the SPD matrix A; on return
+  /// it is column j of L. Columns go in fours, so each mirror vector
+  /// loaded in the k < j sweep feeds four columns; each update is one
+  /// V::fma (a separate multiply and add on the portable and AVX2 paths);
+  /// each column then takes its terms from the block's earlier columns
+  /// and is scaled by 1/L(j,j) in one strip pass; and no row-major factor
+  /// is written. Returns n on success, or the first
+  /// column whose diagonal is not positive. Any such factor is backward
+  /// stable (L·Lᵀ = A + ΔA, |ΔA| ≤ γ_{n+2}·|L|·|Lᵀ|), which is all its
+  /// callers use.
+  std::size_t (*cholesky_factor_mirror)(double* ltf, std::size_t ld,
+                                        std::size_t n);
 
   /// For each of `sets` weight sets s, four n-vectors a, b, c, e at
   /// w + 4·n·s, the six column sums over the n × d row-major block `x`

@@ -121,6 +121,11 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
 
+STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
+                                                 std::size_t n) {
+  return detail::cholesky_factor_mirror<Lanes, 2>(ltf, ld, n);
+}
+
 STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
                               std::size_t d, const double* w, std::size_t sets,
                               double* out) {

@@ -46,6 +46,8 @@ struct Strip {
   using Mask = typename V::Mask;
   static constexpr std::size_t L = V::kLanes;
 
+  static constexpr int kVecs = NV;
+
   Reg r[NV];
   Mask mask;
 
@@ -91,6 +93,10 @@ struct Strip {
       o.r[v] = V::sub(o.r[v], V::mul(b, x));
     }
   }
+  /// r += a * p, per element, through V::fma (bound kernels only).
+  void fma(Reg a, const double* p) {
+    for (int v = 0; v < NV; ++v) r[v] = V::fma(a, load_vec(p, v, mask), r[v]);
+  }
   /// r *= a, per element.
   void mul(Reg a) {
     for (int v = 0; v < NV; ++v) r[v] = V::mul(r[v], a);
@@ -135,23 +141,22 @@ inline void remainder_strip(std::size_t c, std::size_t vecs, bool tail,
   }
 }
 
-/// Cover [0, len) with strips: full kStripVecs-vector strips, then one
-/// strip of the remaining whole vectors plus a masked partial one. Calls
+/// Cover [0, len) with strips: full NV-vector strips, then one strip of
+/// the remaining whole vectors plus a masked partial one. Calls
 /// body(offset, strip) with a strip whose mask is set and whose registers
 /// are uninitialized.
-template <class V, class Body>
+template <class V, int NV = kStripVecs, class Body>
 inline void for_each_strip(std::size_t len, Body&& body) {
   constexpr std::size_t L = V::kLanes;
-  constexpr std::size_t kWidth = kStripVecs * L;
+  constexpr std::size_t kWidth = NV * L;
   std::size_t c = 0;
   for (; c + kWidth <= len; c += kWidth) {
-    body(c, Strip<V, kStripVecs, false>{});
+    body(c, Strip<V, NV, false>{});
   }
   const std::size_t rem = len - c;
   if (rem == 0) return;
   const std::size_t part = rem % L;
-  remainder_strip<V, kStripVecs>(c, (rem + L - 1) / L, part != 0, part,
-                                 body);
+  remainder_strip<V, NV>(c, (rem + L - 1) / L, part != 0, part, body);
 }
 
 /// Check, square-root and scale column j of the factor, held unscaled in
@@ -378,6 +383,102 @@ inline void bound_sums(const double* x, std::size_t ldx, std::size_t n,
     bound_sums_block<V, 1, false>(x, ldx, n, d, w, sets, out, j);
   }
   if (j < d) bound_sums_block<V, 1, true>(x, ldx, n, d, w, sets, out, j);
+}
+
+/// The k < j sweep of cholesky_factor_mirror for the C columns from j:
+/// in strips of NV vectors down rows [j, n), each loaded mirror vector
+/// feeds all C columns' accumulators through V::fma.
+template <class V, int NV, int C>
+inline void mirror_sweep(double* ltf, std::size_t ld, std::size_t n,
+                         std::size_t j) {
+  double* lt[C];
+  for (int q = 0; q < C; ++q) {
+    lt[q] = ltf + (j + q) * ld;
+    // The strips start at row j, above the diagonals of columns j+1..:
+    // scratch lanes, zeroed so they stay finite.
+    for (int p = 0; p < q; ++p) lt[q][j + p] = 0.0;
+  }
+  for_each_strip<V, NV>(n - j, [&](std::size_t c, auto s) {
+    using S = decltype(s);
+    const std::size_t i0 = j + c;
+    S acc[C];
+    for (int q = 0; q < C; ++q) {
+      acc[q] = s;
+      acc[q].load(lt[q] + i0);
+    }
+    for (std::size_t k = 0; k < j; ++k) {
+      const double* ltk = ltf + k * ld;
+      typename V::Reg a[C];
+      for (int q = 0; q < C; ++q) a[q] = V::set1(-ltk[j + q]);
+      for (int v = 0; v < S::kVecs; ++v) {
+        const typename V::Reg x = S::load_vec(ltk + i0, v, s.mask);
+        for (int q = 0; q < C; ++q) acc[q].r[v] = V::fma(a[q], x, acc[q].r[v]);
+      }
+    }
+    for (int q = 0; q < C; ++q) acc[q].store(lt[q] + i0);
+  });
+}
+
+/// KernelOps::cholesky_factor_mirror, NV vectors per strip: cholesky_factor
+/// with columns in fours instead of pairs, so each mirror vector loaded in
+/// the k < j sweep feeds four columns' accumulators (half the pair loop's
+/// loads per update), every update a V::fma, and no row-major copy
+/// written. Column j+q of a block then takes its terms k = j..j+q−1 and
+/// is scaled in one strip pass. The last n mod 4 columns are one narrower
+/// block.
+template <class V, int NV>
+inline std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
+                                          std::size_t n) {
+  // Column j+q of a block takes its terms from the block's finished
+  // columns j..j+q−1, then is square-rooted and scaled, in one pass.
+  const auto finish_block = [&](std::size_t j, std::size_t cols) {
+    for (std::size_t q = 0; q < cols; ++q) {
+      const std::size_t jq = j + q;
+      double* ltq = ltf + jq * ld;
+      double d = ltq[jq];
+      for (std::size_t p = 0; p < q; ++p) {
+        const double lqp = ltf[(j + p) * ld + jq];
+        d -= lqp * lqp;
+      }
+      if (!(d > 0.0)) return jq;
+      const double ljj = std::sqrt(d);
+      ltq[jq] = ljj;
+      const typename V::Reg inv = V::set1(1.0 / ljj);
+      typename V::Reg coef[4];
+      for (std::size_t p = 0; p < q; ++p) {
+        coef[p] = V::set1(-ltf[(j + p) * ld + jq]);
+      }
+      for_each_strip<V>(n - jq - 1, [&](std::size_t c, auto st) {
+        const std::size_t i = jq + 1 + c;
+        st.load(ltq + i);
+        for (std::size_t p = 0; p < q; ++p) {
+          st.fma(coef[p], ltf + (j + p) * ld + i);
+        }
+        st.mul(inv);
+        st.store(ltq + i);
+      });
+    }
+    return n;
+  };
+  std::size_t j = 0;
+  for (; j + 4 <= n; j += 4) {
+    mirror_sweep<V, NV, 4>(ltf, ld, n, j);
+    if (const std::size_t bad = finish_block(j, 4); bad != n) return bad;
+  }
+  switch (n - j) {
+    case 3:
+      mirror_sweep<V, NV, 3>(ltf, ld, n, j);
+      break;
+    case 2:
+      mirror_sweep<V, NV, 2>(ltf, ld, n, j);
+      break;
+    case 1:
+      mirror_sweep<V, NV, 1>(ltf, ld, n, j);
+      break;
+    default:
+      return n;
+  }
+  return finish_block(j, n - j);
 }
 
 /// Σ_{j<len} a[j]·b[j] in two lane accumulators, then the lanes and the

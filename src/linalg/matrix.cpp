@@ -130,6 +130,7 @@ void Cholesky::reserve_discarding(std::size_t rows) {
 void Cholesky::factor_from(const Matrix& a, double scale, double diag_add,
                            const double* diag_extra) {
   n_ = a.rows();
+  lf_stale_ = false;
 #ifdef STORMTUNE_CHECKED
   // Entry conditions for a factorization attempt: every consumed input must
   // be finite. Non-finite values are caller corruption (a poisoned kernel
@@ -173,7 +174,76 @@ void Cholesky::factor_from(const Matrix& a, double scale, double diag_add,
   STORMTUNE_REQUIRE(done == n_, "Cholesky: matrix not positive definite");
 }
 
+STORMTUNE_HOT bool Cholesky::refactor_mirror(
+    const Matrix& a, double scale, double diag_add,
+    std::span<const double> diag_extra) {
+  STORMTUNE_REQUIRE(a.rows() == a.cols(),
+                    "Cholesky::refactor_mirror: must be square");
+  STORMTUNE_REQUIRE(diag_extra.empty() || diag_extra.size() == a.rows(),
+                    "Cholesky::refactor_mirror: diag_extra size mismatch");
+  reserve_discarding(a.rows());
+  n_ = a.rows();
+  lf_stale_ = true;
+#ifdef STORMTUNE_CHECKED
+  STORMTUNE_INVARIANT(std::isfinite(scale) && std::isfinite(diag_add),
+                      "Cholesky: non-finite scale or diagonal shift");
+  for (std::size_t i = 0; i < n_; ++i) {
+    STORMTUNE_INVARIANT(diag_extra.empty() || std::isfinite(diag_extra[i]),
+                        "Cholesky: non-finite per-row diagonal shift");
+    for (std::size_t j = 0; j <= i; ++j) {
+      STORMTUNE_INVARIANT(std::isfinite(a(i, j)),
+                          "Cholesky: non-finite input entry");
+      STORMTUNE_INVARIANT(a(i, j) == a(j, i),
+                          "Cholesky::refactor_mirror: input not symmetric");
+    }
+  }
+#endif
+  // Mirror row j, columns [j, n), is column j of the lower triangle: by
+  // symmetry, row j of `a` from its diagonal on — a contiguous copy. The
+  // diagonal is summed as factor_from sums it, so both factor the same
+  // matrix bits.
+  double* ltf = ltf_.data();
+  for (std::size_t j = 0; j < n_; ++j) {
+    const auto src = a.row(j);
+    double* dst = ltf + j * ld_;
+    dst[j] = diag_extra.empty()
+                 ? scale * src[j] + diag_add
+                 : scale * src[j] + (diag_add + diag_extra[j]);
+    for (std::size_t i = j + 1; i < n_; ++i) dst[i] = scale * src[i];
+  }
+  return lk::ops().cholesky_factor_mirror(ltf, ld_, n_) == n_;
+}
+
+STORMTUNE_HOT double Cholesky::mirror_forward_sq_norm(
+    std::span<double> z) const {
+  STORMTUNE_REQUIRE(z.size() == n_,
+                    "Cholesky::mirror_forward_sq_norm: size mismatch");
+  // Column j of L is mirror row j, so once z_j is final its contribution
+  // to every later entry is one stride-1 axpy; two columns share each pass
+  // over z. Any order of each entry's inner product is backward stable.
+  double ss = 0.0;
+  std::size_t j = 0;
+  for (; j + 2 <= n_; j += 2) {
+    const double* la = ltf_.data() + j * ld_;
+    const double* lb = la + ld_;
+    const double za = z[j] / la[j];
+    const double zb = (z[j + 1] - la[j + 1] * za) / lb[j + 1];
+    z[j] = za;
+    z[j + 1] = zb;
+    ss += za * za;
+    ss += zb * zb;
+    for (std::size_t i = j + 2; i < n_; ++i) z[i] -= la[i] * za + lb[i] * zb;
+  }
+  if (j < n_) {
+    const double zj = z[j] / ltf_[j * ld_ + j];
+    z[j] = zj;
+    ss += zj * zj;
+  }
+  return ss;
+}
+
 Matrix Cholesky::lower() const {
+  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
   Matrix out(n_, n_);
   for (std::size_t i = 0; i < n_; ++i) {
     const double* src = lf_.data() + i * ld_;
@@ -193,6 +263,7 @@ Vector Cholesky::solve_lower(const Vector& b) const {
 void Cholesky::solve_lower_in_place(std::span<double> bx) const {
   STORMTUNE_REQUIRE(bx.size() == n_,
                     "Cholesky::solve_lower_in_place: size mismatch");
+  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
   // Fixed-width accumulator splitting: the row dot product runs in four
   // lanes (k mod 4) combined as (s0+s1)+(s2+s3), then the remainder in
   // ascending k. The split depends only on the row length — never on tile
@@ -263,6 +334,7 @@ void Cholesky::solve_lower_multi_in_place(double* v, std::size_t ldv,
                                           std::size_t cols) const {
   STORMTUNE_REQUIRE(cols <= ldv,
                     "Cholesky::solve_lower_multi_in_place: size mismatch");
+  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
   // Column strips of V, each row's accumulators held in registers across
   // the whole k-ascending sweep (kernels_blocks.hpp); one dispatched call.
   lk::ops().solve_lower_multi(lf_.data(), ld_, v, ldv, cols, n_);
@@ -281,6 +353,7 @@ void Cholesky::solve_lower_transpose_multi_in_place(Matrix& v) const {
 STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
                                         double c) {
   STORMTUNE_REQUIRE(b.size() == n_, "Cholesky::append_row: size mismatch");
+  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
 #ifdef STORMTUNE_CHECKED
   STORMTUNE_INVARIANT(std::isfinite(c),
                       "Cholesky::append_row: non-finite diagonal entry");
@@ -343,6 +416,7 @@ STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
 // result is bit-identical across portable/AVX2/AVX-512.
 STORMTUNE_HOT void Cholesky::remove_row(std::size_t i) {
   STORMTUNE_REQUIRE(i < n_, "Cholesky::remove_row: index out of range");
+  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
   if (i == n_ - 1) {
     // Dropping the last row of L is the whole job: the stale row/column
     // beyond n_ is never read (lower()/log_determinant walk [0, n_)) and is
@@ -425,7 +499,7 @@ void Cholesky::grow(std::size_t new_cap) {
 
 double Cholesky::log_determinant() const {
   double ld = 0.0;
-  for (std::size_t i = 0; i < n_; ++i) ld += std::log(lf_[i * ld_ + i]);
+  for (std::size_t i = 0; i < n_; ++i) ld += std::log(ltf_[i * ld_ + i]);
   return 2.0 * ld;
 }
 

@@ -18,6 +18,8 @@
 #include <span>
 #include <vector>
 
+#include "common/check.hpp"
+
 namespace stormtune {
 
 using Vector = std::vector<double>;
@@ -85,6 +87,9 @@ class Matrix {
 /// are the capacity padded by linalg_kernels::padded_ld.
 class Cholesky {
  public:
+  /// An empty factor (size 0) for refactor or refactor_mirror to fill.
+  Cholesky() = default;
+
   explicit Cholesky(const Matrix& a);
 
   /// Factor scale·A + diag_add·I without materializing it. `a` must be
@@ -114,18 +119,41 @@ class Cholesky {
   void refactor(const Matrix& a, double scale, double diag_add,
                 std::span<const double> diag_extra);
 
+  /// Factor scale·A + diag_add·I (+ diag(diag_extra) when given, summed as
+  /// refactor's overload sums it) into the transposed mirror alone, through
+  /// the bound-class kernel KernelOps::cholesky_factor_mirror. Each mirror
+  /// row is copied contiguously from the row of `a` it mirrors, which is
+  /// only the lower triangle's column when `a` is exactly symmetric
+  /// (checked builds assert it). The result is backward stable but not
+  /// refactor's bits, and the row-major factor is left stale: until the
+  /// next refactor only log_determinant and mirror_forward_sq_norm may
+  /// read the factor. Returns false instead of throwing when the matrix is
+  /// not numerically SPD. This is the hyper sampler's log-posterior
+  /// estimate (gp::GpRegressor::estimate_log_marginal_likelihood).
+  bool refactor_mirror(const Matrix& a, double scale, double diag_add,
+                       std::span<const double> diag_extra = {});
+
+  /// Forward substitution L z' = z through the mirror in column (axpy)
+  /// form, overwriting `z` with z'; returns ‖z'‖² summed in index order.
+  /// Reads only the mirror, so it serves refactor_mirror's factor too.
+  double mirror_forward_sq_norm(std::span<double> z) const;
+
   /// The factor as a dense matrix (strict upper triangle zeroed).
   /// Materialized on demand — O(n²).
   Matrix lower() const;
 
   /// Element L(i, j) of the factor; requires j <= i.
   double lower_at(std::size_t i, std::size_t j) const {
+    STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
     return lf_[i * ld_ + j];
   }
 
   /// Row i of L starts at lower_rows() + i·stride(); its first i + 1
   /// entries are L(i, 0..i). This is what the multi-RHS solve kernels read.
-  const double* lower_rows() const { return lf_.data(); }
+  const double* lower_rows() const {
+    STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
+    return lf_.data();
+  }
   std::size_t stride() const { return ld_; }
 
   /// Solve A x = b via forward + backward substitution.
@@ -188,7 +216,8 @@ class Cholesky {
   /// Ensure capacity for factors up to `cap` rows without reallocation.
   void reserve(std::size_t cap);
 
-  /// log|A| = 2 * sum(log diag(L)).
+  /// log|A| = 2 * sum(log diag(L)), read from the mirror's diagonal (the
+  /// same bits as the row-major factor's, which it mirrors).
   double log_determinant() const;
 
   std::size_t size() const { return n_; }
@@ -222,6 +251,8 @@ class Cholesky {
   /// out of the trailing factor). Sized with the buffers above so remove_row
   /// never allocates while capacity suffices.
   std::vector<double> work_;
+  /// Set by refactor_mirror: lf_ does not hold the factor the mirror does.
+  bool lf_stale_ = false;
 };
 
 /// Dot product; dimension-checked.

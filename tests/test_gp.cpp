@@ -8,11 +8,18 @@
 #include <tuple>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/error.hpp"
+#include "common/isa.hpp"
 #include "common/rng.hpp"
 #include "gp/hyper.hpp"
 #include "gp/kernel.hpp"
 #include "linalg/kernels.hpp"
+
+namespace stormtune::testprobe {
+// Every operator new, counted by the replacement in test_engine_golden.cpp.
+std::size_t new_call_count();
+}  // namespace stormtune::testprobe
 
 namespace stormtune::gp {
 namespace {
@@ -740,6 +747,214 @@ TEST_F(GpFit, SharedDistanceBlockRejectsArd) {
   EXPECT_THROW(predict_mv_from_sq_dist_block(gp.posterior(), d2t.data(), 3, 3,
                                              v.data(), 3, means, vars),
                Error);
+}
+
+// --- The hyper sampler's log-marginal-likelihood estimate -------------------
+
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(isa::Path path) : prev_(isa::selected()) {
+    isa::select(path);
+  }
+  ~ScopedIsa() { isa::select(prev_); }
+  ScopedIsa(const ScopedIsa&) = delete;
+  ScopedIsa& operator=(const ScopedIsa&) = delete;
+
+ private:
+  isa::Path prev_;
+};
+
+std::vector<isa::Path> runnable_paths() {
+  std::vector<isa::Path> paths;
+  for (std::size_t i = 0; i < isa::kNumPaths; ++i) {
+    const auto p = static_cast<isa::Path>(i);
+    if (isa::compiled(p) && isa::supported(p)) paths.push_back(p);
+  }
+  return paths;
+}
+
+/// One regressor shape for the estimate sweep: random inputs and targets,
+/// a kernel and hyperparameters (log amplitude, log lengthscales, noise
+/// variance, mean), and an optional noise-ratio diagonal.
+struct EstimateCase {
+  Matrix x;
+  Vector y;
+  Kernel kernel;
+  double noise = 0.0;
+  double mean = 0.0;
+  std::vector<double> ratios;
+
+  GpRegressor regressor() const {
+    GpRegressor gp(kernel, noise, mean);
+    if (!ratios.empty()) {
+      std::vector<double> diag(ratios.size());
+      for (std::size_t i = 0; i < diag.size(); ++i) diag[i] = noise * ratios[i];
+      gp.set_noise_diag(diag);
+    }
+    gp.set_inputs(x);
+    return gp;
+  }
+};
+
+EstimateCase random_case(std::size_t n, std::size_t d, KernelFamily family,
+                         bool ard, double log_amp, double noise, Rng& rng) {
+  EstimateCase c{Matrix(n, d), Vector(n), Kernel(family, d, ard), 0.0, 0.0,
+                 {}};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t k = 0; k < d; ++k) c.x(i, k) = rng.uniform();
+    c.y[i] = rng.normal();
+  }
+  std::vector<double> log_params{log_amp};
+  for (std::size_t k = 0; k < c.kernel.lengthscales().size(); ++k) {
+    log_params.push_back(rng.uniform(-1.5, 1.0));
+  }
+  c.kernel.set_hyperparams(log_params);
+  c.noise = noise;
+  c.mean = rng.normal();
+  return c;
+}
+
+/// |estimate − exact| ≤ allowance, where the exact value is what refit
+/// then log_marginal_likelihood() give. Returns false when the regressor
+/// declined to estimate.
+bool estimate_covers_exact(const EstimateCase& c, const std::string& what) {
+  GpRegressor gp = c.regressor();
+  const auto est = gp.estimate_log_marginal_likelihood(c.y);
+  EXPECT_FALSE(gp.fitted()) << what;
+  if (!est.has_value()) return false;
+  gp.refit(c.y);
+  const double exact = gp.log_marginal_likelihood();
+  EXPECT_LE(std::fabs(est->value - exact), est->allowance)
+      << what << ": estimate " << est->value << ", exact " << exact;
+  EXPECT_GT(est->allowance, 0.0) << what;
+  return true;
+}
+
+// The allowance must cover the exact path's value on every ISA path (the
+// fused factor rounds differently on each), at every history length the
+// sampler meets, including the guard's edge, a large amplitude and a
+// noise-ratio diagonal.
+TEST(LmlEstimate, AllowanceCoversExactValueOnEveryPath) {
+  const KernelFamily families[] = {KernelFamily::kSquaredExponential,
+                                   KernelFamily::kMatern32,
+                                   KernelFamily::kMatern52};
+  for (const isa::Path path : runnable_paths()) {
+    const ScopedIsa pin(path);
+    Rng rng(2015);
+    std::size_t estimated = 0;
+    for (const std::size_t n : {2u, 5u, 16u, 64u, 101u}) {
+      const std::size_t d = n == 101 ? 101 : 1 + n % 6;
+      for (int trial = 0; trial < 6; ++trial) {
+        const std::string what = std::string(isa::to_string(path)) +
+                                 " n=" + std::to_string(n) + " trial " +
+                                 std::to_string(trial);
+        const KernelFamily family = families[trial % 3];
+        const bool ard = trial % 2 == 1;
+        // Typical sampler states: they must be estimated, not refused.
+        EstimateCase typical =
+            random_case(n, d, family, ard, rng.uniform(-1.0, 1.0),
+                        std::exp(2.0 * rng.uniform(-4.0, -0.5)), rng);
+        EXPECT_TRUE(estimate_covers_exact(typical, what + " typical"));
+        // A large amplitude over moderate noise.
+        EstimateCase large = random_case(n, d, family, ard, 4.0, 0.05, rng);
+        EXPECT_TRUE(estimate_covers_exact(large, what + " large amplitude"));
+        // A noise-ratio diagonal, as mixed-fidelity rungs carry.
+        EstimateCase het =
+            random_case(n, d, family, ard, rng.uniform(-1.0, 1.0), 0.01, rng);
+        het.ratios.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          het.ratios[i] = i % 3 == 0 ? 1.0 : (i % 3 == 1 ? 4.0 : 16.0);
+        }
+        EXPECT_TRUE(estimate_covers_exact(het, what + " noise ratios"));
+        // The guard's edge: the smallest noise the guards still accept,
+        // found by bisection on log noise.
+        EstimateCase edge =
+            random_case(n, d, family, ard, rng.uniform(-1.0, 2.0), 1.0, rng);
+        double lo = -40.0, hi = 0.0;  // log noise: refused at lo, kept at hi
+        for (int it = 0; it < 60; ++it) {
+          const double mid = 0.5 * (lo + hi);
+          edge.noise = std::exp(mid);
+          GpRegressor gp = edge.regressor();
+          (gp.estimate_log_marginal_likelihood(edge.y) ? hi : lo) = mid;
+        }
+        edge.noise = std::exp(hi);
+        EXPECT_TRUE(estimate_covers_exact(edge, what + " guard edge"));
+        edge.noise = std::exp(lo);
+        EXPECT_FALSE(estimate_covers_exact(edge, what + " past the edge"));
+        estimated += 4;
+      }
+    }
+    EXPECT_EQ(estimated, 5u * 6u * 4u);
+  }
+}
+
+// The allowance is a rounding bound: at the benchmark's shape (n = 100,
+// d = 101) it is a millionth of the value, so slice comparisons, whose
+// margins are O(1), almost never fall inside it.
+TEST(LmlEstimate, AllowanceIsSmallAtTheBo100Shape) {
+  Rng rng(7);
+  const EstimateCase c = random_case(100, 101, KernelFamily::kMatern52, false,
+                                     1.0, 1e-2, rng);
+  GpRegressor gp = c.regressor();
+  const auto est = gp.estimate_log_marginal_likelihood(c.y);
+  ASSERT_TRUE(est.has_value());
+  EXPECT_LT(est->allowance, 1e-6 * std::fabs(est->value));
+}
+
+// A mean-only change keeps the estimate factor; the reused factor, an
+// exact refit in between and a fresh regressor all give the same bits.
+TEST(LmlEstimate, MeanOnlyReuseMatchesAFreshRegressor) {
+  Rng rng(9);
+  EstimateCase c =
+      random_case(30, 3, KernelFamily::kMatern52, true, 0.3, 0.01, rng);
+  GpRegressor warm = c.regressor();
+  ASSERT_TRUE(warm.estimate_log_marginal_likelihood(c.y).has_value());
+  warm.refit(c.y);  // the exact path takes the factor buffers back
+  for (const double mean : {0.25, -1.5, 0.0}) {
+    warm.set_mean_value(mean);
+    const auto reused = warm.estimate_log_marginal_likelihood(c.y);
+    c.mean = mean;
+    GpRegressor fresh = c.regressor();
+    const auto cold = fresh.estimate_log_marginal_likelihood(c.y);
+    ASSERT_TRUE(reused.has_value() && cold.has_value());
+    EXPECT_EQ(reused->value, cold->value) << "mean " << mean;
+    EXPECT_EQ(reused->allowance, cold->allowance) << "mean " << mean;
+  }
+}
+
+// The estimate's factor, forward-solve scratch and centred targets live in
+// the regressor: once warm, estimates at one n never touch the heap.
+TEST(LmlEstimate, SteadyStateAllocatesNothing) {
+  if constexpr (kCheckedBuild) {
+    GTEST_SKIP() << "zero-allocation guarantee applies to release builds";
+  }
+  Rng rng(21);
+  EstimateCase c =
+      random_case(40, 3, KernelFamily::kMatern52, false, 0.2, 0.01, rng);
+  GpRegressor gp = c.regressor();
+  ASSERT_TRUE(gp.estimate_log_marginal_likelihood(c.y).has_value());
+  const std::vector<double> amp{0.5, -0.3};
+  const std::size_t news_before = testprobe::new_call_count();
+  for (int r = 0; r < 8; ++r) {
+    gp.set_kernel_hyperparams(std::span(amp));  // amplitude and lengthscale
+    gp.set_noise_variance(0.01 + 0.001 * r);
+    gp.set_mean_value(0.1 * r);
+    ASSERT_TRUE(gp.estimate_log_marginal_likelihood(c.y).has_value());
+  }
+  EXPECT_EQ(testprobe::new_call_count() - news_before, 0u);
+}
+
+// Where refit could escalate jitter the estimate declines, and the exact
+// path then answers as before.
+TEST(LmlEstimate, DeclinesWhereRefitMightAddJitter) {
+  Rng rng(3);
+  EstimateCase c =
+      random_case(64, 2, KernelFamily::kSquaredExponential, false, 2.0,
+                  1e-14, rng);
+  GpRegressor gp = c.regressor();
+  EXPECT_FALSE(gp.estimate_log_marginal_likelihood(c.y).has_value());
+  gp.refit(c.y);
+  EXPECT_TRUE(std::isfinite(gp.log_marginal_likelihood()));
 }
 
 }  // namespace

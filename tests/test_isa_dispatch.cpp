@@ -483,6 +483,56 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
 // solve against the definition of its outputs, on every path: FMA and
 // lane sums move only the last bits, well inside the eps·Σ|term| the
 // local search allows per sum (DESIGN.md §8, "Bounded local search").
+// The hyper sampler's fused factor is a bound-class kernel: its bits differ
+// by path, but on every path L·Lᵀ reproduces A within Higham's backward
+// error γ_{n+2}·|L|·|Lᵀ|, which is all the log-posterior allowance assumes,
+// and a matrix that is not positive definite is refused at its first bad
+// column.
+TEST(IsaDispatch, CholeskyFactorMirrorIsBackwardStableOnEveryPath) {
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    Rng rng(67);
+    for (const std::size_t n : {1ul, 2ul, 3ul, 7ul, 16ul, 33ul, 64ul, 101ul}) {
+      Matrix b(n, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) b(i, j) = rng.normal();
+      }
+      Matrix a = b.multiply(b.transposed());
+      for (std::size_t i = 0; i < n; ++i) a(i, i) += 1e-3;
+      const std::size_t ld = lk::padded_ld(n);
+      std::vector<double> ltf(n * ld, 0.0);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = j; i < n; ++i) ltf[j * ld + i] = a(j, i);
+      }
+      ASSERT_EQ(ops->cholesky_factor_mirror(ltf.data(), ld, n), n)
+          << isa::to_string(path) << " n=" << n;
+      const double gamma = (n + 2.0) * 0x1p-53 / (1.0 - (n + 2.0) * 0x1p-53);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t i = j; i < n; ++i) {
+          long double prod = 0.0L, mag = 0.0L;
+          for (std::size_t k = 0; k <= j; ++k) {
+            const long double lik = ltf[k * ld + i], ljk = ltf[k * ld + j];
+            prod += lik * ljk;
+            mag += std::fabs(lik * ljk);
+          }
+          EXPECT_LE(std::fabs(prod - static_cast<long double>(a(i, j))),
+                    gamma * mag)
+              << isa::to_string(path) << " n=" << n << " (" << i << ", "
+              << j << ")";
+        }
+      }
+      if (n >= 3) {
+        std::vector<double> bad(n * ld, 0.0);
+        for (std::size_t j = 0; j < n; ++j) bad[j * ld + j] = 1.0;
+        bad[2 * ld + 2] = -1.0;
+        EXPECT_EQ(ops->cholesky_factor_mirror(bad.data(), ld, n), 2u)
+            << isa::to_string(path) << " n=" << n;
+      }
+    }
+  }
+}
+
 TEST(IsaDispatch, BoundSumsAndSolveAgreeWithNaiveLoopsOnEveryPath) {
   constexpr double kTol = 64.0 * 0x1p-53;
   for (const isa::Path path : runnable_paths()) {

@@ -4,7 +4,9 @@
 # with --threads (one campaign runs on one thread; only tune-many takes a
 # width), and requires each run to exit 2 and name the offending flag on
 # stderr (an uncaught conversion exception would abort the process
-# instead). Then runs
+# instead). Runs `simulate` and `info` with flags only other subcommands
+# read and requires exit 2 naming the first such flag and the subcommand.
+# Then runs
 # `stormtune tune-many` on campaign files whose counts or seed are negative
 # or fractional and requires each run to exit 1 and name the field.
 #
@@ -34,6 +36,26 @@ foreach(case "tune;medium;--steps=abc" "simulate;small;--hint=x"
   endif()
 endforeach()
 
+foreach(case "simulate;small;--threads=4;--steps=9"
+             "info;small;--threads=4;--jsonl=x")
+  list(GET case 0 command)
+  execute_process(
+    COMMAND "${STORMTUNE}" ${case}
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT status STREQUAL "2")
+    message(FATAL_ERROR "stormtune ${case}: expected exit 2, got '${status}'")
+  endif()
+  string(FIND "${err}" "--threads" at_flag)
+  string(FIND "${err}" "'${command}'" at_command)
+  if(at_flag EQUAL -1 OR at_command EQUAL -1)
+    message(FATAL_ERROR
+            "stormtune ${case}: stderr does not name --threads and "
+            "'${command}':\n${err}")
+  endif()
+endforeach()
+
 foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
              "ladder_promote_top_k;-1" "seed;-1" "steps;2.5" "seed;0.5")
   list(GET case 0 field)
@@ -57,5 +79,6 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
             "tune-many \"${field}\": ${value}: stderr does not name ${field}:\n${err}")
   endif()
 endforeach()
-message(STATUS "malformed numeric flags and tune --threads exit 2 and name "
-               "the flag; malformed campaign counts exit 1 and name the field")
+message(STATUS "malformed numeric flags, tune --threads and flags of other "
+               "subcommands exit 2 and name the flag; malformed campaign "
+               "counts exit 1 and name the field")

@@ -62,10 +62,11 @@
 //                   stop rule is seeded and campaign-local, determinism
 //                   across thread counts still holds.
 //
-// A malformed numeric value (--steps=abc, --hint=x) is a usage error
-// (exit 2), like an unknown option. The kernel dispatch path comes from
-// the STORMTUNE_ISA environment variable (portable|avx2|avx512|auto;
-// default auto-detect).
+// Each subcommand accepts only the options listed for it above (info and
+// dot: --tiim and --contention); any other option, or a malformed numeric
+// value (--steps=abc, --hint=x), is a usage error (exit 2) that names it.
+// The kernel dispatch path comes from the STORMTUNE_ISA environment
+// variable (portable|avx2|avx512|auto; default auto-detect).
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -178,11 +179,96 @@ T number(const char* arg, const char* v) {
   return out;
 }
 
-Options parse(int argc, char** argv, int first) {
+/// The subcommands, as bits of a flag's accepted set.
+enum Command : unsigned {
+  kList = 1u << 0,
+  kInfo = 1u << 1,
+  kDot = 1u << 2,
+  kSimulate = 1u << 3,
+  kTune = 1u << 4,
+  kTuneMany = 1u << 5,
+};
+
+struct CommandName {
+  const char* name;
+  Command command;
+};
+
+constexpr CommandName kCommands[] = {
+    {"list", kList},         {"info", kInfo}, {"dot", kDot},
+    {"simulate", kSimulate}, {"tune", kTune}, {"tune-many", kTuneMany},
+};
+
+/// Which subcommands read each flag: a flag another subcommand would
+/// silently ignore is a usage error there instead. The topology modifiers
+/// shape every workload; the deployment and simulation flags feed every
+/// run (as campaign defaults in tune-many); the search flags feed both
+/// tuning commands.
+struct FlagUse {
+  const char* name;  ///< the flag up to its '='
+  unsigned commands;
+  const char* note;  ///< appended to the usage error, or nullptr
+};
+
+constexpr unsigned kWorkloads = kInfo | kDot | kSimulate | kTune | kTuneMany;
+constexpr unsigned kRuns = kSimulate | kTune | kTuneMany;
+constexpr unsigned kTuning = kTune | kTuneMany;
+
+constexpr FlagUse kFlagUses[] = {
+    {"--tiim", kWorkloads, nullptr},
+    {"--contention", kWorkloads, nullptr},
+    {"--hint", kRuns, nullptr},
+    {"--bs", kRuns, nullptr},
+    {"--bp", kRuns, nullptr},
+    {"--wt", kRuns, nullptr},
+    {"--rt", kRuns, nullptr},
+    {"--ackers", kRuns, nullptr},
+    {"--max-tasks", kRuns, nullptr},
+    {"--duration", kRuns, nullptr},
+    {"--seed", kRuns, nullptr},
+    {"--adaptive-window", kRuns, nullptr},
+    {"--strategy", kTuning, nullptr},
+    {"--steps", kTuning, nullptr},
+    {"--reps", kTuning, nullptr},
+    {"--what", kTuning, nullptr},
+    {"--fidelity", kTuning, nullptr},
+    {"--gp-window", kTuning, nullptr},
+    {"--ladder-rung1-epsilon", kTuning, nullptr},
+    {"--ladder-challenge-fraction", kTuning, nullptr},
+    {"--ladder-promote-top-k", kTuning, nullptr},
+    {"--json", kTune, nullptr},
+    {"--csv", kTune, nullptr},
+    {"--threads", kTuneMany,
+     "it sizes tune-many's scheduler, and a tune campaign runs on one "
+     "thread"},
+    {"--passes", kTuneMany, nullptr},
+    {"--campaigns", kTuneMany, nullptr},
+    {"--jsonl", kTuneMany, nullptr},
+};
+
+/// A usage error unless `arg`'s flag is one `command` reads. Flags outside
+/// the table fall through to parse's unknown-option error.
+void require_accepted(const char* arg, const char* command_name,
+                      Command command) {
+  const std::size_t len = std::strcspn(arg, "=");
+  for (const FlagUse& f : kFlagUses) {
+    if (std::strlen(f.name) != len || std::strncmp(arg, f.name, len) != 0) {
+      continue;
+    }
+    if ((f.commands & command) != 0) return;
+    std::fprintf(stderr, "%s: not an option of '%s'%s%s\n", f.name,
+                 command_name, f.note ? "; " : "", f.note ? f.note : "");
+    usage();
+  }
+}
+
+Options parse(int argc, char** argv, int first, const char* command_name,
+              Command command) {
   Options o;
   if (first < argc && argv[first][0] != '-') o.topology = argv[first++];
   for (int i = first; i < argc; ++i) {
     const char* a = argv[i];
+    require_accepted(a, command_name, command);
     if (std::strcmp(a, "--tiim") == 0) o.tiim = true;
     else if (const char* v = value_of(a, "--contention")) o.contention = number<double>(a, v);
     else if (const char* v = value_of(a, "--hint")) o.hint = number<int>(a, v);
@@ -427,12 +513,6 @@ std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
 }
 
 int cmd_tune(const Options& o) {
-  if (o.threads) {
-    std::fprintf(stderr,
-                 "--threads: tune runs one campaign on one thread; "
-                 "--threads sizes tune-many's scheduler\n");
-    usage();
-  }
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
   const Workload w = load_workload(o);
   sim::TopologyConfig defaults = config_from_options(o, w);
@@ -674,17 +754,36 @@ int cmd_tune_many(const Options& cli) {
 
 int main(int argc, char** argv) {
   if (argc < 2) usage();
-  const std::string cmd = argv[1];
+  const CommandName* cmd = nullptr;
+  for (const CommandName& c : kCommands) {
+    if (std::strcmp(argv[1], c.name) == 0) cmd = &c;
+  }
+  if (cmd == nullptr) usage();
   try {
-    if (cmd == "list") return cmd_list();
-    const Options o = parse(argc, argv, 2);
-    if (cmd == "tune-many") return cmd_tune_many(o);
+    const Options o = parse(argc, argv, 2, cmd->name, cmd->command);
+    switch (cmd->command) {
+      case kList:
+      case kTuneMany:
+        if (!o.topology.empty()) {
+          std::fprintf(stderr, "%s takes no topology (got '%s')\n",
+                       cmd->name, o.topology.c_str());
+          usage();
+        }
+        return cmd->command == kList ? cmd_list() : cmd_tune_many(o);
+      default:
+        break;
+    }
     if (o.topology.empty()) usage();
-    if (cmd == "info") return cmd_info(o);
-    if (cmd == "dot") return cmd_dot(o);
-    if (cmd == "simulate") return cmd_simulate(o);
-    if (cmd == "tune") return cmd_tune(o);
-    usage();
+    switch (cmd->command) {
+      case kInfo:
+        return cmd_info(o);
+      case kDot:
+        return cmd_dot(o);
+      case kSimulate:
+        return cmd_simulate(o);
+      default:
+        return cmd_tune(o);
+    }
   } catch (const stormtune::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
