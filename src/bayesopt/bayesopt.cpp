@@ -9,7 +9,6 @@
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/check.hpp"
-#include "gp/kernel_batch.hpp"
 #include "linalg/kernels.hpp"
 
 namespace stormtune::bo {
@@ -216,26 +215,26 @@ void corr_slopes(gp::KernelFamily family, double t, const double* b,
 void curvatures(gp::KernelFamily family, double a2, double t, double eps,
                 double* kap, double* r, std::size_t n) {
   const double scale = (1.0 + eps) * a2 * t * t;
+  const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
   switch (family) {
     case gp::KernelFamily::kSquaredExponential:
-      gp::correlation_from_scaled_sq_batch(family, 0.25 * scale, kap, n);
+      ops.correlation(family, 0.25 * scale, kap, n);
       return;
     case gp::KernelFamily::kMatern32:
       for (std::size_t i = 0; i < n; ++i) {
         r[i] = std::sqrt(3.0 * kap[i]);
         kap[i] = 2.0 * r[i] * (1.0 - eps);
       }
-      gp::correlation_from_scaled_sq_batch(
-          gp::KernelFamily::kSquaredExponential, 2.25 * scale, kap, n);
+      ops.correlation(gp::KernelFamily::kSquaredExponential, 2.25 * scale,
+                      kap, n);
       for (std::size_t i = 0; i < n; ++i) kap[i] /= r[i];
       return;
     case gp::KernelFamily::kMatern52:
       for (std::size_t i = 0; i < n; ++i) {
         kap[i] = 2.0 * std::sqrt(5.0 * kap[i]) * (1.0 - eps);
       }
-      gp::correlation_from_scaled_sq_batch(
-          gp::KernelFamily::kSquaredExponential, (25.0 / 12.0) * scale, kap,
-          n);
+      ops.correlation(gp::KernelFamily::kSquaredExponential,
+                      (25.0 / 12.0) * scale, kap, n);
       return;
   }
 }
@@ -569,7 +568,7 @@ struct BayesOpt::Surrogate {
     const double t = post.inv_sq_ls[0];
     const double eps = ls.eps;
     for (std::size_t i = 0; i < n; ++i) k[i] = base[i] * t;
-    gp::correlation_from_scaled_sq_batch(post.family, a2, k, n);
+    linalg_kernels::ops().correlation(post.family, a2, k, n);
     corr_slopes(post.family, t, base.data(), k, dk, n);
     for (std::size_t i = 0; i < n; ++i) {
       const double lo = (base[i] - ls.disp) * t * (1.0 - eps);

@@ -1,10 +1,10 @@
 // Runtime ISA path selection for the SIMD-dispatched kernels.
 //
-// The dense kernels (linalg/kernels.hpp factorization, solve and distance
-// kernels, gp/kernel_batch correlation transforms) exist in several lane
-// widths. Exactly one path is active per process: resolved lazily on first
-// use from the STORMTUNE_ISA environment variable ("portable", "avx2",
-// "avx512", or "auto") — the only knob; there is no command-line flag —
+// The dense kernels (linalg/kernels.hpp's KernelOps: factorization, solve,
+// distance and correlation kernels) exist in several lane widths. Exactly
+// one path is active per process: resolved lazily on first use from the
+// STORMTUNE_ISA environment variable ("portable", "avx2", "avx512", or
+// "auto") — the only knob; there is no command-line flag —
 // defaulting to the widest path this binary compiled in AND this CPU
 // supports. Other architectures (AArch64 included) run the portable path.
 // `select()` overrides the choice for tests.

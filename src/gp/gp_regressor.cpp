@@ -6,7 +6,6 @@
 #include <numbers>
 
 #include "common/error.hpp"
-#include "gp/kernel_batch.hpp"
 #include "common/check.hpp"
 #include "linalg/kernels.hpp"
 
@@ -190,8 +189,8 @@ void GpRegressor::ensure_correlation() {
       corr_r2_[pair] = r2;
     }
   }
-  correlation_from_scaled_sq_batch(kernel_.family(), 1.0, corr_r2_.data(),
-                                   num_pairs);
+  linalg_kernels::ops().correlation(kernel_.family(), 1.0, corr_r2_.data(),
+                                    num_pairs);
   std::size_t off = 0;
   for (std::size_t j = 0; j < n; ++j) {
     corr_(j, j) = 1.0;
@@ -498,7 +497,8 @@ void GpRegressor::append_impl(std::span<const double> x_new,
       corr_r2_[i] = r2;
     }
   }
-  correlation_from_scaled_sq_batch(kernel_.family(), 1.0, corr_r2_.data(), n);
+  linalg_kernels::ops().correlation(kernel_.family(), 1.0, corr_r2_.data(),
+                                    n);
   for (std::size_t i = 0; i < n; ++i) {
     grown_corr(i, n) = corr_r2_[i];
     grown_corr(n, i) = corr_r2_[i];
@@ -731,8 +731,8 @@ STORMTUNE_HOT void GpRegressor::predict_rows(
       } else {
         for (std::size_t i = 0; i < n; ++i) krow[i] *= inv[0];
       }
-      correlation_from_scaled_sq_batch(post.family, post.variance, krow.data(),
-                                       n);
+      linalg_kernels::ops().correlation(post.family, post.variance,
+                                        krow.data(), n);
     }
     predict_chunk(post, kstar, std::span(out).subspan(base, m));
   }
@@ -774,6 +774,7 @@ STORMTUNE_HOT void predict_mv_from_sq_dist_block(
   const std::size_t n = post.num_observations();
   const double a2 = post.variance;
   const double inv0 = post.inv_sq_ls[0];
+  const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
   // V = K*ᵀ (row i = candidate values of training point i), built from the
   // distance block's row i: both stride-1, and this is the layout the
   // solve wants.
@@ -781,11 +782,10 @@ STORMTUNE_HOT void predict_mv_from_sq_dist_block(
     double* vi = v + i * ldv;
     const double* di = d2t + i * ldd;
     for (std::size_t c = 0; c < m; ++c) vi[c] = di[c] * inv0;
-    correlation_from_scaled_sq_batch(post.family, a2, vi, m);
+    ops.correlation(post.family, a2, vi, m);
   }
   // Means before the solve overwrites V: per candidate 0 + Σ_i v_i·α_i,
   // i ascending — the chunked path's dot-product order.
-  const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
   ops.column_dots(v, ldv, n, m, post.alpha.data(), means.data());
   for (std::size_t c = 0; c < m; ++c) means[c] = post.mean_value + means[c];
   // One forward substitution over the block; a column's result does not

@@ -216,28 +216,22 @@ HyperSample fit_hyperparams_mle(GpRegressor& gp, const Matrix& x,
                                 Rng& rng,
                                 std::span<const double> noise_ratio_diag) {
   LogPosterior posterior(gp, x, y, opts.prior, noise_ratio_diag);
-  // Each restart starts from the regressor's hyperparameters, which are
-  // the last estimated candidate's: an exact re-evaluation (a near tie, or
-  // a checked build's verification) moves them, so they are put back.
-  std::vector<double> last_set;
-  auto objective = [&](const std::vector<double>& t) {
-    if (!absurd(t)) last_set.assign(t.begin(), t.end());
-    return posterior(t, false);
-  };
   auto exact = [&](const std::vector<double>& t) {
     return [&] { return LogDensity{posterior.exact(t)}; };
   };
 
-  std::vector<double> best = initial_theta(gp);
-  LogDensity best_val = objective(best);
+  // Every restart starts from the regressor's hyperparameters on entry:
+  // restart 0 from them, restart r > 0 from them plus its own normals.
+  const std::vector<double> start = initial_theta(gp);
+  std::vector<double> best = start;
+  LogDensity best_val = posterior(best, false);
 
   for (int restart = 0; restart < opts.restarts; ++restart) {
-    if (!last_set.empty()) posterior.set(last_set);
-    std::vector<double> theta = initial_theta(gp);
+    std::vector<double> theta = start;
     if (restart > 0) {
       for (auto& t : theta) t += rng.normal(0.0, 1.0);
     }
-    LogDensity val = objective(theta);
+    LogDensity val = posterior(theta, false);
     double step = opts.initial_step;
     for (int iter = 0; iter < opts.iterations; ++iter) {
       bool improved = false;
@@ -245,7 +239,7 @@ HyperSample fit_hyperparams_mle(GpRegressor& gp, const Matrix& x,
         for (const double delta : {step, -step}) {
           std::vector<double> cand = theta;
           cand[i] += delta;
-          LogDensity cv = objective(cand);
+          LogDensity cv = posterior(cand, false);
           if (exactly_greater(cv, exact(cand), val, exact(theta))) {
             val = cv;
             theta = std::move(cand);

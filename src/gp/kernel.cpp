@@ -44,7 +44,8 @@ double Kernel::scaled_squared_distance(std::span<const double> x,
 double Kernel::operator()(std::span<const double> x,
                           std::span<const double> y) const {
   const double a2 = amplitude_ * amplitude_;
-  return a2 * correlation_from_scaled_sq(scaled_squared_distance(x, y));
+  return a2 * linalg_kernels::correlation_from_scaled_sq(
+                  family_, scaled_squared_distance(x, y));
 }
 
 double Kernel::variance() const { return amplitude_ * amplitude_; }

@@ -5,21 +5,23 @@
 // Matérn 3/2 for the kernel ablation bench. Hyperparameters live in log
 // space so that slice sampling and MLE search operate on an unconstrained
 // parameterization.
+//
+// The correlation functions themselves live in linalg/kernels.hpp: the
+// scalar form (linalg_kernels::correlation_from_scaled_sq) for one pair,
+// and KernelOps::correlation, the ISA-dispatched batch map that every
+// correlation the regressor materializes goes through.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "linalg/kernels.hpp"
+
 namespace stormtune::gp {
 
-enum class KernelFamily {
-  kSquaredExponential,
-  kMatern32,
-  kMatern52,
-};
+using KernelFamily = linalg_kernels::KernelFamily;
 
 std::string to_string(KernelFamily family);
 
@@ -37,30 +39,6 @@ class Kernel {
 
   /// Covariance between two points.
   double operator()(std::span<const double> x, std::span<const double> y) const;
-
-  /// Correlation g(r²) at unit amplitude, where r² = Σ((x_i−y_i)/l_i)² is an
-  /// already-scaled squared distance. The cached-distance fit path in
-  /// GpRegressor evaluates the kernel through this, so new hyperparameters
-  /// never pay the O(dim) pairwise-difference loop again: k = amplitude² · g.
-  /// Single-point entry; GpRegressor's bulk paths (correlation rebuild,
-  /// prediction rows) go through correlation_from_scaled_sq_batch in
-  /// gp/kernel_batch.hpp instead, which must stay expression-for-expression
-  /// identical to the cases below.
-  double correlation_from_scaled_sq(double r2) const {
-    switch (family_) {
-      case KernelFamily::kSquaredExponential:
-        return std::exp(-0.5 * r2);
-      case KernelFamily::kMatern32: {
-        const double sr = std::sqrt(3.0 * r2);
-        return (1.0 + sr) * std::exp(-sr);
-      }
-      case KernelFamily::kMatern52: {
-        const double sr = std::sqrt(5.0 * r2);
-        return (1.0 + sr + sr * sr / 3.0) * std::exp(-sr);
-      }
-    }
-    return 0.0;
-  }
 
   /// k(x, x) = amplitude^2 for all stationary kernels here.
   double variance() const;

@@ -69,14 +69,6 @@ SliceState slice_sample_1d(const LogDensityFn1d& log_density, double x0,
   return start;  // give up gracefully; keep the chain at its current state
 }
 
-double slice_sample_1d(const std::function<double(double)>& log_density,
-                       double x0, Rng& rng, const SliceOptions& opts) {
-  const LogDensityFn1d exact = [&](double x, bool) {
-    return LogDensity{log_density(x)};
-  };
-  return slice_sample_1d(exact, x0, exact(x0, true), rng, opts).x;
-}
-
 LogDensity slice_sample_sweep(const LogDensityFn& log_density,
                               std::vector<double>& x, Rng& rng,
                               const SliceOptions& opts,
@@ -103,18 +95,6 @@ LogDensity slice_sample_sweep(const LogDensityFn& log_density,
     cur = next.log_density;
   }
   return cur;
-}
-
-double slice_sample_sweep(
-    const std::function<double(const std::vector<double>&)>& log_density,
-    std::vector<double>& x, Rng& rng, const SliceOptions& opts,
-    std::optional<double> ly) {
-  const LogDensityFn exact = [&](const std::vector<double>& v, bool) {
-    return LogDensity{log_density(v)};
-  };
-  std::optional<LogDensity> start;
-  if (ly.has_value()) start = LogDensity{*ly};
-  return slice_sample_sweep(exact, x, rng, opts, start).value;
 }
 
 }  // namespace stormtune::gp

@@ -91,11 +91,6 @@ SliceState slice_sample_1d(const LogDensityFn1d& log_density, double x0,
                            LogDensity ly0, Rng& rng,
                            const SliceOptions& opts = {});
 
-/// As above for an exact density, evaluating log_density(x0) first;
-/// returns the new x.
-double slice_sample_1d(const std::function<double(double)>& log_density,
-                       double x0, Rng& rng, const SliceOptions& opts = {});
-
 /// One full sweep of coordinate-wise slice sampling over `x` in place.
 /// `log_density` receives the full vector. `ly` is log_density(x, false)
 /// on entry when the caller has it (evaluated once otherwise); each
@@ -107,11 +102,5 @@ LogDensity slice_sample_sweep(const LogDensityFn& log_density,
                               std::vector<double>& x, Rng& rng,
                               const SliceOptions& opts = {},
                               std::optional<LogDensity> ly = std::nullopt);
-
-/// As above for an exact density.
-double slice_sample_sweep(
-    const std::function<double(const std::vector<double>&)>& log_density,
-    std::vector<double>& x, Rng& rng, const SliceOptions& opts = {},
-    std::optional<double> ly = std::nullopt);
 
 }  // namespace stormtune::gp

@@ -7,10 +7,42 @@
 // library never emits instructions the baseline target lacks.
 #include "linalg/kernels.hpp"
 
+#include <cmath>
+
 #include "linalg/kernels_blocks.hpp"
 #include "common/check.hpp"
 
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define STORMTUNE_HAVE_VECTOR_EXP 1
+#include <emmintrin.h>
+
+// libmvec's 2-lane SSE exp (glibc ≥ 2.22 links it through the libm linker
+// script; glibc's math-vector.h declares it only under -ffast-math, which
+// this project never enables). The symbol dispatches internally on CPU
+// features, so the baseline build stays portable; lanes are evaluated
+// independently, within a few ulp of a correctly rounded exp.
+extern "C" __m128d _ZGVbN2v_exp(__m128d);
+#else
+#define STORMTUNE_HAVE_VECTOR_EXP 0
+#endif
+
 namespace stormtune::linalg_kernels {
+
+double correlation_from_scaled_sq(KernelFamily family, double r2) {
+  switch (family) {
+    case KernelFamily::kSquaredExponential:
+      return std::exp(-0.5 * r2);
+    case KernelFamily::kMatern32: {
+      const double sr = std::sqrt(3.0 * r2);
+      return (1.0 + sr) * std::exp(-sr);
+    }
+    case KernelFamily::kMatern52: {
+      const double sr = std::sqrt(5.0 * r2);
+      return (1.0 + sr + sr * sr / 3.0) * std::exp(-sr);
+    }
+  }
+  return 0.0;
+}
 
 namespace portable {
 
@@ -42,7 +74,15 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return a + b; }
   static Reg sub(Reg a, Reg b) { return a - b; }
   static Reg mul(Reg a, Reg b) { return a * b; }
+  static Reg div(Reg a, Reg b) { return a / b; }
   static Reg fma(Reg a, Reg b, Reg c) { return a * b + c; }
+#if STORMTUNE_HAVE_VECTOR_EXP
+  static Reg sqrt(Reg x) { return _mm_sqrt_pd(x); }
+  static Reg exp(Reg x) { return _ZGVbN2v_exp(x); }
+#else
+  static Reg sqrt(Reg x) { return Reg{std::sqrt(x[0]), std::sqrt(x[1])}; }
+  static Reg exp(Reg x) { return Reg{std::exp(x[0]), std::exp(x[1])}; }
+#endif
 };
 
 }  // namespace
@@ -52,14 +92,9 @@ STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
   return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
 }
 
-STORMTUNE_HOT void givens_row_update(double* __restrict__ lrow,
-                                     double* __restrict__ v, double c,
+STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
                                      double s, std::size_t len) {
-  for (std::size_t j = 0; j < len; ++j) {
-    const double t = c * lrow[j] + s * v[j];
-    v[j] = c * v[j] - s * lrow[j];
-    lrow[j] = t;
-  }
+  detail::givens_row_update<Lanes>(lrow, v, c, s, len);
 }
 
 STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
@@ -90,6 +125,11 @@ STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
 STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
                                   std::size_t n, std::size_t m, double* out) {
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
+}
+
+STORMTUNE_HOT void correlation(KernelFamily family, double scale, double* buf,
+                               std::size_t len) {
+  detail::correlation<Lanes>(family, scale, buf, len);
 }
 
 STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
@@ -141,6 +181,8 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
   STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,        \
                                     std::size_t n, std::size_t m,            \
                                     double* out);                            \
+  STORMTUNE_HOT void correlation(KernelFamily family, double scale,          \
+                                 double* buf, std::size_t len);              \
   STORMTUNE_HOT std::size_t cholesky_factor_mirror(                         \
       double* ltf, std::size_t ld, std::size_t n);                           \
   STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx,            \
@@ -174,8 +216,9 @@ namespace {
   KernelOps {                                                            \
     ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
         ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
-        ns::column_dots, ns::column_sq_sums, ns::cholesky_factor_mirror, \
-        ns::bound_sums, ns::bound_solve, ns::ei_bounds                   \
+        ns::column_dots, ns::column_sq_sums, ns::correlation,            \
+        ns::cholesky_factor_mirror, ns::bound_sums, ns::bound_solve,     \
+        ns::ei_bounds                                                    \
   }
 
 constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);

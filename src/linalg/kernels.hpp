@@ -11,9 +11,10 @@
 // the naive reference kernels (linalg/reference.hpp, reciprocal scaling),
 // keeps GP fits reproducible run-to-run, and makes the portable, AVX2 and
 // AVX-512 paths bit-identical (verified by tests/test_isa_dispatch.cpp).
-// The exception is the four bound-class kernels at the end of the table,
-// which only ever feed rigorous bounds and are valid, not bit-identical,
-// on every path.
+// Two kinds of entry are exceptions: the correlation transform, whose exp
+// lanes come from each width's libmvec routine, and the four bound-class
+// kernels at the end of the table, which only ever feed rigorous bounds and
+// are valid, not bit-identical, on every path.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,21 @@
 #include "common/isa.hpp"
 
 namespace stormtune::linalg_kernels {
+
+/// The stationary kernels' unit-amplitude correlations g(r²) (gp::Kernel).
+enum class KernelFamily {
+  kSquaredExponential,
+  kMatern32,
+  kMatern52,
+};
+
+/// g(r²) for an already-scaled squared distance r² = Σ((x_k−y_k)/l_k)²:
+/// e^{−r²/2}, (1 + √(3r²))·e^{−√(3r²)} or
+/// (1 + √(5r²) + 5r²/3)·e^{−√(5r²)}, in that operation order. The scalar
+/// form of KernelOps::correlation, whose lanes follow it step for step.
+/// Defined in the portable translation unit, so every path's checked-build
+/// sampling compares against baseline code.
+double correlation_from_scaled_sq(KernelFamily family, double r2);
 
 /// The kernel entry points one ISA path provides. The dispatch unit is a
 /// whole routine (a factorization, a solve sweep, a distance block), never
@@ -82,6 +98,20 @@ struct KernelOps {
   /// variances subtract this from a² after the forward solve.
   void (*column_sq_sums)(const double* v, std::size_t ldv, std::size_t n,
                          std::size_t m, double* out);
+
+  /// In-place buf[i] = scale · g(buf[i]), g the unit correlation of
+  /// `family` (correlation_from_scaled_sq, same operation order) and buf
+  /// holding scaled squared distances r² ≥ 0; `scale` is a² for
+  /// covariances and 1 for correlation matrices. Every correlation the GP
+  /// materializes goes through this one map. Its exp lanes are libmvec's
+  /// width-matched routines on x86-64/glibc (per-lane std::exp
+  /// elsewhere), which are lane-independent: a path's bits depend on
+  /// neither len nor an element's position, and run to run they repeat.
+  /// Across paths they may differ by a few ulps from each other and from
+  /// the scalar form. Checked builds compare up to four elements per call
+  /// against the scalar form within 1e-12 relative.
+  void (*correlation)(KernelFamily family, double scale, double* buf,
+                      std::size_t len);
 
   // The bound kernels. Unlike every entry above they are NOT bit-identical
   // across paths: they may contract to FMA, sum in any order and call

@@ -20,12 +20,20 @@
 #include "linalg/kernels_blocks.hpp"
 #include "common/check.hpp"
 
-#if defined(__x86_64__) && defined(__GLIBC__) && __GLIBC_PREREQ(2, 35)
-#define STORMTUNE_HAVE_VECTOR_ERFC 1
-// libmvec's 4-lane AVX2 erfc (glibc ≥ 2.35) and exp ('d' ABI mangling).
-extern "C" __m256d _ZGVdN4v_erfc(__m256d);
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define STORMTUNE_HAVE_VECTOR_EXP 1
+// libmvec's 4-lane AVX2 exp ('d' ABI mangling), linked like the portable
+// TU's 2-lane one.
 extern "C" __m256d _ZGVdN4v_exp(__m256d);
+#if __GLIBC_PREREQ(2, 35)
+#define STORMTUNE_HAVE_VECTOR_ERFC 1
+// libmvec's 4-lane AVX2 erfc (glibc ≥ 2.35).
+extern "C" __m256d _ZGVdN4v_erfc(__m256d);
+#endif
 #else
+#define STORMTUNE_HAVE_VECTOR_EXP 0
+#endif
+#ifndef STORMTUNE_HAVE_VECTOR_ERFC
 #define STORMTUNE_HAVE_VECTOR_ERFC 0
 #endif
 
@@ -55,6 +63,18 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return _mm256_add_pd(a, b); }
   static Reg sub(Reg a, Reg b) { return _mm256_sub_pd(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm256_mul_pd(a, b); }
+  static Reg div(Reg a, Reg b) { return _mm256_div_pd(a, b); }
+  static Reg sqrt(Reg x) { return _mm256_sqrt_pd(x); }
+  static Reg exp(Reg x) {
+#if STORMTUNE_HAVE_VECTOR_EXP
+    return _ZGVdN4v_exp(x);
+#else
+    double l[kLanes];
+    store(l, x);
+    for (double& e : l) e = std::exp(e);
+    return load(l);
+#endif
+  }
   // Multiply then add: this TU is built without -mfma.
   static Reg fma(Reg a, Reg b, Reg c) { return add(mul(a, b), c); }
 };
@@ -66,29 +86,9 @@ STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
   return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
 }
 
-// Givens rotation across a factor row and the downdate carry vector: both
-// products per output evaluated with separate mul/add/sub (no vfmadd),
-// lanes touch disjoint elements, so the sequence per element is exactly
-// the portable loop's.
 STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
                                      double s, std::size_t len) {
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 4 <= len; j += 4) {
-    const __m256d l = _mm256_loadu_pd(lrow + j);
-    const __m256d w = _mm256_loadu_pd(v + j);
-    const __m256d t = _mm256_add_pd(_mm256_mul_pd(vc, l), _mm256_mul_pd(vs, w));
-    const __m256d nw =
-        _mm256_sub_pd(_mm256_mul_pd(vc, w), _mm256_mul_pd(vs, l));
-    _mm256_storeu_pd(v + j, nw);
-    _mm256_storeu_pd(lrow + j, t);
-  }
-  for (; j < len; ++j) {
-    const double t = c * lrow[j] + s * v[j];
-    v[j] = c * v[j] - s * lrow[j];
-    lrow[j] = t;
-  }
+  detail::givens_row_update<Lanes>(lrow, v, c, s, len);
 }
 
 STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
@@ -119,6 +119,11 @@ STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
 STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
                                   std::size_t n, std::size_t m, double* out) {
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
+}
+
+STORMTUNE_HOT void correlation(KernelFamily family, double scale, double* buf,
+                               std::size_t len) {
+  detail::correlation<Lanes>(family, scale, buf, len);
 }
 
 STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
@@ -160,14 +165,14 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
     const __m256d v = _mm256_maskload_pd(var + r, mask);
     const __m256d imp = _mm256_sub_pd(_mm256_sub_pd(mu, vbest), vxi);
     const __m256d pos = _mm256_max_pd(imp, zero);
-    const __m256d sd = _mm256_sqrt_pd(v);
+    const __m256d sd = Lanes::sqrt(v);
     const __m256d z = _mm256_div_pd(imp, sd);
     const __m256d cdf = _mm256_mul_pd(
         _mm256_set1_pd(0.5),
         _ZGVdN4v_erfc(_mm256_mul_pd(_mm256_xor_pd(z, sign),
                                     _mm256_set1_pd(0.70710678118654752440))));
     const __m256d pdf = _mm256_mul_pd(
-        _ZGVdN4v_exp(_mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(-0.5), z), z)),
+        Lanes::exp(_mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(-0.5), z), z)),
         _mm256_set1_pd(0.39894228040143267794));
     __m256d ei = _mm256_add_pd(_mm256_mul_pd(imp, cdf), _mm256_mul_pd(sd, pdf));
     ei = _mm256_blendv_pd(ei, pos, _mm256_cmp_pd(v, zero, _CMP_EQ_OQ));

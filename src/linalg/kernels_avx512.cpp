@@ -18,12 +18,19 @@
 #include "linalg/kernels_blocks.hpp"
 #include "common/check.hpp"
 
-#if defined(__x86_64__) && defined(__GLIBC__) && __GLIBC_PREREQ(2, 35)
-#define STORMTUNE_HAVE_VECTOR_ERFC 1
-// libmvec's 8-lane AVX-512 erfc (glibc ≥ 2.35) and exp ('e' ABI mangling).
-extern "C" __m512d _ZGVeN8v_erfc(__m512d);
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define STORMTUNE_HAVE_VECTOR_EXP 1
+// libmvec's 8-lane AVX-512 exp ('e' ABI mangling).
 extern "C" __m512d _ZGVeN8v_exp(__m512d);
+#if __GLIBC_PREREQ(2, 35)
+#define STORMTUNE_HAVE_VECTOR_ERFC 1
+// libmvec's 8-lane AVX-512 erfc (glibc ≥ 2.35).
+extern "C" __m512d _ZGVeN8v_erfc(__m512d);
+#endif
 #else
+#define STORMTUNE_HAVE_VECTOR_EXP 0
+#endif
+#ifndef STORMTUNE_HAVE_VECTOR_ERFC
 #define STORMTUNE_HAVE_VECTOR_ERFC 0
 #endif
 
@@ -56,6 +63,21 @@ struct Lanes {
   static Reg add(Reg a, Reg b) { return _mm512_add_pd(a, b); }
   static Reg sub(Reg a, Reg b) { return _mm512_sub_pd(a, b); }
   static Reg mul(Reg a, Reg b) { return _mm512_mul_pd(a, b); }
+  static Reg div(Reg a, Reg b) { return _mm512_div_pd(a, b); }
+  // The all-lanes masked sqrt is the same vsqrtpd as _mm512_sqrt_pd, whose
+  // gcc 12 expansion reads _mm512_undefined_pd() and trips
+  // -Wmaybe-uninitialized under STORMTUNE_WERROR.
+  static Reg sqrt(Reg x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+  static Reg exp(Reg x) {
+#if STORMTUNE_HAVE_VECTOR_EXP
+    return _ZGVeN8v_exp(x);
+#else
+    double l[kLanes];
+    store(l, x);
+    for (double& e : l) e = std::exp(e);
+    return load(l);
+#endif
+  }
   static Reg fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
 };
 
@@ -66,29 +88,9 @@ STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
   return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
 }
 
-// Givens rotation across a factor row and the downdate carry vector: both
-// products per output evaluated with separate mul/add/sub (no vfmadd),
-// lanes touch disjoint elements, so the sequence per element is exactly
-// the portable loop's.
 STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
                                      double s, std::size_t len) {
-  const __m512d vc = _mm512_set1_pd(c);
-  const __m512d vs = _mm512_set1_pd(s);
-  std::size_t j = 0;
-  for (; j + 8 <= len; j += 8) {
-    const __m512d l = _mm512_loadu_pd(lrow + j);
-    const __m512d w = _mm512_loadu_pd(v + j);
-    const __m512d t = _mm512_add_pd(_mm512_mul_pd(vc, l), _mm512_mul_pd(vs, w));
-    const __m512d nw =
-        _mm512_sub_pd(_mm512_mul_pd(vc, w), _mm512_mul_pd(vs, l));
-    _mm512_storeu_pd(v + j, nw);
-    _mm512_storeu_pd(lrow + j, t);
-  }
-  for (; j < len; ++j) {
-    const double t = c * lrow[j] + s * v[j];
-    v[j] = c * v[j] - s * lrow[j];
-    lrow[j] = t;
-  }
+  detail::givens_row_update<Lanes>(lrow, v, c, s, len);
 }
 
 STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
@@ -121,6 +123,11 @@ STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
   detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
 }
 
+STORMTUNE_HOT void correlation(KernelFamily family, double scale, double* buf,
+                               std::size_t len) {
+  detail::correlation<Lanes>(family, scale, buf, len);
+}
+
 STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
                                                  std::size_t n) {
   return detail::cholesky_factor_mirror<Lanes, 4>(ltf, ld, n);
@@ -144,10 +151,7 @@ STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
 
 namespace {
 
-// All-lanes masked sqrt and max: the same instructions as _mm512_sqrt_pd
-// and _mm512_max_pd, whose gcc 12 expansions read _mm512_undefined_pd()
-// and trip -Wmaybe-uninitialized (see gp/kernel_batch_avx512.cpp).
-inline __m512d sqrt8(__m512d x) { return _mm512_maskz_sqrt_pd(0xFF, x); }
+// All-lanes masked max, for the reason Lanes::sqrt is masked.
 inline __m512d max8(__m512d a, __m512d b) {
   return _mm512_maskz_max_pd(0xFF, a, b);
 }
@@ -174,14 +178,14 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
     const __m512d v = _mm512_maskz_loadu_pd(mask, var + r);
     const __m512d imp = _mm512_sub_pd(_mm512_sub_pd(mu, vbest), vxi);
     const __m512d pos = max8(imp, zero);
-    const __m512d sd = sqrt8(v);
+    const __m512d sd = Lanes::sqrt(v);
     const __m512d z = _mm512_div_pd(imp, sd);
     const __m512d cdf = _mm512_mul_pd(
         _mm512_set1_pd(0.5),
         _ZGVeN8v_erfc(_mm512_mul_pd(_mm512_sub_pd(zero, z),
                                     _mm512_set1_pd(0.70710678118654752440))));
     const __m512d pdf = _mm512_mul_pd(
-        _ZGVeN8v_exp(_mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(-0.5), z), z)),
+        Lanes::exp(_mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(-0.5), z), z)),
         _mm512_set1_pd(0.39894228040143267794));
     __m512d ei = _mm512_add_pd(_mm512_mul_pd(imp, cdf), _mm512_mul_pd(sd, pdf));
     ei = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(v, zero, _CMP_EQ_OQ), ei,

@@ -9,6 +9,9 @@
 //   load(p) / load(p, mask)         full / masked load (masked-off lanes 0)
 //   store(p, x) / store(p, x, mask) full / masked store
 //   set1(a), zero(), add, sub, mul  broadcast and element-wise arithmetic
+//   div, sqrt                       correctly rounded, element-wise
+//   exp                             the width's libmvec exp (per-lane
+//                                   std::exp without glibc on x86-64)
 //   fma(a, b, c)                    a·b + c, fused or not (bound kernels only)
 //
 // Bit-identity: every loop below gives each element the same operands in
@@ -16,15 +19,18 @@
 // associated, a separate multiply and subtract/add per step (the TUs are
 // compiled with -ffp-contract=off, so nothing is contracted to FMA). Lanes
 // never combine with each other, so neither the lane width nor the strip
-// an element lands in can change a bit. The bound kernels at the end are
-// the exception (KernelOps, "The bound kernels"): they use fma and sum in
-// lanes.
+// an element lands in can change a bit. The correlation transform differs
+// across paths only through V::exp; the bound kernels at the end are the
+// other exception (KernelOps, "The bound kernels"): they use fma and sum
+// in lanes.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 
+#include "common/check.hpp"
 #include "linalg/kernels.hpp"
 
 namespace stormtune::linalg_kernels::detail {
@@ -276,6 +282,24 @@ inline void solve_lower_transpose_multi(const double* ltf, std::size_t ld,
   });
 }
 
+/// KernelOps::givens_row_update, one vector at a time: per element the
+/// scalar loop's two products, then one add and one subtract.
+template <class V>
+inline void givens_row_update(double* lrow, double* v, double c, double s,
+                              std::size_t len) {
+  const typename V::Reg vc = V::set1(c), vs = V::set1(s);
+  for_each_strip<V, 1>(len, [&](std::size_t j, auto sl) {
+    auto sv = sl;
+    sl.load(lrow + j);
+    sv.load(v + j);
+    const typename V::Reg l = sl.r[0], w = sv.r[0];
+    sl.r[0] = V::add(V::mul(vc, l), V::mul(vs, w));
+    sv.r[0] = V::sub(V::mul(vc, w), V::mul(vs, l));
+    sv.store(v + j);
+    sl.store(lrow + j);
+  });
+}
+
 /// Squared distances; see KernelOps::sq_dist_rows.
 template <class V>
 inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
@@ -309,6 +333,82 @@ inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
     }
     s.store(out + c);
   });
+}
+
+/// buf[i] = scale · g(buf[i]) for the unit correlation g computed by
+/// `unit` on one vector; a masked tail's surplus lanes map zeros and are
+/// not stored.
+template <class V, class Unit>
+inline void correlation_map(double scale, double* buf, std::size_t len,
+                            Unit unit) {
+  const typename V::Reg vscale = V::set1(scale);
+  for_each_strip<V, 1>(len, [&](std::size_t i, auto s) {
+    s.load(buf + i);
+    s.r[0] = V::mul(vscale, unit(s.r[0]));
+    s.store(buf + i);
+  });
+}
+
+/// KernelOps::correlation: each family's lanes take the scalar form's
+/// steps (correlation_from_scaled_sq) — square root, negation, exp, the
+/// left-associated polynomial — so a lane differs from it only through
+/// V::exp.
+template <class V>
+inline void correlation(KernelFamily family, double scale, double* buf,
+                        std::size_t len) {
+  using Reg = typename V::Reg;
+#ifdef STORMTUNE_CHECKED
+  // Agreement sampling: up to four inputs, kept before the map overwrites
+  // them, go through the scalar form afterwards. libmvec's lanes are
+  // within a few ulp of a correctly rounded exp, so 1e-12 relative (plus
+  // an absolute floor for results near the denormals) leaves three orders
+  // of magnitude of margin while catching any reassociated or approximate
+  // transform.
+  std::size_t sample_idx[4];
+  double sample_in[4];
+  std::size_t samples = 0;
+  if (len > 0) {
+    for (const std::size_t c : {std::size_t{0}, len / 3, (2 * len) / 3,
+                                len - 1}) {
+      if (samples > 0 && sample_idx[samples - 1] == c) continue;
+      sample_idx[samples] = c;
+      sample_in[samples] = buf[c];
+      ++samples;
+    }
+  }
+#endif
+  switch (family) {
+    case KernelFamily::kSquaredExponential:
+      correlation_map<V>(scale, buf, len, [](Reg r2) {
+        return V::exp(V::mul(V::set1(-0.5), r2));
+      });
+      break;
+    case KernelFamily::kMatern32:
+      correlation_map<V>(scale, buf, len, [](Reg r2) {
+        const Reg sr = V::sqrt(V::mul(V::set1(3.0), r2));
+        return V::mul(V::add(V::set1(1.0), sr), V::exp(V::sub(V::zero(), sr)));
+      });
+      break;
+    case KernelFamily::kMatern52:
+      correlation_map<V>(scale, buf, len, [](Reg r2) {
+        const Reg sr = V::sqrt(V::mul(V::set1(5.0), r2));
+        const Reg poly = V::add(V::add(V::set1(1.0), sr),
+                                V::div(V::mul(sr, sr), V::set1(3.0)));
+        return V::mul(poly, V::exp(V::sub(V::zero(), sr)));
+      });
+      break;
+  }
+#ifdef STORMTUNE_CHECKED
+  for (std::size_t k = 0; k < samples; ++k) {
+    const double ref = scale * correlation_from_scaled_sq(family, sample_in[k]);
+    const double got = buf[sample_idx[k]];
+    const double tol =
+        1e-12 * std::max(std::fabs(ref), std::fabs(got)) + 1e-280;
+    STORMTUNE_INVARIANT(std::fabs(got - ref) <= tol,
+                        "correlation: a lane disagrees with the scalar form "
+                        "beyond ulp tolerance");
+  }
+#endif
 }
 
 /// bound_sums over the NV column vectors from column j, the last one

@@ -25,7 +25,8 @@
 
 #include "common/check.hpp"
 #include "common/error.hpp"
-#include "gp/kernel_batch.hpp"
+#include "gp/kernel.hpp"
+#include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "stormsim/departure_tree.hpp"
 #include "stormsim/engine.hpp"
@@ -145,16 +146,16 @@ TEST(CheckedBuild, CholeskyNonSpdRemainsRecoverableError) {
 }
 
 TEST(CheckedBuild, KernelBatchAgreementSamplingAcceptsHonestTransform) {
-  // The checked wrapper re-evaluates sampled elements through the scalar
-  // reference; the real batch transform must sit inside its tolerance for
+  // The checked build re-evaluates sampled elements through the scalar
+  // form; the real batch transform must sit inside its tolerance for
   // every family (exercises the sampling path itself in checked builds).
   using gp::KernelFamily;
   for (const KernelFamily family :
        {KernelFamily::kSquaredExponential, KernelFamily::kMatern32,
         KernelFamily::kMatern52}) {
     std::vector<double> buf = {0.0, 0.25, 1.0, 2.5, 9.0, 40.0, 300.0};
-    EXPECT_NO_THROW(gp::correlation_from_scaled_sq_batch(
-        family, 1.7, buf.data(), buf.size()));
+    EXPECT_NO_THROW(linalg_kernels::ops().correlation(family, 1.7, buf.data(),
+                                                      buf.size()));
     for (const double v : buf) {
       EXPECT_TRUE(std::isfinite(v));
     }

@@ -4,13 +4,15 @@
 // is exact) from the regressor AFTER the PR-3 dense-kernel overhaul: blocked
 // Cholesky with reciprocal-multiply panel sweep, split-accumulator scalar
 // solves, multi-RHS prediction solves, and the batched correlation
-// transform (gp/kernel_batch). Any future change to those numerics —
-// reassociating a reduction, changing the exp path, reordering the panel
-// sweep — flips these bits and must be a conscious decision.
+// transform (now linalg_kernels::KernelOps::correlation). Any future change
+// to those numerics — reassociating a reduction, changing the exp path,
+// reordering the panel sweep — flips these bits and must be a conscious
+// decision.
 //
-// The values pin the glibc/x86-64 vector-exp path of kernel_batch.cpp; on
-// platforms where the scalar fallback is compiled instead, correlations may
-// differ in the last ulp, so the test skips itself there.
+// The values pin the portable path's glibc/x86-64 vector exp (libmvec's
+// 2-lane routine); on platforms where the per-lane std::exp is compiled
+// instead, correlations may differ in the last ulp, so the test skips
+// itself there.
 //
 // Regenerate by printing log_marginal_likelihood() and predict() mean and
 // variance with %a for the three cases below (fixed Rng seed 2015,

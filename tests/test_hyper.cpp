@@ -196,6 +196,40 @@ TEST(FitHyperparamsMle, ImprovesPosteriorOverStart) {
   EXPECT_GT(end_post, start_post);
 }
 
+// Every restart starts from the regressor's hyperparameters on entry, not
+// from wherever the previous restart stopped: with no coordinate passes,
+// the result is the best of the start and of the start moved by each later
+// restart's normals, drawn in order from a copy of the Rng.
+TEST(FitHyperparamsMle, RestartsStartFromTheEntryHyperparameters) {
+  const Dataset d = smooth_dataset(20, 0.05, 8);
+  const Kernel k(KernelFamily::kMatern52, 1, false);
+  MleOptions opts;
+  opts.restarts = 5;
+  opts.iterations = 0;
+  Rng rng(21);
+  Rng draws = rng;
+
+  GpRegressor probe(k, 0.1);
+  std::vector<double> start = probe.kernel().hyperparams();
+  start.push_back(0.5 * std::log(probe.noise_variance()));
+  start.push_back(probe.mean_value());
+  std::vector<double> expected = start;
+  double expected_post =
+      hyper_log_posterior(probe, start, d.x, d.y, opts.prior);
+  for (int restart = 1; restart < opts.restarts; ++restart) {
+    std::vector<double> theta = start;
+    for (double& t : theta) t += draws.normal(0.0, 1.0);
+    const double post = hyper_log_posterior(probe, theta, d.x, d.y, opts.prior);
+    if (post > expected_post) {
+      expected_post = post;
+      expected = theta;
+    }
+  }
+
+  GpRegressor gp(k, 0.1);
+  EXPECT_EQ(fit_hyperparams_mle(gp, d.x, d.y, opts, rng).theta, expected);
+}
+
 TEST(FitHyperparamsMle, RecoversReasonableNoiseLevel) {
   Kernel k(KernelFamily::kSquaredExponential, 1, false);
   GpRegressor gp(k, 0.5);

@@ -8,13 +8,15 @@
 //     same left-associated multiply/subtract sequence, and the TUs are
 //     built with -ffp-contract=off, so lane width cannot change a bit.
 //
-//  2. The batched correlation transforms are element-wise maps whose only
-//     divergence is the math library's vector exp: libmvec documents ≤4 ulp
-//     for the _ZGV* entry points. Measured end-to-end divergence against
-//     the scalar expressions on this machine is 4 ulp (sqexp) and 5 ulp
-//     (matern32/52, where the ulp error of exp is amplified by the
-//     polynomial factor); the sweep asserts ≤ 8 ulp to leave headroom for
-//     other libm builds while still catching any real algorithmic drift.
+//  2. The correlation transform (KernelOps::correlation) is an element-wise
+//     map whose only divergence is the math library's vector exp: libmvec
+//     documents ≤4 ulp for the _ZGV* entry points. Measured end-to-end
+//     divergence against the scalar expressions on a 4-core Xeon with
+//     glibc 2.36 is 4 ulp (sqexp) and 5 ulp (matern32/52, where the ulp
+//     error of exp is amplified by the polynomial factor); the sweep
+//     asserts ≤ 8 ulp to leave headroom for other libm builds while still
+//     catching any real algorithmic drift. Each path's own bits are pinned
+//     too, at lengths that end in every kind of partial vector.
 //
 //  3. The bound kernels (KernelOps::bound_sums, bound_solve, ei_bounds)
 //     feed only rigorous bounds and are not bit-identical across paths:
@@ -43,7 +45,6 @@
 #include "common/rng.hpp"
 #include "gp/gp_regressor.hpp"
 #include "gp/kernel.hpp"
-#include "gp/kernel_batch_paths.hpp"
 #include "common/error.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
@@ -108,7 +109,6 @@ TEST(IsaDispatch, PortableAlwaysRunnable) {
   EXPECT_TRUE(isa::compiled(isa::Path::kPortable));
   EXPECT_TRUE(isa::supported(isa::Path::kPortable));
   EXPECT_NE(lk::ops_for(isa::Path::kPortable), nullptr);
-  EXPECT_NE(gp::detail::transform_for(isa::Path::kPortable), nullptr);
   // detect_best() must always land on something this process can run.
   EXPECT_TRUE(isa::supported(isa::detect_best()));
 }
@@ -161,24 +161,134 @@ TEST(IsaDispatch, TransformAgreesWithScalarReference) {
   for (std::size_t tail = 0; tail < 8; ++tail) lengths.push_back(24 + tail);
 
   for (const isa::Path path : runnable_paths()) {
-    const gp::detail::TransformFn fn = gp::detail::transform_for(path);
-    ASSERT_NE(fn, nullptr) << isa::to_string(path);
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
     Rng rng(2015);
     for (const gp::KernelFamily family : families) {
-      gp::Kernel reference(family, 1, false);
       for (const std::size_t len : lengths) {
         std::vector<double> buf(len);
         for (double& v : buf) v = 25.0 * rng.uniform();  // r² ≥ 0
         std::vector<double> expected = buf;
         for (double& v : expected) {
-          v = scale * reference.correlation_from_scaled_sq(v);
+          v = scale * lk::correlation_from_scaled_sq(family, v);
         }
-        fn(family, scale, buf.data(), len);
+        ops->correlation(family, scale, buf.data(), len);
         for (std::size_t i = 0; i < len; ++i) {
           EXPECT_LE(ulp_diff(buf[i], expected[i]), 8u)
               << isa::to_string(path) << " family "
               << static_cast<int>(family) << " len " << len << " elem " << i
               << ": " << buf[i] << " vs " << expected[i];
+        }
+      }
+    }
+  }
+}
+
+// Each path's correlation bits, captured from the per-ISA transforms that
+// preceded KernelOps::correlation (hexfloats, so the comparison is exact).
+// Inputs are r² values; twelve of them are ones where libmvec's 2-lane exp
+// rounds differently from its 4- and 8-lane ones, which agree with each
+// other: kWideCorrelation lists the AVX2/AVX-512 outputs that differ from
+// the portable table. A shorter buffer is a prefix of the inputs and must
+// give a prefix of the outputs: lanes are independent, so neither len nor
+// the masked tail may move a bit.
+const double kCorrelationInputs[31] = {
+    0x1.55fe4a231585ap+4, 0x1.cdcb55b4ba099p+3, 0x1.1b331542beb2bp+4,
+    0x1.35c28f5c28f5cp+1, 0x1.9ae147ae147aep+1, 0x1.ab0ccc40c591ep+1,
+    0x1.65327f0202617p-1, 0x1.0402d80e71c2cp+2, 0x1.994d98fd1ab2ep-1,
+    0x1.ca3d70a3d70a4p+2, 0x1.fcccccccccccdp+2, 0x1.17ae147ae147cp+3,
+    0x1.4a87fed0e145fp+4, 0x1.4a3d70a3d70a4p+3, 0x1.63851eb851eb9p+3,
+    0x1.7cccccccccccep+3, 0x1.425efd221cccep+2, 0x1.af5c28f5c28f6p+3,
+    0x1.c8a3d70a3d70bp+3, 0x1.e1eb851eb852p+3, 0x1.fb33333333334p+3,
+    0x1.0a3d70a3d70a4p+4, 0x1.16e147ae147afp+4, 0x1.23851eb851eb9p+4,
+    0x1.ef5b6d0d0cea8p+1, 0x1.3cccccccccccdp+4, 0x1.4970a3d70a3d7p+4,
+    0x1.56147ae147ae2p+4, 0x1.62b851eb851ecp+4, 0x1.279a7c9f7e68p+4,
+    0x1.43a4bc9135fecp+4,
+};
+
+const double kPortableCorrelation[3][31] = {
+    {// squared exponential
+     0x1.459dfb29ee17ap-15, 0x1.479549a1780dfp-10, 0x1.ff2f97173a649p-13,
+     0x1.038d0891e2b9p-1, 0x1.5db562b1714f1p-2, 0x1.484d7d46b043cp-2,
+     0x1.330a6a2dc4595p+0, 0x1.c8a59b493014ep-3, 0x1.23ced0dcd6518p+0,
+     0x1.843547a05aa5bp-5, 0x1.05872f396b783p-5, 0x1.605f5a68e2156p-6,
+     0x1.d1df68d0c471fp-15, 0x1.3fd84684703b9p-7, 0x1.aef236e0e2a6ep-8,
+     0x1.2251dfab34373p-8, 0x1.188abfd35ceccp-3, 0x1.078530ecddfe1p-9,
+     0x1.630e84088a70dp-10, 0x1.de63a452737c8p-11, 0x1.4248017b7ce7bp-11,
+     0x1.b23a9a8d4855ap-12, 0x1.248806f8ef6efp-12, 0x1.8a252364b0e07p-13,
+     0x1.f6d54a60a9932p-3, 0x1.65c2e9b1df0b4p-14, 0x1.e2088cd44b724p-15,
+     0x1.44bc7cc9278cbp-15, 0x1.b58965122fe84p-16, 0x1.5aecfe2c2fceep-13,
+     0x1.20e0f0945dea2p-14,
+    },
+    {// Matérn-3/2
+     0x1.4e10a900fb514p-8, 0x1.2511f8c553a03p-6, 0x1.3bf09105bf34bp-7,
+     0x1.b2a0b5f9bf5f1p-2, 0x1.40beedea8cc17p-2, 0x1.325fae7782ed4p-2,
+     0x1.f531549f3baebp-1, 0x1.dc618adfea4eap-3, 0x1.d77b020d071c5p-1,
+     0x1.7cf422da397cp-4, 0x1.361bfcefe1ceep-4, 0x1.fd19d396d8b4bp-5,
+     0x1.78bb43e5f39cdp-8, 0x1.5e5f59137c263p-5, 0x1.2554dbfa09f4dp-5,
+     0x1.edc4a02060994p-6, 0x1.5cd4538bf778dp-3, 0x1.62bedfc8c24edp-6,
+     0x1.2e95fa3c5ef0cp-6, 0x1.031251e390626p-6, 0x1.bd3031571f099p-7,
+     0x1.7fc1ffdd2d072p-7, 0x1.4bd11d3973dadp-7, 0x1.1fbadf6ddb42ap-7,
+     0x1.fc5b2de97441bp-3, 0x1.b4267a5edd517p-8, 0x1.7d1a9044076f2p-8,
+     0x1.4dc38be26ab6ep-8, 0x1.24efd4511086fp-8, 0x1.12f0848c11941p-7,
+     0x1.954f49ac7860cp-8,
+    },
+    {// Matérn-5/2
+     0x1.52d7f54b3edc3p-9, 0x1.7e58e3e7e91bp-7, 0x1.6d13b7c8e1231p-8,
+     0x1.c92b3470dea09p-2, 0x1.482433df00e8ap-2, 0x1.37f4a7459e296p-2,
+     0x1.0ef75617e3723p+0, 0x1.d78dd77ce45bp-3, 0x1.fe9e910a9794p-1,
+     0x1.4bff466116a15p-4, 0x1.059396d327169p-4, 0x1.9fb84a43d2b31p-5,
+     0x1.87c572ca7e6aep-9, 0x1.0c5b7dc50c6d3p-5, 0x1.b3618220a4438p-6,
+     0x1.632d2ed0f7ffp-6, 0x1.4bee61be25faep-3, 0x1.dff0462f8eba1p-7,
+     0x1.8d2f7008c5766p-7, 0x1.4a0d602efcd99p-7, 0x1.135178adaa2a2p-7,
+     0x1.ccf8a9439d8f3p-8, 0x1.833546ffc69cep-8, 0x1.4647ce54fec98p-8,
+     0x1.fb0eb1a1b7104p-3, 0x1.d374cb61ea07p-9, 0x1.8d43cf4d14368p-9,
+     0x1.527977ad228ffp-9, 0x1.21159c1f87a1p-9, 0x1.34ec8ddb15b9cp-8,
+     0x1.abe6a6a736c32p-9,
+    },
+};
+
+struct WideBits {
+  std::size_t index;
+  double value;
+};
+
+const WideBits kWideCorrelation[3][4] = {
+    {{0, 0x1.459dfb29ee17bp-15}, {6, 0x1.330a6a2dc4594p+0},
+     {8, 0x1.23ced0dcd6517p+0}, {30, 0x1.20e0f0945dea1p-14}},
+    {{1, 0x1.2511f8c553a04p-6}, {7, 0x1.dc618adfea4e8p-3},
+     {16, 0x1.5cd4538bf779p-3}, {29, 0x1.12f0848c1194p-7}},
+    {{2, 0x1.6d13b7c8e122ep-8}, {5, 0x1.37f4a7459e295p-2},
+     {12, 0x1.87c572ca7e6acp-9}, {24, 0x1.fb0eb1a1b7105p-3}},
+};
+
+TEST(IsaDispatch, CorrelationBitsPinnedOnEveryPath) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+  const gp::KernelFamily families[] = {gp::KernelFamily::kSquaredExponential,
+                                       gp::KernelFamily::kMatern32,
+                                       gp::KernelFamily::kMatern52};
+  for (const isa::Path path : runnable_paths()) {
+    const lk::KernelOps* ops = lk::ops_for(path);
+    ASSERT_NE(ops, nullptr) << isa::to_string(path);
+    for (std::size_t f = 0; f < 3; ++f) {
+      std::vector<double> expected(std::begin(kPortableCorrelation[f]),
+                                   std::end(kPortableCorrelation[f]));
+      if (path != isa::Path::kPortable) {
+        for (const WideBits& w : kWideCorrelation[f]) {
+          expected[w.index] = w.value;
+        }
+      }
+      for (const std::size_t len : {1ul, 7ul, 9ul, 31ul}) {
+        std::vector<double> buf(kCorrelationInputs, kCorrelationInputs + len);
+        ops->correlation(families[f], 1.7, buf.data(), len);
+        for (std::size_t i = 0; i < len; ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(buf[i]),
+                    std::bit_cast<std::uint64_t>(expected[i]))
+              << isa::to_string(path) << " family " << f << " len " << len
+              << " elem " << i << ": " << std::hexfloat << buf[i] << " vs "
+              << expected[i];
         }
       }
     }

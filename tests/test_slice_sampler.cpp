@@ -5,6 +5,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -21,13 +22,36 @@ std::size_t new_call_count();
 namespace stormtune::gp {
 namespace {
 
+/// One draw from an exact log density f (allowance 0), evaluating f(x0)
+/// first; returns the new x.
+double sample_exact(const std::function<double(double)>& f, double x0,
+                    Rng& rng, const SliceOptions& opts = {}) {
+  const LogDensityFn1d density = [&](double x, bool) {
+    return LogDensity{f(x)};
+  };
+  return slice_sample_1d(density, x0, density(x0, true), rng, opts).x;
+}
+
+/// One sweep over an exact log density f; returns the final state's f.
+double sweep_exact(const std::function<double(const std::vector<double>&)>& f,
+                   std::vector<double>& x, Rng& rng,
+                   const SliceOptions& opts = {},
+                   std::optional<double> ly = std::nullopt) {
+  const LogDensityFn density = [&](const std::vector<double>& v, bool) {
+    return LogDensity{f(v)};
+  };
+  std::optional<LogDensity> start;
+  if (ly.has_value()) start = LogDensity{*ly};
+  return slice_sample_sweep(density, x, rng, opts, start).value;
+}
+
 TEST(SliceSampler, SamplesStandardNormal) {
   Rng rng(1);
   auto log_density = [](double x) { return -0.5 * x * x; };
   double x = 0.0;
   std::vector<double> samples;
   for (int i = 0; i < 5000; ++i) {
-    x = slice_sample_1d(log_density, x, rng);
+    x = sample_exact(log_density, x, rng);
     if (i >= 500) samples.push_back(x);
   }
   const Summary s = summarize(samples);
@@ -44,7 +68,7 @@ TEST(SliceSampler, SamplesShiftedDistribution) {
   double x = 0.0;
   std::vector<double> samples;
   for (int i = 0; i < 5000; ++i) {
-    x = slice_sample_1d(log_density, x, rng);
+    x = sample_exact(log_density, x, rng);
     if (i >= 500) samples.push_back(x);
   }
   const Summary s = summarize(samples);
@@ -62,7 +86,7 @@ TEST(SliceSampler, RespectsHardSupportBounds) {
   };
   double x = 0.5;
   for (int i = 0; i < 2000; ++i) {
-    x = slice_sample_1d(log_density, x, rng);
+    x = sample_exact(log_density, x, rng);
     ASSERT_GE(x, 0.0);
     ASSERT_LE(x, 1.0);
   }
@@ -73,7 +97,7 @@ TEST(SliceSampler, NonFiniteStartReturnsUnchanged) {
   auto log_density = [](double) {
     return -std::numeric_limits<double>::infinity();
   };
-  EXPECT_DOUBLE_EQ(slice_sample_1d(log_density, 1.5, rng), 1.5);
+  EXPECT_DOUBLE_EQ(sample_exact(log_density, 1.5, rng), 1.5);
 }
 
 TEST(SliceSampler, BimodalBothModesVisited) {
@@ -88,7 +112,7 @@ TEST(SliceSampler, BimodalBothModesVisited) {
   SliceOptions opts;
   opts.width = 4.0;  // wide enough to hop between modes
   for (int i = 0; i < 4000; ++i) {
-    x = slice_sample_1d(log_density, x, rng, opts);
+    x = sample_exact(log_density, x, rng, opts);
     if (i >= 200) (x < 0.0 ? left : right)++;
   }
   EXPECT_GT(left, 300);
@@ -106,7 +130,7 @@ TEST(SliceSweep, MultivariateGaussianMoments) {
   std::vector<double> x{0.0, 0.0};
   std::vector<double> s0, s1;
   for (int i = 0; i < 4000; ++i) {
-    slice_sample_sweep(log_density, x, rng);
+    sweep_exact(log_density, x, rng);
     if (i >= 400) {
       s0.push_back(x[0]);
       s1.push_back(x[1]);
@@ -148,7 +172,7 @@ TEST(SliceSweep, CarriedLogDensitySavesOneEvaluationPerCoordinate) {
         ref_x[i] = saved;
         return v;
       };
-      ref_x[i] = slice_sample_1d(conditional, ref_x[i], ref_rng, opts);
+      ref_x[i] = sample_exact(conditional, ref_x[i], ref_rng, opts);
     }
     ref_chain.push_back(ref_x);
   }
@@ -159,7 +183,7 @@ TEST(SliceSweep, CarriedLogDensitySavesOneEvaluationPerCoordinate) {
   std::optional<double> ly;
   evals = 0;
   for (std::size_t s = 0; s < sweeps; ++s) {
-    ly = slice_sample_sweep(log_density, x, rng, opts, ly);
+    ly = sweep_exact(log_density, x, rng, opts, ly);
     ASSERT_EQ(x, ref_chain[s]) << "sweep " << s;
     ASSERT_EQ(*ly, log_density(x)) << "sweep " << s;
     --evals;  // the check above is not the sampler's
@@ -198,7 +222,7 @@ TEST(SliceSweep, PreservesVectorSize) {
     return s;
   };
   std::vector<double> x(5, 0.0);
-  slice_sample_sweep(log_density, x, rng);
+  sweep_exact(log_density, x, rng);
   EXPECT_EQ(x.size(), 5u);
 }
 
@@ -260,7 +284,7 @@ TEST(SliceSweep, EstimatedDensityGivesTheExactChain) {
     std::optional<double> ref_ly;
     std::optional<LogDensity> ly;
     for (int sweep = 0; sweep < 6; ++sweep) {
-      ref_ly = slice_sample_sweep(exact, ref_x, ref_rng, opts, ref_ly);
+      ref_ly = sweep_exact(exact, ref_x, ref_rng, opts, ref_ly);
       ly = slice_sample_sweep(misleading, x, rng, opts, ly);
       ASSERT_EQ(x, ref_x) << "seed " << seed << ", sweep " << sweep;
       ASSERT_LE(std::fabs(ly->value - *ref_ly), ly->allowance)
