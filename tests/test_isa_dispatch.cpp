@@ -1012,5 +1012,70 @@ TEST(IsaDispatch, SuggestGoldenD60MatchesUnprunedSearch) {
   }
 }
 
+// ARD Matérn-5/2, the paper's surrogate (Section III-C): slice-sampled
+// hyperparameters on a history past initial_design, then a kFixed
+// optimizer whose window evicts, so its fixed regressor downdates and grows
+// by one row before the suggest. Captured with the portable path before
+// ARD scoring moved onto the distance-block predictor.
+TEST(IsaDispatch, SuggestGoldenArdPortablePath) {
+#if !(defined(__x86_64__) && defined(__GLIBC__))
+  GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
+#endif
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
+#endif
+  const ScopedIsa pin(isa::Path::kPortable);
+  const bo::ParamSpace space({bo::ParamSpec::real("x", 0.0, 1.0),
+                              bo::ParamSpec::real("w", -2.0, 2.0),
+                              bo::ParamSpec::real("z", 0.0, 5.0),
+                              bo::ParamSpec::integer("k", 1, 10)});
+  const auto objective = [](const bo::ParamValues& x) {
+    return -x[0] * x[0] + 0.3 * x[1] - 0.1 * (x[2] - 2.0) * (x[2] - 2.0) -
+           0.05 * x[3];
+  };
+  bo::BayesOptOptions opts;
+  opts.ard = true;
+  opts.hyper_mode = bo::HyperMode::kSliceSample;
+  opts.hyper_samples = 3;
+  opts.hyper_burn_in = 3;
+  opts.num_candidates = 100;  // one full block and a partial one
+  opts.local_search_iters = 5;
+  opts.seed = 2015;
+  bo::BayesOpt sliced(space, opts);
+  opts.hyper_mode = bo::HyperMode::kFixed;
+  opts.max_observations = 8;
+  bo::BayesOpt fixed(space, opts);
+  Rng rng(79);
+  for (int i = 0; i < 10; ++i) {
+    auto x = space.sample(rng);
+    const double y = objective(x) + 0.1 * rng.normal();
+    if (i < 8) fixed.observe(x, y);
+    sliced.observe(std::move(x), y);
+  }
+  std::vector<bo::ParamValues> got;
+  for (int s = 0; s < 2; ++s) {
+    got.push_back(sliced.suggest());
+    sliced.observe(got.back(), objective(got.back()));
+  }
+  // The window is full: the next observation evicts one row, and the
+  // suggest after it slides the fixed regressor instead of refitting.
+  got.push_back(fixed.suggest());
+  fixed.observe(got.back(), objective(got.back()));
+  ASSERT_EQ(fixed.num_evictions(), 1u);
+  got.push_back(fixed.suggest());
+  const double golden[4][4] = {
+      {0x0p+0, 0x1p+1, 0x1.85608cf47fe26p-1, 0x1.8p+1},
+      {0x1.7683c7a9116efp-3, 0x1p+1, 0x0p+0, 0x1p+0},
+      {0x1.ba47f158ac815p-4, 0x1.21b223c416c1p+0, 0x1.e45957a2da804p+0, 0x1p+1},
+      {0x0p+0, 0x1p+1, 0x1.acaad29c64522p+0, 0x1p+1},
+  };
+  for (std::size_t s = 0; s < got.size(); ++s) {
+    ASSERT_EQ(got[s].size(), 4u);
+    for (std::size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(got[s][k], golden[s][k]) << "suggest " << s << " param " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace stormtune
