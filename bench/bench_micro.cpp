@@ -148,8 +148,9 @@ BENCHMARK(BM_GpFitAndPredict)->Arg(30)->Arg(60)->Arg(120);
 
 void BM_GpPredictBatch(benchmark::State& state) {
   // Batched prediction over `range(0)` query points against a 60-point fit:
-  // the acquisition search's inner workload. Chunked multi-RHS forward
-  // substitution is what makes this faster than per-point predict() calls.
+  // the queries transposed into blocks of 64, each a distance block, one
+  // multi-RHS forward substitution and the moment kernels, which is what
+  // makes this faster than per-point predict() calls.
   const std::size_t n = 60;
   const std::size_t d = 51;
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -193,6 +194,7 @@ void BM_SqDistRows(benchmark::State& state) {
   gp::Kernel kernel(gp::KernelFamily::kMatern52, d, false);
   gp::GpRegressor gp(kernel, 1e-3);
   gp.fit(x, y);
+  const gp::PosteriorView post = gp.posterior();
   constexpr std::size_t kBlock = 64;
   const std::size_t ld = linalg_kernels::padded_ld(kBlock);
   std::vector<Matrix> blocks;  // candidates transposed, one per block
@@ -205,7 +207,7 @@ void BM_SqDistRows(benchmark::State& state) {
   std::vector<double> d2t(n * ld);
   for (auto _ : state) {
     for (const Matrix& qt : blocks) {
-      gp.unscaled_sq_dist_block(qt.data(), ld, kBlock, d2t.data(), ld);
+      gp.sq_dist_block(post, qt.data(), ld, kBlock, d2t.data(), ld);
       benchmark::DoNotOptimize(d2t.data());
       benchmark::ClobberMemory();
     }

@@ -287,13 +287,13 @@ struct BayesOpt::Surrogate {
   }
 
   /// All posteriors are fits on the same X, differing only in
-  /// hyperparameters, so for non-ARD kernels a candidate's unscaled squared
-  /// distances to the training inputs are identical across them: a
-  /// block's distances are computed once and each posterior finishes them
-  /// with its own lengthscale/amplitude instead of redoing the O(n·d) diff
-  /// loop per sample.
+  /// hyperparameters, so where gp says a distance block is shared
+  /// (isotropic kernels) a block's distances are computed once and each
+  /// posterior finishes them with its own lengthscale and amplitude
+  /// instead of redoing the O(n·d) diff loop per sample. ARD posteriors
+  /// build their own block from the candidates in ws.qt.
   bool shares_distances() const {
-    return !posts.empty() && !posts.front().ard;
+    return !posts.empty() && posts.front().shares_distances();
   }
 
   /// Size the block buffers for this surrogate (grow-only, so a steady
@@ -301,12 +301,8 @@ struct BayesOpt::Surrogate {
   void size_block(ScoreBlock& ws, std::size_t d) const {
     const std::size_t n = inputs_gp->num_observations();
     if (ws.qt.rows() != d) ws.qt = Matrix(d, kBlockLd);
-    if (shares_distances()) {
-      ws.d2t.resize(n * kBlockLd);
-      ws.v.resize(n * kBlockLd);
-    } else if (ws.q.cols() != d) {
-      ws.q = Matrix(kBlockRows, d);
-    }
+    ws.d2t.resize(n * kBlockLd);
+    ws.v.resize(n * kBlockLd);
     for (auto* b : {&ws.means, &ws.vars, &ws.scores, &ws.mean_acc,
                     &ws.var_acc}) {
       b->resize(kBlockRows);
@@ -323,7 +319,6 @@ struct BayesOpt::Surrogate {
     if constexpr (kCheckedBuild) {
       constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
       std::fill_n(ws.qt.data(), ws.qt.rows() * ws.qt.cols(), kNaN);
-      std::fill_n(ws.q.data(), ws.q.rows() * ws.q.cols(), kNaN);
       for (auto* b : {&ws.d2t, &ws.v, &ws.means, &ws.vars, &ws.scores,
                       &ws.mean_acc, &ws.var_acc, &ws.bounds}) {
         std::fill(b->begin(), b->end(), kNaN);
@@ -352,16 +347,17 @@ struct BayesOpt::Surrogate {
   /// whose exact partial sum ws.scores[c] plus its remaining posteriors'
   /// bounds, summed and averaged in score_block's order, is below
   /// `threshold`. Rounding is monotone, so that bounds the column's final
-  /// score. The last live column (its distances or query row, partial
-  /// sums, bounds and id) takes a dropped column's place; returns how many
-  /// stay.
+  /// score. The last live column (its shared distances, partial sums,
+  /// bounds and id) takes a dropped column's place; returns how many stay.
+  /// Only bounded neighbours drop, and bounds_neighbors requires a shared
+  /// block.
   std::size_t drop_below(ScoreBlock& ws, std::size_t m, std::size_t s,
                          double threshold) const {
+    STORMTUNE_DCHECK(shares_distances(),
+                     "BayesOpt: dropping columns of per-posterior blocks");
     const std::size_t num_posts = posts.size();
     const double inv = 1.0 / static_cast<double>(num_posts);
-    const bool share = shares_distances();
     const std::size_t n = inputs_gp->num_observations();
-    const std::size_t d = ws.qt.rows();
     for (std::size_t c = 0; c < m;) {
       double reach = ws.scores[c];
       for (std::size_t k = s + 1; k < num_posts; ++k) {
@@ -373,12 +369,8 @@ struct BayesOpt::Surrogate {
       }
       const std::size_t last = --m;
       if (c == last) break;
-      if (share) {
-        for (std::size_t i = 0; i < n; ++i) {
-          ws.d2t[i * kBlockLd + c] = ws.d2t[i * kBlockLd + last];
-        }
-      } else {
-        for (std::size_t k = 0; k < d; ++k) ws.q(c, k) = ws.q(last, k);
+      for (std::size_t i = 0; i < n; ++i) {
+        ws.d2t[i * kBlockLd + c] = ws.d2t[i * kBlockLd + last];
       }
       for (auto* b : {&ws.scores, &ws.mean_acc, &ws.var_acc}) {
         (*b)[c] = (*b)[last];
@@ -392,14 +384,14 @@ struct BayesOpt::Surrogate {
   }
 
   /// The acquisition averaged over the posteriors for the block's first m
-  /// candidates, into ws.scores. Non-ARD posteriors score from the shared
-  /// distance block ws.d2t: one correlation transform, one multi-RHS
-  /// solve and the two moment kernels per posterior
-  /// (predict_mv_from_sq_dist_block). ARD posteriors predict the row-major
-  /// candidates ws.q. A candidate's score does not depend on the block it
-  /// lands in, nor on its column — the transform is element-wise and a
-  /// solve column is independent of the others — so the blocking changes
-  /// memory traffic only.
+  /// candidates, into ws.scores. Each posterior scores from the distance
+  /// block ws.d2t: one correlation transform, one multi-RHS solve and the
+  /// two moment kernels (predict_mv_from_sq_dist_block). A shared block
+  /// is the caller's; otherwise each posterior builds its own from the
+  /// candidates in ws.qt first. A candidate's score does not depend on the
+  /// block it lands in, nor on its column — the transform is element-wise
+  /// and a solve column is independent of the others — so the blocking
+  /// changes memory traffic only.
   ///
   /// Progressive scoring: with a `threshold` above −∞, ws.bounds holds
   /// each column's per-posterior bounds, and after every posterior but the
@@ -421,16 +413,12 @@ struct BayesOpt::Surrogate {
       const gp::PosteriorView& post = posts[s];
       const std::span<double> means(ws.means.data(), m);
       const std::span<double> vars(ws.vars.data(), m);
-      if (share) {
-        gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
-                                          ws.v.data(), kBlockLd, means, vars);
-      } else {
-        inputs_gp->predict_rows(post, ws.q, 0, m, ws.preds);
-        for (std::size_t r = 0; r < m; ++r) {
-          means[r] = ws.preds[r].mean;
-          vars[r] = ws.preds[r].variance;
-        }
+      if (!share) {
+        inputs_gp->sq_dist_block(post, ws.qt.data(), kBlockLd, m,
+                                 ws.d2t.data(), kBlockLd);
       }
+      gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
+                                        ws.v.data(), kBlockLd, means, vars);
       acquisition_accumulate(opts.acquisition, means, vars, best_standardized,
                              opts.xi, opts.ucb_beta,
                              std::span(ws.scores.data(), m));
@@ -469,12 +457,8 @@ struct BayesOpt::Surrogate {
     if (shares_distances()) {
       // Training-point-major, so each posterior reads its distance rows
       // stride-1.
-      inputs_gp->unscaled_sq_dist_block(ws.qt.data(), kBlockLd, m,
-                                        ws.d2t.data(), kBlockLd);
-    } else {
-      for (std::size_t c = 0; c < m; ++c) {
-        for (std::size_t k = 0; k < d; ++k) ws.q(c, k) = ws.qt(k, c);
-      }
+      inputs_gp->sq_dist_block(posts.front(), ws.qt.data(), kBlockLd, m,
+                               ws.d2t.data(), kBlockLd);
     }
     score_block(opts, ws, m);
     for (std::size_t c = 0; c < m; ++c) {
@@ -487,10 +471,11 @@ struct BayesOpt::Surrogate {
 
   /// Score the block's first m columns as neighbours ws.ids[0, m) of
   /// `cur` (neighbor_value) through score_block, dropping those that
-  /// cannot reach `threshold`; returns how many finished. No neighbour row
-  /// is ever built for non-ARD kernels: each one's distances are an O(n)
+  /// cannot reach `threshold`; returns how many finished. No neighbour is
+  /// ever built for a shared block: each one's distances are an O(n)
   /// single-coordinate update of the centre's (`base`, from
-  /// unscaled_sq_dists) instead of an O(n·d) recomputation.
+  /// unscaled_sq_dists) instead of an O(n·d) recomputation. Otherwise the
+  /// neighbours go into ws.qt's columns.
   std::size_t score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
                               std::span<const double> cur, double step,
                               std::span<const double> base, std::size_t m,
@@ -512,9 +497,8 @@ struct BayesOpt::Surrogate {
       }
     } else {
       for (std::size_t c = 0; c < m; ++c) {
-        const auto row = ws.q.row(c);
-        std::copy(cur.begin(), cur.end(), row.begin());
-        row[ws.ids[c] / 2] = neighbor_value(cur, step, ws.ids[c]);
+        for (std::size_t k = 0; k < cur.size(); ++k) ws.qt(k, c) = cur[k];
+        ws.qt(ws.ids[c] / 2, c) = neighbor_value(cur, step, ws.ids[c]);
       }
     }
     return score_block(opts, ws, m, threshold);

@@ -312,12 +312,10 @@ class BayesOpt {
   /// concurrently from different scheduler workers.
   struct ScoreBlock {
     Matrix qt;                // block candidates transposed: dim rows
-    Matrix q;                 // ARD only: the same candidates row-major
     std::vector<double> d2t;  // n × ld training-point-major distances
     std::vector<double> v;    // n × ld solve workspace, one posterior at a time
     std::vector<double> means, vars, scores;  // one entry per block row
     std::vector<double> mean_acc, var_acc;    // cost-aware scoring only
-    std::vector<gp::Prediction> preds;        // ARD only
     /// Progressive scoring: per posterior, each column's bound on its
     /// term (posterior-major, kBlockRows apart), and which candidate each
     /// column holds once dropped columns have been compacted out.

@@ -30,11 +30,13 @@ Matrix transposed_inputs(const Matrix& x) {
 /// xt.rows() coordinates starting at `q`, against the points held
 /// transposed in `xt` (column i = point i). Lanes run across the points;
 /// each entry is the scalar 0 + Σ_k (x_ik − q_rk)², k ascending
-/// (linalg/kernels.hpp).
+/// (linalg/kernels.hpp). ARD passes its 1/l_k² as `w`, making each term
+/// (x_ik − q_rk)²·w_k: the r² its correlations are built from.
 void sq_dists(const Matrix& xt, std::size_t n, const double* q,
-              std::size_t rows, double* out, std::size_t ldo) {
+              std::size_t rows, double* out, std::size_t ldo,
+              const double* w = nullptr) {
   linalg_kernels::ops().sq_dist_rows(xt.data(), xt.cols(), n, xt.rows(), q,
-                                     xt.rows(), rows, out, ldo);
+                                     xt.rows(), rows, out, ldo, w);
 }
 
 }  // namespace
@@ -84,7 +86,6 @@ bool GpRegressor::x_matches(const Matrix& x) const {
 
 void GpRegressor::rebuild_distance_cache(Matrix x) {
   const std::size_t n = x.rows();
-  const std::size_t d = x.cols();
   auto cache = std::make_shared<DistanceCache>();
   cache->x = std::move(x);
   const Matrix& xs = cache->x;
@@ -95,19 +96,6 @@ void GpRegressor::rebuild_distance_cache(Matrix x) {
     // and the diagonal is an exact zero.
     cache->sq = Matrix(n, n);
     sq_dists(cache->xt, n, xs.data(), n, cache->sq.data(), n);
-  } else {
-    cache->sq_dims.resize(n * (n - 1) / 2 * d);
-    double* out = cache->sq_dims.data();
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto xj = xs.row(j);
-      for (std::size_t i = 0; i < j; ++i) {
-        const auto xi = xs.row(i);
-        for (std::size_t k = 0; k < d; ++k) {
-          const double diff = xi[k] - xj[k];
-          *out++ = diff * diff;
-        }
-      }
-    }
   }
   dist_ = std::move(cache);
 }
@@ -141,18 +129,6 @@ GpRegressor::extended_distance_cache(std::span<const double> x_new) const {
     const auto new_row = cache->sq.row(n);
     sq_dists(dist_->xt, n, x_new.data(), 1, new_row.data(), n);
     for (std::size_t i = 0; i < n; ++i) cache->sq(i, n) = new_row[i];
-  } else {
-    // The pair order (all (i, j) with i < j, grouped by ascending j) makes
-    // appending a point a pure append: existing offsets are untouched.
-    cache->sq_dims = dist_->sq_dims;
-    cache->sq_dims.reserve(cache->sq_dims.size() + n * d);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto xi = xs.row(i);
-      for (std::size_t k = 0; k < d; ++k) {
-        const double diff = xi[k] - x_new[k];
-        cache->sq_dims.push_back(diff * diff);
-      }
-    }
   }
   return cache;
 }
@@ -168,30 +144,25 @@ void GpRegressor::ensure_correlation() {
   const std::vector<double>& inv = inv_sq_ls_;
   if (corr_.rows() != n || corr_.cols() != n) corr_ = Matrix(n, n);
   // Pack the strict upper triangle's scaled squared distances (pairs grouped
-  // by ascending j, matching the ARD cache layout), push the whole thing
-  // through the batched correlation transform, then scatter symmetrically.
+  // by ascending j), push the whole thing through the batched correlation
+  // transform, then scatter symmetrically.
   const std::size_t num_pairs = n * (n - 1) / 2;
   corr_r2_.resize(num_pairs);
-  if (!kernel_.ard()) {
-    const double inv0 = inv[0];
-    std::size_t off = 0;
-    for (std::size_t j = 0; j < n; ++j) {
+  const double inv0 = inv[0];
+  std::size_t off = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    double* r2 = corr_r2_.data() + off;
+    if (!kernel_.ard()) {
       const auto srow = dist_->sq.row(j);
-      for (std::size_t i = 0; i < j; ++i) corr_r2_[off + i] = srow[i] * inv0;
-      off += j;
+      for (std::size_t i = 0; i < j; ++i) r2[i] = srow[i] * inv0;
+    } else {
+      sq_dists(dist_->xt, j, dist_->x.row(j).data(), 1, r2, j, inv.data());
     }
-  } else {
-    const std::size_t d = dist_->x.cols();
-    const double* p = dist_->sq_dims.data();
-    for (std::size_t pair = 0; pair < num_pairs; ++pair, p += d) {
-      double r2 = 0.0;
-      for (std::size_t k = 0; k < d; ++k) r2 += p[k] * inv[k];
-      corr_r2_[pair] = r2;
-    }
+    off += j;
   }
   linalg_kernels::ops().correlation(kernel_.family(), 1.0, corr_r2_.data(),
                                     num_pairs);
-  std::size_t off = 0;
+  off = 0;
   for (std::size_t j = 0; j < n; ++j) {
     corr_(j, j) = 1.0;
     for (std::size_t i = 0; i < j; ++i) {
@@ -490,12 +461,7 @@ void GpRegressor::append_impl(std::span<const double> x_new,
     const auto srow = dist_->sq.row(n);
     for (std::size_t i = 0; i < n; ++i) corr_r2_[i] = srow[i] * inv0;
   } else {
-    const double* p = dist_->sq_dims.data() + (n * (n - 1) / 2) * d;
-    for (std::size_t i = 0; i < n; ++i, p += d) {
-      double r2 = 0.0;
-      for (std::size_t k = 0; k < d; ++k) r2 += p[k] * inv[k];
-      corr_r2_[i] = r2;
-    }
+    sq_dists(dist_->xt, n, x_new.data(), 1, corr_r2_.data(), n, inv.data());
   }
   linalg_kernels::ops().correlation(kernel_.family(), 1.0, corr_r2_.data(),
                                     n);
@@ -564,21 +530,6 @@ STORMTUNE_HOT void GpRegressor::remove_observation(std::size_t idx,
       const auto dst = cache->sq.row(i);
       for (std::size_t j = 0; j < m; ++j) dst[j] = src[src_of(j)];
     }
-  } else {
-    // Pairs (i, j), i < j, grouped by ascending j at offset
-    // (j·(j−1)/2 + i)·d: the surviving pairs keep their relative order
-    // under index remapping, so the repack is one forward write.
-    cache->sq_dims.resize(m * (m - 1) / 2 * d);
-    double* out = cache->sq_dims.data();
-    const double* src = dist_->sq_dims.data();
-    for (std::size_t j = 0; j < m; ++j) {
-      const std::size_t sj = src_of(j);
-      for (std::size_t i = 0; i < j; ++i) {
-        const std::size_t si = src_of(i);
-        const double* p = src + (sj * (sj - 1) / 2 + si) * d;
-        for (std::size_t k = 0; k < d; ++k) *out++ = p[k];
-      }
-    }
   }
   dist_ = std::move(cache);
 
@@ -624,50 +575,34 @@ std::vector<Prediction> GpRegressor::predict_batch(const Matrix& q) const {
   return out;
 }
 
-STORMTUNE_HOT void GpRegressor::predict_batch(
-    const Matrix& q, std::vector<Prediction>& out) const {
-  predict_rows(q, 0, q.rows(), out);
-}
-
-namespace {
-
-// Rows of K* processed per multi-RHS forward substitution; bounds the V
-// workspace at kPredictChunk * n doubles.
-constexpr std::size_t kPredictChunk = 64;
-
-// Finish a chunk given its cross-covariance block K* (one row per query):
-// means against alpha, then one blocked multi-RHS forward substitution
-// L V = K*ᵀ carrying all rows of the chunk at once
-// (KernelOps::solve_lower_multi). The single-RHS solve has a loop-carried
-// dependency; the multi-RHS sweep's inner updates run across queries, so
-// they vectorize. Per query the operations and their order match the
-// scalar solve_lower_in_place/dot path exactly, so results are bitwise
-// identical to per-candidate solves.
-void predict_chunk(const PosteriorView& post, const Matrix& kstar,
-                   std::span<Prediction> out) {
-  const std::size_t m = kstar.rows();
-  const std::size_t n = post.num_observations();
-  for (std::size_t r = 0; r < m; ++r) {
-    const auto b = kstar.row(r);
-    double mean = 0.0;
-    for (std::size_t i = 0; i < n; ++i) mean += b[i] * post.alpha[i];
-    out[r].mean = post.mean_value + mean;
-  }
-  Matrix v = kstar.transposed();
-  linalg_kernels::ops().solve_lower_multi(post.lower, post.ld, v.data(),
-                                          v.cols(), v.cols(), n);
-  std::vector<double> ss(m, 0.0);  // Σ v_i² per query, i ascending
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto vi = v.row(i);
-    for (std::size_t r = 0; r < m; ++r) ss[r] += vi[r] * vi[r];
-  }
-  for (std::size_t r = 0; r < m; ++r) {
-    const double var = post.variance - ss[r];
-    out[r].variance = var < 0.0 ? 0.0 : var;  // numerical floor
+void GpRegressor::predict_batch(const Matrix& q,
+                                std::vector<Prediction>& out) const {
+  const PosteriorView post = posterior();
+  STORMTUNE_REQUIRE(q.cols() == kernel_.input_dim(),
+                    "GpRegressor::predict: dimension mismatch with kernel");
+  // Queries per block: the workspaces stay n × 72 doubles and in cache. One
+  // block of all 1024 rows of BM_GpPredictBatch took twice as long.
+  constexpr std::size_t kQueryBlock = 64;
+  const std::size_t n = num_observations();
+  const std::size_t d = q.cols();
+  const std::size_t m = q.rows();
+  const std::size_t width = std::min(m, kQueryBlock);
+  const std::size_t ld = linalg_kernels::padded_ld(width);
+  Matrix qt(d, ld);
+  std::vector<double> d2t(n * ld), v(n * ld), means(width), vars(width);
+  out.resize(m);
+  for (std::size_t base = 0; base < m; base += width) {
+    const std::size_t b = std::min(width, m - base);
+    for (std::size_t k = 0; k < d; ++k) {
+      for (std::size_t c = 0; c < b; ++c) qt(k, c) = q(base + c, k);
+    }
+    sq_dist_block(post, qt.data(), ld, b, d2t.data(), ld);
+    predict_mv_from_sq_dist_block(post, d2t.data(), ld, b, v.data(), ld,
+                                  std::span(means.data(), b),
+                                  std::span(vars.data(), b));
+    for (std::size_t c = 0; c < b; ++c) out[base + c] = {means[c], vars[c]};
   }
 }
-
-}  // namespace
 
 PosteriorView GpRegressor::posterior() const {
   STORMTUNE_REQUIRE(fitted(), "GpRegressor::posterior: call fit() first");
@@ -683,61 +618,6 @@ PosteriorView GpRegressor::posterior() const {
   return post;
 }
 
-STORMTUNE_HOT void GpRegressor::predict_rows(
-    const Matrix& q, std::size_t row_begin, std::size_t row_end,
-    std::vector<Prediction>& out) const {
-  predict_rows(posterior(), q, row_begin, row_end, out);
-}
-
-STORMTUNE_HOT void GpRegressor::predict_rows(
-    const PosteriorView& post, const Matrix& q, std::size_t row_begin,
-    std::size_t row_end, std::vector<Prediction>& out) const {
-  STORMTUNE_REQUIRE(fitted(), "GpRegressor::predict: call fit() first");
-  STORMTUNE_REQUIRE(q.cols() == kernel_.input_dim(),
-                    "GpRegressor::predict: dimension mismatch with kernel");
-  STORMTUNE_REQUIRE(row_begin <= row_end && row_end <= q.rows(),
-                    "GpRegressor::predict_rows: bad row range");
-  STORMTUNE_REQUIRE(post.num_observations() == num_observations() &&
-                        post.ard == kernel_.ard() &&
-                        post.inv_sq_ls.size() == inv_sq_ls_.size(),
-                    "GpRegressor::predict_rows: posterior of other inputs");
-  const Matrix& x = dist_->x;
-  const std::size_t n = x.rows();
-  const std::size_t d = q.cols();
-  const std::size_t total = row_end - row_begin;
-  out.resize(total);
-  const std::span<const double> inv = post.inv_sq_ls;
-  Matrix kstar;
-  for (std::size_t base = 0; base < total; base += kPredictChunk) {
-    const std::size_t m = std::min(kPredictChunk, total - base);
-    if (kstar.rows() != m) kstar = Matrix(m, n);
-    if (!post.ard) {
-      sq_dists(dist_->xt, n, q.row(row_begin + base).data(), m, kstar.data(),
-               n);
-    }
-    for (std::size_t r = 0; r < m; ++r) {
-      const auto u = q.row(row_begin + base + r);
-      const auto krow = kstar.row(r);
-      if (post.ard) {
-        for (std::size_t i = 0; i < n; ++i) {
-          const auto xi = x.row(i);
-          double r2 = 0.0;
-          for (std::size_t k = 0; k < d; ++k) {
-            const double diff = xi[k] - u[k];
-            r2 += diff * diff * inv[k];
-          }
-          krow[i] = r2;
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) krow[i] *= inv[0];
-      }
-      linalg_kernels::ops().correlation(post.family, post.variance,
-                                        krow.data(), n);
-    }
-    predict_chunk(post, kstar, std::span(out).subspan(base, m));
-  }
-}
-
 void GpRegressor::unscaled_sq_dists(std::span<const double> u,
                                     std::span<double> out) const {
   STORMTUNE_REQUIRE(fitted(),
@@ -748,32 +628,38 @@ void GpRegressor::unscaled_sq_dists(std::span<const double> u,
   sq_dists(dist_->xt, n, u.data(), 1, out.data(), n);
 }
 
-STORMTUNE_HOT void GpRegressor::unscaled_sq_dist_block(
-    const double* qt, std::size_t ldq, std::size_t m, double* d2t,
-    std::size_t ldd) const {
-  STORMTUNE_REQUIRE(fitted(),
-                    "GpRegressor::unscaled_sq_dist_block: call fit() first");
+STORMTUNE_HOT void GpRegressor::sq_dist_block(const PosteriorView& post,
+                                              const double* qt,
+                                              std::size_t ldq, std::size_t m,
+                                              double* d2t,
+                                              std::size_t ldd) const {
+  STORMTUNE_REQUIRE(fitted(), "GpRegressor::sq_dist_block: call fit() first");
   STORMTUNE_REQUIRE(m <= ldq && m <= ldd,
-                    "GpRegressor::unscaled_sq_dist_block: stride below m");
+                    "GpRegressor::sq_dist_block: stride below m");
+  STORMTUNE_REQUIRE(post.num_observations() == num_observations() &&
+                        post.ard == kernel_.ard() &&
+                        post.inv_sq_ls.size() == inv_sq_ls_.size(),
+                    "GpRegressor::sq_dist_block: posterior of other inputs");
   // The distance kernel with the roles swapped: lanes across the m query
   // points (the transposed block), one output row per training point.
   const Matrix& x = dist_->x;
-  linalg_kernels::ops().sq_dist_rows(qt, ldq, m, x.cols(), x.data(), x.cols(),
-                                     x.rows(), d2t, ldd);
+  linalg_kernels::ops().sq_dist_rows(
+      qt, ldq, m, x.cols(), x.data(), x.cols(), x.rows(), d2t, ldd,
+      post.shares_distances() ? nullptr : post.inv_sq_ls.data());
 }
 
 STORMTUNE_HOT void predict_mv_from_sq_dist_block(
     const PosteriorView& post, const double* d2t, std::size_t ldd,
     std::size_t m, double* v, std::size_t ldv, std::span<double> means,
     std::span<double> vars) {
-  STORMTUNE_REQUIRE(!post.ard,
-                    "predict_mv_from_sq_dist_block: non-ARD only");
   STORMTUNE_REQUIRE(
       m <= ldd && m <= ldv && means.size() == m && vars.size() == m,
       "predict_mv_from_sq_dist_block: size mismatch");
   const std::size_t n = post.num_observations();
   const double a2 = post.variance;
-  const double inv0 = post.inv_sq_ls[0];
+  // An isotropic block is unscaled and takes its one 1/l² here; an ARD
+  // block was scaled per dimension as it was summed, and x·1 is exact.
+  const double scale = post.shares_distances() ? post.inv_sq_ls[0] : 1.0;
   const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
   // V = K*ᵀ (row i = candidate values of training point i), built from the
   // distance block's row i: both stride-1, and this is the layout the
@@ -781,11 +667,11 @@ STORMTUNE_HOT void predict_mv_from_sq_dist_block(
   for (std::size_t i = 0; i < n; ++i) {
     double* vi = v + i * ldv;
     const double* di = d2t + i * ldd;
-    for (std::size_t c = 0; c < m; ++c) vi[c] = di[c] * inv0;
+    for (std::size_t c = 0; c < m; ++c) vi[c] = di[c] * scale;
     ops.correlation(post.family, a2, vi, m);
   }
   // Means before the solve overwrites V: per candidate 0 + Σ_i v_i·α_i,
-  // i ascending — the chunked path's dot-product order.
+  // i ascending.
   ops.column_dots(v, ldv, n, m, post.alpha.data(), means.data());
   for (std::size_t c = 0; c < m; ++c) means[c] = post.mean_value + means[c];
   // One forward substitution over the block; a column's result does not

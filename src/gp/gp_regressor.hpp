@@ -39,9 +39,9 @@ struct Prediction {
 /// kernel's family and hyperparameters, the constant mean, the n lower
 /// rows of the Cholesky factor L and α = K⁻¹(y − m). A view borrows them
 /// from a GpRegressor (GpRegressor::posterior) or a Posterior. It holds no
-/// training inputs: the distances it is scored on come from the regressor
-/// that holds X (GpRegressor::predict_rows) or from a precomputed block
-/// (predict_mv_from_sq_dist_block).
+/// training inputs: the regressor that holds X builds the distance block
+/// it is scored on (GpRegressor::sq_dist_block,
+/// predict_mv_from_sq_dist_block).
 struct PosteriorView {
   KernelFamily family = KernelFamily::kMatern52;
   bool ard = false;
@@ -53,22 +53,28 @@ struct PosteriorView {
   std::span<const double> alpha;      ///< one entry per observation
 
   std::size_t num_observations() const { return alpha.size(); }
+
+  /// Whether one distance block serves every posterior fitted on the same
+  /// inputs. An isotropic posterior scales the unscaled block by its one
+  /// 1/l² inside the predictor; ARD scales each dimension before summing,
+  /// so its block is its own (GpRegressor::sq_dist_block).
+  bool shares_distances() const { return !ard; }
 };
 
-/// Predictive means and variances of m candidates from a training-point-
-/// major distance block (non-ARD posteriors only — ARD scales per
-/// dimension before summing, so no shared block exists for it):
-/// d2t[i·ldd + c] = ‖q_c − x_i‖² (GpRegressor::unscaled_sq_dist_block).
+/// Predictive means and variances of m candidates from the training-point-
+/// major distance block GpRegressor::sq_dist_block built for `post` (or,
+/// when post.shares_distances(), for any posterior on the same inputs).
 /// Builds V = K*ᵀ in the caller-owned n-row workspace `v` (row stride
 /// ldv ≥ m; linalg_kernels::padded_ld(m) keeps the solve's strips
 /// alias-free), reading each distance row stride-1, then: means through
 /// the column-dot kernel against α, one multi-RHS forward substitution,
 /// variances through the column sum-of-squares kernel. Per candidate every
 /// reduction runs in ascending training-point order and every element-wise
-/// map is the same single-value transform, so the results are bitwise
-/// identical to GpRegressor::predict_rows — only the batching and the
-/// memory walk differ. `means`/`vars` must have m entries. Thread-safe for
-/// concurrent calls with distinct workspaces.
+/// map is the same single-value transform, so a candidate's results do
+/// not depend on m, its column or the other candidates in the block. This
+/// is the one prediction path: predict and predict_batch wrap it.
+/// `means`/`vars` must have m entries. Thread-safe for concurrent calls
+/// with distinct workspaces.
 void predict_mv_from_sq_dist_block(const PosteriorView& post,
                                    const double* d2t, std::size_t ldd,
                                    std::size_t m, double* v, std::size_t ldv,
@@ -145,23 +151,13 @@ class GpRegressor {
 
   Prediction predict(std::span<const double> x) const;
 
-  /// Predict at every row of `q` in one cache-friendly pass over the factor.
+  /// Predict at every row of `q`: the rows transposed into blocks of 64,
+  /// each through sq_dist_block and predict_mv_from_sq_dist_block on
+  /// posterior().
   /// Thread-safe for concurrent calls on a fitted regressor (read-only).
   std::vector<Prediction> predict_batch(const Matrix& q) const;
-  /// Buffer-reusing variant; resizes `out` to q.rows().
+  /// As above into `out`, resized to q.rows().
   void predict_batch(const Matrix& q, std::vector<Prediction>& out) const;
-  /// Predict rows [row_begin, row_end) of `q`; resizes `out` to the range
-  /// length. This is the shard-level entry point for parallel scoring:
-  /// concurrent callers pass disjoint row ranges of a shared matrix.
-  void predict_rows(const Matrix& q, std::size_t row_begin,
-                    std::size_t row_end, std::vector<Prediction>& out) const;
-  /// As above with `post` in place of this regressor's own posterior: a
-  /// posterior fitted on these inputs under other hyperparameters (one
-  /// hyper sample's, see Posterior). This is the one prediction path; the
-  /// overload above runs it on posterior().
-  void predict_rows(const PosteriorView& post, const Matrix& q,
-                    std::size_t row_begin, std::size_t row_end,
-                    std::vector<Prediction>& out) const;
 
   /// Unscaled squared distances from one query point to the training
   /// inputs: out[i] = ‖u − x_i‖² = 0 + Σ_k (x_ik − u_k)², k ascending, for
@@ -169,17 +165,22 @@ class GpRegressor {
   void unscaled_sq_dists(std::span<const double> u,
                          std::span<double> out) const;
 
-  /// Training-point-major distance block for m query points held
-  /// transposed — qt[k·ldq + c] is coordinate k of point c (ldq ≥ m):
-  /// d2t[i·ldd + c] = ‖q_c − x_i‖² = 0 + Σ_k (q_ck − x_ik)², k ascending,
-  /// for i < n and c < m (ldd ≥ m). (a − b)² and (b − a)² are the same
-  /// bits, so every entry equals what unscaled_sq_dists gives for q_c.
-  /// The block is kernel-independent: a surrogate marginalizing over
-  /// several hyper-sample posteriors (which share X) computes it once and
-  /// scores every posterior from it via predict_mv_from_sq_dist_block.
-  void unscaled_sq_dist_block(const double* qt, std::size_t ldq,
-                              std::size_t m, double* d2t,
-                              std::size_t ldd) const;
+  /// The training-point-major distance block that
+  /// predict_mv_from_sq_dist_block scores `post` from, for m query points
+  /// held transposed — qt[k·ldq + c] is coordinate k of point c (ldq ≥ m)
+  /// — into d2t[i·ldd + c], i < n, c < m (ldd ≥ m). `post` is a posterior
+  /// on these inputs (posterior() or a Posterior of another fit on them).
+  ///  * Isotropic: d2t = ‖q_c − x_i‖² = 0 + Σ_k (q_ck − x_ik)², k
+  ///    ascending, unscaled, so one block serves every isotropic
+  ///    posterior on these inputs (PosteriorView::shares_distances). Every
+  ///    entry equals what unscaled_sq_dists gives for q_c.
+  ///  * ARD: d2t = 0 + Σ_k (q_ck − x_ik)²·(1/l_k²), k ascending, the r²
+  ///    the fit's correlation matrix is built from.
+  /// (a − b)² and (b − a)² are the same bits, so the operand order does
+  /// not matter.
+  void sq_dist_block(const PosteriorView& post, const double* qt,
+                     std::size_t ldq, std::size_t m, double* d2t,
+                     std::size_t ldd) const;
 
 
   /// log p(y | X, theta); requires fit() to have been called.
@@ -228,17 +229,16 @@ class GpRegressor {
 
  private:
   /// The inputs X and their pairwise distance structure: for non-ARD
-  /// kernels the unscaled squared distances ‖x_i − x_j‖², for ARD the
-  /// per-dimension squared differences (packed pair-major, pairs ordered so
-  /// that appending an observation appends entries without disturbing
-  /// existing offsets). Immutable once built and shared across copies of
-  /// the regressor, so a copy carries only its hyperparameters' fit.
+  /// kernels the unscaled squared distances ‖x_i − x_j‖²; ARD caches
+  /// nothing beyond X, since its scaled distances depend on the
+  /// lengthscales and are summed straight from xt. Immutable once built
+  /// and shared across copies of the regressor, so a copy carries only its
+  /// hyperparameters' fit.
   struct DistanceCache {
-    Matrix x;                     // the inputs, one row per observation
-    Matrix sq;                    // non-ARD: n×n unscaled squared distances
-    Matrix xt;                    // X transposed (d rows, stride padded
-                                  // past n): the distance kernel's operand
-    std::vector<double> sq_dims;  // ARD: (j·(j−1)/2 + i)·d + k, for i < j
+    Matrix x;   // the inputs, one row per observation
+    Matrix sq;  // non-ARD: n×n unscaled squared distances
+    Matrix xt;  // X transposed (d rows, stride padded past n): the
+                // distance kernels' operand
   };
 
   bool x_matches(const Matrix& x) const;
@@ -311,7 +311,7 @@ class GpRegressor {
 /// carries the correlation matrix, its packed-r² scratch and the factor's
 /// transposed mirror. A surrogate marginalizing over hyper samples refits
 /// one regressor per sample and keeps only this; the regressor's inputs
-/// score it (GpRegressor::predict_rows, unscaled_sq_dist_block).
+/// score it (GpRegressor::sq_dist_block, predict_mv_from_sq_dist_block).
 class Posterior {
  public:
   Posterior() = default;

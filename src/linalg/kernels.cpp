@@ -44,6 +44,28 @@ double correlation_from_scaled_sq(KernelFamily family, double r2) {
   return 0.0;
 }
 
+#ifdef STORMTUNE_CHECKED
+void detail::check_correlation_samples(KernelFamily family, double scale,
+                                       const double* buf,
+                                       const std::size_t* idx,
+                                       const double* in,
+                                       std::size_t samples) {
+  // libmvec's lanes are within a few ulp of a correctly rounded exp, so
+  // 1e-12 relative (plus an absolute floor for results near the denormals)
+  // leaves three orders of magnitude of margin while catching any
+  // reassociated or approximate transform.
+  for (std::size_t k = 0; k < samples; ++k) {
+    const double ref = scale * correlation_from_scaled_sq(family, in[k]);
+    const double got = buf[idx[k]];
+    const double tol =
+        1e-12 * std::max(std::fabs(ref), std::fabs(got)) + 1e-280;
+    STORMTUNE_INVARIANT(std::fabs(got - ref) <= tol,
+                        "correlation: a lane disagrees with the scalar form "
+                        "beyond ulp tolerance");
+  }
+}
+#endif
+
 namespace portable {
 
 // Anonymous-namespace lane type and helpers inline into the exported
@@ -113,8 +135,8 @@ STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
 STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
                                 std::size_t n, std::size_t d, const double* q,
                                 std::size_t ldq, std::size_t rows, double* out,
-                                std::size_t ldo) {
-  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
+                                std::size_t ldo, const double* w) {
+  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo, w);
 }
 
 STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
@@ -174,7 +196,7 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
                                   std::size_t n, std::size_t d,              \
                                   const double* q, std::size_t ldq,          \
                                   std::size_t rows, double* out,             \
-                                  std::size_t ldo);                          \
+                                  std::size_t ldo, const double* w);         \
   STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv,           \
                                  std::size_t n, std::size_t m,               \
                                  const double* w, double* out);              \

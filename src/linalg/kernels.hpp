@@ -79,14 +79,17 @@ struct KernelOps {
   void (*solve_lower_transpose_multi)(const double* ltf, std::size_t ld,
                                       double* v, std::size_t ldv,
                                       std::size_t m, std::size_t n);
-  /// Unscaled squared distances from `rows` query points (row r at
-  /// q + r·ldq, d coordinates) to n points held transposed in `xt` (d rows
-  /// of leading dimension ldx, column i = point i):
+  /// Squared distances from `rows` query points (row r at q + r·ldq, d
+  /// coordinates) to n points held transposed in `xt` (d rows of leading
+  /// dimension ldx, column i = point i):
   /// out[r·ldo + i] = 0 + (x_i0 − q_r0)² + … + (x_i,d−1 − q_r,d−1)², k
-  /// ascending, lanes across the points i.
+  /// ascending, lanes across the points i. With per-coordinate weights
+  /// `w` (the GP's ARD 1/l_k²) each term is (x_ik − q_rk)²·w_k, the
+  /// square rounded before the product; w = nullptr leaves them unscaled.
   void (*sq_dist_rows)(const double* xt, std::size_t ldx, std::size_t n,
                        std::size_t d, const double* q, std::size_t ldq,
-                       std::size_t rows, double* out, std::size_t ldo);
+                       std::size_t rows, double* out, std::size_t ldo,
+                       const double* w);
   /// Weighted column sums over the first m columns of an n-row block `v`
   /// (row stride ldv ≥ m): out[c] = 0 + v(0,c)·w[0] + … + v(n−1,c)·w[n−1],
   /// i ascending, lanes across the columns c. The GP's predictive means

@@ -14,7 +14,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_blocks.hpp"
@@ -107,8 +106,8 @@ STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
 STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
                                 std::size_t n, std::size_t d, const double* q,
                                 std::size_t ldq, std::size_t rows, double* out,
-                                std::size_t ldo) {
-  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
+                                std::size_t ldo, const double* w) {
+  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo, w);
 }
 
 STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
@@ -156,8 +155,7 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
   const __m256d slack = _mm256_set1_pd(eps + kEiBoundUlps);
   const __m256d fixed =
       _mm256_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d inf = _mm256_set1_pd(detail::kInf);
   const __m256d sign = _mm256_set1_pd(-0.0);
   for (std::size_t r = 0; r < m; r += 4) {
     const __m256i mask = Lanes::tail_mask(m - r < 4 ? m - r : 4);

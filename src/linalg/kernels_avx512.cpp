@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstddef>
-#include <limits>
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_blocks.hpp"
@@ -109,8 +108,8 @@ STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
 STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
                                 std::size_t n, std::size_t d, const double* q,
                                 std::size_t ldq, std::size_t rows, double* out,
-                                std::size_t ldo) {
-  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo);
+                                std::size_t ldo, const double* w) {
+  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo, w);
 }
 
 STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
@@ -169,8 +168,7 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
   const __m512d slack = _mm512_set1_pd(eps + kEiBoundUlps);
   const __m512d fixed =
       _mm512_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
-  const __m512d inf =
-      _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  const __m512d inf = _mm512_set1_pd(detail::kInf);
   for (std::size_t r = 0; r < m; r += 8) {
     const __mmask8 mask =
         m - r < 8 ? Lanes::tail_mask(m - r) : static_cast<__mmask8>(0xFF);

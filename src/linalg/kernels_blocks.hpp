@@ -23,6 +23,14 @@
 // across paths only through V::exp; the bound kernels at the end are the
 // other exception (KernelOps, "The bound kernels"): they use fma and sum
 // in lanes.
+//
+// Linkage: every ISA TU includes this header under its own -m<isa> flags,
+// so nothing defined here may have external linkage. A weak definition
+// emitted by an unoptimized build is kept once by the linker, which could
+// then run AVX-512 code on the portable path. The templates are
+// instantiated over each TU's anonymous-namespace lane type; the other
+// helpers are static, and the constants are constexpr (ctest
+// kernel_weak_symbols checks the objects).
 #pragma once
 
 #include <algorithm>
@@ -30,7 +38,6 @@
 #include <cstddef>
 #include <limits>
 
-#include "common/check.hpp"
 #include "linalg/kernels.hpp"
 
 namespace stormtune::linalg_kernels::detail {
@@ -43,6 +50,10 @@ namespace stormtune::linalg_kernels::detail {
 /// vectors also bound the strip's footprint: an n = 100 solve strip and a
 /// d = 101 distance strip are 26 KB each on AVX-512, inside L1.
 inline constexpr int kStripVecs = 4;
+
+/// +∞ as a constant: std::numeric_limits<double>::infinity() is a call
+/// that an unoptimized build emits as a weak function in every TU.
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// NV vector accumulators over consecutive elements; the last vector is
 /// masked when kTail is set.
@@ -127,6 +138,13 @@ struct Strip {
       r[v] = V::add(r[v], V::mul(diff, diff));
     }
   }
+  /// r += (p - b)² * a, per element.
+  void add_sq_diff(const double* p, Reg b, Reg a) {
+    for (int v = 0; v < NV; ++v) {
+      const Reg diff = V::sub(load_vec(p, v, mask), b);
+      r[v] = V::add(r[v], V::mul(V::mul(diff, diff), a));
+    }
+  }
 };
 
 /// Run `body` on the remainder strip of NV vectors (the last one partial
@@ -169,8 +187,8 @@ inline void for_each_strip(std::size_t len, Body&& body) {
 /// mirror row j: L(j,j) = sqrt(d), L(i,j) = sum · (1/L(j,j)) below it,
 /// written to the mirror row and the row-major factor. False when the
 /// diagonal is not positive.
-inline bool finish_column(double* lf, double* ltj, std::size_t ld,
-                          std::size_t j, std::size_t n) {
+static inline bool finish_column(double* lf, double* ltj, std::size_t ld,
+                                 std::size_t j, std::size_t n) {
   const double d = ltj[j];
   if (!(d > 0.0)) return false;
   const double ljj = std::sqrt(d);
@@ -304,13 +322,20 @@ inline void givens_row_update(double* lrow, double* v, double c, double s,
 template <class V>
 inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
                          std::size_t d, const double* q, std::size_t ldq,
-                         std::size_t rows, double* out, std::size_t ldo) {
+                         std::size_t rows, double* out, std::size_t ldo,
+                         const double* w) {
   for_each_strip<V>(n, [&](std::size_t c, auto s) {
     for (std::size_t r = 0; r < rows; ++r) {
       const double* qr = q + r * ldq;
       s.zero();
-      for (std::size_t k = 0; k < d; ++k) {
-        s.add_sq_diff(xt + k * ldx + c, V::set1(qr[k]));
+      if (w == nullptr) {
+        for (std::size_t k = 0; k < d; ++k) {
+          s.add_sq_diff(xt + k * ldx + c, V::set1(qr[k]));
+        }
+      } else {
+        for (std::size_t k = 0; k < d; ++k) {
+          s.add_sq_diff(xt + k * ldx + c, V::set1(qr[k]), V::set1(w[k]));
+        }
       }
       s.store(out + r * ldo + c);
     }
@@ -349,6 +374,16 @@ inline void correlation_map(double scale, double* buf, std::size_t len,
   });
 }
 
+#ifdef STORMTUNE_CHECKED
+/// Checked builds' agreement sampling for KernelOps::correlation: input
+/// in[k], mapped into buf[idx[k]], must be within 1e-12 relative of the
+/// scalar form. Throws InvariantError otherwise. Defined in the portable
+/// TU, so the wide TUs emit no string or exception code of their own.
+void check_correlation_samples(KernelFamily family, double scale,
+                               const double* buf, const std::size_t* idx,
+                               const double* in, std::size_t samples);
+#endif
+
 /// KernelOps::correlation: each family's lanes take the scalar form's
 /// steps (correlation_from_scaled_sq) — square root, negation, exp, the
 /// left-associated polynomial — so a lane differs from it only through
@@ -359,17 +394,13 @@ inline void correlation(KernelFamily family, double scale, double* buf,
   using Reg = typename V::Reg;
 #ifdef STORMTUNE_CHECKED
   // Agreement sampling: up to four inputs, kept before the map overwrites
-  // them, go through the scalar form afterwards. libmvec's lanes are
-  // within a few ulp of a correctly rounded exp, so 1e-12 relative (plus
-  // an absolute floor for results near the denormals) leaves three orders
-  // of magnitude of margin while catching any reassociated or approximate
-  // transform.
+  // them, go through the scalar form afterwards.
   std::size_t sample_idx[4];
   double sample_in[4];
   std::size_t samples = 0;
   if (len > 0) {
-    for (const std::size_t c : {std::size_t{0}, len / 3, (2 * len) / 3,
-                                len - 1}) {
+    const std::size_t picks[4] = {0, len / 3, (2 * len) / 3, len - 1};
+    for (const std::size_t c : picks) {
       if (samples > 0 && sample_idx[samples - 1] == c) continue;
       sample_idx[samples] = c;
       sample_in[samples] = buf[c];
@@ -399,15 +430,8 @@ inline void correlation(KernelFamily family, double scale, double* buf,
       break;
   }
 #ifdef STORMTUNE_CHECKED
-  for (std::size_t k = 0; k < samples; ++k) {
-    const double ref = scale * correlation_from_scaled_sq(family, sample_in[k]);
-    const double got = buf[sample_idx[k]];
-    const double tol =
-        1e-12 * std::max(std::fabs(ref), std::fabs(got)) + 1e-280;
-    STORMTUNE_INVARIANT(std::fabs(got - ref) <= tol,
-                        "correlation: a lane disagrees with the scalar form "
-                        "beyond ulp tolerance");
-  }
+  check_correlation_samples(family, scale, buf, sample_idx, sample_in,
+                            samples);
 #endif
 }
 
@@ -640,11 +664,9 @@ inline void bound_solve(const double* lower, std::size_t ld, std::size_t n,
 /// One KernelOps::ei_bounds entry through bo::expected_improvement's
 /// scalar expression: the portable path, and the wide paths' fallback
 /// where libmvec has no vector erfc.
-inline double ei_bound_scalar(double mean, double var, double best,
-                              double xi, double eps) {
-  if (!(std::fabs(mean) < std::numeric_limits<double>::infinity())) {
-    return std::numeric_limits<double>::infinity();
-  }
+static inline double ei_bound_scalar(double mean, double var, double best,
+                                     double xi, double eps) {
+  if (!(std::fabs(mean) < kInf)) return kInf;
   const double imp = mean - best - xi;
   const double pos = imp > 0.0 ? imp : 0.0;
   const double sd = std::sqrt(var);

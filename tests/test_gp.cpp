@@ -491,7 +491,8 @@ TEST_F(GpFit, BatchPredictionMatchesPointPrediction) {
     y[i] = rng.normal();
   }
   gp.fit(x, y);
-  // More queries than one internal chunk, to cross the chunk boundary.
+  // More queries than one block of predict_batch, to cross block
+  // boundaries. A query's bits do not depend on its block.
   Matrix q(150, 2);
   for (std::size_t i = 0; i < q.rows(); ++i) {
     q(i, 0) = rng.uniform(-0.5, 1.5);
@@ -501,8 +502,8 @@ TEST_F(GpFit, BatchPredictionMatchesPointPrediction) {
   ASSERT_EQ(batch.size(), q.rows());
   for (std::size_t i = 0; i < q.rows(); ++i) {
     const Prediction p = gp.predict(std::vector<double>{q(i, 0), q(i, 1)});
-    EXPECT_DOUBLE_EQ(batch[i].mean, p.mean);
-    EXPECT_DOUBLE_EQ(batch[i].variance, p.variance);
+    EXPECT_EQ(batch[i].mean, p.mean);
+    EXPECT_EQ(batch[i].variance, p.variance);
   }
 }
 
@@ -536,7 +537,7 @@ TEST_F(GpFit, SharedDistanceBlockMatchesDirectPrediction) {
   const std::size_t ld = linalg_kernels::padded_ld(m);
   const Matrix qt = q.transposed();
   std::vector<double> d2t(n * ld), v(n * ld);
-  g1.unscaled_sq_dist_block(qt.data(), qt.cols(), m, d2t.data(), ld);
+  g1.sq_dist_block(g1.posterior(), qt.data(), qt.cols(), m, d2t.data(), ld);
   std::vector<double> point(n);
   for (std::size_t c = 0; c < m; ++c) {
     g2.unscaled_sq_dists(q.row(c), point);
@@ -559,8 +560,8 @@ TEST_F(GpFit, InPlaceRefitPosteriorPredictsLikeAFreshFit) {
   // The surrogate refits one regressor per hyper sample and keeps only
   // each refit's Posterior. A posterior taken between refits must predict
   // exactly the bits of a regressor fitted from scratch with its theta,
-  // through both prediction paths it is scored on, with and without a
-  // noise diagonal — and later refits of the source must not touch it.
+  // through the block the source builds for it, with and without a noise
+  // diagonal — and later refits of the source must not touch it.
   Rng rng(41);
   constexpr std::size_t kN = 24, kD = 3, kQ = 37;
   Matrix x(kN, kD), q(kQ, kD);
@@ -599,25 +600,17 @@ TEST_F(GpFit, InPlaceRefitPosteriorPredictsLikeAFreshFit) {
       GpRegressor fresh(kernel, 1e-3);
       apply_hyperparams(fresh, theta(-0.2, -1.4, -1.5), x, y, diag);
       const std::vector<Prediction> want = fresh.predict_batch(q);
-      if (!ard) {
-        const std::size_t ld = linalg_kernels::padded_ld(kQ);
-        const Matrix qt = q.transposed();
-        std::vector<double> d2t(kN * ld), v(kN * ld), means(kQ), vars(kQ);
-        source.unscaled_sq_dist_block(qt.data(), qt.cols(), kQ, d2t.data(),
-                                      ld);
-        predict_mv_from_sq_dist_block(post.view(), d2t.data(), ld, kQ,
-                                      v.data(), ld, means, vars);
-        for (std::size_t c = 0; c < kQ; ++c) {
-          EXPECT_EQ(means[c], want[c].mean);
-          EXPECT_EQ(vars[c], want[c].variance);
-        }
-      }
-      std::vector<Prediction> got;
-      source.predict_rows(post.view(), q, 0, kQ, got);
-      ASSERT_EQ(got.size(), kQ);
+      const std::size_t ld = linalg_kernels::padded_ld(kQ);
+      const Matrix qt = q.transposed();
+      std::vector<double> d2t(kN * ld), v(kN * ld), means(kQ), vars(kQ);
+      source.sq_dist_block(post.view(), qt.data(), qt.cols(), kQ, d2t.data(),
+                           ld);
+      predict_mv_from_sq_dist_block(post.view(), d2t.data(), ld, kQ, v.data(),
+                                    ld, means, vars);
+      ASSERT_EQ(want.size(), kQ);
       for (std::size_t c = 0; c < kQ; ++c) {
-        EXPECT_EQ(got[c].mean, want[c].mean);
-        EXPECT_EQ(got[c].variance, want[c].variance);
+        EXPECT_EQ(means[c], want[c].mean);
+        EXPECT_EQ(vars[c], want[c].variance);
       }
     }
   }
@@ -732,21 +725,6 @@ TEST_F(GpFit, NoiseDiagValidation) {
   x(1, 0) = 1.0;
   // Diagonal size must match the observation count at fit time.
   EXPECT_THROW(gp.fit(x, Vector{0.0, 1.0}), Error);
-}
-
-TEST_F(GpFit, SharedDistanceBlockRejectsArd) {
-  Kernel k(KernelFamily::kSquaredExponential, 2, /*ard=*/true);
-  GpRegressor gp(k, 1e-3);
-  Matrix x(3, 2);
-  x(1, 0) = 1.0;
-  x(2, 1) = 1.0;
-  gp.fit(x, Vector{0.0, 1.0, 2.0});
-  const Matrix xt = x.transposed();
-  std::vector<double> d2t(3 * 3), v(3 * 3), means(3), vars(3);
-  gp.unscaled_sq_dist_block(xt.data(), 3, 3, d2t.data(), 3);
-  EXPECT_THROW(predict_mv_from_sq_dist_block(gp.posterior(), d2t.data(), 3, 3,
-                                             v.data(), 3, means, vars),
-               Error);
 }
 
 // --- The hyper sampler's log-marginal-likelihood estimate -------------------

@@ -461,7 +461,8 @@ TEST(IsaDispatch, MultiRhsSolvesMatchReferenceExactlyOnEveryPath) {
   }
 }
 
-// The lane-parallel distance kernel against the scalar loop it replaced.
+// The lane-parallel distance kernel against the scalar loop it replaced,
+// unweighted and with ARD's per-coordinate weights.
 TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
 #ifdef STORMTUNE_NATIVE_BUILD
   GTEST_SKIP() << "-march=native may contract the naive loop";
@@ -480,20 +481,24 @@ TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
         for (std::size_t r = 0; r < rows; ++r) {
           for (std::size_t k = 0; k < d; ++k) q(r, k) = rng.uniform(-0.5, 1.5);
         }
+        std::vector<double> w(d);
+        for (auto& e : w) e = rng.uniform(0.1, 9.0);
         const Matrix xt = x.transposed();
-        Matrix got(rows, n);
-        ops->sq_dist_rows(xt.data(), n, n, d, q.data(), d, rows, got.data(),
-                          n);
-        for (std::size_t r = 0; r < rows; ++r) {
-          for (std::size_t i = 0; i < n; ++i) {
-            double s = 0.0;
-            for (std::size_t k = 0; k < d; ++k) {
-              const double diff = x(i, k) - q(r, k);
-              s += diff * diff;
+        for (const bool weighted : {false, true}) {
+          Matrix got(rows, n);
+          ops->sq_dist_rows(xt.data(), n, n, d, q.data(), d, rows, got.data(),
+                            n, weighted ? w.data() : nullptr);
+          for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t i = 0; i < n; ++i) {
+              double s = 0.0;
+              for (std::size_t k = 0; k < d; ++k) {
+                const double diff = x(i, k) - q(r, k);
+                s += weighted ? diff * diff * w[k] : diff * diff;
+              }
+              ASSERT_EQ(got(r, i), s)
+                  << isa::to_string(path) << (weighted ? " weighted" : "")
+                  << " n=" << n << " d=" << d << " (" << r << "," << i << ")";
             }
-            ASSERT_EQ(got(r, i), s) << isa::to_string(path) << " n=" << n
-                                    << " d=" << d << " (" << r << "," << i
-                                    << ")";
           }
         }
       }
@@ -538,12 +543,17 @@ TEST(IsaDispatch, ColumnMomentsMatchNaiveLoopOnEveryPath) {
   }
 }
 
-// The block prediction (training-point-major distances, one transform per
-// training point, one multi-RHS solve and the moment kernels across the
-// block) must be bitwise identical to the chunked path — on every runnable
-// ISA path, since both go through the same dispatch.
-TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
-  const std::size_t n = 24, d = 3, m = 70;  // m > kPredictChunk = 64
+// The one prediction path (GpRegressor::sq_dist_block, then
+// predict_mv_from_sq_dist_block) against a per-candidate oracle on every
+// path, isotropic and ARD, at block widths around the kernels' strips: a
+// scalar r² loop, the dispatched correlation on that candidate's row, the
+// reciprocal-scaled reference forward substitution and scalar sums. A
+// candidate's bits must not depend on the block it is predicted in.
+TEST(IsaDispatch, BlockPredictMatchesPerCandidateOracleOnEveryPath) {
+#ifdef STORMTUNE_NATIVE_BUILD
+  GTEST_SKIP() << "-march=native may contract the oracle loops";
+#endif
+  const std::size_t n = 24, d = 3;
   Rng rng(99);
   Matrix x(n, d);
   Vector y(n);
@@ -551,39 +561,64 @@ TEST(IsaDispatch, FusedPredictMatchesChunkedOnEveryPath) {
     for (std::size_t k = 0; k < d; ++k) x(i, k) = rng.normal();
     y[i] = rng.normal();
   }
-  Matrix q(m, d);
-  for (std::size_t r = 0; r < m; ++r) {
-    for (std::size_t k = 0; k < d; ++k) q(r, k) = rng.normal();
-  }
-  const Matrix qt = q.transposed();
-  const std::size_t ld = lk::padded_ld(m);
   for (const isa::Path path : runnable_paths()) {
     const ScopedIsa pin(path);
-    for (const gp::KernelFamily family :
-         {gp::KernelFamily::kSquaredExponential, gp::KernelFamily::kMatern32,
-          gp::KernelFamily::kMatern52}) {
-      gp::Kernel kern(family, d, false);
-      kern.set_amplitude(1.4);
-      kern.set_lengthscales({0.9});
-      gp::GpRegressor gp(kern, 1e-2, 0.2);
-      gp.fit(x, y);
-
-      std::vector<gp::Prediction> chunked;
-      gp.predict_rows(q, 0, m, chunked);
-
-      std::vector<double> d2t(n * ld), v(n * ld), means(m), vars(m);
-      gp.unscaled_sq_dist_block(qt.data(), qt.cols(), m, d2t.data(), ld);
-      gp::predict_mv_from_sq_dist_block(gp.posterior(), d2t.data(), ld, m,
-                                        v.data(), ld, means, vars);
-
-      ASSERT_EQ(chunked.size(), m);
-      for (std::size_t r = 0; r < m; ++r) {
-        ASSERT_EQ(means[r], chunked[r].mean)
-            << isa::to_string(path) << " family "
-            << static_cast<int>(family) << " row " << r;
-        ASSERT_EQ(vars[r], chunked[r].variance)
-            << isa::to_string(path) << " family "
-            << static_cast<int>(family) << " row " << r;
+    for (const bool ard : {false, true}) {
+      for (const gp::KernelFamily family :
+           {gp::KernelFamily::kSquaredExponential,
+            gp::KernelFamily::kMatern32, gp::KernelFamily::kMatern52}) {
+        gp::Kernel kern(family, d, ard);
+        kern.set_amplitude(1.4);
+        kern.set_lengthscales(ard ? std::vector<double>{0.7, 1.1, 0.9}
+                                  : std::vector<double>{0.9});
+        gp::GpRegressor gp(kern, 1e-2, 0.2);
+        gp.fit(x, y);
+        const gp::PosteriorView post = gp.posterior();
+        Matrix l(n, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j <= i; ++j) {
+            l(i, j) = post.lower[i * post.ld + j];
+          }
+        }
+        for (const std::size_t m : {1ul, 63ul, 64ul, 65ul, 130ul}) {
+          Matrix q(m, d);
+          for (std::size_t r = 0; r < m; ++r) {
+            for (std::size_t k = 0; k < d; ++k) q(r, k) = rng.normal();
+          }
+          const Matrix qt = q.transposed();
+          const std::size_t ld = lk::padded_ld(m);
+          std::vector<double> d2t(n * ld), v(n * ld), means(m), vars(m);
+          gp.sq_dist_block(post, qt.data(), qt.cols(), m, d2t.data(), ld);
+          gp::predict_mv_from_sq_dist_block(post, d2t.data(), ld, m,
+                                            v.data(), ld, means, vars);
+          for (std::size_t r = 0; r < m; ++r) {
+            Vector row(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              double r2 = 0.0;
+              for (std::size_t k = 0; k < d; ++k) {
+                const double diff = x(i, k) - q(r, k);
+                r2 += ard ? diff * diff * post.inv_sq_ls[k] : diff * diff;
+              }
+              row[i] = ard ? r2 : r2 * post.inv_sq_ls[0];
+            }
+            lk::ops().correlation(family, post.variance, row.data(), n);
+            double mean = 0.0;
+            for (std::size_t i = 0; i < n; ++i) mean += row[i] * post.alpha[i];
+            const Vector w =
+                reference::solve_lower(l, row, reference::Scale::kReciprocal);
+            double ss = 0.0;
+            for (std::size_t i = 0; i < n; ++i) ss += w[i] * w[i];
+            const double var = post.variance - ss;
+            const std::string at = std::string(isa::to_string(path)) +
+                                   (ard ? " ARD" : " isotropic") +
+                                   " family " +
+                                   std::to_string(static_cast<int>(family)) +
+                                   " m=" + std::to_string(m) +
+                                   " column " + std::to_string(r);
+            ASSERT_EQ(means[r], post.mean_value + mean) << at;
+            ASSERT_EQ(vars[r], var < 0.0 ? 0.0 : var) << at;
+          }
+        }
       }
     }
   }
