@@ -25,12 +25,12 @@
 // in lanes.
 //
 // Linkage: every ISA TU includes this header under its own -m<isa> flags,
-// so nothing defined here may have external linkage. A weak definition
+// so no function defined here may have external linkage. A weak definition
 // emitted by an unoptimized build is kept once by the linker, which could
 // then run AVX-512 code on the portable path. The templates are
-// instantiated over each TU's anonymous-namespace lane type; the other
-// helpers are static, and the constants are constexpr (ctest
-// kernel_weak_symbols checks the objects).
+// instantiated over each TU's anonymous-namespace lane type, the other
+// helpers are static, and +∞ is a constant (ctest kernel_weak_symbols
+// checks the objects).
 #pragma once
 
 #include <algorithm>

@@ -1,9 +1,11 @@
-# Fails when a weak symbol is defined in more than one of the ISA kernel
+# Fails when a weak function is defined in more than one of the ISA kernel
 # objects (linalg/kernels.cpp, kernels_avx2.cpp, kernels_avx512.cpp).
 # Each of them is compiled with its own -m<isa> flag. The linker keeps one
 # copy of a weak definition, so one emitted by a wide TU could run AVX-512
 # code on the portable path; unoptimized builds emit inline functions
-# this way. Usage:
+# this way. Weak objects (nm types V, v, u) hold data, not code, and are
+# not checked: sanitizer builds give every object the same
+# DW.ref.__gxx_personality_v0. Usage:
 #   cmake -DNM=<nm> -DOBJECTS=<obj|obj|...> -P kernel_weak_symbols.cmake
 cmake_minimum_required(VERSION 3.16)
 string(REPLACE "|" ";" objects "${OBJECTS}")
@@ -23,7 +25,7 @@ foreach(obj IN LISTS objects)
   string(REPLACE "\n" ";" lines "${listing}")
   set(weak "")
   foreach(line IN LISTS lines)
-    if(line MATCHES "^[0-9a-fA-F]* *[VWvwu] (.+)$")
+    if(line MATCHES "^[0-9a-fA-F]* *[Ww] (.+)$")
       list(APPEND weak "${CMAKE_MATCH_1}")
     endif()
   endforeach()
@@ -43,7 +45,7 @@ endif()
 if(duplicates)
   list(REMOVE_DUPLICATES duplicates)
   string(REPLACE ";" "\n  " shown "${duplicates}")
-  message(FATAL_ERROR "weak symbols defined in more than one kernel "
+  message(FATAL_ERROR "weak functions defined in more than one kernel "
                       "object:\n  ${shown}")
 endif()
-message(STATUS "kernel objects define no weak symbol twice")
+message(STATUS "kernel objects define no weak function twice")
