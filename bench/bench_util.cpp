@@ -7,7 +7,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <system_error>
 
 #include "common/error.hpp"
@@ -16,6 +18,7 @@
 #include "topology/sundog.hpp"
 #include "tuning/objective.hpp"
 #include "tuning/result_sink.hpp"
+#include "tuning/strategy.hpp"
 
 namespace stormtune::bench {
 
@@ -137,7 +140,7 @@ sim::TopologyConfig synthetic_defaults() {
   return c;
 }
 
-bo::BayesOptOptions bench_bo_options(std::uint64_t seed) {
+bo::BayesOptOptions bench_bo_options() {
   bo::BayesOptOptions o;
   o.kernel = gp::KernelFamily::kMatern52;
   o.ard = false;  // isotropic keeps step times practical at 100 dims
@@ -148,53 +151,7 @@ bo::BayesOptOptions bench_bo_options(std::uint64_t seed) {
   o.initial_design = 5;
   o.num_candidates = 256;
   o.local_search_iters = 10;
-  o.seed = seed;
   return o;
-}
-
-std::unique_ptr<tuning::Tuner> make_synthetic_tuner(
-    const std::string& strategy, const sim::Topology& topology,
-    const sim::TopologyConfig& defaults, std::uint64_t seed) {
-  if (strategy == "pla") {
-    return std::make_unique<tuning::PlaTuner>(topology, defaults, false);
-  }
-  if (strategy == "ipla") {
-    return std::make_unique<tuning::PlaTuner>(topology, defaults, true);
-  }
-  if (strategy == "bo" || strategy == "bo180") {
-    tuning::SpaceOptions sopts;
-    sopts.tune_hints = true;
-    sopts.informed = false;
-    sopts.tune_max_tasks = true;
-    sopts.hint_max = 30;
-    sopts.max_tasks_min = static_cast<int>(topology.num_nodes());
-    sopts.max_tasks_max = static_cast<int>(topology.num_nodes()) * 12;
-    tuning::ConfigSpace space(topology, sopts, defaults);
-    return std::make_unique<tuning::BayesTuner>(std::move(space),
-                                                bench_bo_options(seed),
-                                                strategy);
-  }
-  if (strategy == "ibo") {
-    tuning::SpaceOptions sopts;
-    sopts.tune_hints = true;
-    sopts.informed = true;
-    sopts.tune_max_tasks = true;
-    sopts.multiplier_max = 12.0;
-    sopts.max_tasks_min = static_cast<int>(topology.num_nodes());
-    sopts.max_tasks_max = static_cast<int>(topology.num_nodes()) * 12;
-    tuning::ConfigSpace space(topology, sopts, defaults);
-    return std::make_unique<tuning::BayesTuner>(std::move(space),
-                                                bench_bo_options(seed),
-                                                "ibo");
-  }
-  if (strategy == "random") {
-    tuning::SpaceOptions sopts;
-    sopts.hint_max = 20;
-    tuning::ConfigSpace space(topology, sopts, defaults);
-    return std::make_unique<tuning::RandomTuner>(std::move(space), seed);
-  }
-  STORMTUNE_REQUIRE(false, "unknown strategy '" + strategy + "'");
-  return nullptr;
 }
 
 tuning::ExperimentOptions experiment_options(const Args& args,
@@ -270,8 +227,64 @@ class TimedTuner final : public tuning::Tuner {
   SuggestTimer::Slot& slot_;
 };
 
+/// The strategy-table row behind a harness label: "bo180" is bo at the
+/// bo180 step budget, under its own label.
+std::string_view table_row(const std::string& label) {
+  return label == "bo180" ? std::string_view("bo") : std::string_view(label);
+}
+
+/// A synthetic-grid tuner. bo and ibo also tune the max-tasks cap between
+/// one and twelve tasks per node; random keeps per-node hints within 20.
+std::unique_ptr<tuning::Tuner> synthetic_tuner(const std::string& strategy,
+                                               const sim::Topology& topology,
+                                               std::uint64_t seed) {
+  tuning::TunerSpec spec;
+  spec.defaults = synthetic_defaults();
+  if (strategy == "random") {
+    spec.space.hint_max = 20;
+  } else {
+    spec.space.multiplier_max = 12.0;  // ibo's multiplier range
+    spec.space.max_tasks_min = static_cast<int>(topology.num_nodes());
+    spec.space.max_tasks_max = static_cast<int>(topology.num_nodes()) * 12;
+  }
+  spec.bo = bench_bo_options();
+  spec.seed = seed;
+  spec.name = strategy;
+  return tuning::make_tuner(table_row(strategy), topology, std::move(spec));
+}
+
+/// A Sundog tuner over one of Section V-D's parameter sets, starting from
+/// the hand-tuned deployment with hints at the pla optimum (11).
+std::unique_ptr<tuning::Tuner> sundog_tuner(const std::string& strategy,
+                                            const std::string& param_set,
+                                            const sim::Topology& topology,
+                                            std::uint64_t seed) {
+  STORMTUNE_REQUIRE(strategy != "pla" || param_set == "h",
+                    "pla can only tune parallelism hints");
+  tuning::TunerSpec spec;
+  spec.defaults = topo::sundog_baseline_config(topology, 11);
+  spec.space.hint_max = 40;
+  spec.space.max_tasks_min = static_cast<int>(topology.num_nodes());
+  spec.space.max_tasks_max = 2000;
+  if (param_set == "h") {
+    // hints + max-tasks only.
+  } else if (param_set == "h_bs_bp") {
+    spec.space.tune_batch = true;
+  } else if (param_set == "bs_bp_cc") {
+    spec.space.tune_hints = false;  // hints stay at the pla optimum (11)
+    spec.space.tune_batch = true;
+    spec.space.tune_concurrency = true;
+  } else {
+    STORMTUNE_REQUIRE(false, "unknown sundog param set '" + param_set + "'");
+  }
+  spec.bo = bench_bo_options();
+  spec.seed = seed;
+  spec.name = strategy + "." + param_set;
+  return tuning::make_tuner(table_row(strategy), topology, std::move(spec));
+}
+
 /// Append one campaign result to args.campaigns_json (no-op when unset) in
-/// the tune-many sink's record format. Bench binaries run campaigns
+/// the tune-many sink's record format. bench_repro runs campaigns
 /// serially, so a process-local ticket keeps the file in execution order.
 void record_campaign_result(const Args& args, const std::string& name,
                             const tuning::ExperimentResult& best) {
@@ -333,8 +346,7 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   out.best = run_bench_campaign(
       args,
       timer.wrap([&](std::size_t pass) {
-        return make_synthetic_tuner(strategy, topology, synthetic_defaults(),
-                                    cell_seed * 7919 + pass);
+        return synthetic_tuner(strategy, topology, cell_seed * 7919 + pass);
       }),
       sim_objective_factory(topology, topo::paper_cluster(), params,
                             cell_seed),
@@ -343,39 +355,6 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   out.max_step_seconds = timer.max_step_seconds();
   record_campaign_result(args, cell.label() + "/" + strategy, out.best);
   return out;
-}
-
-std::unique_ptr<tuning::Tuner> make_sundog_tuner(
-    const std::string& strategy, const std::string& param_set,
-    const sim::Topology& topology, std::uint64_t seed) {
-  const sim::TopologyConfig defaults =
-      topo::sundog_baseline_config(topology, 11);
-  if (strategy == "pla") {
-    STORMTUNE_REQUIRE(param_set == "h",
-                      "pla can only tune parallelism hints");
-    return std::make_unique<tuning::PlaTuner>(topology, defaults, false);
-  }
-  STORMTUNE_REQUIRE(strategy == "bo" || strategy == "bo180",
-                    "unknown sundog strategy '" + strategy + "'");
-  tuning::SpaceOptions sopts;
-  sopts.hint_max = 40;
-  sopts.max_tasks_min = static_cast<int>(topology.num_nodes());
-  sopts.max_tasks_max = 2000;
-  if (param_set == "h") {
-    // hints + max-tasks only.
-  } else if (param_set == "h_bs_bp") {
-    sopts.tune_batch = true;
-  } else if (param_set == "bs_bp_cc") {
-    sopts.tune_hints = false;  // hints stay at the pla optimum (11)
-    sopts.tune_batch = true;
-    sopts.tune_concurrency = true;
-  } else {
-    STORMTUNE_REQUIRE(false, "unknown sundog param set '" + param_set + "'");
-  }
-  tuning::ConfigSpace space(topology, sopts, defaults);
-  return std::make_unique<tuning::BayesTuner>(
-      std::move(space), bench_bo_options(seed),
-      strategy + "." + param_set);
 }
 
 SundogResult run_sundog_campaign(const Args& args,
@@ -392,9 +371,9 @@ SundogResult run_sundog_campaign(const Args& args,
   out.best = run_bench_campaign(
       args,
       [&](std::size_t pass) {
-        return make_sundog_tuner(strategy, param_set, topology,
-                                 args.seed * 31 + pass * 1009 +
-                                     std::hash<std::string>{}(param_set));
+        return sundog_tuner(strategy, param_set, topology,
+                            args.seed * 31 + pass * 1009 +
+                                std::hash<std::string>{}(param_set));
       },
       sim_objective_factory(topology, topo::sundog_cluster(), params,
                             args.seed + 4242),

@@ -1,14 +1,15 @@
-// Shared infrastructure for the paper-reproduction benchmark binaries.
+// Shared infrastructure for bench_repro, the paper reproduction.
 //
-// Every bench binary regenerates one table or figure of the paper. They
-// default to a reduced scale (shorter simulated windows, fewer optimization
-// steps and repetitions) so the whole suite runs in minutes; pass --full to
-// reproduce the paper's exact protocol (60/180 steps, 120 s windows, 30
-// repetitions, 2 passes).
+// Every bench_repro entry regenerates one table or figure of the paper, or one
+// ablation. They default to a reduced scale (shorter simulated windows,
+// fewer optimization steps and repetitions) so the whole suite runs in
+// minutes; pass --full to reproduce the paper's exact protocol (60/180
+// steps, 120 s windows, 30 repetitions, 2 passes). Every tuner comes from
+// the strategy table (tuning/strategy.hpp); "bo180" is the harness's label
+// for bo at the bo180 step budget.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "stormsim/topology.hpp"
 #include "topology/synthetic.hpp"
 #include "tuning/experiment.hpp"
-#include "tuning/tuner.hpp"
 
 namespace stormtune::bench {
 
@@ -35,7 +35,7 @@ struct Args {
   /// ONE worker next to the caller); 0 = auto (min(hardware, 8)). Results
   /// are bit-identical for any value.
   std::size_t threads = 0;
-  /// When non-empty, every campaign a bench binary runs through
+  /// When non-empty, every campaign bench_repro runs through
   /// run_synthetic_cell / run_sundog_campaign is also appended here as one
   /// JSON line (same record shape as the tune-many result sink), in
   /// execution order.
@@ -72,13 +72,9 @@ std::vector<CellSpec> figure4_cells();
 sim::TopologyConfig synthetic_defaults();
 
 /// Bayesian-optimizer options used by the bench harness (Spearmint-like:
-/// Matern 5/2, EI, slice-sampled hyperparameters kept light).
-bo::BayesOptOptions bench_bo_options(std::uint64_t seed);
-
-/// Build a tuner by strategy name: "pla", "ipla", "bo", "ibo", "random".
-std::unique_ptr<tuning::Tuner> make_synthetic_tuner(
-    const std::string& strategy, const sim::Topology& topology,
-    const sim::TopologyConfig& defaults, std::uint64_t seed);
+/// Matern 5/2, EI, slice-sampled hyperparameters kept light). The strategy
+/// table seeds them per tuner.
+bo::BayesOptOptions bench_bo_options();
 
 /// Experiment options derived from Args for a given strategy.
 tuning::ExperimentOptions experiment_options(const Args& args,
@@ -150,14 +146,10 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
 /// Format tuples/s compactly (e.g. "611k", "1.68M").
 std::string format_rate(double tuples_per_s);
 
-/// Sundog parameter sets of Section V-D: "h" (hints + max-tasks),
-/// "h_bs_bp" (plus batch size / batch parallelism), "bs_bp_cc" (hints fixed
-/// at the pla optimum; batch + concurrency parameters tuned).
-std::unique_ptr<tuning::Tuner> make_sundog_tuner(
-    const std::string& strategy, const std::string& param_set,
-    const sim::Topology& topology, std::uint64_t seed);
-
-/// Run one Sundog tuning campaign (strategy x parameter set).
+/// Run one Sundog tuning campaign (strategy x parameter set). The parameter
+/// sets are Section V-D's: "h" (hints + max-tasks), "h_bs_bp" (plus batch
+/// size / batch parallelism), "bs_bp_cc" (hints fixed at the pla optimum;
+/// batch + concurrency parameters tuned); pla tunes "h" only.
 struct SundogResult {
   std::string strategy;
   std::string param_set;

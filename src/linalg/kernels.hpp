@@ -8,9 +8,10 @@
 // the memory walk and which elements share a vector register; each element
 // sees the same operands in the same sequence a scalar k-loop would apply.
 // That is what keeps the factor and the solves equal element-for-element to
-// the naive reference kernels (linalg/reference.hpp, reciprocal scaling),
-// keeps GP fits reproducible run-to-run, and makes the portable, AVX2 and
-// AVX-512 paths bit-identical (verified by tests/test_isa_dispatch.cpp).
+// the naive reference kernels (tests/linalg_reference.hpp, reciprocal
+// scaling), keeps GP fits reproducible run-to-run, and makes the portable,
+// AVX2 and AVX-512 paths bit-identical (verified by
+// tests/test_isa_dispatch.cpp).
 // Two kinds of entry are exceptions: the correlation transform, whose exp
 // lanes come from each width's libmvec routine, and the four bound-class
 // kernels at the end of the table, which only ever feed rigorous bounds and

@@ -10,8 +10,8 @@
 // strips of a whole block of right-hand sides. Every reduction runs in a
 // fixed k-ascending order independent of lane width and strip boundaries,
 // so results are deterministic run-to-run, identical on every ISA path,
-// and match the naive reference kernels (linalg/reference.hpp) bit for bit
-// when those scale by the reciprocal diagonal.
+// and match the naive reference kernels (tests/linalg_reference.hpp) bit
+// for bit when those scale by the reciprocal diagonal.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,7 @@
 // that is the paper's (implicit) deployment and this simulator's default.
 // Alternative policies are provided because placement interacts with the
 // tuned parameters (a load-aware placement can mask bad parallelism hints,
-// a random one can amplify them) — `bench_ablation_scheduler` measures it.
+// a random one can amplify them) — `bench_repro ablation-scheduler` measures it.
 #pragma once
 
 #include <cstdint>

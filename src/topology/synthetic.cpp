@@ -55,7 +55,7 @@ graph::GraphStats table2_paper_stats(TopologySize size) {
 
 std::uint64_t table2_seed(TopologySize size) {
   // Pre-searched with graph::find_seed_matching over seeds [1, 100000] so
-  // that edge/source/sink counts track Table II (see bench_table2_graphs).
+  // that edge/source/sink counts track Table II (see `bench_repro table2`).
   switch (size) {
     case TopologySize::kSmall: return 41;
     case TopologySize::kMedium: return 945;
@@ -85,7 +85,7 @@ sim::Topology topology_from_dag(const graph::LayeredDag& g,
     // emission, so per-node load is proportional to the number of
     // source-paths — which is exactly the "base parallelism weight" of
     // Section V-A and what makes the informed strategies effective.
-    // (bench_ablation_fanout explores the split-output alternative.)
+    // (`bench_repro ablation-fanout` explores the split-output alternative.)
     t.node(v).split_output = false;
   }
   // Vertex ids are layer-major, so edges always point to higher ids and

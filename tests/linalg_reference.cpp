@@ -1,4 +1,4 @@
-#include "linalg/reference.hpp"
+#include "linalg_reference.hpp"
 
 #include <cmath>
 

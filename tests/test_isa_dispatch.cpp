@@ -48,7 +48,7 @@
 #include "common/error.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/reference.hpp"
+#include "linalg_reference.hpp"
 
 namespace stormtune {
 namespace {

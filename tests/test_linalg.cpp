@@ -10,7 +10,7 @@
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "linalg/reference.hpp"
+#include "linalg_reference.hpp"
 
 namespace stormtune {
 

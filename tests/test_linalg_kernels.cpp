@@ -1,5 +1,5 @@
 // Property tests for the dense kernels in linalg/matrix.cpp against the
-// naive reference oracles in linalg/reference.hpp.
+// naive reference oracles in linalg_reference.hpp.
 //
 // The size sweep deliberately straddles the lane widths (2/4/8) and strip
 // widths (16/32/64) of the kernels plus the tile boundaries 32/48/64/128:
@@ -20,7 +20,7 @@
 #include "common/rng.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/reference.hpp"
+#include "linalg_reference.hpp"
 
 namespace stormtune {
 namespace {

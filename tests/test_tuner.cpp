@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "tuning/strategy.hpp"
 
 namespace stormtune::tuning {
 namespace {
@@ -159,6 +161,79 @@ TEST(RandomTuner, DeterministicPerSeed) {
   RandomTuner b(std::move(s2), 42);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(a.next()->parallelism_hints, b.next()->parallelism_hints);
+  }
+}
+
+TEST(StrategyTable, EveryRowBuildsItsTuner) {
+  const sim::Topology t = demo_topology();
+  EXPECT_EQ(strategy_names(), "pla|ipla|random|bo|ibo");
+  for (const char* name : {"pla", "ipla", "random", "bo", "ibo"}) {
+    TunerSpec spec;
+    spec.defaults = defaults();
+    const auto tuner = make_tuner(name, t, std::move(spec));
+    EXPECT_EQ(tuner->name(), name);
+    EXPECT_TRUE(tuner->next().has_value()) << name;
+  }
+}
+
+TEST(StrategyTable, InformedRowsSetInformedThemselves) {
+  // The caller's `informed` never decides: bo searches one hint per node
+  // plus max-tasks, ibo one multiplier plus max-tasks.
+  const sim::Topology t = demo_topology();
+  for (const bool asked : {false, true}) {
+    TunerSpec bo_spec;
+    bo_spec.defaults = defaults();
+    bo_spec.space.informed = asked;
+    const auto hints = make_tuner("bo", t, std::move(bo_spec));
+    EXPECT_EQ(
+        dynamic_cast<const BayesTuner&>(*hints).optimizer().space().dim(), 4u);
+    TunerSpec ibo_spec;
+    ibo_spec.defaults = defaults();
+    ibo_spec.space.informed = asked;
+    const auto multiplier = make_tuner("ibo", t, std::move(ibo_spec));
+    EXPECT_EQ(dynamic_cast<const BayesTuner&>(*multiplier)
+                  .optimizer()
+                  .space()
+                  .dim(),
+              2u);
+  }
+  EXPECT_FALSE(find_strategy("pla")->informed);
+  EXPECT_TRUE(find_strategy("ipla")->informed);
+  EXPECT_EQ(find_strategy("bogus"), nullptr);
+}
+
+TEST(StrategyTable, BayesRowsTakeTheSeedAndLabel) {
+  const sim::Topology t = demo_topology();
+  TunerSpec spec;
+  spec.defaults = defaults();
+  spec.seed = 77;
+  spec.name = "bo.h";
+  const auto table = make_tuner("bo", t, std::move(spec));
+  EXPECT_EQ(table->name(), "bo.h");
+
+  bo::BayesOptOptions options;
+  options.seed = 77;
+  BayesTuner direct(ConfigSpace(t, SpaceOptions{}, defaults()), options);
+  for (int i = 0; i < 3; ++i) {
+    const auto a = table->next();
+    const auto b = direct.next();
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(a->describe(), b->describe());
+    table->report(*a, 10.0 * i);
+    direct.report(*b, 10.0 * i);
+  }
+}
+
+TEST(StrategyTable, UnknownNameThrowsNamingIt) {
+  const sim::Topology t = demo_topology();
+  TunerSpec spec;
+  spec.defaults = defaults();
+  try {
+    make_tuner("bo180", t, std::move(spec));
+    FAIL() << "expected an Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'bo180'"), std::string::npos)
+        << e.what();
   }
 }
 

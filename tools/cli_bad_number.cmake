@@ -8,7 +8,9 @@
 # read and requires exit 2 naming the first such flag and the subcommand.
 # Then runs
 # `stormtune tune-many` on campaign files whose counts or seed are negative
-# or fractional and requires each run to exit 1 and name the field.
+# or fractional, whose strategy is unknown, or whose ladder campaign names a
+# strategy the ladder cannot drive, and requires each run to exit 1, name
+# the field and schedule nothing.
 #
 #   cmake -DSTORMTUNE=<path to stormtune> -DWORK_DIR=<scratch dir> \
 #         -P tools/cli_bad_number.cmake
@@ -57,7 +59,9 @@ foreach(case "simulate;small;--threads=4;--steps=9"
 endforeach()
 
 foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
-             "ladder_promote_top_k;-1" "seed;-1" "steps;2.5" "seed;0.5")
+             "ladder_promote_top_k;-1" "seed;-1" "steps;2.5" "seed;0.5"
+             "strategy;\"bogus\""
+             "strategy;\"pla\", \"fidelity\": \"ladder\"")
   list(GET case 0 field)
   list(GET case 1 value)
   set(campaigns "${WORK_DIR}/bad_${field}.json")
@@ -67,7 +71,7 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
     COMMAND "${STORMTUNE}" tune-many --campaigns=${campaigns}
     TIMEOUT 60
     RESULT_VARIABLE status
-    OUTPUT_QUIET
+    OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT status STREQUAL "1")
     message(FATAL_ERROR
@@ -78,7 +82,12 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
     message(FATAL_ERROR
             "tune-many \"${field}\": ${value}: stderr does not name ${field}:\n${err}")
   endif()
+  string(FIND "${out}" "scheduling" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR
+            "tune-many \"${field}\": ${value}: scheduled campaigns:\n${out}")
+  endif()
 endforeach()
 message(STATUS "malformed numeric flags, tune --threads and flags of other "
                "subcommands exit 2 and name the flag; malformed campaign "
-               "counts exit 1 and name the field")
+               "counts and strategies exit 1 and name the field")

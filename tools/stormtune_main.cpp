@@ -95,6 +95,7 @@
 #include "tuning/fidelity.hpp"
 #include "tuning/report.hpp"
 #include "tuning/result_sink.hpp"
+#include "tuning/strategy.hpp"
 
 namespace {
 
@@ -444,13 +445,15 @@ int cmd_simulate(const Options& o) {
   return 0;
 }
 
-/// Search-space options shared by `tune` and `tune-many`.
+/// Search-space options shared by `tune` and `tune-many`. `informed` is
+/// the strategy row's, for the fidelity ladder's tuner, which is built
+/// outside the strategy table.
 tuning::SpaceOptions space_options_from(const Options& o) {
   tuning::SpaceOptions sopts;
   sopts.tune_hints = o.what.find('h') != std::string::npos;
   sopts.tune_batch = o.what.find("batch") != std::string::npos;
   sopts.tune_concurrency = o.what.find("cc") != std::string::npos;
-  sopts.informed = o.strategy == "ibo";
+  sopts.informed = tuning::find_strategy(o.strategy)->informed;
   return sopts;
 }
 
@@ -479,40 +482,37 @@ tuning::LadderOptions ladder_options_from(const Options& o) {
   return lo;
 }
 
-void require_ladder_strategy(const Options& o) {
-  if (o.strategy != "bo" && o.strategy != "ibo") {
-    std::fprintf(stderr,
-                 "--fidelity=ladder requires --strategy=bo or ibo (got '%s')\n",
-                 o.strategy.c_str());
-    usage();
+/// Why `o`'s strategy cannot run, or an empty string: the name must be in
+/// the strategy table, and the fidelity ladder drives a BO tuner only.
+std::string strategy_error(const Options& o) {
+  const tuning::Strategy* s = tuning::find_strategy(o.strategy);
+  if (s == nullptr) {
+    return "unknown strategy '" + o.strategy + "' (expected " +
+           tuning::strategy_names() + ")";
   }
+  if (o.fidelity == "ladder" && !s->bayesian) {
+    return "fidelity ladder requires strategy bo or ibo (got '" + o.strategy +
+           "')";
+  }
+  return {};
 }
 
 std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
                                            const sim::TopologyConfig& defaults,
                                            std::uint64_t seed) {
-  tuning::SpaceOptions sopts = space_options_from(o);
-
-  if (o.strategy == "pla" || o.strategy == "ipla") {
-    return std::make_unique<tuning::PlaTuner>(w.topology, defaults,
-                                              o.strategy == "ipla");
-  }
-  if (o.strategy == "random") {
-    return std::make_unique<tuning::RandomTuner>(
-        tuning::ConfigSpace(w.topology, sopts, defaults), seed);
-  }
-  if (o.strategy == "bo" || o.strategy == "ibo") {
-    bo::BayesOptOptions bopts;
-    bopts.seed = seed;
-    bopts.max_observations = o.gp_window;
-    return std::make_unique<tuning::BayesTuner>(
-        tuning::ConfigSpace(w.topology, sopts, defaults), bopts, o.strategy);
-  }
-  std::fprintf(stderr, "unknown strategy '%s'\n", o.strategy.c_str());
-  usage();
+  tuning::TunerSpec spec;
+  spec.defaults = defaults;
+  spec.space = space_options_from(o);
+  spec.bo.max_observations = o.gp_window;
+  spec.seed = seed;
+  return tuning::make_tuner(o.strategy, w.topology, std::move(spec));
 }
 
 int cmd_tune(const Options& o) {
+  if (const std::string e = strategy_error(o); !e.empty()) {
+    std::fprintf(stderr, "%s\n", e.c_str());
+    usage();
+  }
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
   const Workload w = load_workload(o);
   sim::TopologyConfig defaults = config_from_options(o, w);
@@ -525,7 +525,6 @@ int cmd_tune(const Options& o) {
   std::shared_ptr<tuning::FidelityLadder> ladder;
   std::unique_ptr<tuning::Objective> objective;
   if (o.fidelity == "ladder") {
-    require_ladder_strategy(o);
     ladder = std::make_shared<tuning::FidelityLadder>(
         w.topology, w.cluster, w.params, o.seed, ladder_options_from(o));
     tuner = std::make_unique<tuning::LadderTuner>(
@@ -589,8 +588,9 @@ std::uint64_t campaign_count(const Json& entry, const char* field) {
 }
 
 /// One campaign's resolved options: the command-line Options as defaults,
-/// overridden by the entry's JSON fields.
-Options campaign_options(const Options& base, const Json& entry) {
+/// overridden by the entry's JSON fields. `name` labels its errors.
+Options campaign_options(const Options& base, const Json& entry,
+                         const std::string& name) {
   Options o = base;
   o.topology = entry.at("topology").as_string();
   if (entry.contains("strategy")) o.strategy = entry.at("strategy").as_string();
@@ -629,6 +629,9 @@ Options campaign_options(const Options& base, const Json& entry) {
   if (entry.contains("ladder_promote_top_k")) {
     o.ladder_promote_top_k = campaign_count(entry, "ladder_promote_top_k");
   }
+  const std::string e = strategy_error(o);
+  STORMTUNE_REQUIRE(e.empty(),
+                    "campaign '" + name + "' field 'strategy': " + e);
   return o;
 }
 
@@ -659,15 +662,16 @@ int cmd_tune_many(const Options& cli) {
   std::vector<tuning::CampaignSpec> specs;
   specs.reserve(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    auto ctx = std::make_shared<Context>();
-    ctx->opts = campaign_options(cli, entries[i]);
-    ctx->workload = load_workload(ctx->opts);
-    ctx->defaults = config_from_options(ctx->opts, ctx->workload);
-
     tuning::CampaignSpec spec;
     spec.name = entries[i].contains("name")
                     ? entries[i].at("name").as_string()
-                    : ctx->opts.topology + "#" + std::to_string(i);
+                    : entries[i].at("topology").as_string() + "#" +
+                          std::to_string(i);
+    auto ctx = std::make_shared<Context>();
+    ctx->opts = campaign_options(cli, entries[i], spec.name);
+    ctx->workload = load_workload(ctx->opts);
+    ctx->defaults = config_from_options(ctx->opts, ctx->workload);
+
     spec.passes = ctx->opts.passes;
     spec.options.max_steps = ctx->opts.steps;
     spec.options.best_config_reps = ctx->opts.reps;
@@ -675,7 +679,6 @@ int cmd_tune_many(const Options& cli) {
     // streams per pass, objective streams derived with the golden-ratio
     // multiplier so passes are independent.
     if (ctx->opts.fidelity == "ladder") {
-      require_ladder_strategy(ctx->opts);
       // Ladder campaigns route both factories through one registry so pass
       // p's tuner and objective share the same FidelityLadder; the config
       // carries the base seeds and the factories apply the per-pass
