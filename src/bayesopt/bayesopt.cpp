@@ -154,14 +154,6 @@ double neighbor_value(std::span<const double> cur, double step,
 /// highest bounds usually lifts T above most of the rest. In a 25 s
 /// bo100-large run, 4 and 16 cost 2 % and 6 % more posterior evaluations.
 constexpr std::size_t kFirstNeighbors = 8;
-/// Fewest observations at which the local search bounds its neighbours
-/// (DESIGN.md §8, "Bounded local search"). The bound now repays itself at
-/// any n: bounded search iterations took 0.56–0.89× the unbounded ones'
-/// time from n = 5 to 10 at d = 51 and d = 101. Bounding from n = 5 made
-/// fig4-medium, whose histories end at n = 11, 5 % faster, but its first
-/// batched EI maps libmvec's erfc tables and raised its peak RSS by
-/// 0.2 MB in every run, so short histories stay unbounded.
-constexpr std::size_t kMinBoundedObservations = 16;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
@@ -504,16 +496,12 @@ struct BayesOpt::Surrogate {
     return score_block(opts, ws, m, threshold);
   }
 
-  /// Whether neighbor_bounds bounds a neighbour's score: at least
-  /// kMinBoundedObservations observations, non-ARD posteriors (which share
-  /// the centre's distances), no cost divisor, and EI or UCB with β ≥ 0,
-  /// the acquisitions nondecreasing in μ and σ². Every other neighbour's
-  /// bound is +∞.
+  /// Whether neighbor_bounds bounds a neighbour's score: non-ARD
+  /// posteriors (which share the centre's distances), no cost divisor, and
+  /// EI or UCB with β ≥ 0, the acquisitions nondecreasing in μ and σ², at
+  /// any history length. Every other neighbour's bound is +∞.
   bool bounds_neighbors(const BayesOptOptions& opts) const {
-    if (!shares_distances() || cost1_ms > 0.0 ||
-        inputs_gp->num_observations() < kMinBoundedObservations) {
-      return false;
-    }
+    if (!shares_distances() || cost1_ms > 0.0) return false;
     return opts.acquisition == AcquisitionKind::kExpectedImprovement ||
            (opts.acquisition == AcquisitionKind::kUpperConfidenceBound &&
             opts.ucb_beta >= 0.0);

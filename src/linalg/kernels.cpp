@@ -98,6 +98,7 @@ struct Lanes {
   static Reg mul(Reg a, Reg b) { return a * b; }
   static Reg div(Reg a, Reg b) { return a / b; }
   static Reg fma(Reg a, Reg b, Reg c) { return a * b + c; }
+  static Reg select_lt(Reg a, Reg b, Reg x, Reg y) { return a < b ? x : y; }
 #if STORMTUNE_HAVE_VECTOR_EXP
   static Reg sqrt(Reg x) { return _mm_sqrt_pd(x); }
   static Reg exp(Reg x) { return _ZGVbN2v_exp(x); }
@@ -174,9 +175,11 @@ STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
 STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
                              std::size_t m, double best, double xi, double eps,
                              double* out) {
-  for (std::size_t r = 0; r < m; ++r) {
-    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
-  }
+  detail::ei_bounds<Lanes>(mean, var, m, best, xi, eps, out);
+}
+
+STORMTUNE_HOT void erfc(double* buf, std::size_t len) {
+  detail::map_lanes<Lanes>(1.0, buf, len, detail::erfc<Lanes>);
 }
 
 }  // namespace portable
@@ -216,7 +219,8 @@ STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
                                  double* lt);                                \
   STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,        \
                                std::size_t m, double best, double xi,        \
-                               double eps, double* out);
+                               double eps, double* out);                     \
+  STORMTUNE_HOT void erfc(double* buf, std::size_t len);
 
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 namespace avx2 {
@@ -240,7 +244,7 @@ namespace {
         ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
         ns::column_dots, ns::column_sq_sums, ns::correlation,            \
         ns::cholesky_factor_mirror, ns::bound_sums, ns::bound_solve,     \
-        ns::ei_bounds                                                    \
+        ns::ei_bounds, ns::erfc                                          \
   }
 
 constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);

@@ -13,7 +13,7 @@
 // AVX2 and AVX-512 paths bit-identical (verified by
 // tests/test_isa_dispatch.cpp).
 // Two kinds of entry are exceptions: the correlation transform, whose exp
-// lanes come from each width's libmvec routine, and the four bound-class
+// lanes come from each width's libmvec routine, and the bound-class
 // kernels at the end of the table, which only ever feed rigorous bounds and
 // are valid, not bit-identical, on every path.
 #pragma once
@@ -118,13 +118,13 @@ struct KernelOps {
                       std::size_t len);
 
   // The bound kernels. Unlike every entry above they are NOT bit-identical
-  // across paths: they may contract to FMA, sum in any order and call
-  // libmvec's vector erfc and exp. They feed only rigorous bounds — the
-  // local search's upper bounds and the hyper sampler's log-posterior
-  // allowances (DESIGN.md §8, "Bounded local search" and "Certified slice
-  // comparisons") — whose rounding allowances cover any summation order
-  // and the ulps stated here, so each path's result is valid though its
-  // bits differ.
+  // across paths: they may contract to FMA, sum in any order, and EI's
+  // erfc is a lane template over each path's exp. They feed only rigorous
+  // bounds — the local search's upper bounds and the hyper sampler's
+  // log-posterior allowances (DESIGN.md §8, "Bounded local search" and
+  // "Certified slice comparisons") — whose rounding allowances cover any
+  // summation order and the errors stated here, so each path's result is
+  // valid though its bits differ.
 
   /// Left-looking Cholesky held in the mirror alone: on entry row j,
   /// columns [j, n), of `ltf` is column j of the SPD matrix A; on return
@@ -158,20 +158,25 @@ struct KernelOps {
   /// out[r] = EI(mean[r], var[r]; best, xi)
   ///          + (eps + kEiBoundUlps)·(max(0, mean[r] − best − xi) + σ_r)
   ///          + eps·(|best| + |xi|),
-  /// σ_r = √var[r], var[r] ≥ 0, and +∞ where mean[r] is NaN or ±∞. The
-  /// portable path evaluates EI with bo::expected_improvement's scalar
-  /// expression; the wide paths with libmvec's erfc and exp lanes, within
-  /// 4 ulp each, which kEiBoundUlps covers. `out` may alias `mean`.
+  /// σ_r = √var[r], var[r] ≥ 0, and +∞ where mean[r] is NaN or ±∞. EI
+  /// takes bo::expected_improvement's operations with the lane erfc (the
+  /// `erfc` entry) and the path's exp lanes. `out` may alias `mean`.
   void (*ei_bounds)(const double* mean, const double* var, std::size_t m,
                     double best, double xi, double eps, double* out);
+  /// In-place buf[i] = erfc(buf[i]) by ei_bounds' table-free lane erfc
+  /// (linalg/kernels_blocks.hpp), within kErfcLaneUlps for every x.
+  void (*erfc)(double* buf, std::size_t len);
 };
 
-/// ei_bounds' allowance for its erfc and exp lanes: each within 4 ulp of
-/// the scalar functions, so the EI moves by at most
-/// 8u·(max(0, imp)·Φ + σ·φ) ≤ 8u·(max(0, imp) + σ) (u = 2⁻⁵³; for
-/// imp < 0, |imp|·Φ(z) ≤ σ·φ(z)). Four times that leaves headroom for
-/// libm builds that round a little worse.
-inline constexpr double kEiBoundUlps = 32.0 * 0x1p-53;
+/// The lane erfc's allowed error relative to max(|erfc(x)|, DBL_MIN), so
+/// a subnormal result is judged by its absolute error: 12u, u = 2⁻⁵³
+/// (measured 9.5u; IsaDispatch.LaneErfcMatchesErfclOnEveryPath).
+inline constexpr double kErfcLaneUlps = 12.0 * 0x1p-53;
+
+/// ei_bounds' allowance for its erfc and exp lanes: four times the 23u of
+/// max(0, imp) + σ by which they can move EI (DESIGN.md §8, "Bounded local
+/// search", Allowances).
+inline constexpr double kEiBoundUlps = 92.0 * 0x1p-53;
 
 /// Row stride, in doubles, for a row-major block at least `cols` wide
 /// whose column strips the kernels walk down: whole 64-byte lines, and an

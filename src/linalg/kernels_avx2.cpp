@@ -24,16 +24,8 @@
 // libmvec's 4-lane AVX2 exp ('d' ABI mangling), linked like the portable
 // TU's 2-lane one.
 extern "C" __m256d _ZGVdN4v_exp(__m256d);
-#if __GLIBC_PREREQ(2, 35)
-#define STORMTUNE_HAVE_VECTOR_ERFC 1
-// libmvec's 4-lane AVX2 erfc (glibc ≥ 2.35).
-extern "C" __m256d _ZGVdN4v_erfc(__m256d);
-#endif
 #else
 #define STORMTUNE_HAVE_VECTOR_EXP 0
-#endif
-#ifndef STORMTUNE_HAVE_VECTOR_ERFC
-#define STORMTUNE_HAVE_VECTOR_ERFC 0
 #endif
 
 namespace stormtune::linalg_kernels::avx2 {
@@ -76,6 +68,9 @@ struct Lanes {
   }
   // Multiply then add: this TU is built without -mfma.
   static Reg fma(Reg a, Reg b, Reg c) { return add(mul(a, b), c); }
+  static Reg select_lt(Reg a, Reg b, Reg x, Reg y) {
+    return _mm256_blendv_pd(y, x, _mm256_cmp_pd(a, b, _CMP_LT_OQ));
+  }
 };
 
 }  // namespace
@@ -142,58 +137,15 @@ STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
   detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
 }
 
-#if STORMTUNE_HAVE_VECTOR_ERFC
-
-// EI as bo::expected_improvement writes it, four lanes at a time, with
-// libmvec's erfc and exp; masked-off tail lanes read 0 and are not stored.
 STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
                              std::size_t m, double best, double xi, double eps,
                              double* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d vbest = _mm256_set1_pd(best);
-  const __m256d vxi = _mm256_set1_pd(xi);
-  const __m256d slack = _mm256_set1_pd(eps + kEiBoundUlps);
-  const __m256d fixed =
-      _mm256_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
-  const __m256d inf = _mm256_set1_pd(detail::kInf);
-  const __m256d sign = _mm256_set1_pd(-0.0);
-  for (std::size_t r = 0; r < m; r += 4) {
-    const __m256i mask = Lanes::tail_mask(m - r < 4 ? m - r : 4);
-    const __m256d mu = _mm256_maskload_pd(mean + r, mask);
-    const __m256d v = _mm256_maskload_pd(var + r, mask);
-    const __m256d imp = _mm256_sub_pd(_mm256_sub_pd(mu, vbest), vxi);
-    const __m256d pos = _mm256_max_pd(imp, zero);
-    const __m256d sd = Lanes::sqrt(v);
-    const __m256d z = _mm256_div_pd(imp, sd);
-    const __m256d cdf = _mm256_mul_pd(
-        _mm256_set1_pd(0.5),
-        _ZGVdN4v_erfc(_mm256_mul_pd(_mm256_xor_pd(z, sign),
-                                    _mm256_set1_pd(0.70710678118654752440))));
-    const __m256d pdf = _mm256_mul_pd(
-        Lanes::exp(_mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(-0.5), z), z)),
-        _mm256_set1_pd(0.39894228040143267794));
-    __m256d ei = _mm256_add_pd(_mm256_mul_pd(imp, cdf), _mm256_mul_pd(sd, pdf));
-    ei = _mm256_blendv_pd(ei, pos, _mm256_cmp_pd(v, zero, _CMP_EQ_OQ));
-    __m256d res = _mm256_add_pd(
-        ei, _mm256_add_pd(_mm256_mul_pd(slack, _mm256_add_pd(pos, sd)), fixed));
-    const __m256d finite =
-        _mm256_cmp_pd(_mm256_andnot_pd(sign, mu), inf, _CMP_LT_OQ);
-    res = _mm256_blendv_pd(inf, res, finite);
-    _mm256_maskstore_pd(out + r, mask, res);
-  }
+  detail::ei_bounds<Lanes>(mean, var, m, best, xi, eps, out);
 }
 
-#else
-
-STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
-                             std::size_t m, double best, double xi, double eps,
-                             double* out) {
-  for (std::size_t r = 0; r < m; ++r) {
-    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
-  }
+STORMTUNE_HOT void erfc(double* buf, std::size_t len) {
+  detail::map_lanes<Lanes>(1.0, buf, len, detail::erfc<Lanes>);
 }
-
-#endif
 
 }  // namespace stormtune::linalg_kernels::avx2
 

@@ -21,16 +21,8 @@
 #define STORMTUNE_HAVE_VECTOR_EXP 1
 // libmvec's 8-lane AVX-512 exp ('e' ABI mangling).
 extern "C" __m512d _ZGVeN8v_exp(__m512d);
-#if __GLIBC_PREREQ(2, 35)
-#define STORMTUNE_HAVE_VECTOR_ERFC 1
-// libmvec's 8-lane AVX-512 erfc (glibc ≥ 2.35).
-extern "C" __m512d _ZGVeN8v_erfc(__m512d);
-#endif
 #else
 #define STORMTUNE_HAVE_VECTOR_EXP 0
-#endif
-#ifndef STORMTUNE_HAVE_VECTOR_ERFC
-#define STORMTUNE_HAVE_VECTOR_ERFC 0
 #endif
 
 namespace stormtune::linalg_kernels::avx512 {
@@ -78,6 +70,9 @@ struct Lanes {
 #endif
   }
   static Reg fma(Reg a, Reg b, Reg c) { return _mm512_fmadd_pd(a, b, c); }
+  static Reg select_lt(Reg a, Reg b, Reg x, Reg y) {
+    return _mm512_mask_blend_pd(_mm512_cmp_pd_mask(a, b, _CMP_LT_OQ), y, x);
+  }
 };
 
 }  // namespace
@@ -146,68 +141,15 @@ STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
   detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
 }
 
-#if STORMTUNE_HAVE_VECTOR_ERFC
-
-namespace {
-
-// All-lanes masked max, for the reason Lanes::sqrt is masked.
-inline __m512d max8(__m512d a, __m512d b) {
-  return _mm512_maskz_max_pd(0xFF, a, b);
-}
-
-}  // namespace
-
-// EI as bo::expected_improvement writes it, eight lanes at a time, with
-// libmvec's erfc and exp; masked-off tail lanes read 0 and are not stored.
 STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
                              std::size_t m, double best, double xi, double eps,
                              double* out) {
-  const __m512d zero = _mm512_setzero_pd();
-  const __m512d vbest = _mm512_set1_pd(best);
-  const __m512d vxi = _mm512_set1_pd(xi);
-  const __m512d slack = _mm512_set1_pd(eps + kEiBoundUlps);
-  const __m512d fixed =
-      _mm512_set1_pd(eps * (std::fabs(best) + std::fabs(xi)));
-  const __m512d inf = _mm512_set1_pd(detail::kInf);
-  for (std::size_t r = 0; r < m; r += 8) {
-    const __mmask8 mask =
-        m - r < 8 ? Lanes::tail_mask(m - r) : static_cast<__mmask8>(0xFF);
-    const __m512d mu = _mm512_maskz_loadu_pd(mask, mean + r);
-    const __m512d v = _mm512_maskz_loadu_pd(mask, var + r);
-    const __m512d imp = _mm512_sub_pd(_mm512_sub_pd(mu, vbest), vxi);
-    const __m512d pos = max8(imp, zero);
-    const __m512d sd = Lanes::sqrt(v);
-    const __m512d z = _mm512_div_pd(imp, sd);
-    const __m512d cdf = _mm512_mul_pd(
-        _mm512_set1_pd(0.5),
-        _ZGVeN8v_erfc(_mm512_mul_pd(_mm512_sub_pd(zero, z),
-                                    _mm512_set1_pd(0.70710678118654752440))));
-    const __m512d pdf = _mm512_mul_pd(
-        Lanes::exp(_mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(-0.5), z), z)),
-        _mm512_set1_pd(0.39894228040143267794));
-    __m512d ei = _mm512_add_pd(_mm512_mul_pd(imp, cdf), _mm512_mul_pd(sd, pdf));
-    ei = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(v, zero, _CMP_EQ_OQ), ei,
-                              pos);
-    __m512d res = _mm512_add_pd(
-        ei, _mm512_add_pd(_mm512_mul_pd(slack, _mm512_add_pd(pos, sd)), fixed));
-    const __mmask8 finite =
-        _mm512_cmp_pd_mask(_mm512_abs_pd(mu), inf, _CMP_LT_OQ);
-    res = _mm512_mask_blend_pd(finite, inf, res);
-    _mm512_mask_storeu_pd(out + r, mask, res);
-  }
+  detail::ei_bounds<Lanes>(mean, var, m, best, xi, eps, out);
 }
 
-#else
-
-STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
-                             std::size_t m, double best, double xi, double eps,
-                             double* out) {
-  for (std::size_t r = 0; r < m; ++r) {
-    out[r] = detail::ei_bound_scalar(mean[r], var[r], best, xi, eps);
-  }
+STORMTUNE_HOT void erfc(double* buf, std::size_t len) {
+  detail::map_lanes<Lanes>(1.0, buf, len, detail::erfc<Lanes>);
 }
-
-#endif
 
 }  // namespace stormtune::linalg_kernels::avx512
 

@@ -13,6 +13,8 @@
 //   exp                             the width's libmvec exp (per-lane
 //                                   std::exp without glibc on x86-64)
 //   fma(a, b, c)                    a·b + c, fused or not (bound kernels only)
+//   select_lt(a, b, x, y)           a < b ? x : y per lane, y where either
+//                                   of a, b is NaN
 //
 // Bit-identity: every loop below gives each element the same operands in
 // the same order as the scalar k-loop it replaces — ascending k, left-
@@ -21,8 +23,8 @@
 // never combine with each other, so neither the lane width nor the strip
 // an element lands in can change a bit. The correlation transform differs
 // across paths only through V::exp; the bound kernels at the end are the
-// other exception (KernelOps, "The bound kernels"): they use fma and sum
-// in lanes.
+// other exception (KernelOps, "The bound kernels"): they use fma, sum in
+// lanes, and EI's erfc is a lane template over V::exp.
 //
 // Linkage: every ISA TU includes this header under its own -m<isa> flags,
 // so no function defined here may have external linkage. A weak definition
@@ -360,16 +362,15 @@ inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
   });
 }
 
-/// buf[i] = scale · g(buf[i]) for the unit correlation g computed by
-/// `unit` on one vector; a masked tail's surplus lanes map zeros and are
-/// not stored.
-template <class V, class Unit>
-inline void correlation_map(double scale, double* buf, std::size_t len,
-                            Unit unit) {
+/// buf[i] = scale · f(buf[i]) for the lane function `f` (a unit
+/// correlation, erfc); a masked tail's surplus lanes map zeros and are not
+/// stored.
+template <class V, class F>
+inline void map_lanes(double scale, double* buf, std::size_t len, F f) {
   const typename V::Reg vscale = V::set1(scale);
   for_each_strip<V, 1>(len, [&](std::size_t i, auto s) {
     s.load(buf + i);
-    s.r[0] = V::mul(vscale, unit(s.r[0]));
+    s.r[0] = V::mul(vscale, f(s.r[0]));
     s.store(buf + i);
   });
 }
@@ -410,18 +411,18 @@ inline void correlation(KernelFamily family, double scale, double* buf,
 #endif
   switch (family) {
     case KernelFamily::kSquaredExponential:
-      correlation_map<V>(scale, buf, len, [](Reg r2) {
+      map_lanes<V>(scale, buf, len, [](Reg r2) {
         return V::exp(V::mul(V::set1(-0.5), r2));
       });
       break;
     case KernelFamily::kMatern32:
-      correlation_map<V>(scale, buf, len, [](Reg r2) {
+      map_lanes<V>(scale, buf, len, [](Reg r2) {
         const Reg sr = V::sqrt(V::mul(V::set1(3.0), r2));
         return V::mul(V::add(V::set1(1.0), sr), V::exp(V::sub(V::zero(), sr)));
       });
       break;
     case KernelFamily::kMatern52:
-      correlation_map<V>(scale, buf, len, [](Reg r2) {
+      map_lanes<V>(scale, buf, len, [](Reg r2) {
         const Reg sr = V::sqrt(V::mul(V::set1(5.0), r2));
         const Reg poly = V::add(V::add(V::set1(1.0), sr),
                                 V::div(V::mul(sr, sr), V::set1(3.0)));
@@ -661,23 +662,118 @@ inline void bound_solve(const double* lower, std::size_t ld, std::size_t n,
   }
 }
 
-/// One KernelOps::ei_bounds entry through bo::expected_improvement's
-/// scalar expression: the portable path, and the wide paths' fallback
-/// where libmvec has no vector erfc.
-static inline double ei_bound_scalar(double mean, double var, double best,
-                                     double xi, double eps) {
-  if (!(std::fabs(mean) < kInf)) return kInf;
-  const double imp = mean - best - xi;
-  const double pos = imp > 0.0 ? imp : 0.0;
-  const double sd = std::sqrt(var);
-  double ei = pos;
-  if (var != 0.0) {
-    const double z = imp / sd;
-    ei = imp * (0.5 * std::erfc(-z * 0.70710678118654752440)) +
-         sd * (std::exp(-0.5 * z * z) * 0.39894228040143267794);
-  }
-  return ei + ((eps + kEiBoundUlps) * (pos + sd) +
-               eps * (std::fabs(best) + std::fabs(xi)));
+// W. J. Cody's rational Chebyshev approximations (Math. Comp. 23, 1969):
+// the coefficients of his CALERF, each polynomial highest degree first,
+// every denominator with its leading 1.
+/// erf(x) ≈ x·P(x²)/Q(x²) for |x| < 0.46875.
+constexpr double kErfP[5] = {1.85777706184603153e-1, 3.16112374387056560e00,
+                             1.13864154151050156e02, 3.77485237685302021e02,
+                             3.20937758913846947e03};
+constexpr double kErfQ[5] = {1.0, 2.36012909523441209e01,
+                             2.44024637934444173e02, 1.28261652607737228e03,
+                             2.84423683343917062e03};
+/// erfc(y) ≈ e^{−y²}·P(y)/Q(y) for 0.46875 ≤ y < 4.
+constexpr double kErfcMidP[9] = {
+    2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+    6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+    1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03};
+constexpr double kErfcMidQ[9] = {
+    1.0, 1.57449261107098347e01, 1.17693950891312499e02,
+    5.37181101862009858e02, 1.62138957456669019e03, 3.29079923573345963e03,
+    4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03};
+/// erfc(y) ≈ e^{−y²}/y·(1/√π − P(s)/(s·Q(s))), s = y², for y ≥ 4: Cody's
+/// ratio in q = 1/s, both polynomials times s⁵ so that no lane divides by
+/// s.
+constexpr double kErfcTailP[6] = {
+    6.58749161529837803e-4, 1.60837851487422766e-2, 1.25781726111229246e-1,
+    3.60344899949804439e-1, 3.05326634961232344e-1, 1.63153871373020978e-2};
+constexpr double kErfcTailQ[6] = {
+    2.33520497626869185e-3, 6.05183413124413191e-2, 5.27905102951428412e-1,
+    1.87295284992346725e00, 2.56852019228982242e00, 1.0};
+
+/// c[0]·x^{N−1} + … + c[N−1] by Horner's rule (Cody's recurrence).
+template <class V, std::size_t N>
+inline typename V::Reg horner(typename V::Reg x, const double (&c)[N]) {
+  typename V::Reg h = V::set1(c[0]);
+  for (std::size_t k = 1; k < N; ++k) h = V::add(V::mul(h, x), V::set1(c[k]));
+  return h;
+}
+
+/// erfc per lane (KernelOps::erfc) from coefficients and V::exp. Every
+/// lane forms the numerator and denominator of its own range and divides
+/// once. e^{−y²} is e^{−s}·(1 − lo), y² = s + lo split exactly by
+/// Dekker's product, so the rounding of y² (745u at the underflow end)
+/// never reaches the exp. x < −0.46875 reflects to 2 − erfc(−x); |x| is
+/// clamped at 28, past the underflow, so ±∞ give 0 and 2, and NaN stays
+/// NaN.
+template <class V>
+inline typename V::Reg erfc(typename V::Reg x) {
+  using Reg = typename V::Reg;
+  const Reg zero = V::zero(), one = V::set1(1.0), cap = V::set1(28.0);
+  const Reg near = V::set1(0.46875), mid = V::set1(4.0);
+  const Reg ax = V::select_lt(x, zero, V::sub(zero, x), x);
+  const Reg y = V::select_lt(cap, ax, cap, ax);  // min(|x|, 28), NaN kept
+  const Reg s = V::mul(y, y);                     // x² where |x| < 0.46875
+  // 1 − x·P/Q = (Q − x·P)/Q; the scaled erfc e^{y²}·erfc(y) in the others.
+  const Reg near_q = horner<V>(s, kErfQ);
+  const Reg tail_q = V::mul(s, horner<V>(s, kErfcTailQ));
+  const Reg num = V::select_lt(
+      y, near, V::sub(near_q, V::mul(x, horner<V>(s, kErfP))),
+      V::select_lt(y, mid, horner<V>(y, kErfcMidP),
+                   V::sub(V::mul(V::set1(0.56418958354775628695), tail_q),
+                          horner<V>(s, kErfcTailP))));
+  const Reg den = V::select_lt(
+      y, near, near_q,
+      V::select_lt(y, mid, horner<V>(y, kErfcMidQ), V::mul(tail_q, y)));
+  const Reg ratio = V::div(num, den);
+  const Reg split = V::mul(V::set1(134217729.0), y);  // 2²⁷ + 1
+  const Reg yh = V::sub(split, V::sub(split, y));
+  const Reg yl = V::sub(y, yh);
+  const Reg lo = V::add(
+      V::add(V::sub(V::mul(yh, yh), s), V::mul(V::add(yh, yh), yl)),
+      V::mul(yl, yl));
+  // The exp last, so a subnormal result rounds once.
+  const Reg far = V::mul(V::mul(ratio, V::sub(one, lo)),
+                         V::exp(V::sub(zero, s)));
+  return V::select_lt(y, near, ratio,
+                      V::select_lt(x, zero, V::sub(V::set1(2.0), far), far));
+}
+
+/// KernelOps::ei_bounds: EI in bo::expected_improvement's operation order,
+/// its erfc from the lane template above and its exp from V::exp, then
+/// the allowance. A masked tail's surplus lanes read 0 and are not stored.
+template <class V>
+inline void ei_bounds(const double* mean, const double* var, std::size_t m,
+                      double best, double xi, double eps, double* out) {
+  using Reg = typename V::Reg;
+  const Reg zero = V::zero(), inf = V::set1(kInf);
+  const Reg vbest = V::set1(best), vxi = V::set1(xi);
+  const Reg slack = V::set1(eps + kEiBoundUlps);
+  const Reg fixed = V::set1(eps * (std::fabs(best) + std::fabs(xi)));
+  for_each_strip<V, 1>(m, [&](std::size_t r, auto s) {
+    auto sv = s;
+    s.load(mean + r);
+    sv.load(var + r);
+    const Reg mu = s.r[0], v = sv.r[0];
+    const Reg imp = V::sub(V::sub(mu, vbest), vxi);
+    const Reg pos = V::select_lt(zero, imp, imp, zero);
+    const Reg sd = V::sqrt(v);
+    const Reg z = V::div(imp, sd);
+    const Reg cdf = V::mul(
+        V::set1(0.5),
+        erfc<V>(V::mul(V::sub(zero, z), V::set1(0.70710678118654752440))));
+    const Reg pdf =
+        V::mul(V::exp(V::mul(V::mul(V::set1(-0.5), z), z)),
+               V::set1(0.39894228040143267794));
+    // σ² = 0: EI is the improvement itself.
+    const Reg ei = V::select_lt(
+        zero, v, V::add(V::mul(imp, cdf), V::mul(sd, pdf)), pos);
+    const Reg res =
+        V::add(ei, V::add(V::mul(slack, V::add(pos, sd)), fixed));
+    const Reg amu = V::select_lt(mu, zero, V::sub(zero, mu), mu);
+    s.r[0] = V::select_lt(amu, inf, res, inf);  // +∞ for a NaN or ±∞ mean
+    s.store(out + r);
+  });
 }
 
 }  // namespace stormtune::linalg_kernels::detail

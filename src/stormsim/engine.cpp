@@ -427,6 +427,9 @@ void SimWorkspace::validate_inputs() {
                           "' is not reachable from any spout");
   }
   config_->validate(*topo_);
+  STORMTUNE_REQUIRE(std::isfinite(params_->duration_s) &&
+                        params_->duration_s > 0.0,
+                    "simulate: duration_s must be finite and > 0");
   if (params_->adaptive_window) {
     STORMTUNE_REQUIRE(params_->adaptive_epsilon > 0.0,
                       "simulate: adaptive_epsilon must be > 0");

@@ -55,10 +55,9 @@ struct AssignScratch {
 };
 
 /// Allocation-free variant of assign_tasks(): fills `out` and reuses
-/// `scratch` buffer capacity. Bitwise-identical plans to assign_tasks()
-/// (which is implemented on top of this). Note: the load-aware policy's
-/// stable_sort may still allocate its internal merge buffer; the default
-/// round-robin policy is allocation-free in steady state.
+/// `scratch` buffer capacity, under both policies in steady state (the
+/// load-aware order is an in-place sort). Bitwise-identical plans to
+/// assign_tasks() (which is implemented on top of this).
 void assign_tasks_into(const Topology& topology, const std::vector<int>& hints,
                        int num_ackers, std::size_t num_workers,
                        SchedulerPolicy policy, std::uint64_t seed,

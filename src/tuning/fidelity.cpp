@@ -274,15 +274,16 @@ std::shared_ptr<LadderCampaignFactories> LadderCampaignFactories::create(
 std::shared_ptr<FidelityLadder> LadderCampaignFactories::ladder(
     std::size_t pass) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = ladders_.find(pass);
-  if (it != ladders_.end()) return it->second;
+  std::weak_ptr<FidelityLadder>& slot = ladders_[pass];
+  if (auto live = slot.lock()) return live;
   const std::uint64_t seed =
       config_.objective_seed +
       kPassSeedStride * static_cast<std::uint64_t>(pass);
-  auto l = std::make_shared<FidelityLadder>(config_.topology, config_.cluster,
-                                            config_.params, seed,
-                                            config_.ladder);
-  ladders_.emplace(pass, l);
+  // Not make_shared: the weak slot would then hold the ladder's storage.
+  std::shared_ptr<FidelityLadder> l(
+      new FidelityLadder(config_.topology, config_.cluster, config_.params,
+                         seed, config_.ladder));
+  slot = l;
   return l;
 }
 

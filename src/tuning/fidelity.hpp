@@ -227,8 +227,11 @@ struct LadderCampaignConfig {
 /// so the tuner's screening, the objective's promotion state and the
 /// observation rung tags stay coherent without any scheduler changes —
 /// screening happens inside next(), i.e. inside the existing suggest step.
-/// The returned factories keep this object alive via shared_ptr and are
-/// safe to call concurrently (the registry is mutex-guarded).
+/// The registry holds each ladder weakly: a finished pass that drops its
+/// tuner and objective frees its ladder's workspaces, and a later request
+/// for that pass builds a fresh one. The returned factories keep this
+/// object alive via shared_ptr and are safe to call concurrently (the
+/// registry is mutex-guarded).
 class LadderCampaignFactories
     : public std::enable_shared_from_this<LadderCampaignFactories> {
  public:
@@ -244,7 +247,7 @@ class LadderCampaignFactories
 
   LadderCampaignConfig config_;
   std::mutex mu_;
-  std::map<std::size_t, std::shared_ptr<FidelityLadder>> ladders_;
+  std::map<std::size_t, std::weak_ptr<FidelityLadder>> ladders_;
 };
 
 }  // namespace stormtune::tuning

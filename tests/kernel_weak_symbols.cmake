@@ -5,13 +5,18 @@
 # code on the portable path; unoptimized builds emit inline functions
 # this way. Weak objects (nm types V, v, u) hold data, not code, and are
 # not checked: sanitizer builds give every object the same
-# DW.ref.__gxx_personality_v0. Usage:
+# DW.ref.__gxx_personality_v0. It also fails when a kernel object
+# references libmvec's vector erfc (an undefined _ZGV*erfc* symbol): the
+# EI bounds use the coefficient-only lane erfc, and libmvec's erfc tables
+# cost every process that reaches them about 160 KB of resident memory.
+# Usage:
 #   cmake -DNM=<nm> -DOBJECTS=<obj|obj|...> -P kernel_weak_symbols.cmake
 cmake_minimum_required(VERSION 3.16)
 string(REPLACE "|" ";" objects "${OBJECTS}")
 set(kernel_objects 0)
 set(seen "")
 set(duplicates "")
+set(vector_erfc "")
 foreach(obj IN LISTS objects)
   if(NOT obj MATCHES "/kernels(_avx2|_avx512)?\\.cpp\\.o$")
     continue()
@@ -30,6 +35,14 @@ foreach(obj IN LISTS objects)
     endif()
   endforeach()
   list(REMOVE_DUPLICATES weak)
+  execute_process(COMMAND "${NM}" --undefined-only "${obj}"
+                  OUTPUT_VARIABLE undefined RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${NM} --undefined-only ${obj} failed (${rc})")
+  endif()
+  if(undefined MATCHES "(_ZGV[A-Za-z0-9_]*erfc[A-Za-z0-9_]*)")
+    list(APPEND vector_erfc "${obj}: ${CMAKE_MATCH_1}")
+  endif()
   foreach(sym IN LISTS weak)
     if(sym IN_LIST seen)
       list(APPEND duplicates "${sym}")
@@ -42,10 +55,16 @@ if(NOT kernel_objects EQUAL 3)
   message(FATAL_ERROR "expected the three kernel objects, found "
                       "${kernel_objects} in: ${OBJECTS}")
 endif()
+if(vector_erfc)
+  string(REPLACE ";" "\n  " shown "${vector_erfc}")
+  message(FATAL_ERROR "kernel objects reference libmvec's vector erfc:\n  "
+                      "${shown}")
+endif()
 if(duplicates)
   list(REMOVE_DUPLICATES duplicates)
   string(REPLACE ";" "\n  " shown "${duplicates}")
   message(FATAL_ERROR "weak functions defined in more than one kernel "
                       "object:\n  ${shown}")
 endif()
-message(STATUS "kernel objects define no weak function twice")
+message(STATUS "kernel objects define no weak function twice and reference "
+               "no vector erfc")

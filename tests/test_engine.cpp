@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <tuple>
 
@@ -349,6 +351,20 @@ TEST(Engine, RejectsInvalidConfig) {
   TopologyConfig c = base_config(t, 1);
   c.batch_size = 0;
   EXPECT_THROW(simulate(t, c, small_cluster(), fast_params(), 1), Error);
+  // A measurement window that is not a finite positive length.
+  const TopologyConfig ok = base_config(t, 1);
+  for (const double d : {0.0, -1.0, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    SimParams p = fast_params();
+    p.duration_s = d;
+    try {
+      simulate(t, ok, small_cluster(), p, 1);
+      FAIL() << "duration_s " << d << " was simulated";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("duration_s"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Engine, ClusterPastTheDepartureKeyLimitIsRefused) {

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -327,8 +328,7 @@ TEST(FidelityLadder, CampaignGoldenAndThreadCountInvariance) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    // Fresh factories per run: the per-pass ladder registry accumulates
-    // incumbent state, so reuse across runs would change the schedule.
+    // Fresh factories per run, so no run can see another's ladder state.
     const CampaignSpec fresh = ladder_spec(w, /*seed=*/21, /*steps=*/10,
                                            /*reps=*/2, /*passes=*/2);
     const MultiCampaignResult multi =
@@ -336,6 +336,33 @@ TEST(FidelityLadder, CampaignGoldenAndThreadCountInvariance) {
     ASSERT_EQ(multi.results.size(), 1u);
     EXPECT_EQ(fingerprint(multi.results[0]), reference);
   }
+}
+
+// The factories hold each pass's ladder weakly: pass 0's tuner and
+// objective share one ladder while both live, and once both are gone so is
+// the ladder, with its simulator workspaces; a rebuilt pass 0 starts a
+// fresh one.
+TEST(FidelityLadder, FactoriesFreeAFinishedPassLadder) {
+  const LadderWorkload w = ladder_workload();
+  const auto factories =
+      LadderCampaignFactories::create(ladder_campaign_config(w, 21));
+  const TunerFactory make_tuner = factories->tuner_factory();
+  const ObjectiveFactory make_objective = factories->objective_factory();
+  std::unique_ptr<Tuner> tuner = make_tuner(0);
+  std::unique_ptr<Objective> objective = make_objective(0);
+  const auto* ladder_tuner = dynamic_cast<const LadderTuner*>(tuner.get());
+  ASSERT_NE(ladder_tuner, nullptr);
+  const std::optional<sim::TopologyConfig> config = tuner->next();
+  ASSERT_TRUE(config.has_value());
+  objective->evaluate(*config);
+  EXPECT_EQ(ladder_tuner->ladder().stats().rung1_evals, 1u);
+
+  tuner.reset();
+  objective.reset();
+  const std::unique_ptr<Tuner> rebuilt = make_tuner(0);
+  const auto* fresh = dynamic_cast<const LadderTuner*>(rebuilt.get());
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->ladder().stats().rung1_evals, 0u);
 }
 
 TEST(FidelityLadder, TracksFullFidelityCampaignsOnPaperTopologies) {

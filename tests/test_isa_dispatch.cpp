@@ -21,7 +21,8 @@
 //  3. The bound kernels (KernelOps::bound_sums, bound_solve, ei_bounds)
 //     feed only rigorous bounds and are not bit-identical across paths:
 //     each path must agree with the scalar loops within its stated
-//     allowance, and ei_bounds must lie above the scalar EI.
+//     allowance, ei_bounds must lie above the scalar EI, and its lane erfc
+//     must stay within kErfcLaneUlps of long double erfc.
 //
 //  4. The portable path is exactly the pre-dispatch behavior, so the
 //     end-to-end suggest() golden below — captured BEFORE the fused batched
@@ -30,10 +31,12 @@
 //     fused scoring changed the optimizer's arithmetic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
@@ -805,6 +808,67 @@ TEST(IsaDispatch, EiBoundsCoverExpectedImprovementOnEveryPath) {
         }
       }
     }
+  }
+}
+
+// The lane erfc under ei_bounds on every path against long double erfc:
+// a dense sweep of [−30, 30], which covers every x = −z/√2 that EI's z in
+// [−40, 40] reaches and both ends where erfc underflows to 0 or rounds to
+// 2, then ±0, ±∞ and NaN. The step, 1.7·10⁻⁵, is not dyadic, so x² rounds
+// (on a grid of multiples of 2⁻¹⁶ every x² is exact). The error is
+// relative to max(|erfc|, DBL_MIN), so a subnormal result is judged by its
+// absolute error. The sweep goes in chunks of an odd length, so each
+// path's last vector of a chunk is partial.
+TEST(IsaDispatch, LaneErfcMatchesErfclOnEveryPath) {
+  if constexpr (std::numeric_limits<long double>::digits < 64) {
+    GTEST_SKIP() << "long double is no wider than double here";
+  }
+  const std::vector<isa::Path> paths = runnable_paths();
+  std::vector<long double> worst(paths.size(), 0.0L);
+  std::vector<double> worst_x(paths.size(), 0.0);
+  constexpr double kStep = 1.7e-5;
+  constexpr long kSteps = 1'764'706;  // ⌈30 / kStep⌉
+  constexpr std::size_t kChunk = 4099;
+  std::vector<double> x, out;
+  std::vector<long double> ref;
+  for (long k = -kSteps; k <= kSteps;) {
+    x.clear();
+    ref.clear();
+    for (; k <= kSteps && x.size() < kChunk; ++k) {
+      x.push_back(static_cast<double>(k) * kStep);
+      ref.push_back(std::erfc(static_cast<long double>(x.back())));
+    }
+    for (std::size_t p = 0; p < paths.size(); ++p) {
+      out.assign(x.begin(), x.end());
+      lk::ops_for(paths[p])->erfc(out.data(), out.size());
+      for (std::size_t r = 0; r < x.size(); ++r) {
+        const long double err =
+            std::fabs(out[r] - ref[r]) /
+            std::max(ref[r], static_cast<long double>(
+                                 std::numeric_limits<double>::min()));
+        if (!(err <= worst[p])) {
+          worst[p] = err;
+          worst_x[p] = x[r];
+        }
+      }
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double special[5] = {0.0, -0.0, inf, -inf, std::nan("")};
+  for (std::size_t p = 0; p < paths.size(); ++p) {
+    const char* name = isa::to_string(paths[p]);
+    EXPECT_LE(worst[p], lk::kErfcLaneUlps)
+        << name << " worst at x = " << worst_x[p];
+    // The measured error, in u = 2⁻⁵³, in --gtest_output=xml reports.
+    RecordProperty(std::string(name) + "_worst_u",
+                   std::to_string(static_cast<double>(worst[p] / 0x1p-53L)));
+    out.assign(std::begin(special), std::end(special));
+    lk::ops_for(paths[p])->erfc(out.data(), out.size());
+    EXPECT_EQ(out[0], 1.0) << name;
+    EXPECT_EQ(out[1], 1.0) << name;
+    EXPECT_EQ(out[2], 0.0) << name;
+    EXPECT_EQ(out[3], 2.0) << name;
+    EXPECT_TRUE(std::isnan(out[4])) << name;
   }
 }
 

@@ -10,7 +10,8 @@
 # `stormtune tune-many` on campaign files whose counts or seed are negative
 # or fractional, whose strategy is unknown, or whose ladder campaign names a
 # strategy the ladder cannot drive, and requires each run to exit 1, name
-# the field and schedule nothing.
+# the field and schedule nothing. Last, `simulate --duration=0` and a
+# campaign with a negative duration must each exit 1 naming duration.
 #
 #   cmake -DSTORMTUNE=<path to stormtune> -DWORK_DIR=<scratch dir> \
 #         -P tools/cli_bad_number.cmake
@@ -88,6 +89,27 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
             "tune-many \"${field}\": ${value}: scheduled campaigns:\n${out}")
   endif()
 endforeach()
+# A measurement window that is not a finite positive length is refused by
+# the simulator, from the command line and from a campaign file alike.
+file(WRITE "${WORK_DIR}/bad_duration.json"
+     "[{\"topology\": \"small\", \"duration\": -1}]\n")
+foreach(case "simulate;small;--duration=0"
+             "tune-many;--campaigns=${WORK_DIR}/bad_duration.json")
+  execute_process(
+    COMMAND "${STORMTUNE}" ${case}
+    TIMEOUT 60
+    RESULT_VARIABLE status
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT status STREQUAL "1")
+    message(FATAL_ERROR "stormtune ${case}: expected exit 1, got '${status}'")
+  endif()
+  string(FIND "${err}" "duration" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "stormtune ${case}: stderr does not name duration:\n${err}")
+  endif()
+endforeach()
 message(STATUS "malformed numeric flags, tune --threads and flags of other "
                "subcommands exit 2 and name the flag; malformed campaign "
-               "counts and strategies exit 1 and name the field")
+               "counts and strategies exit 1 and name the field; a window "
+               "that is not positive exits 1 naming duration")
