@@ -48,6 +48,19 @@ HyperMode hyper_mode_from_string(const std::string& s) {
   return HyperMode::kSliceSample;
 }
 
+/// States saved while `field` was an option carry it. Such a state resumes
+/// only if it used the value this build fixes: a run saved with another
+/// value must not continue silently with this one.
+void require_fixed_option(const Json& j, const char* field, double value) {
+  if (!j.contains(field)) return;
+  const double saved = j.at(field).as_number();
+  STORMTUNE_REQUIRE(saved == value,
+                    std::string("BayesOpt state: option '") + field +
+                        "' is " + Json::number_to_string(saved) +
+                        ", but this build fixes it at " +
+                        Json::number_to_string(value));
+}
+
 }  // namespace
 
 Json BayesOptOptions::to_json() const {
@@ -62,7 +75,6 @@ Json BayesOptOptions::to_json() const {
   o["num_candidates"] = num_candidates;
   o["local_search_iters"] = local_search_iters;
   o["xi"] = xi;
-  o["ucb_beta"] = ucb_beta;
   o["fixed_noise_variance"] = fixed_noise_variance;
   if (!rung_noise_variance.empty()) {
     JsonArray rn;
@@ -73,8 +85,6 @@ Json BayesOptOptions::to_json() const {
   // identical to those written before the option existed.
   if (max_observations != 0) {
     o["max_observations"] = max_observations;
-    o["hyper_refit_interval"] = hyper_refit_interval;
-    o["hyper_burn_in_warm"] = hyper_burn_in_warm;
   }
   o["seed"] = static_cast<double>(seed);
   return Json(std::move(o));
@@ -93,7 +103,9 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   o.local_search_iters =
       static_cast<std::size_t>(j.at("local_search_iters").as_int());
   o.xi = j.at("xi").as_number();
-  o.ucb_beta = j.at("ucb_beta").as_number();
+  require_fixed_option(j, "ucb_beta", kUcbBeta);
+  require_fixed_option(j, "hyper_refit_interval", kHyperRefitInterval);
+  require_fixed_option(j, "hyper_burn_in_warm", kHyperBurnInWarm);
   o.fixed_noise_variance = j.at("fixed_noise_variance").as_number();
   o.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
   // States saved while suggest had a thread pool carry "num_threads"; it
@@ -109,10 +121,6 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   if (j.contains("max_observations")) {
     o.max_observations =
         static_cast<std::size_t>(j.at("max_observations").as_int());
-    o.hyper_refit_interval =
-        static_cast<std::size_t>(j.at("hyper_refit_interval").as_int());
-    o.hyper_burn_in_warm =
-        static_cast<std::size_t>(j.at("hyper_burn_in_warm").as_int());
   }
   return o;
 }
@@ -129,8 +137,6 @@ BayesOpt::BayesOpt(ParamSpace space, BayesOptOptions options)
       options_.max_observations == 0 || options_.max_observations >= 2,
       "BayesOpt: max_observations must be 0 (unbounded) or >= 2 "
       "(pinned incumbent plus at least one evictable observation)");
-  STORMTUNE_REQUIRE(options_.hyper_refit_interval > 0,
-                    "BayesOpt: hyper_refit_interval must be > 0");
 }
 
 namespace {
@@ -412,7 +418,7 @@ struct BayesOpt::Surrogate {
       gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
                                         ws.v.data(), kBlockLd, means, vars);
       acquisition_accumulate(opts.acquisition, means, vars, best_standardized,
-                             opts.xi, opts.ucb_beta,
+                             opts.xi, kUcbBeta,
                              std::span(ws.scores.data(), m));
       if (costed) {
         for (std::size_t r = 0; r < m; ++r) {
@@ -498,13 +504,12 @@ struct BayesOpt::Surrogate {
 
   /// Whether neighbor_bounds bounds a neighbour's score: non-ARD
   /// posteriors (which share the centre's distances), no cost divisor, and
-  /// EI or UCB with β ≥ 0, the acquisitions nondecreasing in μ and σ², at
-  /// any history length. Every other neighbour's bound is +∞.
+  /// EI or UCB (β = kUcbBeta > 0), the acquisitions nondecreasing in μ and
+  /// σ², at any history length. Every other neighbour's bound is +∞.
   bool bounds_neighbors(const BayesOptOptions& opts) const {
     if (!shares_distances() || cost1_ms > 0.0) return false;
     return opts.acquisition == AcquisitionKind::kExpectedImprovement ||
-           (opts.acquisition == AcquisitionKind::kUpperConfidenceBound &&
-            opts.ucb_beta >= 0.0);
+           opts.acquisition == AcquisitionKind::kUpperConfidenceBound;
   }
 
   /// Posterior `post`'s CentreTerms at the centre whose squared distances
@@ -655,7 +660,7 @@ struct BayesOpt::Surrogate {
                                       opts.xi, eps, mu);
     } else {
       for (std::size_t r = 0; r < num_nb; ++r) {
-        mu[r] = ucb_bound(opts.ucb_beta, mu[r], var[r], eps);
+        mu[r] = ucb_bound(kUcbBeta, mu[r], var[r], eps);
       }
     }
   }
@@ -857,7 +862,7 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
         break;
       }
       if (can_slide && !removals.empty() &&
-          warm_.slides_since_refresh + 1 < options_.hyper_refit_interval) {
+          warm_.slides_since_refresh + 1 < kHyperRefitInterval) {
         // Incremental slide: each per-sample GP evicts and appends through
         // the O(n²) downdate / rank-grow paths with its hyperparameters
         // held fixed; no MCMC this call.
@@ -880,7 +885,7 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
         // the posterior moved only as far as the window slid, so a short
         // burn-in re-equilibrates it.
         hs.initial_theta = warm_.chain_theta;
-        hs.burn_in = options_.hyper_burn_in_warm;
+        hs.burn_in = kHyperBurnInWarm;
       }
       gp.set_inputs(unit_inputs());
       const Matrix& x = gp.inputs();

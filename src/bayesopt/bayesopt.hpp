@@ -32,6 +32,20 @@ enum class HyperMode {
 
 std::string to_string(HyperMode mode);
 
+/// UCB's exploration weight: a candidate scores μ + β·σ with β = kUcbBeta.
+inline constexpr double kUcbBeta = 2.0;
+/// Windowed slice sampling: window slides between warm hyperparameter
+/// refreshes. Between refreshes each per-sample GP slides incrementally
+/// (O(w²) evict + append) with its hyperparameters held; every
+/// kHyperRefitInterval-th slide re-runs the slice sampler warm-started from
+/// the previous chain state. Unused when the window is unbounded or before
+/// the first eviction.
+inline constexpr std::size_t kHyperRefitInterval = 8;
+/// Burn-in sweeps for warm-started refreshes. The chain resumes from the
+/// previous refresh's final state and the posterior only moved as far as
+/// the window slid, so this can be much smaller than hyper_burn_in.
+inline constexpr std::size_t kHyperBurnInWarm = 5;
+
 struct BayesOptOptions {
   gp::KernelFamily kernel = gp::KernelFamily::kMatern52;
   /// One lengthscale per dimension when set; a single shared one otherwise.
@@ -47,7 +61,6 @@ struct BayesOptOptions {
   std::size_t num_candidates = 512;
   std::size_t local_search_iters = 20;
   double xi = 0.0;        ///< EI/PI exploration offset (standardized units)
-  double ucb_beta = 2.0;
   double fixed_noise_variance = 1e-3;  ///< in standardized-target units
   /// Per-fidelity observation-noise variances for mixed-rung histories
   /// (standardized-target units, indexed by Observation::rung). Entries that
@@ -71,17 +84,6 @@ struct BayesOptOptions {
   /// optimizer is also bit-identical to the unwindowed one. Must be 0 or
   /// ≥ 2 (incumbent + at least one evictable row).
   std::size_t max_observations = 0;
-  /// Windowed slice-sampling only: number of window slides between warm
-  /// hyperparameter refreshes. Between refreshes each per-sample GP slides
-  /// incrementally (O(w²) evict + append) with its hyperparameters held;
-  /// every `hyper_refit_interval`-th slide re-runs the slice sampler warm-
-  /// started from the previous chain state. Ignored when the window is
-  /// unbounded or before the first eviction.
-  std::size_t hyper_refit_interval = 8;
-  /// Burn-in sweeps for warm-started refreshes. The chain resumes from the
-  /// previous refresh's final state and the posterior only moved as far as
-  /// the window slid, so this can be much smaller than hyper_burn_in.
-  std::size_t hyper_burn_in_warm = 5;
   std::uint64_t seed = 42;
   /// Ignored: suggest() runs on the calling thread, and campaigns run in
   /// parallel on a StrandPool instead. The field stays only because the
@@ -276,9 +278,9 @@ class BayesOpt {
   /// theta. These stay whole regressors, not posteriors: each one's O(n²)
   /// slides need its correlation and factor caches. Between refreshes,
   /// suggest() slides these GPs incrementally instead of re-running MCMC;
-  /// every hyper_refit_interval-th slide (and whenever the window
+  /// every kHyperRefitInterval-th slide (and whenever the window
   /// diverges) the sampler re-equilibrates from chain_theta with
-  /// hyper_burn_in_warm sweeps. Engaged only after the
+  /// kHyperBurnInWarm sweeps. Engaged only after the
   /// first eviction, so windowed-but-not-yet-full histories stay
   /// bit-identical to the unwindowed optimizer.
   struct WarmSlice {

@@ -2,7 +2,11 @@
 //
 // Library code throws stormtune::Error (derived from std::runtime_error) for
 // precondition violations and unrecoverable states; the STORMTUNE_REQUIRE
-// macro keeps call sites terse while retaining file/line context.
+// macro keeps call sites terse. Its message is what a user sees (the CLI
+// prints it after "error: "), so it carries no source location: the text
+// names the bad input and stays the same from build to build. The checks
+// that report internal corruption (common/check.hpp) keep their file and
+// line.
 #pragma once
 
 #include <stdexcept>
@@ -17,16 +21,13 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
-[[noreturn]] inline void raise(const char* file, int line,
-                               const std::string& msg) {
-  throw Error(std::string(file) + ":" + std::to_string(line) + ": " + msg);
-}
+[[noreturn]] inline void raise(const std::string& msg) { throw Error(msg); }
 }  // namespace detail
 
 }  // namespace stormtune
 
-/// Throw stormtune::Error with source location if `cond` does not hold.
-#define STORMTUNE_REQUIRE(cond, msg)                          \
-  do {                                                        \
-    if (!(cond)) ::stormtune::detail::raise(__FILE__, __LINE__, (msg)); \
+/// Throw stormtune::Error carrying `msg` if `cond` does not hold.
+#define STORMTUNE_REQUIRE(cond, msg)                    \
+  do {                                                  \
+    if (!(cond)) ::stormtune::detail::raise((msg));     \
   } while (false)

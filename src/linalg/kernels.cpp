@@ -68,8 +68,8 @@ void detail::check_correlation_samples(KernelFamily family, double scale,
 
 namespace portable {
 
-// Anonymous-namespace lane type and helpers inline into the exported
-// kernels; see kernels_avx512.cpp.
+// The lane type lives in the anonymous namespace so it inlines into the
+// kernel loops; see kernels_avx512.cpp.
 namespace {
 
 struct Lanes {
@@ -110,168 +110,35 @@ struct Lanes {
 
 }  // namespace
 
-STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
-                                          std::size_t ld, std::size_t n) {
-  return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
-}
-
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
-                                     double s, std::size_t len) {
-  detail::givens_row_update<Lanes>(lrow, v, c, s, len);
-}
-
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
-                                     double* v, std::size_t ldv,
-                                     std::size_t m, std::size_t n) {
-  detail::solve_lower_multi<Lanes>(lf, ld, v, ldv, m, n);
-}
-
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
-                                               std::size_t ld, double* v,
-                                               std::size_t ldv, std::size_t m,
-                                               std::size_t n) {
-  detail::solve_lower_transpose_multi<Lanes>(ltf, ld, v, ldv, m, n);
-}
-
-STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
-                                std::size_t n, std::size_t d, const double* q,
-                                std::size_t ldq, std::size_t rows, double* out,
-                                std::size_t ldo, const double* w) {
-  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo, w);
-}
-
-STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
-                               std::size_t m, const double* w, double* out) {
-  detail::column_sums<Lanes, false>(v, ldv, n, m, w, out);
-}
-
-STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
-                                  std::size_t n, std::size_t m, double* out) {
-  detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
-}
-
-STORMTUNE_HOT void correlation(KernelFamily family, double scale, double* buf,
-                               std::size_t len) {
-  detail::correlation<Lanes>(family, scale, buf, len);
-}
-
-STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
-                                                 std::size_t n) {
-  return detail::cholesky_factor_mirror<Lanes, 2>(ltf, ld, n);
-}
-
-STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
-                              std::size_t d, const double* w, std::size_t sets,
-                              double* out) {
-  detail::bound_sums<Lanes, 1>(x, ldx, n, d, w, sets, out);
-}
-
-STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
-                               std::size_t n, const double* k, double* w,
-                               double* lt) {
-  detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
-}
-
-STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
-                             std::size_t m, double best, double xi, double eps,
-                             double* out) {
-  detail::ei_bounds<Lanes>(mean, var, m, best, xi, eps, out);
-}
-
-STORMTUNE_HOT void erfc(double* buf, std::size_t len) {
-  detail::map_lanes<Lanes>(1.0, buf, len, detail::erfc<Lanes>);
-}
+extern constinit const KernelOps kOps = detail::make_ops<Lanes, 2, 1>();
 
 }  // namespace portable
 
-#define STORMTUNE_DECLARE_KERNELS                                            \
-  STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,         \
-                                            std::size_t ld, std::size_t n);  \
-  STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,    \
-                                       double s, std::size_t len);           \
-  STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,     \
-                                       double* v, std::size_t ldv,           \
-                                       std::size_t m, std::size_t n);        \
-  STORMTUNE_HOT void solve_lower_transpose_multi(                            \
-      const double* ltf, std::size_t ld, double* v, std::size_t ldv,         \
-      std::size_t m, std::size_t n);                                         \
-  STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,         \
-                                  std::size_t n, std::size_t d,              \
-                                  const double* q, std::size_t ldq,          \
-                                  std::size_t rows, double* out,             \
-                                  std::size_t ldo, const double* w);         \
-  STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv,           \
-                                 std::size_t n, std::size_t m,               \
-                                 const double* w, double* out);              \
-  STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,        \
-                                    std::size_t n, std::size_t m,            \
-                                    double* out);                            \
-  STORMTUNE_HOT void correlation(KernelFamily family, double scale,          \
-                                 double* buf, std::size_t len);              \
-  STORMTUNE_HOT std::size_t cholesky_factor_mirror(                         \
-      double* ltf, std::size_t ld, std::size_t n);                           \
-  STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx,            \
-                                std::size_t n, std::size_t d,                \
-                                const double* w, std::size_t sets,           \
-                                double* out);                                \
-  STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,        \
-                                 std::size_t n, const double* k, double* w,  \
-                                 double* lt);                                \
-  STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,        \
-                               std::size_t m, double best, double xi,        \
-                               double eps, double* out);                     \
-  STORMTUNE_HOT void erfc(double* buf, std::size_t len);
-
+// The wide tables, each defined in its own kernels_<isa>.cpp.
 #ifdef STORMTUNE_HAVE_ISA_AVX2
 namespace avx2 {
-STORMTUNE_DECLARE_KERNELS
+extern const KernelOps kOps;
 }  // namespace avx2
 #endif
-
 #ifdef STORMTUNE_HAVE_ISA_AVX512
 namespace avx512 {
-STORMTUNE_DECLARE_KERNELS
+extern const KernelOps kOps;
 }  // namespace avx512
 #endif
-
-#undef STORMTUNE_DECLARE_KERNELS
-
-namespace {
-
-#define STORMTUNE_KERNEL_TABLE(ns)                                       \
-  KernelOps {                                                            \
-    ns::cholesky_factor, ns::givens_row_update, ns::solve_lower_multi,   \
-        ns::solve_lower_transpose_multi, ns::sq_dist_rows,               \
-        ns::column_dots, ns::column_sq_sums, ns::correlation,            \
-        ns::cholesky_factor_mirror, ns::bound_sums, ns::bound_solve,     \
-        ns::ei_bounds, ns::erfc                                          \
-  }
-
-constexpr KernelOps kPortableOps = STORMTUNE_KERNEL_TABLE(portable);
-#ifdef STORMTUNE_HAVE_ISA_AVX2
-constexpr KernelOps kAvx2Ops = STORMTUNE_KERNEL_TABLE(avx2);
-#endif
-#ifdef STORMTUNE_HAVE_ISA_AVX512
-constexpr KernelOps kAvx512Ops = STORMTUNE_KERNEL_TABLE(avx512);
-#endif
-
-#undef STORMTUNE_KERNEL_TABLE
-
-}  // namespace
 
 STORMTUNE_HOT const KernelOps* ops_for(isa::Path path) {
   switch (path) {
     case isa::Path::kPortable:
-      return &kPortableOps;
+      return &portable::kOps;
     case isa::Path::kAvx2:
 #ifdef STORMTUNE_HAVE_ISA_AVX2
-      return &kAvx2Ops;
+      return &avx2::kOps;
 #else
       return nullptr;
 #endif
     case isa::Path::kAvx512:
 #ifdef STORMTUNE_HAVE_ISA_AVX512
-      return &kAvx512Ops;
+      return &avx512::kOps;
 #else
       return nullptr;
 #endif
@@ -281,7 +148,7 @@ STORMTUNE_HOT const KernelOps* ops_for(isa::Path path) {
 
 STORMTUNE_HOT const KernelOps& ops() {
   const KernelOps* t = ops_for(isa::selected());
-  return t != nullptr ? *t : kPortableOps;
+  return t != nullptr ? *t : portable::kOps;
 }
 
 }  // namespace stormtune::linalg_kernels

@@ -43,9 +43,10 @@ double correlation_from_scaled_sq(KernelFamily family, double r2);
 /// whole routine (a factorization, a solve sweep, a distance block), never
 /// a row update: the rows at this library's sizes are a few dozen elements
 /// long, so routing each through a function pointer would cost more than
-/// the wide lanes save. Call sites fetch the table once per routine; inside
-/// each ISA's translation unit the lane operations inline into the loops
-/// (linalg/kernels_blocks.hpp).
+/// the wide lanes save. Call sites fetch the table once per routine. Each
+/// path's table is detail::make_ops over its lane type, instantiated in the
+/// path's own translation unit, so the lane operations inline into the
+/// loops (linalg/kernels_blocks.hpp).
 struct KernelOps {
   /// Left-looking Cholesky of the n×n SPD matrix whose lower triangle is
   /// held transposed in `ltf` on entry (row j, columns [j, n) = column j of
@@ -74,12 +75,6 @@ struct KernelOps {
   /// ascending, then one multiply by 1/L(i,i).
   void (*solve_lower_multi)(const double* lf, std::size_t ld, double* v,
                             std::size_t ldv, std::size_t m, std::size_t n);
-  /// Back substitution Lᵀ X = V over the same block layout, bottom-up, same
-  /// strips; the multipliers L(k,i) are read stride-1 from mirror row i, k
-  /// ascending from i+1.
-  void (*solve_lower_transpose_multi)(const double* ltf, std::size_t ld,
-                                      double* v, std::size_t ldv,
-                                      std::size_t m, std::size_t n);
   /// Squared distances from `rows` query points (row r at q + r·ldq, d
   /// coordinates) to n points held transposed in `xt` (d rows of leading
   /// dimension ldx, column i = point i):

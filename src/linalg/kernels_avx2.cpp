@@ -17,7 +17,6 @@
 
 #include "linalg/kernels.hpp"
 #include "linalg/kernels_blocks.hpp"
-#include "common/check.hpp"
 
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define STORMTUNE_HAVE_VECTOR_EXP 1
@@ -75,77 +74,7 @@ struct Lanes {
 
 }  // namespace
 
-STORMTUNE_HOT std::size_t cholesky_factor(double* lf, double* ltf,
-                                          std::size_t ld, std::size_t n) {
-  return detail::cholesky_factor<Lanes>(lf, ltf, ld, n);
-}
-
-STORMTUNE_HOT void givens_row_update(double* lrow, double* v, double c,
-                                     double s, std::size_t len) {
-  detail::givens_row_update<Lanes>(lrow, v, c, s, len);
-}
-
-STORMTUNE_HOT void solve_lower_multi(const double* lf, std::size_t ld,
-                                     double* v, std::size_t ldv,
-                                     std::size_t m, std::size_t n) {
-  detail::solve_lower_multi<Lanes>(lf, ld, v, ldv, m, n);
-}
-
-STORMTUNE_HOT void solve_lower_transpose_multi(const double* ltf,
-                                               std::size_t ld, double* v,
-                                               std::size_t ldv, std::size_t m,
-                                               std::size_t n) {
-  detail::solve_lower_transpose_multi<Lanes>(ltf, ld, v, ldv, m, n);
-}
-
-STORMTUNE_HOT void sq_dist_rows(const double* xt, std::size_t ldx,
-                                std::size_t n, std::size_t d, const double* q,
-                                std::size_t ldq, std::size_t rows, double* out,
-                                std::size_t ldo, const double* w) {
-  detail::sq_dist_rows<Lanes>(xt, ldx, n, d, q, ldq, rows, out, ldo, w);
-}
-
-STORMTUNE_HOT void column_dots(const double* v, std::size_t ldv, std::size_t n,
-                               std::size_t m, const double* w, double* out) {
-  detail::column_sums<Lanes, false>(v, ldv, n, m, w, out);
-}
-
-STORMTUNE_HOT void column_sq_sums(const double* v, std::size_t ldv,
-                                  std::size_t n, std::size_t m, double* out) {
-  detail::column_sums<Lanes, true>(v, ldv, n, m, nullptr, out);
-}
-
-STORMTUNE_HOT void correlation(KernelFamily family, double scale, double* buf,
-                               std::size_t len) {
-  detail::correlation<Lanes>(family, scale, buf, len);
-}
-
-STORMTUNE_HOT std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
-                                                 std::size_t n) {
-  return detail::cholesky_factor_mirror<Lanes, 2>(ltf, ld, n);
-}
-
-STORMTUNE_HOT void bound_sums(const double* x, std::size_t ldx, std::size_t n,
-                              std::size_t d, const double* w, std::size_t sets,
-                              double* out) {
-  detail::bound_sums<Lanes, 1>(x, ldx, n, d, w, sets, out);
-}
-
-STORMTUNE_HOT void bound_solve(const double* lower, std::size_t ld,
-                               std::size_t n, const double* k, double* w,
-                               double* lt) {
-  detail::bound_solve<Lanes>(lower, ld, n, k, w, lt);
-}
-
-STORMTUNE_HOT void ei_bounds(const double* mean, const double* var,
-                             std::size_t m, double best, double xi, double eps,
-                             double* out) {
-  detail::ei_bounds<Lanes>(mean, var, m, best, xi, eps, out);
-}
-
-STORMTUNE_HOT void erfc(double* buf, std::size_t len) {
-  detail::map_lanes<Lanes>(1.0, buf, len, detail::erfc<Lanes>);
-}
+extern constinit const KernelOps kOps = detail::make_ops<Lanes, 2, 1>();
 
 }  // namespace stormtune::linalg_kernels::avx2
 

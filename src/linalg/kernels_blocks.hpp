@@ -1,8 +1,9 @@
 // Internal: the kernel loops shared by every ISA translation unit.
 //
-// Each kernels_<isa>.cpp instantiates these templates with its own lane
-// type (same TU, so the lane operations inline) and exports one function
-// per KernelOps entry. A lane type `V` provides
+// Each kernels_<isa>.cpp defines its lane type and exports one table,
+// make_ops<Lanes, ...>() at the end of this header: every KernelOps entry
+// is the matching template instantiated in that TU, so the lane
+// operations inline. A lane type `V` provides
 //
 //   Reg, Mask, kLanes               the register, a lane mask, its width
 //   tail_mask(len)                  the first len lanes (0 < len < kLanes)
@@ -31,8 +32,8 @@
 // emitted by an unoptimized build is kept once by the linker, which could
 // then run AVX-512 code on the portable path. The templates are
 // instantiated over each TU's anonymous-namespace lane type, the other
-// helpers are static, and +∞ is a constant (ctest kernel_weak_symbols
-// checks the objects).
+// helpers are static, and +∞ is a constant; each TU's only external
+// definition is its table (ctest kernel_weak_symbols checks the objects).
 #pragma once
 
 #include <algorithm>
@@ -40,6 +41,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "common/check.hpp"
 #include "linalg/kernels.hpp"
 
 namespace stormtune::linalg_kernels::detail {
@@ -212,8 +214,9 @@ static inline bool finish_column(double* lf, double* ltj, std::size_t ld,
 /// its last term k = j, and is finished in turn — for every element still
 /// the k-ascending sequence of the one-column loop.
 template <class V>
-inline std::size_t cholesky_factor(double* lf, double* ltf, std::size_t ld,
-                                   std::size_t n) {
+STORMTUNE_HOT inline std::size_t cholesky_factor(double* lf, double* ltf,
+                                                 std::size_t ld,
+                                                 std::size_t n) {
   std::size_t j = 0;
   for (; j + 2 <= n; j += 2) {
     double* lta = ltf + j * ld;
@@ -251,9 +254,9 @@ inline std::size_t cholesky_factor(double* lf, double* ltf, std::size_t ld,
 
 /// Forward substitution; see KernelOps::solve_lower_multi.
 template <class V>
-inline void solve_lower_multi(const double* lf, std::size_t ld, double* v,
-                              std::size_t ldv, std::size_t m,
-                              std::size_t n) {
+STORMTUNE_HOT inline void solve_lower_multi(const double* lf, std::size_t ld,
+                                            double* v, std::size_t ldv,
+                                            std::size_t m, std::size_t n) {
   for_each_strip<V>(m, [&](std::size_t c, auto sa) {
     std::size_t i = 0;
     for (; i + 2 <= n; i += 2) {
@@ -283,30 +286,11 @@ inline void solve_lower_multi(const double* lf, std::size_t ld, double* v,
   });
 }
 
-/// Back substitution; see KernelOps::solve_lower_transpose_multi.
-template <class V>
-inline void solve_lower_transpose_multi(const double* ltf, std::size_t ld,
-                                        double* v, std::size_t ldv,
-                                        std::size_t m, std::size_t n) {
-  for_each_strip<V>(m, [&](std::size_t c, auto s) {
-    for (std::size_t ii = n; ii > 0; --ii) {
-      const std::size_t i = ii - 1;
-      const double* lti = ltf + i * ld;
-      s.load(v + i * ldv + c);
-      for (std::size_t k = i + 1; k < n; ++k) {
-        s.sub_mul(V::set1(lti[k]), v + k * ldv + c);
-      }
-      s.mul(V::set1(1.0 / lti[i]));
-      s.store(v + i * ldv + c);
-    }
-  });
-}
-
 /// KernelOps::givens_row_update, one vector at a time: per element the
 /// scalar loop's two products, then one add and one subtract.
 template <class V>
-inline void givens_row_update(double* lrow, double* v, double c, double s,
-                              std::size_t len) {
+STORMTUNE_HOT inline void givens_row_update(double* lrow, double* v, double c,
+                                            double s, std::size_t len) {
   const typename V::Reg vc = V::set1(c), vs = V::set1(s);
   for_each_strip<V, 1>(len, [&](std::size_t j, auto sl) {
     auto sv = sl;
@@ -322,10 +306,11 @@ inline void givens_row_update(double* lrow, double* v, double c, double s,
 
 /// Squared distances; see KernelOps::sq_dist_rows.
 template <class V>
-inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
-                         std::size_t d, const double* q, std::size_t ldq,
-                         std::size_t rows, double* out, std::size_t ldo,
-                         const double* w) {
+STORMTUNE_HOT inline void sq_dist_rows(const double* xt, std::size_t ldx,
+                                       std::size_t n, std::size_t d,
+                                       const double* q, std::size_t ldq,
+                                       std::size_t rows, double* out,
+                                       std::size_t ldo, const double* w) {
   for_each_strip<V>(n, [&](std::size_t c, auto s) {
     for (std::size_t r = 0; r < rows; ++r) {
       const double* qr = q + r * ldq;
@@ -347,8 +332,9 @@ inline void sq_dist_rows(const double* xt, std::size_t ldx, std::size_t n,
 /// Column sums; see KernelOps::column_dots (kSquare = false, weights w)
 /// and KernelOps::column_sq_sums (kSquare = true, w unused).
 template <class V, bool kSquare>
-inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
-                        std::size_t m, const double* w, double* out) {
+STORMTUNE_HOT inline void column_sums(const double* v, std::size_t ldv,
+                                      std::size_t n, std::size_t m,
+                                      const double* w, double* out) {
   for_each_strip<V>(m, [&](std::size_t c, auto s) {
     s.zero();
     for (std::size_t i = 0; i < n; ++i) {
@@ -366,7 +352,8 @@ inline void column_sums(const double* v, std::size_t ldv, std::size_t n,
 /// correlation, erfc); a masked tail's surplus lanes map zeros and are not
 /// stored.
 template <class V, class F>
-inline void map_lanes(double scale, double* buf, std::size_t len, F f) {
+STORMTUNE_HOT inline void map_lanes(double scale, double* buf, std::size_t len,
+                                    F f) {
   const typename V::Reg vscale = V::set1(scale);
   for_each_strip<V, 1>(len, [&](std::size_t i, auto s) {
     s.load(buf + i);
@@ -390,8 +377,8 @@ void check_correlation_samples(KernelFamily family, double scale,
 /// left-associated polynomial — so a lane differs from it only through
 /// V::exp.
 template <class V>
-inline void correlation(KernelFamily family, double scale, double* buf,
-                        std::size_t len) {
+STORMTUNE_HOT inline void correlation(KernelFamily family, double scale,
+                                      double* buf, std::size_t len) {
   using Reg = typename V::Reg;
 #ifdef STORMTUNE_CHECKED
   // Agreement sampling: up to four inputs, kept before the map overwrites
@@ -496,9 +483,10 @@ inline void bound_sums_block(const double* x, std::size_t ldx, std::size_t n,
 /// accumulators as the path's registers hold), then single vectors and a
 /// masked tail.
 template <class V, int NV>
-inline void bound_sums(const double* x, std::size_t ldx, std::size_t n,
-                       std::size_t d, const double* w, std::size_t sets,
-                       double* out) {
+STORMTUNE_HOT inline void bound_sums(const double* x, std::size_t ldx,
+                                     std::size_t n, std::size_t d,
+                                     const double* w, std::size_t sets,
+                                     double* out) {
   constexpr std::size_t L = V::kLanes;
   std::size_t j = 0;
   for (; j + NV * L <= d; j += NV * L) {
@@ -552,8 +540,9 @@ inline void mirror_sweep(double* ltf, std::size_t ld, std::size_t n,
 /// is scaled in one strip pass. The last n mod 4 columns are one narrower
 /// block.
 template <class V, int NV>
-inline std::size_t cholesky_factor_mirror(double* ltf, std::size_t ld,
-                                          std::size_t n) {
+STORMTUNE_HOT inline std::size_t cholesky_factor_mirror(double* ltf,
+                                                        std::size_t ld,
+                                                        std::size_t n) {
   // Column j+q of a block takes its terms from the block's finished
   // columns j..j+q−1, then is square-rooted and scaled, in one pass.
   const auto finish_block = [&](std::size_t j, std::size_t cols) {
@@ -633,8 +622,9 @@ inline double bound_dot(const double* a, const double* b, std::size_t len) {
 /// dot products, then the back substitution column by column, each row of
 /// L loaded once to update both w and Lᵀw.
 template <class V>
-inline void bound_solve(const double* lower, std::size_t ld, std::size_t n,
-                        const double* k, double* w, double* lt) {
+STORMTUNE_HOT inline void bound_solve(const double* lower, std::size_t ld,
+                                      std::size_t n, const double* k, double* w,
+                                      double* lt) {
   constexpr std::size_t L = V::kLanes;
   for (std::size_t i = 0; i < n; ++i) {
     const double* li = lower + i * ld;
@@ -743,8 +733,9 @@ inline typename V::Reg erfc(typename V::Reg x) {
 /// its erfc from the lane template above and its exp from V::exp, then
 /// the allowance. A masked tail's surplus lanes read 0 and are not stored.
 template <class V>
-inline void ei_bounds(const double* mean, const double* var, std::size_t m,
-                      double best, double xi, double eps, double* out) {
+STORMTUNE_HOT inline void ei_bounds(const double* mean, const double* var,
+                                    std::size_t m, double best, double xi,
+                                    double eps, double* out) {
   using Reg = typename V::Reg;
   const Reg zero = V::zero(), inf = V::set1(kInf);
   const Reg vbest = V::set1(best), vxi = V::set1(xi);
@@ -775,5 +766,37 @@ inline void ei_bounds(const double* mean, const double* var, std::size_t m,
     s.store(out + r);
   });
 }
+
+/// The KernelOps table of lane type V: every entry the matching template
+/// above, instantiated in the calling TU. NM and NB are the strip widths,
+/// in vectors, of cholesky_factor_mirror and bound_sums: as many
+/// accumulators as the path's registers hold. A KernelOps field without an
+/// entry here fails to compile (the pragma makes gcc's missing-initializer
+/// warning an error in every build).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic error "-Wmissing-field-initializers"
+template <class V, int NM, int NB>
+constexpr KernelOps make_ops() {
+  return KernelOps{
+      .cholesky_factor = cholesky_factor<V>,
+      .givens_row_update = givens_row_update<V>,
+      .solve_lower_multi = solve_lower_multi<V>,
+      .sq_dist_rows = sq_dist_rows<V>,
+      .column_dots = column_sums<V, false>,
+      .column_sq_sums = [](const double* v, std::size_t ldv, std::size_t n,
+                           std::size_t m, double* out) {
+        column_sums<V, true>(v, ldv, n, m, nullptr, out);
+      },
+      .correlation = correlation<V>,
+      .cholesky_factor_mirror = cholesky_factor_mirror<V, NM>,
+      .bound_sums = bound_sums<V, NB>,
+      .bound_solve = bound_solve<V>,
+      .ei_bounds = ei_bounds<V>,
+      .erfc = [](double* buf, std::size_t len) {
+        map_lanes<V>(1.0, buf, len, erfc<V>);
+      },
+  };
+}
+#pragma GCC diagnostic pop
 
 }  // namespace stormtune::linalg_kernels::detail

@@ -324,32 +324,6 @@ Vector Cholesky::solve(const Vector& b) const {
   return x;
 }
 
-void Cholesky::solve_lower_multi_in_place(Matrix& v) const {
-  STORMTUNE_REQUIRE(v.rows() == n_,
-                    "Cholesky::solve_lower_multi_in_place: size mismatch");
-  solve_lower_multi_in_place(v.data(), v.cols(), v.cols());
-}
-
-void Cholesky::solve_lower_multi_in_place(double* v, std::size_t ldv,
-                                          std::size_t cols) const {
-  STORMTUNE_REQUIRE(cols <= ldv,
-                    "Cholesky::solve_lower_multi_in_place: size mismatch");
-  STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
-  // Column strips of V, each row's accumulators held in registers across
-  // the whole k-ascending sweep (kernels_blocks.hpp); one dispatched call.
-  lk::ops().solve_lower_multi(lf_.data(), ld_, v, ldv, cols, n_);
-}
-
-void Cholesky::solve_lower_transpose_multi_in_place(Matrix& v) const {
-  STORMTUNE_REQUIRE(
-      v.rows() == n_,
-      "Cholesky::solve_lower_transpose_multi_in_place: size mismatch");
-  // Bottom-up sweep in the same column strips; the multipliers
-  // Lᵀ(i, k) = L(k, i) come from row i of the mirror, stride-1 in k.
-  lk::ops().solve_lower_transpose_multi(ltf_.data(), ld_, v.data(), v.cols(),
-                                        v.cols(), n_);
-}
-
 STORMTUNE_HOT void Cholesky::append_row(std::span<const double> b,
                                         double c) {
   STORMTUNE_REQUIRE(b.size() == n_, "Cholesky::append_row: size mismatch");

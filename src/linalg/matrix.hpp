@@ -5,9 +5,10 @@
 // The Cholesky below is a left-looking factorization whose columns
 // accumulate across vector lanes (see linalg/kernels.hpp), a row-major
 // factor with separately tracked capacity so rank-grow updates append in
-// place, a maintained transposed mirror that makes back-substitution
-// stride-1, and multi-RHS triangular solves that sweep register-held column
-// strips of a whole block of right-hand sides. Every reduction runs in a
+// place, and a maintained transposed mirror that makes back-substitution
+// stride-1. Its rows feed the multi-RHS forward solve kernel
+// (KernelOps::solve_lower_multi), which sweeps register-held column strips
+// of a whole block of right-hand sides. Every reduction runs in a
 // fixed k-ascending order independent of lane width and strip boundaries,
 // so results are deterministic run-to-run, identical on every ISA path,
 // and match the naive reference kernels (tests/linalg_reference.hpp) bit
@@ -149,7 +150,8 @@ class Cholesky {
   }
 
   /// Row i of L starts at lower_rows() + i·stride(); its first i + 1
-  /// entries are L(i, 0..i). This is what the multi-RHS solve kernels read.
+  /// entries are L(i, 0..i). This is what the multi-RHS forward solve
+  /// (KernelOps::solve_lower_multi) reads.
   const double* lower_rows() const {
     STORMTUNE_DCHECK(!lf_stale_, "Cholesky: row-major factor is stale");
     return lf_.data();
@@ -171,26 +173,6 @@ class Cholesky {
 
   /// Backward substitution overwriting `yx` (no allocation).
   void solve_lower_transpose_in_place(std::span<double> yx) const;
-
-  /// Multi-RHS forward substitution: solve L V = B for all columns of the
-  /// n×m row-major block `v` (row i = value of every right-hand side at
-  /// index i) in place. Per column the updates run in the same ascending-k
-  /// order for every m, so a given column's result is independent of which
-  /// other columns share the block. Differs from the single-RHS solves only
-  /// by their accumulator split and its reciprocal-multiply division — a
-  /// few ulps. This is GpRegressor's batched-prediction kernel.
-  void solve_lower_multi_in_place(Matrix& v) const;
-
-  /// As above for the leading `cols` columns of the size()-row block at
-  /// `v` with row stride `ldv` ≥ cols; the rest of each row is untouched.
-  /// Lets a caller keep its workspace in its own buffer and pad the row
-  /// stride (linalg_kernels::padded_ld) without solving the padding.
-  void solve_lower_multi_in_place(double* v, std::size_t ldv,
-                                  std::size_t cols) const;
-
-  /// Multi-RHS backward substitution: solve Lᵀ X = V in place, same block
-  /// layout and the same per-column block-size independence as above.
-  void solve_lower_transpose_multi_in_place(Matrix& v) const;
 
   /// Rank-grow update: given this factor L of an n×n SPD matrix A, extend it
   /// in place to the factor of [[A, b], [bᵀ, c]] in O(n²) instead of the

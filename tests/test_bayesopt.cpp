@@ -330,9 +330,9 @@ TEST_P(WindowSweep, SuggestsStayValidAcrossEvictions) {
   o.hyper_mode = GetParam();
   o.hyper_samples = 3;
   o.hyper_burn_in = 4;
+  // 20 steps through a window of 8 make 12 slides, so slice mode runs a
+  // warm refresh mid-run (every kHyperRefitInterval = 8 slides).
   o.max_observations = 8;
-  o.hyper_refit_interval = 4;  // exercise warm refresh mid-run (slice mode)
-  o.hyper_burn_in_warm = 2;
   BayesOpt opt(branin_space(), o);
   for (int i = 0; i < 20; ++i) {
     const ParamValues x = opt.suggest();
@@ -400,12 +400,31 @@ TEST(BayesOpt, WindowOfOneRejected) {
 TEST(BayesOpt, OptionsJsonRoundTripWithWindow) {
   BayesOptOptions o;
   o.max_observations = 16;
-  o.hyper_refit_interval = 4;
-  o.hyper_burn_in_warm = 3;
   const BayesOptOptions back = BayesOptOptions::from_json(o.to_json());
   EXPECT_EQ(back.max_observations, 16u);
-  EXPECT_EQ(back.hyper_refit_interval, 4u);
-  EXPECT_EQ(back.hyper_burn_in_warm, 3u);
+  // States saved while UCB's β and the warm-refresh cadence were options
+  // carry them: the values this build fixes resume, any other is refused
+  // by name rather than silently replaced.
+  Json saved = o.to_json();
+  EXPECT_FALSE(saved.contains("ucb_beta"));
+  EXPECT_FALSE(saved.contains("hyper_refit_interval"));
+  saved.as_object()["ucb_beta"] = kUcbBeta;
+  saved.as_object()["hyper_refit_interval"] = kHyperRefitInterval;
+  saved.as_object()["hyper_burn_in_warm"] = kHyperBurnInWarm;
+  EXPECT_EQ(BayesOptOptions::from_json(saved).max_observations, 16u);
+  for (const char* field :
+       {"ucb_beta", "hyper_refit_interval", "hyper_burn_in_warm"}) {
+    Json changed = saved;
+    changed.as_object()[field] = 1.0;
+    try {
+      BayesOptOptions::from_json(changed);
+      ADD_FAILURE() << field << " = 1 resumed";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + field + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
   // Unwindowed options keep the pre-window serialization (no new keys), so
   // states saved by older builds parse and vice versa.
   BayesOptOptions legacy;

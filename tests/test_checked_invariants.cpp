@@ -36,7 +36,7 @@ namespace {
 
 TEST(CheckedBuild, MacrosCompileOutOfReleaseBuilds) {
   int evaluations = 0;
-  auto probe = [&evaluations] {
+  [[maybe_unused]] auto probe = [&evaluations] {
     ++evaluations;
     return true;
   };

@@ -4,7 +4,7 @@
 // The size sweep deliberately straddles the lane widths (2/4/8) and strip
 // widths (16/32/64) of the kernels plus the tile boundaries 32/48/64/128:
 // one-off sizes on either side of a boundary exercise the partial vectors
-// and remainder strips of the factorization and the multi-RHS solves.
+// and remainder strips of the factorization and the multi-RHS forward solve.
 // Agreement with the dividing oracle is required to 1e-9 relative — the
 // kernels keep every reduction in ascending-k order, so the only
 // divergence is reciprocal-multiply division and accumulator splitting,
@@ -121,6 +121,14 @@ TEST(BlockedCholesky, NearSingularThrowsLikeReference) {
   EXPECT_THROW(Cholesky{a}, Error);
 }
 
+/// L V = B in place for every column of the size()-row block `v`, through
+/// the dispatched kernel the GP predictor calls.
+void solve_lower_block(const Cholesky& chol, Matrix& v) {
+  linalg_kernels::ops().solve_lower_multi(chol.lower_rows(), chol.stride(),
+                                          v.data(), v.cols(), v.cols(),
+                                          chol.size());
+}
+
 TEST(MultiRhsSolves, MatchSingleRhsSolvesPerColumn) {
   Rng rng(44);
   for (const std::size_t n : {1ul, 5ul, 31ul, 48ul, 64ul, 97ul, 130ul}) {
@@ -132,13 +140,11 @@ TEST(MultiRhsSolves, MatchSingleRhsSolvesPerColumn) {
         for (std::size_t r = 0; r < m; ++r) v(i, r) = rng.normal();
       }
       Matrix multi = v;
-      chol.solve_lower_multi_in_place(multi);
-      chol.solve_lower_transpose_multi_in_place(multi);
+      solve_lower_block(chol, multi);
       for (std::size_t r = 0; r < m; ++r) {
         Vector col(n);
         for (std::size_t i = 0; i < n; ++i) col[i] = v(i, r);
         chol.solve_lower_in_place(col);
-        chol.solve_lower_transpose_in_place(col);
         for (std::size_t i = 0; i < n; ++i) {
           EXPECT_LE(rel_diff(multi(i, r), col[i]), 1e-12)
               << "n=" << n << " m=" << m << " col=" << r << " row=" << i;
@@ -161,10 +167,8 @@ TEST(MultiRhsSolves, ColumnResultIndependentOfBlockWidth) {
   }
   Matrix narrow(n, 1);
   for (std::size_t i = 0; i < n; ++i) narrow(i, 0) = wide(i, 0);
-  chol.solve_lower_multi_in_place(wide);
-  chol.solve_lower_transpose_multi_in_place(wide);
-  chol.solve_lower_multi_in_place(narrow);
-  chol.solve_lower_transpose_multi_in_place(narrow);
+  solve_lower_block(chol, wide);
+  solve_lower_block(chol, narrow);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(wide(i, 0), narrow(i, 0)) << "row=" << i;
   }

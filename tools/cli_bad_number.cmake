@@ -8,10 +8,11 @@
 # read and requires exit 2 naming the first such flag and the subcommand.
 # Then runs
 # `stormtune tune-many` on campaign files whose counts or seed are negative
-# or fractional, whose strategy is unknown, or whose ladder campaign names a
-# strategy the ladder cannot drive, and requires each run to exit 1, name
-# the field and schedule nothing. Last, `simulate --duration=0` and a
-# campaign with a negative duration must each exit 1 naming duration.
+# or fractional, whose duration is not positive, whose strategy is unknown,
+# or whose ladder campaign names a strategy the ladder cannot drive, and
+# requires each run to exit 1, name the field and schedule nothing. Last,
+# `simulate --duration=0` must exit 1 naming duration. No error message
+# may carry a source location (a ".cpp:" of the build's checkout).
 #
 #   cmake -DSTORMTUNE=<path to stormtune> -DWORK_DIR=<scratch dir> \
 #         -P tools/cli_bad_number.cmake
@@ -19,6 +20,13 @@ if(NOT STORMTUNE OR NOT WORK_DIR)
   message(FATAL_ERROR "usage: cmake -DSTORMTUNE=... -DWORK_DIR=... -P ${CMAKE_SCRIPT_MODE_FILE}")
 endif()
 file(MAKE_DIRECTORY "${WORK_DIR}")
+
+function(require_no_location label err)
+  string(FIND "${err}" ".cpp:" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "${label}: stderr carries a source location:\n${err}")
+  endif()
+endfunction()
 
 foreach(case "tune;medium;--steps=abc" "simulate;small;--hint=x"
              "tune;small;--duration=15s" "tune;small;--reps=-1"
@@ -37,6 +45,7 @@ foreach(case "tune;medium;--steps=abc" "simulate;small;--hint=x"
   if(at EQUAL -1)
     message(FATAL_ERROR "stormtune ${arg}: stderr does not name ${flag}:\n${err}")
   endif()
+  require_no_location("stormtune ${arg}" "${err}")
 endforeach()
 
 foreach(case "simulate;small;--threads=4;--steps=9"
@@ -57,11 +66,12 @@ foreach(case "simulate;small;--threads=4;--steps=9"
             "stormtune ${case}: stderr does not name --threads and "
             "'${command}':\n${err}")
   endif()
+  require_no_location("stormtune ${case}" "${err}")
 endforeach()
 
 foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
              "ladder_promote_top_k;-1" "seed;-1" "steps;2.5" "seed;0.5"
-             "strategy;\"bogus\""
+             "duration;-1" "duration;0" "strategy;\"bogus\""
              "strategy;\"pla\", \"fidelity\": \"ladder\"")
   list(GET case 0 field)
   list(GET case 1 value)
@@ -88,28 +98,28 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
     message(FATAL_ERROR
             "tune-many \"${field}\": ${value}: scheduled campaigns:\n${out}")
   endif()
+  require_no_location("tune-many \"${field}\": ${value}" "${err}")
 endforeach()
 # A measurement window that is not a finite positive length is refused by
-# the simulator, from the command line and from a campaign file alike.
-file(WRITE "${WORK_DIR}/bad_duration.json"
-     "[{\"topology\": \"small\", \"duration\": -1}]\n")
-foreach(case "simulate;small;--duration=0"
-             "tune-many;--campaigns=${WORK_DIR}/bad_duration.json")
-  execute_process(
-    COMMAND "${STORMTUNE}" ${case}
-    TIMEOUT 60
-    RESULT_VARIABLE status
-    OUTPUT_QUIET
-    ERROR_VARIABLE err)
-  if(NOT status STREQUAL "1")
-    message(FATAL_ERROR "stormtune ${case}: expected exit 1, got '${status}'")
-  endif()
-  string(FIND "${err}" "duration" at)
-  if(at EQUAL -1)
-    message(FATAL_ERROR "stormtune ${case}: stderr does not name duration:\n${err}")
-  endif()
-endforeach()
+# the simulator from the command line too.
+execute_process(
+  COMMAND "${STORMTUNE}" simulate small --duration=0
+  TIMEOUT 60
+  RESULT_VARIABLE status
+  OUTPUT_QUIET
+  ERROR_VARIABLE err)
+if(NOT status STREQUAL "1")
+  message(FATAL_ERROR "stormtune simulate --duration=0: expected exit 1, got "
+                      "'${status}'")
+endif()
+string(FIND "${err}" "duration" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR
+          "stormtune simulate --duration=0: stderr does not name duration:\n${err}")
+endif()
+require_no_location("stormtune simulate --duration=0" "${err}")
 message(STATUS "malformed numeric flags, tune --threads and flags of other "
                "subcommands exit 2 and name the flag; malformed campaign "
-               "counts and strategies exit 1 and name the field; a window "
-               "that is not positive exits 1 naming duration")
+               "counts, durations and strategies exit 1 and name the "
+               "field; simulate --duration=0 exits 1 naming duration; no "
+               "error carries a source location")

@@ -8,8 +8,9 @@
 // any source change. TUs absent from the database are skipped (headers,
 // files outside the build).
 //
-// Symbol parity needs no rule: the dispatch tables name every per-ISA
-// entry, so a variant missing a definition fails to link.
+// Symbol parity needs no rule: every path's table is one template
+// instantiated over its lane type (linalg_kernels::detail::make_ops), so
+// an entry missing from it fails to compile on every path.
 //
 // The rule reports at line 1 of the deficient TU: the defect is a
 // property of the TU as a unit, not of any one line.

@@ -599,7 +599,12 @@ Options campaign_options(const Options& base, const Json& entry,
   if (entry.contains("reps")) o.reps = campaign_count(entry, "reps");
   if (entry.contains("passes")) o.passes = campaign_count(entry, "passes");
   if (entry.contains("seed")) o.seed = campaign_count(entry, "seed");
-  if (entry.contains("duration")) o.duration_s = entry.at("duration").as_number();
+  if (entry.contains("duration")) {
+    o.duration_s = entry.at("duration").as_number();
+    STORMTUNE_REQUIRE(std::isfinite(o.duration_s) && o.duration_s > 0.0,
+                      "campaign field 'duration' must be a finite number of "
+                      "seconds > 0");
+  }
   if (entry.contains("tiim")) o.tiim = entry.at("tiim").as_bool();
   if (entry.contains("contention")) {
     o.contention = entry.at("contention").as_number();
