@@ -30,6 +30,7 @@
 #include "topology/literature.hpp"
 #include "topology/sundog.hpp"
 #include "topology/synthetic.hpp"
+#include "tuning/campaign.hpp"
 #include "tuning/objective.hpp"
 #include "tuning/strategy.hpp"
 
@@ -178,23 +179,17 @@ void fig3(const Args& args) {
   for (const auto size : {topo::TopologySize::kLarge,
                           topo::TopologySize::kMedium,
                           topo::TopologySize::kSmall}) {
-    topo::SyntheticSpec spec;
-    spec.size = size;
-    const sim::Topology topology = topo::build_synthetic(spec);
-    sim::SimParams params = topo::synthetic_sim_params();
-    params.duration_s = args.duration_s;
+    const tuning::Workload w = bench::workload(args, topo::to_string(size));
     // Representative tuned deployment: a healthy uniform parallelism.
     sim::TopologyConfig config = bench::synthetic_defaults();
-    config.parallelism_hints.assign(topology.num_nodes(), 8);
+    config.parallelism_hints.assign(w.topology.num_nodes(), 8);
     add(topo::to_string(size),
-        sim::simulate(topology, config, topo::paper_cluster(), params,
-                      args.seed));
+        sim::simulate(w.topology, config, w.cluster, w.params, args.seed));
   }
-  const sim::Topology sundog = topo::build_sundog();
-  sim::SimParams params = topo::sundog_sim_params();
-  params.duration_s = args.duration_s;
-  add("sundog", sim::simulate(sundog, topo::sundog_baseline_config(sundog),
-                              topo::sundog_cluster(), params, args.seed));
+  const tuning::Workload sundog = bench::workload(args, "sundog");
+  add("sundog", sim::simulate(sundog.topology,
+                              topo::sundog_baseline_config(sundog.topology),
+                              sundog.cluster, sundog.params, args.seed));
 
   std::printf("%s\n", t.render().c_str());
   std::printf(
@@ -495,12 +490,7 @@ BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
                          std::uint64_t tuner_seed,
                          std::uint64_t objective_seed,
                          const std::string& name) {
-  topo::SyntheticSpec spec;
-  spec.size = topo::TopologySize::kMedium;
-  spec.time_imbalance = true;
-  const sim::Topology topology = topo::build_synthetic(spec);
-  sim::SimParams params = topo::synthetic_sim_params();
-  params.duration_s = args.duration_s;
+  const tuning::Workload w = bench::workload(args, "medium", /*tiim=*/true);
 
   bench::SuggestTimer timer(args.passes);
   BoVariant out;
@@ -513,10 +503,10 @@ BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
         tuner.bo = bopts;
         tuner.seed = tuner_seed + pass;
         tuner.name = name;
-        return tuning::make_tuner("bo", topology, std::move(tuner));
+        return tuning::make_tuner("bo", w.topology, std::move(tuner));
       }),
-      bench::sim_objective_factory(topology, topo::paper_cluster(), params,
-                                   objective_seed),
+      tuning::sim_objective_factory(w.topology, w.cluster, w.params,
+                                    objective_seed),
       bench::experiment_options(args, "bo"));
   out.mean_step_seconds = timer.mean_step_seconds();
   return out;
@@ -542,15 +532,13 @@ void ablation_acquisition(const Args& args) {
   };
 
   // Sundog's batch + concurrency space, hints fixed at the pla optimum.
-  const sim::Topology sundog = topo::build_sundog();
-  sim::SimParams params = topo::sundog_sim_params();
-  params.duration_s = args.duration_s;
+  const tuning::Workload sundog = bench::workload(args, "sundog");
   for (const auto acq : acquisitions) {
     const auto best = bench::run_bench_campaign(
         args,
         [&](std::size_t pass) {
           tuning::TunerSpec tuner;
-          tuner.defaults = topo::sundog_baseline_config(sundog, 11);
+          tuner.defaults = topo::sundog_baseline_config(sundog.topology, 11);
           tuner.space.tune_hints = false;
           tuner.space.tune_batch = true;
           tuner.space.tune_concurrency = true;
@@ -558,10 +546,10 @@ void ablation_acquisition(const Args& args) {
           tuner.bo.acquisition = acq;
           tuner.seed = args.seed * 17 + pass + static_cast<std::uint64_t>(acq);
           tuner.name = "bo." + bo::to_string(acq);
-          return tuning::make_tuner("bo", sundog, std::move(tuner));
+          return tuning::make_tuner("bo", sundog.topology, std::move(tuner));
         },
-        bench::sim_objective_factory(sundog, topo::sundog_cluster(), params,
-                                     args.seed + 1),
+        tuning::sim_objective_factory(sundog.topology, sundog.cluster,
+                                      sundog.params, args.seed + 1),
         bench::experiment_options(args, "bo"));
     add("sundog bs_bp_cc", acq, best);
     std::fprintf(stderr, "[ablation-acquisition] sundog %s done\n",
@@ -668,22 +656,17 @@ class AveragingObjective final : public tuning::Objective {
 void ablation_noise(const Args& args) {
   header("Ablation: single-sample vs averaged measurements", args);
 
-  topo::SyntheticSpec spec;
-  spec.size = topo::TopologySize::kSmall;
-  spec.time_imbalance = true;
-  const sim::Topology topology = topo::build_synthetic(spec);
-  sim::SimParams params = topo::synthetic_sim_params();
-  params.duration_s = args.duration_s;
+  tuning::Workload w = bench::workload(args, "small", /*tiim=*/true);
   // Crank the noise so the ablation has something to average away: heavy
   // student use of the lab machines.
-  params.throughput_noise_sd = 0.10;
-  params.background_load_prob = 0.10;
+  w.params.throughput_noise_sd = 0.10;
+  w.params.background_load_prob = 0.10;
 
   TextTable t({"Protocol", "Configs tested", "Evaluations",
                "True tuples/s of chosen config"});
 
   // Noise-free probe for judging the chosen configuration fairly.
-  sim::SimParams clean = params;
+  sim::SimParams clean = w.params;
   clean.throughput_noise_sd = 0.0;
   clean.background_load_prob = 0.0;
 
@@ -698,7 +681,7 @@ void ablation_noise(const Args& args) {
   for (const Protocol& proto :
        {Protocol{"single-sample", budget, 1},
         Protocol{"average-of-3", budget / avg_k, avg_k}}) {
-    tuning::SimObjective raw(topology, topo::paper_cluster(), params,
+    tuning::SimObjective raw(w.topology, w.cluster, w.params,
                              args.seed + 5);
     AveragingObjective objective(raw, proto.k);
     tuning::TunerSpec tuner_spec;
@@ -710,15 +693,15 @@ void ablation_noise(const Args& args) {
     tuner_spec.seed = args.seed * 31;
     tuner_spec.name = "bo." + proto.name;
     const auto tuner =
-        tuning::make_tuner("bo", topology, std::move(tuner_spec));
+        tuning::make_tuner("bo", w.topology, std::move(tuner_spec));
     tuning::ExperimentOptions eopts;
     eopts.max_steps = proto.steps;
     eopts.best_config_reps = 0;
     eopts.zero_streak_stop = 0;  // noisy cells hit zeros; keep searching
     const auto r = tuning::run_experiment(*tuner, objective, eopts);
 
-    const auto truth = sim::simulate(topology, r.best_config,
-                                     topo::paper_cluster(), clean,
+    const auto truth = sim::simulate(w.topology, r.best_config,
+                                     w.cluster, clean,
                                      args.seed + 99);
     t.add_row({proto.name, std::to_string(proto.steps),
                std::to_string(raw.num_evaluations()),
@@ -746,13 +729,9 @@ void ablation_fanout(const Args& args) {
   for (const auto size : {topo::TopologySize::kMedium,
                           topo::TopologySize::kLarge}) {
     for (const bool split : {true, false}) {
-      sim::SimParams params = topo::synthetic_sim_params();
-      params.duration_s = args.duration_s;
-      topo::SyntheticSpec spec;
-      spec.size = size;
-      sim::Topology topology = topo::build_synthetic(spec);
-      for (std::size_t v = 0; v < topology.num_nodes(); ++v) {
-        topology.node(v).split_output = split;
+      tuning::Workload w = bench::workload(args, topo::to_string(size));
+      for (std::size_t v = 0; v < w.topology.num_nodes(); ++v) {
+        w.topology.node(v).split_output = split;
       }
 
       double means[2] = {0.0, 0.0};
@@ -763,10 +742,10 @@ void ablation_fanout(const Args& args) {
             [&](std::size_t) {
               tuning::TunerSpec tuner;
               tuner.defaults = bench::synthetic_defaults();
-              return tuning::make_tuner(names[i], topology, std::move(tuner));
+              return tuning::make_tuner(names[i], w.topology, std::move(tuner));
             },
-            bench::sim_objective_factory(topology, topo::paper_cluster(),
-                                         params, args.seed + 6),
+            tuning::sim_objective_factory(w.topology, w.cluster, w.params,
+                                          args.seed + 6),
             bench::experiment_options(args, names[i]));
         means[i] = best.best_rep_stats.mean;
       }
@@ -804,23 +783,18 @@ bool constant(const std::vector<double>& xs) {
 void ablation_fluid(const Args& args) {
   header("Ablation: DES vs fluid bottleneck model", args);
 
-  topo::SyntheticSpec spec;
-  spec.size = topo::TopologySize::kMedium;
-  spec.time_imbalance = true;
-  spec.contention_fraction = 0.25;
-  const sim::Topology topology = topo::build_synthetic(spec);
-  sim::SimParams params = topo::synthetic_sim_params();
-  params.duration_s = args.duration_s;
-  params.throughput_noise_sd = 0.0;
-  const sim::ClusterSpec cluster = topo::paper_cluster();
+  tuning::Workload w =
+      bench::workload(args, "medium", /*tiim=*/true, /*contention=*/0.25);
+  w.params.throughput_noise_sd = 0.0;
 
   // 1. Uniform hint sweep: fluid vs DES side by side.
   TextTable sweep({"Hint", "DES tuples/s", "Fluid tuples/s", "Fluid/DES"});
   for (int h : {1, 2, 4, 8, 12, 16, 20}) {
     sim::TopologyConfig c = bench::synthetic_defaults();
-    c.parallelism_hints.assign(topology.num_nodes(), h);
-    const auto des = sim::simulate(topology, c, cluster, params, args.seed);
-    const auto fluid = sim::fluid_estimate(topology, c, cluster, params);
+    c.parallelism_hints.assign(w.topology.num_nodes(), h);
+    const auto des =
+        sim::simulate(w.topology, c, w.cluster, w.params, args.seed);
+    const auto fluid = sim::fluid_estimate(w.topology, c, w.cluster, w.params);
     sweep.add_row({std::to_string(h),
                    TextTable::num(des.noiseless_throughput, 1),
                    TextTable::num(fluid.throughput_tuples_per_s, 1),
@@ -835,14 +809,14 @@ void ablation_fluid(const Args& args) {
   std::vector<double> des_r, fluid_r;
   for (int i = 0; i < 40; ++i) {
     sim::TopologyConfig c = bench::synthetic_defaults();
-    c.parallelism_hints.resize(topology.num_nodes());
+    c.parallelism_hints.resize(w.topology.num_nodes());
     for (auto& h : c.parallelism_hints) {
       h = static_cast<int>(rng.uniform_int(1, 20));
     }
     c.batch_parallelism = static_cast<int>(rng.uniform_int(1, 16));
-    const auto des = sim::simulate(topology, c, cluster, params,
+    const auto des = sim::simulate(w.topology, c, w.cluster, w.params,
                                    args.seed + static_cast<std::uint64_t>(i));
-    const auto fluid = sim::fluid_estimate(topology, c, cluster, params);
+    const auto fluid = sim::fluid_estimate(w.topology, c, w.cluster, w.params);
     des_r.push_back(des.noiseless_throughput);
     fluid_r.push_back(fluid.throughput_tuples_per_s);
   }
@@ -903,42 +877,33 @@ void ablation_scheduler(const Args& args) {
 
   // Sundog under its hand-tuned configuration.
   {
-    const sim::Topology topology = topo::build_sundog();
+    tuning::Workload w = bench::workload(args, "sundog");
     const sim::TopologyConfig config =
-        topo::sundog_baseline_config(topology, 11);
-    sim::SimParams params = topo::sundog_sim_params();
-    params.duration_s = args.duration_s;
+        topo::sundog_baseline_config(w.topology, 11);
     for (const auto policy : policies) {
-      params.scheduler = policy;
+      w.params.scheduler = policy;
       add("sundog (hints=11)", policy,
-          placement_runs(topology, config, topo::sundog_cluster(), params,
-                         args));
+          placement_runs(w.topology, config, w.cluster, w.params, args));
     }
   }
 
   // Imbalanced medium topology with deliberately skewed hints (deep nodes
   // over-parallelized) on a small cluster — where placement matters most.
   {
-    topo::SyntheticSpec spec;
-    spec.size = topo::TopologySize::kMedium;
-    spec.time_imbalance = true;
-    const sim::Topology topology = topo::build_synthetic(spec);
-    sim::ClusterSpec cluster = topo::paper_cluster();
-    cluster.num_machines = 10;  // placement pressure
-    sim::SimParams params = topo::synthetic_sim_params();
-    params.duration_s = args.duration_s;
+    tuning::Workload w = bench::workload(args, "medium", /*tiim=*/true);
+    w.cluster.num_machines = 10;  // placement pressure
     sim::TopologyConfig config = bench::synthetic_defaults();
-    const auto weights = topology.base_parallelism_weights();
-    config.parallelism_hints.resize(topology.num_nodes());
-    for (std::size_t v = 0; v < topology.num_nodes(); ++v) {
+    const auto weights = w.topology.base_parallelism_weights();
+    config.parallelism_hints.resize(w.topology.num_nodes());
+    for (std::size_t v = 0; v < w.topology.num_nodes(); ++v) {
       config.parallelism_hints[v] =
           std::max(1, static_cast<int>(weights[v]));
     }
     config.max_tasks = 200;
     for (const auto policy : policies) {
-      params.scheduler = policy;
+      w.params.scheduler = policy;
       add("medium/TiIm100, 10 machines", policy,
-          placement_runs(topology, config, cluster, params, args));
+          placement_runs(w.topology, config, w.cluster, w.params, args));
     }
   }
   std::printf("%s", t.render().c_str());

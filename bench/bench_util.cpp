@@ -16,7 +16,6 @@
 #include "common/isa.hpp"
 #include "common/thread_pool.hpp"
 #include "topology/sundog.hpp"
-#include "tuning/objective.hpp"
 #include "tuning/result_sink.hpp"
 #include "tuning/strategy.hpp"
 
@@ -130,6 +129,16 @@ std::vector<CellSpec> figure4_cells() {
   return cells;
 }
 
+tuning::Workload workload(const Args& args, const std::string& topology,
+                          bool tiim, double contention) {
+  tuning::CampaignDesc desc;
+  desc.topology = topology;
+  desc.tiim = tiim;
+  desc.contention = contention;
+  desc.duration_s = args.duration_s;
+  return tuning::load_workload(desc);
+}
+
 sim::TopologyConfig synthetic_defaults() {
   sim::TopologyConfig c;
   c.batch_size = 200;
@@ -170,17 +179,6 @@ tuning::ExperimentOptions experiment_options(const Args& args,
   o.zero_streak_stop = 3;  // the paper's early-stop rule
   o.best_config_reps = args.reps;
   return o;
-}
-
-tuning::ObjectiveFactory sim_objective_factory(const sim::Topology& topology,
-                                              const sim::ClusterSpec& cluster,
-                                              const sim::SimParams& params,
-                                              std::uint64_t seed) {
-  return [topology, cluster, params,
-          seed](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-    return std::make_unique<tuning::SimObjective>(
-        topology, cluster, params, seed + 0x632be59bd9b4e019ULL * pass);
-  };
 }
 
 tuning::ExperimentResult run_bench_campaign(
@@ -261,22 +259,17 @@ std::unique_ptr<tuning::Tuner> sundog_tuner(const std::string& strategy,
                                             std::uint64_t seed) {
   STORMTUNE_REQUIRE(strategy != "pla" || param_set == "h",
                     "pla can only tune parallelism hints");
+  // Each set is a list of `what` blocks; hints left out stay at 11.
+  tuning::CampaignDesc blocks;
+  blocks.what = param_set == "h_bs_bp"    ? "h,batch"
+                : param_set == "bs_bp_cc" ? "batch,cc"
+                                          : param_set;
   tuning::TunerSpec spec;
+  spec.space = tuning::space_options(blocks);
   spec.defaults = topo::sundog_baseline_config(topology, 11);
   spec.space.hint_max = 40;
   spec.space.max_tasks_min = static_cast<int>(topology.num_nodes());
   spec.space.max_tasks_max = 2000;
-  if (param_set == "h") {
-    // hints + max-tasks only.
-  } else if (param_set == "h_bs_bp") {
-    spec.space.tune_batch = true;
-  } else if (param_set == "bs_bp_cc") {
-    spec.space.tune_hints = false;  // hints stay at the pla optimum (11)
-    spec.space.tune_batch = true;
-    spec.space.tune_concurrency = true;
-  } else {
-    STORMTUNE_REQUIRE(false, "unknown sundog param set '" + param_set + "'");
-  }
   spec.bo = bench_bo_options();
   spec.seed = seed;
   spec.name = strategy + "." + param_set;
@@ -324,14 +317,8 @@ double SuggestTimer::max_step_seconds() const {
 CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
                                 const std::string& strategy,
                                 std::size_t step_override) {
-  topo::SyntheticSpec spec;
-  spec.size = cell.size;
-  spec.time_imbalance = cell.time_imbalance;
-  spec.contention_fraction = cell.contention;
-  const sim::Topology topology = topo::build_synthetic(spec);
-
-  sim::SimParams params = topo::synthetic_sim_params();
-  params.duration_s = args.duration_s;
+  const tuning::Workload w = workload(args, topo::to_string(cell.size),
+                                      cell.time_imbalance, cell.contention);
 
   // A fixed objective seed per cell keeps strategies comparable; the
   // optimizer passes get distinct seeds, and each pass owns its objective.
@@ -346,10 +333,11 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   out.best = run_bench_campaign(
       args,
       timer.wrap([&](std::size_t pass) {
-        return synthetic_tuner(strategy, topology, cell_seed * 7919 + pass);
+        return synthetic_tuner(strategy, w.topology,
+                               tuning::pass_seeds(cell_seed, pass).tuner);
       }),
-      sim_objective_factory(topology, topo::paper_cluster(), params,
-                            cell_seed),
+      tuning::sim_objective_factory(w.topology, w.cluster, w.params,
+                                    cell_seed),
       experiment_options(args, strategy, step_override), &out.passes);
   out.mean_step_seconds = timer.mean_step_seconds();
   out.max_step_seconds = timer.max_step_seconds();
@@ -361,9 +349,7 @@ SundogResult run_sundog_campaign(const Args& args,
                                  const std::string& strategy,
                                  const std::string& param_set,
                                  std::size_t step_override) {
-  const sim::Topology topology = topo::build_sundog();
-  sim::SimParams params = topo::sundog_sim_params();
-  params.duration_s = args.duration_s;
+  const tuning::Workload w = workload(args, "sundog");
 
   SundogResult out;
   out.strategy = strategy;
@@ -371,12 +357,12 @@ SundogResult run_sundog_campaign(const Args& args,
   out.best = run_bench_campaign(
       args,
       [&](std::size_t pass) {
-        return sundog_tuner(strategy, param_set, topology,
+        return sundog_tuner(strategy, param_set, w.topology,
                             args.seed * 31 + pass * 1009 +
                                 std::hash<std::string>{}(param_set));
       },
-      sim_objective_factory(topology, topo::sundog_cluster(), params,
-                            args.seed + 4242),
+      tuning::sim_objective_factory(w.topology, w.cluster, w.params,
+                                    args.seed + 4242),
       experiment_options(args, strategy, step_override), &out.passes);
   record_campaign_result(args, "sundog/" + strategy + "/" + param_set,
                          out.best);

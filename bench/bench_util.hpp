@@ -18,6 +18,7 @@
 #include "stormsim/config.hpp"
 #include "stormsim/topology.hpp"
 #include "topology/synthetic.hpp"
+#include "tuning/campaign.hpp"
 #include "tuning/experiment.hpp"
 
 namespace stormtune::bench {
@@ -68,6 +69,11 @@ struct CellSpec {
 /// All 12 cells: {small,medium,large} x {0,100}% TiIm x {0,25}% contention.
 std::vector<CellSpec> figure4_cells();
 
+/// The catalogue workload `topology` names (tuning::load_workload),
+/// measured over args.duration_s windows.
+tuning::Workload workload(const Args& args, const std::string& topology,
+                          bool tiim = false, double contention = 0.0);
+
 /// Default deployment configuration for synthetic-topology experiments.
 sim::TopologyConfig synthetic_defaults();
 
@@ -80,14 +86,6 @@ bo::BayesOptOptions bench_bo_options();
 tuning::ExperimentOptions experiment_options(const Args& args,
                                              const std::string& strategy,
                                              std::size_t step_override = 0);
-
-/// Per-pass SimObjective factory with the harness's seed stride: pass p
-/// measures with seed + 0x632be59bd9b4e019 * p, so pass 0 keeps `seed` and
-/// the passes draw independent noise.
-tuning::ObjectiveFactory sim_objective_factory(const sim::Topology& topology,
-                                              const sim::ClusterSpec& cluster,
-                                              const sim::SimParams& params,
-                                              std::uint64_t seed);
 
 /// Run one campaign of args.passes passes over args.pool_threads() workers
 /// (tuning::run_campaign); all passes are appended to `passes` when

@@ -16,6 +16,7 @@
 // the entry point or the thread count.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -74,6 +75,29 @@ struct CampaignSpec {
   ExperimentOptions options;
   std::size_t passes = 2;          ///< paper protocol: best of two passes
 };
+
+/// The seeds of one pass of a campaign.
+struct PassSeeds {
+  std::uint64_t tuner;      ///< the tuner's random stream
+  std::uint64_t objective;  ///< the objective's measurement noise
+};
+
+/// Pass `p`'s seeds in a campaign seeded with `seed`, the rule of every
+/// multi-pass campaign (`tune-many`, the ladder factories, bench_repro):
+/// pass 0 measures with `seed` itself and the passes draw independent
+/// streams.
+constexpr PassSeeds pass_seeds(std::uint64_t seed, std::size_t p) {
+  return {seed * 7919 + p, seed + 0x632be59bd9b4e019ULL * p};
+}
+
+/// `stormtune tune`'s rule: its one pass seeds both halves with `seed`, so
+/// it differs from a one-pass campaign seeded by pass_seeds.
+constexpr PassSeeds solo_seeds(std::uint64_t seed, std::size_t) {
+  return {seed, seed};
+}
+
+/// A per-pass seed rule: pass_seeds or solo_seeds.
+using SeedRule = PassSeeds (*)(std::uint64_t seed, std::size_t pass);
 
 /// Run every pass of `spec` (one run_experiment each, on its own tuner and
 /// objective) over a StrandPool of `threads` workers, the caller included

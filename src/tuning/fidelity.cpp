@@ -14,8 +14,6 @@ namespace {
 constexpr std::uint64_t kRung1SeedSalt = 0xd1b54a32d192ed03ULL;
 /// Seed salt for the tuner's screening stream (uniform candidate draws).
 constexpr std::uint64_t kScreenSeedSalt = 0xa0761d6478bd642fULL;
-/// Per-pass objective-seed stride, matching the tune-many CLI convention.
-constexpr std::uint64_t kPassSeedStride = 0x632be59bd9b4e019ULL;
 
 sim::SimParams rung1_params(const sim::SimParams& full,
                             const LadderOptions& options) {
@@ -49,46 +47,6 @@ bo::BayesOptOptions ladder_bo_options(bo::BayesOptOptions o,
 }
 
 }  // namespace
-
-Json LadderOptions::to_json() const {
-  JsonObject o;
-  o["screen_batch"] = screen_batch;
-  o["promote_top_k"] = promote_top_k;
-  o["challenge_fraction"] = challenge_fraction;
-  o["rung1_epsilon"] = rung1_epsilon;
-  o["rung1_window_fraction"] = rung1_window_fraction;
-  o["rung1_noise_multiple"] = rung1_noise_multiple;
-  o["cost_aware_acquisition"] = cost_aware_acquisition;
-  return Json(std::move(o));
-}
-
-LadderOptions LadderOptions::from_json(const Json& j) {
-  // Every field falls back to its default when absent, so a campaign entry
-  // can override a single knob without restating the rest.
-  LadderOptions o;
-  if (j.contains("screen_batch")) {
-    o.screen_batch = static_cast<std::size_t>(j.at("screen_batch").as_int());
-  }
-  if (j.contains("promote_top_k")) {
-    o.promote_top_k = static_cast<std::size_t>(j.at("promote_top_k").as_int());
-  }
-  if (j.contains("challenge_fraction")) {
-    o.challenge_fraction = j.at("challenge_fraction").as_number();
-  }
-  if (j.contains("rung1_epsilon")) {
-    o.rung1_epsilon = j.at("rung1_epsilon").as_number();
-  }
-  if (j.contains("rung1_window_fraction")) {
-    o.rung1_window_fraction = j.at("rung1_window_fraction").as_number();
-  }
-  if (j.contains("rung1_noise_multiple")) {
-    o.rung1_noise_multiple = j.at("rung1_noise_multiple").as_number();
-  }
-  if (j.contains("cost_aware_acquisition")) {
-    o.cost_aware_acquisition = j.at("cost_aware_acquisition").as_bool();
-  }
-  return o;
-}
 
 FidelityLadder::FidelityLadder(sim::Topology topology, sim::ClusterSpec cluster,
                                sim::SimParams params, std::uint64_t seed,
@@ -277,8 +235,7 @@ std::shared_ptr<FidelityLadder> LadderCampaignFactories::ladder(
   std::weak_ptr<FidelityLadder>& slot = ladders_[pass];
   if (auto live = slot.lock()) return live;
   const std::uint64_t seed =
-      config_.objective_seed +
-      kPassSeedStride * static_cast<std::uint64_t>(pass);
+      config_.seeds(config_.objective_seed, pass).objective;
   // Not make_shared: the weak slot would then hold the ladder's storage.
   std::shared_ptr<FidelityLadder> l(
       new FidelityLadder(config_.topology, config_.cluster, config_.params,
@@ -300,7 +257,7 @@ TunerFactory LadderCampaignFactories::tuner_factory() {
   auto self = shared_from_this();
   return [self](std::size_t pass) -> std::unique_ptr<Tuner> {
     bo::BayesOptOptions bo = self->config_.bo;
-    bo.seed = self->config_.bo.seed * 7919 + pass;
+    bo.seed = self->config_.seeds(self->config_.bo.seed, pass).tuner;
     ConfigSpace space(self->config_.topology, self->config_.space,
                       self->config_.defaults);
     return std::make_unique<LadderTuner>(std::move(space), std::move(bo),

@@ -43,7 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hpp"
 #include "stormsim/fluid.hpp"
 #include "tuning/experiment.hpp"
 #include "tuning/objective.hpp"
@@ -77,9 +76,6 @@ struct LadderOptions {
   /// Divide the acquisition by each candidate's expected evaluation cost
   /// (BayesOpt::set_acquisition_costs) once both rung costs are measured.
   bool cost_aware_acquisition = true;
-
-  Json to_json() const;
-  static LadderOptions from_json(const Json& j);
 };
 
 struct LadderStats {
@@ -206,9 +202,8 @@ class SharedLadderObjective final : public Objective {
 };
 
 /// Everything needed to build one ladder campaign's per-pass tuners and
-/// objectives. Seeds follow the tune-many conventions: pass p's tuner seeds
-/// its optimizer with bo.seed * 7919 + p, and pass p's ladder derives its
-/// simulation seed as objective_seed + 0x632be59bd9b4e019 · p.
+/// objectives. Pass p's optimizer is seeded with seeds(bo.seed, p).tuner
+/// and its ladder with seeds(objective_seed, p).objective.
 struct LadderCampaignConfig {
   sim::Topology topology;
   sim::ClusterSpec cluster;
@@ -219,6 +214,7 @@ struct LadderCampaignConfig {
   LadderOptions ladder;
   std::uint64_t objective_seed = 1;
   std::string tuner_name = "bo+ladder";
+  SeedRule seeds = pass_seeds;
 };
 
 /// Per-pass factory pair for the campaign drivers (run_campaign and

@@ -173,33 +173,6 @@ LadderWorkload ladder_workload() {
   return w;
 }
 
-TEST(LadderOptions, JsonRoundTripPreservesEveryKnob) {
-  LadderOptions o;
-  o.screen_batch = 12;
-  o.promote_top_k = 3;
-  o.challenge_fraction = 0.8;
-  o.rung1_epsilon = 0.2;
-  o.rung1_window_fraction = 0.5;
-  o.rung1_noise_multiple = 6.0;
-  o.cost_aware_acquisition = false;
-  const LadderOptions back = LadderOptions::from_json(o.to_json());
-  EXPECT_EQ(back.screen_batch, 12u);
-  EXPECT_EQ(back.promote_top_k, 3u);
-  EXPECT_EQ(back.challenge_fraction, 0.8);
-  EXPECT_EQ(back.rung1_epsilon, 0.2);
-  EXPECT_EQ(back.rung1_window_fraction, 0.5);
-  EXPECT_EQ(back.rung1_noise_multiple, 6.0);
-  EXPECT_FALSE(back.cost_aware_acquisition);
-  // Partial documents override only the named fields — a campaign entry can
-  // set one knob without restating the rest.
-  JsonObject partial;
-  partial["promote_top_k"] = static_cast<std::size_t>(4);
-  const LadderOptions merged = LadderOptions::from_json(Json(partial));
-  EXPECT_EQ(merged.promote_top_k, 4u);
-  EXPECT_EQ(merged.screen_batch, LadderOptions{}.screen_batch);
-  EXPECT_EQ(merged.challenge_fraction, LadderOptions{}.challenge_fraction);
-}
-
 TEST(FidelityLadder, EscalatesOnlyIncumbentChallenges) {
   const LadderWorkload w = ladder_workload();
   auto ladder = std::make_shared<FidelityLadder>(w.topology, w.cluster,

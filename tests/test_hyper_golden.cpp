@@ -103,8 +103,6 @@ void expect_thetas(const std::vector<std::vector<double>>& got,
 bool golden_host() {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   return false;  // the goldens pin glibc's x86-64 vector exp
-#elif defined(STORMTUNE_NATIVE_BUILD)
-  return false;  // -march=native contracts non-kernel TUs
 #else
   return true;
 #endif

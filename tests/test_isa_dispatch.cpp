@@ -302,9 +302,6 @@ TEST(IsaDispatch, CorrelationBitsPinnedOnEveryPath) {
 // bound — because the solve/factorization results feed golden tests and
 // run-to-run determinism checks that compare bits.
 TEST(IsaDispatch, RowUpdateKernelsBitIdenticalAcrossPaths) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the portable reference TU";
-#endif
   const lk::KernelOps* portable = lk::ops_for(isa::Path::kPortable);
   ASSERT_NE(portable, nullptr);
   for (const isa::Path path : runnable_paths()) {
@@ -366,9 +363,6 @@ Matrix leading_block(const Matrix& a, std::size_t k) {
 // k-ascending subtractions and reciprocal scaling, so on every path it
 // equals the unblocked oracle bit for bit.
 TEST(IsaDispatch, CholeskyMatchesReferenceExactlyOnEveryPath) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the reference TU's callers";
-#endif
   for (const isa::Path path : runnable_paths()) {
     const ScopedIsa pin(path);
     Rng rng(31);
@@ -424,9 +418,6 @@ TEST(IsaDispatch, NonSpdFailsAtReferenceColumnOnEveryPath) {
 // reciprocal scaling, at right-hand-side counts that leave a partial vector
 // and a partial strip on every lane width.
 TEST(IsaDispatch, MultiRhsSolvesMatchReferenceExactlyOnEveryPath) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the reference TU's callers";
-#endif
   for (const isa::Path path : runnable_paths()) {
     const lk::KernelOps* ops = lk::ops_for(path);
     ASSERT_NE(ops, nullptr) << isa::to_string(path);
@@ -463,9 +454,6 @@ TEST(IsaDispatch, MultiRhsSolvesMatchReferenceExactlyOnEveryPath) {
 // The lane-parallel distance kernel against the scalar loop it replaced,
 // unweighted and with ARD's per-coordinate weights.
 TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the naive loop";
-#endif
   for (const isa::Path path : runnable_paths()) {
     const lk::KernelOps* ops = lk::ops_for(path);
     ASSERT_NE(ops, nullptr) << isa::to_string(path);
@@ -510,9 +498,6 @@ TEST(IsaDispatch, SqDistRowsMatchNaiveLoopOnEveryPath) {
 // across lane, strip and tail widths — so the paths agree with each other
 // bit for bit too.
 TEST(IsaDispatch, ColumnMomentsMatchNaiveLoopOnEveryPath) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the naive loop";
-#endif
   for (const isa::Path path : runnable_paths()) {
     const lk::KernelOps* ops = lk::ops_for(path);
     ASSERT_NE(ops, nullptr) << isa::to_string(path);
@@ -549,9 +534,6 @@ TEST(IsaDispatch, ColumnMomentsMatchNaiveLoopOnEveryPath) {
 // reciprocal-scaled reference forward substitution and scalar sums. A
 // candidate's bits must not depend on the block it is predicted in.
 TEST(IsaDispatch, BlockPredictMatchesPerCandidateOracleOnEveryPath) {
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native may contract the oracle loops";
-#endif
   const std::size_t n = 24, d = 3;
   Rng rng(99);
   Matrix x(n, d);
@@ -878,9 +860,6 @@ TEST(IsaDispatch, SuggestGoldenPortablePath) {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
 #endif
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
-#endif
   const ScopedIsa pin(isa::Path::kPortable);
   bo::ParamSpace space({bo::ParamSpec::real("x", 0.0, 1.0),
                         bo::ParamSpec::real("w", -2.0, 2.0),
@@ -923,9 +902,6 @@ TEST(IsaDispatch, SuggestGoldenPortablePath) {
 TEST(IsaDispatch, SuggestGoldenD101PortablePath) {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
-#endif
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
 #endif
   const ScopedIsa pin(isa::Path::kPortable);
   constexpr std::size_t kDims = 101;
@@ -999,9 +975,6 @@ TEST(IsaDispatch, SuggestGoldenD101PortablePath) {
 TEST(IsaDispatch, SuggestGoldenD60MatchesUnprunedSearch) {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
-#endif
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
 #endif
   const ScopedIsa pin(isa::Path::kPortable);
   constexpr std::size_t kDims = 60;
@@ -1115,9 +1088,6 @@ TEST(IsaDispatch, SuggestGoldenD60MatchesUnprunedSearch) {
 TEST(IsaDispatch, SuggestGoldenArdPortablePath) {
 #if !(defined(__x86_64__) && defined(__GLIBC__))
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
-#endif
-#ifdef STORMTUNE_NATIVE_BUILD
-  GTEST_SKIP() << "-march=native contracts non-kernel TUs";
 #endif
   const ScopedIsa pin(isa::Path::kPortable);
   const bo::ParamSpace space({bo::ParamSpec::real("x", 0.0, 1.0),

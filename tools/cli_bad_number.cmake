@@ -8,9 +8,11 @@
 # read and requires exit 2 naming the first such flag and the subcommand.
 # Then runs
 # `stormtune tune-many` on campaign files whose counts or seed are negative
-# or fractional, whose duration is not positive, whose strategy is unknown,
-# or whose ladder campaign names a strategy the ladder cannot drive, and
-# requires each run to exit 1, name the field and schedule nothing. Last,
+# or fractional, whose duration is not positive, whose strategy, topology or
+# what block is unknown, whose what repeats or leaves out a block, whose
+# ladder challenge fraction is out of (0, 1], or whose ladder campaign names
+# a strategy the ladder cannot drive, and requires each run to exit 1, name
+# the field and schedule nothing. Last,
 # `simulate --duration=0` must exit 1 naming duration. No error message
 # may carry a source location (a ".cpp:" of the build's checkout).
 #
@@ -72,12 +74,19 @@ endforeach()
 foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
              "ladder_promote_top_k;-1" "seed;-1" "steps;2.5" "seed;0.5"
              "duration;-1" "duration;0" "strategy;\"bogus\""
-             "strategy;\"pla\", \"fidelity\": \"ladder\"")
+             "strategy;\"pla\", \"fidelity\": \"ladder\""
+             "topology;\"bogus\"" "what;\"zzz\"" "what;\"batch,batch\""
+             "what;\"\"" "ladder_challenge_fraction;0"
+             "ladder_challenge_fraction;2, \"fidelity\": \"ladder\"")
   list(GET case 0 field)
   list(GET case 1 value)
   set(campaigns "${WORK_DIR}/bad_${field}.json")
-  file(WRITE "${campaigns}"
-       "[{\"topology\": \"small\", \"${field}\": ${value}}]\n")
+  if(field STREQUAL "topology")
+    file(WRITE "${campaigns}" "[{\"topology\": ${value}}]\n")
+  else()
+    file(WRITE "${campaigns}"
+         "[{\"topology\": \"small\", \"${field}\": ${value}}]\n")
+  endif()
   execute_process(
     COMMAND "${STORMTUNE}" tune-many --campaigns=${campaigns}
     TIMEOUT 60
@@ -120,6 +129,6 @@ endif()
 require_no_location("stormtune simulate --duration=0" "${err}")
 message(STATUS "malformed numeric flags, tune --threads and flags of other "
                "subcommands exit 2 and name the flag; malformed campaign "
-               "counts, durations and strategies exit 1 and name the "
-               "field; simulate --duration=0 exits 1 naming duration; no "
-               "error carries a source location")
+               "counts and values exit 1 and name the field; simulate "
+               "--duration=0 exits 1 naming duration; no error carries a "
+               "source location")

@@ -13,62 +13,35 @@
 //
 // simulate options: --hint=N --bs=N --bp=N --wt=N --rt=N --ackers=N
 //                   --max-tasks=N --duration=S --seed=N
-// tune options:     --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
-//                   --what=h|h,batch|h,batch,cc|batch,cc --seed=N
-//                   --json=FILE --csv=FILE (one campaign runs on one
-//                   thread; --threads is a usage error here, it sizes
-//                   only tune-many's scheduler)
-//                   --adaptive-window[=EPS]  end each evaluation once its
-//                   steady-state throughput estimate converges (relative
-//                   95% CI half-width < EPS, default 0.05) instead of
-//                   always simulating the full window
-//                   --fidelity=full|ladder  full (default) pays a complete
-//                   simulation per BO evaluation; ladder screens candidate
-//                   batches with the ~µs fluid model, promotes the best to
-//                   a short adaptive-window run, and spends a full-window
-//                   run only on configs that challenge the incumbent
-//                   (strategies bo/ibo only; uses the fixed-hyper GP with
-//                   per-rung observation noise)
-//                   --gp-window=N  bound the BO surrogate to the N most
-//                   recent observations (FIFO eviction, incumbent pinned):
-//                   suggest cost stays O(N³)-flat instead of growing with
-//                   campaign length. 0 (default) = unbounded, which is
-//                   bit-identical to pre-window builds.
+//                   --adaptive-window[=EPS]
+// tune options:     the simulate options, and
+//                   --strategy=pla|ipla|bo|ibo|random --steps=N --reps=N
+//                   --what=h|h,batch|h,batch,cc|batch,cc (blocks, each
+//                   at most once) --json=FILE --csv=FILE
+//                   --fidelity=full|ladder (ladder: bo/ibo only)
+//                   --gp-window=N (0 = unbounded)
 //                   --ladder-rung1-epsilon=E --ladder-challenge-fraction=F
-//                   --ladder-promote-top-k=K  override the corresponding
-//                   LadderOptions knobs (defaults: 0.1, 0.9, 2)
-// tune-many options: --campaigns=FILE  JSON array (or {"campaigns":[...]})
-//                   of campaign entries; each entry names a topology and
-//                   may override name/strategy/steps/reps/passes/what/
-//                   seed/duration/adaptive_window/adaptive_epsilon/
-//                   fidelity/gp_window/ladder_rung1_epsilon/
-//                   ladder_challenge_fraction/ladder_promote_top_k, with
-//                   the command-line flags supplying the defaults.
-//                   steps/reps/passes/seed/gp_window/ladder_promote_top_k
-//                   must be non-negative integers; anything else is an
-//                   error (exit 1) that names the field.
-//                   --threads=N sizes the work-stealing scheduler (0 =
-//                   auto, the default; each optimizer suggests on the
-//                   worker that steps its pass);
-//                   --jsonl=FILE writes each finished campaign through
-//                   the result sink, one JSON line per campaign in
-//                   submission order, flushed as soon as the campaigns
-//                   before it have finished. Per-campaign results are
-//                   bit-identical to running that campaign alone (a
-//                   one-entry file), for any thread count and submission
-//                   order.
-//                   --adaptive-window composes: each campaign's
-//                   evaluations end early on convergence, and because the
-//                   stop rule is seeded and campaign-local, determinism
-//                   across thread counts still holds.
+//                   --ladder-promote-top-k=K (LadderOptions: 0.1, 0.9, 2)
+// tune-many options: the tune options but --json/--csv, and
+//                   --campaigns=FILE  a JSON array (or {"campaigns":[...]})
+//                   of campaign entries, each a tuning::CampaignDesc whose
+//                   defaults are the flags; --passes=N  default passes;
+//                   --threads=N  scheduler width (0 = auto);
+//                   --jsonl=FILE  one result line per campaign, in
+//                   submission order.
 //
+// README.md explains each option. A tune campaign runs on one thread, one
+// pass seeded with --seed itself (tuning::solo_seeds); tune-many seeds pass
+// p by tuning::pass_seeds, and its results do not depend on --threads.
 // Each subcommand accepts only the options listed for it above (info and
-// dot: --tiim and --contention); any other option, or a malformed numeric
-// value (--steps=abc, --hint=x), is a usage error (exit 2) that names it.
+// dot: --tiim and --contention); any other option, a malformed numeric
+// value (--steps=abc, --hint=x), or a tune value CampaignDesc::check
+// refuses is a usage error (exit 2) that names it. In tune-many a refused
+// campaign entry is an error (exit 1) naming the campaign and the field,
+// before any campaign is scheduled.
 // The kernel dispatch path comes from the STORMTUNE_ISA environment
 // variable (portable|avx2|avx512|auto; default auto-detect).
 #include <charconv>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -82,57 +55,30 @@
 
 #include "common/error.hpp"
 #include "common/isa.hpp"
+#include "common/json.hpp"
 #include "common/thread_pool.hpp"
 #include "stormsim/dot.hpp"
 #include "stormsim/engine.hpp"
 #include "stormsim/fluid.hpp"
-#include "topology/literature.hpp"
-#include "topology/sundog.hpp"
-#include "topology/synthetic.hpp"
-#include "common/json.hpp"
+#include "tuning/campaign.hpp"
 #include "tuning/campaign_scheduler.hpp"
-#include "tuning/experiment.hpp"
-#include "tuning/fidelity.hpp"
 #include "tuning/report.hpp"
 #include "tuning/result_sink.hpp"
-#include "tuning/strategy.hpp"
 
 namespace {
 
 using namespace stormtune;
 
+/// The command line: a campaign description (the defaults of every
+/// tune-many entry) plus the options only the CLI reads.
 struct Options {
-  std::string topology;
-  bool tiim = false;
-  double contention = 0.0;
-  int hint = 4;
-  int batch_size = 0;  // 0 = topology default
-  int batch_parallelism = 5;
-  int worker_threads = 8;
-  int receiver_threads = 1;
-  int ackers = 0;
-  int max_tasks = 0;
-  double duration_s = 20.0;
-  std::uint64_t seed = 1;
-  std::string strategy = "bo";
-  std::size_t steps = 30;
-  std::size_t reps = 10;
-  std::string what = "h";
+  tuning::CampaignDesc desc;
   std::string json_path;
   std::string csv_path;
   std::optional<std::size_t> threads;  // tune-many: scheduler workers
                                        // (0 or unset = auto)
-  std::string fidelity = "full";  // full | ladder (bo/ibo only)
-  std::size_t gp_window = 0;      // --gp-window: BO observation window
-                                  // (0 = unbounded, the default)
-  double ladder_rung1_epsilon = 0.0;       // 0 = LadderOptions default
-  double ladder_challenge_fraction = 0.0;  // 0 = LadderOptions default
-  std::size_t ladder_promote_top_k = 0;    // 0 = LadderOptions default
-  bool adaptive_window = false;
-  double adaptive_epsilon = 0.0;  // 0 = keep SimParams default
-  std::size_t passes = 2;         // tune-many: passes per campaign
-  std::string campaigns_path;     // tune-many: campaign list (JSON)
-  std::string jsonl_path;         // tune-many: result-sink output
+  std::string campaigns_path;          // tune-many: campaign list (JSON)
+  std::string jsonl_path;              // tune-many: result-sink output
 };
 
 [[noreturn]] void usage() {
@@ -159,6 +105,12 @@ struct Options {
   std::exit(2);
 }
 
+/// Prints `why` and the usage text, and exits 2.
+[[noreturn]] void usage_error(const std::string& why) {
+  std::fprintf(stderr, "%s\n", why.c_str());
+  usage();
+}
+
 const char* value_of(const char* arg, const char* key) {
   const std::size_t n = std::strlen(key);
   if (std::strncmp(arg, key, n) == 0 && arg[n] == '=') return arg + n + 1;
@@ -174,8 +126,7 @@ T number(const char* arg, const char* v) {
   const char* end = v + std::strlen(v);
   const auto [ptr, ec] = std::from_chars(v, end, out);
   if (ec != std::errc() || ptr != end) {
-    std::fprintf(stderr, "%s: expected a number\n", arg);
-    usage();
+    usage_error(std::string(arg) + ": expected a number");
   }
   return out;
 }
@@ -266,46 +217,41 @@ void require_accepted(const char* arg, const char* command_name,
 Options parse(int argc, char** argv, int first, const char* command_name,
               Command command) {
   Options o;
-  if (first < argc && argv[first][0] != '-') o.topology = argv[first++];
+  tuning::CampaignDesc& d = o.desc;
+  if (first < argc && argv[first][0] != '-') d.topology = argv[first++];
   for (int i = first; i < argc; ++i) {
     const char* a = argv[i];
     require_accepted(a, command_name, command);
-    if (std::strcmp(a, "--tiim") == 0) o.tiim = true;
-    else if (const char* v = value_of(a, "--contention")) o.contention = number<double>(a, v);
-    else if (const char* v = value_of(a, "--hint")) o.hint = number<int>(a, v);
-    else if (const char* v = value_of(a, "--bs")) o.batch_size = number<int>(a, v);
-    else if (const char* v = value_of(a, "--bp")) o.batch_parallelism = number<int>(a, v);
-    else if (const char* v = value_of(a, "--wt")) o.worker_threads = number<int>(a, v);
-    else if (const char* v = value_of(a, "--rt")) o.receiver_threads = number<int>(a, v);
-    else if (const char* v = value_of(a, "--ackers")) o.ackers = number<int>(a, v);
-    else if (const char* v = value_of(a, "--max-tasks")) o.max_tasks = number<int>(a, v);
-    else if (const char* v = value_of(a, "--duration")) o.duration_s = number<double>(a, v);
-    else if (const char* v = value_of(a, "--seed")) o.seed = number<std::uint64_t>(a, v);
-    else if (const char* v = value_of(a, "--strategy")) o.strategy = v;
-    else if (const char* v = value_of(a, "--steps")) o.steps = number<std::size_t>(a, v);
-    else if (const char* v = value_of(a, "--reps")) o.reps = number<std::size_t>(a, v);
-    else if (const char* v = value_of(a, "--what")) o.what = v;
+    if (std::strcmp(a, "--tiim") == 0) d.tiim = true;
+    else if (const char* v = value_of(a, "--contention")) d.contention = number<double>(a, v);
+    else if (const char* v = value_of(a, "--hint")) d.hint = number<int>(a, v);
+    else if (const char* v = value_of(a, "--bs")) d.batch_size = number<int>(a, v);
+    else if (const char* v = value_of(a, "--bp")) d.batch_parallelism = number<int>(a, v);
+    else if (const char* v = value_of(a, "--wt")) d.worker_threads = number<int>(a, v);
+    else if (const char* v = value_of(a, "--rt")) d.receiver_threads = number<int>(a, v);
+    else if (const char* v = value_of(a, "--ackers")) d.ackers = number<int>(a, v);
+    else if (const char* v = value_of(a, "--max-tasks")) d.max_tasks = number<int>(a, v);
+    else if (const char* v = value_of(a, "--duration")) d.duration_s = number<double>(a, v);
+    else if (const char* v = value_of(a, "--seed")) d.seed = number<std::uint64_t>(a, v);
+    else if (const char* v = value_of(a, "--strategy")) d.strategy = v;
+    else if (const char* v = value_of(a, "--steps")) d.steps = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--reps")) d.reps = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--what")) d.what = v;
     else if (const char* v = value_of(a, "--json")) o.json_path = v;
     else if (const char* v = value_of(a, "--csv")) o.csv_path = v;
     else if (const char* v = value_of(a, "--threads")) o.threads = number<std::size_t>(a, v);
-    else if (const char* v = value_of(a, "--fidelity")) {
-      o.fidelity = v;
-      if (o.fidelity != "full" && o.fidelity != "ladder") {
-        std::fprintf(stderr, "--fidelity=%s: expected full or ladder\n", v);
-        usage();
-      }
-    }
-    else if (const char* v = value_of(a, "--gp-window")) o.gp_window = number<std::size_t>(a, v);
-    else if (const char* v = value_of(a, "--ladder-rung1-epsilon")) o.ladder_rung1_epsilon = number<double>(a, v);
-    else if (const char* v = value_of(a, "--ladder-challenge-fraction")) o.ladder_challenge_fraction = number<double>(a, v);
-    else if (const char* v = value_of(a, "--ladder-promote-top-k")) o.ladder_promote_top_k = number<std::size_t>(a, v);
-    else if (const char* v = value_of(a, "--passes")) o.passes = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--fidelity")) d.fidelity = v;
+    else if (const char* v = value_of(a, "--gp-window")) d.gp_window = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--ladder-rung1-epsilon")) d.ladder.rung1_epsilon = number<double>(a, v);
+    else if (const char* v = value_of(a, "--ladder-challenge-fraction")) d.ladder.challenge_fraction = number<double>(a, v);
+    else if (const char* v = value_of(a, "--ladder-promote-top-k")) d.ladder.promote_top_k = number<std::size_t>(a, v);
+    else if (const char* v = value_of(a, "--passes")) d.passes = number<std::size_t>(a, v);
     else if (const char* v = value_of(a, "--campaigns")) o.campaigns_path = v;
     else if (const char* v = value_of(a, "--jsonl")) o.jsonl_path = v;
-    else if (std::strcmp(a, "--adaptive-window") == 0) o.adaptive_window = true;
+    else if (std::strcmp(a, "--adaptive-window") == 0) d.adaptive_window = true;
     else if (const char* v = value_of(a, "--adaptive-window")) {
-      o.adaptive_window = true;
-      o.adaptive_epsilon = number<double>(a, v);
+      d.adaptive_window = true;
+      d.adaptive_epsilon = number<double>(a, v);
     }
     else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) usage();
     else {
@@ -316,83 +262,27 @@ Options parse(int argc, char** argv, int first, const char* command_name,
   return o;
 }
 
-struct Workload {
-  sim::Topology topology;
-  sim::ClusterSpec cluster;
-  sim::SimParams params;
-  int default_batch_size;
-};
-
-Workload load_workload(const Options& o) {
-  Workload w;
-  w.cluster = topo::paper_cluster();
-  w.params = topo::synthetic_sim_params();
-  w.default_batch_size = 200;
-  if (o.topology == "small" || o.topology == "medium" ||
-      o.topology == "large") {
-    topo::SyntheticSpec spec;
-    spec.size = o.topology == "small" ? topo::TopologySize::kSmall
-                : o.topology == "medium" ? topo::TopologySize::kMedium
-                                         : topo::TopologySize::kLarge;
-    spec.time_imbalance = o.tiim;
-    spec.contention_fraction = o.contention;
-    w.topology = topo::build_synthetic(spec);
-  } else if (o.topology == "sundog") {
-    w.topology = topo::build_sundog();
-    w.cluster = topo::sundog_cluster();
-    w.params = topo::sundog_sim_params();
-    w.default_batch_size = 50000;
-  } else if (o.topology == "linear_road") {
-    w.topology = topo::build_linear_road();
-    w.default_batch_size = 1000;
-  } else if (o.topology == "dissemination") {
-    w.topology = topo::build_dissemination();
-    w.default_batch_size = 1000;
-  } else if (o.topology == "linear_road_compact") {
-    w.topology = topo::build_linear_road_compact();
-    w.default_batch_size = 1000;
-  } else if (o.topology == "debs13") {
-    w.topology = topo::build_debs13();
-    w.default_batch_size = 1000;
-  } else {
-    std::fprintf(stderr, "unknown topology '%s'\n", o.topology.c_str());
-    usage();
+/// The workload `o` names; an unknown topology is a usage error.
+tuning::Workload workload(const Options& o) {
+  try {
+    return tuning::load_workload(o.desc);
+  } catch (const Error& e) {
+    usage_error(e.what());
   }
-  w.params.duration_s = o.duration_s;
-  w.params.adaptive_window = o.adaptive_window;
-  if (o.adaptive_epsilon > 0.0) w.params.adaptive_epsilon = o.adaptive_epsilon;
-  return w;
-}
-
-sim::TopologyConfig config_from_options(const Options& o, const Workload& w) {
-  sim::TopologyConfig c = sim::uniform_hint_config(w.topology, o.hint);
-  c.batch_size = o.batch_size > 0 ? o.batch_size : w.default_batch_size;
-  c.batch_parallelism = o.batch_parallelism;
-  c.worker_threads = o.worker_threads;
-  c.receiver_threads = o.receiver_threads;
-  c.num_ackers = o.ackers;
-  c.max_tasks = o.max_tasks;
-  return c;
 }
 
 int cmd_list() {
-  std::printf(
-      "small                10-node synthetic benchmark (Table II)\n"
-      "medium               50-node synthetic benchmark (Table II)\n"
-      "large                100-node synthetic benchmark (Table II)\n"
-      "sundog               entity-ranking application (Fig. 2)\n"
-      "linear_road          Linear Road benchmark, 60 operators\n"
-      "dissemination        Aurora data-dissemination problem, 40 operators\n"
-      "linear_road_compact  2013 Linear Road reformulation, 7 operators\n"
-      "debs13               DEBS'13 Grand Challenge query, 3 operators\n");
+  for (const tuning::TopologyInfo& t : tuning::topologies()) {
+    std::printf("%-20s %s\n", t.name, t.description);
+  }
   return 0;
 }
 
 int cmd_info(const Options& o) {
-  const Workload w = load_workload(o);
+  const tuning::Workload w = workload(o);
   const auto weights = w.topology.base_parallelism_weights();
   std::printf("%s: %zu nodes (%zu spouts), %zu streams\n",
-              o.topology.c_str(), w.topology.num_nodes(),
+              o.desc.topology.c_str(), w.topology.num_nodes(),
               w.topology.spouts().size(), w.topology.num_edges());
   std::printf("%-28s %6s %12s %6s %8s\n", "node", "kind", "units/tuple",
               "sel", "weight");
@@ -407,17 +297,17 @@ int cmd_info(const Options& o) {
 }
 
 int cmd_dot(const Options& o) {
-  const Workload w = load_workload(o);
+  const tuning::Workload w = workload(o);
   std::printf("%s", sim::to_dot(w.topology).c_str());
   return 0;
 }
 
 int cmd_simulate(const Options& o) {
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
-  const Workload w = load_workload(o);
-  const sim::TopologyConfig config = config_from_options(o, w);
+  const tuning::Workload w = workload(o);
+  const sim::TopologyConfig& config = w.defaults;
   const auto r = sim::simulate(w.topology, config, w.cluster, w.params,
-                               o.seed);
+                               o.desc.seed);
   const auto fluid = sim::fluid_estimate(w.topology, config, w.cluster,
                                          w.params);
   std::printf("config:       %s\n", config.describe().c_str());
@@ -445,110 +335,22 @@ int cmd_simulate(const Options& o) {
   return 0;
 }
 
-/// Search-space options shared by `tune` and `tune-many`. `informed` is
-/// the strategy row's, for the fidelity ladder's tuner, which is built
-/// outside the strategy table.
-tuning::SpaceOptions space_options_from(const Options& o) {
-  tuning::SpaceOptions sopts;
-  sopts.tune_hints = o.what.find('h') != std::string::npos;
-  sopts.tune_batch = o.what.find("batch") != std::string::npos;
-  sopts.tune_concurrency = o.what.find("cc") != std::string::npos;
-  sopts.informed = tuning::find_strategy(o.strategy)->informed;
-  return sopts;
-}
-
-/// BO options for --fidelity=ladder: the fixed-hyper GP (suggests stay
-/// cheap through the incremental append/evict paths). The sampled hyper
-/// modes compose with per-rung noise too (apply_hyperparams'
-/// noise_ratio_diag); the CLI sticks with kFixed as the cheap default.
-bo::BayesOptOptions ladder_bo_options_from(const Options& o,
-                                           std::uint64_t seed) {
-  bo::BayesOptOptions bopts;
-  bopts.seed = seed;
-  bopts.hyper_mode = bo::HyperMode::kFixed;
-  bopts.max_observations = o.gp_window;
-  return bopts;
-}
-
-/// Ladder knobs from the command line (--ladder-*); zero-valued flags keep
-/// the LadderOptions defaults.
-tuning::LadderOptions ladder_options_from(const Options& o) {
-  tuning::LadderOptions lo;
-  if (o.ladder_rung1_epsilon > 0.0) lo.rung1_epsilon = o.ladder_rung1_epsilon;
-  if (o.ladder_challenge_fraction > 0.0) {
-    lo.challenge_fraction = o.ladder_challenge_fraction;
-  }
-  if (o.ladder_promote_top_k > 0) lo.promote_top_k = o.ladder_promote_top_k;
-  return lo;
-}
-
-/// Why `o`'s strategy cannot run, or an empty string: the name must be in
-/// the strategy table, and the fidelity ladder drives a BO tuner only.
-std::string strategy_error(const Options& o) {
-  const tuning::Strategy* s = tuning::find_strategy(o.strategy);
-  if (s == nullptr) {
-    return "unknown strategy '" + o.strategy + "' (expected " +
-           tuning::strategy_names() + ")";
-  }
-  if (o.fidelity == "ladder" && !s->bayesian) {
-    return "fidelity ladder requires strategy bo or ibo (got '" + o.strategy +
-           "')";
-  }
-  return {};
-}
-
-std::unique_ptr<tuning::Tuner> build_tuner(const Options& o, const Workload& w,
-                                           const sim::TopologyConfig& defaults,
-                                           std::uint64_t seed) {
-  tuning::TunerSpec spec;
-  spec.defaults = defaults;
-  spec.space = space_options_from(o);
-  spec.bo.max_observations = o.gp_window;
-  spec.seed = seed;
-  return tuning::make_tuner(o.strategy, w.topology, std::move(spec));
-}
-
 int cmd_tune(const Options& o) {
-  if (const std::string e = strategy_error(o); !e.empty()) {
-    std::fprintf(stderr, "%s\n", e.c_str());
-    usage();
-  }
+  if (const std::string why = o.desc.check(); !why.empty()) usage_error(why);
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
-  const Workload w = load_workload(o);
-  sim::TopologyConfig defaults = config_from_options(o, w);
-
-  // --fidelity=ladder swaps both halves of the loop: the tuner screens
-  // candidates through the fluid model and the objective escalates
-  // adaptive-window runs to full windows only on incumbent challenges.
-  // The FidelityLadder IS the objective; the tuner shares it.
-  std::unique_ptr<tuning::Tuner> tuner;
-  std::shared_ptr<tuning::FidelityLadder> ladder;
-  std::unique_ptr<tuning::Objective> objective;
-  if (o.fidelity == "ladder") {
-    ladder = std::make_shared<tuning::FidelityLadder>(
-        w.topology, w.cluster, w.params, o.seed, ladder_options_from(o));
-    tuner = std::make_unique<tuning::LadderTuner>(
-        tuning::ConfigSpace(w.topology, space_options_from(o), defaults),
-        ladder_bo_options_from(o, o.seed), ladder,
-        o.strategy + "+ladder");
-    objective = std::make_unique<tuning::SharedLadderObjective>(ladder);
-  } else {
-    tuner = build_tuner(o, w, defaults, o.seed);
-    objective = std::make_unique<tuning::SimObjective>(
-        w.topology, w.cluster, w.params, o.seed);
-  }
-
-  tuning::ExperimentOptions protocol;
-  protocol.max_steps = o.steps;
-  protocol.best_config_reps = o.reps;
+  // One pass, seeded with --seed itself (solo_seeds), run inline.
+  const tuning::CampaignSpec spec =
+      tuning::make_campaign(o.desc, o.desc.topology, tuning::solo_seeds);
+  const std::unique_ptr<tuning::Tuner> tuner = spec.make_tuner(0);
+  const std::unique_ptr<tuning::Objective> objective = spec.make_objective(0);
 
   std::printf("tuning %s with %s over {%s}, %zu steps...\n",
-              o.topology.c_str(), tuner->name().c_str(), o.what.c_str(),
-              o.steps);
+              o.desc.topology.c_str(), tuner->name().c_str(),
+              o.desc.what.c_str(), o.desc.steps);
   const tuning::ExperimentResult r =
-      tuning::run_experiment(*tuner, *objective, protocol);
-  if (ladder) {
-    const tuning::LadderStats& ls = ladder->stats();
+      tuning::run_experiment(*tuner, *objective, spec.options);
+  if (const auto* lt = dynamic_cast<const tuning::LadderTuner*>(tuner.get())) {
+    const tuning::LadderStats& ls = lt->ladder().stats();
     std::printf("ladder:       %zu screened, %zu rung-1 runs, %zu full runs "
                 "(%.0f + %.0f simulated ms)\n",
                 ls.screened, ls.rung1_evals, ls.rung2_evals,
@@ -576,70 +378,6 @@ int cmd_tune(const Options& o) {
   return 0;
 }
 
-/// A campaign-file count or seed: a non-negative integer below 2^64, or an
-/// Error that names the field.
-std::uint64_t campaign_count(const Json& entry, const char* field) {
-  const Json& v = entry.at(field);
-  const double d = v.is_number() ? v.as_number() : -1.0;
-  STORMTUNE_REQUIRE(d >= 0.0 && d < 0x1p64 && d == std::floor(d),
-                    std::string("campaign field '") + field +
-                        "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
-/// One campaign's resolved options: the command-line Options as defaults,
-/// overridden by the entry's JSON fields. `name` labels its errors.
-Options campaign_options(const Options& base, const Json& entry,
-                         const std::string& name) {
-  Options o = base;
-  o.topology = entry.at("topology").as_string();
-  if (entry.contains("strategy")) o.strategy = entry.at("strategy").as_string();
-  if (entry.contains("what")) o.what = entry.at("what").as_string();
-  if (entry.contains("steps")) o.steps = campaign_count(entry, "steps");
-  if (entry.contains("reps")) o.reps = campaign_count(entry, "reps");
-  if (entry.contains("passes")) o.passes = campaign_count(entry, "passes");
-  if (entry.contains("seed")) o.seed = campaign_count(entry, "seed");
-  if (entry.contains("duration")) {
-    o.duration_s = entry.at("duration").as_number();
-    STORMTUNE_REQUIRE(std::isfinite(o.duration_s) && o.duration_s > 0.0,
-                      "campaign field 'duration' must be a finite number of "
-                      "seconds > 0");
-  }
-  if (entry.contains("tiim")) o.tiim = entry.at("tiim").as_bool();
-  if (entry.contains("contention")) {
-    o.contention = entry.at("contention").as_number();
-  }
-  if (entry.contains("adaptive_window")) {
-    o.adaptive_window = entry.at("adaptive_window").as_bool();
-  }
-  if (entry.contains("adaptive_epsilon")) {
-    o.adaptive_window = true;
-    o.adaptive_epsilon = entry.at("adaptive_epsilon").as_number();
-  }
-  if (entry.contains("fidelity")) {
-    o.fidelity = entry.at("fidelity").as_string();
-    STORMTUNE_REQUIRE(o.fidelity == "full" || o.fidelity == "ladder",
-                      "campaign fidelity must be 'full' or 'ladder'");
-  }
-  if (entry.contains("gp_window")) {
-    o.gp_window = campaign_count(entry, "gp_window");
-  }
-  if (entry.contains("ladder_rung1_epsilon")) {
-    o.ladder_rung1_epsilon = entry.at("ladder_rung1_epsilon").as_number();
-  }
-  if (entry.contains("ladder_challenge_fraction")) {
-    o.ladder_challenge_fraction =
-        entry.at("ladder_challenge_fraction").as_number();
-  }
-  if (entry.contains("ladder_promote_top_k")) {
-    o.ladder_promote_top_k = campaign_count(entry, "ladder_promote_top_k");
-  }
-  const std::string e = strategy_error(o);
-  STORMTUNE_REQUIRE(e.empty(),
-                    "campaign '" + name + "' field 'strategy': " + e);
-  return o;
-}
-
 int cmd_tune_many(const Options& cli) {
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
   if (cli.campaigns_path.empty()) {
@@ -656,66 +394,16 @@ int cmd_tune_many(const Options& cli) {
       doc.is_object() ? doc.at("campaigns").as_array() : doc.as_array();
   STORMTUNE_REQUIRE(!entries.empty(), "tune-many: no campaigns in file");
 
-  // The per-campaign context outlives the factories that capture it; each
-  // campaign owns its workload copy, so factories of different campaigns
-  // never share mutable state.
-  struct Context {
-    Options opts;
-    Workload workload;
-    sim::TopologyConfig defaults;
-  };
+  // Every campaign is built, and so checked, before any is scheduled.
   std::vector<tuning::CampaignSpec> specs;
   specs.reserve(entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    tuning::CampaignSpec spec;
-    spec.name = entries[i].contains("name")
-                    ? entries[i].at("name").as_string()
-                    : entries[i].at("topology").as_string() + "#" +
-                          std::to_string(i);
-    auto ctx = std::make_shared<Context>();
-    ctx->opts = campaign_options(cli, entries[i], spec.name);
-    ctx->workload = load_workload(ctx->opts);
-    ctx->defaults = config_from_options(ctx->opts, ctx->workload);
-
-    spec.passes = ctx->opts.passes;
-    spec.options.max_steps = ctx->opts.steps;
-    spec.options.best_config_reps = ctx->opts.reps;
-    // Per-pass seeds follow the bench harness convention: distinct tuner
-    // streams per pass, objective streams derived with the golden-ratio
-    // multiplier so passes are independent.
-    if (ctx->opts.fidelity == "ladder") {
-      // Ladder campaigns route both factories through one registry so pass
-      // p's tuner and objective share the same FidelityLadder; the config
-      // carries the base seeds and the factories apply the per-pass
-      // conventions above internally.
-      tuning::LadderCampaignConfig lc;
-      lc.topology = ctx->workload.topology;
-      lc.cluster = ctx->workload.cluster;
-      lc.params = ctx->workload.params;
-      lc.space = space_options_from(ctx->opts);
-      lc.defaults = ctx->defaults;
-      lc.bo = ladder_bo_options_from(ctx->opts, ctx->opts.seed);
-      lc.ladder = ladder_options_from(ctx->opts);
-      lc.objective_seed = ctx->opts.seed;
-      lc.tuner_name = ctx->opts.strategy + "+ladder";
-      auto factories =
-          tuning::LadderCampaignFactories::create(std::move(lc));
-      spec.make_tuner = factories->tuner_factory();
-      spec.make_objective = factories->objective_factory();
-    } else {
-      spec.make_tuner = [ctx](std::size_t pass) {
-        return build_tuner(ctx->opts, ctx->workload, ctx->defaults,
-                           ctx->opts.seed * 7919 + pass);
-      };
-      spec.make_objective =
-          [ctx](std::size_t pass) -> std::unique_ptr<tuning::Objective> {
-        return std::make_unique<tuning::SimObjective>(
-            ctx->workload.topology, ctx->workload.cluster,
-            ctx->workload.params,
-            ctx->opts.seed + 0x632be59bd9b4e019ULL * pass);
-      };
-    }
-    specs.push_back(std::move(spec));
+    const Json& entry = entries[i];
+    const tuning::CampaignDesc desc =
+        tuning::CampaignDesc::from_json(entry, cli.desc);
+    specs.push_back(tuning::make_campaign(
+        desc, entry.contains("name") ? entry.at("name").as_string()
+                                     : desc.topology + "#" + std::to_string(i)));
   }
 
   tuning::CampaignSchedulerOptions sched;
@@ -772,16 +460,15 @@ int main(int argc, char** argv) {
     switch (cmd->command) {
       case kList:
       case kTuneMany:
-        if (!o.topology.empty()) {
-          std::fprintf(stderr, "%s takes no topology (got '%s')\n",
-                       cmd->name, o.topology.c_str());
-          usage();
+        if (!o.desc.topology.empty()) {
+          usage_error(std::string(cmd->name) + " takes no topology (got '" +
+                      o.desc.topology + "')");
         }
         return cmd->command == kList ? cmd_list() : cmd_tune_many(o);
       default:
         break;
     }
-    if (o.topology.empty()) usage();
+    if (o.desc.topology.empty()) usage();
     switch (cmd->command) {
       case kInfo:
         return cmd_info(o);
