@@ -350,6 +350,7 @@ SundogResult run_sundog_campaign(const Args& args,
                                  const std::string& param_set,
                                  std::size_t step_override) {
   const tuning::Workload w = workload(args, "sundog");
+  const std::uint64_t seed = args.seed + 4242;
 
   SundogResult out;
   out.strategy = strategy;
@@ -358,11 +359,9 @@ SundogResult run_sundog_campaign(const Args& args,
       args,
       [&](std::size_t pass) {
         return sundog_tuner(strategy, param_set, w.topology,
-                            args.seed * 31 + pass * 1009 +
-                                std::hash<std::string>{}(param_set));
+                            tuning::pass_seeds(seed, pass).tuner);
       },
-      tuning::sim_objective_factory(w.topology, w.cluster, w.params,
-                                    args.seed + 4242),
+      tuning::sim_objective_factory(w.topology, w.cluster, w.params, seed),
       experiment_options(args, strategy, step_override), &out.passes);
   record_campaign_result(args, "sundog/" + strategy + "/" + param_set,
                          out.best);
