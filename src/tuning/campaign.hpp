@@ -51,13 +51,12 @@ struct CampaignDesc {
   std::size_t gp_window = 0;      ///< BO observation window; 0 = unbounded
   LadderOptions ladder;
 
-  /// `defaults` overridden by a campaign-file entry: a required "topology",
+  /// `defaults` overridden by a campaign-file entry: a required "topology"
   /// and any of strategy, what, steps, reps, passes, seed, duration, tiim,
-  /// contention, adaptive_window, adaptive_epsilon (which also turns the
-  /// window on), fidelity, gp_window and ladder_rung1_epsilon,
-  /// ladder_challenge_fraction, ladder_promote_top_k. A count or seed that
-  /// is not a non-negative integer throws Error naming the field; check()
-  /// judges the values.
+  /// contention, adaptive_window, adaptive_epsilon (also turns the window
+  /// on), fidelity, gp_window and ladder_{rung1_epsilon,challenge_fraction,
+  /// promote_top_k}. A count or seed that is not a non-negative integer
+  /// throws Error naming the field; check() judges the values.
   static CampaignDesc from_json(const Json& entry,
                                 const CampaignDesc& defaults);
 

@@ -254,10 +254,7 @@ Options parse(int argc, char** argv, int first, const char* command_name,
       d.adaptive_epsilon = number<double>(a, v);
     }
     else if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) usage();
-    else {
-      std::fprintf(stderr, "unknown option '%s'\n", a);
-      usage();
-    }
+    else usage_error(std::string("unknown option '") + a + "'");
   }
   return o;
 }
@@ -381,8 +378,7 @@ int cmd_tune(const Options& o) {
 int cmd_tune_many(const Options& cli) {
   std::printf("isa path:     %s\n", isa::to_string(isa::selected()));
   if (cli.campaigns_path.empty()) {
-    std::fprintf(stderr, "tune-many needs --campaigns=FILE\n");
-    usage();
+    usage_error("tune-many needs --campaigns=FILE");
   }
   std::ifstream in(cli.campaigns_path);
   STORMTUNE_REQUIRE(in.good(), "tune-many: cannot open '" +
@@ -401,9 +397,10 @@ int cmd_tune_many(const Options& cli) {
     const Json& entry = entries[i];
     const tuning::CampaignDesc desc =
         tuning::CampaignDesc::from_json(entry, cli.desc);
-    specs.push_back(tuning::make_campaign(
-        desc, entry.contains("name") ? entry.at("name").as_string()
-                                     : desc.topology + "#" + std::to_string(i)));
+    const std::string name = entry.contains("name")
+                                 ? entry.at("name").as_string()
+                                 : desc.topology + "#" + std::to_string(i);
+    specs.push_back(tuning::make_campaign(desc, name));
   }
 
   tuning::CampaignSchedulerOptions sched;
