@@ -480,7 +480,8 @@ void sundog(const Args& base) {
 /// One bo campaign on medium/TiIm100, a cell where hint placement has real
 /// headroom, over per-node hints of at most 20 plus the max-tasks cap,
 /// with optimizer options `bopts`: the workload of the acquisition, kernel
-/// and hyperparameter ablations. Pass p's tuner is seeded tuner_seed + p.
+/// and hyperparameter ablations. Pass p's tuner is seeded tuner_seed + p;
+/// the campaign is recorded as `record`.
 struct BoVariant {
   tuning::ExperimentResult best;
   double mean_step_seconds = 0.0;
@@ -489,13 +490,13 @@ struct BoVariant {
 BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
                          std::uint64_t tuner_seed,
                          std::uint64_t objective_seed,
-                         const std::string& name) {
+                         const std::string& name, const std::string& record) {
   const tuning::Workload w = bench::workload(args, "medium", /*tiim=*/true);
 
   bench::SuggestTimer timer(args.passes);
   BoVariant out;
   out.best = bench::run_bench_campaign(
-      args,
+      args, record,
       timer.wrap([&](std::size_t pass) {
         tuning::TunerSpec tuner;
         tuner.defaults = bench::synthetic_defaults();
@@ -535,7 +536,7 @@ void ablation_acquisition(const Args& args) {
   const tuning::Workload sundog = bench::workload(args, "sundog");
   for (const auto acq : acquisitions) {
     const auto best = bench::run_bench_campaign(
-        args,
+        args, "ablation-acquisition/sundog/" + bo::to_string(acq),
         [&](std::size_t pass) {
           tuning::TunerSpec tuner;
           tuner.defaults = topo::sundog_baseline_config(sundog.topology, 11);
@@ -562,7 +563,8 @@ void ablation_acquisition(const Args& args) {
     add("medium/TiIm100", acq,
         run_bo_variant(args, bopts,
                        args.seed * 19 + static_cast<std::uint64_t>(acq),
-                       args.seed + 2, "bo." + bo::to_string(acq))
+                       args.seed + 2, "bo." + bo::to_string(acq),
+                       "ablation-acquisition/medium/" + bo::to_string(acq))
             .best);
     std::fprintf(stderr, "[ablation-acquisition] medium %s done\n",
                  bo::to_string(acq).c_str());
@@ -590,7 +592,8 @@ void ablation_kernel(const Args& args) {
       const BoVariant v = run_bo_variant(
           args, bopts,
           args.seed * 23 + static_cast<std::uint64_t>(family) + (ard ? 7 : 0),
-          args.seed + 3, "bo");
+          args.seed + 3, "bo",
+          "ablation-kernel/" + gp::to_string(family) + (ard ? "/ard" : "/iso"));
       t.add_row({gp::to_string(family), ard ? "yes" : "no",
                  bench::format_rate(v.best.best_rep_stats.mean),
                  std::to_string(v.best.best_step),
@@ -618,7 +621,7 @@ void ablation_hyper(const Args& args) {
     bopts.hyper_mode = mode;
     const BoVariant v = run_bo_variant(
         args, bopts, args.seed * 29 + static_cast<std::uint64_t>(mode),
-        args.seed + 4, "bo");
+        args.seed + 4, "bo", "ablation-hyper/" + bo::to_string(mode));
     t.add_row({bo::to_string(mode),
                bench::format_rate(v.best.best_rep_stats.mean),
                std::to_string(v.best.best_step),
@@ -739,6 +742,8 @@ void ablation_fanout(const Args& args) {
       for (int i = 0; i < 2; ++i) {
         const auto best = bench::run_bench_campaign(
             args,
+            "ablation-fanout/" + topo::to_string(size) +
+                (split ? "/split/" : "/duplicate/") + names[i],
             [&](std::size_t) {
               tuning::TunerSpec tuner;
               tuner.defaults = bench::synthetic_defaults();

@@ -182,7 +182,7 @@ tuning::ExperimentOptions experiment_options(const Args& args,
 }
 
 tuning::ExperimentResult run_bench_campaign(
-    const Args& args, tuning::TunerFactory make_tuner,
+    const Args& args, const std::string& name, tuning::TunerFactory make_tuner,
     tuning::ObjectiveFactory make_objective,
     const tuning::ExperimentOptions& options,
     std::vector<tuning::ExperimentResult>* passes) {
@@ -191,7 +191,18 @@ tuning::ExperimentResult run_bench_campaign(
   spec.make_objective = std::move(make_objective);
   spec.options = options;
   spec.passes = args.passes;
-  return tuning::run_campaign(spec, args.pool_threads(), passes);
+  tuning::ExperimentResult best =
+      tuning::run_campaign(spec, args.pool_threads(), passes);
+  if (!args.campaigns_json.empty()) {
+    // bench_repro runs campaigns serially, so a process-local ticket keeps
+    // the file in execution order.
+    static std::size_t ticket = 0;
+    std::ofstream out(args.campaigns_json, std::ios::app);
+    STORMTUNE_REQUIRE(out.good(), "cannot append to --campaigns-json file '" +
+                                      args.campaigns_json + "'");
+    tuning::JsonlResultBackend(out).write({ticket++, name, best});
+  }
+  return best;
 }
 
 namespace {
@@ -276,19 +287,6 @@ std::unique_ptr<tuning::Tuner> sundog_tuner(const std::string& strategy,
   return tuning::make_tuner(table_row(strategy), topology, std::move(spec));
 }
 
-/// Append one campaign result to args.campaigns_json (no-op when unset) in
-/// the tune-many sink's record format. bench_repro runs campaigns
-/// serially, so a process-local ticket keeps the file in execution order.
-void record_campaign_result(const Args& args, const std::string& name,
-                            const tuning::ExperimentResult& best) {
-  if (args.campaigns_json.empty()) return;
-  static std::size_t ticket = 0;
-  std::ofstream out(args.campaigns_json, std::ios::app);
-  STORMTUNE_REQUIRE(out.good(), "cannot append to --campaigns-json file '" +
-                                    args.campaigns_json + "'");
-  tuning::JsonlResultBackend(out).write({ticket++, name, best});
-}
-
 }  // namespace
 
 tuning::TunerFactory SuggestTimer::wrap(tuning::TunerFactory make_tuner) {
@@ -331,7 +329,7 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
   out.strategy = strategy;
   SuggestTimer timer(args.passes);
   out.best = run_bench_campaign(
-      args,
+      args, cell.label() + "/" + strategy,
       timer.wrap([&](std::size_t pass) {
         return synthetic_tuner(strategy, w.topology,
                                tuning::pass_seeds(cell_seed, pass).tuner);
@@ -341,7 +339,6 @@ CampaignCell run_synthetic_cell(const Args& args, const CellSpec& cell,
       experiment_options(args, strategy, step_override), &out.passes);
   out.mean_step_seconds = timer.mean_step_seconds();
   out.max_step_seconds = timer.max_step_seconds();
-  record_campaign_result(args, cell.label() + "/" + strategy, out.best);
   return out;
 }
 
@@ -356,15 +353,13 @@ SundogResult run_sundog_campaign(const Args& args,
   out.strategy = strategy;
   out.param_set = param_set;
   out.best = run_bench_campaign(
-      args,
+      args, "sundog/" + strategy + "/" + param_set,
       [&](std::size_t pass) {
         return sundog_tuner(strategy, param_set, w.topology,
                             tuning::pass_seeds(seed, pass).tuner);
       },
       tuning::sim_objective_factory(w.topology, w.cluster, w.params, seed),
       experiment_options(args, strategy, step_override), &out.passes);
-  record_campaign_result(args, "sundog/" + strategy + "/" + param_set,
-                         out.best);
   return out;
 }
 

@@ -36,10 +36,9 @@ struct Args {
   /// ONE worker next to the caller); 0 = auto (min(hardware, 8)). Results
   /// are bit-identical for any value.
   std::size_t threads = 0;
-  /// When non-empty, every campaign bench_repro runs through
-  /// run_synthetic_cell / run_sundog_campaign is also appended here as one
-  /// JSON line (same record shape as the tune-many result sink), in
-  /// execution order.
+  /// When non-empty, every campaign bench_repro runs (run_bench_campaign)
+  /// is also appended here as one JSON line (same record shape as the
+  /// tune-many result sink), in execution order.
   std::string campaigns_json;
 
   /// Parse --full, --steps=N, --bo-steps=N, --bo180=N, --reps=N,
@@ -88,10 +87,11 @@ tuning::ExperimentOptions experiment_options(const Args& args,
                                              std::size_t step_override = 0);
 
 /// Run one campaign of args.passes passes over args.pool_threads() workers
-/// (tuning::run_campaign); all passes are appended to `passes` when
-/// non-null.
+/// (tuning::run_campaign) and append its better pass to
+/// args.campaigns_json as record `name`; all passes are appended to
+/// `passes` when non-null.
 tuning::ExperimentResult run_bench_campaign(
-    const Args& args, tuning::TunerFactory make_tuner,
+    const Args& args, const std::string& name, tuning::TunerFactory make_tuner,
     tuning::ObjectiveFactory make_objective,
     const tuning::ExperimentOptions& options,
     std::vector<tuning::ExperimentResult>* passes = nullptr);
