@@ -15,7 +15,7 @@
 // itself there.
 //
 // Regenerate by printing log_marginal_likelihood() and predict() mean and
-// variance with %a for the three cases below (fixed Rng seed 2015,
+// variance with %a for the cases below (fixed Rng seed 2015,
 // n = 12, d = 2, 3 query points drawn after the training data).
 #include <gtest/gtest.h>
 
@@ -74,6 +74,11 @@ const GoldenCase kGolden[] = {
      {{-0x1.d865fc538a96fp-1, 0x1.b56b223867b04p-3},
       {-0x1.07e52bc017961p+0, 0x1.0357cef60355cp-3},
       {0x1.ac94759a99d1cp-4, 0x1.29fb29e9ac39ap-1}}},
+    {"matern52_ard", KernelFamily::kMatern52, true, 0.9, {0.5, 1.3}, 5e-3,
+     -0.1, -0x1.098ea6da1b952p+5,
+     {{-0x1.ebda89696e3c1p-1, 0x1.2b1b2df50f88p-3},
+      {-0x1.0f1ab835272fap+0, 0x1.4e04293a8b268p-4},
+      {0x1.c51857fd6892dp-3, 0x1.114774864c10cp-1}}},
     {"matern52", KernelFamily::kMatern52, false, 2.0, {1.1}, 2e-2, 0.0,
      -0x1.00cf4e99d122fp+5,
      {{-0x1.c20447d93c29cp-1, 0x1.daa7989888bcp-3},

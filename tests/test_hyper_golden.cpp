@@ -197,6 +197,35 @@ TEST(HyperGolden, SampleHyperparamsNoiseRatioDiagonal) {
   }
 }
 
+/// SampleHyperparamsNoiseRatioDiagonal's data and chain on the Matérn-5/2
+/// kernel.
+TEST(HyperGolden, SampleHyperparamsNoiseRatioDiagonalMatern52) {
+  if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
+  const Data d = make_data(30, 2, 13);
+  std::vector<double> ratios(30);
+  for (std::size_t i = 0; i < ratios.size(); ++i) {
+    ratios[i] = i % 3 == 0 ? 1.0 : (i % 3 == 1 ? 4.0 : 16.0);
+  }
+  HyperSamplerOptions opts;
+  opts.num_samples = 3;
+  opts.burn_in = 4;
+  opts.thin = 2;
+  static const Golden kGolden = {
+      {0x1.ef5d861928341p-2, -0x1.117b75ad1e66ap-2, -0x1.6b026ff0c149ep+1,
+       -0x1.5e60dc0b6b157p+0},
+      {0x1.d8c72439360c5p-2, -0x1.27fede4db8f2bp-2, -0x1.597e10297fa2ap+1,
+       -0x1.d1259ed73c108p-2},
+      {0x1.af9b2f00b77dp-4, -0x1.4190ca1a77123p-2, -0x1.375b4c380f2d2p+1,
+       -0x1.fbc33018f88f2p-1},
+  };
+  for (const isa::Path p : runnable_paths()) {
+    const ScopedIsa pin(p);
+    expect_thetas(
+        sample(Kernel(KernelFamily::kMatern52, 2, false), d, opts, 7, ratios),
+        kGolden, "noise-ratio diagonal, Matérn-5/2", p);
+  }
+}
+
 TEST(HyperGolden, MleSquaredExponential) {
   if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
   const Data d = make_data(15, 2, 14);
