@@ -105,22 +105,23 @@ BENCHMARK(BM_CholeskyDowndate)->Arg(32)->Arg(64)->Arg(128);
 void BM_TriSolveMultiRhs(benchmark::State& state) {
   // Multi-RHS forward substitution over a 120-point factor with range(0)
   // right-hand sides, through ops() — the solve the GP predictor runs on
-  // each candidate block.
+  // each candidate block, at the padded row stride it solves at.
   const std::size_t n = 120;
   const auto m = static_cast<std::size_t>(state.range(0));
+  const std::size_t ld = linalg_kernels::padded_ld(m);
   Rng rng(9);
   const Matrix a = random_spd(n, rng);
   const Cholesky chol(a);
-  Matrix v(n, m);
+  std::vector<double> v(n * ld, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < m; ++r) v(i, r) = rng.normal();
+    for (std::size_t r = 0; r < m; ++r) v[i * ld + r] = rng.normal();
   }
-  Matrix work(n, m);
+  std::vector<double> work(n * ld);
   for (auto _ : state) {
     work = v;
     linalg_kernels::ops().solve_lower_multi(chol.lower_rows(), chol.stride(),
-                                            work.data(), m, m, n);
-    benchmark::DoNotOptimize(work(n - 1, m - 1));
+                                            work.data(), ld, m, n);
+    benchmark::DoNotOptimize(work[(n - 1) * ld + m - 1]);
   }
 }
 // 202 = 2·101, the local-search neighbourhood width on the 100-parameter
@@ -282,11 +283,8 @@ BENCHMARK_CAPTURE(BM_AcquisitionSearch, d101, 101)->Arg(100)
 
 void BM_AcquisitionBatch(benchmark::State& state) {
   // The per-batch acquisition accumulation in isolation: one
-  // acquisition_accumulate call over a 256-candidate mean/variance batch
-  // (the surrogate's per-GP scoring step), for each acquisition kind via
-  // range(0). This is the loop the batched-scoring rework hoisted the
-  // per-candidate kind dispatch out of.
-  const auto kind = static_cast<bo::AcquisitionKind>(state.range(0));
+  // expected_improvement_accumulate call over a 256-candidate
+  // mean/variance batch (the surrogate's per-GP scoring step).
   const std::size_t m = 256;
   Rng rng(11);
   std::vector<double> means(m), vars(m), acc(m, 0.0);
@@ -295,11 +293,11 @@ void BM_AcquisitionBatch(benchmark::State& state) {
     vars[i] = 0.5 + rng.uniform();
   }
   for (auto _ : state) {
-    bo::acquisition_accumulate(kind, means, vars, 0.8, 0.0, 2.0, acc);
+    bo::expected_improvement_accumulate(means, vars, 0.8, 0.0, acc);
     benchmark::DoNotOptimize(acc.data());
   }
 }
-BENCHMARK(BM_AcquisitionBatch)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_AcquisitionBatch);
 
 topo::TopologySize size_for_vertices(std::int64_t vertices) {
   switch (vertices) {

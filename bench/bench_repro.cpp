@@ -479,9 +479,9 @@ void sundog(const Args& base) {
 
 /// One bo campaign on medium/TiIm100, a cell where hint placement has real
 /// headroom, over per-node hints of at most 20 plus the max-tasks cap,
-/// with optimizer options `bopts`: the workload of the acquisition, kernel
-/// and hyperparameter ablations. Pass p's tuner is seeded tuner_seed + p;
-/// the campaign is recorded as `record`.
+/// with optimizer options `bopts`: the workload of the kernel and
+/// hyperparameter ablations. Pass p's tuner is seeded tuner_seed + p; the
+/// campaign is recorded as `record`.
 struct BoVariant {
   tuning::ExperimentResult best;
   double mean_step_seconds = 0.0;
@@ -490,7 +490,7 @@ struct BoVariant {
 BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
                          std::uint64_t tuner_seed,
                          std::uint64_t objective_seed,
-                         const std::string& name, const std::string& record) {
+                         const std::string& record) {
   const tuning::Workload w = bench::workload(args, "medium", /*tiim=*/true);
 
   bench::SuggestTimer timer(args.passes);
@@ -503,7 +503,7 @@ BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
         tuner.space.hint_max = 20;
         tuner.bo = bopts;
         tuner.seed = tuner_seed + pass;
-        tuner.name = name;
+        tuner.name = "bo";
         return tuning::make_tuner("bo", w.topology, std::move(tuner));
       }),
       tuning::sim_objective_factory(w.topology, w.cluster, w.params,
@@ -513,93 +513,40 @@ BoVariant run_bo_variant(const Args& args, const bo::BayesOptOptions& bopts,
   return out;
 }
 
-// Ablation: acquisition function. The paper uses Expected Improvement
-// because "it provides a good tradeoff between exploration and
-// exploitation and it is the method implemented in Spearmint" (Section
-// III-C), naming PI and GP-UCB as the other common choices. All three run
-// on the Sundog batch-parameter space and on medium/TiIm100, with
-// identical budgets and seeds.
-void ablation_acquisition(const Args& args) {
-  header("Ablation: acquisition function (EI / PI / UCB)", args);
-  TextTable t({"Workload", "Acquisition", "Mean tuples/s", "Best step"});
-  const auto acquisitions = {bo::AcquisitionKind::kExpectedImprovement,
-                             bo::AcquisitionKind::kProbabilityOfImprovement,
-                             bo::AcquisitionKind::kUpperConfidenceBound};
-  auto add = [&](const char* workload, bo::AcquisitionKind acq,
-                 const tuning::ExperimentResult& best) {
-    t.add_row({workload, bo::to_string(acq),
-               bench::format_rate(best.best_rep_stats.mean),
-               std::to_string(best.best_step)});
-  };
-
-  // Sundog's batch + concurrency space, hints fixed at the pla optimum.
-  const tuning::Workload sundog = bench::workload(args, "sundog");
-  for (const auto acq : acquisitions) {
-    const auto best = bench::run_bench_campaign(
-        args, "ablation-acquisition/sundog/" + bo::to_string(acq),
-        [&](std::size_t pass) {
-          tuning::TunerSpec tuner;
-          tuner.defaults = topo::sundog_baseline_config(sundog.topology, 11);
-          tuner.space.tune_hints = false;
-          tuner.space.tune_batch = true;
-          tuner.space.tune_concurrency = true;
-          tuner.bo = bench::bench_bo_options();
-          tuner.bo.acquisition = acq;
-          tuner.seed = args.seed * 17 + pass + static_cast<std::uint64_t>(acq);
-          tuner.name = "bo." + bo::to_string(acq);
-          return tuning::make_tuner("bo", sundog.topology, std::move(tuner));
-        },
-        tuning::sim_objective_factory(sundog.topology, sundog.cluster,
-                                      sundog.params, args.seed + 1),
-        bench::experiment_options(args, "bo"));
-    add("sundog bs_bp_cc", acq, best);
-    std::fprintf(stderr, "[ablation-acquisition] sundog %s done\n",
-                 bo::to_string(acq).c_str());
-  }
-
-  for (const auto acq : acquisitions) {
-    bo::BayesOptOptions bopts = bench::bench_bo_options();
-    bopts.acquisition = acq;
-    add("medium/TiIm100", acq,
-        run_bo_variant(args, bopts,
-                       args.seed * 19 + static_cast<std::uint64_t>(acq),
-                       args.seed + 2, "bo." + bo::to_string(acq),
-                       "ablation-acquisition/medium/" + bo::to_string(acq))
-            .best);
-    std::fprintf(stderr, "[ablation-acquisition] medium %s done\n",
-                 bo::to_string(acq).c_str());
-  }
-  std::printf("%s", t.render().c_str());
-}
-
-// Ablation: GP covariance kernel (Matern 5/2, Matern 3/2, squared
-// exponential; isotropic vs ARD lengthscales). Spearmint's default — and
-// hence the paper's — is ARD Matern 5/2. SE assumes a much smoother
-// objective than a config-to-throughput landscape usually is; Matern 3/2 a
-// rougher one. ARD costs O(dim) extra hyperparameters per MCMC sweep,
-// which matters at 100 parameters (the paper's Figure 7 concern).
+// Ablation: GP covariance kernel (Matern 5/2 and squared exponential;
+// isotropic vs ARD lengthscales). Spearmint's default — and hence the
+// paper's — is ARD Matern 5/2. SE assumes a much smoother objective than
+// a config-to-throughput landscape usually is. ARD costs O(dim) extra
+// hyperparameters per MCMC sweep, which matters at 100 parameters (the
+// paper's Figure 7 concern). Matern 3/2 measured no better than Matern
+// 5/2 over 8 seeds and was removed (EXPERIMENTS.md).
 void ablation_kernel(const Args& args) {
   header("Ablation: GP kernel family and ARD", args);
   TextTable t({"Kernel", "ARD", "Mean tuples/s", "Best step",
                "Avg step (s)"});
-  for (const auto family : {gp::KernelFamily::kMatern52,
-                            gp::KernelFamily::kMatern32,
-                            gp::KernelFamily::kSquaredExponential}) {
+  // A family's tuner seed offset is the value its enumerator had while
+  // Matern 3/2 existed, so each row keeps the record EXPERIMENTS.md's
+  // 8-seed table holds.
+  struct Arm {
+    gp::KernelFamily family;
+    std::uint64_t seed_offset;
+  };
+  for (const Arm arm : {Arm{gp::KernelFamily::kMatern52, 2},
+                        Arm{gp::KernelFamily::kSquaredExponential, 0}}) {
+    const std::string family = gp::to_string(arm.family);
     for (const bool ard : {false, true}) {
       bo::BayesOptOptions bopts = bench::bench_bo_options();
-      bopts.kernel = family;
+      bopts.kernel = arm.family;
       bopts.ard = ard;
       const BoVariant v = run_bo_variant(
-          args, bopts,
-          args.seed * 23 + static_cast<std::uint64_t>(family) + (ard ? 7 : 0),
-          args.seed + 3, "bo",
-          "ablation-kernel/" + gp::to_string(family) + (ard ? "/ard" : "/iso"));
-      t.add_row({gp::to_string(family), ard ? "yes" : "no",
+          args, bopts, args.seed * 23 + arm.seed_offset + (ard ? 7 : 0),
+          args.seed + 3, "ablation-kernel/" + family + (ard ? "/ard" : "/iso"));
+      t.add_row({family, ard ? "yes" : "no",
                  bench::format_rate(v.best.best_rep_stats.mean),
                  std::to_string(v.best.best_step),
                  TextTable::num(v.mean_step_seconds, 4)});
       std::fprintf(stderr, "[ablation-kernel] %s ard=%d done\n",
-                   gp::to_string(family).c_str(), ard);
+                   family.c_str(), ard);
     }
   }
   std::printf("%s\n", t.render().c_str());
@@ -608,26 +555,31 @@ void ablation_kernel(const Args& args) {
 }
 
 // Ablation: GP hyperparameter handling — MCMC marginalization (slice
-// sampling, Spearmint's scheme), a point MAP estimate, and fixed defaults.
-// Marginalization is what makes Spearmint robust on noisy objectives; MAP
-// is cheaper per step but can lock onto wrong lengthscales early; fixed
-// hyperparameters are the degenerate baseline.
+// sampling, Spearmint's scheme) against fixed defaults, the degenerate
+// baseline. Marginalization is what makes Spearmint robust on noisy
+// objectives. A point MAP estimate measured no better than slice sampling
+// over 8 seeds, and no cheaper per step, and was removed (EXPERIMENTS.md).
 void ablation_hyper(const Args& args) {
-  header("Ablation: hyperparameter handling (slice / mle / fixed)", args);
+  header("Ablation: hyperparameter handling (slice / fixed)", args);
   TextTable t({"Hyper mode", "Mean tuples/s", "Best step", "Avg step (s)"});
-  for (const auto mode : {bo::HyperMode::kSliceSample, bo::HyperMode::kMle,
-                          bo::HyperMode::kFixed}) {
+  // As in ablation_kernel, a mode's tuner seed offset is the value its
+  // enumerator had while the MAP search existed.
+  struct Arm {
+    bo::HyperMode mode;
+    std::uint64_t seed_offset;
+  };
+  for (const Arm arm : {Arm{bo::HyperMode::kSliceSample, 0},
+                        Arm{bo::HyperMode::kFixed, 2}}) {
+    const std::string mode = bo::to_string(arm.mode);
     bo::BayesOptOptions bopts = bench::bench_bo_options();
-    bopts.hyper_mode = mode;
-    const BoVariant v = run_bo_variant(
-        args, bopts, args.seed * 29 + static_cast<std::uint64_t>(mode),
-        args.seed + 4, "bo", "ablation-hyper/" + bo::to_string(mode));
-    t.add_row({bo::to_string(mode),
-               bench::format_rate(v.best.best_rep_stats.mean),
+    bopts.hyper_mode = arm.mode;
+    const BoVariant v =
+        run_bo_variant(args, bopts, args.seed * 29 + arm.seed_offset,
+                       args.seed + 4, "ablation-hyper/" + mode);
+    t.add_row({mode, bench::format_rate(v.best.best_rep_stats.mean),
                std::to_string(v.best.best_step),
                TextTable::num(v.mean_step_seconds, 4)});
-    std::fprintf(stderr, "[ablation-hyper] %s done\n",
-                 bo::to_string(mode).c_str());
+    std::fprintf(stderr, "[ablation-hyper] %s done\n", mode.c_str());
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("Workload: medium synthetic topology, 100%% TiIm "
@@ -928,11 +880,9 @@ constexpr Entry kEntries[] = {
     {"grid", "Figs. 4, 5, 7: throughput, steps to best, step time", grid},
     {"fig6", "Fig. 6: LOESS of bo traces", fig6},
     {"sundog", "Figs. 8a, 8b: Sundog throughput and convergence", sundog},
-    {"ablation-acquisition", "Sec. III-C: EI vs PI vs UCB",
-     ablation_acquisition},
     {"ablation-kernel", "Sec. III-C: GP kernel family and ARD",
      ablation_kernel},
-    {"ablation-hyper", "Sec. III-C: slice sampling vs MAP vs fixed",
+    {"ablation-hyper", "Sec. III-C: slice sampling vs fixed hyperparameters",
      ablation_hyper},
     {"ablation-noise", "Sec. VI: single-sample vs averaged measurements",
      ablation_noise},

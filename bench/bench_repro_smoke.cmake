@@ -39,9 +39,8 @@ foreach(header
     "== Figure 6: LOESS(0.75) of bo optimization traces =="
     "== Figure 8a: Sundog throughput by strategy/parameter set =="
     "== Figure 8b: Sundog tuning convergence (LOESS 0.75) =="
-    "== Ablation: acquisition function (EI / PI / UCB) =="
     "== Ablation: GP kernel family and ARD =="
-    "== Ablation: hyperparameter handling (slice / mle / fixed) =="
+    "== Ablation: hyperparameter handling (slice / fixed) =="
     "== Ablation: single-sample vs averaged measurements =="
     "== Ablation: edge fan-out semantics (split vs duplicate) =="
     "== Ablation: DES vs fluid bottleneck model =="

@@ -153,7 +153,6 @@ bo::BayesOptOptions bench_bo_options() {
   bo::BayesOptOptions o;
   o.kernel = gp::KernelFamily::kMatern52;
   o.ard = false;  // isotropic keeps step times practical at 100 dims
-  o.acquisition = bo::AcquisitionKind::kExpectedImprovement;
   o.hyper_mode = bo::HyperMode::kSliceSample;
   o.hyper_samples = 3;
   o.hyper_burn_in = 5;

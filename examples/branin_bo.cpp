@@ -31,7 +31,6 @@ int main() {
 
   bo::BayesOptOptions options;
   options.kernel = gp::KernelFamily::kMatern52;
-  options.acquisition = bo::AcquisitionKind::kExpectedImprovement;
   options.hyper_mode = bo::HyperMode::kSliceSample;
   options.seed = 7;
 

@@ -6,15 +6,6 @@
 
 namespace stormtune::bo {
 
-std::string to_string(AcquisitionKind kind) {
-  switch (kind) {
-    case AcquisitionKind::kExpectedImprovement: return "ei";
-    case AcquisitionKind::kProbabilityOfImprovement: return "pi";
-    case AcquisitionKind::kUpperConfidenceBound: return "ucb";
-  }
-  return "unknown";
-}
-
 double normal_pdf(double z) {
   return std::exp(-0.5 * z * z) * 0.39894228040143267794;
 }
@@ -33,37 +24,9 @@ double expected_improvement(double mean, double variance, double best,
   return improvement * normal_cdf(z) + sd * normal_pdf(z);
 }
 
-double probability_of_improvement(double mean, double variance, double best,
-                                  double xi) {
-  STORMTUNE_REQUIRE(variance >= 0.0, "probability_of_improvement: variance < 0");
-  const double improvement = mean - best - xi;
-  if (variance == 0.0) return improvement > 0.0 ? 1.0 : 0.0;
-  return normal_cdf(improvement / std::sqrt(variance));
-}
-
-double upper_confidence_bound(double mean, double variance, double beta) {
-  STORMTUNE_REQUIRE(variance >= 0.0, "upper_confidence_bound: variance < 0");
-  return mean + beta * std::sqrt(variance);
-}
-
-double acquisition_value(AcquisitionKind kind, double mean, double variance,
-                         double best, double xi, double beta) {
-  switch (kind) {
-    case AcquisitionKind::kExpectedImprovement:
-      return expected_improvement(mean, variance, best, xi);
-    case AcquisitionKind::kProbabilityOfImprovement:
-      return probability_of_improvement(mean, variance, best, xi);
-    case AcquisitionKind::kUpperConfidenceBound:
-      return upper_confidence_bound(mean, variance, beta);
-  }
-  return 0.0;
-}
-
-// The accumulate loops call the scalar functions (same translation unit, so
-// they inline): the per-element arithmetic is literally the scalar path, and
-// the only thing hoisted out of the loop is the kind dispatch and the
-// call/ABI overhead of going through acquisition_value per element.
-
+// The accumulate loop calls the scalar function (same translation unit, so
+// it inlines): the per-element arithmetic is literally the scalar path, and
+// only the call/ABI overhead is hoisted out of the loop.
 void expected_improvement_accumulate(std::span<const double> means,
                                      std::span<const double> variances,
                                      double best, double xi,
@@ -73,45 +36,6 @@ void expected_improvement_accumulate(std::span<const double> means,
       "expected_improvement_accumulate: size mismatch");
   for (std::size_t i = 0; i < means.size(); ++i) {
     acc[i] += expected_improvement(means[i], variances[i], best, xi);
-  }
-}
-
-void probability_of_improvement_accumulate(std::span<const double> means,
-                                           std::span<const double> variances,
-                                           double best, double xi,
-                                           std::span<double> acc) {
-  STORMTUNE_REQUIRE(
-      means.size() == variances.size() && means.size() == acc.size(),
-      "probability_of_improvement_accumulate: size mismatch");
-  for (std::size_t i = 0; i < means.size(); ++i) {
-    acc[i] += probability_of_improvement(means[i], variances[i], best, xi);
-  }
-}
-
-void upper_confidence_bound_accumulate(std::span<const double> means,
-                                       std::span<const double> variances,
-                                       double beta, std::span<double> acc) {
-  STORMTUNE_REQUIRE(
-      means.size() == variances.size() && means.size() == acc.size(),
-      "upper_confidence_bound_accumulate: size mismatch");
-  for (std::size_t i = 0; i < means.size(); ++i) {
-    acc[i] += upper_confidence_bound(means[i], variances[i], beta);
-  }
-}
-
-void acquisition_accumulate(AcquisitionKind kind, std::span<const double> means,
-                            std::span<const double> variances, double best,
-                            double xi, double beta, std::span<double> acc) {
-  switch (kind) {
-    case AcquisitionKind::kExpectedImprovement:
-      expected_improvement_accumulate(means, variances, best, xi, acc);
-      return;
-    case AcquisitionKind::kProbabilityOfImprovement:
-      probability_of_improvement_accumulate(means, variances, best, xi, acc);
-      return;
-    case AcquisitionKind::kUpperConfidenceBound:
-      upper_confidence_bound_accumulate(means, variances, beta, acc);
-      return;
   }
 }
 

@@ -1,21 +1,16 @@
-// Acquisition functions for Bayesian Optimization.
+// The acquisition function for Bayesian Optimization.
 //
-// The paper uses Expected Improvement (Mockus 1978), the Spearmint default;
-// Probability of Improvement and GP-UCB are provided as the other two
-// "most common ones" it names, and feed the acquisition ablation bench.
-// All formulas are written for *maximization* of the objective, matching
+// The paper uses Expected Improvement (Mockus 1978), the Spearmint default
+// (Section III-C). Probability of Improvement and GP-UCB, the other two
+// "most common ones" it names, measured no better than EI over 8 seeds
+// (EXPERIMENTS.md, "Surrogate ablations at 8 seeds") and were removed.
+// The formulas are written for *maximization* of the objective, matching
 // the paper's throughput-maximization setting.
 #pragma once
 
 #include <span>
-#include <string>
 
 namespace stormtune::bo {
-
-enum class AcquisitionKind { kExpectedImprovement, kProbabilityOfImprovement,
-                             kUpperConfidenceBound };
-
-std::string to_string(AcquisitionKind kind);
 
 /// Standard normal PDF.
 double normal_pdf(double z);
@@ -28,40 +23,13 @@ double normal_cdf(double z);
 double expected_improvement(double mean, double variance, double best,
                             double xi = 0.0);
 
-/// PI(x) = P(f(x) > f_best + xi).
-double probability_of_improvement(double mean, double variance, double best,
-                                  double xi = 0.0);
-
-/// UCB(x) = mean + beta * std.
-double upper_confidence_bound(double mean, double variance, double beta = 2.0);
-
-/// Dispatch on `kind`; `best` is ignored by UCB, `beta` by EI/PI.
-double acquisition_value(AcquisitionKind kind, double mean, double variance,
-                         double best, double xi = 0.0, double beta = 2.0);
-
-/// Batch accumulators: acc[i] += f(means[i], variances[i]) over contiguous
-/// mean/variance arrays, element for element the scalar functions above (so
-/// batch scores are bitwise identical to per-candidate scoring). These exist
-/// so surrogate scoring dispatches on the acquisition kind once per batch
-/// instead of once per candidate per GP sample. All spans must have equal
-/// length.
+/// Batch accumulator: acc[i] += expected_improvement(means[i],
+/// variances[i], best, xi) over contiguous mean/variance arrays, element
+/// for element the scalar function (so batch scores are bitwise identical
+/// to per-candidate scoring). All spans must have equal length.
 void expected_improvement_accumulate(std::span<const double> means,
                                      std::span<const double> variances,
                                      double best, double xi,
                                      std::span<double> acc);
-
-void probability_of_improvement_accumulate(std::span<const double> means,
-                                           std::span<const double> variances,
-                                           double best, double xi,
-                                           std::span<double> acc);
-
-void upper_confidence_bound_accumulate(std::span<const double> means,
-                                       std::span<const double> variances,
-                                       double beta, std::span<double> acc);
-
-/// Dispatch on `kind` once, then accumulate the whole batch.
-void acquisition_accumulate(AcquisitionKind kind, std::span<const double> means,
-                            std::span<const double> variances, double best,
-                            double xi, double beta, std::span<double> acc);
 
 }  // namespace stormtune::bo

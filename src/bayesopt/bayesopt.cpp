@@ -16,7 +16,6 @@ namespace stormtune::bo {
 std::string to_string(HyperMode mode) {
   switch (mode) {
     case HyperMode::kSliceSample: return "slice";
-    case HyperMode::kMle: return "mle";
     case HyperMode::kFixed: return "fixed";
   }
   return "unknown";
@@ -24,26 +23,26 @@ std::string to_string(HyperMode mode) {
 
 namespace {
 
+/// States saved before `value` of `field` was removed carry it; such a
+/// state cannot resume.
+void refuse_removed(const char* field, const std::string& value) {
+  STORMTUNE_REQUIRE(false, std::string("BayesOpt state: option '") + field +
+                               "' is '" + value +
+                               "', which this build removed");
+}
+
 gp::KernelFamily kernel_from_string(const std::string& s) {
   if (s == "se") return gp::KernelFamily::kSquaredExponential;
-  if (s == "matern32") return gp::KernelFamily::kMatern32;
   if (s == "matern52") return gp::KernelFamily::kMatern52;
+  if (s == "matern32") refuse_removed("kernel", s);
   STORMTUNE_REQUIRE(false, "unknown kernel family '" + s + "'");
   return gp::KernelFamily::kMatern52;
 }
 
-AcquisitionKind acquisition_from_string(const std::string& s) {
-  if (s == "ei") return AcquisitionKind::kExpectedImprovement;
-  if (s == "pi") return AcquisitionKind::kProbabilityOfImprovement;
-  if (s == "ucb") return AcquisitionKind::kUpperConfidenceBound;
-  STORMTUNE_REQUIRE(false, "unknown acquisition '" + s + "'");
-  return AcquisitionKind::kExpectedImprovement;
-}
-
 HyperMode hyper_mode_from_string(const std::string& s) {
   if (s == "slice") return HyperMode::kSliceSample;
-  if (s == "mle") return HyperMode::kMle;
   if (s == "fixed") return HyperMode::kFixed;
+  if (s == "mle") refuse_removed("hyper_mode", s);
   STORMTUNE_REQUIRE(false, "unknown hyper mode '" + s + "'");
   return HyperMode::kSliceSample;
 }
@@ -67,14 +66,12 @@ Json BayesOptOptions::to_json() const {
   JsonObject o;
   o["kernel"] = gp::to_string(kernel);
   o["ard"] = ard;
-  o["acquisition"] = bo::to_string(acquisition);
   o["hyper_mode"] = bo::to_string(hyper_mode);
   o["hyper_samples"] = hyper_samples;
   o["hyper_burn_in"] = hyper_burn_in;
   o["initial_design"] = initial_design;
   o["num_candidates"] = num_candidates;
   o["local_search_iters"] = local_search_iters;
-  o["xi"] = xi;
   o["fixed_noise_variance"] = fixed_noise_variance;
   if (!rung_noise_variance.empty()) {
     JsonArray rn;
@@ -94,7 +91,16 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   BayesOptOptions o;
   o.kernel = kernel_from_string(j.at("kernel").as_string());
   o.ard = j.at("ard").as_bool();
-  o.acquisition = acquisition_from_string(j.at("acquisition").as_string());
+  // States saved while the acquisition was an option carry it; only EI
+  // remains.
+  if (j.contains("acquisition")) {
+    const std::string acquisition = j.at("acquisition").as_string();
+    if (acquisition == "pi" || acquisition == "ucb") {
+      refuse_removed("acquisition", acquisition);
+    }
+    STORMTUNE_REQUIRE(acquisition == "ei",
+                      "unknown acquisition '" + acquisition + "'");
+  }
   o.hyper_mode = hyper_mode_from_string(j.at("hyper_mode").as_string());
   o.hyper_samples = static_cast<std::size_t>(j.at("hyper_samples").as_int());
   o.hyper_burn_in = static_cast<std::size_t>(j.at("hyper_burn_in").as_int());
@@ -102,14 +108,14 @@ BayesOptOptions BayesOptOptions::from_json(const Json& j) {
   o.num_candidates = static_cast<std::size_t>(j.at("num_candidates").as_int());
   o.local_search_iters =
       static_cast<std::size_t>(j.at("local_search_iters").as_int());
-  o.xi = j.at("xi").as_number();
-  require_fixed_option(j, "ucb_beta", kUcbBeta);
+  require_fixed_option(j, "xi", kXi);
   require_fixed_option(j, "hyper_refit_interval", kHyperRefitInterval);
   require_fixed_option(j, "hyper_burn_in_warm", kHyperBurnInWarm);
   o.fixed_noise_variance = j.at("fixed_noise_variance").as_number();
   o.seed = static_cast<std::uint64_t>(j.at("seed").as_number());
-  // States saved while suggest had a thread pool carry "num_threads"; it
-  // never changed a result, so it is ignored.
+  // States saved while suggest had a thread pool carry "num_threads", and
+  // states saved while UCB existed carry "ucb_beta", which an EI state
+  // never read; neither changes a result, so both are ignored.
   // Absent in states saved before the multi-fidelity ladder existed.
   if (j.contains("rung_noise_variance")) {
     for (const auto& v : j.at("rung_noise_variance").as_array()) {
@@ -168,7 +174,6 @@ constexpr double kUnitRoundoff = std::numeric_limits<double>::epsilon() / 2;
 double max_slope(gp::KernelFamily family) {
   switch (family) {
     case gp::KernelFamily::kSquaredExponential: return 0.5;
-    case gp::KernelFamily::kMatern32: return 1.5;
     case gp::KernelFamily::kMatern52: return 5.0 / 6.0;
   }
   return kInf;
@@ -177,19 +182,12 @@ double max_slope(gp::KernelFamily family) {
 /// k'_i = dk/db at the centre's scaled squared distances s_i = b_i·t from
 /// the transform's own output k_i = a²g(s_i), with no exp: SE's
 /// g' = −g/2; Matérn-5/2's g' = −(5/6)(1 + r)e^{−r} with
-/// e^{−r} = g/(1 + r + r²/3), r = √(5s); Matérn-3/2's g' = −(3/2)e^{−r}
-/// with e^{−r} = g/(1 + r), r = √(3s).
+/// e^{−r} = g/(1 + r + r²/3), r = √(5s).
 void corr_slopes(gp::KernelFamily family, double t, const double* b,
                  const double* k, double* dk, std::size_t n) {
   switch (family) {
     case gp::KernelFamily::kSquaredExponential:
       for (std::size_t i = 0; i < n; ++i) dk[i] = -0.5 * t * k[i];
-      return;
-    case gp::KernelFamily::kMatern32:
-      for (std::size_t i = 0; i < n; ++i) {
-        const double r = std::sqrt(3.0 * (b[i] * t));
-        dk[i] = -1.5 * t * k[i] / (1.0 + r);
-      }
       return;
     case gp::KernelFamily::kMatern52:
       for (std::size_t i = 0; i < n; ++i) {
@@ -201,31 +199,20 @@ void corr_slopes(gp::KernelFamily family, double t, const double* b,
 }
 
 /// κ_i = (1 + ε)·a²g''(s_i)·t², in place over the s_i ≥ 0 in `kap`, from
-/// one batched SE transform (scale·e^{−x/2}) and no scalar exp; `r` is n
-/// entries of scratch. g'' is positive and decreasing for all three
-/// families, so g'' at the low end of an interval bounds it there:
+/// one batched SE transform (scale·e^{−x/2}) and no scalar exp. g'' is
+/// positive and decreasing for both families, so g'' at the low end of an
+/// interval bounds it there:
 ///  * SE: g'' = e^{−s/2}/4, so x = s.
 ///  * Matérn-5/2: g'' = (25/12)e^{−√(5s)}, so x = 2√(5s)(1 − ε).
-///  * Matérn-3/2: g'' = (9/4)e^{−r}/r, r = √(3s), so x = 2r(1 − ε), then
-///    ÷ r: +∞ at s = 0.
 /// The 1 − ε shrinks the exponent by more than its rounding, which only
 /// raises g''; the 1 + ε covers the exp lane's few ulps and the products'.
 void curvatures(gp::KernelFamily family, double a2, double t, double eps,
-                double* kap, double* r, std::size_t n) {
+                double* kap, std::size_t n) {
   const double scale = (1.0 + eps) * a2 * t * t;
   const linalg_kernels::KernelOps& ops = linalg_kernels::ops();
   switch (family) {
     case gp::KernelFamily::kSquaredExponential:
       ops.correlation(family, 0.25 * scale, kap, n);
-      return;
-    case gp::KernelFamily::kMatern32:
-      for (std::size_t i = 0; i < n; ++i) {
-        r[i] = std::sqrt(3.0 * kap[i]);
-        kap[i] = 2.0 * r[i] * (1.0 - eps);
-      }
-      ops.correlation(gp::KernelFamily::kSquaredExponential, 2.25 * scale,
-                      kap, n);
-      for (std::size_t i = 0; i < n; ++i) kap[i] /= r[i];
       return;
     case gp::KernelFamily::kMatern52:
       for (std::size_t i = 0; i < n; ++i) {
@@ -235,16 +222,6 @@ void curvatures(gp::KernelFamily family, double a2, double t, double eps,
                       (25.0 / 12.0) * scale, kap, n);
       return;
   }
-}
-
-/// An upper bound on the UCB value the exact path computes from any mean
-/// ≤ mu and variance ≤ var (β ≥ 0, so UCB is nondecreasing in both); the
-/// allowance covers its own rounding. EI's bound is the batched
-/// linalg_kernels ei_bounds.
-double ucb_bound(double beta, double mu, double var, double eps) {
-  if (!(std::fabs(mu) < kInf)) return kInf;
-  const double u = upper_confidence_bound(mu, var, beta);
-  return u + eps * (std::fabs(u) + beta * std::sqrt(var));
 }
 
 }  // namespace
@@ -259,8 +236,8 @@ struct BayesOpt::Surrogate {
   const gp::GpRegressor* inputs_gp = nullptr;
   /// One posterior per hyperparameter sample; what scoring reads.
   std::vector<gp::PosteriorView> posts;
-  /// Storage for a fit made for this suggest only: the slice sampler's or
-  /// the MLE search's regressor, and the slice samples' posteriors.
+  /// Storage for a fit made for this suggest only: the slice sampler's
+  /// regressor and its samples' posteriors.
   std::optional<gp::GpRegressor> own_gp;
   std::vector<gp::Posterior> own_posts;
   double y_mean = 0.0;
@@ -398,8 +375,8 @@ struct BayesOpt::Surrogate {
   /// Returns how many columns finished: ws.scores[0, live) and ws.ids say
   /// which candidate each holds (columns stay in place when nothing
   /// drops). Read-only on the posteriors.
-  std::size_t score_block(const BayesOptOptions& opts, ScoreBlock& ws,
-                          std::size_t m, double threshold = -kInf) const {
+  std::size_t score_block(ScoreBlock& ws, std::size_t m,
+                          double threshold = -kInf) const {
     std::fill_n(ws.scores.begin(), m, 0.0);
     const bool costed = cost1_ms > 0.0;
     if (costed) {
@@ -417,9 +394,8 @@ struct BayesOpt::Surrogate {
       }
       gp::predict_mv_from_sq_dist_block(post, ws.d2t.data(), kBlockLd, m,
                                         ws.v.data(), kBlockLd, means, vars);
-      acquisition_accumulate(opts.acquisition, means, vars, best_standardized,
-                             opts.xi, kUcbBeta,
-                             std::span(ws.scores.data(), m));
+      expected_improvement_accumulate(means, vars, best_standardized, kXi,
+                                      std::span(ws.scores.data(), m));
       if (costed) {
         for (std::size_t r = 0; r < m; ++r) {
           ws.mean_acc[r] += means[r];
@@ -449,8 +425,7 @@ struct BayesOpt::Surrogate {
   /// Score the block's first m multistart candidates (columns of ws.qt) and
   /// fold them into the block's running argmax: strict >, so the lowest
   /// index wins a tie. `fresh` restarts the argmax at the first of them.
-  void score_candidates(const BayesOptOptions& opts, ScoreBlock& ws,
-                        std::size_t m, bool fresh) const {
+  void score_candidates(ScoreBlock& ws, std::size_t m, bool fresh) const {
     const std::size_t d = ws.qt.rows();
     if (shares_distances()) {
       // Training-point-major, so each posterior reads its distance rows
@@ -458,7 +433,7 @@ struct BayesOpt::Surrogate {
       inputs_gp->sq_dist_block(posts.front(), ws.qt.data(), kBlockLd, m,
                                ws.d2t.data(), kBlockLd);
     }
-    score_block(opts, ws, m);
+    score_block(ws, m);
     for (std::size_t c = 0; c < m; ++c) {
       if ((fresh && c == 0) || ws.scores[c] > ws.best_score) {
         ws.best_score = ws.scores[c];
@@ -474,10 +449,9 @@ struct BayesOpt::Surrogate {
   /// single-coordinate update of the centre's (`base`, from
   /// unscaled_sq_dists) instead of an O(n·d) recomputation. Otherwise the
   /// neighbours go into ws.qt's columns.
-  std::size_t score_neighbors(const BayesOptOptions& opts, ScoreBlock& ws,
-                              std::span<const double> cur, double step,
-                              std::span<const double> base, std::size_t m,
-                              double threshold) const {
+  std::size_t score_neighbors(ScoreBlock& ws, std::span<const double> cur,
+                              double step, std::span<const double> base,
+                              std::size_t m, double threshold) const {
     if (shares_distances()) {
       const Matrix& x = inputs_gp->inputs();
       const std::size_t n = x.rows();
@@ -499,17 +473,15 @@ struct BayesOpt::Surrogate {
         ws.qt(ws.ids[c] / 2, c) = neighbor_value(cur, step, ws.ids[c]);
       }
     }
-    return score_block(opts, ws, m, threshold);
+    return score_block(ws, m, threshold);
   }
 
   /// Whether neighbor_bounds bounds a neighbour's score: non-ARD
-  /// posteriors (which share the centre's distances), no cost divisor, and
-  /// EI or UCB (β = kUcbBeta > 0), the acquisitions nondecreasing in μ and
-  /// σ², at any history length. Every other neighbour's bound is +∞.
-  bool bounds_neighbors(const BayesOptOptions& opts) const {
-    if (!shares_distances() || cost1_ms > 0.0) return false;
-    return opts.acquisition == AcquisitionKind::kExpectedImprovement ||
-           opts.acquisition == AcquisitionKind::kUpperConfidenceBound;
+  /// posteriors (which share the centre's distances) and no cost divisor,
+  /// at any history length (EI is nondecreasing in μ and σ²). Every other
+  /// neighbour's bound is +∞.
+  bool bounds_neighbors() const {
+    return shares_distances() && !(cost1_ms > 0.0);
   }
 
   /// Posterior `post`'s CentreTerms at the centre whose squared distances
@@ -551,7 +523,7 @@ struct BayesOpt::Surrogate {
       const double lo = (base[i] - ls.disp) * t * (1.0 - eps);
       kap[i] = lo > 0.0 ? lo : 0.0;
     }
-    curvatures(post.family, a2, t, eps, kap, err, n);
+    curvatures(post.family, a2, t, eps, kap, n);
     const double slope_max = max_slope(post.family) * a2 * t;
     for (std::size_t i = 0; i < n; ++i) {
       err[i] = 4.0 * eps * a2 +
@@ -630,8 +602,7 @@ struct BayesOpt::Surrogate {
   /// (6 × d), into mu[r] and var[r]; then mu[r] becomes the bound on the
   /// posterior's acquisition term of r's score, +∞ where the arithmetic
   /// gives none (an infinite κ, a NaN).
-  void neighbor_bounds(const BayesOptOptions& opts,
-                       const gp::PosteriorView& post, const CentreTerms& ct,
+  void neighbor_bounds(const gp::PosteriorView& post, const CentreTerms& ct,
                        const double* sums, double eps,
                        std::span<const double> cur, double step, double* mu,
                        double* var) const {
@@ -655,14 +626,8 @@ struct BayesOpt::Surrogate {
       // The exact variance is never above a², and never below 0.
       var[r] = v < a2 ? (v > 0.0 ? v : 0.0) : a2;
     }
-    if (opts.acquisition == AcquisitionKind::kExpectedImprovement) {
-      linalg_kernels::ops().ei_bounds(mu, var, num_nb, best_standardized,
-                                      opts.xi, eps, mu);
-    } else {
-      for (std::size_t r = 0; r < num_nb; ++r) {
-        mu[r] = ucb_bound(kUcbBeta, mu[r], var[r], eps);
-      }
-    }
+    linalg_kernels::ops().ei_bounds(mu, var, num_nb, best_standardized, kXi,
+                                    eps, mu);
   }
 };
 
@@ -783,7 +748,7 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
   // Per-observation noise variances from the fidelity tags. The diagonal is
   // only engaged when the effective rung variances actually differ — a
   // history whose rungs all share one variance takes the homoscedastic
-  // scalar path, bit-identical to pre-ladder fits. Slice/MLE modes infer
+  // scalar path, bit-identical to pre-ladder fits. Slice sampling infers
   // the overall noise scale and carry the rung structure as fixed ratios
   // against the full-fidelity rung (see apply_hyperparams).
   std::vector<double> noises(n);
@@ -835,14 +800,6 @@ void BayesOpt::fit_surrogate(Surrogate& s) {
       }
       s.inputs_gp = &*fixed_gp_;
       s.posts.push_back(fixed_gp_->posterior());
-      break;
-    }
-    case HyperMode::kMle: {
-      gp.set_inputs(unit_inputs());
-      gp::MleOptions mle;
-      gp::fit_hyperparams_mle(gp, gp.inputs(), y, mle, rng_, noise_ratios);
-      s.inputs_gp = &s.own_gp.emplace(std::move(gp));
-      s.posts.push_back(s.own_gp->posterior());
       break;
     }
     case HyperMode::kSliceSample: {
@@ -993,8 +950,7 @@ std::vector<double> BayesOpt::maximize_acquisition(Surrogate& surrogate) {
       if (filled == 0) Surrogate::poison(block_);
       generate_candidate(c, inc_u, rng, block_.qt, filled);
       if (++filled == kBlockRows || c + 1 == num_cands) {
-        surrogate.score_candidates(options_, block_, filled,
-                                   /*fresh=*/c + 1 == filled);
+        surrogate.score_candidates(block_, filled, /*fresh=*/c + 1 == filled);
         filled = 0;
       }
     }
@@ -1009,7 +965,7 @@ void BayesOpt::start_local_search(const Surrogate& surrogate,
   const std::size_t num_nb = 2 * d;
   const std::size_t num_posts = surrogate.posts.size();
   LocalSearch& ls = local_;
-  ls.bounded = surrogate.bounds_neighbors(options_);
+  ls.bounded = surrogate.bounds_neighbors();
   ls.base.resize(surrogate.shares_distances() ? n : 0);
   ls.bound.assign(num_nb, kInf);
   ls.score.resize(num_nb);
@@ -1067,7 +1023,7 @@ std::size_t BayesOpt::order_by_bound(const Surrogate& surrogate,
                                      n, d, ls.weights.data(), num_posts,
                                      ls.sums.data());
     for (std::size_t s = 0; s < num_posts; ++s) {
-      surrogate.neighbor_bounds(options_, surrogate.posts[s], ls.terms[s],
+      surrogate.neighbor_bounds(surrogate.posts[s], ls.terms[s],
                                 ls.sums.data() + 6 * d * s, ls.eps, cur, step,
                                 ls.acq.data() + num_nb * s, ls.var.data());
     }
@@ -1113,7 +1069,7 @@ double BayesOpt::score_in_order(const Surrogate& surrogate,
   }
   // Without bounds (all +∞) nothing could drop: score at T = −∞.
   const std::size_t live =
-      surrogate.score_neighbors(options_, ws, cur, step, ls.base, m,
+      surrogate.score_neighbors(ws, cur, step, ls.base, m,
                                 ls.bounded ? threshold : -kInf);
   double best = -kInf;
   for (std::size_t c = 0; c < live; ++c) {

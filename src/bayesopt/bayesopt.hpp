@@ -2,7 +2,7 @@
 //
 // Implements the loop of Section III-C of the paper: fit a GP to all
 // configuration/performance observations, marginalize its hyperparameters
-// (slice sampling, as in Spearmint) or fit them by MAP, maximize Expected
+// (slice sampling, as in Spearmint) or hold them fixed, maximize Expected
 // Improvement over the unit-hypercube search space with a random multistart
 // plus local refinement, and propose the next configuration to run.
 // State can be serialized to JSON and resumed — the Spearmint feature the
@@ -13,6 +13,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bayesopt/acquisition.hpp"
@@ -26,14 +27,14 @@ namespace stormtune::bo {
 
 enum class HyperMode {
   kSliceSample,  ///< marginalize via MCMC (Spearmint's scheme)
-  kMle,          ///< point MAP estimate via coordinate search
   kFixed,        ///< fixed, sensible defaults (no refitting)
 };
 
 std::string to_string(HyperMode mode);
 
-/// UCB's exploration weight: a candidate scores μ + β·σ with β = kUcbBeta.
-inline constexpr double kUcbBeta = 2.0;
+/// EI's exploration offset ξ (standardized units): a candidate scores
+/// E[max(0, f − f_best − ξ)].
+inline constexpr double kXi = 0.0;
 /// Windowed slice sampling: window slides between warm hyperparameter
 /// refreshes. Between refreshes each per-sample GP slides incrementally
 /// (O(w²) evict + append) with its hyperparameters held; every
@@ -53,14 +54,12 @@ struct BayesOptOptions {
   /// for the 100-parameter topologies the isotropic kernel keeps step times
   /// practical, mirroring the paper's own scalability concern (Fig. 7).
   bool ard = false;
-  AcquisitionKind acquisition = AcquisitionKind::kExpectedImprovement;
   HyperMode hyper_mode = HyperMode::kSliceSample;
   std::size_t hyper_samples = 5;   ///< posterior samples when slice sampling
   std::size_t hyper_burn_in = 10;
   std::size_t initial_design = 5;  ///< random points before the GP engages
   std::size_t num_candidates = 512;
   std::size_t local_search_iters = 20;
-  double xi = 0.0;        ///< EI/PI exploration offset (standardized units)
   double fixed_noise_variance = 1e-3;  ///< in standardized-target units
   /// Per-fidelity observation-noise variances for mixed-rung histories
   /// (standardized-target units, indexed by Observation::rung). Entries that
@@ -68,8 +67,8 @@ struct BayesOptOptions {
   /// every effective value is equal the fit takes the homoscedastic scalar
   /// path, bit-identical to pre-ladder behaviour; otherwise the GP carries a
   /// per-observation noise diagonal. Heteroscedastic fits require
-  /// hyper_mode == kFixed — slice/MLE infer a scalar noise as part of theta,
-  /// which would silently fight the diagonal.
+  /// hyper_mode == kFixed — slice sampling infers a scalar noise as part
+  /// of theta, which would silently fight the diagonal.
   std::vector<double> rung_noise_variance;
   /// Sliding observation window: when > 0 the surrogate is fit to at most
   /// this many observations — once the window overflows, the oldest

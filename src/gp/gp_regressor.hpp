@@ -5,7 +5,7 @@
 // posterior GP supplies the predictive mean and variance from which the
 // Expected Improvement acquisition function is computed.
 //
-// Hyperparameter inference (slice sampling, MLE coordinate search) refits the
+// Hyperparameter inference (slice sampling) refits the
 // same regressor hundreds of times per suggestion while X never changes, so
 // fit() maintains a layered cache keyed on what each layer actually depends
 // on (see DESIGN.md "Performance architecture"):

@@ -92,8 +92,8 @@ double log_posterior(GpRegressor& gp, std::span<const double> theta,
   return gp.log_marginal_likelihood() + prior.log_density(theta, num_ls);
 }
 
-/// The sampler's and the coordinate search's objective. They refit one X
-/// hundreds of times per suggestion, so it loads X once
+/// The sampler's objective. It refits one X hundreds of times per
+/// suggestion, so it loads X once
 /// (GpRegressor::set_inputs) and each evaluation refits the stored copy:
 /// fit()'s bits without its O(n·d) input comparison.
 class LogPosterior {
@@ -209,59 +209,6 @@ std::vector<HyperSample> sample_hyperparams(
   // Leave gp fitted with the final sample so callers can predict directly.
   apply_hyperparams(gp, samples.back().theta, x, y, noise_ratio_diag);
   return samples;
-}
-
-HyperSample fit_hyperparams_mle(GpRegressor& gp, const Matrix& x,
-                                const Vector& y, const MleOptions& opts,
-                                Rng& rng,
-                                std::span<const double> noise_ratio_diag) {
-  LogPosterior posterior(gp, x, y, opts.prior, noise_ratio_diag);
-  auto exact = [&](const std::vector<double>& t) {
-    return [&] { return LogDensity{posterior.exact(t)}; };
-  };
-
-  // Every restart starts from the regressor's hyperparameters on entry:
-  // restart 0 from them, restart r > 0 from them plus its own normals.
-  const std::vector<double> start = initial_theta(gp);
-  std::vector<double> best = start;
-  LogDensity best_val = posterior(best, false);
-
-  for (int restart = 0; restart < opts.restarts; ++restart) {
-    std::vector<double> theta = start;
-    if (restart > 0) {
-      for (auto& t : theta) t += rng.normal(0.0, 1.0);
-    }
-    LogDensity val = posterior(theta, false);
-    double step = opts.initial_step;
-    for (int iter = 0; iter < opts.iterations; ++iter) {
-      bool improved = false;
-      for (std::size_t i = 0; i < theta.size(); ++i) {
-        for (const double delta : {step, -step}) {
-          std::vector<double> cand = theta;
-          cand[i] += delta;
-          LogDensity cv = posterior(cand, false);
-          if (exactly_greater(cv, exact(cand), val, exact(theta))) {
-            val = cv;
-            theta = std::move(cand);
-            improved = true;
-            break;
-          }
-        }
-      }
-      if (!improved) {
-        step *= 0.5;
-        if (step < 1e-3) break;
-      }
-    }
-    if (exactly_greater(val, exact(theta), best_val, exact(best))) {
-      best_val = val;
-      best = theta;
-    }
-  }
-  STORMTUNE_REQUIRE(std::isfinite(best_val.value),
-                    "fit_hyperparams_mle: no finite posterior value found");
-  apply_hyperparams(gp, best, x, y, noise_ratio_diag);
-  return HyperSample{std::move(best)};
 }
 
 }  // namespace stormtune::gp

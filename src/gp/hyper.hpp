@@ -1,11 +1,10 @@
-// GP hyperparameter inference: MCMC marginalization and point MLE.
+// GP hyperparameter inference: MCMC marginalization.
 //
 // The full hyperparameter vector is laid out as
 //   [log_amplitude, log_lengthscale_1..L, log_noise_std, constant_mean]
 // and its posterior (GP log marginal likelihood + Gaussian priors in log
-// space) is explored either with coordinate-wise slice sampling (Spearmint's
-// scheme) or maximized with a derivative-free coordinate search (the "MLE"
-// mode used by the hyperparameter-handling ablation).
+// space) is explored with coordinate-wise slice sampling (Spearmint's
+// scheme).
 #pragma once
 
 #include <vector>
@@ -49,7 +48,7 @@ struct HyperSample {
 /// the diagonal sigma_n^2 * ratio_i instead of the scalar sigma_n^2, where
 /// sigma_n^2 = exp(2 * log_noise_std) comes from theta. This is how
 /// mixed-fidelity rung variances stay proportionally apart while slice
-/// sampling / MLE infer the overall noise scale: ratio_i is the observation
+/// sampling infers the overall noise scale: ratio_i is the observation
 /// rung's variance relative to the full-fidelity rung. An empty span (the
 /// default) is the pre-existing scalar path, bit-identical.
 void apply_hyperparams(GpRegressor& gp, std::span<const double> theta,
@@ -82,20 +81,5 @@ std::vector<HyperSample> sample_hyperparams(
     GpRegressor& gp, const Matrix& x, const Vector& y,
     const HyperSamplerOptions& opts, Rng& rng,
     std::span<const double> noise_ratio_diag = {});
-
-struct MleOptions {
-  int restarts = 3;
-  int iterations = 40;       ///< coordinate-descent passes
-  double initial_step = 0.5; ///< log-space step size
-  HyperPrior prior;          ///< acts as regularizer (MAP, strictly speaking)
-};
-
-/// Derivative-free coordinate search for the MAP hyperparameters.
-/// Returns the best theta found; `gp` is left fitted with it.
-/// `noise_ratio_diag` as in apply_hyperparams.
-HyperSample fit_hyperparams_mle(GpRegressor& gp, const Matrix& x,
-                                const Vector& y, const MleOptions& opts,
-                                Rng& rng,
-                                std::span<const double> noise_ratio_diag = {});
 
 }  // namespace stormtune::gp

@@ -9,7 +9,6 @@ namespace stormtune::gp {
 std::string to_string(KernelFamily family) {
   switch (family) {
     case KernelFamily::kSquaredExponential: return "se";
-    case KernelFamily::kMatern32: return "matern32";
     case KernelFamily::kMatern52: return "matern52";
   }
   return "unknown";

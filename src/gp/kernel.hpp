@@ -1,9 +1,9 @@
 // Covariance kernels for Gaussian-process regression.
 //
 // Spearmint — the optimizer the paper uses — models the objective with an
-// ARD Matérn 5/2 kernel; we provide that plus squared-exponential and
-// Matérn 3/2 for the kernel ablation bench. Hyperparameters live in log
-// space so that slice sampling and MLE search operate on an unconstrained
+// ARD Matérn 5/2 kernel; we provide that plus the squared exponential,
+// which the kernel ablation bench measures against it. Hyperparameters
+// live in log space so that slice sampling operates on an unconstrained
 // parameterization.
 //
 // The correlation functions themselves live in linalg/kernels.hpp: the

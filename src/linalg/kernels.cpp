@@ -32,10 +32,6 @@ double correlation_from_scaled_sq(KernelFamily family, double r2) {
   switch (family) {
     case KernelFamily::kSquaredExponential:
       return std::exp(-0.5 * r2);
-    case KernelFamily::kMatern32: {
-      const double sr = std::sqrt(3.0 * r2);
-      return (1.0 + sr) * std::exp(-sr);
-    }
     case KernelFamily::kMatern52: {
       const double sr = std::sqrt(5.0 * r2);
       return (1.0 + sr + sr * sr / 3.0) * std::exp(-sr);

@@ -27,13 +27,12 @@ namespace stormtune::linalg_kernels {
 /// The stationary kernels' unit-amplitude correlations g(r²) (gp::Kernel).
 enum class KernelFamily {
   kSquaredExponential,
-  kMatern32,
   kMatern52,
 };
 
 /// g(r²) for an already-scaled squared distance r² = Σ((x_k−y_k)/l_k)²:
-/// e^{−r²/2}, (1 + √(3r²))·e^{−√(3r²)} or
-/// (1 + √(5r²) + 5r²/3)·e^{−√(5r²)}, in that operation order. The scalar
+/// e^{−r²/2} or (1 + √(5r²) + 5r²/3)·e^{−√(5r²)}, in that operation
+/// order. The scalar
 /// form of KernelOps::correlation, whose lanes follow it step for step.
 /// Defined in the portable translation unit, so every path's checked-build
 /// sampling compares against baseline code.

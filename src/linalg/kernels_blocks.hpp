@@ -402,12 +402,6 @@ STORMTUNE_HOT inline void correlation(KernelFamily family, double scale,
         return V::exp(V::mul(V::set1(-0.5), r2));
       });
       break;
-    case KernelFamily::kMatern32:
-      map_lanes<V>(scale, buf, len, [](Reg r2) {
-        const Reg sr = V::sqrt(V::mul(V::set1(3.0), r2));
-        return V::mul(V::add(V::set1(1.0), sr), V::exp(V::sub(V::zero(), sr)));
-      });
-      break;
     case KernelFamily::kMatern52:
       map_lanes<V>(scale, buf, len, [](Reg r2) {
         const Reg sr = V::sqrt(V::mul(V::set1(5.0), r2));

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <tuple>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -78,73 +77,6 @@ TEST(ExpectedImprovement, XiShiftsThreshold) {
 TEST(ExpectedImprovement, RejectsNegativeVariance) {
   EXPECT_THROW(expected_improvement(0.0, -1.0, 0.0), Error);
 }
-
-TEST(ProbabilityOfImprovement, IsAProbability) {
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double pi = probability_of_improvement(
-        rng.normal(0, 5), rng.uniform(0.0, 10.0), rng.normal(0, 5));
-    EXPECT_GE(pi, 0.0);
-    EXPECT_LE(pi, 1.0);
-  }
-}
-
-TEST(ProbabilityOfImprovement, HalfWhenMeanEqualsBest) {
-  EXPECT_NEAR(probability_of_improvement(2.0, 1.0, 2.0), 0.5, 1e-12);
-}
-
-TEST(ProbabilityOfImprovement, ZeroVarianceIsStep) {
-  EXPECT_DOUBLE_EQ(probability_of_improvement(3.0, 0.0, 2.0), 1.0);
-  EXPECT_DOUBLE_EQ(probability_of_improvement(1.0, 0.0, 2.0), 0.0);
-}
-
-TEST(UpperConfidenceBound, LinearInMeanAndStd) {
-  EXPECT_DOUBLE_EQ(upper_confidence_bound(1.0, 4.0, 2.0), 5.0);
-  EXPECT_DOUBLE_EQ(upper_confidence_bound(1.0, 0.0, 2.0), 1.0);
-}
-
-TEST(AcquisitionDispatch, RoutesToEachFunction) {
-  const double mean = 1.0, var = 1.0, best = 0.5;
-  EXPECT_DOUBLE_EQ(
-      acquisition_value(AcquisitionKind::kExpectedImprovement, mean, var,
-                        best),
-      expected_improvement(mean, var, best));
-  EXPECT_DOUBLE_EQ(
-      acquisition_value(AcquisitionKind::kProbabilityOfImprovement, mean, var,
-                        best),
-      probability_of_improvement(mean, var, best));
-  EXPECT_DOUBLE_EQ(
-      acquisition_value(AcquisitionKind::kUpperConfidenceBound, mean, var,
-                        best, 0.0, 3.0),
-      upper_confidence_bound(mean, var, 3.0));
-}
-
-TEST(AcquisitionNames, Stringification) {
-  EXPECT_EQ(to_string(AcquisitionKind::kExpectedImprovement), "ei");
-  EXPECT_EQ(to_string(AcquisitionKind::kProbabilityOfImprovement), "pi");
-  EXPECT_EQ(to_string(AcquisitionKind::kUpperConfidenceBound), "ucb");
-}
-
-// Property sweep: EI and PI rank candidate points consistently when the
-// variance is shared (both are increasing transforms of the z-score).
-class EiPiConsistency : public ::testing::TestWithParam<double> {};
-
-TEST_P(EiPiConsistency, SameRankingAtEqualVariance) {
-  const double var = GetParam();
-  const double best = 0.0;
-  double prev_ei = -1.0, prev_pi = -1.0;
-  for (double m = -3.0; m <= 3.0; m += 0.5) {
-    const double ei = expected_improvement(m, var, best);
-    const double pi = probability_of_improvement(m, var, best);
-    EXPECT_GE(ei, prev_ei);
-    EXPECT_GE(pi, prev_pi);
-    prev_ei = ei;
-    prev_pi = pi;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(VarianceLevels, EiPiConsistency,
-                         ::testing::Values(0.25, 1.0, 4.0, 9.0));
 
 }  // namespace
 }  // namespace stormtune::bo

@@ -39,7 +39,7 @@ ParamSpace branin_space() {
 
 BayesOptOptions fast_options(std::uint64_t seed) {
   BayesOptOptions o;
-  o.hyper_mode = HyperMode::kMle;
+  o.hyper_mode = HyperMode::kSliceSample;
   o.num_candidates = 256;
   o.local_search_iters = 10;
   o.initial_design = 5;
@@ -263,21 +263,50 @@ TEST(BayesOpt, StateSurvivesTextSerialization) {
 
 TEST(BayesOpt, OptionsJsonRoundTrip) {
   BayesOptOptions o;
-  o.kernel = gp::KernelFamily::kMatern32;
+  o.kernel = gp::KernelFamily::kSquaredExponential;
   o.ard = true;
-  o.acquisition = AcquisitionKind::kUpperConfidenceBound;
-  o.hyper_mode = HyperMode::kMle;
+  o.hyper_mode = HyperMode::kFixed;
   o.hyper_samples = 9;
-  o.xi = 0.25;
   o.seed = 777;
   const BayesOptOptions back = BayesOptOptions::from_json(o.to_json());
   EXPECT_EQ(back.kernel, o.kernel);
   EXPECT_EQ(back.ard, o.ard);
-  EXPECT_EQ(back.acquisition, o.acquisition);
   EXPECT_EQ(back.hyper_mode, o.hyper_mode);
   EXPECT_EQ(back.hyper_samples, o.hyper_samples);
-  EXPECT_DOUBLE_EQ(back.xi, o.xi);
   EXPECT_EQ(back.seed, o.seed);
+}
+
+// States saved while PI, UCB, Matérn-3/2 and the MAP search existed: one
+// that used EI and a surviving kernel and hyper mode resumes, whatever its
+// unread UCB β; one that names a removed value is refused by field.
+TEST(BayesOpt, OldStatesResumeUnlessTheyNameARemovedVariant) {
+  Json saved = BayesOptOptions{}.to_json();
+  EXPECT_FALSE(saved.contains("acquisition"));
+  EXPECT_FALSE(saved.contains("xi"));
+  saved.as_object()["acquisition"] = "ei";
+  saved.as_object()["ucb_beta"] = 3.0;
+  EXPECT_EQ(BayesOptOptions::from_json(saved).kernel,
+            gp::KernelFamily::kMatern52);
+  struct Removed {
+    const char* field;
+    const char* value;
+  };
+  for (const Removed r : {Removed{"acquisition", "pi"},
+                          Removed{"acquisition", "ucb"},
+                          Removed{"hyper_mode", "mle"},
+                          Removed{"kernel", "matern32"}}) {
+    Json old = saved;
+    old.as_object()[r.field] = r.value;
+    try {
+      BayesOptOptions::from_json(old);
+      ADD_FAILURE() << r.field << " = " << r.value << " resumed";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string("'") + r.field + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("removed"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(BayesOpt, ExploresAfterInitialDesign) {
@@ -350,7 +379,7 @@ TEST_P(WindowSweep, SuggestsStayValidAcrossEvictions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllHyperModes, WindowSweep,
-                         ::testing::Values(HyperMode::kFixed, HyperMode::kMle,
+                         ::testing::Values(HyperMode::kFixed,
                                            HyperMode::kSliceSample));
 
 TEST(BayesOpt, WindowPinsIncumbentAcrossEvictions) {
@@ -402,18 +431,18 @@ TEST(BayesOpt, OptionsJsonRoundTripWithWindow) {
   o.max_observations = 16;
   const BayesOptOptions back = BayesOptOptions::from_json(o.to_json());
   EXPECT_EQ(back.max_observations, 16u);
-  // States saved while UCB's β and the warm-refresh cadence were options
+  // States saved while EI's ξ and the warm-refresh cadence were options
   // carry them: the values this build fixes resume, any other is refused
   // by name rather than silently replaced.
   Json saved = o.to_json();
-  EXPECT_FALSE(saved.contains("ucb_beta"));
+  EXPECT_FALSE(saved.contains("xi"));
   EXPECT_FALSE(saved.contains("hyper_refit_interval"));
-  saved.as_object()["ucb_beta"] = kUcbBeta;
+  saved.as_object()["xi"] = kXi;
   saved.as_object()["hyper_refit_interval"] = kHyperRefitInterval;
   saved.as_object()["hyper_burn_in_warm"] = kHyperBurnInWarm;
   EXPECT_EQ(BayesOptOptions::from_json(saved).max_observations, 16u);
   for (const char* field :
-       {"ucb_beta", "hyper_refit_interval", "hyper_burn_in_warm"}) {
+       {"xi", "hyper_refit_interval", "hyper_burn_in_warm"}) {
     Json changed = saved;
     changed.as_object()[field] = 1.0;
     try {
@@ -433,25 +462,22 @@ TEST(BayesOpt, OptionsJsonRoundTripWithWindow) {
   EXPECT_EQ(parsed.max_observations, 0u);
 }
 
-// Mixed-fidelity rung noise now composes with the sampled hyper modes: the
-// rung structure rides on the inferred noise scale as fixed variance ratios
+// Mixed-fidelity rung noise now composes with slice sampling: the rung
+// structure rides on the inferred noise scale as fixed variance ratios
 // (see apply_hyperparams' noise_ratio_diag) instead of requiring kFixed.
 TEST(BayesOpt, MixedRungNoiseComposesWithSampledHyperModes) {
-  for (const HyperMode mode : {HyperMode::kSliceSample, HyperMode::kMle}) {
-    BayesOptOptions o = fast_options(41);
-    o.hyper_mode = mode;
-    o.hyper_samples = 3;
-    o.hyper_burn_in = 4;
-    o.rung_noise_variance = {0.0, 4e-3, 1e-3};
-    BayesOpt opt(branin_space(), o);
-    for (int i = 0; i < 8; ++i) {
-      const ParamValues x = opt.suggest();
-      opt.observe(x, neg_branin(x[0], x[1]), i % 2 == 0 ? 1 : 2);
-    }
+  BayesOptOptions o = fast_options(41);
+  o.hyper_samples = 3;
+  o.hyper_burn_in = 4;
+  o.rung_noise_variance = {0.0, 4e-3, 1e-3};
+  BayesOpt opt(branin_space(), o);
+  for (int i = 0; i < 8; ++i) {
     const ParamValues x = opt.suggest();
-    ASSERT_EQ(x.size(), 2u);
-    EXPECT_TRUE(std::isfinite(x[0]) && std::isfinite(x[1]));
+    opt.observe(x, neg_branin(x[0], x[1]), i % 2 == 0 ? 1 : 2);
   }
+  const ParamValues x = opt.suggest();
+  ASSERT_EQ(x.size(), 2u);
+  EXPECT_TRUE(std::isfinite(x[0]) && std::isfinite(x[1]));
 }
 
 // The local search's neighbour bound (DESIGN.md §8, "Bounded local search")
@@ -475,63 +501,54 @@ TEST(BayesOpt, NeighborBoundsCoverExactScores) {
     bool noise_diag;
   };
   const Setup setups[] = {{HyperMode::kSliceSample, false},
-                          {HyperMode::kMle, false},
                           {HyperMode::kFixed, true},
                           {HyperMode::kSliceSample, true}};
+  // Each family's history comes from the seed it had while the sweep also
+  // ran Matérn-3/2.
+  struct Family {
+    gp::KernelFamily family;
+    std::uint64_t history_seed;
+  };
   for (const int history : {5, 8, 15, 24}) {
-    for (const gp::KernelFamily family :
-         {gp::KernelFamily::kSquaredExponential, gp::KernelFamily::kMatern32,
-          gp::KernelFamily::kMatern52}) {
-      for (const AcquisitionKind acq : {AcquisitionKind::kExpectedImprovement,
-                                        AcquisitionKind::kUpperConfidenceBound}) {
-        for (const Setup& setup : setups) {
-          BayesOptOptions o;
-          o.kernel = family;
-          o.acquisition = acq;
-          o.hyper_mode = setup.mode;
-          o.hyper_samples = 5;
-          o.hyper_burn_in = 4;
-          o.seed = 97;
-          if (setup.noise_diag) o.rung_noise_variance = {0.0, 4e-3, 1e-3};
-          BayesOpt opt(space, o);
-          Rng rng(5 + static_cast<std::uint64_t>(family));
-          for (int i = 0; i < history; ++i) {
-            auto x = space.sample(rng);
-            const double y = objective(x) + 0.05 * rng.normal();
-            opt.observe(std::move(x), y, i % 3 == 0 ? 1 : 2);
-          }
-          std::vector<std::vector<double>> centres = {
-              space.to_unit(opt.observations()[3].x),
-              space.to_unit(opt.best().x),
-              {0.0, 1.0, 1.0, 0.0, 0.5},
-          };
-          std::vector<double> inner(space.dim());
-          for (double& v : inner) v = rng.uniform();
-          centres.push_back(inner);
-          std::size_t finite = 0, total = 0;
-          for (const auto& centre : centres) {
-            for (const double step : {0.1, 0.03, 1e-2, 1e-3}) {
-              const auto nb = opt.neighbor_scores(centre, step);
-              ASSERT_EQ(nb.bound.size(), 2 * space.dim());
-              for (std::size_t r = 0; r < nb.bound.size(); ++r) {
-                ASSERT_TRUE(std::isfinite(nb.exact[r]));
-                EXPECT_LE(nb.exact[r], nb.bound[r])
-                    << "n " << history << " family "
-                    << static_cast<int>(family) << " acq " << to_string(acq)
-                    << " mode " << to_string(setup.mode) << " step " << step
-                    << " neighbour " << r;
-                finite += std::isfinite(nb.bound[r]) ? 1 : 0;
-                ++total;
-              }
+    for (const Family f : {Family{gp::KernelFamily::kSquaredExponential, 5},
+                           Family{gp::KernelFamily::kMatern52, 7}}) {
+      for (const Setup& setup : setups) {
+        BayesOptOptions o;
+        o.kernel = f.family;
+        o.hyper_mode = setup.mode;
+        o.hyper_samples = 5;
+        o.hyper_burn_in = 4;
+        o.seed = 97;
+        if (setup.noise_diag) o.rung_noise_variance = {0.0, 4e-3, 1e-3};
+        BayesOpt opt(space, o);
+        Rng rng(f.history_seed);
+        for (int i = 0; i < history; ++i) {
+          auto x = space.sample(rng);
+          const double y = objective(x) + 0.05 * rng.normal();
+          opt.observe(std::move(x), y, i % 3 == 0 ? 1 : 2);
+        }
+        std::vector<std::vector<double>> centres = {
+            space.to_unit(opt.observations()[3].x),
+            space.to_unit(opt.best().x),
+            {0.0, 1.0, 1.0, 0.0, 0.5},
+        };
+        std::vector<double> inner(space.dim());
+        for (double& v : inner) v = rng.uniform();
+        centres.push_back(inner);
+        for (const auto& centre : centres) {
+          for (const double step : {0.1, 0.03, 1e-2, 1e-3}) {
+            const auto nb = opt.neighbor_scores(centre, step);
+            ASSERT_EQ(nb.bound.size(), 2 * space.dim());
+            for (std::size_t r = 0; r < nb.bound.size(); ++r) {
+              ASSERT_TRUE(std::isfinite(nb.exact[r]));
+              // Not vacuous: every bound here is finite.
+              EXPECT_TRUE(std::isfinite(nb.bound[r]));
+              EXPECT_LE(nb.exact[r], nb.bound[r])
+                  << "n " << history << " family " << gp::to_string(f.family)
+                  << " mode " << to_string(setup.mode) << " step " << step
+                  << " neighbour " << r;
             }
           }
-          // Not vacuous. Matérn-3/2's curvature is infinite at a training
-          // point, so both centres on one get +∞ bounds for that family.
-          EXPECT_GE(finite, family == gp::KernelFamily::kMatern32 ? total / 2
-                                                                    : total)
-              << "n " << history << " family " << static_cast<int>(family)
-              << " acq " << to_string(acq) << " mode "
-              << to_string(setup.mode);
         }
       }
     }
@@ -605,41 +622,35 @@ TEST(BayesOpt, ProgressiveScoringDropsSurvivorsMidPosterior) {
 }
 
 // Where no bound exists, every neighbour's is +∞ and the search scores all
-// of them: probability of improvement (which falls as σ² grows below the
-// incumbent, so a σ² bound does not bound it), the cost-aware divisor and
-// ARD posteriors. A short history is no such case: variant 3 (15
-// observations) is bounded like the control.
+// of them: the cost-aware divisor and ARD posteriors. A short history is no
+// such case: variant 2 (15 observations) is bounded like the control.
 TEST(BayesOpt, NeighborBoundsInfiniteWhereUnsupported) {
-  // Variant 4 is the control: the same history with nothing unsupported
+  // Variant 3 is the control: the same history with nothing unsupported
   // gets finite bounds.
-  for (int variant = 0; variant < 5; ++variant) {
+  for (int variant = 0; variant < 4; ++variant) {
     BayesOptOptions o = fast_options(23);
-    if (variant == 0) o.acquisition = AcquisitionKind::kProbabilityOfImprovement;
-    if (variant == 2) o.ard = true;
+    if (variant == 1) o.ard = true;
     BayesOpt opt(branin_space(), o);
     Rng rng(3);
-    for (int i = 0; i < (variant == 3 ? 15 : 20); ++i) {
+    for (int i = 0; i < (variant == 2 ? 15 : 20); ++i) {
       auto x = opt.space().sample(rng);
       const double y = neg_branin(x[0], x[1]);
       opt.observe(std::move(x), y);
     }
-    if (variant == 1) opt.set_acquisition_costs(5.0, 50.0, -20.0);
+    if (variant == 0) opt.set_acquisition_costs(5.0, 50.0, -20.0);
     const auto nb = opt.neighbor_scores(std::vector<double>{0.4, 0.6}, 0.05);
     ASSERT_EQ(nb.bound.size(), 4u);
     for (std::size_t r = 0; r < 4; ++r) {
-      EXPECT_EQ(std::isfinite(nb.bound[r]), variant >= 3)
+      EXPECT_EQ(std::isfinite(nb.bound[r]), variant >= 2)
           << "variant " << variant << " neighbour " << r;
       EXPECT_TRUE(std::isfinite(nb.exact[r]));
     }
   }
 }
 
-// Acquisition sweep: each acquisition function must drive a working loop.
-class AcquisitionSweep : public ::testing::TestWithParam<AcquisitionKind> {};
-
-TEST_P(AcquisitionSweep, OptimizesQuadratic) {
+// Expected improvement must drive a working loop.
+TEST(BayesOpt, OptimizesQuadratic) {
   BayesOptOptions o = fast_options(21);
-  o.acquisition = GetParam();
   ParamSpace space({ParamSpec::real("x", -4.0, 4.0)});
   BayesOpt opt(space, o);
   for (int i = 0; i < 20; ++i) {
@@ -648,12 +659,6 @@ TEST_P(AcquisitionSweep, OptimizesQuadratic) {
   }
   EXPECT_GT(opt.best().y, -1.0);  // |x| < 1 found
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllAcquisitions, AcquisitionSweep,
-    ::testing::Values(AcquisitionKind::kExpectedImprovement,
-                      AcquisitionKind::kProbabilityOfImprovement,
-                      AcquisitionKind::kUpperConfidenceBound));
 
 }  // namespace
 }  // namespace stormtune::bo

@@ -69,11 +69,6 @@ const GoldenCase kGolden[] = {
      {{-0x1.886e24dddc86p-1, 0x1.f6a619395b34p-4},
       {-0x1.f49854f6156bp-1, 0x1.456db5dddd0ap-4},
       {0x1.150689b69ce16p+1, 0x1.5aaddbdc2fc67p+0}}},
-    {"matern32_ard", KernelFamily::kMatern32, true, 0.9, {0.5, 1.3}, 5e-3,
-     -0.1, -0x1.af8d0de0020c9p+4,
-     {{-0x1.d865fc538a96fp-1, 0x1.b56b223867b04p-3},
-      {-0x1.07e52bc017961p+0, 0x1.0357cef60355cp-3},
-      {0x1.ac94759a99d1cp-4, 0x1.29fb29e9ac39ap-1}}},
     {"matern52_ard", KernelFamily::kMatern52, true, 0.9, {0.5, 1.3}, 5e-3,
      -0.1, -0x1.098ea6da1b952p+5,
      {{-0x1.ebda89696e3c1p-1, 0x1.2b1b2df50f88p-3},

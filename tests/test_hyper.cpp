@@ -170,80 +170,5 @@ TEST(SampleHyperparams, SamplesVaryAcrossChain) {
   EXPECT_TRUE(any_different);
 }
 
-TEST(FitHyperparamsMle, ImprovesPosteriorOverStart) {
-  Kernel k(KernelFamily::kMatern52, 1, false);
-  // Deliberately bad starting hyperparameters.
-  k.set_lengthscales({10.0});
-  k.set_amplitude(0.01);
-  GpRegressor gp(k, 1.0);
-  const Dataset d = smooth_dataset(20, 0.05, 8);
-  HyperPrior prior;
-  gp.fit(d.x, d.y);
-  std::vector<double> start = gp.kernel().hyperparams();
-  start.push_back(0.0);  // log noise sd = 0 (sd 1, way too noisy)
-  start.push_back(0.0);
-  const double start_post = hyper_log_posterior(gp, start, d.x, d.y, prior);
-
-  Kernel k2(KernelFamily::kMatern52, 1, false);
-  k2.set_lengthscales({10.0});
-  k2.set_amplitude(0.01);
-  GpRegressor gp2(k2, 1.0);
-  Rng rng(9);
-  MleOptions opts;
-  const HyperSample best = fit_hyperparams_mle(gp2, d.x, d.y, opts, rng);
-  const double end_post =
-      hyper_log_posterior(gp2, best.theta, d.x, d.y, prior);
-  EXPECT_GT(end_post, start_post);
-}
-
-// Every restart starts from the regressor's hyperparameters on entry, not
-// from wherever the previous restart stopped: with no coordinate passes,
-// the result is the best of the start and of the start moved by each later
-// restart's normals, drawn in order from a copy of the Rng.
-TEST(FitHyperparamsMle, RestartsStartFromTheEntryHyperparameters) {
-  const Dataset d = smooth_dataset(20, 0.05, 8);
-  const Kernel k(KernelFamily::kMatern52, 1, false);
-  MleOptions opts;
-  opts.restarts = 5;
-  opts.iterations = 0;
-  Rng rng(21);
-  Rng draws = rng;
-
-  GpRegressor probe(k, 0.1);
-  std::vector<double> start = probe.kernel().hyperparams();
-  start.push_back(0.5 * std::log(probe.noise_variance()));
-  start.push_back(probe.mean_value());
-  std::vector<double> expected = start;
-  double expected_post =
-      hyper_log_posterior(probe, start, d.x, d.y, opts.prior);
-  for (int restart = 1; restart < opts.restarts; ++restart) {
-    std::vector<double> theta = start;
-    for (double& t : theta) t += draws.normal(0.0, 1.0);
-    const double post = hyper_log_posterior(probe, theta, d.x, d.y, opts.prior);
-    if (post > expected_post) {
-      expected_post = post;
-      expected = theta;
-    }
-  }
-
-  GpRegressor gp(k, 0.1);
-  EXPECT_EQ(fit_hyperparams_mle(gp, d.x, d.y, opts, rng).theta, expected);
-}
-
-TEST(FitHyperparamsMle, RecoversReasonableNoiseLevel) {
-  Kernel k(KernelFamily::kSquaredExponential, 1, false);
-  GpRegressor gp(k, 0.5);
-  const Dataset d = smooth_dataset(40, 0.1, 10);
-  Rng rng(11);
-  MleOptions opts;
-  opts.restarts = 2;
-  fit_hyperparams_mle(gp, d.x, d.y, opts, rng);
-  // True noise sd 0.1; fitted value should land within an order of
-  // magnitude (the prior shrinks slightly).
-  const double fitted_sd = std::sqrt(gp.noise_variance());
-  EXPECT_GT(fitted_sd, 0.01);
-  EXPECT_LT(fitted_sd, 1.0);
-}
-
 }  // namespace
 }  // namespace stormtune::gp

@@ -1,10 +1,8 @@
-// Bit-exact goldens of the hyperparameter sampler and the MAP coordinate
-// search, captured before either decided its comparisons from log-posterior
-// estimates. Only comparisons read the log posterior, so the estimates and
-// their exact fallback must reproduce every θ the exact-only code produced,
-// bit for bit, on every ISA path this host runs. The two MAP goldens were
-// captured again when every restart began to start from the regressor's
-// entry hyperparameters instead of from where the previous restart stopped.
+// Bit-exact goldens of the hyperparameter sampler, captured before it
+// decided its comparisons from log-posterior estimates. Only comparisons
+// read the log posterior, so the estimates and their exact fallback must
+// reproduce every θ the exact-only code produced, bit for bit, on every ISA
+// path this host runs.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -170,35 +168,8 @@ TEST(HyperGolden, SampleHyperparamsWarmStart) {
   }
 }
 
-TEST(HyperGolden, SampleHyperparamsNoiseRatioDiagonal) {
-  if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
-  const Data d = make_data(30, 2, 13);
-  std::vector<double> ratios(30);
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    ratios[i] = i % 3 == 0 ? 1.0 : (i % 3 == 1 ? 4.0 : 16.0);
-  }
-  HyperSamplerOptions opts;
-  opts.num_samples = 3;
-  opts.burn_in = 4;
-  opts.thin = 2;
-  static const Golden kGolden = {
-      {0x1.0fe5c878dae5dp+0, 0x1.fe2329b3d0a5p-2, -0x1.7d5148fe02e58p+1,
-       -0x1.eb3717d1e7503p+0},
-      {0x1.374728450592ap-1, 0x1.36c2545d02229p-2, -0x1.50d43cb649b87p+1,
-       0x1.bfdfd5b7aa8p-3},
-      {0x1.2c7ee9324e97ep-1, -0x1.4e662a435739p-3, -0x1.b1da69e3cd888p+1,
-       0x1.f00496476722p-4},
-  };
-  for (const isa::Path p : runnable_paths()) {
-    const ScopedIsa pin(p);
-    expect_thetas(
-        sample(Kernel(KernelFamily::kMatern32, 2, false), d, opts, 7, ratios),
-        kGolden, "noise-ratio diagonal", p);
-  }
-}
-
-/// SampleHyperparamsNoiseRatioDiagonal's data and chain on the Matérn-5/2
-/// kernel.
+/// Captured as the Matérn-5/2 twin of a Matérn-3/2 golden on the same data
+/// and chain, before Matérn-3/2 was removed.
 TEST(HyperGolden, SampleHyperparamsNoiseRatioDiagonalMatern52) {
   if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
   const Data d = make_data(30, 2, 13);
@@ -223,47 +194,6 @@ TEST(HyperGolden, SampleHyperparamsNoiseRatioDiagonalMatern52) {
     expect_thetas(
         sample(Kernel(KernelFamily::kMatern52, 2, false), d, opts, 7, ratios),
         kGolden, "noise-ratio diagonal, Matérn-5/2", p);
-  }
-}
-
-TEST(HyperGolden, MleSquaredExponential) {
-  if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
-  const Data d = make_data(15, 2, 14);
-  MleOptions opts;
-  static const Golden kGolden = {
-      {0x1.461b528ed6752p-1, -0x1.1c194c980c334p-1, -0x1.13e13980dcdadp+1,
-       -0x1.2cfc13fa0a1d4p-1},
-  };
-  for (const isa::Path p : runnable_paths()) {
-    const ScopedIsa pin(p);
-    GpRegressor gp(Kernel(KernelFamily::kSquaredExponential, 2, false), 0.05);
-    Rng rng(8);
-    expect_thetas({fit_hyperparams_mle(gp, d.x, d.y, opts, rng).theta},
-                  kGolden, "MLE, SE", p);
-  }
-}
-
-TEST(HyperGolden, MleArdWithNoiseRatioDiagonal) {
-  if (!golden_host()) GTEST_SKIP() << "goldens pin glibc/x86-64";
-  const Data d = make_data(30, 4, 15);
-  std::vector<double> ratios(30);
-  for (std::size_t i = 0; i < ratios.size(); ++i) {
-    ratios[i] = i % 2 == 0 ? 1.0 : 9.0;
-  }
-  MleOptions opts;
-  opts.restarts = 2;
-  opts.iterations = 20;
-  static const Golden kGolden = {
-      {0x1.b8p-1, 0x1.2p-2, 0x1.fp-2, 0x1.e8p-1, 0x1.cp-4,
-       -0x1.b1ba13db9f1c8p+1, -0x1.4p-3},
-  };
-  for (const isa::Path p : runnable_paths()) {
-    const ScopedIsa pin(p);
-    GpRegressor gp(Kernel(KernelFamily::kMatern52, 4, true), 0.05);
-    Rng rng(9);
-    expect_thetas(
-        {fit_hyperparams_mle(gp, d.x, d.y, opts, rng, ratios).theta},
-        kGolden, "MLE, ARD with noise ratios", p);
   }
 }
 

@@ -12,7 +12,7 @@
 //     map whose only divergence is the math library's vector exp: libmvec
 //     documents ≤4 ulp for the _ZGV* entry points. Measured end-to-end
 //     divergence against the scalar expressions on a 4-core Xeon with
-//     glibc 2.36 is 4 ulp (sqexp) and 5 ulp (matern32/52, where the ulp
+//     glibc 2.36 is 4 ulp (sqexp) and 5 ulp (matern52, where the ulp
 //     error of exp is amplified by the polynomial factor); the sweep
 //     asserts ≤ 8 ulp to leave headroom for other libm builds while still
 //     catching any real algorithmic drift. Each path's own bits are pinned
@@ -158,7 +158,6 @@ TEST(IsaDispatch, EnvironmentOverrideHonored) {
 TEST(IsaDispatch, TransformAgreesWithScalarReference) {
   const double scale = 1.7;
   const gp::KernelFamily families[] = {gp::KernelFamily::kSquaredExponential,
-                                       gp::KernelFamily::kMatern32,
                                        gp::KernelFamily::kMatern52};
   std::vector<std::size_t> lengths = {0, 1, 2, 3, 4, 5, 6, 7, 8};
   for (std::size_t tail = 0; tail < 8; ++tail) lengths.push_back(24 + tail);
@@ -189,10 +188,10 @@ TEST(IsaDispatch, TransformAgreesWithScalarReference) {
 
 // Each path's correlation bits, captured from the per-ISA transforms that
 // preceded KernelOps::correlation (hexfloats, so the comparison is exact).
-// Inputs are r² values; twelve of them are ones where libmvec's 2-lane exp
-// rounds differently from its 4- and 8-lane ones, which agree with each
-// other: kWideCorrelation lists the AVX2/AVX-512 outputs that differ from
-// the portable table. A shorter buffer is a prefix of the inputs and must
+// Inputs are r² values; four per family are ones where libmvec's 2-lane
+// exp rounds differently from its 4- and 8-lane ones, which agree with
+// each other: kWideCorrelation lists the AVX2/AVX-512 outputs that differ
+// from the portable table. A shorter buffer is a prefix of the inputs and must
 // give a prefix of the outputs: lanes are independent, so neither len nor
 // the masked tail may move a bit.
 const double kCorrelationInputs[31] = {
@@ -209,7 +208,7 @@ const double kCorrelationInputs[31] = {
     0x1.43a4bc9135fecp+4,
 };
 
-const double kPortableCorrelation[3][31] = {
+const double kPortableCorrelation[2][31] = {
     {// squared exponential
      0x1.459dfb29ee17ap-15, 0x1.479549a1780dfp-10, 0x1.ff2f97173a649p-13,
      0x1.038d0891e2b9p-1, 0x1.5db562b1714f1p-2, 0x1.484d7d46b043cp-2,
@@ -222,19 +221,6 @@ const double kPortableCorrelation[3][31] = {
      0x1.f6d54a60a9932p-3, 0x1.65c2e9b1df0b4p-14, 0x1.e2088cd44b724p-15,
      0x1.44bc7cc9278cbp-15, 0x1.b58965122fe84p-16, 0x1.5aecfe2c2fceep-13,
      0x1.20e0f0945dea2p-14,
-    },
-    {// Matérn-3/2
-     0x1.4e10a900fb514p-8, 0x1.2511f8c553a03p-6, 0x1.3bf09105bf34bp-7,
-     0x1.b2a0b5f9bf5f1p-2, 0x1.40beedea8cc17p-2, 0x1.325fae7782ed4p-2,
-     0x1.f531549f3baebp-1, 0x1.dc618adfea4eap-3, 0x1.d77b020d071c5p-1,
-     0x1.7cf422da397cp-4, 0x1.361bfcefe1ceep-4, 0x1.fd19d396d8b4bp-5,
-     0x1.78bb43e5f39cdp-8, 0x1.5e5f59137c263p-5, 0x1.2554dbfa09f4dp-5,
-     0x1.edc4a02060994p-6, 0x1.5cd4538bf778dp-3, 0x1.62bedfc8c24edp-6,
-     0x1.2e95fa3c5ef0cp-6, 0x1.031251e390626p-6, 0x1.bd3031571f099p-7,
-     0x1.7fc1ffdd2d072p-7, 0x1.4bd11d3973dadp-7, 0x1.1fbadf6ddb42ap-7,
-     0x1.fc5b2de97441bp-3, 0x1.b4267a5edd517p-8, 0x1.7d1a9044076f2p-8,
-     0x1.4dc38be26ab6ep-8, 0x1.24efd4511086fp-8, 0x1.12f0848c11941p-7,
-     0x1.954f49ac7860cp-8,
     },
     {// Matérn-5/2
      0x1.52d7f54b3edc3p-9, 0x1.7e58e3e7e91bp-7, 0x1.6d13b7c8e1231p-8,
@@ -256,11 +242,9 @@ struct WideBits {
   double value;
 };
 
-const WideBits kWideCorrelation[3][4] = {
+const WideBits kWideCorrelation[2][4] = {
     {{0, 0x1.459dfb29ee17bp-15}, {6, 0x1.330a6a2dc4594p+0},
      {8, 0x1.23ced0dcd6517p+0}, {30, 0x1.20e0f0945dea1p-14}},
-    {{1, 0x1.2511f8c553a04p-6}, {7, 0x1.dc618adfea4e8p-3},
-     {16, 0x1.5cd4538bf779p-3}, {29, 0x1.12f0848c1194p-7}},
     {{2, 0x1.6d13b7c8e122ep-8}, {5, 0x1.37f4a7459e295p-2},
      {12, 0x1.87c572ca7e6acp-9}, {24, 0x1.fb0eb1a1b7105p-3}},
 };
@@ -270,12 +254,11 @@ TEST(IsaDispatch, CorrelationBitsPinnedOnEveryPath) {
   GTEST_SKIP() << "golden values pin the glibc/x86-64 vector-exp path";
 #endif
   const gp::KernelFamily families[] = {gp::KernelFamily::kSquaredExponential,
-                                       gp::KernelFamily::kMatern32,
                                        gp::KernelFamily::kMatern52};
   for (const isa::Path path : runnable_paths()) {
     const lk::KernelOps* ops = lk::ops_for(path);
     ASSERT_NE(ops, nullptr) << isa::to_string(path);
-    for (std::size_t f = 0; f < 3; ++f) {
+    for (std::size_t f = 0; f < 2; ++f) {
       std::vector<double> expected(std::begin(kPortableCorrelation[f]),
                                    std::end(kPortableCorrelation[f]));
       if (path != isa::Path::kPortable) {
@@ -547,7 +530,7 @@ TEST(IsaDispatch, BlockPredictMatchesPerCandidateOracleOnEveryPath) {
     for (const bool ard : {false, true}) {
       for (const gp::KernelFamily family :
            {gp::KernelFamily::kSquaredExponential,
-            gp::KernelFamily::kMatern32, gp::KernelFamily::kMatern52}) {
+            gp::KernelFamily::kMatern52}) {
         gp::Kernel kern(family, d, ard);
         kern.set_amplitude(1.4);
         kern.set_lengthscales(ard ? std::vector<double>{0.7, 1.1, 0.9}

@@ -94,7 +94,7 @@ TEST(BayesTuner, LearnsTowardBetterRegion) {
   opts.multiplier_max = 10.0;
   ConfigSpace space(t, opts, defaults());
   bo::BayesOptOptions bopts;
-  bopts.hyper_mode = bo::HyperMode::kMle;
+  bopts.hyper_mode = bo::HyperMode::kSliceSample;
   bopts.initial_design = 4;
   bopts.num_candidates = 128;
   bopts.seed = 3;
