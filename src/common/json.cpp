@@ -273,6 +273,9 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
+      // A repeated key would silently keep only its last value.
+      STORMTUNE_REQUIRE(!obj.contains(key),
+                        "Json: duplicate key '" + key + "' in object");
       obj[std::move(key)] = parse_value();
       skip_ws();
       const char c = get();

@@ -103,6 +103,18 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("--1"), Error);
 }
 
+TEST(Json, RejectsDuplicateKeyNamingIt) {
+  try {
+    Json::parse(R"({"topology":"small","steps":3,"steps":2})");
+    ADD_FAILURE() << "a repeated key parsed";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'steps'"), std::string::npos)
+        << e.what();
+  }
+  // Equal keys in different objects are not repeats.
+  EXPECT_NO_THROW(Json::parse(R"([{"a":1},{"a":2,"b":{"a":3}}])"));
+}
+
 TEST(Json, ContainsAndMissingKey) {
   Json j;
   j["a"] = 1;

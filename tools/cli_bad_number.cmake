@@ -10,9 +10,9 @@
 # `stormtune tune-many` on campaign files whose counts or seed are negative
 # or fractional, whose duration is not positive, whose strategy, topology or
 # what block is unknown, whose what repeats or leaves out a block, whose
-# ladder challenge fraction is out of (0, 1], or whose ladder campaign names
-# a strategy the ladder cannot drive, and requires each run to exit 1, name
-# the field and schedule nothing. Last,
+# ladder challenge fraction is out of (0, 1], whose ladder campaign names
+# a strategy the ladder cannot drive, or which repeats a field, and requires
+# each run to exit 1, name the field and schedule nothing. Last,
 # `simulate --duration=0` must exit 1 naming duration. No error message
 # may carry a source location (a ".cpp:" of the build's checkout).
 #
@@ -77,7 +77,8 @@ foreach(case "steps;-1" "reps;-1" "passes;-1" "gp_window;-1"
              "strategy;\"pla\", \"fidelity\": \"ladder\""
              "topology;\"bogus\"" "what;\"zzz\"" "what;\"batch,batch\""
              "what;\"\"" "ladder_challenge_fraction;0"
-             "ladder_challenge_fraction;2, \"fidelity\": \"ladder\"")
+             "ladder_challenge_fraction;2, \"fidelity\": \"ladder\""
+             "steps;3, \"steps\": 2")
   list(GET case 0 field)
   list(GET case 1 value)
   set(campaigns "${WORK_DIR}/bad_${field}.json")
