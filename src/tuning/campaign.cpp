@@ -220,6 +220,21 @@ ObjectiveFactory sim_objective_factory(const sim::Topology& topology,
   };
 }
 
+namespace {
+
+/// space_options(desc) with the `batch` block's batch-size range set to
+/// [b/5, 10b] around the workload's starting batch size b: Sundog's 50000
+/// keeps SpaceOptions' own [10000, 500000], and the synthetic topologies'
+/// 200 gets [40, 2000] instead of a range none of their batches fit.
+SpaceOptions campaign_space(const CampaignDesc& desc, const Workload& w) {
+  SpaceOptions space = space_options(desc);
+  space.batch_size_min = std::max(1, w.defaults.batch_size / 5);
+  space.batch_size_max = 10 * w.defaults.batch_size;
+  return space;
+}
+
+}  // namespace
+
 CampaignSpec make_campaign(const CampaignDesc& desc, std::string name,
                            SeedRule seeds) {
   const std::string why = desc.check();
@@ -232,7 +247,7 @@ CampaignSpec make_campaign(const CampaignDesc& desc, std::string name,
   spec.passes = desc.passes;
   if (desc.fidelity == "ladder") {
     LadderCampaignConfig lc;
-    lc.space = space_options(desc);
+    lc.space = campaign_space(desc, w);
     lc.defaults = std::move(w.defaults);
     lc.topology = std::move(w.topology);
     lc.cluster = w.cluster;
@@ -252,8 +267,8 @@ CampaignSpec make_campaign(const CampaignDesc& desc, std::string name,
     return spec;
   }
   TunerSpec tuner;
+  tuner.space = campaign_space(desc, w);
   tuner.defaults = std::move(w.defaults);
-  tuner.space = space_options(desc);
   tuner.bo.max_observations = desc.gp_window;
   spec.make_objective =
       sim_objective_factory(w.topology, w.cluster, w.params, desc.seed, seeds);

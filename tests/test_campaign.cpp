@@ -214,5 +214,21 @@ TEST(MakeCampaign, SoloSeedsDifferFromAOnePassCampaign) {
   EXPECT_EQ(run_campaign(file, 1).best_rep_values, b.best_rep_values);
 }
 
+// The `batch` block's range follows the topology's batch size: on small
+// (batch size 200) it must not be Sundog's [10000, 500000], where every
+// configuration measures 0 tuples/s and the campaign stops early.
+TEST(MakeCampaign, BatchBlockFindsThroughputOnSyntheticTopologies) {
+  CampaignDesc d = small_desc();
+  d.what = "h,batch";
+  d.steps = 12;
+  d.reps = 1;
+  d.passes = 1;
+  for (const char* fidelity : {"full", "ladder"}) {
+    d.fidelity = fidelity;
+    const ExperimentResult best = run_campaign(make_campaign(d, fidelity), 1);
+    EXPECT_GT(best.best_throughput, 0.0) << fidelity;
+  }
+}
+
 }  // namespace
 }  // namespace stormtune::tuning
