@@ -25,9 +25,12 @@
 
 namespace stormtune::bo {
 
+/// The values are pinned: 1 was the MAP coordinate search, since removed,
+/// and kFixed keeps the 2 it had, so a mode printed or logged as a number
+/// means the same mode across versions.
 enum class HyperMode {
-  kSliceSample,  ///< marginalize via MCMC (Spearmint's scheme)
-  kFixed,        ///< fixed, sensible defaults (no refitting)
+  kSliceSample = 0,  ///< marginalize via MCMC (Spearmint's scheme)
+  kFixed = 2,        ///< fixed, sensible defaults (no refitting)
 };
 
 std::string to_string(HyperMode mode);

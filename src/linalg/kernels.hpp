@@ -25,9 +25,12 @@
 namespace stormtune::linalg_kernels {
 
 /// The stationary kernels' unit-amplitude correlations g(r²) (gp::Kernel).
+/// The values are pinned: 1 was Matérn-3/2, since removed, and Matérn-5/2
+/// keeps the 2 it had, so a family printed or logged as a number means the
+/// same kernel across versions.
 enum class KernelFamily {
-  kSquaredExponential,
-  kMatern52,
+  kSquaredExponential = 0,
+  kMatern52 = 2,
 };
 
 /// g(r²) for an already-scaled squared distance r² = Σ((x_k−y_k)/l_k)²:
